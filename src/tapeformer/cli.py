@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,7 +161,31 @@ def config_from_dict(obj: dict) -> RunConfig:
     kwargs = {}
     for name, val in obj.items():
         kwargs[name] = _from_dict(_SECTIONS[name], val, name) if name in _SECTIONS else val
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    _check_types(cfg)
+    return cfg
+
+
+def _check_types(obj, where: str = "") -> None:
+    """Check every field of a config tree against its declared type, in
+    place; an int given for a float is stored as a float. A ConfigError
+    names the first field that does not fit."""
+    hints = typing.get_type_hints(type(obj))
+    for f in dataclasses.fields(obj):
+        name, value, hint = where + f.name, getattr(obj, f.name), hints[f.name]
+        if dataclasses.is_dataclass(value):
+            _check_types(value, name + ".")
+            continue
+        if hint is float and type(value) is int:
+            value = float(value)
+            setattr(obj, f.name, value)
+        if typing.get_origin(hint) is list:
+            ok = isinstance(value, list) and all(isinstance(v, typing.get_args(hint)) for v in value)
+        else:  # exact types: a bool is not an int here
+            ok = type(value) in (typing.get_args(hint) or (hint,))
+        if not ok:
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ConfigError(f"{name}: expected {expected}, got {value!r}")
 
 
 def load_config(path) -> RunConfig:
@@ -179,7 +204,11 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def apply_overrides(cfg: RunConfig, sets: list[str]) -> RunConfig:
-    """Apply `section.key=value` overrides; values parse as JSON, else string."""
+    """Apply `section.key=value` overrides, then re-check every field's type.
+
+    Values parse as JSON, else as a string; a field declared as a string
+    always takes the raw text.
+    """
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -197,7 +226,10 @@ def apply_overrides(cfg: RunConfig, sets: list[str]) -> RunConfig:
         leaf = parts[-1]
         if not dataclasses.is_dataclass(target) or leaf not in {f.name for f in dataclasses.fields(target)}:
             raise ConfigError(f"--set: unknown config field {key!r}")
+        if typing.get_type_hints(type(target))[leaf] is str and not isinstance(value, str):
+            value = raw
         setattr(target, leaf, value)
+    _check_types(cfg)
     return cfg
 
 
@@ -486,6 +518,9 @@ def main(argv=None) -> int:
         return args.config_command(cfg)
     except TrainingDiverged as e:
         print(f"training aborted: {e}", file=sys.stderr)
+        return 1
+    except ad.ShapeError as e:  # a ValueError, but an engine fault rather than bad input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except (ConfigError, DataError, GraphConstructionError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -69,6 +69,22 @@ class DirectedGraph:
         i = np.searchsorted(t, v)
         return i < len(t) and t[i] == v
 
+    def has_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """Directed edge src[n] -> dst[n] present, for paired id arrays;
+        only the out-edges of the distinct sources are searched."""
+        src, n = np.asarray(src, dtype=np.int64), np.int64(self.num_nodes)
+        u = np.unique(src)
+        lo = self.out_offsets[u]
+        cnt = self.out_offsets[u + 1] - lo
+        # those out-edges as ascending src * n + dst keys
+        at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
+        keys = np.repeat(u, cnt) * n + self.out_targets[at]
+        want = src * n + dst
+        if len(keys) == 0:
+            return np.zeros(len(want), dtype=bool)
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return keys[pos] == want
+
     def has_undirected_edge(self, u: int, v: int) -> bool:
         return self.has_edge(u, v) or self.has_edge(v, u)
 

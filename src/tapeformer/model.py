@@ -60,6 +60,8 @@ class GraphormerConfig:
             raise ValueError("max_spd must be >= 1")
         if self.num_classes < 2:
             raise ValueError("need at least two classes")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def d_head(self) -> int:
@@ -97,7 +99,7 @@ def build_batch(
     """Run the structural encodings for one subgraph.
 
     ``path_coeffs`` row (i*k + j) holds the path's per-position edge
-    features scaled by 1/N, laid out position-major, so that
+    features divided by its length N, laid out position-major, so that
     ``path_coeffs @ edge_weight`` is exactly the average-dot-product
     edge term for every pair at once.
     """
@@ -109,13 +111,10 @@ def build_batch(
             f"edge features have dim {paths.dim}, config says {cfg.d_edge_feature}"
         )
     k = sub.num_nodes
-    de = cfg.d_edge_feature
-    coeffs = np.zeros((k * k, cfg.max_spd * de), dtype=np.float64)
-    for (i, j), feats in paths.per_pair.items():
-        n = feats.shape[0]
-        if n == 0:
-            continue
-        coeffs[i * k + j, : n * de] = (feats / n).reshape(-1)
+    # a true division, not a product with 1/N: the coefficients are pinned
+    # to the quotient bit for bit
+    n = np.maximum(paths.lengths, 1).astype(np.float64)
+    coeffs = (paths.steps / n[:, :, None, None]).reshape(k * k, -1)
     return SubgraphBatch(
         nodes=sub.nodes.copy(),
         center_local=sub.node_map[sub.center],

@@ -1,16 +1,20 @@
 """Graph-derived quantities consumed by the model.
 
 Shortest-path distances, one concrete shortest path per ordered node
-pair (with its per-edge feature sequence), degree statistics, and local
-clustering coefficients. Distances and paths are computed on the
-undirected view: in citation graphs most directed pairs are mutually
-unreachable, which would starve the distance-based attention bias.
+pair (with its per-edge feature sequence), and local clustering
+coefficients. Distances and paths are computed on the undirected view:
+in citation graphs most directed pairs are mutually unreachable, which
+would starve the distance-based attention bias.
+
+Per ego subgraph everything is a pass over k x k arrays: an all-source
+BFS as at most ``cap`` frontier products, a predecessor matrix, and the
+path feature tensor filled one distance level at a time.
 """
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,12 +23,10 @@ from .graph import DirectedGraph, EgoSubgraph
 __all__ = [
     "SpdMatrix",
     "PathFeatures",
-    "StructuralStats",
     "EDGE_FEATURE_DIM",
     "bfs_spd",
-    "shortest_path_edges",
+    "path_predecessors",
     "clustering_coefficient",
-    "compute_structural_stats",
     "local_adjacency",
     "synth_edge_features",
     "build_path_features",
@@ -44,97 +46,87 @@ class SpdMatrix:
     dist: np.ndarray  # (k, k) int64
     cap: int
 
-    @property
-    def unreachable(self) -> int:
-        return self.cap + 1
-
-    def is_reachable(self, i: int, j: int) -> bool:
-        return self.dist[i, j] <= self.cap
-
 
 @dataclass
 class PathFeatures:
-    """One shortest path per ordered reachable pair (i, j), i != j,
-    stored as its per-edge feature sequence of shape (dist, dim)."""
+    """Edge features along one shortest path per ordered pair.
 
-    per_pair: dict[tuple[int, int], np.ndarray]
-    dim: int
+    ``steps[i, j, p]`` is the feature vector of the p-th step of the
+    path i -> j. Positions past the path's length, the diagonal and
+    unreachable pairs hold zeros.
+    """
+
+    steps: np.ndarray  # (k, k, cap, dim)
+    lengths: np.ndarray  # (k, k) hop counts; 0 on the diagonal and for unreachable pairs
+
+    @property
+    def dim(self) -> int:
+        return self.steps.shape[-1]
+
+    @cached_property
+    def per_pair(self) -> dict[tuple[int, int], np.ndarray]:
+        """(i, j) -> (length, dim) feature sequence, for every reachable
+        pair i != j; the arrays are views into ``steps``."""
+        return {(int(i), int(j)): self.steps[i, j, : self.lengths[i, j]]
+                for i, j in zip(*np.nonzero(self.lengths))}
 
 
-@dataclass
-class StructuralStats:
-    in_deg: np.ndarray
-    out_deg: np.ndarray
-    clustering: np.ndarray
-
-
-def local_adjacency(sub: EgoSubgraph) -> list[np.ndarray]:
-    """Undirected neighbor lists (sorted, deduplicated) in local indices."""
+def local_adjacency(sub: EgoSubgraph) -> np.ndarray:
+    """(k, k) boolean undirected adjacency in local indices, no self-loops."""
     k = sub.num_nodes
-    sets: list[set[int]] = [set() for _ in range(k)]
-    for i, j in sub.local_edges:
-        if i != j:
-            sets[i].add(int(j))
-            sets[j].add(int(i))
-    return [np.asarray(sorted(s), dtype=np.int64) for s in sets]
+    adj = np.zeros((k, k), dtype=bool)
+    e = sub.local_edges
+    adj[e[:, 0], e[:, 1]] = True
+    adj[e[:, 1], e[:, 0]] = True
+    np.fill_diagonal(adj, False)
+    return adj
 
 
-def bfs_spd(sub: EgoSubgraph, cap: int, adj: list[np.ndarray] | None = None) -> SpdMatrix:
-    """Per-source BFS on the undirected view, truncated at ``cap`` hops."""
+def bfs_spd(sub: EgoSubgraph, cap: int, adj: np.ndarray | None = None) -> SpdMatrix:
+    """All-source BFS on the undirected view, truncated at ``cap`` hops.
+
+    Row s of ``frontier`` holds the nodes first reached from s at the
+    current hop; one product with the adjacency advances every source
+    by a hop at once.
+    """
     if cap < 1:
         raise ValueError("spd cap must be >= 1")
     if adj is None:
         adj = local_adjacency(sub)
     k = sub.num_nodes
     dist = np.full((k, k), cap + 1, dtype=np.int64)
-    for s in range(k):
-        row = dist[s]
-        row[s] = 0
-        q = deque([s])
-        while q:
-            u = q.popleft()
-            du = row[u]
-            if du >= cap:
-                continue  # anything further is beyond the bias-table range
-            for w in adj[u]:
-                if row[w] > du + 1:
-                    row[w] = du + 1
-                    q.append(w)
+    np.fill_diagonal(dist, 0)
+    seen = np.eye(k, dtype=bool)
+    frontier = np.eye(k)
+    step = adj.astype(np.float64)
+    for d in range(1, cap + 1):
+        reached = ((frontier @ step) > 0) & ~seen
+        if not reached.any():
+            break
+        dist[reached] = d
+        seen |= reached
+        frontier = reached.astype(np.float64)
     return SpdMatrix(dist=dist, cap=cap)
 
 
-def shortest_path_edges(
-    sub: EgoSubgraph,
-    i: int,
-    j: int,
-    spd: SpdMatrix,
-    adj: list[np.ndarray] | None = None,
-) -> list[tuple[int, int]] | None:
-    """One concrete shortest path i -> j as local (u, v) steps.
+def path_predecessors(sub: EgoSubgraph, spd: SpdMatrix, adj: np.ndarray | None = None) -> np.ndarray:
+    """(k, k) last-step predecessor of j on the chosen shortest path i -> j.
 
-    Returns [] when i == j and None when the pair is unreachable. Among
-    equal-length paths the predecessor with the smallest *global* node
-    id wins at every step, so the chosen path (and hence the model's
-    edge-encoding term) is invariant under relabeling of local indices.
+    Among the neighbors u of j with ``dist[i, u] == dist[i, j] - 1`` the
+    one with the smallest *global* node id wins, so the chosen paths
+    (and hence the model's edge-encoding term) are invariant under
+    relabeling of local indices. -1 on the diagonal and for unreachable
+    pairs. Following ``pred[i, .]`` back from j walks the whole path.
     """
-    if i == j:
-        return []
-    d = int(spd.dist[i, j])
-    if d > spd.cap:
-        return None
     if adj is None:
         adj = local_adjacency(sub)
-    drow = spd.dist[i]
-    steps: list[tuple[int, int]] = []
-    cur = j
-    while cur != i:
-        want = drow[cur] - 1
-        cands = [int(u) for u in adj[cur] if drow[u] == want]
-        pred = min(cands, key=lambda u: int(sub.nodes[u]))
-        steps.append((pred, cur))
-        cur = pred
-    steps.reverse()
-    return steps
+    dist = spd.dist
+    order = np.argsort(sub.nodes)  # local indices by ascending global id
+    # cand[i, j, r]: local node order[r] is a neighbor of j one hop closer to i
+    cand = (dist[:, order][:, None, :] == dist[:, :, None] - 1) & adj[order].T[None, :, :]
+    pred = order[cand.argmax(axis=2)]
+    pred[(dist == 0) | (dist > spd.cap)] = -1
+    return pred
 
 
 def clustering_coefficient(g: DirectedGraph, v: int) -> float:
@@ -151,31 +143,30 @@ def clustering_coefficient(g: DirectedGraph, v: int) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
-def compute_structural_stats(g: DirectedGraph, nodes=None) -> StructuralStats:
-    ids = np.arange(g.num_nodes) if nodes is None else np.asarray(nodes, dtype=np.int64)
-    return StructuralStats(
-        in_deg=g.in_degrees()[ids],
-        out_deg=g.out_degrees()[ids],
-        clustering=np.asarray([clustering_coefficient(g, int(v)) for v in ids]),
-    )
-
-
-def synth_edge_features(g: DirectedGraph, gu: int, gv: int) -> np.ndarray:
-    """Features for one undirected step gu -> gv of a path.
+def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """(m, 3) features for the undirected steps src[n] -> dst[n].
 
     The flag is +1 when the step follows the citation direction, -1
     when it runs against it; degree terms describe the directed edge's
     own endpoints. Reciprocal citations count as forward.
     """
-    if g.has_edge(gu, gv):
-        flag, src, dst = 1.0, gu, gv
-    elif g.has_edge(gv, gu):
-        flag, src, dst = -1.0, gv, gu
-    else:
-        raise ValueError(f"no edge between {gu} and {gv} in either direction")
-    return np.asarray(
-        [flag, math.log1p(g.out_degree(src)), math.log1p(g.in_degree(dst))], dtype=np.float64
-    )
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    fwd = g.has_edges(src, dst)
+    back = ~fwd
+    missing = np.flatnonzero(back)[~g.has_edges(dst[back], src[back])]
+    if len(missing):
+        n = missing[0]
+        raise ValueError(f"no edge between {src[n]} and {dst[n]} in either direction")
+    a = np.where(fwd, src, dst)
+    b = np.where(fwd, dst, src)
+    out = np.empty((len(src), EDGE_FEATURE_DIM), dtype=np.float64)
+    out[:, 0] = np.where(fwd, 1.0, -1.0)
+    # math.log1p, not np.log1p: the two disagree in the last ulp on some
+    # integers (2 among them), and the features are pinned to math.log1p
+    out[:, 1] = list(map(math.log1p, (g.out_offsets[a + 1] - g.out_offsets[a]).tolist()))
+    out[:, 2] = list(map(math.log1p, (g.in_offsets[b + 1] - g.in_offsets[b]).tolist()))
+    return out
 
 
 def build_path_features(
@@ -183,27 +174,35 @@ def build_path_features(
     sub: EgoSubgraph,
     spd: SpdMatrix,
     edge_feature_fn=None,
-    adj: list[np.ndarray] | None = None,
+    adj: np.ndarray | None = None,
 ) -> PathFeatures:
     """Per-edge feature sequences along one shortest path per ordered pair.
 
-    ``edge_feature_fn(g, gu, gv) -> vector`` may supply external edge
-    features; the synthesized 3-dim features are the default.
+    ``edge_feature_fn(g, src_gids, dst_gids) -> (m, dim)`` may supply
+    external edge features; the synthesized 3-dim features are the
+    default. It is called once, over both orientations of every local
+    undirected edge. Paths are then filled one distance level at a
+    time: the path i -> j is the path i -> pred[i, j] plus the step
+    pred[i, j] -> j.
     """
     fn = edge_feature_fn or synth_edge_features
     if adj is None:
         adj = local_adjacency(sub)
+    a, b = np.nonzero(adj)
+    feats = np.asarray(fn(g, sub.nodes[a], sub.nodes[b]), dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != len(a):
+        raise ValueError(f"edge features must be ({len(a)}, dim), got shape {feats.shape}")
     k = sub.num_nodes
-    dim = len(fn(g, int(sub.nodes[sub.local_edges[0, 0]]), int(sub.nodes[sub.local_edges[0, 1]]))) \
-        if len(sub.local_edges) else EDGE_FEATURE_DIM
-    per_pair: dict[tuple[int, int], np.ndarray] = {}
-    for i in range(k):
-        for j in range(k):
-            if i == j or spd.dist[i, j] > spd.cap:
-                continue
-            steps = shortest_path_edges(sub, i, j, spd, adj=adj)
-            feats = np.empty((len(steps), dim), dtype=np.float64)
-            for n, (lu, lv) in enumerate(steps):
-                feats[n] = fn(g, int(sub.nodes[lu]), int(sub.nodes[lv]))
-            per_pair[(i, j)] = feats
-    return PathFeatures(per_pair=per_pair, dim=dim)
+    edge = np.zeros((k, k, feats.shape[1]), dtype=np.float64)
+    edge[a, b] = feats
+    pred = path_predecessors(sub, spd, adj)
+    steps = np.zeros((k, k, spd.cap, feats.shape[1]), dtype=np.float64)
+    for d in range(1, spd.cap + 1):
+        ii, jj = np.nonzero(spd.dist == d)
+        if len(ii) == 0:
+            break
+        pp = pred[ii, jj]
+        steps[ii, jj, : d - 1] = steps[ii, pp, : d - 1]
+        steps[ii, jj, d - 1] = edge[pp, jj]
+    lengths = np.where(spd.dist <= spd.cap, spd.dist, 0)
+    return PathFeatures(steps=steps, lengths=lengths)

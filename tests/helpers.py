@@ -3,6 +3,8 @@ independent graph oracles. Everything here is deliberately naive -- the
 point is independence from the library code under test."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from tapeformer import autodiff as ad
@@ -132,3 +134,66 @@ def brute_force_clustering(adj_sets, v) -> float:
             if nbrs[j] in adj_sets[nbrs[i]]:
                 links += 1
     return 2.0 * links / (k * (k - 1))
+
+
+def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
+    """Synthesized features of one undirected step gu -> gv, one edge at
+    a time: [+1 forward / -1 backward, log1p(src out-degree), log1p(dst
+    in-degree)]; reciprocal citations count as forward."""
+    if g.has_edge(gu, gv):
+        flag, src, dst = 1.0, gu, gv
+    elif g.has_edge(gv, gu):
+        flag, src, dst = -1.0, gv, gu
+    else:
+        raise ValueError(f"no edge between {gu} and {gv} in either direction")
+    return np.asarray(
+        [flag, math.log1p(g.out_degree(src)), math.log1p(g.in_degree(dst))], dtype=np.float64
+    )
+
+
+def shortest_path_edges(sub, adj_sets, dist, cap, i, j):
+    """One shortest path i -> j as local (u, v) steps, walked back from j.
+
+    [] when i == j, None when unreachable within ``cap``. At every step
+    the predecessor with the smallest global node id wins.
+    """
+    if i == j:
+        return []
+    if dist[i, j] > cap:
+        return None
+    drow = dist[i]
+    steps = []
+    cur = j
+    while cur != i:
+        want = drow[cur] - 1
+        cands = [u for u in adj_sets[cur] if drow[u] == want]
+        pred = min(cands, key=lambda u: int(sub.nodes[u]))
+        steps.append((pred, cur))
+        cur = pred
+    steps.reverse()
+    return steps
+
+
+def oracle_structural(g, sub, cap: int, d_edge: int = 3):
+    """(capped dist, path_coeffs) for a subgraph, pair by pair.
+
+    Distances come from Floyd-Warshall on the local edges (sentinel
+    cap + 1 beyond the cap); each reachable pair's path features are
+    built step by step and divided by the path length, laid out the way
+    ``build_batch`` lays out ``path_coeffs``.
+    """
+    k = sub.num_nodes
+    fw = floyd_warshall(sub.local_edges.tolist(), k)
+    dist = np.where(fw <= cap, fw, cap + 1).astype(np.int64)
+    adj_sets = undirected_adj_sets(sub.local_edges.tolist(), k)
+    coeffs = np.zeros((k * k, cap * d_edge), dtype=np.float64)
+    for i in range(k):
+        for j in range(k):
+            steps = shortest_path_edges(sub, adj_sets, dist, cap, i, j)
+            if not steps:
+                continue
+            feats = np.empty((len(steps), d_edge), dtype=np.float64)
+            for n, (lu, lv) in enumerate(steps):
+                feats[n] = oracle_edge_features(g, int(sub.nodes[lu]), int(sub.nodes[lv]))
+            coeffs[i * k + j, : len(steps) * d_edge] = (feats / len(steps)).reshape(-1)
+    return dist, coeffs

@@ -51,6 +51,40 @@ def test_config_overrides_win(workdir):
         cli.apply_overrides(cfg, ["no-equals-sign"])
 
 
+@pytest.mark.parametrize("setting, named", [("train.epochs=abc", "train.epochs"),
+                                             ("model.dropout=1.5", "dropout")])
+def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
+    rc = main(["train", "--config", _cfg_path(workdir), "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+def test_overrides_coerce_to_declared_types(workdir, tmp_path):
+    cfg = cli.apply_overrides(cli.load_config(_cfg_path(workdir)),
+                              ["train.base_lr=1", "paths.out_dir=123", "train.warmup_steps=null"])
+    assert cfg.train.base_lr == 1.0 and isinstance(cfg.train.base_lr, float)
+    assert cfg.paths.out_dir == "123"
+    assert cfg.train.warmup_steps is None
+    for bad in ("model.d_model=1.5", "model.sources=expl", "seed=true", 'model.sources=["expl", 3]'):
+        with pytest.raises(cli.ConfigError, match=bad.split("=")[0]):
+            cli.apply_overrides(cli.load_config(_cfg_path(workdir)), [bad])
+    p = tmp_path / "c.json"
+    p.write_text(json.dumps({"train": {"epochs": "3"}}))
+    with pytest.raises(cli.ConfigError, match="train.epochs"):
+        cli.load_config(p)
+
+
+def test_engine_shape_error_is_internal_exit_1(workdir, monkeypatch, capsys):
+    def broken_train(*args, **kwargs):
+        raise cli.ad.ShapeError("matmul: incompatible shapes (2, 3) x (4, 5)")
+
+    monkeypatch.setattr(cli, "train", broken_train)
+    rc = main(["train", "--config", _cfg_path(workdir), "--set", "train.epochs=1"])
+    assert rc == 1
+    assert "internal error: ShapeError" in capsys.readouterr().err
+
+
 def test_missing_config_file_is_exit_2(tmp_path, capsys):
     rc = main(["train", "--config", str(tmp_path / "nope.json")])
     assert rc == 2

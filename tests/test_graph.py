@@ -65,6 +65,21 @@ def test_degree_sums_equal_edge_count():
         assert g.in_degrees().sum() == g.num_edges
 
 
+def test_has_edges_matches_dense_matrix_oracle():
+    rng = np.random.default_rng(10)
+    for trial in range(10):
+        n = int(rng.integers(1, 30))
+        edges = random_edge_list(rng, n, float(rng.uniform(0.0, 0.4)))
+        g = gr.from_edge_list(edges, n)
+        dense = np.zeros((n, n), dtype=bool)
+        for u, v in edges:
+            dense[u, v] = u != v
+        src, dst = (a.reshape(-1) for a in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+        assert np.array_equal(g.has_edges(src, dst), dense.reshape(-1)), f"trial {trial}"
+    assert g.has_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0,)
+    assert not gr.from_edge_list([], 3).has_edges(np.array([0, 1]), np.array([1, 0])).any()
+
+
 def test_out_in_adjacency_consistency():
     rng = np.random.default_rng(9)
     n = 20

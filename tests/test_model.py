@@ -118,6 +118,39 @@ def test_edge_term_matches_loop_oracle_and_batched_form():
             assert float(row @ w[:, h]) == pytest.approx(expect, abs=1e-12)
 
 
+def test_build_batch_calls_traced_structural_names_once_each(monkeypatch):
+    """The traced benchmark run wraps these three names on the model
+    module and reads ``per_pair`` off the path features; a batch must
+    go through each exactly once."""
+    calls = {name: 0 for name in ("local_adjacency", "bfs_spd", "build_path_features")}
+    seen = []
+
+    def counting(name):
+        orig = getattr(gm, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            out = orig(*args, **kwargs)
+            if name == "build_path_features":
+                seen.append(out)
+            return out
+
+        return wrapped
+
+    for name in calls:
+        monkeypatch.setattr(gm, name, counting(name))
+    for seed in range(5):
+        _, _, _, batch, cfg = random_case(200 + seed)
+        assert calls == {name: seed + 1 for name in calls}
+        dist = batch.spd.dist
+        k = batch.num_nodes
+        reachable = {(i, j) for i in range(k) for j in range(k) if i != j and dist[i, j] <= cfg.max_spd}
+        per_pair = seen[-1].per_pair
+        assert set(per_pair) == reachable
+        for (i, j), feats in per_pair.items():
+            assert feats.shape == (dist[i, j], cfg.d_edge_feature)
+
+
 # --- attention bias ----------------------------------------------------------
 
 
@@ -138,7 +171,7 @@ def test_attention_bias_two_node_path():
     w = rng.standard_normal((cfg.max_spd * 3, cfg.num_heads))
     bias = gm.attention_bias(batch, Tensor(b), Tensor(w)).data
     k = batch.num_nodes
-    feats = st.synth_edge_features(g, 0, 1)
+    feats = st.synth_edge_features(g, np.array([0]), np.array([1]))
     for h in range(cfg.num_heads):
         c01 = gm.edge_encoding_cij(feats.reshape(1, 3), w, head=h, d_edge=3)
         assert bias[0 * k + 1, h] == pytest.approx(b[1, h] + c01, abs=1e-12)

@@ -2,14 +2,48 @@ import numpy as np
 import pytest
 
 from tapeformer import graph as gr
+from tapeformer import model as gm
 from tapeformer import structural as st
 
-from helpers import brute_force_clustering, floyd_warshall, random_edge_list, undirected_adj_sets
+from helpers import (
+    brute_force_clustering,
+    floyd_warshall,
+    oracle_structural,
+    random_edge_list,
+    shortest_path_edges,
+    undirected_adj_sets,
+)
 
 
 def _sub_from_edges(edges, n, center=0):
     g = gr.from_edge_list(edges, n)
     return g, gr.sample_ego_subgraph(g, center, hops=n, max_nodes=n, rng_seed=0)
+
+
+def _relabelled(g, rng):
+    """A subgraph over every node of g, in a scrambled local order."""
+    n = g.num_nodes
+    order = rng.permutation(n).astype(np.int64)
+    node_map = {int(gid): li for li, gid in enumerate(order)}
+    local = np.asarray([[node_map[u], node_map[v]] for u, v in g.edges()],
+                       dtype=np.int64).reshape(-1, 2)
+    return gr.EgoSubgraph(center=int(order[0]), nodes=order, local_edges=local, node_map=node_map)
+
+
+def _path(pred, i, j):
+    """The chosen path i -> j as local (u, v) steps, read off the
+    predecessor matrix; [] for i == j, None when there is no path."""
+    if i == j:
+        return []
+    if pred[i, j] < 0:
+        return None
+    steps = []
+    cur = j
+    while cur != i:
+        steps.append((int(pred[i, cur]), cur))
+        cur = int(pred[i, cur])
+    steps.reverse()
+    return steps
 
 
 def test_singleton_spd():
@@ -35,17 +69,13 @@ def test_spd_matches_floyd_warshall_on_100_random_graphs():
         density = float(rng.uniform(0.02, 0.3))
         edges = random_edge_list(rng, n, density)
         g = gr.from_edge_list(edges, n)
-        # a full-graph "subgraph" over all nodes, in a scrambled order
-        order = rng.permutation(n)
-        node_map = {int(gid): li for li, gid in enumerate(order)}
-        local = np.asarray([[node_map[u], node_map[v]] for u, v in g.edges()], dtype=np.int64).reshape(-1, 2)
-        sub = gr.EgoSubgraph(center=int(order[0]), nodes=order.astype(np.int64), local_edges=local, node_map=node_map)
+        sub = _relabelled(g, rng)
         cap = int(rng.integers(1, 7))
         spd = st.bfs_spd(sub, cap=cap)
         fw = floyd_warshall(edges, n)
         for i in range(n):
             for j in range(n):
-                truth = fw[int(order[i]), int(order[j])]
+                truth = fw[int(sub.nodes[i]), int(sub.nodes[j])]
                 expect = int(truth) if truth <= cap else cap + 1
                 assert spd.dist[i, j] == expect, f"trial {trial} pair ({i},{j})"
 
@@ -96,8 +126,6 @@ def test_increasing_cap_preserves_small_entries():
 
 
 def test_path_empty_for_same_node_none_for_unreachable():
-    _, sub = _sub_from_edges([(0, 1)], 3, center=0)
-    g = gr.from_edge_list([(0, 1), (2, 2)], 3)
     sub_all = gr.EgoSubgraph(
         center=0,
         nodes=np.array([0, 1, 2]),
@@ -105,15 +133,16 @@ def test_path_empty_for_same_node_none_for_unreachable():
         node_map={0: 0, 1: 1, 2: 2},
     )
     spd = st.bfs_spd(sub_all, cap=4)
-    assert st.shortest_path_edges(sub_all, 1, 1, spd) == []
-    assert st.shortest_path_edges(sub_all, 0, 2, spd) is None
+    pred = st.path_predecessors(sub_all, spd)
+    assert _path(pred, 1, 1) == []
+    assert _path(pred, 0, 2) is None
 
 
 def test_path_on_line():
     _, sub = _sub_from_edges([(0, 1), (1, 2)], 3)
     spd = st.bfs_spd(sub, cap=5)
     i, j, m = sub.node_map[0], sub.node_map[2], sub.node_map[1]
-    assert st.shortest_path_edges(sub, i, j, spd) == [(i, m), (m, j)]
+    assert _path(st.path_predecessors(sub, spd), i, j) == [(i, m), (m, j)]
 
 
 def test_paths_valid_on_random_graphs():
@@ -124,6 +153,7 @@ def test_paths_valid_on_random_graphs():
         g = gr.from_edge_list(edges, n)
         sub = gr.sample_ego_subgraph(g, int(rng.integers(0, n)), hops=4, max_nodes=n, rng_seed=1)
         spd = st.bfs_spd(sub, cap=5)
+        pred = st.path_predecessors(sub, spd)
         und = {(min(int(sub.nodes[a]), int(sub.nodes[b])), max(int(sub.nodes[a]), int(sub.nodes[b])))
                for a, b in sub.local_edges}
         k = sub.num_nodes
@@ -131,12 +161,50 @@ def test_paths_valid_on_random_graphs():
             for j in range(k):
                 if i == j or spd.dist[i, j] > 5:
                     continue
-                steps = st.shortest_path_edges(sub, i, j, spd)
+                steps = _path(pred, i, j)
                 assert len(steps) == spd.dist[i, j]
                 assert steps[0][0] == i and steps[-1][1] == j
                 for a, b in steps:
                     ga, gb = int(sub.nodes[a]), int(sub.nodes[b])
                     assert (min(ga, gb), max(ga, gb)) in und
+
+
+def _assert_matches_oracle(g, sub, cap, where):
+    cfg = gm.GraphormerConfig(num_classes=2, num_layers=1, num_heads=1, d_model=4, d_ffn=4,
+                              max_spd=cap)
+    batch = gm.build_batch(g, sub, cfg)
+    dist, coeffs = oracle_structural(g, sub, cap)
+    assert batch.spd.dist.tobytes() == dist.tobytes(), where
+    assert batch.spd_buckets.tobytes() == dist.reshape(-1).tobytes(), where
+    assert batch.path_coeffs.shape == coeffs.shape, where
+    assert batch.path_coeffs.tobytes() == coeffs.tobytes(), where
+    pred = st.path_predecessors(sub, batch.spd)
+    adj_sets = undirected_adj_sets(sub.local_edges.tolist(), sub.num_nodes)
+    for i in range(sub.num_nodes):
+        for j in range(sub.num_nodes):
+            assert _path(pred, i, j) == shortest_path_edges(sub, adj_sets, dist, cap, i, j), where
+
+
+def test_encodings_byte_identical_to_pairwise_oracle():
+    rng = np.random.default_rng(11)
+    for trial in range(120):
+        n = int(rng.integers(2, 33))
+        edges = random_edge_list(rng, n, float(rng.uniform(0.02, 0.3)))
+        g = gr.from_edge_list(edges, n)
+        cap = int(rng.integers(1, 7))
+        _assert_matches_oracle(g, _relabelled(g, rng), cap, f"trial {trial}")
+    special = {
+        "k=1": ([], 1),
+        "no edges": ([], 6),
+        "disconnected parts": ([(0, 1), (1, 2), (3, 4), (5, 4), (6, 6)], 8),
+        "reciprocal citations": ([(0, 1), (1, 0), (1, 2), (2, 1), (3, 2), (0, 3), (3, 0)], 5),
+    }
+    for name, (edges, n) in special.items():
+        g = gr.from_edge_list(edges, n)
+        for cap in range(1, 7):
+            _assert_matches_oracle(g, _relabelled(g, rng), cap, f"{name}, cap {cap}")
+            _assert_matches_oracle(g, gr.sample_ego_subgraph(g, 0, hops=3, max_nodes=n, rng_seed=cap),
+                                   cap, f"{name}, ego, cap {cap}")
 
 
 # --- clustering coefficient --------------------------------------------------
@@ -169,15 +237,14 @@ def test_clustering_matches_brute_force():
 
 def test_synth_edge_feature_direction_and_degrees():
     g = gr.from_edge_list([(0, 1), (0, 2), (3, 1)], 4)
-    fwd = st.synth_edge_features(g, 0, 1)
+    fwd, back = st.synth_edge_features(g, np.array([0, 1]), np.array([1, 0]))
     assert fwd[0] == 1.0
     assert fwd[1] == pytest.approx(np.log1p(2))  # out-degree of 0
     assert fwd[2] == pytest.approx(np.log1p(2))  # in-degree of 1
-    back = st.synth_edge_features(g, 1, 0)
     assert back[0] == -1.0
     assert back[1] == pytest.approx(np.log1p(2))
-    with pytest.raises(ValueError):
-        st.synth_edge_features(g, 1, 2)
+    with pytest.raises(ValueError, match="between 1 and 2"):
+        st.synth_edge_features(g, np.array([0, 1]), np.array([1, 2]))
 
 
 def test_build_path_features_lengths_match_spd():
@@ -203,7 +270,17 @@ def test_custom_edge_feature_fn():
     g = gr.from_edge_list([(0, 1), (1, 2)], 3)
     sub = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=3, rng_seed=0)
     spd = st.bfs_spd(sub, cap=3)
-    pf = st.build_path_features(g, sub, spd, edge_feature_fn=lambda g_, u, v: np.array([u, v, 9.0, 9.0]))
+    calls = []
+
+    def fn(g_, src, dst):
+        calls.append((src.copy(), dst.copy()))
+        return np.stack([src, dst, np.full(len(src), 9.0), np.full(len(src), 9.0)], axis=1)
+
+    pf = st.build_path_features(g, sub, spd, edge_feature_fn=fn)
     assert pf.dim == 4
     i, j = sub.node_map[0], sub.node_map[1]
     assert pf.per_pair[(i, j)][0, 2] == 9.0
+    assert list(pf.per_pair[(i, j)][0, :2]) == [0.0, 1.0]  # global ids of the step
+    # one call, over both orientations of each undirected edge
+    assert len(calls) == 1
+    assert sorted(zip(calls[0][0].tolist(), calls[0][1].tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
