@@ -30,14 +30,14 @@ from .evaluation import (
     report_to_json,
     run_ablation,
 )
-from .fusion import FusionConfig
 from .graph import GraphConstructionError
-from .model import FusedMlp, GraphormerConfig, GraphormerModel
+from .model import GraphormerParams, build_model
 from .structural import clustering_coefficient
 from .synthetic import SyntheticParams, generate, write_synthetic_files
 from .text import SOURCES, DataError, load_feature_matrix
 from .training import (
     TrainConfig,
+    TrainParams,
     TrainingDiverged,
     make_temporal_split,
     predict,
@@ -81,31 +81,9 @@ class DataConfig:
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig(GraphormerParams):
     kind: str = "graphormer"  # or "mlp" (fused features, no structure)
     sources: list[str] = field(default_factory=lambda: list(SOURCES))
-    num_layers: int = 4
-    num_heads: int = 4
-    d_model: int = 128
-    d_ffn: int = 256
-    max_spd: int = 5
-    max_degree_bucket: int = 64
-    d_edge_feature: int = 3
-    ego_hops: int = 2
-    ego_max_nodes: int = 32
-    dropout: float = 0.0
-    ln_eps: float = 1e-12
-
-
-@dataclass
-class TrainSection:
-    epochs: int = 100
-    base_lr: float = 0.002
-    warmup_steps: int | None = None
-    label_smoothing: float = 0.1
-    grad_accum_steps: int = 1
-    batch_size: int = 8
-    early_stop_patience: int = 10
 
 
 @dataclass
@@ -124,68 +102,46 @@ class RunConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainSection = field(default_factory=TrainSection)
+    train: TrainParams = field(default_factory=TrainParams)
     split: SplitConfig = field(default_factory=SplitConfig)
     ablation: AblationConfig = field(default_factory=AblationConfig)
     seed: int = 0
-    threads: int = 1  # worker cap; 1 (the default and only implementation) is bit-reproducible
 
 
-_SECTIONS = {
-    "paths": PathsConfig,
-    "data": DataConfig,
-    "model": ModelConfig,
-    "train": TrainSection,
-    "split": SplitConfig,
-    "ablation": AblationConfig,
-}
+def _from_dict(cls, obj, where: str = ""):
+    """Build ``cls`` from a JSON object, its sections recursively.
 
-
-def _from_dict(cls, obj: dict, where: str):
+    Each value is checked against its field's declared type before the
+    dataclass's own range checks run; an int given for a float becomes
+    a float. A ConfigError names the first field that does not fit.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where}: expected an object")
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(obj) - names)
+        raise ConfigError(f"{where.rstrip('.') or 'config root'}: expected an object")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(obj) - set(hints))
     if unknown:
-        raise ConfigError(f"{where}: unknown key(s) {unknown}; valid: {sorted(names)}")
-    return cls(**obj)
-
-
-def config_from_dict(obj: dict) -> RunConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError("config root must be a JSON object")
-    valid = set(_SECTIONS) | {"seed", "threads"}
-    unknown = sorted(set(obj) - valid)
-    if unknown:
-        raise ConfigError(f"unknown config key(s) {unknown}; valid: {sorted(valid)}")
-    kwargs = {}
-    for name, val in obj.items():
-        kwargs[name] = _from_dict(_SECTIONS[name], val, name) if name in _SECTIONS else val
-    cfg = RunConfig(**kwargs)
-    _check_types(cfg)
-    return cfg
-
-
-def _check_types(obj, where: str = "") -> None:
-    """Check every field of a config tree against its declared type, in
-    place; an int given for a float is stored as a float. A ConfigError
-    names the first field that does not fit."""
-    hints = typing.get_type_hints(type(obj))
-    for f in dataclasses.fields(obj):
-        name, value, hint = where + f.name, getattr(obj, f.name), hints[f.name]
-        if dataclasses.is_dataclass(value):
-            _check_types(value, name + ".")
+        raise ConfigError(f"unknown config key(s) {[where + k for k in unknown]}; "
+                          f"valid: {sorted(hints)}")
+    values = {}
+    for name, value in obj.items():
+        hint = hints[name]
+        if dataclasses.is_dataclass(hint):
+            values[name] = _from_dict(hint, value, f"{where}{name}.")
             continue
         if hint is float and type(value) is int:
             value = float(value)
-            setattr(obj, f.name, value)
         if typing.get_origin(hint) is list:
             ok = isinstance(value, list) and all(isinstance(v, typing.get_args(hint)) for v in value)
         else:  # exact types: a bool is not an int here
             ok = type(value) in (typing.get_args(hint) or (hint,))
         if not ok:
             expected = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise ConfigError(f"{name}: expected {expected}, got {value!r}")
+            raise ConfigError(f"{where}{name}: expected {expected}, got {value!r}")
+        values[name] = value
+    try:
+        return cls(**values)
+    except ValueError as e:  # a range check in __post_init__
+        raise ConfigError(f"{where.rstrip('.')}: {e}") from None
 
 
 def load_config(path) -> RunConfig:
@@ -196,7 +152,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
-    return config_from_dict(obj)
+    return _from_dict(RunConfig, obj)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -204,33 +160,36 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def apply_overrides(cfg: RunConfig, sets: list[str]) -> RunConfig:
-    """Apply `section.key=value` overrides, then re-check every field's type.
+    """Apply `section.key=value` overrides to the config's JSON form and
+    build it again, so every field's type and range is checked as for a
+    config file.
 
     Values parse as JSON, else as a string; a field declared as a string
     always takes the raw text.
     """
+    obj = config_to_dict(cfg)
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
         key, raw = item.split("=", 1)
-        parts = key.split(".")
+        *sections, leaf = key.split(".")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        target = cfg
-        for p in parts[:-1]:
-            if not hasattr(target, p):
+        cls, target = RunConfig, obj
+        for p in sections:
+            cls = typing.get_type_hints(cls).get(p)
+            if not dataclasses.is_dataclass(cls):
                 raise ConfigError(f"--set: unknown config section {p!r} in {key!r}")
-            target = getattr(target, p)
-        leaf = parts[-1]
-        if not dataclasses.is_dataclass(target) or leaf not in {f.name for f in dataclasses.fields(target)}:
+            target = target[p]
+        hints = typing.get_type_hints(cls)
+        if leaf not in hints:
             raise ConfigError(f"--set: unknown config field {key!r}")
-        if typing.get_type_hints(type(target))[leaf] is str and not isinstance(value, str):
+        if hints[leaf] is str and not isinstance(value, str):
             value = raw
-        setattr(target, leaf, value)
-    _check_types(cfg)
-    return cfg
+        target[leaf] = value
+    return _from_dict(RunConfig, obj)
 
 
 def resolve_out_dir(cfg: RunConfig) -> Path:
@@ -244,44 +203,6 @@ def echo_config(cfg: RunConfig, out_dir: Path) -> None:
     with open(out_dir / "config.resolved.json", "w", encoding="utf-8") as f:
         json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
         f.write("\n")
-
-
-# ---------------------------------------------------------------------------
-# model / training glue
-# ---------------------------------------------------------------------------
-
-
-def graphormer_config(cfg: RunConfig, num_classes: int) -> GraphormerConfig:
-    m = cfg.model
-    return GraphormerConfig(
-        num_classes=num_classes, num_layers=m.num_layers, num_heads=m.num_heads,
-        d_model=m.d_model, d_ffn=m.d_ffn, max_spd=m.max_spd,
-        max_degree_bucket=m.max_degree_bucket, d_edge_feature=m.d_edge_feature,
-        ego_hops=m.ego_hops, ego_max_nodes=m.ego_max_nodes, dropout=m.dropout,
-        ln_eps=m.ln_eps,
-    )
-
-
-def build_model(cfg: RunConfig, ds: PreparedDataset):
-    sources = tuple(cfg.model.sources)
-    fusion_cfg = FusionConfig(d_model=cfg.model.d_model, source_dims=ds.source_dims(),
-                              active=sources)
-    mcfg = graphormer_config(cfg, ds.num_classes)
-    if cfg.model.kind == "graphormer":
-        return GraphormerModel(mcfg, fusion_cfg, seed=cfg.seed)
-    if cfg.model.kind == "mlp":
-        return FusedMlp(mcfg, fusion_cfg, seed=cfg.seed)
-    raise ConfigError(f"unknown model kind {cfg.model.kind!r}; use graphormer or mlp")
-
-
-def train_config(cfg: RunConfig) -> TrainConfig:
-    t = cfg.train
-    return TrainConfig(
-        epochs=t.epochs, base_lr=t.base_lr, warmup_steps=t.warmup_steps,
-        label_smoothing=t.label_smoothing, grad_accum_steps=t.grad_accum_steps,
-        batch_size=t.batch_size, early_stop_patience=t.early_stop_patience,
-        seed=cfg.seed,
-    )
 
 
 def _dataset_path(cfg: RunConfig, out_dir: Path) -> Path:
@@ -376,8 +297,10 @@ def cmd_train(cfg: RunConfig) -> int:
     out_dir = resolve_out_dir(cfg)
     ds = _load_prepared(cfg, out_dir)
     split = _split_of(cfg, ds)
-    model = build_model(cfg, ds)
-    result = train(model, ds, split, train_config(cfg))
+    m = cfg.model
+    model = build_model(m.for_classes(ds.num_classes), m.kind, m.sources, ds.source_dims(),
+                        cfg.seed)
+    result = train(model, ds, split, TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed))
     ad.save_parameters(out_dir / "checkpoint.bin", result.best_state)
     write_history_csv(out_dir / "history.csv", result.history)
     model.load_state(result.best_state)
@@ -396,7 +319,9 @@ def cmd_eval(cfg: RunConfig, checkpoint: str, split_name: str) -> int:
     out_dir = resolve_out_dir(cfg)
     ds = _load_prepared(cfg, out_dir)
     split = _split_of(cfg, ds)
-    model = build_model(cfg, ds)
+    m = cfg.model
+    model = build_model(m.for_classes(ds.num_classes), m.kind, m.sources, ds.source_dims(),
+                        cfg.seed)
     if not Path(checkpoint).exists():
         raise DataError(f"checkpoint does not exist: {checkpoint}")
     model.load_state(ad.load_parameters(checkpoint))
@@ -415,8 +340,9 @@ def cmd_ablate(cfg: RunConfig) -> int:
     out_dir = resolve_out_dir(cfg)
     ds = _load_prepared(cfg, out_dir)
     split = _split_of(cfg, ds)
-    rows = run_ablation(ds, split, graphormer_config(cfg, ds.num_classes),
-                        train_config(cfg), toggles=tuple(cfg.ablation.configs))
+    rows = run_ablation(ds, split, cfg.model.for_classes(ds.num_classes),
+                        TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed),
+                        toggles=tuple(cfg.ablation.configs))
     table = format_ablation_table(rows)
     with open(out_dir / "ablation.txt", "w", encoding="utf-8") as f:
         f.write(table)
@@ -464,8 +390,6 @@ def _add_config_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", required=True, help="path to the JSON run config")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config field, e.g. --set train.epochs=5")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker cap (1 guarantees bit-reproducibility)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -511,8 +435,6 @@ def main(argv=None) -> int:
         if args.command == "gen-synthetic":
             return cmd_gen_synthetic(args)
         cfg = apply_overrides(load_config(args.config), args.set)
-        if args.threads is not None:
-            cfg.threads = args.threads
         if args.command == "eval":
             return cmd_eval(cfg, args.checkpoint, args.split)
         return args.config_command(cfg)

@@ -13,11 +13,13 @@ import json
 import logging
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .graph import DirectedGraph, load_edge_list
 from .text import (
+    SOURCES,
     DataError,
     EmbeddingBundle,
     build_bundle,
@@ -56,7 +58,7 @@ class PreparedDataset:
         return len(self.class_names)
 
     def source_dims(self) -> dict[str, int]:
-        return {s: self.bundle.source(s).shape[1] for s in ("expl", "pred", "text", "ogb")}
+        return {s: self.bundle.source(s).shape[1] for s in SOURCES}
 
 
 def prepare(
@@ -156,12 +158,15 @@ def save_dataset(ds: PreparedDataset, path) -> str:
 
 
 def load_dataset(path) -> PreparedDataset:
+    """Read and validate an artifact; any inconsistency is a DataError."""
+    digest = hashlib.sha256()
     with open(path, "rb") as f:
 
         def take(n: int) -> bytes:
             buf = f.read(n)
             if len(buf) != n:
                 raise DataError(f"{path}: truncated dataset artifact")
+            digest.update(buf)
             return buf
 
         if take(len(_MAGIC)) != _MAGIC:
@@ -174,25 +179,28 @@ def load_dataset(path) -> PreparedDataset:
             (nlen,) = _U64.unpack(take(8))
             name = take(nlen).decode("utf-8")
             code = struct.unpack("<B", take(1))[0]
+            if code not in _DTYPES:
+                raise DataError(f"{path}: array {name!r} has unknown dtype code {code}")
             (rank,) = _U64.unpack(take(8))
             shape = tuple(_U64.unpack(take(8))[0] for _ in range(rank))
             dtype = np.dtype(_DTYPES[code])
             n = int(np.prod(shape)) if shape else 1
             arrays[name] = np.frombuffer(take(n * dtype.itemsize), dtype=dtype).reshape(shape).copy()
-    needed = {"labels", "years", "out_offsets", "out_targets", "in_offsets", "in_targets",
-              "h_expl", "h_pred", "h_text", "h_ogb"}
-    missing = needed - set(arrays)
-    if missing:
-        raise DataError(f"{path}: artifact is missing arrays {sorted(missing)}")
+        if f.read(1):
+            raise DataError(f"{path}: trailing bytes after the last array")
+    sidecar = Path(str(path) + ".sha256")
+    if sidecar.exists() and sidecar.read_text(encoding="utf-8").strip() != digest.hexdigest():
+        raise DataError(f"{path}: sha256 {digest.hexdigest()} differs from {sidecar}")
+    _check_artifact(path, meta, arrays)
     graph = DirectedGraph(
-        num_nodes=int(meta["num_nodes"]),
+        num_nodes=meta["num_nodes"],
         out_offsets=arrays["out_offsets"],
         out_targets=arrays["out_targets"],
         in_offsets=arrays["in_offsets"],
         in_targets=arrays["in_targets"],
-        num_edges=int(meta["num_edges"]),
-        self_loops_dropped=int(meta.get("self_loops_dropped", 0)),
-        duplicates_dropped=int(meta.get("duplicates_dropped", 0)),
+        num_edges=meta["num_edges"],
+        self_loops_dropped=meta["self_loops_dropped"],
+        duplicates_dropped=meta["duplicates_dropped"],
     )
     bundle = EmbeddingBundle(h_expl=arrays["h_expl"], h_pred=arrays["h_pred"],
                              h_text=arrays["h_text"], h_ogb=arrays["h_ogb"])
@@ -203,7 +211,51 @@ def load_dataset(path) -> PreparedDataset:
         years=arrays["years"],
         graph=graph,
         bundle=bundle,
-        text_dim=int(meta["text_dim"]),
-        pred_top_k=int(meta["pred_top_k"]),
-        seed=int(meta["seed"]),
+        text_dim=meta["text_dim"],
+        pred_top_k=meta["pred_top_k"],
+        seed=meta["seed"],
     )
+
+
+def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """The invariants save_dataset's input holds: the meta keys, array
+    shapes that agree with the node and edge counts, CSR adjacency with
+    sorted in-range targets, and labels in [-1, num_classes)."""
+    counts = ("num_nodes", "num_edges", "text_dim", "pred_top_k", "seed",
+              "self_loops_dropped", "duplicates_dropped")
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: artifact meta is not a JSON object")
+    missing = sorted({"class_names", *counts} - set(meta))
+    if missing:
+        raise DataError(f"{path}: artifact meta is missing keys {missing}")
+    not_int = [k for k in counts if type(meta[k]) is not int]
+    if not_int or not isinstance(meta["class_names"], list):
+        raise DataError(f"{path}: artifact meta has ill-typed values for {not_int or 'class_names'}")
+    n, m = meta["num_nodes"], meta["num_edges"]
+    expected = {"labels": (n,), "years": (n,), "out_offsets": (n + 1,), "out_targets": (m,),
+                "in_offsets": (n + 1,), "in_targets": (m,)}
+    missing = sorted((set(expected) | {f"h_{s}" for s in SOURCES}) - set(arrays))
+    if missing:
+        raise DataError(f"{path}: artifact is missing arrays {missing}")
+    for name, shape in expected.items():
+        a = arrays[name]
+        if a.shape != shape or a.dtype != np.int64:
+            raise DataError(f"{path}: {name} is {a.dtype} {a.shape}, expected int64 {shape} "
+                            f"for {n} nodes and {m} edges")
+    for s in SOURCES:
+        a = arrays[f"h_{s}"]
+        if a.ndim != 2 or a.shape[0] != n or a.dtype != np.float64:
+            raise DataError(f"{path}: h_{s} is {a.dtype} {a.shape}, expected float64 ({n}, d)")
+    for side in ("out", "in"):
+        off, tgt = arrays[f"{side}_offsets"], arrays[f"{side}_targets"]
+        if off[0] != 0 or off[-1] != m or np.any(np.diff(off) < 0):
+            raise DataError(f"{path}: {side}_offsets must rise monotonically from 0 to {m}")
+        if m and (tgt.min() < 0 or tgt.max() >= n):
+            raise DataError(f"{path}: {side}_targets has a node id outside [0, {n})")
+        # row-major keys rise strictly iff each row's targets are sorted and distinct
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(off)) * n + tgt
+        if np.any(np.diff(keys) <= 0):
+            raise DataError(f"{path}: {side}_targets are not sorted within a row")
+    labels, c = arrays["labels"], len(meta["class_names"])
+    if n and (labels.min() < -1 or labels.max() >= c):
+        raise DataError(f"{path}: labels must lie in [-1, {c}) for {c} classes")

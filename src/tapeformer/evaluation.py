@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fusion import FusionConfig
-from .model import FusedMlp, GraphormerModel
+from .model import GraphormerConfig, build_model
 from .text import SOURCES
 from .training import TrainConfig, TemporalSplit, predict, train
 
@@ -192,18 +191,13 @@ class AblationRow:
     test_report: MetricsReport
 
 
-def run_ablation(data, split: TemporalSplit, model_cfg, train_cfg: TrainConfig,
-                 toggles=DEFAULT_ABLATION, seed: int | None = None) -> list[AblationRow]:
+def run_ablation(data, split: TemporalSplit, model_cfg: GraphormerConfig,
+                 train_cfg: TrainConfig, toggles=DEFAULT_ABLATION) -> list[AblationRow]:
     """Train and evaluate every named configuration on the same split/seed."""
-    seed = train_cfg.seed if seed is None else seed
     parsed = [(name, *parse_toggle(name)) for name in toggles]
     rows: list[AblationRow] = []
-    source_dims = {s: data.bundle.source(s).shape[1] for s in SOURCES}
     for name, kind, sources in sorted(parsed, key=lambda x: x[0]):
-        fusion_cfg = FusionConfig(d_model=model_cfg.d_model, source_dims=source_dims,
-                                  active=sources)
-        cls = GraphormerModel if kind == "graphormer" else FusedMlp
-        model = cls(model_cfg, fusion_cfg, seed=seed)
+        model = build_model(model_cfg, kind, sources, data.source_dims(), train_cfg.seed)
         log.info("ablation %s: kind=%s sources=%s", name, kind, ",".join(sources))
         result = train(model, data, split, train_cfg)
         model.load_state(result.best_state)

@@ -14,7 +14,7 @@ gradients reach the edge weight tables without bespoke ops.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,11 +25,13 @@ from .graph import DirectedGraph, EgoSubgraph, sample_ego_subgraph
 from .structural import SpdMatrix, bfs_spd, build_path_features, local_adjacency
 
 __all__ = [
+    "GraphormerParams",
     "GraphormerConfig",
     "SubgraphBatch",
     "build_batch",
     "GraphormerModel",
     "FusedMlp",
+    "build_model",
     "input_embedding",
     "edge_encoding_cij",
     "attention_bias",
@@ -39,8 +41,9 @@ __all__ = [
 
 
 @dataclass
-class GraphormerConfig:
-    num_classes: int
+class GraphormerParams:
+    """The model hyperparameters a run config sets, with their defaults."""
+
     num_layers: int = 4
     num_heads: int = 4
     d_model: int = 128
@@ -55,17 +58,26 @@ class GraphormerConfig:
 
     def __post_init__(self):
         if self.d_model % self.num_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by {self.num_heads} heads")
+            raise ValueError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
         if self.max_spd < 1:
             raise ValueError("max_spd must be >= 1")
-        if self.num_classes < 2:
-            raise ValueError("need at least two classes")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
-    @property
-    def d_head(self) -> int:
-        return self.d_model // self.num_heads
+    def for_classes(self, num_classes: int) -> GraphormerConfig:
+        """These hyperparameters as the model config for ``num_classes`` classes."""
+        return GraphormerConfig(num_classes=num_classes, **{
+            f.name: getattr(self, f.name) for f in fields(GraphormerParams)})
+
+
+@dataclass(kw_only=True)
+class GraphormerConfig(GraphormerParams):
+    num_classes: int  # from the dataset
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.num_classes < 2:
+            raise ValueError("need at least two classes")
 
     @property
     def num_spd_buckets(self) -> int:
@@ -294,10 +306,6 @@ class GraphormerModel:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         _load_state(self.parameters(), state)
 
-    def zero_grad(self) -> None:
-        for t in self.parameters().values():
-            t.zero_grad()
-
     # -- forward ------------------------------------------------------------
 
     def forward_fused(
@@ -393,10 +401,6 @@ class FusedMlp:
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         _load_state(self.parameters(), state)
 
-    def zero_grad(self) -> None:
-        for t in self.parameters().values():
-            t.zero_grad()
-
     def logits_for_centers(self, data, centers, seed: int = 0, train: bool = False,
                            rng: np.random.Generator | None = None) -> Tensor:
         idx = np.asarray(centers, dtype=np.int64)
@@ -406,3 +410,14 @@ class FusedMlp:
         if train and self.cfg.dropout > 0.0:
             h = ad.dropout(h, self.cfg.dropout, rng)
         return ad.bias_add(ad.matmul(h, self.w2), self.b2)
+
+
+def build_model(cfg: GraphormerConfig, kind: str, sources, source_dims: dict[str, int],
+                seed: int):
+    """The graph transformer (``kind="graphormer"``) or the structure-free
+    baseline (``"mlp"``) over the fusion of ``sources``."""
+    classes = {"graphormer": GraphormerModel, "mlp": FusedMlp}
+    if kind not in classes:
+        raise ValueError(f"unknown model kind {kind!r}; use graphormer or mlp")
+    fusion_cfg = FusionConfig(d_model=cfg.d_model, source_dims=source_dims, active=sources)
+    return classes[kind](cfg, fusion_cfg, seed=seed)

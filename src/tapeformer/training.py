@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .text import DataError
 log = logging.getLogger(__name__)
 
 __all__ = [
+    "TrainParams",
     "TrainConfig",
     "TemporalSplit",
     "TrainingDiverged",
@@ -44,7 +45,9 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
+class TrainParams:
+    """The training hyperparameters a run config sets, with their defaults."""
+
     epochs: int = 100
     base_lr: float = 0.002
     warmup_steps: int | None = None  # None: one epoch of optimizer steps
@@ -52,8 +55,6 @@ class TrainConfig:
     grad_accum_steps: int = 1
     batch_size: int = 8
     early_stop_patience: int = 10
-    seed: int = 0
-    total_steps: int | None = None  # None: epochs * steps_per_epoch, set by train()
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -64,6 +65,11 @@ class TrainConfig:
             raise ValueError("patience must be >= 1")
         if self.grad_accum_steps < 1 or self.batch_size < 1:
             raise ValueError("batch_size and grad_accum_steps must be >= 1")
+
+
+@dataclass
+class TrainConfig(TrainParams):
+    seed: int = 0
 
 
 @dataclass
@@ -147,24 +153,17 @@ class Adam:
             p.grad = None
 
 
-def lr_at(step: int, cfg: TrainConfig) -> float:
-    """Linear 0 -> base_lr over the warmup, then linear base_lr -> 0.
-
-    ``cfg.warmup_steps`` and ``cfg.total_steps`` must be resolved (the
-    training loop fills them in from the data size).
-    """
+def lr_at(step: int, base_lr: float, warmup: int, total: int) -> float:
+    """Linear 0 -> base_lr over ``warmup`` steps, then linear base_lr -> 0
+    at step ``total``."""
     if step < 0:
         raise ValueError("step must be >= 0")
-    warmup = cfg.warmup_steps or 0
-    total = cfg.total_steps
-    if total is None:
-        raise ValueError("lr_at needs cfg.total_steps")
     if warmup > 0 and step < warmup:
-        return cfg.base_lr * step / warmup
+        return base_lr * step / warmup
     if step >= total:
         return 0.0
     span = max(1, total - warmup)
-    return cfg.base_lr * (total - step) / span
+    return base_lr * (total - step) / span
 
 
 def make_temporal_split(
@@ -233,11 +232,8 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
     micro = cfg.batch_size
     per_step = micro * cfg.grad_accum_steps
     steps_per_epoch = max(1, -(-len(train_ids) // per_step))
-    resolved = replace(
-        cfg,
-        warmup_steps=cfg.warmup_steps if cfg.warmup_steps is not None else steps_per_epoch,
-        total_steps=cfg.total_steps if cfg.total_steps is not None else cfg.epochs * steps_per_epoch,
-    )
+    warmup = cfg.warmup_steps if cfg.warmup_steps is not None else steps_per_epoch
+    total = cfg.epochs * steps_per_epoch
     rng = np.random.default_rng(cfg.seed)
     history: list[HistoryRow] = []
     best_acc = -1.0
@@ -251,7 +247,7 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
         losses = []
         while pos < len(order):
             opt.zero_grad()
-            lr = lr_at(global_step + 1, resolved)
+            lr = lr_at(global_step + 1, cfg.base_lr, warmup, total)
             for _ in range(cfg.grad_accum_steps):
                 centers = order[pos:pos + micro]
                 pos += micro

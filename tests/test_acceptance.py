@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The benchmark fixtures
 (400-node corpus, trained model variants, citation-scale files) are
 session-scoped and shared across criteria.
 """
+import dataclasses
 import json
 import time
 from pathlib import Path
@@ -21,7 +22,7 @@ from tapeformer.autodiff import Tensor
 from tapeformer.cli import main as cli_main
 from tapeformer.dataset import load_dataset, prepare
 from tapeformer.fusion import FusionConfig
-from tapeformer.model import FusedMlp, GraphormerConfig, GraphormerModel
+from tapeformer.model import GraphormerConfig, GraphormerModel
 from tapeformer.text import EmbeddingBundle
 
 from helpers import check_gradients, floyd_warshall, random_edge_list
@@ -50,15 +51,15 @@ def bench(tmp_path_factory):
 
 
 def _train_variant(bench_dir, kind, sources, seed=0, dataset_path=None):
-    from tapeformer.cli import _split_of, graphormer_config, load_config, train_config
+    from tapeformer.cli import _split_of, load_config
 
     cfg = load_config(bench_dir / "config.json")
     ds = load_dataset(dataset_path or bench_dir / "dataset.bin")
     split = _split_of(cfg, ds)
-    mcfg = graphormer_config(cfg, ds.num_classes)
-    fus = FusionConfig(d_model=mcfg.d_model, source_dims=ds.source_dims(), active=sources)
-    model = (GraphormerModel if kind == "graphormer" else FusedMlp)(mcfg, fus, seed=seed)
-    result = tr.train(model, ds, split, train_config(cfg))
+    model = gm.build_model(cfg.model.for_classes(ds.num_classes), kind, sources,
+                           ds.source_dims(), seed)
+    result = tr.train(model, ds, split, tr.TrainConfig(**dataclasses.asdict(cfg.train),
+                                                       seed=cfg.seed))
     model.load_state(result.best_state)
     preds = tr.predict(model, ds, split.test_ids, seed=seed)
     return float((preds == ds.labels[split.test_ids]).mean())

@@ -52,7 +52,8 @@ def test_config_overrides_win(workdir):
 
 
 @pytest.mark.parametrize("setting, named", [("train.epochs=abc", "train.epochs"),
-                                             ("model.dropout=1.5", "dropout")])
+                                             ("model.dropout=1.5", "dropout"),
+                                             ("model.num_heads=3", "num_heads")])
 def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     rc = main(["train", "--config", _cfg_path(workdir), "--set", setting])
     assert rc == 2
@@ -73,6 +74,42 @@ def test_overrides_coerce_to_declared_types(workdir, tmp_path):
     p.write_text(json.dumps({"train": {"epochs": "3"}}))
     with pytest.raises(cli.ConfigError, match="train.epochs"):
         cli.load_config(p)
+
+
+def test_resolved_config_loads_back_equal(workdir, tmp_path):
+    sets = ["train.epochs=6", "train.warmup_steps=3", "model.kind=mlp", "model.dropout=0.25",
+            f"paths.out_dir={tmp_path}", "seed=5"]
+    cfg = cli.apply_overrides(cli.load_config(_cfg_path(workdir)), sets)
+    cli.echo_config(cfg, tmp_path)
+    assert cli.load_config(tmp_path / "config.resolved.json") == cfg
+
+
+def test_set_reruns_range_checks_at_load(workdir):
+    with pytest.raises(cli.ConfigError, match="num_heads"):
+        cli.apply_overrides(cli.load_config(_cfg_path(workdir)), ["model.num_heads=3"])
+
+
+def test_gen_synthetic_config_pins_format_and_defaults(tmp_path):
+    assert main(["gen-synthetic", "--out", str(tmp_path), "--seed", "0"]) == 0
+    paths = {name: str(tmp_path / file) for name, file in (
+        ("dataset", "dataset.bin"), ("edges", "edges.tsv"), ("llm_cache", "llm_cache.jsonl"),
+        ("node_docs", "docs.jsonl"), ("ogb_features", "features.bin"))}
+    assert json.loads((tmp_path / "config.json").read_text()) == {
+        "ablation": {"configs": ["graphormer+TA", "graphormer+P", "graphormer+E", "TA+P+E",
+                                 "full"]},
+        "data": {"class_names": ["field0", "field1", "field2", "field3"], "pred_top_k": 5,
+                 "text_dim": 256},
+        "model": {"d_edge_feature": 3, "d_ffn": 128, "d_model": 64, "dropout": 0.0,
+                  "ego_hops": 2, "ego_max_nodes": 16, "kind": "graphormer", "ln_eps": 1e-12,
+                  "max_degree_bucket": 4, "max_spd": 5, "num_heads": 4, "num_layers": 2,
+                  "sources": ["expl", "pred", "text", "ogb"]},
+        "paths": {**paths, "out_dir": str(tmp_path), "override_expl": "", "override_ogb": "",
+                  "override_pred": "", "override_text": ""},
+        "seed": 0,
+        "split": {"test_first_year": 2019, "train_last_year": 2017},
+        "train": {"base_lr": 0.002, "batch_size": 8, "early_stop_patience": 10, "epochs": 40,
+                  "grad_accum_steps": 1, "label_smoothing": 0.1, "warmup_steps": None},
+    }
 
 
 def test_engine_shape_error_is_internal_exit_1(workdir, monkeypatch, capsys):
@@ -151,6 +188,89 @@ def test_prepare_with_embedding_override(workdir, tmp_path):
     # the other sources are untouched
     base = load_dataset(workdir / "dataset.bin")
     assert np.array_equal(ds.bundle.h_text, base.bundle.h_text)
+
+
+def _rewrite_meta(src, dst, edit):
+    """Copy an artifact with its JSON meta passed through ``edit``."""
+    raw = src.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    meta = json.loads(raw[16:16 + n])
+    edit(meta)
+    new = json.dumps(meta).encode()
+    dst.write_bytes(raw[:8] + len(new).to_bytes(8, "little") + new + raw[16 + n:])
+
+
+def _resave(src, dst, edit):
+    """Load an artifact, corrupt it in memory with ``edit``, save it with a
+    matching hash sidecar."""
+    from tapeformer.dataset import load_dataset, save_dataset
+
+    ds = load_dataset(src)
+    edit(ds)
+    save_dataset(ds, dst)
+
+
+def _bad_dtype(src, dst):
+    raw = bytearray(src.read_bytes())
+    n = int.from_bytes(raw[8:16], "little")
+    name_len = int.from_bytes(raw[24 + n:32 + n], "little")
+    raw[32 + n + name_len] = 7  # the first array's dtype code
+    dst.write_bytes(bytes(raw))
+
+
+def _flip_last_byte(src, dst):
+    raw = bytearray(src.read_bytes())
+    raw[-1] ^= 1
+    dst.write_bytes(bytes(raw))
+    dst.with_name(dst.name + ".sha256").write_text(
+        src.with_name(src.name + ".sha256").read_text())
+
+
+def _set(array, index, value):
+    def edit(ds):
+        (ds.labels if array == "labels" else getattr(ds.graph, array))[index] = value
+    return edit
+
+
+def _reverse_a_row(ds):
+    off, tgt = ds.graph.in_offsets, ds.graph.in_targets
+    v = int(np.argmax(np.diff(off) >= 2))
+    tgt[off[v]:off[v + 1]] = tgt[off[v]:off[v + 1]][::-1].copy()
+
+
+CORRUPT_ARTIFACTS = {
+    "dtype code": (_bad_dtype, "unknown dtype code 7"),
+    "meta key": (lambda s, d: _rewrite_meta(s, d, lambda m: m.pop("num_edges")),
+                 "missing keys ['num_edges']"),
+    "length": (lambda s, d: _resave(s, d, lambda ds: setattr(ds, "years", ds.years[:-1])),
+               "years is int64 (59,), expected int64 (60,)"),
+    "offsets start": (lambda s, d: _resave(s, d, _set("out_offsets", 0, 1)),
+                      "out_offsets must rise monotonically from 0"),
+    "offsets order": (lambda s, d: _resave(s, d, _set("in_offsets", 5, 10 ** 6)),
+                      "in_offsets must rise monotonically"),
+    "offsets end": (lambda s, d: _resave(s, d, _set("out_offsets", -1, 0)),
+                    "out_offsets must rise monotonically"),
+    "target range": (lambda s, d: _resave(s, d, _set("out_targets", 0, 60)),
+                     "out_targets has a node id outside [0, 60)"),
+    "target order": (lambda s, d: _resave(s, d, _reverse_a_row),
+                     "in_targets are not sorted within a row"),
+    "label range": (lambda s, d: _resave(s, d, _set("labels", 0, 3)),
+                    "labels must lie in [-1, 3)"),
+    "sha256": (_flip_last_byte, "differs from"),
+    "trailing bytes": (lambda s, d: d.write_bytes(s.read_bytes() + b"\0"),
+                       "trailing bytes after the last array"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_ARTIFACTS))
+def test_corrupt_artifact_is_exit_2(workdir, tmp_path, capsys, case):
+    corrupt, named = CORRUPT_ARTIFACTS[case]
+    art = tmp_path / "ds.bin"
+    corrupt(workdir / "dataset.bin", art)
+    rc = main(["inspect", "--config", _cfg_path(workdir), "--set", f"paths.dataset={art}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
 
 
 # --- train / eval ------------------------------------------------------------

@@ -102,37 +102,33 @@ def test_adam_converges_on_quadratic():
     # a quadratic's optimum, so the run uses the package's own schedule
     rng = np.random.default_rng(3)
     target = rng.standard_normal(6) * 0.1
-    cfg = tr.TrainConfig(epochs=1, base_lr=0.05, warmup_steps=0, total_steps=100)
     p = Tensor(np.zeros(6), requires_grad=True)
     opt = tr.Adam({"p": p})
     for step in range(1, 101):
         opt.zero_grad()
         p.grad = 2.0 * (p.data - target)
-        opt.step(tr.lr_at(step, cfg))
+        opt.step(tr.lr_at(step, 0.05, 0, 100))
     assert np.max(np.abs(p.data - target)) < 1e-3
 
 
 # --- lr schedule -------------------------------------------------------------
 
 
-def _cfg(**kw):
-    base = dict(epochs=2, base_lr=0.002, warmup_steps=10, total_steps=100)
-    base.update(kw)
-    return tr.TrainConfig(**base)
+def _lr(step):
+    return tr.lr_at(step, 0.002, 10, 100)
 
 
 def test_lr_zero_at_step_zero():
-    assert tr.lr_at(0, _cfg()) == 0.0
+    assert _lr(0) == 0.0
 
 
 def test_lr_base_at_warmup_end():
-    assert tr.lr_at(10, _cfg()) == pytest.approx(0.002)
+    assert _lr(10) == pytest.approx(0.002)
 
 
 def test_lr_sweep_monotone_up_then_down():
-    cfg = _cfg()
-    lrs = [tr.lr_at(s, cfg) for s in range(0, 101)]
-    assert max(lrs) == pytest.approx(cfg.base_lr)
+    lrs = [_lr(s) for s in range(0, 101)]
+    assert max(lrs) == pytest.approx(0.002)
     peak = int(np.argmax(lrs))
     assert all(lrs[i] <= lrs[i + 1] for i in range(peak))
     assert all(lrs[i] >= lrs[i + 1] for i in range(peak, 100))
