@@ -4,7 +4,9 @@ A small define-by-run engine backed by numpy. Every differentiable op
 records a backward closure on a thread-local tape; ``backward(loss)``
 replays the tape in reverse execution order and accumulates gradients
 into leaf tensors. Shapes are explicit: the only broadcasting is
-``bias_add`` (vector over rows), ``row_scale`` and ``col_scale``.
+``bias_add`` (vector over rows), ``row_scale`` and ``col_scale``,
+plus the mask of ``masked_softmax``. ``bmm`` and ``permute`` work on
+stacks of matrices; everything else is 2-D or shape-agnostic.
 
 The tape persists until ``tape_clear()`` (or a new graph is built), so
 calling ``backward`` twice accumulates gradients additively -- that is
@@ -29,6 +31,7 @@ __all__ = [
     "no_grad",
     "set_finite_checks",
     "matmul",
+    "bmm",
     "add",
     "bias_add",
     "mul",
@@ -42,10 +45,12 @@ __all__ = [
     "tanh",
     "layer_norm",
     "softmax",
+    "masked_softmax",
     "log_softmax",
     "mean",
     "tsum",
     "transpose",
+    "permute",
     "reshape",
     "dropout",
     "save_parameters",
@@ -131,9 +136,12 @@ class no_grad:
         return False
 
 
-def set_finite_checks(enabled: bool) -> None:
-    """Toggle the NaN/Inf assertion run after every op."""
+def set_finite_checks(enabled: bool) -> bool:
+    """Toggle the NaN/Inf assertion run after every op; returns the
+    previous setting so a caller can restore it."""
+    prev = _state.check_finite
     _state.check_finite = enabled
+    return prev
 
 
 def _make(op_name: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
@@ -193,6 +201,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         "matmul",
         a.data @ b.data,
         [(a, lambda g, bd=b.data: g @ bd.T), (b, lambda g, ad=a.data: ad.T @ g)],
+    )
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matmul over equal leading axes: (..., m, n) @ (..., n, p)."""
+    if (a.data.ndim < 3 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
+            or a.shape[-1] != b.shape[-2]):
+        raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
+    return _make(
+        "bmm",
+        a.data @ b.data,
+        [(a, lambda g, bd=b.data: g @ bd.swapaxes(-1, -2)),
+         (b, lambda g, ad_=a.data: ad_.swapaxes(-1, -2) @ g)],
     )
 
 
@@ -294,10 +315,13 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"embedding_lookup: index out of range for table {table.shape}")
 
+    rows, cols = table.shape
+
     def bw(g):
-        out = np.zeros_like(table.data)
-        np.add.at(out, idx, g)
-        return out
+        # a bincount over flat (row, col) slots adds in the same order as
+        # np.add.at, several times faster
+        flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+        return np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols).reshape(rows, cols)
 
     return _make("embedding_lookup", table.data[idx], [(table, bw)])
 
@@ -336,6 +360,33 @@ def softmax(x: Tensor) -> Tensor:
         return p * (g - (g * p).sum(axis=-1, keepdims=True))
 
     return _make("softmax", p, [(x, bw)])
+
+
+def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
+    """Softmax over the last axis of the entries where ``mask`` is True.
+
+    ``mask`` is a boolean array that broadcasts to ``x``; masked entries
+    get weight exactly 0 (and gradient exactly 0), whatever ``x`` holds
+    there. Every row needs at least one unmasked entry.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    try:
+        ok = np.broadcast_shapes(mask.shape, x.shape) == x.shape
+    except ValueError:
+        ok = False
+    if not ok:
+        raise ShapeError(f"masked_softmax: mask {mask.shape} does not broadcast to {x.shape}")
+    if not mask.any(axis=-1).all():
+        raise ShapeError("masked_softmax: a row has no unmasked entry")
+    z = np.where(mask, x.data, -np.inf)
+    z -= z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+    return _make("masked_softmax", p, [(x, bw)])
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -387,6 +438,15 @@ def transpose(x: Tensor) -> Tensor:
     return _make("transpose", x.data.T.copy(), [(x, lambda g: g.T)])
 
 
+def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder the axes: output axis i is input axis ``axes[i]``."""
+    axes = tuple(int(a) for a in axes)
+    if sorted(axes) != list(range(x.data.ndim)):
+        raise ShapeError(f"permute: {axes} is not a permutation of the axes of {x.shape}")
+    inverse = tuple(int(a) for a in np.argsort(axes))
+    return _make("permute", x.data.transpose(axes), [(x, lambda g: g.transpose(inverse))])
+
+
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = x.data.reshape(shape)
     return _make("reshape", data, [(x, lambda g: g.reshape(x.data.shape))])
@@ -432,7 +492,11 @@ def save_parameters(path, params: dict[str, Tensor | np.ndarray]) -> None:
 
 
 def load_parameters(path) -> dict[str, np.ndarray]:
-    """Read a container written by ``save_parameters``."""
+    """Read a container written by ``save_parameters``.
+
+    A truncated file, bytes after the last parameter, a repeated name or
+    a non-finite value is a ``ValueError`` naming the cause.
+    """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
 
@@ -452,5 +516,10 @@ def load_parameters(path) -> dict[str, np.ndarray]:
             arr = np.frombuffer(take(n * 8), dtype="<f8").reshape(shape).copy()
             if name in out:
                 raise ValueError(f"duplicate parameter name in checkpoint: {name}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint parameter {name!r} has non-finite values: {path}")
             out[name] = arr
+        if f.read(1):
+            last = f"after parameter {name!r} " if count else ""
+            raise ValueError(f"trailing bytes {last}at the end of checkpoint file: {path}")
     return out

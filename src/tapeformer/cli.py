@@ -34,8 +34,9 @@ from .graph import GraphConstructionError
 from .model import GraphormerParams, build_model
 from .structural import clustering_coefficient
 from .synthetic import SyntheticParams, generate, write_synthetic_files
-from .text import SOURCES, DataError, load_feature_matrix
+from .text import SOURCES, DataError, EncodingParams, load_feature_matrix
 from .training import (
+    SplitParams,
     TrainConfig,
     TrainParams,
     TrainingDiverged,
@@ -74,22 +75,14 @@ class PathsConfig:
 
 
 @dataclass
-class DataConfig:
+class DataConfig(EncodingParams):
     class_names: list[str] = field(default_factory=list)
-    text_dim: int = 256
-    pred_top_k: int = 5
 
 
 @dataclass
 class ModelConfig(GraphormerParams):
     kind: str = "graphormer"  # or "mlp" (fused features, no structure)
     sources: list[str] = field(default_factory=lambda: list(SOURCES))
-
-
-@dataclass
-class SplitConfig:
-    train_last_year: int = 2017
-    test_first_year: int = 2019
 
 
 @dataclass
@@ -103,7 +96,7 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainParams = field(default_factory=TrainParams)
-    split: SplitConfig = field(default_factory=SplitConfig)
+    split: SplitParams = field(default_factory=SplitParams)
     ablation: AblationConfig = field(default_factory=AblationConfig)
     seed: int = 0
 
@@ -409,7 +402,7 @@ def make_parser() -> argparse.ArgumentParser:
     g.add_argument("--feature-signal", type=float, default=0.1)
     g.add_argument("--feature-dim", type=int, default=128)
     g.add_argument("--avg-degree", type=int, default=5)
-    g.add_argument("--text-dim", type=int, default=256)
+    g.add_argument("--text-dim", type=int, default=EncodingParams.text_dim)
     g.add_argument("--seed", type=int, default=0)
 
     for name, fn in (("prepare", cmd_prepare), ("train", cmd_train),

@@ -22,6 +22,7 @@ from .text import (
     SOURCES,
     DataError,
     EmbeddingBundle,
+    EncodingParams,
     build_bundle,
     load_feature_matrix,
     load_llm_records,
@@ -67,8 +68,8 @@ def prepare(
     features_path,
     llm_cache_path,
     class_names: list[str],
-    text_dim: int = 256,
-    pred_top_k: int = 5,
+    text_dim: int = EncodingParams.text_dim,
+    pred_top_k: int = EncodingParams.pred_top_k,
     seed: int = 0,
     overrides: dict[str, np.ndarray] | None = None,
 ) -> PreparedDataset:

@@ -10,11 +10,14 @@ features. The classifier head reads the center node's final row.
 
 Everything here runs on the local autodiff engine; the edge term is a
 single matmul against a per-batch constant coefficient matrix so that
-gradients reach the edge weight tables without bespoke ops.
+gradients reach the edge weight tables without bespoke ops. A
+micro-batch of subgraphs runs as one padded stack: every layer works on
+(B*k, d) activations and all heads of all subgraphs attend at once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -28,12 +31,13 @@ __all__ = [
     "GraphormerParams",
     "GraphormerConfig",
     "SubgraphBatch",
+    "MicroBatch",
     "build_batch",
+    "stack_batches",
     "GraphormerModel",
     "FusedMlp",
     "build_model",
     "input_embedding",
-    "edge_encoding_cij",
     "attention_bias",
     "multi_head_attention",
     "subgraph_seed",
@@ -138,6 +142,60 @@ def build_batch(
     )
 
 
+@dataclass
+class MicroBatch:
+    """Subgraphs padded to a common width ``k`` and stacked.
+
+    Row ``b * k + i`` of each flat array is node ``i`` of subgraph
+    ``b``; rows past a subgraph's size are padding, which ``key_mask``
+    hides from attention. Pair arrays are flat the same way: row
+    ``(b * k + i) * k + j`` holds the pair (i, j) of subgraph ``b``.
+    """
+
+    union: np.ndarray  # (U,) sorted global ids of every node in the micro-batch
+    rows: np.ndarray  # (B*k,) each row's index into ``union`` (0 on padding)
+    key_mask: np.ndarray  # (B, 1, 1, k) True on real nodes
+    spd_buckets: np.ndarray  # (B*k*k,) 0 on padding
+    path_coeffs: np.ndarray  # (B*k*k, max_spd * d_edge) zero on padding
+    in_deg: np.ndarray  # (B*k,)
+    out_deg: np.ndarray  # (B*k,)
+    center_rows: np.ndarray  # (B,) flat row of each subgraph's center
+
+    @property
+    def width(self) -> int:
+        return self.key_mask.shape[-1]
+
+
+def stack_batches(batches: Sequence[SubgraphBatch]) -> MicroBatch:
+    """Pad ``batches`` to the largest subgraph and stack them."""
+    sizes = np.array([b.num_nodes for b in batches])
+    count, k = len(batches), int(sizes.max())
+    real = np.arange(k) < sizes[:, None]  # (B, k)
+    union, inverse = np.unique(np.concatenate([b.nodes for b in batches]), return_inverse=True)
+
+    def padded(values):  # one value per real node, subgraph-major -> (B*k,)
+        out = np.zeros((count, k), dtype=np.int64)
+        out[real] = values
+        return out.reshape(-1)
+
+    spd = np.zeros((count, k, k), dtype=np.int64)
+    coeffs = np.zeros((count, k, k, batches[0].path_coeffs.shape[1]))
+    for i, b in enumerate(batches):
+        n = b.num_nodes
+        spd[i, :n, :n] = b.spd_buckets.reshape(n, n)
+        coeffs[i, :n, :n] = b.path_coeffs.reshape(n, n, -1)
+    return MicroBatch(
+        union=union,
+        rows=padded(inverse),
+        key_mask=real[:, None, None, :],
+        spd_buckets=spd.reshape(-1),
+        path_coeffs=coeffs.reshape(count * k * k, -1),
+        in_deg=padded(np.concatenate([b.in_deg for b in batches])),
+        out_deg=padded(np.concatenate([b.out_deg for b in batches])),
+        center_rows=np.arange(count) * k + np.array([b.center_local for b in batches]),
+    )
+
+
 def subgraph_seed(base_seed: int, center: int) -> int:
     """Stable per-center sampling seed, independent of batch composition."""
     return int(np.random.SeedSequence([base_seed, center]).generate_state(1)[0])
@@ -162,26 +220,9 @@ def input_embedding(
     return ad.add(ad.add(x, zi), zo)
 
 
-def edge_encoding_cij(path_feats: np.ndarray, edge_weight: np.ndarray, head: int,
-                      d_edge: int) -> float:
-    """Reference form of the per-pair edge term for one head.
-
-    Average over path positions of x_e . w_n: ``edge_weight`` has shape
-    (max_spd * d_edge, heads) with position-major rows. The identical
-    quantity is produced in batch by ``path_coeffs @ edge_weight``.
-    """
-    n = path_feats.shape[0]
-    if n == 0:
-        return 0.0
-    total = 0.0
-    for pos in range(n):
-        w_n = edge_weight[pos * d_edge : (pos + 1) * d_edge, head]
-        total += float(path_feats[pos] @ w_n)
-    return total / n
-
-
-def attention_bias(batch: SubgraphBatch, spatial_table: Tensor, edge_weight: Tensor) -> Tensor:
-    """(k*k, heads) additive attention-logit bias.
+def attention_bias(batch, spatial_table: Tensor, edge_weight: Tensor) -> Tensor:
+    """(pairs, heads) additive attention-logit bias of a ``SubgraphBatch``
+    or a ``MicroBatch``, one row per flat pair.
 
     Column h, row i*k+j is the head's distance-bucket scalar plus its
     edge term; the diagonal hits the distance-0 bucket with a zero edge
@@ -192,37 +233,46 @@ def attention_bias(batch: SubgraphBatch, spatial_table: Tensor, edge_weight: Ten
     return ad.add(sp, ce)
 
 
+def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return ad.bias_add(ad.matmul(x, w), b)
+
+
 def multi_head_attention(
     h_in: Tensor,
-    bias_flat: Tensor,
+    bias: Tensor,
+    key_mask: np.ndarray,
     params: dict[str, Tensor],
     num_heads: int,
+    queries: np.ndarray | None = None,
     capture: dict | None = None,
 ) -> Tensor:
-    """Biased scaled dot-product attention over all subgraph nodes."""
-    k = h_in.shape[0]
-    d_model = h_in.shape[1]
-    dh = d_model // num_heads
-    scale = 1.0 / np.sqrt(dh)
-    q = ad.bias_add(ad.matmul(h_in, params["wq"]), params["bq"])
-    kk = ad.bias_add(ad.matmul(h_in, params["wk"]), params["bk"])
-    v = ad.bias_add(ad.matmul(h_in, params["wv"]), params["bv"])
-    heads = []
-    attn_rows = []
-    for h in range(num_heads):
-        qh = ad.slice_cols(q, h * dh, (h + 1) * dh)
-        kh = ad.slice_cols(kk, h * dh, (h + 1) * dh)
-        vh = ad.slice_cols(v, h * dh, (h + 1) * dh)
-        scores = ad.mul_scalar(ad.matmul(qh, ad.transpose(kh)), scale)
-        bias_h = ad.reshape(ad.slice_cols(bias_flat, h, h + 1), (k, k))
-        attn = ad.softmax(ad.add(scores, bias_h))
-        if capture is not None:
-            attn_rows.append(attn.data.copy())
-        heads.append(ad.matmul(attn, vh))
+    """Biased scaled dot-product attention over B padded subgraphs.
+
+    ``h_in`` is (B*k, d), subgraph-major. ``queries`` picks the flat
+    rows that ask (one per subgraph); None means every row (q = k).
+    ``bias`` is (B, H, q, k) and ``key_mask`` broadcasts to it, False on
+    padded keys. Heads are split by reshape and axis permutation, so
+    every head of every subgraph runs in the same two batched matmuls.
+    Returns the (B*q, d) outputs of the query rows.
+    """
+    count, d_model = bias.shape[0], h_in.shape[1]
+    k, dh = h_in.shape[0] // count, d_model // num_heads
+    q_in = h_in if queries is None else ad.embedding_lookup(h_in, queries)
+    nq = q_in.shape[0] // count
+
+    def split(x: Tensor, name: str, rows: int, axes) -> Tensor:
+        y = _linear(x, params["w" + name], params["b" + name])
+        return ad.permute(ad.reshape(y, (count, rows, num_heads, dh)), axes)
+
+    q = split(q_in, "q", nq, (0, 2, 1, 3))  # (B, H, q, dh)
+    kt = split(h_in, "k", k, (0, 2, 3, 1))  # (B, H, dh, k)
+    v = split(h_in, "v", k, (0, 2, 1, 3))  # (B, H, k, dh)
+    scores = ad.add(ad.mul_scalar(ad.bmm(q, kt), 1.0 / np.sqrt(dh)), bias)
+    attn = ad.masked_softmax(scores, key_mask)
     if capture is not None:
-        capture.setdefault("attention", []).append(np.stack(attn_rows))
-    out = heads[0] if num_heads == 1 else ad.concat(heads, axis=1)
-    return ad.bias_add(ad.matmul(out, params["wo"]), params["bo"])
+        capture.setdefault("attention", []).append(attn.data.copy())
+    out = ad.reshape(ad.permute(ad.bmm(attn, v), (0, 2, 1, 3)), (count * nq, d_model))
+    return _linear(out, params["wo"], params["bo"])
 
 
 def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
@@ -310,38 +360,67 @@ class GraphormerModel:
 
     def forward_fused(
         self,
-        batch: SubgraphBatch,
+        batch: MicroBatch,
         x: Tensor,
         train: bool = False,
         rng: np.random.Generator | None = None,
         capture: dict | None = None,
+        all_rows: bool = False,
     ) -> Tensor:
+        """Logits of each subgraph's center row (B, C) from the fused
+        (B*k, d) node features, or of every row (B*k, C) with ``all_rows``.
+
+        The last layer works on the center rows only: their query, FFN
+        and head; keys and values still cover all nodes.
+        """
         cfg = self.cfg
+        count, k = len(batch.center_rows), batch.width
         h = input_embedding(x, batch.in_deg, batch.out_deg, self.z_in, self.z_out,
                             cfg.max_degree_bucket)
         bias_flat = attention_bias(batch, self.spatial_table, self.edge_weight)
+
+        def heads_first(flat: Tensor, rows: int) -> Tensor:  # (B*rows*k, H) -> (B, H, rows, k)
+            return ad.permute(ad.reshape(flat, (count, rows, k, cfg.num_heads)), (0, 3, 1, 2))
+
+        bias = heads_first(bias_flat, k)
         drop = cfg.dropout if train else 0.0
-        for layer in self.layers:
+        last = len(self.layers) - 1
+        for i, layer in enumerate(self.layers):
+            queries = None if all_rows or i < last else batch.center_rows
+            if queries is not None:
+                # a center's bias row: pairs (c, 0..k-1) start at flat pair c * k
+                rows = (queries[:, None] * k + np.arange(k)).reshape(-1)
+                bias = heads_first(ad.embedding_lookup(bias_flat, rows), 1)
             a = multi_head_attention(
                 _ln_affine(h, layer["ln1_g"], layer["ln1_b"], cfg.ln_eps),
-                bias_flat, layer, cfg.num_heads, capture=capture,
+                bias, batch.key_mask, layer, cfg.num_heads, queries=queries, capture=capture,
             )
+            if queries is not None:
+                h = ad.embedding_lookup(h, queries)
             if drop > 0.0:
                 a = ad.dropout(a, drop, rng)
             h = ad.add(h, a)
             z = _ln_affine(h, layer["ln2_g"], layer["ln2_b"], cfg.ln_eps)
-            z = ad.bias_add(ad.matmul(ad.relu(ad.bias_add(ad.matmul(z, layer["w1"]),
-                                                          layer["b1"])), layer["w2"]), layer["b2"])
+            z = _linear(ad.relu(_linear(z, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
             if drop > 0.0:
                 z = ad.dropout(z, drop, rng)
             h = ad.add(h, z)
-        return ad.bias_add(ad.matmul(h, self.head_w), self.head_b)
+        if not self.layers and not all_rows:
+            h = ad.embedding_lookup(h, batch.center_rows)
+        return _linear(h, self.head_w, self.head_b)
+
+    def _fused_rows(self, batch: MicroBatch, bundle) -> Tensor:
+        """(B*k, d) fused features: the union of the micro-batch's nodes
+        is fused once, then gathered into rows."""
+        union = {s: bundle.source(s)[batch.union] for s in self.fusion.cfg.active}
+        return ad.embedding_lookup(self.fusion.fuse(union), batch.rows)
 
     def forward(self, batch: SubgraphBatch, bundle, train: bool = False,
                 rng: np.random.Generator | None = None, capture: dict | None = None) -> Tensor:
-        rows = {s: bundle.source(s)[batch.nodes] for s in self.fusion.cfg.active}
-        x = self.fusion.fuse(rows)
-        return self.forward_fused(batch, x, train=train, rng=rng, capture=capture)
+        """(k, C) logits of every node of one subgraph."""
+        stacked = stack_batches([batch])
+        x = self._fused_rows(stacked, bundle)
+        return self.forward_fused(stacked, x, train=train, rng=rng, capture=capture, all_rows=True)
 
     # -- batching -----------------------------------------------------------
 
@@ -365,13 +444,10 @@ class GraphormerModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        """(B, C) center-node logits; one subgraph forward per center."""
-        rows = []
-        for c in centers:
-            batch = self.batch_for(data.graph, int(c), seed)
-            logits = self.forward(batch, data.bundle, train=train, rng=rng)
-            rows.append(ad.embedding_lookup(logits, np.asarray([batch.center_local])))
-        return rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
+        """(B, C) center-node logits from one padded forward over the
+        centers' cached subgraphs."""
+        batch = stack_batches([self.batch_for(data.graph, int(c), seed) for c in centers])
+        return self.forward_fused(batch, self._fused_rows(batch, data.bundle), train=train, rng=rng)
 
 
 class FusedMlp:

@@ -25,6 +25,7 @@ __all__ = [
     "NodeDocument",
     "LlmRecord",
     "EmbeddingBundle",
+    "EncodingParams",
     "DataError",
     "SOURCES",
     "tokenize",
@@ -46,6 +47,14 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 class DataError(ValueError):
     """Malformed or inconsistent input data."""
+
+
+@dataclass
+class EncodingParams:
+    """The embedding settings a run config sets, with their defaults."""
+
+    text_dim: int = 256  # width of the hashed text and explanation encodings
+    pred_top_k: int = 5  # LLM predictions kept per node
 
 
 @dataclass
@@ -193,8 +202,8 @@ def build_bundle(
     records: dict[int, LlmRecord],
     ogb_features: np.ndarray,
     num_classes: int,
-    text_dim: int = 256,
-    pred_top_k: int = 5,
+    text_dim: int = EncodingParams.text_dim,
+    pred_top_k: int = EncodingParams.pred_top_k,
     seed: int = 0,
     overrides: dict[str, np.ndarray] | None = None,
 ) -> EmbeddingBundle:

@@ -4,9 +4,11 @@ Training iterates over seeded shuffles of the training centers. Each
 optimizer step accumulates gradients over ``grad_accum_steps``
 micro-batches (each micro-batch loss is scaled by the accumulation
 count, so accumulation reproduces the equivalent large batch exactly),
-then applies Adam at the warmup/decay learning rate. Validation
-accuracy drives checkpoint selection and early stopping. Single-
-threaded runs are bit-reproducible for a given seed.
+then applies Adam at the warmup/decay learning rate. Micro-batches run
+with the engine's per-op finite checks off; a non-finite loss replays
+the micro-batch with them on, so the error names the first op that went
+non-finite. Validation accuracy drives checkpoint selection and early
+stopping. Single-threaded runs are bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ log = logging.getLogger(__name__)
 __all__ = [
     "TrainParams",
     "TrainConfig",
+    "SplitParams",
     "TemporalSplit",
     "TrainingDiverged",
     "TrainResult",
@@ -70,6 +73,14 @@ class TrainParams:
 @dataclass
 class TrainConfig(TrainParams):
     seed: int = 0
+
+
+@dataclass
+class SplitParams:
+    """The temporal split boundaries a run config sets, with their defaults."""
+
+    train_last_year: int = 2017
+    test_first_year: int = 2019
 
 
 @dataclass
@@ -169,8 +180,8 @@ def lr_at(step: int, base_lr: float, warmup: int, total: int) -> float:
 def make_temporal_split(
     years: np.ndarray,
     labels: np.ndarray | None = None,
-    train_last_year: int = 2017,
-    test_first_year: int = 2019,
+    train_last_year: int = SplitParams.train_last_year,
+    test_first_year: int = SplitParams.test_first_year,
 ) -> TemporalSplit:
     """Partition labeled nodes chronologically.
 
@@ -198,8 +209,12 @@ def make_temporal_split(
     return split
 
 
-def predict(model, data, ids, seed: int, chunk: int = 64) -> np.ndarray:
-    """Argmax class per node, computed without touching the tape."""
+def predict(model, data, ids, seed: int, chunk: int = 16) -> np.ndarray:
+    """Argmax class per node, computed without touching the tape.
+
+    Each chunk of ids is one padded forward whose pair arrays hold
+    ``chunk * k * k`` rows, so the chunk bounds its memory.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     out = np.empty(len(ids), dtype=np.int64)
     with ad.no_grad():
@@ -223,11 +238,29 @@ def _grad_norms(params: dict[str, Tensor], top: int = 5) -> str:
     return ", ".join(f"{k}={n:.3e}" for n, k in norms[:top])
 
 
+def _micro_batch_loss(model, data, centers, cfg: TrainConfig, rng) -> Tensor:
+    logits = model.logits_for_centers(data, centers, seed=cfg.seed, train=True, rng=rng)
+    return smoothed_cross_entropy(logits, data.labels[centers], cfg.label_smoothing)
+
+
+def _first_non_finite_op(model, data, centers, cfg: TrainConfig, rng) -> str:
+    """Re-run a micro-batch's forward with per-op finite checks on and
+    name the first op whose output went non-finite."""
+    checks = ad.set_finite_checks(True)
+    try:
+        with ad.no_grad():
+            _micro_batch_loss(model, data, centers, cfg, rng)
+    except FloatingPointError as e:
+        return f"first non-finite op on replay: {e}"
+    finally:
+        ad.set_finite_checks(checks)
+    return "no op went non-finite on replay"
+
+
 def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
     """Run the full loop; returns the best-validation checkpoint and history."""
     params = model.parameters()
     opt = Adam(params)
-    labels = data.labels
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
     micro = cfg.batch_size
     per_step = micro * cfg.grad_accum_steps
@@ -253,11 +286,19 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                 pos += micro
                 if len(centers) == 0:
                     break
-                logits = model.logits_for_centers(data, centers, seed=cfg.seed, train=True, rng=rng)
-                loss = smoothed_cross_entropy(logits, labels[centers], cfg.label_smoothing)
+                replay = rng.bit_generator.state
+                # per-op finite checks are off in the hot path; a non-finite
+                # loss replays the micro-batch with them on to find the op
+                checks = ad.set_finite_checks(False)
+                try:
+                    loss = _micro_batch_loss(model, data, centers, cfg, rng)
+                finally:
+                    ad.set_finite_checks(checks)
                 if not np.isfinite(loss.data):
+                    rng.bit_generator.state = replay
                     raise TrainingDiverged(
                         f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); "
+                        f"{_first_non_finite_op(model, data, centers, cfg, rng)}; "
                         f"largest grad norms: {_grad_norms(params)}"
                     )
                 scaled = ad.mul_scalar(loss, 1.0 / cfg.grad_accum_steps)

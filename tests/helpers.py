@@ -197,3 +197,83 @@ def oracle_structural(g, sub, cap: int, d_edge: int = 3):
                 feats[n] = oracle_edge_features(g, int(sub.nodes[lu]), int(sub.nodes[lv]))
             coeffs[i * k + j, : len(steps) * d_edge] = (feats / len(steps)).reshape(-1)
     return dist, coeffs
+
+
+# ---------------------------------------------------------------------------
+# model oracles
+# ---------------------------------------------------------------------------
+
+
+def edge_encoding_cij(path_feats: np.ndarray, edge_weight: np.ndarray, head: int,
+                      d_edge: int) -> float:
+    """The edge term of one pair for one head, as a scalar loop.
+
+    Average over path positions of x_e . w_n: ``edge_weight`` has shape
+    (max_spd * d_edge, heads) with position-major rows. The model
+    produces the same quantity for every pair at once as
+    ``path_coeffs @ edge_weight``.
+    """
+    n = path_feats.shape[0]
+    if n == 0:
+        return 0.0
+    total = 0.0
+    for pos in range(n):
+        w_n = edge_weight[pos * d_edge : (pos + 1) * d_edge, head]
+        total += float(path_feats[pos] @ w_n)
+    return total / n
+
+
+def _softmax_rows(x: np.ndarray) -> np.ndarray:
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _ln_affine(x, gain, bias, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
+
+
+def oracle_subgraph_logits(model, batch, bundle) -> np.ndarray:
+    """(k, C) logits of every node of one subgraph, in plain numpy.
+
+    One subgraph at a time, no padding, and one head at a time on
+    column slices of the query, key and value projections: the forward
+    pass as it ran before micro-batches were stacked.
+    """
+    cfg, fusion = model.cfg, model.fusion
+    proj = [bundle.source(s)[batch.nodes] @ fusion.proj[s].data for s in fusion.cfg.active]
+    scores = np.concatenate([np.tanh(u @ fusion.score_m.data) @ fusion.score_w.data
+                             for u in proj], axis=1)
+    alpha = _softmax_rows(scores)
+    x = proj[0] * alpha[:, :1]
+    for i in range(1, len(proj)):
+        x = x + proj[i] * alpha[:, i:i + 1]
+    mb = cfg.max_degree_bucket
+    h = (x + model.z_in.data[np.minimum(batch.in_deg, mb)]
+         + model.z_out.data[np.minimum(batch.out_deg, mb)])
+    k, heads = batch.num_nodes, cfg.num_heads
+    bias = model.spatial_table.data[batch.spd_buckets] + batch.path_coeffs @ model.edge_weight.data
+    dh = cfg.d_model // heads
+    for layer in model.layers:
+        p = {name: t.data for name, t in layer.items()}
+        z = _ln_affine(h, p["ln1_g"], p["ln1_b"], cfg.ln_eps)
+        q, kk, v = (z @ p["w" + n] + p["b" + n] for n in "qkv")
+        outs = []
+        for hd in range(heads):
+            cols = slice(hd * dh, (hd + 1) * dh)
+            s = (q[:, cols] @ kk[:, cols].T) * (1.0 / np.sqrt(dh)) + bias[:, hd].reshape(k, k)
+            outs.append(_softmax_rows(s) @ v[:, cols])
+        h = h + (np.concatenate(outs, axis=1) @ p["wo"] + p["bo"])
+        z = _ln_affine(h, p["ln2_g"], p["ln2_b"], cfg.ln_eps)
+        h = h + (np.maximum(z @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"])
+    return h @ model.head_w.data + model.head_b.data
+
+
+def oracle_logits_for_centers(model, data, centers, seed: int) -> np.ndarray:
+    """(B, C) center logits, one full subgraph forward per center."""
+    rows = []
+    for c in centers:
+        batch = model.batch_for(data.graph, int(c), seed)
+        rows.append(oracle_subgraph_logits(model, batch, data.bundle)[batch.center_local])
+    return np.stack(rows)

@@ -25,7 +25,7 @@ from tapeformer.fusion import FusionConfig
 from tapeformer.model import GraphormerConfig, GraphormerModel
 from tapeformer.text import EmbeddingBundle
 
-from helpers import check_gradients, floyd_warshall, random_edge_list
+from helpers import check_gradients, edge_encoding_cij, floyd_warshall, random_edge_list
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -161,6 +161,14 @@ def test_criterion_01_gradient_correctness():
     probe(lambda: ad.tsum(ad.mul(ad.transpose(x), rT)), [x])
     probe(lambda: ad.tsum(ad.mul(ad.reshape(x, (4, 3)), r43)), [x])
     probe(lambda: ad.tsum(ad.mul(ad.dropout(x, 0.3, np.random.default_rng(1)), r34)), [x])
+    s3, t3 = p(2, 3, 4), p(2, 4, 3)
+    r233 = Tensor(rng.standard_normal((2, 3, 3)))
+    probe(lambda: ad.tsum(ad.mul(ad.bmm(s3, t3), r233)), [s3, t3])
+    keys = np.array([[[True, False, True, True]], [[False, True, True, False]]])
+    r234 = Tensor(rng.standard_normal((2, 3, 4)))
+    probe(lambda: ad.tsum(ad.mul(ad.masked_softmax(s3, keys), r234)), [s3])
+    r432 = Tensor(rng.standard_normal((4, 3, 2)))
+    probe(lambda: ad.tsum(ad.mul(ad.permute(s3, (2, 1, 0)), r432)), [s3])
 
     # the full tiny model: L=2, H=2, d_model=16, k=8 nodes
     cfg = GraphormerConfig(num_classes=3, num_layers=2, num_heads=2, d_model=16,
@@ -270,7 +278,7 @@ def test_criterion_04_formula_fidelity():
         for h in range(4):
             direct = sum(float(feats[pos] @ w[pos * 3:(pos + 1) * 3, h])
                          for pos in range(n_edges)) / n_edges
-            got = gm.edge_encoding_cij(feats, w, head=h, d_edge=3)
+            got = edge_encoding_cij(feats, w, head=h, d_edge=3)
             worst = max(worst, abs(got - direct))
     _report(4, "formula fidelity", worst < 1e-12, f"max deviation {worst:.2e}")
 

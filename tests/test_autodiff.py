@@ -185,6 +185,48 @@ def test_grad_transpose_reshape():
     _fd(lambda: ad.tsum(ad.mul(ad.reshape(x, (2, 6)), r2)), [x])
 
 
+def test_grad_bmm():
+    rng = np.random.default_rng(24)
+    a, b = _p(rng, 2, 3, 4, 5), _p(rng, 2, 3, 5, 2)
+    r = Tensor(rng.standard_normal((2, 3, 4, 2)))
+    _fd(lambda: ad.tsum(ad.mul(ad.bmm(a, b), r)), [a, b])
+    with pytest.raises(ad.ShapeError, match="bmm"):
+        ad.bmm(a, _p(rng, 3, 2, 5, 2))
+
+
+def test_grad_masked_softmax():
+    rng = np.random.default_rng(25)
+    x = _p(rng, 2, 3, 4, 5)
+    mask = rng.random((2, 1, 1, 5)) < 0.6
+    mask[:, ..., 0] = True
+    r = Tensor(rng.standard_normal((2, 3, 4, 5)))
+    _fd(lambda: ad.tsum(ad.mul(ad.masked_softmax(x, mask), r)), [x])
+    # masked entries get exactly zero weight and zero gradient
+    x.zero_grad()
+    out = ad.masked_softmax(x, mask)
+    ad.backward(ad.tsum(ad.mul(out, r)))
+    hidden = np.broadcast_to(~mask, x.shape)
+    assert np.all(out.data[hidden] == 0.0) and np.all(x.grad[hidden] == 0.0)
+    # the unmasked entries are the plain softmax of those entries alone
+    keep = mask[1, 0, 0]
+    plain = ad.softmax(Tensor(x.data[1, :, :, keep].transpose(1, 2, 0))).data
+    assert np.max(np.abs(out.data[1][..., keep] - plain)) < 1e-15
+    with pytest.raises(ad.ShapeError, match="no unmasked entry"):
+        ad.masked_softmax(x, np.zeros((1, 1, 1, 5), dtype=bool))
+    with pytest.raises(ad.ShapeError, match="broadcast"):
+        ad.masked_softmax(x, np.ones((3, 1, 1, 5), dtype=bool))
+
+
+def test_grad_permute():
+    rng = np.random.default_rng(26)
+    x = _p(rng, 2, 3, 4)
+    r = Tensor(rng.standard_normal((4, 2, 3)))
+    _fd(lambda: ad.tsum(ad.mul(ad.permute(x, (2, 0, 1)), r)), [x])
+    assert np.array_equal(ad.permute(x, (2, 0, 1)).data, np.transpose(x.data, (2, 0, 1)))
+    with pytest.raises(ad.ShapeError, match="permute"):
+        ad.permute(x, (0, 0, 1))
+
+
 def test_grad_dropout_fixed_mask():
     rng = np.random.default_rng(20)
     x = _p(rng, 6, 6)
@@ -251,4 +293,22 @@ def test_checkpoint_truncation_detected(tmp_path):
     raw = path.read_bytes()
     path.write_bytes(raw[:-9])
     with pytest.raises(ValueError, match="truncated"):
+        ad.load_parameters(path)
+
+
+def test_checkpoint_trailing_bytes_detected(tmp_path):
+    path = tmp_path / "ck.bin"
+    ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="trailing bytes after parameter 'w'"):
+        ad.load_parameters(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_value_detected(tmp_path, bad):
+    path = tmp_path / "ck.bin"
+    w = np.ones((4, 4))
+    w[2, 1] = bad
+    ad.save_parameters(path, {"a": np.zeros(3), "w": w})
+    with pytest.raises(ValueError, match="'w' has non-finite values"):
         ad.load_parameters(path)

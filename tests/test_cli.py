@@ -4,6 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tapeformer import autodiff as ad
 from tapeformer import cli
 from tapeformer.cli import main
 
@@ -328,6 +329,25 @@ def test_eval_shape_incompatible_checkpoint(trained, capsys):
                "--set", "model.d_model=32"])
     assert rc == 2
     assert "shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corruption,cause", [
+    ("trailing", "trailing bytes after parameter"),
+    ("non-finite", "'head.w' has non-finite values"),
+])
+def test_eval_corrupt_checkpoint_is_exit_2(trained, tmp_path, capsys, corruption, cause):
+    bad = tmp_path / "checkpoint.bin"
+    if corruption == "trailing":
+        bad.write_bytes((trained / "checkpoint.bin").read_bytes() + b"\0" * 8)
+    else:
+        state = ad.load_parameters(trained / "checkpoint.bin")
+        state["head.w"][0, 0] = np.nan
+        ad.save_parameters(bad, state)
+    rc = main(["eval", "--config", _cfg_path(trained), "--checkpoint", str(bad),
+               "--split", "val", "--set", f"paths.out_dir={tmp_path}",
+               "--set", f"paths.dataset={trained / 'dataset.bin'}"])
+    assert rc == 2
+    assert cause in capsys.readouterr().err
 
 
 # --- ablate ------------------------------------------------------------------

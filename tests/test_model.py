@@ -9,7 +9,13 @@ from tapeformer.autodiff import Tensor
 from tapeformer.fusion import FusionConfig
 from tapeformer.text import EmbeddingBundle
 
-from helpers import check_gradients, random_edge_list
+from helpers import (
+    check_gradients,
+    edge_encoding_cij,
+    oracle_logits_for_centers,
+    oracle_subgraph_logits,
+    random_edge_list,
+)
 
 DIMS = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
 
@@ -90,14 +96,14 @@ def test_input_embedding_matches_direct_sum():
 
 def test_edge_term_zero_features():
     w = np.random.default_rng(3).standard_normal((4 * 3, 2))
-    assert gm.edge_encoding_cij(np.zeros((2, 3)), w, head=0, d_edge=3) == 0.0
+    assert edge_encoding_cij(np.zeros((2, 3)), w, head=0, d_edge=3) == 0.0
 
 
 def test_edge_term_single_edge_dot_product():
     w = np.zeros((4 * 3, 2))
     w[0:3, 1] = [2.0, 5.0, 7.0]
     feats = np.array([[1.0, 0.0, 0.0]])
-    assert gm.edge_encoding_cij(feats, w, head=1, d_edge=3) == pytest.approx(2.0)
+    assert edge_encoding_cij(feats, w, head=1, d_edge=3) == pytest.approx(2.0)
 
 
 def test_edge_term_matches_loop_oracle_and_batched_form():
@@ -110,7 +116,7 @@ def test_edge_term_matches_loop_oracle_and_batched_form():
         for h in range(cfg.num_heads):
             # independent scalar loop
             expect = sum(float(feats[p] @ w[p * 3:(p + 1) * 3, h]) for p in range(n)) / n
-            got = gm.edge_encoding_cij(feats, w, head=h, d_edge=3)
+            got = edge_encoding_cij(feats, w, head=h, d_edge=3)
             assert got == pytest.approx(expect, abs=1e-12)
             # batched coefficient-matrix route
             row = np.zeros(cfg.max_spd * 3)
@@ -173,7 +179,7 @@ def test_attention_bias_two_node_path():
     k = batch.num_nodes
     feats = st.synth_edge_features(g, np.array([0]), np.array([1]))
     for h in range(cfg.num_heads):
-        c01 = gm.edge_encoding_cij(feats.reshape(1, 3), w, head=h, d_edge=3)
+        c01 = edge_encoding_cij(feats.reshape(1, 3), w, head=h, d_edge=3)
         assert bias[0 * k + 1, h] == pytest.approx(b[1, h] + c01, abs=1e-12)
         assert bias[0 * k + 0, h] == pytest.approx(b[0, h], abs=1e-12)  # diagonal: d=0, c=0
 
@@ -219,7 +225,8 @@ def test_mha_single_node_weight_one():
     params = _attn_params(rng, d)
     h = Tensor(rng.standard_normal((1, d)))
     cap = {}
-    out = gm.multi_head_attention(h, Tensor(np.zeros((1, 2))), params, num_heads=2, capture=cap)
+    out = gm.multi_head_attention(h, Tensor(np.zeros((1, 2, 1, 1))), np.ones((1, 1, 1, 1), bool),
+                                  params, num_heads=2, capture=cap)
     assert np.allclose(cap["attention"][0], 1.0)
     v = h.data @ params["wv"].data + params["bv"].data
     expect = v @ params["wo"].data + params["bo"].data
@@ -233,8 +240,9 @@ def test_mha_large_negative_bias_masks_to_self():
     h = Tensor(rng.standard_normal((k, d)))
     bias = np.full((k, k), -1e9)
     np.fill_diagonal(bias, 0.0)
-    bias_flat = Tensor(np.tile(bias.reshape(-1, 1), (1, heads)))
-    out = gm.multi_head_attention(h, bias_flat, params, num_heads=heads)
+    bias_heads = Tensor(np.tile(bias, (1, heads, 1, 1)))
+    out = gm.multi_head_attention(h, bias_heads, np.ones((1, 1, 1, k), bool), params,
+                                  num_heads=heads)
     v = h.data @ params["wv"].data + params["bv"].data
     expect = v @ params["wo"].data + params["bo"].data
     assert np.max(np.abs(out.data - expect)) < 1e-6
@@ -249,7 +257,9 @@ def test_mha_gradients():
     r = Tensor(rng.standard_normal((k, d)))
 
     def loss():
-        return ad.tsum(ad.mul(gm.multi_head_attention(h, bias, params, 2), r))
+        heads_first = ad.permute(ad.reshape(bias, (1, k, k, 2)), (0, 3, 1, 2))
+        return ad.tsum(ad.mul(gm.multi_head_attention(h, heads_first, np.ones((1, 1, 1, k), bool),
+                                                      params, 2), r))
 
     check_gradients(loss, [h, bias] + list(params.values()))
 
@@ -292,8 +302,9 @@ def test_attention_rows_sum_to_one_every_layer_head():
     cap = {}
     model.forward(batch, bundle, capture=cap)
     assert len(cap["attention"]) == cfg.num_layers
+    k = batch.num_nodes
     for layer_attn in cap["attention"]:
-        assert layer_attn.shape[0] == cfg.num_heads
+        assert layer_attn.shape == (1, cfg.num_heads, k, k)
         sums = layer_attn.sum(axis=-1)
         assert np.max(np.abs(sums - 1.0)) < 1e-9
 
@@ -365,6 +376,90 @@ def test_overfit_tiny_subgraph():
         if acc == 1.0:
             break
     assert acc == 1.0, f"failed to memorize: accuracy {acc}"
+
+
+# --- padded micro-batches ----------------------------------------------------
+
+
+def _mixed_case(seed, **cfg_kw):
+    """A graph whose first 20 nodes form a sparse citation graph and whose
+    last 4 are isolated, so that micro-batches mix ego sizes from 1 to
+    ``ego_max_nodes`` and neighbouring centers share nodes."""
+    import types
+
+    rng = np.random.default_rng(seed)
+    edges = random_edge_list(rng, 20, 0.12)
+    g = gr.from_edge_list(edges, 24)
+    data = types.SimpleNamespace(graph=g, bundle=random_bundle(rng, 24))
+    cfg = tiny_config(**cfg_kw)
+    model = gm.GraphormerModel(cfg, fusion_config(), seed=seed)
+    for t in (model.spatial_table, model.edge_weight):  # zero at init: make the bias count
+        t.data[...] = rng.standard_normal(t.shape)
+    return rng, data, model
+
+
+def test_logits_for_centers_match_one_subgraph_oracle():
+    for seed, layers, heads in ((30, 2, 2), (31, 1, 4), (32, 3, 1), (33, 0, 2)):
+        rng, data, model = _mixed_case(seed, num_layers=layers, num_heads=heads)
+        for centers in (rng.permutation(24)[:8], np.arange(24), np.array([23]), np.array([3])):
+            got = model.logits_for_centers(data, centers, seed=5).data
+            want = oracle_logits_for_centers(model, data, centers, 5)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) < 1e-12, (seed, centers)
+        batches = [model.batch_for(data.graph, c, 5) for c in range(24)]
+        sizes = {b.num_nodes for b in batches}
+        assert 1 in sizes and len(sizes) > 2  # isolated centers and padding
+        nodes = [set(b.nodes.tolist()) for b in batches]
+        assert any(nodes[i] & nodes[j] for i in range(24) for j in range(i))  # shared nodes
+        for b in batches[::5]:
+            assert np.max(np.abs(model.forward(b, data.bundle).data
+                                 - oracle_subgraph_logits(model, b, data.bundle))) < 1e-12
+
+
+def test_stack_batches_pads_and_masks():
+    _, data, model = _mixed_case(34)
+    batches = [model.batch_for(data.graph, c, 0) for c in (22, 0, 5)]
+    mb = gm.stack_batches(batches)
+    k = max(b.num_nodes for b in batches)
+    assert mb.width == k and mb.key_mask.shape == (3, 1, 1, k)
+    for i, b in enumerate(batches):
+        n = b.num_nodes
+        assert mb.key_mask[i, 0, 0].tolist() == [True] * n + [False] * (k - n)
+        assert np.array_equal(mb.union[mb.rows[i * k:i * k + n]], b.nodes)
+        assert mb.center_rows[i] == i * k + b.center_local
+        pairs = mb.spd_buckets.reshape(3, k, k)[i]
+        assert np.array_equal(pairs[:n, :n].reshape(-1), b.spd_buckets)
+        coeffs = mb.path_coeffs.reshape(3, k, k, -1)[i]
+        assert np.array_equal(coeffs[:n, :n].reshape(n * n, -1), b.path_coeffs)
+        assert not coeffs[n:].any() and not coeffs[:, n:].any()
+    assert np.array_equal(mb.union, np.unique(np.concatenate([b.nodes for b in batches])))
+
+
+def test_logits_for_centers_gradient_check():
+    rng, data, model = _mixed_case(35, num_layers=2)
+    centers = np.array([2, 21, 7, 23])
+    labels = rng.integers(0, 3, size=len(centers))
+    from tapeformer.training import smoothed_cross_entropy
+
+    def loss():
+        return smoothed_cross_entropy(model.logits_for_centers(data, centers, seed=1), labels, 0.1)
+
+    check_gradients(loss, list(model.parameters().values()), max_entries=8, seed=3)
+
+
+def test_tape_ops_per_step_independent_of_batch_and_heads():
+    from tapeformer.training import smoothed_cross_entropy
+
+    ops = set()
+    for heads in (1, 2, 4):
+        rng, data, model = _mixed_case(36, num_heads=heads)
+        for size in (1, 4, 8):
+            centers = rng.permutation(24)[:size]
+            ad.tape_clear()
+            logits = model.logits_for_centers(data, centers, seed=0, train=True)
+            smoothed_cross_entropy(logits, rng.integers(0, 3, size=size), 0.1)
+            ops.add(ad.tape_size())
+    assert len(ops) == 1, ops
 
 
 # --- checkpoint plumbing -----------------------------------------------------

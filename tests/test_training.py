@@ -280,7 +280,25 @@ def test_history_csv_roundtrip(tmp_path):
     assert p.read_bytes() == (tmp_path / "h2.csv").read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
+def test_micro_batches_run_without_finite_checks():
+    data, split = _stub_data()
+    seen = []
+
+    class Recording(_ScalarStubModel):
+        def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
+            checks = ad.set_finite_checks(True)
+            ad.set_finite_checks(checks)
+            seen.append((train, checks))
+            return super().logits_for_centers(data, centers, seed, train, rng)
+
+    cfg = tr.TrainConfig(epochs=1, base_lr=0.01, batch_size=4, early_stop_patience=1, seed=0)
+    tr.train(Recording(w0=0.5), data, split, cfg)
+    assert {checks for train, checks in seen if train} == {False}
+    assert {checks for train, checks in seen if not train} == {True}  # validation keeps them
+    assert ad.set_finite_checks(True) is True  # restored after training
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_divergence_aborts_with_diagnostics():
     data, split = _stub_data()
 
@@ -291,5 +309,6 @@ def test_divergence_aborts_with_diagnostics():
 
     model = ExplodingModel(w0=1e200)
     cfg = tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=4, early_stop_patience=2, seed=0)
-    with pytest.raises((tr.TrainingDiverged, FloatingPointError)):
+    with pytest.raises(tr.TrainingDiverged,
+                       match="first non-finite op on replay: matmul produced non-finite"):
         tr.train(model, data, split, cfg)
