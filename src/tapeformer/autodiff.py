@@ -171,7 +171,8 @@ def backward(loss: Tensor) -> None:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
     grads: dict[int, np.ndarray] = {id(loss): seed}
-    leaves: dict[int, tuple[Tensor, np.ndarray]] = {}
+    # id -> (leaf, total, whether the total may share memory with another array)
+    leaves: dict[int, tuple[Tensor, np.ndarray, bool]] = {}
     for rec in reversed(_state.records):
         g = grads.pop(id(rec.out), None)
         if g is None:
@@ -180,13 +181,24 @@ def backward(loss: Tensor) -> None:
             contrib = fn(g)
             if t.is_leaf:
                 prev = leaves.get(id(t))
-                leaves[id(t)] = (t, contrib if prev is None else prev[1] + contrib)
+                if prev is None:
+                    # an identity or view closure hands back g or a view of
+                    # it, which other inputs of the op may receive too
+                    shared = contrib is g or (
+                        contrib.base is not None and np.may_share_memory(contrib, g))
+                    leaves[id(t)] = (t, contrib, shared)
+                else:
+                    leaves[id(t)] = (t, prev[1] + contrib, False)
             else:
                 prev = grads.get(id(t))
                 grads[id(t)] = contrib if prev is None else prev + contrib
-    # flush per-pass totals so a repeated backward adds the exact same array
-    for t, total in leaves.values():
-        t.grad = total.copy() if t.grad is None else t.grad + total
+    # flush per-pass totals; a total that may alias is copied so no two
+    # grads share memory
+    for t, total, shared in leaves.values():
+        if t.grad is None:
+            t.grad = total.copy() if shared else total
+        else:
+            t.grad = t.grad + total
 
 
 # ---------------------------------------------------------------------------

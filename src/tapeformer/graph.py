@@ -10,12 +10,15 @@ bounded neighborhood instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 __all__ = [
     "DirectedGraph",
+    "EgoStack",
     "EgoSubgraph",
     "GraphConstructionError",
     "from_edge_list",
@@ -74,16 +77,8 @@ class DirectedGraph:
         only the out-edges of the distinct sources are searched."""
         src, n = np.asarray(src, dtype=np.int64), np.int64(self.num_nodes)
         u = np.unique(src)
-        lo = self.out_offsets[u]
-        cnt = self.out_offsets[u + 1] - lo
-        # those out-edges as ascending src * n + dst keys
-        at = np.repeat(lo - np.cumsum(cnt) + cnt, cnt) + np.arange(cnt.sum())
-        keys = np.repeat(u, cnt) * n + self.out_targets[at]
-        want = src * n + dst
-        if len(keys) == 0:
-            return np.zeros(len(want), dtype=bool)
-        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-        return keys[pos] == want
+        owner, targets = _csr_rows(self.out_offsets, self.out_targets, u)
+        return _find(u[owner] * n + targets, src * n + dst)[1]
 
     def has_undirected_edge(self, u: int, v: int) -> bool:
         return self.has_edge(u, v) or self.has_edge(v, u)
@@ -93,6 +88,35 @@ class DirectedGraph:
         for u in range(self.num_nodes):
             for v in self.out_neighbors(u):
                 yield u, int(v)
+
+    @cached_property
+    def log1p_degree(self) -> np.ndarray:
+        """``math.log1p(d)`` for every degree d from 0 to the largest in-
+        or out-degree, built on first use. ``math.log1p``, not
+        ``np.log1p``: the two disagree in the last ulp on some integers
+        (2 among them), and the synthesized edge features are pinned to
+        ``math.log1p``."""
+        top = int(max(self.out_degrees().max(initial=0), self.in_degrees().max(initial=0)))
+        return np.array(list(map(math.log1p, range(top + 1))), dtype=np.float64)
+
+
+def _csr_rows(offsets: np.ndarray, targets: np.ndarray, rows: np.ndarray):
+    """The CSR rows ``rows`` concatenated in order: (index into ``rows``
+    of each entry's row, the entry)."""
+    lo = offsets[rows]
+    cnt = offsets[rows + 1] - lo
+    owner = np.repeat(np.arange(len(rows)), cnt)
+    at = lo[owner] + np.arange(len(owner)) - (np.cumsum(cnt) - cnt)[owner]
+    return owner, targets[at]
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray):
+    """(position, found) of each of ``keys`` in the ascending ``sorted_keys``;
+    the position is meaningless where not found."""
+    if len(sorted_keys) == 0:
+        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return pos, sorted_keys[pos] == keys
 
 
 @dataclass
@@ -111,6 +135,47 @@ class EgoSubgraph:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+
+@dataclass
+class EgoStack:
+    """Several ego subgraphs, padded to the size ``k`` of the largest.
+
+    Row b of ``nodes`` holds subgraph b's global ids in the order of
+    ``EgoSubgraph.nodes``, padded with -1 past ``sizes[b]``; the rows of
+    ``local_edges`` are (b, local src, local dst), grouped by b.
+    """
+
+    centers: np.ndarray  # (B,) global ids, int64
+    nodes: np.ndarray  # (B, k) global ids, -1 on padding
+    sizes: np.ndarray  # (B,) real nodes per subgraph
+    local_edges: np.ndarray  # (m, 3) int64
+
+    @classmethod
+    def of(cls, sub: EgoSubgraph) -> EgoStack:
+        """One subgraph as a stack of one."""
+        e = sub.local_edges
+        return cls(centers=np.array([sub.center]), nodes=sub.nodes[None],
+                   sizes=np.array([sub.num_nodes]),
+                   local_edges=np.column_stack([np.zeros(len(e), dtype=e.dtype), e]))
+
+    @property
+    def num_nodes(self) -> int:
+        """Real nodes over all subgraphs."""
+        return int(self.sizes.sum())
+
+    @property
+    def center_local(self) -> np.ndarray:
+        """(B,) local index of each subgraph's center."""
+        return np.argmax(self.nodes == self.centers[:, None], axis=1)
+
+    def subgraph(self, b: int) -> EgoSubgraph:
+        nodes = self.nodes[b, : self.sizes[b]].copy()
+        return EgoSubgraph(
+            center=int(self.centers[b]), nodes=nodes,
+            local_edges=self.local_edges[self.local_edges[:, 0] == b, 1:],
+            node_map={gid: li for li, gid in enumerate(nodes.tolist())},
+        )
 
 
 def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
@@ -183,50 +248,77 @@ def load_edge_list(path, num_nodes: int) -> DirectedGraph:
         raise GraphConstructionError(f"{path}: {e}") from None
 
 
-def sample_ego_subgraph(
-    g: DirectedGraph, center: int, hops: int, max_nodes: int, rng_seed: int
-) -> EgoSubgraph:
+def sample_ego_subgraph(g: DirectedGraph, center, hops: int, max_nodes: int, rng_seed):
     """Undirected BFS from the center, bounded by hops and node budget.
 
     Each hop's new frontier is taken whole if it fits; an overflowing
     frontier is subsampled uniformly without replacement (seeded), so
     identical seeds give identical subgraphs. Node order is center
     first, then each hop's nodes in ascending global id.
+
+    ``center`` and ``rng_seed`` may also be equal-length sequences:
+    every center is then sampled in the same pass and an ``EgoStack``
+    comes back (one ``EgoSubgraph`` is the stack of one). Frontiers of
+    all centers expand together over the CSR arrays as ``b * n + node``
+    keys, and each center draws from its own seeded generator.
     """
-    if not (0 <= center < g.num_nodes):
-        raise GraphConstructionError(f"center {center} outside [0, {g.num_nodes})")
+    single = np.ndim(center) == 0
+    centers = np.asarray(center, dtype=np.int64).reshape(-1)
+    seeds = [rng_seed] if single else list(rng_seed)
+    bad = (centers < 0) | (centers >= g.num_nodes)
+    if bad.any():
+        raise GraphConstructionError(f"center {centers[bad][0]} outside [0, {g.num_nodes})")
     if hops < 1 or max_nodes < 1:
         raise GraphConstructionError("hops and max_nodes must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    selected = [center]
-    in_set = {center}
-    frontier = [center]
+    if len(seeds) != len(centers):
+        raise GraphConstructionError(f"{len(centers)} centers but {len(seeds)} seeds")
+    count, n = len(centers), np.int64(g.num_nodes)
+    segs = [np.arange(count)]  # (subgraph, node) of every pick, hop by hop
+    picks = [centers]
+    seen = segs[0] * n + centers  # ascending
+    size = np.ones(count, dtype=np.int64)
+    f_seg, f_node = segs[0], centers
     for _ in range(hops):
-        room = max_nodes - len(selected)
-        if room <= 0:
+        room = max_nodes - size
+        live = room[f_seg] > 0
+        f_seg, f_node = f_seg[live], f_node[live]
+        if len(f_seg) == 0:
             break
-        nxt_set: set[int] = set()
-        for u in frontier:
-            for w in g.undirected_neighbors(u):
-                w = int(w)
-                if w not in in_set:
-                    nxt_set.add(w)
-        if not nxt_set:
-            break
-        nxt = sorted(nxt_set)
-        if len(nxt) > room:
-            pick = rng.choice(len(nxt), size=room, replace=False)
-            nxt = sorted(np.asarray(nxt)[np.sort(pick)].tolist())
-        selected.extend(nxt)
-        in_set.update(nxt)
-        frontier = nxt
-    nodes = np.asarray(selected, dtype=np.int64)
-    node_map = {int(gid): li for li, gid in enumerate(selected)}
-    edges = []
-    for li, gid in enumerate(selected):
-        for t in g.out_neighbors(int(gid)):
-            lj = node_map.get(int(t))
-            if lj is not None:
-                edges.append((li, lj))
-    local_edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    return EgoSubgraph(center=center, nodes=nodes, local_edges=local_edges, node_map=node_map)
+        keys = np.unique(np.concatenate([
+            f_seg[owner] * n + w
+            for owner, w in (_csr_rows(g.out_offsets, g.out_targets, f_node),
+                             _csr_rows(g.in_offsets, g.in_targets, f_node))
+        ]))
+        keys = keys[~_find(seen, keys)[1]]
+        seg = keys // n
+        found = np.bincount(seg, minlength=count)
+        take = np.ones(len(keys), dtype=bool)
+        # an overflowing frontier fills the budget, so it happens at most
+        # once per center: its generator is made only then
+        for b in np.flatnonzero(found > room).tolist():
+            rng = np.random.default_rng(seeds[b])
+            lo = int(np.searchsorted(seg, b))
+            pick = rng.choice(int(found[b]), size=int(room[b]), replace=False)
+            take[lo:lo + found[b]] = False
+            take[lo + pick] = True
+        keys, f_seg = keys[take], seg[take]
+        f_node = keys - f_seg * n
+        segs.append(f_seg)
+        picks.append(f_node)
+        seen = np.union1d(seen, keys)
+        size += np.bincount(f_seg, minlength=count)
+    seg = np.concatenate(segs)
+    order = np.argsort(seg, kind="stable")  # subgraph-major, then hop, then id
+    seg, gid = seg[order], np.concatenate(picks)[order]
+    start = np.cumsum(size) - size
+    local = np.arange(len(seg)) - start[seg]
+    nodes = np.full((count, int(size.max())), -1, dtype=np.int64)
+    nodes[seg, local] = gid
+    # induced edges: every picked node's out-edges whose target was picked too
+    owner, targets = _csr_rows(g.out_offsets, g.out_targets, gid)
+    picked = seg * n + gid
+    by_key = np.argsort(picked)
+    pos, hit = _find(picked[by_key], seg[owner] * n + targets)
+    local_edges = np.column_stack([seg[owner], local[owner], local[by_key[pos]]])[hit]
+    stack = EgoStack(centers=centers, nodes=nodes, sizes=size, local_edges=local_edges)
+    return stack.subgraph(0) if single else stack

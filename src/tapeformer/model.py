@@ -24,13 +24,14 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import FusionConfig, FusionLayer, xavier_init
-from .graph import DirectedGraph, EgoSubgraph, sample_ego_subgraph
+from .graph import DirectedGraph, EgoStack, EgoSubgraph, sample_ego_subgraph
 from .structural import SpdMatrix, bfs_spd, build_path_features, local_adjacency
 
 __all__ = [
     "GraphormerParams",
     "GraphormerConfig",
     "SubgraphBatch",
+    "SubgraphStack",
     "MicroBatch",
     "build_batch",
     "stack_batches",
@@ -106,40 +107,80 @@ class SubgraphBatch:
         return len(self.nodes)
 
 
+@dataclass
+class SubgraphStack:
+    """The encodings of an ``EgoStack``, built in one pass: the fields of
+    ``SubgraphBatch`` with a leading subgraph axis, padded to the width
+    ``k`` of the largest subgraph, pair arrays as (B, k, k, ...)."""
+
+    sizes: np.ndarray  # (B,)
+    nodes: np.ndarray  # (B, k), -1 on padding
+    center_local: np.ndarray  # (B,)
+    spd: SpdMatrix  # dist (B, k, k)
+    path_coeffs: np.ndarray  # (B, k, k, max_spd * d_edge)
+    in_deg: np.ndarray  # (B, k)
+    out_deg: np.ndarray  # (B, k)
+
+    @property
+    def spd_buckets(self) -> np.ndarray:
+        return self.spd.dist
+
+    def split(self) -> list[SubgraphBatch]:
+        """One ``SubgraphBatch`` per subgraph. Each owns compact copies of
+        its rows: a view would keep the whole padded stack alive."""
+        out = []
+        for b, n in enumerate(self.sizes.tolist()):
+            dist = self.spd.dist[b, :n, :n].copy()
+            out.append(SubgraphBatch(
+                nodes=self.nodes[b, :n].copy(),
+                center_local=int(self.center_local[b]),
+                spd=SpdMatrix(dist=dist, cap=self.spd.cap),
+                spd_buckets=dist.reshape(-1).copy(),
+                path_coeffs=self.path_coeffs[b, :n, :n].copy().reshape(n * n, -1),
+                in_deg=self.in_deg[b, :n].copy(),
+                out_deg=self.out_deg[b, :n].copy(),
+            ))
+        return out
+
+
 def build_batch(
     g: DirectedGraph,
-    sub: EgoSubgraph,
+    sub: EgoSubgraph | EgoStack,
     cfg: GraphormerConfig,
     edge_feature_fn=None,
-) -> SubgraphBatch:
-    """Run the structural encodings for one subgraph.
+) -> SubgraphBatch | SubgraphStack:
+    """Run the structural encodings for one subgraph, or for every
+    subgraph of an ``EgoStack`` in one pass (a ``SubgraphStack``, whose
+    ``split`` gives each its ``SubgraphBatch``). One subgraph is built
+    as a stack of one.
 
     ``path_coeffs`` row (i*k + j) holds the path's per-position edge
     features divided by its length N, laid out position-major, so that
     ``path_coeffs @ edge_weight`` is exactly the average-dot-product
     edge term for every pair at once.
     """
-    adj = local_adjacency(sub)
-    spd = bfs_spd(sub, cap=cfg.max_spd, adj=adj)
-    paths = build_path_features(g, sub, spd, edge_feature_fn=edge_feature_fn, adj=adj)
+    stack = sub if isinstance(sub, EgoStack) else EgoStack.of(sub)
+    adj = local_adjacency(stack)
+    spd = bfs_spd(stack, cap=cfg.max_spd, adj=adj)
+    paths = build_path_features(g, stack, spd, edge_feature_fn=edge_feature_fn, adj=adj)
     if paths.dim != cfg.d_edge_feature:
         raise ValueError(
             f"edge features have dim {paths.dim}, config says {cfg.d_edge_feature}"
         )
-    k = sub.num_nodes
     # a true division, not a product with 1/N: the coefficients are pinned
     # to the quotient bit for bit
     n = np.maximum(paths.lengths, 1).astype(np.float64)
-    coeffs = (paths.steps / n[:, :, None, None]).reshape(k * k, -1)
-    return SubgraphBatch(
-        nodes=sub.nodes.copy(),
-        center_local=sub.node_map[sub.center],
+    nodes = stack.nodes  # padding (-1) reads some node's degree; split drops it
+    built = SubgraphStack(
+        sizes=stack.sizes,
+        nodes=nodes,
+        center_local=stack.center_local,
         spd=spd,
-        spd_buckets=spd.dist.reshape(-1).copy(),
-        path_coeffs=coeffs,
-        in_deg=g.in_degrees()[sub.nodes],
-        out_deg=g.out_degrees()[sub.nodes],
+        path_coeffs=(paths.steps / n[..., None, None]).reshape(*n.shape, -1),
+        in_deg=g.in_offsets[nodes + 1] - g.in_offsets[nodes],
+        out_deg=g.out_offsets[nodes + 1] - g.out_offsets[nodes],
     )
+    return built if stack is sub else built.split()[0]
 
 
 @dataclass
@@ -426,15 +467,22 @@ class GraphormerModel:
 
     def batch_for(self, g: DirectedGraph, center: int, seed: int) -> SubgraphBatch:
         key = (center, seed)
-        batch = self._batch_cache.get(key)
-        if batch is None:
-            sub = sample_ego_subgraph(
-                g, center, hops=self.cfg.ego_hops, max_nodes=self.cfg.ego_max_nodes,
-                rng_seed=subgraph_seed(seed, center),
-            )
-            batch = build_batch(g, sub, self.cfg)
-            self._batch_cache[key] = batch
-        return batch
+        if key not in self._batch_cache:
+            self._build_missing(g, [center], seed)
+        return self._batch_cache[key]
+
+    def _build_missing(self, g: DirectedGraph, centers: list[int], seed: int) -> None:
+        """Sample and build every center of ``centers`` not yet cached,
+        all in one batched pass, and cache each one's batch."""
+        missing = [c for c in dict.fromkeys(centers) if (c, seed) not in self._batch_cache]
+        if not missing:
+            return
+        subs = sample_ego_subgraph(
+            g, missing, hops=self.cfg.ego_hops, max_nodes=self.cfg.ego_max_nodes,
+            rng_seed=[subgraph_seed(seed, c) for c in missing],
+        )
+        for c, batch in zip(missing, build_batch(g, subs, self.cfg).split()):
+            self._batch_cache[(c, seed)] = batch
 
     def logits_for_centers(
         self,
@@ -445,8 +493,11 @@ class GraphormerModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """(B, C) center-node logits from one padded forward over the
-        centers' cached subgraphs."""
-        batch = stack_batches([self.batch_for(data.graph, int(c), seed) for c in centers])
+        centers' cached subgraphs; the ones not cached yet are built
+        together first."""
+        centers = [int(c) for c in centers]
+        self._build_missing(data.graph, centers, seed)
+        batch = stack_batches([self.batch_for(data.graph, c, seed) for c in centers])
         return self.forward_fused(batch, self._fused_rows(batch, data.bundle), train=train, rng=rng)
 
 

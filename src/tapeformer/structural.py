@@ -8,17 +8,19 @@ would starve the distance-based attention bias.
 
 Per ego subgraph everything is a pass over k x k arrays: an all-source
 BFS as at most ``cap`` frontier products, a predecessor matrix, and the
-path feature tensor filled one distance level at a time.
+path feature tensor filled one distance level at a time. Every function
+takes one ``EgoSubgraph`` or an ``EgoStack`` of B padded subgraphs; a
+stack is worked on as (B, k, k) arrays in one pass, and each result
+gains that leading axis.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .graph import DirectedGraph, EgoSubgraph
+from .graph import DirectedGraph, EgoStack, EgoSubgraph
 
 __all__ = [
     "SpdMatrix",
@@ -43,7 +45,7 @@ class SpdMatrix:
     """Pairwise hop counts, capped; entries beyond the cap (or in other
     components) hold the UNREACHABLE sentinel ``cap + 1``."""
 
-    dist: np.ndarray  # (k, k) int64
+    dist: np.ndarray  # (k, k) int64, (B, k, k) for a stack
     cap: int
 
 
@@ -53,51 +55,56 @@ class PathFeatures:
 
     ``steps[i, j, p]`` is the feature vector of the p-th step of the
     path i -> j. Positions past the path's length, the diagonal and
-    unreachable pairs hold zeros.
+    unreachable pairs hold zeros. A stack's arrays lead with the
+    subgraph axis.
     """
 
-    steps: np.ndarray  # (k, k, cap, dim)
-    lengths: np.ndarray  # (k, k) hop counts; 0 on the diagonal and for unreachable pairs
+    steps: np.ndarray  # ([B,] k, k, cap, dim)
+    lengths: np.ndarray  # ([B,] k, k) hop counts; 0 on the diagonal and for unreachable pairs
 
     @property
     def dim(self) -> int:
         return self.steps.shape[-1]
 
     @cached_property
-    def per_pair(self) -> dict[tuple[int, int], np.ndarray]:
+    def per_pair(self) -> dict[tuple[int, ...], np.ndarray]:
         """(i, j) -> (length, dim) feature sequence, for every reachable
-        pair i != j; the arrays are views into ``steps``."""
-        return {(int(i), int(j)): self.steps[i, j, : self.lengths[i, j]]
-                for i, j in zip(*np.nonzero(self.lengths))}
+        pair i != j, keyed (b, i, j) for a stack; the arrays are views
+        into ``steps``."""
+        return {tuple(map(int, at)): self.steps[at][: self.lengths[at]]
+                for at in zip(*np.nonzero(self.lengths))}
 
 
-def local_adjacency(sub: EgoSubgraph) -> np.ndarray:
-    """(k, k) boolean undirected adjacency in local indices, no self-loops."""
-    k = sub.num_nodes
-    adj = np.zeros((k, k), dtype=bool)
-    e = sub.local_edges
-    adj[e[:, 0], e[:, 1]] = True
-    adj[e[:, 1], e[:, 0]] = True
-    np.fill_diagonal(adj, False)
+Subgraphs = EgoSubgraph | EgoStack
+
+
+def local_adjacency(sub: Subgraphs) -> np.ndarray:
+    """([B,] k, k) boolean undirected adjacency in local indices, no self-loops."""
+    adj = np.zeros(sub.nodes.shape + sub.nodes.shape[-1:], dtype=bool)
+    *lead, u, v = sub.local_edges.T  # a stack's edges lead with b
+    adj[(*lead, u, v)] = True
+    adj[(*lead, v, u)] = True
+    diag = np.arange(adj.shape[-1])
+    adj[..., diag, diag] = False
     return adj
 
 
-def bfs_spd(sub: EgoSubgraph, cap: int, adj: np.ndarray | None = None) -> SpdMatrix:
+def bfs_spd(sub: Subgraphs, cap: int, adj: np.ndarray | None = None) -> SpdMatrix:
     """All-source BFS on the undirected view, truncated at ``cap`` hops.
 
     Row s of ``frontier`` holds the nodes first reached from s at the
     current hop; one product with the adjacency advances every source
-    by a hop at once.
+    by a hop at once (every source of every subgraph, for a stack).
     """
     if cap < 1:
         raise ValueError("spd cap must be >= 1")
     if adj is None:
         adj = local_adjacency(sub)
-    k = sub.num_nodes
-    dist = np.full((k, k), cap + 1, dtype=np.int64)
-    np.fill_diagonal(dist, 0)
-    seen = np.eye(k, dtype=bool)
-    frontier = np.eye(k)
+    eye = np.eye(adj.shape[-1], dtype=bool)
+    dist = np.full(adj.shape, cap + 1, dtype=np.int64)
+    dist[..., eye] = 0
+    seen = np.broadcast_to(eye, adj.shape).copy()
+    frontier = seen.astype(np.float64)
     step = adj.astype(np.float64)
     for d in range(1, cap + 1):
         reached = ((frontier @ step) > 0) & ~seen
@@ -109,8 +116,8 @@ def bfs_spd(sub: EgoSubgraph, cap: int, adj: np.ndarray | None = None) -> SpdMat
     return SpdMatrix(dist=dist, cap=cap)
 
 
-def path_predecessors(sub: EgoSubgraph, spd: SpdMatrix, adj: np.ndarray | None = None) -> np.ndarray:
-    """(k, k) last-step predecessor of j on the chosen shortest path i -> j.
+def path_predecessors(sub: Subgraphs, spd: SpdMatrix, adj: np.ndarray | None = None) -> np.ndarray:
+    """([B,] k, k) last-step predecessor of j on the chosen shortest path i -> j.
 
     Among the neighbors u of j with ``dist[i, u] == dist[i, j] - 1`` the
     one with the smallest *global* node id wins, so the chosen paths
@@ -121,10 +128,12 @@ def path_predecessors(sub: EgoSubgraph, spd: SpdMatrix, adj: np.ndarray | None =
     if adj is None:
         adj = local_adjacency(sub)
     dist = spd.dist
-    order = np.argsort(sub.nodes)  # local indices by ascending global id
+    order = np.argsort(sub.nodes, axis=-1)  # local indices by ascending global id
+    by_id = np.take_along_axis(dist, order[..., None, :], axis=-1)  # [i, r] = dist[i, order[r]]
+    nbr = np.take_along_axis(adj, order[..., :, None], axis=-2).swapaxes(-1, -2)  # [j, r]
     # cand[i, j, r]: local node order[r] is a neighbor of j one hop closer to i
-    cand = (dist[:, order][:, None, :] == dist[:, :, None] - 1) & adj[order].T[None, :, :]
-    pred = order[cand.argmax(axis=2)]
+    cand = (by_id[..., :, None, :] == dist[..., :, :, None] - 1) & nbr[..., None, :, :]
+    pred = np.take_along_axis(order[..., None, :], cand.argmax(axis=-1), axis=-1)
     pred[(dist == 0) | (dist > spd.cap)] = -1
     return pred
 
@@ -162,16 +171,14 @@ def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray) -> n
     b = np.where(fwd, dst, src)
     out = np.empty((len(src), EDGE_FEATURE_DIM), dtype=np.float64)
     out[:, 0] = np.where(fwd, 1.0, -1.0)
-    # math.log1p, not np.log1p: the two disagree in the last ulp on some
-    # integers (2 among them), and the features are pinned to math.log1p
-    out[:, 1] = list(map(math.log1p, (g.out_offsets[a + 1] - g.out_offsets[a]).tolist()))
-    out[:, 2] = list(map(math.log1p, (g.in_offsets[b + 1] - g.in_offsets[b]).tolist()))
+    out[:, 1] = g.log1p_degree[g.out_offsets[a + 1] - g.out_offsets[a]]
+    out[:, 2] = g.log1p_degree[g.in_offsets[b + 1] - g.in_offsets[b]]
     return out
 
 
 def build_path_features(
     g: DirectedGraph,
-    sub: EgoSubgraph,
+    sub: Subgraphs,
     spd: SpdMatrix,
     edge_feature_fn=None,
     adj: np.ndarray | None = None,
@@ -181,28 +188,27 @@ def build_path_features(
     ``edge_feature_fn(g, src_gids, dst_gids) -> (m, dim)`` may supply
     external edge features; the synthesized 3-dim features are the
     default. It is called once, over both orientations of every local
-    undirected edge. Paths are then filled one distance level at a
-    time: the path i -> j is the path i -> pred[i, j] plus the step
-    pred[i, j] -> j.
+    undirected edge (of every subgraph, for a stack). Paths are then
+    filled one distance level at a time: the path i -> j is the path
+    i -> pred[i, j] plus the step pred[i, j] -> j.
     """
     fn = edge_feature_fn or synth_edge_features
     if adj is None:
         adj = local_adjacency(sub)
-    a, b = np.nonzero(adj)
-    feats = np.asarray(fn(g, sub.nodes[a], sub.nodes[b]), dtype=np.float64)
+    *lead, a, b = np.nonzero(adj)
+    feats = np.asarray(fn(g, sub.nodes[(*lead, a)], sub.nodes[(*lead, b)]), dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != len(a):
         raise ValueError(f"edge features must be ({len(a)}, dim), got shape {feats.shape}")
-    k = sub.num_nodes
-    edge = np.zeros((k, k, feats.shape[1]), dtype=np.float64)
-    edge[a, b] = feats
+    edge = np.zeros(adj.shape + feats.shape[1:], dtype=np.float64)
+    edge[(*lead, a, b)] = feats
     pred = path_predecessors(sub, spd, adj)
-    steps = np.zeros((k, k, spd.cap, feats.shape[1]), dtype=np.float64)
+    steps = np.zeros(adj.shape + (spd.cap, feats.shape[1]), dtype=np.float64)
     for d in range(1, spd.cap + 1):
-        ii, jj = np.nonzero(spd.dist == d)
-        if len(ii) == 0:
+        *at, jj = np.nonzero(spd.dist == d)  # at = ([b,] i)
+        if len(jj) == 0:
             break
-        pp = pred[ii, jj]
-        steps[ii, jj, : d - 1] = steps[ii, pp, : d - 1]
-        steps[ii, jj, d - 1] = edge[pp, jj]
+        pp = pred[(*at, jj)]
+        steps[(*at, jj, slice(None, d - 1))] = steps[(*at, pp, slice(None, d - 1))]
+        steps[(*at, jj, d - 1)] = edge[(*at[:-1], pp, jj)]
     lengths = np.where(spd.dist <= spd.cap, spd.dist, 0)
     return PathFeatures(steps=steps, lengths=lengths)

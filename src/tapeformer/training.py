@@ -136,7 +136,13 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float)
 
 
 class Adam:
-    """Standard Adam with bias correction over a named parameter dict."""
+    """Standard Adam with bias correction over a named parameter dict.
+
+    Moments and parameters are updated in place through two scratch
+    rows sized for the largest parameter, in the operation order of the
+    textbook formulas, so the result is bit for bit what evaluating
+    them with temporaries gives.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -145,6 +151,10 @@ class Adam:
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
+        rows = np.empty((2, max((t.data.size for t in params.values()), default=0)))
+        # per parameter, two views of the shared rows in its shape
+        self._scratch = {k: [row[: t.data.size].reshape(t.data.shape) for row in rows]
+                         for k, t in params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
@@ -155,9 +165,25 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[k] = b1 * self.m[k] + (1.0 - b1) * g
-            self.v[k] = b2 * self.v[k] + (1.0 - b2) * (g * g)
-            p.data -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+            m, v = self.m[k], self.v[k]
+            num, den = self._scratch[k]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            np.multiply(g, 1.0 - b1, num)
+            m += num
+            # v = b2 * v + (1 - b2) * (g * g)
+            v *= b2
+            np.multiply(g, g, num)
+            num *= 1.0 - b2
+            v += num
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, num)
+            num *= lr
+            np.divide(v, c2, den)
+            np.sqrt(den, den)
+            den += self.eps
+            num /= den
+            p.data -= num
 
     def zero_grad(self) -> None:
         for p in self.params.values():

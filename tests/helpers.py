@@ -136,6 +136,52 @@ def brute_force_clustering(adj_sets, v) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
+def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int):
+    """Ego subgraph by a plain set/list BFS, one center at a time.
+
+    Each hop's new frontier is taken whole if it fits, otherwise
+    ``room`` of its ascending ids are drawn with
+    ``rng.choice(len, size=room, replace=False)`` from one generator
+    per center. Nodes: center first, then each hop's picks ascending;
+    induced edges in (local src, then global dst) order.
+    """
+    from tapeformer.graph import EgoSubgraph
+
+    rng = np.random.default_rng(rng_seed)
+    selected = [center]
+    in_set = {center}
+    frontier = [center]
+    for _ in range(hops):
+        room = max_nodes - len(selected)
+        if room <= 0:
+            break
+        nxt_set: set[int] = set()
+        for u in frontier:
+            for w in np.union1d(g.out_neighbors(u), g.in_neighbors(u)):
+                w = int(w)
+                if w not in in_set:
+                    nxt_set.add(w)
+        if not nxt_set:
+            break
+        nxt = sorted(nxt_set)
+        if len(nxt) > room:
+            pick = rng.choice(len(nxt), size=room, replace=False)
+            nxt = sorted(np.asarray(nxt)[np.sort(pick)].tolist())
+        selected.extend(nxt)
+        in_set.update(nxt)
+        frontier = nxt
+    node_map = {int(gid): li for li, gid in enumerate(selected)}
+    edges = []
+    for li, gid in enumerate(selected):
+        for t in g.out_neighbors(int(gid)):
+            lj = node_map.get(int(t))
+            if lj is not None:
+                edges.append((li, lj))
+    return EgoSubgraph(center=center, nodes=np.asarray(selected, dtype=np.int64),
+                       local_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                       node_map=node_map)
+
+
 def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
     """Synthesized features of one undirected step gu -> gv, one edge at
     a time: [+1 forward / -1 backward, log1p(src out-degree), log1p(dst

@@ -66,6 +66,27 @@ def test_backward_twice_doubles():
     assert np.array_equal(w.grad, 2.0 * once)
 
 
+def test_backward_grads_never_alias_and_accumulate_exactly():
+    """``add`` hands the same upstream array to both inputs; their grads
+    must still be separate arrays, and a second pass adds exactly."""
+    rng = np.random.default_rng(8)
+    w1 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    w3 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
+    loss = ad.tsum(ad.mul(ad.add(w1, w2), ad.reshape(w3, (3, 4))))
+    ad.backward(loss)
+    first = {id(t): t.grad.copy() for t in (w1, w2, w3)}
+    w1.grad += 100.0
+    assert np.array_equal(w2.grad, first[id(w2)])
+    w2.grad[0, 0] = -7.0
+    assert np.array_equal(w3.grad, first[id(w3)])
+    ad.backward(loss)
+    assert np.array_equal(w1.grad, (first[id(w1)] + 100.0) + first[id(w1)])
+    assert np.array_equal(w3.grad, first[id(w3)] + first[id(w3)])
+    assert np.array_equal(w3.grad, 2.0 * (w1.data + w2.data).reshape(4, 3))
+    ad.tape_clear()
+
+
 def test_backward_rejects_non_scalar():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ad.ShapeError):

@@ -3,7 +3,7 @@ import pytest
 
 from tapeformer import graph as gr
 
-from helpers import bfs_distances, random_edge_list, undirected_adj_sets
+from helpers import bfs_distances, oracle_ego_subgraph, random_edge_list, undirected_adj_sets
 
 
 def test_line_graph_degrees():
@@ -167,3 +167,86 @@ def test_sampling_reproducible_and_budget_respected():
     assert a.num_nodes <= 12
     c = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=12, rng_seed=100)
     assert c.num_nodes <= 12  # different seed still valid (may differ in content)
+
+
+def overflow_graph():
+    """30 nodes: a hub 0 cited by 1..6; a chain 10 -> 11 with 11 citing
+    12..16; a random part over 17..26; 27..29 isolated. With a budget of
+    5 the hub overflows on hop 1 (six neighbours, room 4) and center 10
+    on hop 2 (five second-hop nodes, room 3)."""
+    rng = np.random.default_rng(5)
+    edges = [(i, 0) for i in range(1, 7)] + [(10, 11)] + [(11, j) for j in range(12, 17)]
+    edges += [(17 + u, 17 + v) for u, v in random_edge_list(rng, 10, 0.2)]
+    return gr.from_edge_list(edges, 30)
+
+
+def assert_same_subgraph(got, want, where=""):
+    assert got.center == want.center, where
+    assert got.nodes.dtype == np.int64 and got.nodes.tobytes() == want.nodes.tobytes(), where
+    assert got.local_edges.dtype == np.int64, where
+    assert got.local_edges.shape == want.local_edges.shape, where
+    assert got.local_edges.tobytes() == want.local_edges.tobytes(), where
+    assert got.node_map == want.node_map, where
+
+
+def test_batched_sampling_matches_bfs_oracle_in_any_chunk():
+    rng = np.random.default_rng(21)
+    graphs = [overflow_graph()]
+    for _ in range(3):
+        n = 40  # nodes 30..39 isolated
+        graphs.append(gr.from_edge_list(random_edge_list(rng, 30, float(rng.uniform(0.03, 0.2))), n))
+    for gi, g in enumerate(graphs):
+        n = g.num_nodes
+        for hops, max_nodes in ((1, 1), (2, 5), (2, 9), (3, 12), (2, 1000)):
+            centers = rng.permutation(n)
+            seeds = [int(s) for s in rng.integers(0, 2**32, size=n)]
+            want = [oracle_ego_subgraph(g, int(c), hops, max_nodes, s)
+                    for c, s in zip(centers, seeds)]
+            for c, s, w in zip(centers, seeds, want):
+                assert_same_subgraph(gr.sample_ego_subgraph(g, int(c), hops, max_nodes, s), w)
+            for chunk in (1, 7, n):
+                for lo in range(0, n, chunk):
+                    stack = gr.sample_ego_subgraph(g, centers[lo:lo + chunk], hops, max_nodes,
+                                                   seeds[lo:lo + chunk])
+                    assert isinstance(stack, gr.EgoStack)
+                    assert stack.num_nodes == sum(w.num_nodes for w in want[lo:lo + chunk])
+                    for b in range(len(stack.centers)):
+                        where = (gi, hops, max_nodes, chunk, int(centers[lo + b]))
+                        assert_same_subgraph(stack.subgraph(b), want[lo + b], where)
+                        assert (stack.nodes[b, stack.sizes[b]:] == -1).all()
+
+
+def test_batched_sampling_overflow_on_both_hops_and_repeats():
+    g = overflow_graph()
+    hub = oracle_ego_subgraph(g, 0, 2, 5, 1)
+    chain = oracle_ego_subgraph(g, 10, 2, 5, 2)
+    assert set(hub.nodes[1:].tolist()) < set(range(1, 7))  # hop 1 subsampled
+    assert chain.nodes[1] == 11 and set(chain.nodes[2:].tolist()) < set(range(12, 17))
+    centers, seeds = [0, 10, 27, 0, 10], [1, 2, 3, 1, 2]
+    stack = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=5, rng_seed=seeds)
+    assert stack.sizes.tolist() == [5, 5, 1, 5, 5]
+    for b, want in enumerate([hub, chain, oracle_ego_subgraph(g, 27, 2, 5, 3), hub, chain]):
+        assert_same_subgraph(stack.subgraph(b), want, b)
+
+
+def test_bad_center_or_budget_raises():
+    g = gr.from_edge_list([(0, 1)], 3)
+    for center, seed in ((-1, 0), (3, 0), ([0, 3], [0, 0]), ([-1], [0])):
+        with pytest.raises(gr.GraphConstructionError, match="outside"):
+            gr.sample_ego_subgraph(g, center, hops=1, max_nodes=2, rng_seed=seed)
+    for hops, max_nodes in ((0, 2), (1, 0), (-1, -1)):
+        for center, seed in ((0, 0), ([0, 1], [0, 0])):
+            with pytest.raises(gr.GraphConstructionError, match=">= 1"):
+                gr.sample_ego_subgraph(g, center, hops=hops, max_nodes=max_nodes, rng_seed=seed)
+    with pytest.raises(gr.GraphConstructionError, match="seeds"):
+        gr.sample_ego_subgraph(g, [0, 1], hops=1, max_nodes=2, rng_seed=[0])
+
+
+def test_log1p_degree_table_is_math_log1p():
+    import math
+
+    g = gr.from_edge_list([(0, j) for j in range(1, 14)] + [(j, 1) for j in range(2, 5)], 14)
+    table = g.log1p_degree
+    assert len(table) == 14  # degrees 0..13
+    assert [float(x) for x in table] == [math.log1p(d) for d in range(14)]
+    assert g.log1p_degree is table  # built once per graph

@@ -12,10 +12,13 @@ from tapeformer.text import EmbeddingBundle
 from helpers import (
     check_gradients,
     edge_encoding_cij,
+    oracle_ego_subgraph,
     oracle_logits_for_centers,
+    oracle_structural,
     oracle_subgraph_logits,
     random_edge_list,
 )
+from test_graph import overflow_graph
 
 DIMS = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
 
@@ -127,7 +130,8 @@ def test_edge_term_matches_loop_oracle_and_batched_form():
 def test_build_batch_calls_traced_structural_names_once_each(monkeypatch):
     """The traced benchmark run wraps these three names on the model
     module and reads ``per_pair`` off the path features; a batch must
-    go through each exactly once."""
+    go through each exactly once. One subgraph is built as a stack of
+    one, so its pairs are keyed (0, i, j)."""
     calls = {name: 0 for name in ("local_adjacency", "bfs_spd", "build_path_features")}
     seen = []
 
@@ -151,10 +155,137 @@ def test_build_batch_calls_traced_structural_names_once_each(monkeypatch):
         dist = batch.spd.dist
         k = batch.num_nodes
         reachable = {(i, j) for i in range(k) for j in range(k) if i != j and dist[i, j] <= cfg.max_spd}
-        per_pair = seen[-1].per_pair
+        assert {b for b, _, _ in seen[-1].per_pair} <= {0}
+        per_pair = {(i, j): f for (_, i, j), f in seen[-1].per_pair.items()}
         assert set(per_pair) == reachable
         for (i, j), feats in per_pair.items():
             assert feats.shape == (dist[i, j], cfg.d_edge_feature)
+
+
+def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
+    """The traced benchmark run patches each ``spans.PATCHES`` name on its
+    owner, and its hooks read ``num_nodes`` off the sampler's result and
+    the array fields off ``build_batch``'s; a cold ``logits_for_centers``
+    must reach both through the model module."""
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module, cls, attr, name in spans.PATCHES:
+        owner = importlib.import_module(module)
+        if cls is not None:
+            owner = getattr(owner, cls)
+        assert callable(owner.__dict__.get(attr)), name
+
+    results = {}
+    for name in ("sample_ego_subgraph", "build_batch"):
+        def wrapped(*args, _orig=getattr(gm, name), _name=name, **kwargs):
+            out = _orig(*args, **kwargs)
+            results.setdefault(_name, []).append(out)
+            return out
+
+        monkeypatch.setattr(gm, name, wrapped)
+    _, data, model = _mixed_case(38)
+    model.logits_for_centers(data, np.arange(24), seed=0)
+    (subs,), (built,) = results["sample_ego_subgraph"], results["build_batch"]
+    assert subs.num_nodes == sum(b.num_nodes for b in model._batch_cache.values())
+    for a in (built.nodes, built.spd.dist, built.spd_buckets, built.path_coeffs,
+              built.in_deg, built.out_deg):
+        assert isinstance(a, np.ndarray) and a.nbytes > 0
+
+
+def _cache_case(max_nodes):
+    """A model over ``overflow_graph`` (hop-1 and hop-2 overflow, isolated
+    centers, a random part) with budget ``max_nodes``."""
+    import types
+
+    rng = np.random.default_rng(max_nodes)
+    g = overflow_graph()
+    data = types.SimpleNamespace(graph=g, bundle=random_bundle(rng, g.num_nodes))
+    cfg = tiny_config(ego_max_nodes=max_nodes, max_spd=3)
+    return data, gm.GraphormerModel(cfg, fusion_config(), seed=0)
+
+
+def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
+    """Every center's cached batch equals, byte for byte, the one-center
+    oracles' (the BFS sampler and the pairwise encodings), whichever
+    chunk of misses it was built in; a center given twice in one call is
+    built once."""
+    stacks = []
+    orig = gm.build_batch
+
+    def recording(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        stacks.append(out)
+        return out
+
+    monkeypatch.setattr(gm, "build_batch", recording)
+    for max_nodes in (1, 5, 12):
+        data, model = _cache_case(max_nodes)
+        g, cfg, n = data.graph, model.cfg, data.graph.num_nodes
+        want = {}
+        for c in range(n):
+            sub = oracle_ego_subgraph(g, c, cfg.ego_hops, max_nodes, gm.subgraph_seed(4, c))
+            dist, coeffs = oracle_structural(g, sub, cfg.max_spd)
+            want[c] = (sub.nodes, dist, coeffs, np.asarray([g.in_degree(int(v)) for v in sub.nodes]),
+                       np.asarray([g.out_degree(int(v)) for v in sub.nodes]), sub.node_map[c])
+        sizes = {len(w[0]) for w in want.values()}
+        assert 1 in sizes and (max_nodes == 1 or len(sizes) > 2)
+        for chunks in ([list(range(n))], [[c] for c in range(n)],
+                       [[0, 10, 0, 27, 10], [5, 3, 5], list(range(n))[::-1]]):
+            model._batch_cache.clear()
+            stacks.clear()
+            for part in chunks:
+                model.logits_for_centers(data, part, seed=4)
+            # each miss is built once, in the call that first asked for it
+            assert sum(len(s.sizes) for s in stacks) == n
+            assert len(stacks) == len(chunks)
+            for c in range(n):
+                b = model._batch_cache[(c, 4)]
+                nodes, dist, coeffs, in_deg, out_deg, center_local = want[c]
+                assert b.nodes.tobytes() == nodes.tobytes(), (max_nodes, c)
+                assert b.spd.dist.tobytes() == dist.tobytes(), (max_nodes, c)
+                assert b.spd_buckets.tobytes() == dist.reshape(-1).tobytes(), (max_nodes, c)
+                assert b.path_coeffs.shape == coeffs.shape
+                assert b.path_coeffs.tobytes() == coeffs.tobytes(), (max_nodes, c)
+                assert b.in_deg.tobytes() == in_deg.astype(np.int64).tobytes()
+                assert b.out_deg.tobytes() == out_deg.astype(np.int64).tobytes()
+                assert b.center_local == center_local
+
+
+def test_cached_batches_own_compact_arrays(monkeypatch):
+    """A cached entry must not be a view into its chunk's padded arrays:
+    that would keep the whole chunk alive for as long as the cache."""
+    stacks = []
+    orig = gm.build_batch
+
+    def recording(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        stacks.append(out)
+        return out
+
+    monkeypatch.setattr(gm, "build_batch", recording)
+    data, model = _cache_case(5)
+    model.logits_for_centers(data, np.arange(data.graph.num_nodes), seed=0)
+    (stack,) = stacks
+    padded = (stack.nodes, stack.spd.dist, stack.path_coeffs, stack.in_deg, stack.out_deg)
+    assert stack.nodes.shape[1] == 5
+    for b in model._batch_cache.values():
+        for a in (b.nodes, b.spd.dist, b.spd_buckets, b.path_coeffs, b.in_deg, b.out_deg):
+            assert not any(np.shares_memory(a, p) for p in padded)
+            assert a.base is None or a.base.nbytes == a.nbytes
+
+
+def test_bad_center_raises_through_the_model():
+    data, model = _cache_case(5)
+    for centers in ([30], [0, 31, 2]):
+        with pytest.raises(gr.GraphConstructionError, match="outside"):
+            model.logits_for_centers(data, centers, seed=0)
+    assert not model._batch_cache
 
 
 # --- attention bias ----------------------------------------------------------

@@ -97,6 +97,33 @@ def test_adam_first_step_is_signed_lr():
         assert p.data[0] == pytest.approx(-0.01 * np.sign(g), rel=1e-6)
 
 
+def test_adam_in_place_matches_textbook_formulas_bit_for_bit():
+    rng = np.random.default_rng(14)
+    shapes = {"a": (5, 7), "b": (7,), "c": (3, 2, 4), "skipped": (2, 2)}
+    params = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    ref = {k: t.data.copy() for k, t in params.items()}
+    m = {k: np.zeros(s) for k, s in shapes.items()}
+    v = {k: np.zeros(s) for k, s in shapes.items()}
+    opt = tr.Adam(params)
+    b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+    for t in range(1, 7):
+        lr = 0.01 * t
+        for k, p in params.items():
+            p.grad = None if k == "skipped" else rng.standard_normal(shapes[k]) * 10.0 ** t
+        opt.step(lr)
+        c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for k, p in params.items():
+            if p.grad is None:
+                continue
+            g = p.grad
+            m[k] = b1 * m[k] + (1.0 - b1) * g
+            v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
+            ref[k] = ref[k] - lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
+        for k, p in params.items():
+            assert p.data.tobytes() == ref[k].tobytes(), (t, k)
+            assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
+
+
 def test_adam_converges_on_quadratic():
     # decaying lr is required: Adam at fixed lr oscillates at O(lr) around
     # a quadratic's optimum, so the run uses the package's own schedule
