@@ -3,10 +3,16 @@
 A small define-by-run engine backed by numpy. Every differentiable op
 records a backward closure on a thread-local tape; ``backward(loss)``
 replays the tape in reverse execution order and accumulates gradients
-into leaf tensors. Shapes are explicit: the only broadcasting is
-``bias_add`` (vector over rows), ``row_scale`` and ``col_scale``,
-plus the mask of ``masked_softmax``. ``bmm`` and ``permute`` work on
-stacks of matrices; everything else is 2-D or shape-agnostic.
+into leaf tensors. Shapes are explicit: the only broadcasting is a
+vector over rows (the bias of ``linear``, the gain and bias of
+``layer_norm``) and the key mask of ``attention``. ``attention`` and
+``permute`` work on stacks of matrices; everything else is 2-D or
+shape-agnostic.
+
+The model's hot chains are fused ops, one tape record each, with the
+arithmetic of the primitive chains they replace: ``linear``,
+``layer_norm`` with its affine, ``attention`` (its backward forms the
+score gradient once) and ``softmax_mix`` over per-source rows.
 
 The tape persists until ``tape_clear()`` (or a new graph is built), so
 calling ``backward`` twice accumulates gradients additively -- that is
@@ -29,27 +35,21 @@ __all__ = [
     "tape_clear",
     "tape_size",
     "no_grad",
-    "set_finite_checks",
+    "finite_checks",
     "matmul",
-    "bmm",
+    "linear",
     "add",
-    "bias_add",
     "mul",
     "mul_scalar",
-    "row_scale",
-    "col_scale",
-    "concat",
-    "slice_cols",
     "embedding_lookup",
     "relu",
     "tanh",
     "layer_norm",
-    "softmax",
-    "masked_softmax",
+    "attention",
+    "softmax_mix",
     "log_softmax",
     "mean",
     "tsum",
-    "transpose",
     "permute",
     "reshape",
     "dropout",
@@ -136,12 +136,20 @@ class no_grad:
         return False
 
 
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle the NaN/Inf assertion run after every op; returns the
-    previous setting so a caller can restore it."""
-    prev = _state.check_finite
-    _state.check_finite = enabled
-    return prev
+class finite_checks:
+    """Context manager that turns the NaN/Inf assertion run after every
+    op on or off for its block."""
+
+    def __init__(self, enabled: bool):
+        self.enabled = enabled
+
+    def __enter__(self):
+        self._prev, _state.check_finite = _state.check_finite, self.enabled
+        return self
+
+    def __exit__(self, *exc):
+        _state.check_finite = self._prev
+        return False
 
 
 def _make(op_name: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
@@ -206,6 +214,32 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _joint(inputs: Sequence[Tensor], grads_of: Callable) -> list[tuple[Tensor, Callable]]:
+    """(input, closure) pairs for an op whose input gradients share work:
+    the first closure a backward pass calls runs ``grads_of(g)``, which
+    returns every input's gradient in order; the last one needed drops them."""
+    last = max((i for i, t in enumerate(inputs) if t.requires_grad), default=-1)
+    held: list = []  # [g, gradients] of the pass in progress
+
+    def take(i, g):
+        if not held or held[0] is not g:
+            held[:] = [g, grads_of(g)]
+        out = held[1][i]
+        if i == last:
+            held.clear()
+        return out
+
+    return [(t, lambda g, i=i: take(i, g)) for i, t in enumerate(inputs)]
+
+
+def _softmax_rows(z: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis of ``z``, in place (max-shifted)."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
@@ -216,16 +250,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     )
 
 
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matmul over equal leading axes: (..., m, n) @ (..., n, p)."""
-    if (a.data.ndim < 3 or a.data.ndim != b.data.ndim or a.shape[:-2] != b.shape[:-2]
-            or a.shape[-1] != b.shape[-2]):
-        raise ShapeError(f"bmm: incompatible shapes {a.shape} x {b.shape}")
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w`` plus the vector ``b`` on every row."""
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
+        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
+    y = x.data @ w.data
+    y += b.data
     return _make(
-        "bmm",
-        a.data @ b.data,
-        [(a, lambda g, bd=b.data: g @ bd.swapaxes(-1, -2)),
-         (b, lambda g, ad_=a.data: ad_.swapaxes(-1, -2) @ g)],
+        "linear",
+        y,
+        [(x, lambda g, wd=w.data: g @ wd.T), (w, lambda g, xd=x.data: xd.T @ g),
+         (b, lambda g: g.sum(axis=0))],
     )
 
 
@@ -233,16 +269,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
     return _make("add", a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
-
-
-def bias_add(x: Tensor, b: Tensor) -> Tensor:
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"bias_add: {x.shape} + {b.shape}")
-    return _make(
-        "bias_add",
-        x.data + b.data[None, :],
-        [(x, lambda g: g), (b, lambda g: g.sum(axis=0))],
-    )
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -258,65 +284,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 def mul_scalar(x: Tensor, s: float) -> Tensor:
     s = float(s)
     return _make("mul_scalar", x.data * s, [(x, lambda g: g * s)])
-
-
-def row_scale(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply row i of ``x`` by ``v[i]``."""
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[0] != v.shape[0]:
-        raise ShapeError(f"row_scale: {x.shape} * {v.shape}")
-    return _make(
-        "row_scale",
-        x.data * v.data[:, None],
-        [
-            (x, lambda g, vd=v.data: g * vd[:, None]),
-            (v, lambda g, xd=x.data: (g * xd).sum(axis=1)),
-        ],
-    )
-
-
-def col_scale(x: Tensor, v: Tensor) -> Tensor:
-    """Multiply column j of ``x`` by ``v[j]``."""
-    if x.data.ndim != 2 or v.data.ndim != 1 or x.shape[1] != v.shape[0]:
-        raise ShapeError(f"col_scale: {x.shape} * {v.shape}")
-    return _make(
-        "col_scale",
-        x.data * v.data[None, :],
-        [
-            (x, lambda g, vd=v.data: g * vd[None, :]),
-            (v, lambda g, xd=x.data: (g * xd).sum(axis=0)),
-        ],
-    )
-
-
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    if not tensors:
-        raise ShapeError("concat: empty input list")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    bounds = np.cumsum([0] + sizes)
-    inputs = []
-    for i, t in enumerate(tensors):
-        lo, hi = int(bounds[i]), int(bounds[i + 1])
-
-        def bw(g, lo=lo, hi=hi):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            return g[tuple(sl)]
-
-        inputs.append((t, bw))
-    return _make("concat", data, inputs)
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.shape}")
-
-    def bw(g):
-        out = np.zeros_like(x.data)
-        out[:, start:stop] = g
-        return out
-
-    return _make("slice_cols", x.data[:, start:stop].copy(), [(x, bw)])
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -347,58 +314,100 @@ def tanh(x: Tensor) -> Tensor:
     return _make("tanh", out, [(x, lambda g, o=out: g * (1.0 - o * o))])
 
 
-def layer_norm(x: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (no affine)."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
+    """Normalize each row of ``x`` to zero mean and unit variance, then
+    scale column j by ``gain[j]`` and add ``bias[j]``."""
+    if x.data.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
+        raise ShapeError(f"layer_norm: {x.shape} with gain {gain.shape}, bias {bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = x.data - mu
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    xhat *= inv
+    out = xhat * gain.data
+    out += bias.data
 
-    def bw(g):
-        gm = g.mean(axis=-1, keepdims=True)
-        gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (g - gm - xhat * gx) * inv
+    def bw(g, gd=gain.data):
+        gx = g * gd
+        gm = gx.mean(axis=-1, keepdims=True)
+        gxx = (gx * xhat).mean(axis=-1, keepdims=True)
+        return (gx - gm - xhat * gxx) * inv
 
-    return _make("layer_norm", xhat, [(x, bw)])
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Row softmax over the last axis (max-shifted for stability)."""
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
-
-    def bw(g):
-        return p * (g - (g * p).sum(axis=-1, keepdims=True))
-
-    return _make("softmax", p, [(x, bw)])
+    return _make(
+        "layer_norm",
+        out,
+        [(x, bw), (gain, lambda g: (g * xhat).sum(axis=0)), (bias, lambda g: g.sum(axis=0))],
+    )
 
 
-def masked_softmax(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Softmax over the last axis of the entries where ``mask`` is True.
+def attention(q: Tensor, kt: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarray,
+              scale: float) -> tuple[Tensor, np.ndarray]:
+    """Softmax over keys of ``(q @ kt) * scale + bias``, times ``v``.
 
-    ``mask`` is a boolean array that broadcasts to ``x``; masked entries
-    get weight exactly 0 (and gradient exactly 0), whatever ``x`` holds
-    there. Every row needs at least one unmasked entry.
+    ``q`` (..., n, d), ``kt`` (..., d, k), ``v`` (..., k, e) and ``bias``
+    (..., n, k) share their leading axes. Keys where the boolean
+    ``key_mask`` (broadcast to (..., n, k)) is False get weight and
+    gradient exactly 0; every row needs an unmasked key. Returns the
+    (..., n, e) output and the weights (an array, off the tape).
     """
-    mask = np.asarray(mask, dtype=bool)
+    lead, scores_shape = q.shape[:-2], q.shape[:-1] + kt.shape[-1:]
+    if (q.data.ndim < 3 or kt.shape[:-2] != lead or v.shape[:-2] != lead
+            or kt.shape[-2] != q.shape[-1] or v.shape[-2] != kt.shape[-1]
+            or bias.shape != scores_shape):
+        raise ShapeError(f"attention: incompatible shapes q {q.shape}, kt {kt.shape}, "
+                         f"v {v.shape}, bias {bias.shape}")
+    mask = np.asarray(key_mask, dtype=bool)
     try:
-        ok = np.broadcast_shapes(mask.shape, x.shape) == x.shape
+        ok = np.broadcast_shapes(mask.shape, scores_shape) == scores_shape
     except ValueError:
         ok = False
     if not ok:
-        raise ShapeError(f"masked_softmax: mask {mask.shape} does not broadcast to {x.shape}")
+        raise ShapeError(f"attention: key mask {mask.shape} does not broadcast to {scores_shape}")
     if not mask.any(axis=-1).all():
-        raise ShapeError("masked_softmax: a row has no unmasked entry")
-    z = np.where(mask, x.data, -np.inf)
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+        raise ShapeError("attention: a row has no unmasked key")
+    scale = float(scale)
+    qd, ktd, vd = q.data, kt.data, v.data
+    p = qd @ ktd
+    p *= scale
+    p += bias.data
+    np.copyto(p, -np.inf, where=~mask)
+    _softmax_rows(p)
 
-    def bw(g):
-        return p * (g - (g * p).sum(axis=-1, keepdims=True))
+    def grads(g):
+        ds = g @ vd.swapaxes(-1, -2)
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        dqk = ds * scale
+        return (dqk @ ktd.swapaxes(-1, -2), qd.swapaxes(-1, -2) @ dqk,
+                p.swapaxes(-1, -2) @ g, ds)
 
-    return _make("masked_softmax", p, [(x, bw)])
+    return _make("attention", p @ vd, _joint((q, kt, v, bias), grads)), p
+
+
+def softmax_mix(values: Sequence[Tensor], scores: Sequence[Tensor]) -> tuple[Tensor, np.ndarray]:
+    """Row i is ``sum_s alpha[i, s] * values[s][i]`` over the (n, d)
+    ``values`` in order, ``alpha[i]`` the softmax of the (n, 1)
+    ``scores``' row i. Returns it and ``alpha`` (an (n, S) array, off
+    the tape)."""
+    if (not values or len(scores) != len(values)
+            or any(u.data.ndim != 2 or u.shape != values[0].shape for u in values)
+            or any(s.shape != (values[0].shape[0], 1) for s in scores)):
+        raise ShapeError(f"softmax_mix: values {[u.shape for u in values]}, "
+                         f"scores {[s.shape for s in scores]}")
+    alpha = _softmax_rows(np.concatenate([s.data for s in scores], axis=1))
+    out = values[0].data * alpha[:, :1]
+    for i in range(1, len(values)):
+        out += values[i].data * alpha[:, i:i + 1]
+
+    def grads(g):
+        da = np.empty_like(alpha)
+        for i, u in enumerate(values):
+            da[:, i] = (g * u.data).sum(axis=1)
+        da -= (da * alpha).sum(axis=-1, keepdims=True)
+        da *= alpha
+        return ([g * alpha[:, i:i + 1] for i in range(len(values))]
+                + [da[:, i:i + 1] for i in range(len(scores))])
+
+    return _make("softmax_mix", out, _joint([*values, *scores], grads)), alpha
 
 
 def log_softmax(x: Tensor) -> Tensor:
@@ -442,12 +451,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
         return np.repeat(np.expand_dims(g, axis), x.shape[axis], axis=axis)
 
     return _make("sum", x.data.sum(axis=axis), [(x, bw_ax)])
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-D, got {x.shape}")
-    return _make("transpose", x.data.T.copy(), [(x, lambda g: g.T)])
 
 
 def permute(x: Tensor, axes: Sequence[int]) -> Tensor:

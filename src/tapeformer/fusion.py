@@ -66,7 +66,8 @@ class FusionLayer:
         """Mix one matrix of rows per active source into (n, d_model).
 
         ``rows[s]`` is (n, source_dims[s]). Returns the fused Tensor,
-        plus the (n, num_active) softmax weights when requested.
+        plus the (n, num_active) softmax weights when requested (a
+        Tensor off the tape).
         """
         projected = []
         scores = []
@@ -76,15 +77,5 @@ class FusionLayer:
             u = ad.matmul(h, self.proj[s])
             projected.append(u)
             scores.append(ad.matmul(ad.tanh(ad.matmul(u, self.score_m)), self.score_w))
-        if len(projected) == 1:
-            alpha = ad.softmax(scores[0])  # a lone source always gets weight 1.0
-            out = ad.row_scale(projected[0], ad.reshape(alpha, (alpha.shape[0],)))
-            return (out, alpha) if return_weights else out
-        alpha = ad.softmax(ad.concat(scores, axis=1))  # (n, S)
-        n = alpha.shape[0]
-        out = None
-        for idx, u in enumerate(projected):
-            w = ad.reshape(ad.slice_cols(alpha, idx, idx + 1), (n,))
-            term = ad.row_scale(u, w)
-            out = term if out is None else ad.add(out, term)
-        return (out, alpha) if return_weights else out
+        out, alpha = ad.softmax_mix(projected, scores)
+        return (out, Tensor(alpha)) if return_weights else out

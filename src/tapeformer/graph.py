@@ -21,6 +21,7 @@ __all__ = [
     "EgoStack",
     "EgoSubgraph",
     "GraphConstructionError",
+    "check_centers",
     "from_edge_list",
     "load_edge_list",
     "sample_ego_subgraph",
@@ -248,6 +249,14 @@ def load_edge_list(path, num_nodes: int) -> DirectedGraph:
         raise GraphConstructionError(f"{path}: {e}") from None
 
 
+def check_centers(g: DirectedGraph, centers) -> None:
+    """Raise naming the first center outside [0, num_nodes)."""
+    centers = np.asarray(centers, dtype=np.int64).reshape(-1)
+    bad = (centers < 0) | (centers >= g.num_nodes)
+    if bad.any():
+        raise GraphConstructionError(f"center {centers[bad][0]} outside [0, {g.num_nodes})")
+
+
 def sample_ego_subgraph(g: DirectedGraph, center, hops: int, max_nodes: int, rng_seed):
     """Undirected BFS from the center, bounded by hops and node budget.
 
@@ -265,9 +274,7 @@ def sample_ego_subgraph(g: DirectedGraph, center, hops: int, max_nodes: int, rng
     single = np.ndim(center) == 0
     centers = np.asarray(center, dtype=np.int64).reshape(-1)
     seeds = [rng_seed] if single else list(rng_seed)
-    bad = (centers < 0) | (centers >= g.num_nodes)
-    if bad.any():
-        raise GraphConstructionError(f"center {centers[bad][0]} outside [0, {g.num_nodes})")
+    check_centers(g, centers)
     if hops < 1 or max_nodes < 1:
         raise GraphConstructionError("hops and max_nodes must be >= 1")
     if len(seeds) != len(centers):

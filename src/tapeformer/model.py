@@ -12,7 +12,8 @@ Everything here runs on the local autodiff engine; the edge term is a
 single matmul against a per-batch constant coefficient matrix so that
 gradients reach the edge weight tables without bespoke ops. A
 micro-batch of subgraphs runs as one padded stack: every layer works on
-(B*k, d) activations and all heads of all subgraphs attend at once.
+(B*k, d) activations and all heads of all subgraphs attend at once, in
+fused engine ops: ``layer_norm``, ``linear`` and one ``attention``.
 """
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import FusionConfig, FusionLayer, xavier_init
-from .graph import DirectedGraph, EgoStack, EgoSubgraph, sample_ego_subgraph
+from .graph import DirectedGraph, EgoStack, EgoSubgraph, check_centers, sample_ego_subgraph
 from .structural import SpdMatrix, bfs_spd, build_path_features, local_adjacency
 
 __all__ = [
@@ -97,7 +98,6 @@ class SubgraphBatch:
     nodes: np.ndarray  # global ids (k,)
     center_local: int
     spd: SpdMatrix
-    spd_buckets: np.ndarray  # (k*k,) flattened bucket indices
     path_coeffs: np.ndarray  # (k*k, max_spd * d_edge) averaged path features
     in_deg: np.ndarray  # (k,) full-graph in-degrees
     out_deg: np.ndarray  # (k,) full-graph out-degrees
@@ -105,6 +105,11 @@ class SubgraphBatch:
     @property
     def num_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def spd_buckets(self) -> np.ndarray:
+        """(k*k,) flattened bucket indices: a view of ``spd.dist``."""
+        return self.spd.dist.reshape(-1)
 
 
 @dataclass
@@ -130,12 +135,10 @@ class SubgraphStack:
         its rows: a view would keep the whole padded stack alive."""
         out = []
         for b, n in enumerate(self.sizes.tolist()):
-            dist = self.spd.dist[b, :n, :n].copy()
             out.append(SubgraphBatch(
                 nodes=self.nodes[b, :n].copy(),
                 center_local=int(self.center_local[b]),
-                spd=SpdMatrix(dist=dist, cap=self.spd.cap),
-                spd_buckets=dist.reshape(-1).copy(),
+                spd=SpdMatrix(dist=self.spd.dist[b, :n, :n].copy(), cap=self.spd.cap),
                 path_coeffs=self.path_coeffs[b, :n, :n].copy().reshape(n * n, -1),
                 in_deg=self.in_deg[b, :n].copy(),
                 out_deg=self.out_deg[b, :n].copy(),
@@ -274,10 +277,6 @@ def attention_bias(batch, spatial_table: Tensor, edge_weight: Tensor) -> Tensor:
     return ad.add(sp, ce)
 
 
-def _linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ad.bias_add(ad.matmul(x, w), b)
-
-
 def multi_head_attention(
     h_in: Tensor,
     bias: Tensor,
@@ -293,7 +292,7 @@ def multi_head_attention(
     rows that ask (one per subgraph); None means every row (q = k).
     ``bias`` is (B, H, q, k) and ``key_mask`` broadcasts to it, False on
     padded keys. Heads are split by reshape and axis permutation, so
-    every head of every subgraph runs in the same two batched matmuls.
+    every head of every subgraph runs in one ``attention`` op.
     Returns the (B*q, d) outputs of the query rows.
     """
     count, d_model = bias.shape[0], h_in.shape[1]
@@ -302,22 +301,17 @@ def multi_head_attention(
     nq = q_in.shape[0] // count
 
     def split(x: Tensor, name: str, rows: int, axes) -> Tensor:
-        y = _linear(x, params["w" + name], params["b" + name])
+        y = ad.linear(x, params["w" + name], params["b" + name])
         return ad.permute(ad.reshape(y, (count, rows, num_heads, dh)), axes)
 
     q = split(q_in, "q", nq, (0, 2, 1, 3))  # (B, H, q, dh)
     kt = split(h_in, "k", k, (0, 2, 3, 1))  # (B, H, dh, k)
     v = split(h_in, "v", k, (0, 2, 1, 3))  # (B, H, k, dh)
-    scores = ad.add(ad.mul_scalar(ad.bmm(q, kt), 1.0 / np.sqrt(dh)), bias)
-    attn = ad.masked_softmax(scores, key_mask)
+    out, attn = ad.attention(q, kt, v, bias, key_mask, 1.0 / np.sqrt(dh))
     if capture is not None:
-        capture.setdefault("attention", []).append(attn.data.copy())
-    out = ad.reshape(ad.permute(ad.bmm(attn, v), (0, 2, 1, 3)), (count * nq, d_model))
-    return _linear(out, params["wo"], params["bo"])
-
-
-def _ln_affine(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    return ad.bias_add(ad.col_scale(ad.layer_norm(x, eps), gain), bias)
+        capture.setdefault("attention", []).append(attn.copy())
+    out = ad.reshape(ad.permute(out, (0, 2, 1, 3)), (count * nq, d_model))
+    return ad.linear(out, params["wo"], params["bo"])
 
 
 def _load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
@@ -433,7 +427,7 @@ class GraphormerModel:
                 rows = (queries[:, None] * k + np.arange(k)).reshape(-1)
                 bias = heads_first(ad.embedding_lookup(bias_flat, rows), 1)
             a = multi_head_attention(
-                _ln_affine(h, layer["ln1_g"], layer["ln1_b"], cfg.ln_eps),
+                ad.layer_norm(h, layer["ln1_g"], layer["ln1_b"], cfg.ln_eps),
                 bias, batch.key_mask, layer, cfg.num_heads, queries=queries, capture=capture,
             )
             if queries is not None:
@@ -441,14 +435,14 @@ class GraphormerModel:
             if drop > 0.0:
                 a = ad.dropout(a, drop, rng)
             h = ad.add(h, a)
-            z = _ln_affine(h, layer["ln2_g"], layer["ln2_b"], cfg.ln_eps)
-            z = _linear(ad.relu(_linear(z, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
+            z = ad.layer_norm(h, layer["ln2_g"], layer["ln2_b"], cfg.ln_eps)
+            z = ad.linear(ad.relu(ad.linear(z, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
             if drop > 0.0:
                 z = ad.dropout(z, drop, rng)
             h = ad.add(h, z)
         if not self.layers and not all_rows:
             h = ad.embedding_lookup(h, batch.center_rows)
-        return _linear(h, self.head_w, self.head_b)
+        return ad.linear(h, self.head_w, self.head_b)
 
     def _fused_rows(self, batch: MicroBatch, bundle) -> Tensor:
         """(B*k, d) fused features: the union of the micro-batch's nodes
@@ -477,6 +471,7 @@ class GraphormerModel:
         missing = [c for c in dict.fromkeys(centers) if (c, seed) not in self._batch_cache]
         if not missing:
             return
+        check_centers(g, missing)  # before a negative center reaches subgraph_seed
         subs = sample_ego_subgraph(
             g, missing, hops=self.cfg.ego_hops, max_nodes=self.cfg.ego_max_nodes,
             rng_seed=[subgraph_seed(seed, c) for c in missing],
@@ -533,10 +528,10 @@ class FusedMlp:
         idx = np.asarray(centers, dtype=np.int64)
         rows = {s: data.bundle.source(s)[idx] for s in self.fusion.cfg.active}
         x = self.fusion.fuse(rows)
-        h = ad.relu(ad.bias_add(ad.matmul(x, self.w1), self.b1))
+        h = ad.relu(ad.linear(x, self.w1, self.b1))
         if train and self.cfg.dropout > 0.0:
             h = ad.dropout(h, self.cfg.dropout, rng)
-        return ad.bias_add(ad.matmul(h, self.w2), self.b2)
+        return ad.linear(h, self.w2, self.b2)
 
 
 def build_model(cfg: GraphormerConfig, kind: str, sources, source_dims: dict[str, int],

@@ -4,11 +4,12 @@ Training iterates over seeded shuffles of the training centers. Each
 optimizer step accumulates gradients over ``grad_accum_steps``
 micro-batches (each micro-batch loss is scaled by the accumulation
 count, so accumulation reproduces the equivalent large batch exactly),
-then applies Adam at the warmup/decay learning rate. Micro-batches run
-with the engine's per-op finite checks off; a non-finite loss replays
-the micro-batch with them on, so the error names the first op that went
-non-finite. Validation accuracy drives checkpoint selection and early
-stopping. Single-threaded runs are bit-reproducible for a given seed.
+then applies Adam at the warmup/decay learning rate. Micro-batches and
+prediction chunks run with the engine's per-op finite checks off; a
+non-finite loss or logit replays them with the checks on, so the error
+names the first op that went non-finite. Validation accuracy drives
+checkpoint selection and early stopping. Single-threaded runs are
+bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
@@ -239,15 +240,22 @@ def predict(model, data, ids, seed: int, chunk: int = 16) -> np.ndarray:
     """Argmax class per node, computed without touching the tape.
 
     Each chunk of ids is one padded forward whose pair arrays hold
-    ``chunk * k * k`` rows, so the chunk bounds its memory.
+    ``chunk * k * k`` rows, so the chunk bounds its memory. Chunks run
+    without per-op finite checks; a chunk with a non-finite logit runs
+    again with them on, and the ``FloatingPointError`` names the first
+    op that went non-finite.
     """
     ids = np.asarray(ids, dtype=np.int64)
     out = np.empty(len(ids), dtype=np.int64)
     with ad.no_grad():
         for lo in range(0, len(ids), chunk):
             part = ids[lo:lo + chunk]
-            logits = model.logits_for_centers(data, part, seed=seed)
-            out[lo:lo + len(part)] = np.argmax(logits.data, axis=1)
+            with ad.finite_checks(False):
+                logits = model.logits_for_centers(data, part, seed=seed).data
+            if not np.isfinite(logits).all():
+                why = _first_non_finite_op(lambda: model.logits_for_centers(data, part, seed=seed))
+                raise FloatingPointError(f"predict produced non-finite logits; {why}")
+            out[lo:lo + len(part)] = np.argmax(logits, axis=1)
     return out
 
 
@@ -269,17 +277,14 @@ def _micro_batch_loss(model, data, centers, cfg: TrainConfig, rng) -> Tensor:
     return smoothed_cross_entropy(logits, data.labels[centers], cfg.label_smoothing)
 
 
-def _first_non_finite_op(model, data, centers, cfg: TrainConfig, rng) -> str:
-    """Re-run a micro-batch's forward with per-op finite checks on and
-    name the first op whose output went non-finite."""
-    checks = ad.set_finite_checks(True)
+def _first_non_finite_op(forward) -> str:
+    """Re-run ``forward()`` with per-op finite checks on and name the
+    first op whose output went non-finite."""
     try:
-        with ad.no_grad():
-            _micro_batch_loss(model, data, centers, cfg, rng)
+        with ad.finite_checks(True), ad.no_grad():
+            forward()
     except FloatingPointError as e:
         return f"first non-finite op on replay: {e}"
-    finally:
-        ad.set_finite_checks(checks)
     return "no op went non-finite on replay"
 
 
@@ -315,16 +320,13 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                 replay = rng.bit_generator.state
                 # per-op finite checks are off in the hot path; a non-finite
                 # loss replays the micro-batch with them on to find the op
-                checks = ad.set_finite_checks(False)
-                try:
+                with ad.finite_checks(False):
                     loss = _micro_batch_loss(model, data, centers, cfg, rng)
-                finally:
-                    ad.set_finite_checks(checks)
                 if not np.isfinite(loss.data):
                     rng.bit_generator.state = replay
+                    why = _first_non_finite_op(lambda: _micro_batch_loss(model, data, centers, cfg, rng))
                     raise TrainingDiverged(
-                        f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); "
-                        f"{_first_non_finite_op(model, data, centers, cfg, rng)}; "
+                        f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}; "
                         f"largest grad norms: {_grad_norms(params)}"
                     )
                 scaled = ad.mul_scalar(loss, 1.0 / cfg.grad_accum_steps)

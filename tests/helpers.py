@@ -323,3 +323,66 @@ def oracle_logits_for_centers(model, data, centers, seed: int) -> np.ndarray:
         batch = model.batch_for(data.graph, int(c), seed)
         rows.append(oracle_subgraph_logits(model, batch, data.bundle)[batch.center_local])
     return np.stack(rows)
+
+
+# ---------------------------------------------------------------------------
+# fused-op oracles: each fused engine op as the chain of primitive steps it
+# replaced, in plain numpy, forward and every input gradient for an upstream
+# gradient ``g``, in the same order of operations
+# ---------------------------------------------------------------------------
+
+
+def _softmax_backward(p, g):
+    return p * (g - (g * p).sum(axis=-1, keepdims=True))
+
+
+def oracle_linear(x, w, b, g):
+    """matmul, then bias_add: (out, (dx, dw, db))."""
+    out = (x @ w) + b[None, :]
+    return out, (g @ w.T, x.T @ g, g.sum(axis=0))
+
+
+def oracle_layer_norm(x, gain, bias, eps, g):
+    """layer_norm, col_scale by ``gain``, bias_add: (out, (dx, dgain, dbias))."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = (xhat * gain[None, :]) + bias[None, :]
+    gx = g * gain[None, :]
+    gm = gx.mean(axis=-1, keepdims=True)
+    gxx = (gx * xhat).mean(axis=-1, keepdims=True)
+    return out, ((gx - gm - xhat * gxx) * inv, (g * xhat).sum(axis=0), g.sum(axis=0))
+
+
+def oracle_attention(q, kt, v, bias, mask, scale, g):
+    """bmm, mul_scalar, add of the bias, masked softmax, bmm:
+    (out, weights, (dq, dkt, dv, dbias))."""
+    scores = ((q @ kt) * scale) + bias
+    z = np.where(mask, scores, -np.inf)
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    dp = g @ v.swapaxes(-1, -2)
+    ds = _softmax_backward(p, dp)
+    dqk = ds * scale
+    return p @ v, p, (dqk @ kt.swapaxes(-1, -2), q.swapaxes(-1, -2) @ dqk,
+                      p.swapaxes(-1, -2) @ g, ds)
+
+
+def oracle_softmax_mix(values, scores, g):
+    """concat of the scores, softmax, then per source a column slice,
+    row_scale and add: (out, alpha, (dvalues..., dscores...))."""
+    x = np.concatenate(scores, axis=1)
+    z = x - x.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    alpha = e / e.sum(axis=-1, keepdims=True)
+    out = values[0] * alpha[:, 0][:, None]
+    for i in range(1, len(values)):
+        out = out + values[i] * alpha[:, i][:, None]
+    da = np.zeros_like(alpha)
+    for i, u in enumerate(values):
+        da[:, i] = (g * u).sum(axis=1)
+    ds = _softmax_backward(alpha, da)
+    grads = [g * alpha[:, i][:, None] for i in range(len(values))]
+    return out, alpha, tuple(grads + [ds[:, i:i + 1] for i in range(len(scores))])

@@ -134,41 +134,35 @@ def test_criterion_01_gradient_correctness():
     a, b = p(4, 5), p(5, 3)
     r43 = Tensor(rng.standard_normal((4, 3)))
     probe(lambda: ad.tsum(ad.mul(ad.matmul(a, b), r43)), [a, b])
-    x, y, v = p(3, 4), p(3, 4), p(4)
-    r34 = Tensor(rng.standard_normal((3, 4)))
-    probe(lambda: ad.tsum(ad.mul(ad.bias_add(ad.add(x, y), v), r34)), [x, y, v])
+    x, y, v = p(3, 4), p(3, 4), p(5)
+    r34, r35 = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 5)))
+    probe(lambda: ad.tsum(ad.mul(ad.add(x, y), r34)), [x, y])
+    probe(lambda: ad.tsum(ad.mul(ad.linear(x, a, v), r35)), [x, a, v])
     probe(lambda: ad.tsum(ad.mul(ad.mul(x, y), r34)), [x, y])
     probe(lambda: ad.tsum(ad.mul(ad.mul_scalar(x, -2.5), r34)), [x])
-    rv, cv = p(3), p(4)
-    probe(lambda: ad.tsum(ad.mul(ad.row_scale(ad.col_scale(x, cv), rv), r34)), [x, rv, cv])
-    c, d = p(3, 2), p(3, 3)
-    r35 = Tensor(rng.standard_normal((3, 5)))
-    probe(lambda: ad.tsum(ad.mul(ad.concat([c, d], axis=1), r35)), [c, d])
-    r32 = Tensor(rng.standard_normal((3, 2)))
-    probe(lambda: ad.tsum(ad.mul(ad.slice_cols(d, 0, 2), r32)), [d])
     table = p(6, 4)
     idx = np.array([0, 2, 2, 5])
     r44 = Tensor(rng.standard_normal((4, 4)))
     probe(lambda: ad.tsum(ad.mul(ad.embedding_lookup(table, idx), r44)), [table])
     probe(lambda: ad.tsum(ad.mul(ad.relu(x), r34)), [x])
     probe(lambda: ad.tsum(ad.mul(ad.tanh(x), r34)), [x])
-    probe(lambda: ad.tsum(ad.mul(ad.layer_norm(x), r34)), [x])
-    probe(lambda: ad.tsum(ad.mul(ad.softmax(x), r34)), [x])
+    gain, shift = p(4), p(4)
+    probe(lambda: ad.tsum(ad.mul(ad.layer_norm(x, gain, shift), r34)), [x, gain, shift])
     probe(lambda: ad.tsum(ad.mul(ad.log_softmax(x), r34)), [x])
     probe(lambda: ad.mean(x), [x])
     probe(lambda: ad.mean(ad.tsum(x, axis=1), axis=0), [x])
-    rT = Tensor(rng.standard_normal((4, 3)))
-    probe(lambda: ad.tsum(ad.mul(ad.transpose(x), rT)), [x])
     probe(lambda: ad.tsum(ad.mul(ad.reshape(x, (4, 3)), r43)), [x])
     probe(lambda: ad.tsum(ad.mul(ad.dropout(x, 0.3, np.random.default_rng(1)), r34)), [x])
-    s3, t3 = p(2, 3, 4), p(2, 4, 3)
-    r233 = Tensor(rng.standard_normal((2, 3, 3)))
-    probe(lambda: ad.tsum(ad.mul(ad.bmm(s3, t3), r233)), [s3, t3])
-    keys = np.array([[[True, False, True, True]], [[False, True, True, False]]])
-    r234 = Tensor(rng.standard_normal((2, 3, 4)))
-    probe(lambda: ad.tsum(ad.mul(ad.masked_softmax(s3, keys), r234)), [s3])
+    s3, t3, u3, b3 = p(2, 3, 4), p(2, 4, 3), p(2, 3, 2), p(2, 3, 3)
+    keys = np.array([[[True, False, True]], [[False, True, False]]])
+    r232 = Tensor(rng.standard_normal((2, 3, 2)))
+    probe(lambda: ad.tsum(ad.mul(ad.attention(s3, t3, u3, b3, keys, 0.8)[0], r232)),
+          [s3, t3, u3, b3])
     r432 = Tensor(rng.standard_normal((4, 3, 2)))
     probe(lambda: ad.tsum(ad.mul(ad.permute(s3, (2, 1, 0)), r432)), [s3])
+    mix_scores = [p(3, 1), p(3, 1)]
+    probe(lambda: ad.tsum(ad.mul(ad.softmax_mix([x, y], mix_scores)[0], r34)),
+          [x, y] + mix_scores)
 
     # the full tiny model: L=2, H=2, d_model=16, k=8 nodes
     cfg = GraphormerConfig(num_classes=3, num_layers=2, num_heads=2, d_model=16,

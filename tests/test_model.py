@@ -278,12 +278,13 @@ def test_cached_batches_own_compact_arrays(monkeypatch):
         for a in (b.nodes, b.spd.dist, b.spd_buckets, b.path_coeffs, b.in_deg, b.out_deg):
             assert not any(np.shares_memory(a, p) for p in padded)
             assert a.base is None or a.base.nbytes == a.nbytes
+        assert np.shares_memory(b.spd_buckets, b.spd.dist)  # one copy of the distances
 
 
 def test_bad_center_raises_through_the_model():
     data, model = _cache_case(5)
-    for centers in ([30], [0, 31, 2]):
-        with pytest.raises(gr.GraphConstructionError, match="outside"):
+    for centers, bad in (([30], 30), ([0, 31, 2], 31), ([-1], -1), ([0, 2, -7, 40], -7)):
+        with pytest.raises(gr.GraphConstructionError, match=f"center {bad} outside"):
             model.logits_for_centers(data, centers, seed=0)
     assert not model._batch_cache
 

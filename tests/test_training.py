@@ -212,7 +212,7 @@ class _ScalarStubModel:
     def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
         b = len(centers)
         col = ad.matmul(Tensor(np.ones((b, 1))), self.w)
-        return ad.concat([col, Tensor(np.zeros((b, 1)))], axis=1)
+        return ad.matmul(col, Tensor(np.array([[1.0, 0.0]])))
 
 
 def _stub_data(n_train=10, n_val=4):
@@ -313,16 +313,34 @@ def test_micro_batches_run_without_finite_checks():
 
     class Recording(_ScalarStubModel):
         def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
-            checks = ad.set_finite_checks(True)
-            ad.set_finite_checks(checks)
-            seen.append((train, checks))
+            seen.append((train, ad._state.check_finite))
             return super().logits_for_centers(data, centers, seed, train, rng)
 
     cfg = tr.TrainConfig(epochs=1, base_lr=0.01, batch_size=4, early_stop_patience=1, seed=0)
     tr.train(Recording(w0=0.5), data, split, cfg)
     assert {checks for train, checks in seen if train} == {False}
-    assert {checks for train, checks in seen if not train} == {True}  # validation keeps them
-    assert ad.set_finite_checks(True) is True  # restored after training
+    assert {checks for train, checks in seen if not train} == {False}  # validation too
+    assert ad._state.check_finite is True  # restored after training
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+def test_predict_replays_a_non_finite_chunk_with_checks_on():
+    data, split = _stub_data()
+    seen = []
+
+    class Recording(_ScalarStubModel):
+        def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
+            seen.append(ad._state.check_finite)
+            return super().logits_for_centers(data, centers, seed, train, rng)
+
+    assert tr.predict(Recording(w0=0.5), data, split.val_ids, seed=0, chunk=3).tolist() == [0] * 4
+    assert seen == [False, False]
+    seen.clear()
+    with pytest.raises(FloatingPointError,
+                       match="first non-finite op on replay: matmul produced non-finite"):
+        tr.predict(Recording(w0=np.inf), data, split.val_ids, seed=0, chunk=3)
+    assert seen == [False, True]  # the first chunk, then its checked replay
+    assert ad._state.check_finite is True
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
