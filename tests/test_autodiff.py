@@ -252,7 +252,32 @@ def test_grad_attention():
     rng, inputs, mask = _attention_case(24)
     r = Tensor(rng.standard_normal((3, 2, 4, 4)))
     _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, 0.7)[0], r)), inputs)
+    q, kt, v, bias = inputs
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(q, kt, v, ad.reshape(bias, (3, 2, 5, 4)), mask, 1.0)
+
+
+def test_grad_bmm():
+    """The attention op's two batched products, q @ kt and weights @ v,
+    with every key unmasked."""
+    rng, (q, kt, v, bias), _ = _attention_case(23)
+    full = np.ones((3, 1, 1, 5), dtype=bool)
+    r = Tensor(rng.standard_normal((3, 2, 4, 4)))
+    _fd(lambda: ad.tsum(ad.mul(ad.attention(q, kt, v, bias, full, 0.7)[0], r)), [q, kt, v])
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(q, _p(rng, 2, 3, 3, 5), v, bias, full, 1.0)
+    with pytest.raises(ad.ShapeError, match="attention"):
+        ad.attention(q, kt, _p(rng, 3, 2, 4, 4), bias, full, 1.0)
+
+
+def test_grad_masked_softmax():
+    """The attention op's masked softmax over keys: padded keys and a
+    one-key row."""
+    rng, inputs, mask = _attention_case(25)
+    r = Tensor(rng.standard_normal((3, 2, 4, 4)))
+    _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, 0.7)[0], r)), inputs[3:])
     # masked keys get exactly zero weight, and the bias exactly zero gradient there
+    inputs[3].zero_grad()
     out, weights = ad.attention(*inputs, mask, 0.7)
     ad.backward(ad.tsum(ad.mul(out, r)))
     hidden = np.broadcast_to(~mask, weights.shape)
@@ -268,8 +293,6 @@ def test_grad_attention():
         ad.attention(q, kt, v, bias, np.zeros((1, 1, 1, 5), dtype=bool), 1.0)
     with pytest.raises(ad.ShapeError, match="broadcast"):
         ad.attention(q, kt, v, bias, np.ones((2, 1, 1, 5), dtype=bool), 1.0)
-    with pytest.raises(ad.ShapeError, match="attention"):
-        ad.attention(q, kt, v, ad.reshape(bias, (3, 2, 5, 4)), mask, 1.0)
 
 
 def test_attention_bit_exact_against_primitive_chain():
