@@ -12,6 +12,7 @@ import hashlib
 import json
 import logging
 import struct
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -74,17 +75,22 @@ def prepare(
     overrides: dict[str, np.ndarray] | None = None,
 ) -> PreparedDataset:
     """Ingest the four input files and build the dataset in memory."""
+    t0 = time.perf_counter()
     docs = load_node_documents(node_docs_path)
     n = len(docs)
     if n == 0:
         raise DataError(f"{node_docs_path}: no documents")
+    t1 = time.perf_counter()
     graph = load_edge_list(edges_path, num_nodes=n)
+    t2 = time.perf_counter()
     features = load_feature_matrix(features_path)
     if features.shape[0] != n:
         raise DataError(
             f"{features_path}: {features.shape[0]} feature rows for {n} documents"
         )
+    t3 = time.perf_counter()
     records = load_llm_records(llm_cache_path, class_names) if llm_cache_path else {}
+    t4 = time.perf_counter()
     labels = np.asarray([-1 if d.label is None else d.label for d in docs], dtype=np.int64)
     if labels.max() >= len(class_names):
         raise DataError(
@@ -94,8 +100,11 @@ def prepare(
     bundle = build_bundle(docs, records, features, num_classes=len(class_names),
                           text_dim=text_dim, pred_top_k=pred_top_k, seed=seed,
                           overrides=overrides)
-    log.info("prepared dataset: %d nodes, %d edges, %d classes, %d cached LLM records",
-             n, graph.num_edges, len(class_names), len(records))
+    t5 = time.perf_counter()
+    log.info("prepared dataset: %d nodes, %d edges, %d classes, %d cached LLM records "
+             "(docs %.3fs, edges %.3fs, features %.3fs, LLM cache %.3fs, bundle %.3fs)",
+             n, graph.num_edges, len(class_names), len(records),
+             t1 - t0, t2 - t1, t3 - t2, t4 - t3, t5 - t4)
     return PreparedDataset(class_names=class_names, labels=labels, years=years,
                            graph=graph, bundle=bundle, text_dim=text_dim,
                            pred_top_k=pred_top_k, seed=seed)

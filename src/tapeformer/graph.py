@@ -10,7 +10,9 @@ bounded neighborhood instead.
 """
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,7 +67,7 @@ class DirectedGraph:
 
     def undirected_neighbors(self, v: int) -> np.ndarray:
         """Sorted unique neighbors ignoring edge direction."""
-        return np.union1d(self.out_neighbors(v), self.in_neighbors(v))
+        return _sorted_unique(np.concatenate([self.out_neighbors(v), self.in_neighbors(v)]))
 
     def has_edge(self, u: int, v: int) -> bool:
         """Directed edge u -> v present?"""
@@ -77,7 +79,7 @@ class DirectedGraph:
         """Directed edge src[n] -> dst[n] present, for paired id arrays;
         only the out-edges of the distinct sources are searched."""
         src, n = np.asarray(src, dtype=np.int64), np.int64(self.num_nodes)
-        u = np.unique(src)
+        u = _sorted_unique(src)
         owner, targets = _csr_rows(self.out_offsets, self.out_targets, u)
         return _find(u[owner] * n + targets, src * n + dst)[1]
 
@@ -109,6 +111,15 @@ def _csr_rows(offsets: np.ndarray, targets: np.ndarray, rows: np.ndarray):
     owner = np.repeat(np.arange(len(rows)), cnt)
     at = lo[owner] + np.arange(len(owner)) - (np.cumsum(cnt) - cnt)[owner]
     return owner, targets[at]
+
+
+def _sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique`` of an int array by a sort and a neighbour mask: numpy's
+    ``unique`` hashes integers, which is several times slower here."""
+    keys = np.sort(keys)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray):
@@ -202,7 +213,7 @@ def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
     arr = arr[~loops]
     # encode (src, dst) into one key; num_nodes is well below the overflow bound
     keys = arr[:, 0] * np.int64(num_nodes) + arr[:, 1]
-    uniq = np.unique(keys)
+    uniq = _sorted_unique(keys)
     n_dup = len(keys) - len(uniq)
     src = uniq // num_nodes
     dst = uniq % num_nodes
@@ -224,7 +235,55 @@ def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
 
 
 def load_edge_list(path, num_nodes: int) -> DirectedGraph:
-    """Parse a `src<TAB>dst` text file (0-based ids, `#` comments)."""
+    """Parse a `src<TAB>dst` text file (0-based ids, whole-line `#` comments)."""
+    arr = _read_edges_fast(path)
+    if arr is None:
+        arr = _read_edge_lines(path)
+    try:
+        return from_edge_list(arr, num_nodes)
+    except GraphConstructionError as e:
+        raise GraphConstructionError(f"{path}: {e}") from None
+
+
+def _read_edges_fast(path) -> np.ndarray | None:
+    """The (m, 2) edges of a file in the plain format, read in one pass,
+    or None when this read cannot vouch for the file.
+
+    ``np.loadtxt`` rejects everything the line loop rejects except
+    lines with one column or more than two, read as (m, c), and an
+    inline comment, which it strips; both are refused here. It also
+    rejects some lines the loop accepts (padding tabs, whitespace-only
+    lines, ``1_0``). On None the loop reads the file and either accepts
+    it or names its bad line.
+    """
+    try:  # a ValueError here, undecodable bytes included, leaves the verdict to the loop
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+        if _has_inline_comment(text):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # an empty file "contained no data"
+            arr = np.loadtxt(io.StringIO(text), dtype=np.int64, delimiter="\t", comments="#",
+                             ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape[1] == 2 else None
+
+
+def _has_inline_comment(text: str) -> bool:
+    """Does a `#` follow anything but whitespace on its line?"""
+    at = text.find("#")
+    while at >= 0:
+        if text[text.rfind("\n", 0, at) + 1:at].strip():
+            return True
+        end = text.find("\n", at)
+        at = -1 if end < 0 else text.find("#", end)
+    return False
+
+
+def _read_edge_lines(path) -> np.ndarray:
+    """The (m, 2) edges of the file, line by line; raises naming the
+    first bad line."""
     srcs: list[int] = []
     dsts: list[int] = []
     with open(path, "r", encoding="utf-8") as f:
@@ -243,10 +302,7 @@ def load_edge_list(path, num_nodes: int) -> DirectedGraph:
     arr = np.empty((len(srcs), 2), dtype=np.int64)
     arr[:, 0] = srcs
     arr[:, 1] = dsts
-    try:
-        return from_edge_list(arr, num_nodes)
-    except GraphConstructionError as e:
-        raise GraphConstructionError(f"{path}: {e}") from None
+    return arr
 
 
 def check_centers(g: DirectedGraph, centers) -> None:
@@ -291,7 +347,7 @@ def sample_ego_subgraph(g: DirectedGraph, center, hops: int, max_nodes: int, rng
         f_seg, f_node = f_seg[live], f_node[live]
         if len(f_seg) == 0:
             break
-        keys = np.unique(np.concatenate([
+        keys = _sorted_unique(np.concatenate([
             f_seg[owner] * n + w
             for owner, w in (_csr_rows(g.out_offsets, g.out_targets, f_node),
                              _csr_rows(g.in_offsets, g.in_targets, f_node))
@@ -312,7 +368,7 @@ def sample_ego_subgraph(g: DirectedGraph, center, hops: int, max_nodes: int, rng
         f_node = keys - f_seg * n
         segs.append(f_seg)
         picks.append(f_node)
-        seen = np.union1d(seen, keys)
+        seen = _sorted_unique(np.concatenate([seen, keys]))
         size += np.bincount(f_seg, minlength=count)
     seg = np.concatenate(segs)
     order = np.argsort(seg, kind="stable")  # subgraph-major, then hop, then id

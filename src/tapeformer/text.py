@@ -15,7 +15,9 @@ import logging
 import re
 import struct
 import zlib
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -165,18 +167,43 @@ def encode_text(text: str, dim: int, seed: int = 0) -> np.ndarray:
     crc32 keyed by the seed keeps the mapping stable across processes
     and platforms; an all-zero vector (empty text) stays all-zero.
     """
+    return _encode_texts([text], dim, seed)[0]
+
+
+def _encode_texts(texts, dim: int, seed: int) -> np.ndarray:
+    """``encode_text`` of every text in the iterable, one row each.
+
+    Tokens are numbered in a vocabulary local to the call, so crc32 runs
+    once per distinct token, and one ``bincount`` sums every row's signed
+    buckets. The sums are small integers, hence exact in any order, and
+    the norm is their exact sum of squares: rows equal ``encode_text``'s
+    bit for bit.
+    """
     if dim < 1:
         raise ValueError("encode_text: dim must be >= 1")
+    vocab: dict[str, int] = {}
+    ids, lengths = array("q"), array("q")
+    for text in texts:
+        toks = tokenize(text)
+        lengths.append(len(toks))
+        for tok in toks:
+            i = vocab.get(tok)
+            if i is None:
+                i = vocab[tok] = len(vocab)
+            ids.append(i)
     salt = zlib.crc32(struct.pack("<q", seed))
-    vec = np.zeros(dim, dtype=np.float64)
-    for tok in tokenize(text):
-        h = zlib.crc32(tok.encode("utf-8"), salt)
-        sign = 1.0 if h & 0x80000000 else -1.0
-        vec[h % dim] += sign
-    norm = float(np.linalg.norm(vec))
-    if norm > 0.0:
-        vec /= norm
-    return vec
+    h = np.fromiter((zlib.crc32(tok.encode("utf-8"), salt) for tok in vocab),
+                    dtype=np.int64, count=len(vocab))
+    sign = np.where(h & 0x80000000, 1.0, -1.0)
+    tok_ids = np.frombuffer(ids, dtype=np.int64)
+    rows = len(lengths)
+    flat = np.repeat(np.arange(rows, dtype=np.int64) * dim, np.frombuffer(lengths, dtype=np.int64))
+    flat += (h % dim)[tok_ids]
+    out = np.bincount(flat, weights=sign[tok_ids], minlength=rows * dim)
+    out = out.astype(np.float64, copy=False).reshape(rows, dim)  # int64 when no tokens at all
+    norm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
+    np.divide(out, norm, out=out, where=norm > 0.0)
+    return out
 
 
 def encode_predictions(rec: LlmRecord | None, num_classes: int, top_k: int) -> np.ndarray:
@@ -216,14 +243,17 @@ def build_bundle(
     ogb = np.asarray(ogb_features, dtype=np.float64)
     if ogb.shape[0] != n:
         raise DataError(f"feature matrix has {ogb.shape[0]} rows for {n} documents")
-    h_text = np.zeros((n, text_dim), dtype=np.float64)
-    h_expl = np.zeros((n, text_dim), dtype=np.float64)
+    # rows 0..n-1 hash the title and abstract, rows n..2n-1 the explanation
+    # (empty, so zero, without a record)
+    hashed = _encode_texts(chain(
+        (doc.title + "\n" + doc.abstract for doc in docs),
+        (records[doc.id].explanation if doc.id in records else "" for doc in docs),
+    ), text_dim, seed)
+    h_text, h_expl = hashed[:n], hashed[n:]
     h_pred = np.zeros((n, num_classes), dtype=np.float64)
     for i, doc in enumerate(docs):
-        h_text[i] = encode_text(doc.title + "\n" + doc.abstract, text_dim, seed)
         rec = records.get(doc.id)
         if rec is not None:
-            h_expl[i] = encode_text(rec.explanation, text_dim, seed)
             h_pred[i] = encode_predictions(rec, num_classes, pred_top_k)
     matrices = {"expl": h_expl, "pred": h_pred, "text": h_text, "ogb": ogb}
     for name, mat in (overrides or {}).items():
@@ -346,10 +376,10 @@ def load_feature_matrix(path) -> np.ndarray:
         head = f.read(len(_FMAT_MAGIC))
         if head == _FMAT_MAGIC:
             n, d = struct.unpack("<QQ", f.read(16))
-            raw = f.read(n * d * 8)
-            if len(raw) != n * d * 8:
+            m = np.empty((n, d), dtype="<f8")  # read in place: no second copy
+            if f.readinto(m.view(np.uint8).reshape(-1)) != m.nbytes:
                 raise DataError(f"{path}: truncated feature matrix")
-            return np.frombuffer(raw, dtype="<f8").reshape(n, d).copy()
+            return m
     # CSV fallback: first non-comment line is `rows,cols`
     with open(path, "r", encoding="utf-8") as f:
         header = None

@@ -4,10 +4,13 @@ point is independence from the library code under test."""
 from __future__ import annotations
 
 import math
+import struct
+import zlib
 
 import numpy as np
 
 from tapeformer import autodiff as ad
+from tapeformer.text import tokenize
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-5, entries=None) -> dict:
@@ -67,6 +70,25 @@ def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
             assert err < rel_tol, f"grad mismatch at entry {i}: analytic={ana[i]}, numeric={dv}"
     ad.tape_clear()
     return worst
+
+
+# ---------------------------------------------------------------------------
+# text hashing oracle
+# ---------------------------------------------------------------------------
+
+
+def oracle_encode_text(text: str, dim: int, seed: int = 0) -> np.ndarray:
+    """One text's hashed unigram vector, one crc32 per token occurrence."""
+    salt = zlib.crc32(struct.pack("<q", seed))
+    vec = np.zeros(dim, dtype=np.float64)
+    for tok in tokenize(text):
+        h = zlib.crc32(tok.encode("utf-8"), salt)
+        sign = 1.0 if h & 0x80000000 else -1.0
+        vec[h % dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
 
 
 # ---------------------------------------------------------------------------

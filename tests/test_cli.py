@@ -153,6 +153,18 @@ def test_prepare_idempotent_hash(workdir, capsys):
     assert h1 == h2 and h1
 
 
+def test_prepare_artifact_hash_is_pinned(tmp_path, capsys):
+    """The artifact of the 400-node seed-0 corpus, byte for byte: a change to
+    text hashing, edge parsing or the artifact format shows here."""
+    rc = main(["gen-synthetic", "--out", str(tmp_path), "--nodes", "400", "--classes", "4",
+               "--seed", "0"])
+    assert rc == 0
+    capsys.readouterr()
+    assert main(["prepare", "--config", str(tmp_path / "config.json")]) == 0
+    out = capsys.readouterr().out
+    assert "content sha256: 46a71a2a0862a28df4772cb811cf3ed915e4843a7be007233fbad728238f977d" in out
+
+
 def test_prepare_writes_resolved_config(workdir):
     echo = workdir / "config.resolved.json"
     assert echo.exists()

@@ -100,6 +100,78 @@ def test_edge_list_file_parsing(tmp_path):
         gr.load_edge_list(bad, 3)
 
 
+# content -> must the one-pass read take it (True), refuse it (False) or either (None)
+EDGE_FILES = {
+    "plain": (b"0\t1\n1\t2\n", True),
+    "header comment": (b"# src\tdst\n0\t1\n", True),
+    "no final newline": (b"0\t1\n1\t2", True),
+    "blank lines": (b"\n0\t1\n\n\n1\t2\n", True),
+    "crlf line ends": (b"0\t1\r\n1\t2\r\n", True),
+    "loops and duplicates": (b"0\t1\n0\t1\n2\t2\n", True),
+    "empty": (b"", None),
+    "comment only": (b"# nothing\n", None),
+    "one column, even rows": (b"0\n1\n", False),  # np.loadtxt reads shape (2, 1)
+    "inline comment": (b"0\t1 # c\n", False),  # np.loadtxt strips the comment
+    "inline comment after a comment line": (b"# a\n0\t1#c\n", False),
+    "three columns": (b"0\t1\t2\n", None),
+    "trailing tab": (b"0\t1\t\n", None),
+    "leading tab": (b"\t0\t1\n", None),
+    "spaces instead of a tab": (b"0 1\n", None),
+    "float": (b"0\t1.0\n", None),
+    "plus sign": (b"+1\t2\n", None),
+    "padded fields": (b" 0 \t 1 \n", None),
+    "whitespace-only line": (b"0\t1\n \t \n1\t2\n", None),
+    "indented comment": (b"  # c\n0\t1\n", None),
+    "bare cr line end": (b"0\t1\r1\t2\n", None),
+    "underscore digits": (b"1_0\t2\n", None),
+    "non-ASCII digit": ("\u0661\t2\n".encode(), None),
+    "nul byte": (b"1\x00\t2\n", None),
+    "out-of-range id": (b"0\t1\n1\t9\n", None),
+    "negative id": (b"0\t1\n1\t-1\n", None),
+    "not UTF-8": (b"0\t1\n\xff\t2\n", None),
+}
+
+
+def _edge_list_outcome(path):
+    try:
+        g = gr.load_edge_list(path, 5)
+    except (gr.GraphConstructionError, UnicodeDecodeError) as e:
+        return repr(e)
+    return [a.tobytes() for a in (g.out_offsets, g.out_targets, g.in_offsets, g.in_targets)] + [
+        g.num_edges, g.self_loops_dropped, g.duplicates_dropped]
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FILES))
+def test_edge_list_fast_read_matches_line_loop(tmp_path, monkeypatch, name):
+    content, fast_takes_it = EDGE_FILES[name]
+    p = tmp_path / "edges.tsv"
+    p.write_bytes(content)
+    if fast_takes_it is not None:
+        assert (gr._read_edges_fast(p) is not None) == fast_takes_it
+    got = _edge_list_outcome(p)
+    with monkeypatch.context() as m:
+        m.setattr(gr, "_read_edges_fast", lambda path: None)
+        assert got == _edge_list_outcome(p)
+
+
+def test_edge_list_rejects_what_loadtxt_would_accept(tmp_path):
+    p = tmp_path / "edges.tsv"
+    p.write_text("0\n1\n")
+    with pytest.raises(gr.GraphConstructionError, match="edges.tsv:1: expected `src<TAB>dst`"):
+        gr.load_edge_list(p, 3)
+    p.write_text("0\t1\n1\t2 # c\n")
+    with pytest.raises(gr.GraphConstructionError, match="edges.tsv:2: non-integer endpoint"):
+        gr.load_edge_list(p, 3)
+
+
+def test_sorted_unique_matches_np_unique():
+    rng = np.random.default_rng(0)
+    for size in (0, 1, 2, 3, 50, 2000):
+        keys = rng.integers(-5, 40, size=size)
+        got = gr._sorted_unique(keys)
+        assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
+
+
 # --- ego subgraph sampling ---------------------------------------------------
 
 

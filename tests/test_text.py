@@ -6,6 +6,8 @@ import pytest
 from tapeformer import text as tp
 from tapeformer.text import LlmRecord, NodeDocument
 
+from helpers import oracle_encode_text
+
 
 CLASSES = ["databases", "machine learning", "networking", "crypto", "vision"]
 
@@ -105,6 +107,35 @@ def test_encode_text_similarity_ordering():
         e0, e1, e2 = (tp.encode_text(x, 256, seed=5) for x in (t0, t1, t2))
         wins += float(e0 @ e1) > float(e0 @ e2)
     assert wins == trials
+
+
+ORACLE_TEXTS = [
+    "",
+    "graph graph graph nets nets graph",
+    "Naïve café RÉSUMÉ: 東京 graphs, ÜBER-graphs and \u212aelvin",  # non-ASCII splits tokens
+    "The the THE tHe",
+    "   \n\t  ",
+    "!!! ???",
+    " ".join(f"w{i % 37}" for i in range(500)),  # large bucket counts
+]
+
+
+@pytest.mark.parametrize("dim", [1, 7, 256])
+@pytest.mark.parametrize("seed", [0, 1, -1, 2**40])
+def test_encode_text_bit_exact_against_per_token_oracle(dim, seed):
+    for text in ORACLE_TEXTS:
+        got = tp.encode_text(text, dim, seed)
+        assert got.shape == (dim,)
+        assert got.tobytes() == oracle_encode_text(text, dim, seed).tobytes(), text
+    # all texts in one pass: the shared vocabulary must not leak between rows
+    rows = tp._encode_texts(ORACLE_TEXTS, dim, seed)
+    expect = np.stack([oracle_encode_text(t, dim, seed) for t in ORACLE_TEXTS])
+    assert rows.tobytes() == expect.tobytes()
+
+
+def test_encode_text_rejects_empty_dim():
+    with pytest.raises(ValueError, match="encode_text: dim must be >= 1"):
+        tp.encode_text("graph", 0)
 
 
 # --- prediction encoding -----------------------------------------------------
@@ -270,6 +301,25 @@ def test_bundle_local_degradation():
     assert np.array_equal(full.h_text, b2.h_text)
 
 
+def test_bundle_bit_exact_against_per_node_oracle():
+    docs, records, ogb = _tiny_corpus(12)
+    docs[5].abstract = "Ünïcödé abstract, über graphs"
+    records = {i: r for i, r in records.items() if i % 3}  # 0, 3, 6, 9 (and 2) missing
+    records[4] = LlmRecord(4, [1], "")
+    b = tp.build_bundle(docs, records, ogb, num_classes=5, text_dim=16, pred_top_k=3, seed=7)
+    h_text, h_expl, h_pred = np.zeros((12, 16)), np.zeros((12, 16)), np.zeros((12, 5))
+    for i, doc in enumerate(docs):
+        h_text[i] = oracle_encode_text(doc.title + "\n" + doc.abstract, 16, 7)
+        rec = records.get(doc.id)
+        if rec is not None:
+            h_expl[i] = oracle_encode_text(rec.explanation, 16, 7)
+            h_pred[i] = tp.encode_predictions(rec, 5, 3)
+    assert b.h_text.tobytes() == h_text.tobytes()
+    assert b.h_expl.tobytes() == h_expl.tobytes()
+    assert b.h_pred.tobytes() == h_pred.tobytes()
+    assert b.h_ogb.tobytes() == ogb.tobytes()
+
+
 def test_bundle_override_and_errors():
     docs, records, ogb = _tiny_corpus()
     pre = np.full((6, 10), 0.5)
@@ -285,11 +335,12 @@ def test_bundle_override_and_errors():
 
 
 def test_feature_matrix_binary_roundtrip(tmp_path):
-    m = np.random.default_rng(5).standard_normal((7, 4))
-    p = tmp_path / "feat.bin"
-    tp.save_feature_matrix(p, m)
-    back = tp.load_feature_matrix(p)
-    assert back.tobytes() == m.tobytes()
+    for shape in [(7, 4), (0, 4), (3, 0)]:
+        m = np.random.default_rng(5).standard_normal(shape)
+        p = tmp_path / "feat.bin"
+        tp.save_feature_matrix(p, m)
+        back = tp.load_feature_matrix(p)
+        assert back.shape == shape and back.tobytes() == m.tobytes()
 
 
 def test_feature_matrix_csv(tmp_path):
