@@ -13,7 +13,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "DirectedGraph",
     "EgoStack",
-    "EgoSubgraph",
     "GraphConstructionError",
     "check_centers",
     "from_edge_list",
@@ -132,44 +131,19 @@ def _find(sorted_keys: np.ndarray, keys: np.ndarray):
 
 
 @dataclass
-class EgoSubgraph:
-    """Induced neighborhood around a center node.
-
-    ``nodes`` holds global ids with the center at position 0;
-    ``local_edges`` are the induced directed edges in local indices.
-    """
-
-    center: int
-    nodes: np.ndarray  # global ids, int64
-    local_edges: np.ndarray  # shape (m, 2), int64 local indices
-    node_map: dict[int, int] = field(repr=False)
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-
-@dataclass
 class EgoStack:
-    """Several ego subgraphs, padded to the size ``k`` of the largest.
+    """Induced neighborhoods around B center nodes, padded to the size
+    ``k`` of the largest.
 
-    Row b of ``nodes`` holds subgraph b's global ids in the order of
-    ``EgoSubgraph.nodes``, padded with -1 past ``sizes[b]``; the rows of
-    ``local_edges`` are (b, local src, local dst), grouped by b.
+    Row b of ``nodes`` holds subgraph b's global ids, padded with -1 past
+    ``sizes[b]``; the rows of ``local_edges`` are the induced directed
+    edges as (b, local src, local dst), grouped by b.
     """
 
     centers: np.ndarray  # (B,) global ids, int64
     nodes: np.ndarray  # (B, k) global ids, -1 on padding
     sizes: np.ndarray  # (B,) real nodes per subgraph
     local_edges: np.ndarray  # (m, 3) int64
-
-    @classmethod
-    def of(cls, sub: EgoSubgraph) -> EgoStack:
-        """One subgraph as a stack of one."""
-        e = sub.local_edges
-        return cls(centers=np.array([sub.center]), nodes=sub.nodes[None],
-                   sizes=np.array([sub.num_nodes]),
-                   local_edges=np.column_stack([np.zeros(len(e), dtype=e.dtype), e]))
 
     @property
     def num_nodes(self) -> int:
@@ -180,14 +154,6 @@ class EgoStack:
     def center_local(self) -> np.ndarray:
         """(B,) local index of each subgraph's center."""
         return np.argmax(self.nodes == self.centers[:, None], axis=1)
-
-    def subgraph(self, b: int) -> EgoSubgraph:
-        nodes = self.nodes[b, : self.sizes[b]].copy()
-        return EgoSubgraph(
-            center=int(self.centers[b]), nodes=nodes,
-            local_edges=self.local_edges[self.local_edges[:, 0] == b, 1:],
-            node_map={gid: li for li, gid in enumerate(nodes.tolist())},
-        )
 
 
 def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
@@ -281,6 +247,9 @@ def _has_inline_comment(text: str) -> bool:
     return False
 
 
+_INT64 = range(-2**63, 2**63)
+
+
 def _read_edge_lines(path) -> np.ndarray:
     """The (m, 2) edges of the file, line by line; raises naming the
     first bad line."""
@@ -299,6 +268,8 @@ def _read_edge_lines(path) -> np.ndarray:
                 dsts.append(int(parts[1]))
             except ValueError:
                 raise GraphConstructionError(f"{path}:{ln}: non-integer endpoint in {line!r}") from None
+            if srcs[-1] not in _INT64 or dsts[-1] not in _INT64:
+                raise GraphConstructionError(f"{path}:{ln}: endpoint beyond int64 in {line!r}")
     arr = np.empty((len(srcs), 2), dtype=np.int64)
     arr[:, 0] = srcs
     arr[:, 1] = dsts
@@ -313,23 +284,22 @@ def check_centers(g: DirectedGraph, centers) -> None:
         raise GraphConstructionError(f"center {centers[bad][0]} outside [0, {g.num_nodes})")
 
 
-def sample_ego_subgraph(g: DirectedGraph, center, hops: int, max_nodes: int, rng_seed):
-    """Undirected BFS from the center, bounded by hops and node budget.
+def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
+                        seeds) -> EgoStack:
+    """Undirected BFS from each of ``centers``, bounded by hops and node
+    budget; ``seeds`` holds one sampling seed per center.
 
     Each hop's new frontier is taken whole if it fits; an overflowing
     frontier is subsampled uniformly without replacement (seeded), so
     identical seeds give identical subgraphs. Node order is center
     first, then each hop's nodes in ascending global id.
 
-    ``center`` and ``rng_seed`` may also be equal-length sequences:
-    every center is then sampled in the same pass and an ``EgoStack``
-    comes back (one ``EgoSubgraph`` is the stack of one). Frontiers of
-    all centers expand together over the CSR arrays as ``b * n + node``
-    keys, and each center draws from its own seeded generator.
+    Every center is sampled in the same pass: frontiers of all centers
+    expand together over the CSR arrays as ``b * n + node`` keys, and
+    each center draws from its own seeded generator.
     """
-    single = np.ndim(center) == 0
-    centers = np.asarray(center, dtype=np.int64).reshape(-1)
-    seeds = [rng_seed] if single else list(rng_seed)
+    centers = np.asarray(centers, dtype=np.int64)
+    seeds = list(seeds)
     check_centers(g, centers)
     if hops < 1 or max_nodes < 1:
         raise GraphConstructionError("hops and max_nodes must be >= 1")
@@ -383,5 +353,4 @@ def sample_ego_subgraph(g: DirectedGraph, center, hops: int, max_nodes: int, rng
     by_key = np.argsort(picked)
     pos, hit = _find(picked[by_key], seg[owner] * n + targets)
     local_edges = np.column_stack([seg[owner], local[owner], local[by_key[pos]]])[hit]
-    stack = EgoStack(centers=centers, nodes=nodes, sizes=size, local_edges=local_edges)
-    return stack.subgraph(0) if single else stack
+    return EgoStack(centers=centers, nodes=nodes, sizes=size, local_edges=local_edges)

@@ -10,8 +10,8 @@ features. The classifier head reads the center node's final row.
 
 Everything here runs on the local autodiff engine; the edge term is a
 single matmul against a per-batch constant coefficient matrix so that
-gradients reach the edge weight tables without bespoke ops. A
-micro-batch of subgraphs runs as one padded stack: every layer works on
+gradients reach the edge weight tables without bespoke ops. Subgraphs
+are sampled, encoded and run as padded stacks: every layer works on
 (B*k, d) activations and all heads of all subgraphs attend at once, in
 fused engine ops: ``layer_norm``, ``linear`` and one ``attention``.
 """
@@ -25,7 +25,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import FusionConfig, FusionLayer, xavier_init
-from .graph import DirectedGraph, EgoStack, EgoSubgraph, check_centers, sample_ego_subgraph
+from .graph import DirectedGraph, EgoStack, check_centers, sample_ego_subgraph
 from .structural import SpdMatrix, bfs_spd, build_path_features, local_adjacency
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "GraphormerConfig",
     "SubgraphBatch",
     "SubgraphStack",
-    "MicroBatch",
     "build_batch",
     "stack_batches",
     "GraphormerModel",
@@ -93,7 +92,8 @@ class GraphormerConfig(GraphormerParams):
 
 @dataclass
 class SubgraphBatch:
-    """An ego subgraph with everything the forward pass consumes."""
+    """One subgraph's row of a ``SubgraphStack``, without padding: the
+    compact form the batch cache holds per center."""
 
     nodes: np.ndarray  # global ids (k,)
     center_local: int
@@ -114,17 +114,19 @@ class SubgraphBatch:
 
 @dataclass
 class SubgraphStack:
-    """The encodings of an ``EgoStack``, built in one pass: the fields of
-    ``SubgraphBatch`` with a leading subgraph axis, padded to the width
-    ``k`` of the largest subgraph, pair arrays as (B, k, k, ...)."""
+    """The encodings of B padded ego subgraphs: everything the forward
+    pass consumes, padded to the width ``k`` of the largest subgraph,
+    pair arrays as (B, k, k, ...). Row ``b * k + i`` of a (B*k, ...)
+    reshape is node i of subgraph b, and pair ``(b * k + i) * k + j`` of
+    a (B*k*k, ...) one is its pair (i, j)."""
 
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
     center_local: np.ndarray  # (B,)
     spd: SpdMatrix  # dist (B, k, k)
     path_coeffs: np.ndarray  # (B, k, k, max_spd * d_edge)
-    in_deg: np.ndarray  # (B, k)
-    out_deg: np.ndarray  # (B, k)
+    in_deg: np.ndarray  # (B, k), 0 on padding
+    out_deg: np.ndarray  # (B, k), 0 on padding
 
     @property
     def spd_buckets(self) -> np.ndarray:
@@ -148,21 +150,18 @@ class SubgraphStack:
 
 def build_batch(
     g: DirectedGraph,
-    sub: EgoSubgraph | EgoStack,
+    stack: EgoStack,
     cfg: GraphormerConfig,
     edge_feature_fn=None,
-) -> SubgraphBatch | SubgraphStack:
-    """Run the structural encodings for one subgraph, or for every
-    subgraph of an ``EgoStack`` in one pass (a ``SubgraphStack``, whose
-    ``split`` gives each its ``SubgraphBatch``). One subgraph is built
-    as a stack of one.
+) -> SubgraphStack:
+    """Run the structural encodings for every subgraph of ``stack`` in one
+    pass; ``split`` gives each subgraph's ``SubgraphBatch``.
 
-    ``path_coeffs`` row (i*k + j) holds the path's per-position edge
-    features divided by its length N, laid out position-major, so that
+    ``path_coeffs[b, i, j]`` holds the path's per-position edge features
+    divided by its length N, laid out position-major, so that
     ``path_coeffs @ edge_weight`` is exactly the average-dot-product
     edge term for every pair at once.
     """
-    stack = sub if isinstance(sub, EgoStack) else EgoStack.of(sub)
     adj = local_adjacency(stack)
     spd = bfs_spd(stack, cap=cfg.max_spd, adj=adj)
     paths = build_path_features(g, stack, spd, edge_feature_fn=edge_feature_fn, adj=adj)
@@ -173,70 +172,40 @@ def build_batch(
     # a true division, not a product with 1/N: the coefficients are pinned
     # to the quotient bit for bit
     n = np.maximum(paths.lengths, 1).astype(np.float64)
-    nodes = stack.nodes  # padding (-1) reads some node's degree; split drops it
-    built = SubgraphStack(
+    nodes, real = stack.nodes, stack.nodes >= 0
+    return SubgraphStack(
         sizes=stack.sizes,
         nodes=nodes,
         center_local=stack.center_local,
         spd=spd,
         path_coeffs=(paths.steps / n[..., None, None]).reshape(*n.shape, -1),
-        in_deg=g.in_offsets[nodes + 1] - g.in_offsets[nodes],
-        out_deg=g.out_offsets[nodes + 1] - g.out_offsets[nodes],
+        in_deg=np.where(real, g.in_offsets[nodes + 1] - g.in_offsets[nodes], 0),
+        out_deg=np.where(real, g.out_offsets[nodes + 1] - g.out_offsets[nodes], 0),
     )
-    return built if stack is sub else built.split()[0]
 
 
-@dataclass
-class MicroBatch:
-    """Subgraphs padded to a common width ``k`` and stacked.
-
-    Row ``b * k + i`` of each flat array is node ``i`` of subgraph
-    ``b``; rows past a subgraph's size are padding, which ``key_mask``
-    hides from attention. Pair arrays are flat the same way: row
-    ``(b * k + i) * k + j`` holds the pair (i, j) of subgraph ``b``.
-    """
-
-    union: np.ndarray  # (U,) sorted global ids of every node in the micro-batch
-    rows: np.ndarray  # (B*k,) each row's index into ``union`` (0 on padding)
-    key_mask: np.ndarray  # (B, 1, 1, k) True on real nodes
-    spd_buckets: np.ndarray  # (B*k*k,) 0 on padding
-    path_coeffs: np.ndarray  # (B*k*k, max_spd * d_edge) zero on padding
-    in_deg: np.ndarray  # (B*k,)
-    out_deg: np.ndarray  # (B*k,)
-    center_rows: np.ndarray  # (B,) flat row of each subgraph's center
-
-    @property
-    def width(self) -> int:
-        return self.key_mask.shape[-1]
-
-
-def stack_batches(batches: Sequence[SubgraphBatch]) -> MicroBatch:
-    """Pad ``batches`` to the largest subgraph and stack them."""
+def stack_batches(batches: Sequence[SubgraphBatch]) -> SubgraphStack:
+    """Pad ``batches`` to the largest subgraph and stack them, the inverse
+    of ``SubgraphStack.split``: padding reads -1 in ``nodes`` and 0 in
+    every other array."""
     sizes = np.array([b.num_nodes for b in batches])
     count, k = len(batches), int(sizes.max())
-    real = np.arange(k) < sizes[:, None]  # (B, k)
-    union, inverse = np.unique(np.concatenate([b.nodes for b in batches]), return_inverse=True)
-
-    def padded(values):  # one value per real node, subgraph-major -> (B*k,)
-        out = np.zeros((count, k), dtype=np.int64)
-        out[real] = values
-        return out.reshape(-1)
-
-    spd = np.zeros((count, k, k), dtype=np.int64)
+    nodes = np.full((count, k), -1, dtype=np.int64)
+    in_deg = np.zeros((count, k), dtype=np.int64)
+    out_deg = np.zeros((count, k), dtype=np.int64)
+    dist = np.zeros((count, k, k), dtype=np.int64)
     coeffs = np.zeros((count, k, k, batches[0].path_coeffs.shape[1]))
     for i, b in enumerate(batches):
         n = b.num_nodes
-        spd[i, :n, :n] = b.spd_buckets.reshape(n, n)
+        nodes[i, :n] = b.nodes
+        in_deg[i, :n] = b.in_deg
+        out_deg[i, :n] = b.out_deg
+        dist[i, :n, :n] = b.spd.dist
         coeffs[i, :n, :n] = b.path_coeffs.reshape(n, n, -1)
-    return MicroBatch(
-        union=union,
-        rows=padded(inverse),
-        key_mask=real[:, None, None, :],
-        spd_buckets=spd.reshape(-1),
-        path_coeffs=coeffs.reshape(count * k * k, -1),
-        in_deg=padded(np.concatenate([b.in_deg for b in batches])),
-        out_deg=padded(np.concatenate([b.out_deg for b in batches])),
-        center_rows=np.arange(count) * k + np.array([b.center_local for b in batches]),
+    return SubgraphStack(
+        sizes=sizes, nodes=nodes, center_local=np.array([b.center_local for b in batches]),
+        spd=SpdMatrix(dist=dist, cap=batches[0].spd.cap), path_coeffs=coeffs,
+        in_deg=in_deg, out_deg=out_deg,
     )
 
 
@@ -264,16 +233,17 @@ def input_embedding(
     return ad.add(ad.add(x, zi), zo)
 
 
-def attention_bias(batch, spatial_table: Tensor, edge_weight: Tensor) -> Tensor:
-    """(pairs, heads) additive attention-logit bias of a ``SubgraphBatch``
-    or a ``MicroBatch``, one row per flat pair.
+def attention_bias(stack: SubgraphStack, spatial_table: Tensor, edge_weight: Tensor) -> Tensor:
+    """(B*k*k, heads) additive attention-logit bias of a ``SubgraphStack``,
+    one row per flat pair.
 
-    Column h, row i*k+j is the head's distance-bucket scalar plus its
-    edge term; the diagonal hits the distance-0 bucket with a zero edge
-    term, unreachable pairs hit the dedicated last bucket.
+    Column h, row (b*k + i)*k + j is the head's distance-bucket scalar
+    plus its edge term; the diagonal hits the distance-0 bucket with a
+    zero edge term, unreachable pairs hit the dedicated last bucket.
     """
-    sp = ad.embedding_lookup(spatial_table, batch.spd_buckets)
-    ce = ad.matmul(Tensor(batch.path_coeffs), edge_weight)
+    coeffs = stack.path_coeffs
+    sp = ad.embedding_lookup(spatial_table, stack.spd_buckets.reshape(-1))
+    ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1])), edge_weight)
     return ad.add(sp, ce)
 
 
@@ -395,7 +365,7 @@ class GraphormerModel:
 
     def forward_fused(
         self,
-        batch: MicroBatch,
+        stack: SubgraphStack,
         x: Tensor,
         train: bool = False,
         rng: np.random.Generator | None = None,
@@ -409,10 +379,12 @@ class GraphormerModel:
         and head; keys and values still cover all nodes.
         """
         cfg = self.cfg
-        count, k = len(batch.center_rows), batch.width
-        h = input_embedding(x, batch.in_deg, batch.out_deg, self.z_in, self.z_out,
-                            cfg.max_degree_bucket)
-        bias_flat = attention_bias(batch, self.spatial_table, self.edge_weight)
+        count, k = stack.nodes.shape
+        key_mask = (np.arange(k) < stack.sizes[:, None])[:, None, None, :]
+        center_rows = np.arange(count) * k + stack.center_local
+        h = input_embedding(x, stack.in_deg.reshape(-1), stack.out_deg.reshape(-1),
+                            self.z_in, self.z_out, cfg.max_degree_bucket)
+        bias_flat = attention_bias(stack, self.spatial_table, self.edge_weight)
 
         def heads_first(flat: Tensor, rows: int) -> Tensor:  # (B*rows*k, H) -> (B, H, rows, k)
             return ad.permute(ad.reshape(flat, (count, rows, k, cfg.num_heads)), (0, 3, 1, 2))
@@ -421,14 +393,14 @@ class GraphormerModel:
         drop = cfg.dropout if train else 0.0
         last = len(self.layers) - 1
         for i, layer in enumerate(self.layers):
-            queries = None if all_rows or i < last else batch.center_rows
+            queries = None if all_rows or i < last else center_rows
             if queries is not None:
                 # a center's bias row: pairs (c, 0..k-1) start at flat pair c * k
                 rows = (queries[:, None] * k + np.arange(k)).reshape(-1)
                 bias = heads_first(ad.embedding_lookup(bias_flat, rows), 1)
             a = multi_head_attention(
                 ad.layer_norm(h, layer["ln1_g"], layer["ln1_b"], cfg.ln_eps),
-                bias, batch.key_mask, layer, cfg.num_heads, queries=queries, capture=capture,
+                bias, key_mask, layer, cfg.num_heads, queries=queries, capture=capture,
             )
             if queries is not None:
                 h = ad.embedding_lookup(h, queries)
@@ -441,21 +413,26 @@ class GraphormerModel:
                 z = ad.dropout(z, drop, rng)
             h = ad.add(h, z)
         if not self.layers and not all_rows:
-            h = ad.embedding_lookup(h, batch.center_rows)
+            h = ad.embedding_lookup(h, center_rows)
         return ad.linear(h, self.head_w, self.head_b)
 
-    def _fused_rows(self, batch: MicroBatch, bundle) -> Tensor:
-        """(B*k, d) fused features: the union of the micro-batch's nodes
-        is fused once, then gathered into rows."""
-        union = {s: bundle.source(s)[batch.union] for s in self.fusion.cfg.active}
-        return ad.embedding_lookup(self.fusion.fuse(union), batch.rows)
+    def _fused_rows(self, stack: SubgraphStack, bundle) -> Tensor:
+        """(B*k, d) fused features: the sorted union of the stack's real
+        nodes is fused once, then gathered into rows (padding gathers
+        union row 0)."""
+        real = stack.nodes >= 0
+        union, inverse = np.unique(stack.nodes[real], return_inverse=True)
+        rows = np.zeros(stack.nodes.shape, dtype=np.int64)
+        rows[real] = inverse
+        fused = self.fusion.fuse({s: bundle.source(s)[union] for s in self.fusion.cfg.active})
+        return ad.embedding_lookup(fused, rows.reshape(-1))
 
-    def forward(self, batch: SubgraphBatch, bundle, train: bool = False,
+    def forward(self, stack: SubgraphStack, bundle, train: bool = False,
                 rng: np.random.Generator | None = None, capture: dict | None = None) -> Tensor:
-        """(k, C) logits of every node of one subgraph."""
-        stacked = stack_batches([batch])
-        x = self._fused_rows(stacked, bundle)
-        return self.forward_fused(stacked, x, train=train, rng=rng, capture=capture, all_rows=True)
+        """(B*k, C) logits of every row of ``stack``, padding rows included;
+        ``capture["attention"]`` gets one (B, H, k, k) array per layer."""
+        x = self._fused_rows(stack, bundle)
+        return self.forward_fused(stack, x, train=train, rng=rng, capture=capture, all_rows=True)
 
     # -- batching -----------------------------------------------------------
 
@@ -474,7 +451,7 @@ class GraphormerModel:
         check_centers(g, missing)  # before a negative center reaches subgraph_seed
         subs = sample_ego_subgraph(
             g, missing, hops=self.cfg.ego_hops, max_nodes=self.cfg.ego_max_nodes,
-            rng_seed=[subgraph_seed(seed, c) for c in missing],
+            seeds=[subgraph_seed(seed, c) for c in missing],
         )
         for c, batch in zip(missing, build_batch(g, subs, self.cfg).split()):
             self._batch_cache[(c, seed)] = batch
@@ -492,8 +469,8 @@ class GraphormerModel:
         together first."""
         centers = [int(c) for c in centers]
         self._build_missing(data.graph, centers, seed)
-        batch = stack_batches([self.batch_for(data.graph, c, seed) for c in centers])
-        return self.forward_fused(batch, self._fused_rows(batch, data.bundle), train=train, rng=rng)
+        stack = stack_batches([self.batch_for(data.graph, c, seed) for c in centers])
+        return self.forward_fused(stack, self._fused_rows(stack, data.bundle), train=train, rng=rng)
 
 
 class FusedMlp:

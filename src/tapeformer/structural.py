@@ -6,12 +6,11 @@ coefficients. Distances and paths are computed on the undirected view:
 in citation graphs most directed pairs are mutually unreachable, which
 would starve the distance-based attention bias.
 
-Per ego subgraph everything is a pass over k x k arrays: an all-source
-BFS as at most ``cap`` frontier products, a predecessor matrix, and the
-path feature tensor filled one distance level at a time. Every function
-takes one ``EgoSubgraph`` or an ``EgoStack`` of B padded subgraphs; a
-stack is worked on as (B, k, k) arrays in one pass, and each result
-gains that leading axis.
+Every function takes an ``EgoStack`` of B padded subgraphs and works on
+(B, k, k) arrays in one pass: an all-source BFS as at most ``cap``
+frontier products, a predecessor matrix, and the path feature tensor
+filled one distance level at a time. Each result leads with the
+subgraph axis.
 """
 from __future__ import annotations
 
@@ -20,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import DirectedGraph, EgoStack, EgoSubgraph
+from .graph import DirectedGraph, EgoStack
 
 __all__ = [
     "SpdMatrix",
@@ -45,7 +44,7 @@ class SpdMatrix:
     """Pairwise hop counts, capped; entries beyond the cap (or in other
     components) hold the UNREACHABLE sentinel ``cap + 1``."""
 
-    dist: np.ndarray  # (k, k) int64, (B, k, k) for a stack
+    dist: np.ndarray  # (B, k, k) int64
     cap: int
 
 
@@ -53,48 +52,43 @@ class SpdMatrix:
 class PathFeatures:
     """Edge features along one shortest path per ordered pair.
 
-    ``steps[i, j, p]`` is the feature vector of the p-th step of the
-    path i -> j. Positions past the path's length, the diagonal and
-    unreachable pairs hold zeros. A stack's arrays lead with the
-    subgraph axis.
+    ``steps[b, i, j, p]`` is the feature vector of the p-th step of the
+    path i -> j in subgraph b. Positions past the path's length, the
+    diagonal and unreachable pairs hold zeros.
     """
 
-    steps: np.ndarray  # ([B,] k, k, cap, dim)
-    lengths: np.ndarray  # ([B,] k, k) hop counts; 0 on the diagonal and for unreachable pairs
+    steps: np.ndarray  # (B, k, k, cap, dim)
+    lengths: np.ndarray  # (B, k, k) hop counts; 0 on the diagonal and for unreachable pairs
 
     @property
     def dim(self) -> int:
         return self.steps.shape[-1]
 
     @cached_property
-    def per_pair(self) -> dict[tuple[int, ...], np.ndarray]:
-        """(i, j) -> (length, dim) feature sequence, for every reachable
-        pair i != j, keyed (b, i, j) for a stack; the arrays are views
-        into ``steps``."""
+    def per_pair(self) -> dict[tuple[int, int, int], np.ndarray]:
+        """(b, i, j) -> (length, dim) feature sequence, for every reachable
+        pair i != j; the arrays are views into ``steps``."""
         return {tuple(map(int, at)): self.steps[at][: self.lengths[at]]
                 for at in zip(*np.nonzero(self.lengths))}
 
 
-Subgraphs = EgoSubgraph | EgoStack
-
-
-def local_adjacency(sub: Subgraphs) -> np.ndarray:
-    """([B,] k, k) boolean undirected adjacency in local indices, no self-loops."""
+def local_adjacency(sub: EgoStack) -> np.ndarray:
+    """(B, k, k) boolean undirected adjacency in local indices, no self-loops."""
     adj = np.zeros(sub.nodes.shape + sub.nodes.shape[-1:], dtype=bool)
-    *lead, u, v = sub.local_edges.T  # a stack's edges lead with b
-    adj[(*lead, u, v)] = True
-    adj[(*lead, v, u)] = True
+    b, u, v = sub.local_edges.T
+    adj[b, u, v] = True
+    adj[b, v, u] = True
     diag = np.arange(adj.shape[-1])
-    adj[..., diag, diag] = False
+    adj[:, diag, diag] = False
     return adj
 
 
-def bfs_spd(sub: Subgraphs, cap: int, adj: np.ndarray | None = None) -> SpdMatrix:
+def bfs_spd(sub: EgoStack, cap: int, adj: np.ndarray | None = None) -> SpdMatrix:
     """All-source BFS on the undirected view, truncated at ``cap`` hops.
 
     Row s of ``frontier`` holds the nodes first reached from s at the
     current hop; one product with the adjacency advances every source
-    by a hop at once (every source of every subgraph, for a stack).
+    of every subgraph by a hop at once.
     """
     if cap < 1:
         raise ValueError("spd cap must be >= 1")
@@ -102,7 +96,7 @@ def bfs_spd(sub: Subgraphs, cap: int, adj: np.ndarray | None = None) -> SpdMatri
         adj = local_adjacency(sub)
     eye = np.eye(adj.shape[-1], dtype=bool)
     dist = np.full(adj.shape, cap + 1, dtype=np.int64)
-    dist[..., eye] = 0
+    dist[:, eye] = 0
     seen = np.broadcast_to(eye, adj.shape).copy()
     frontier = seen.astype(np.float64)
     step = adj.astype(np.float64)
@@ -116,8 +110,8 @@ def bfs_spd(sub: Subgraphs, cap: int, adj: np.ndarray | None = None) -> SpdMatri
     return SpdMatrix(dist=dist, cap=cap)
 
 
-def path_predecessors(sub: Subgraphs, spd: SpdMatrix, adj: np.ndarray | None = None) -> np.ndarray:
-    """([B,] k, k) last-step predecessor of j on the chosen shortest path i -> j.
+def path_predecessors(sub: EgoStack, spd: SpdMatrix, adj: np.ndarray | None = None) -> np.ndarray:
+    """(B, k, k) last-step predecessor of j on the chosen shortest path i -> j.
 
     Among the neighbors u of j with ``dist[i, u] == dist[i, j] - 1`` the
     one with the smallest *global* node id wins, so the chosen paths
@@ -178,7 +172,7 @@ def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray) -> n
 
 def build_path_features(
     g: DirectedGraph,
-    sub: Subgraphs,
+    sub: EgoStack,
     spd: SpdMatrix,
     edge_feature_fn=None,
     adj: np.ndarray | None = None,
@@ -188,27 +182,27 @@ def build_path_features(
     ``edge_feature_fn(g, src_gids, dst_gids) -> (m, dim)`` may supply
     external edge features; the synthesized 3-dim features are the
     default. It is called once, over both orientations of every local
-    undirected edge (of every subgraph, for a stack). Paths are then
+    undirected edge of every subgraph. Paths are then
     filled one distance level at a time: the path i -> j is the path
     i -> pred[i, j] plus the step pred[i, j] -> j.
     """
     fn = edge_feature_fn or synth_edge_features
     if adj is None:
         adj = local_adjacency(sub)
-    *lead, a, b = np.nonzero(adj)
-    feats = np.asarray(fn(g, sub.nodes[(*lead, a)], sub.nodes[(*lead, b)]), dtype=np.float64)
+    s, a, b = np.nonzero(adj)
+    feats = np.asarray(fn(g, sub.nodes[s, a], sub.nodes[s, b]), dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != len(a):
         raise ValueError(f"edge features must be ({len(a)}, dim), got shape {feats.shape}")
     edge = np.zeros(adj.shape + feats.shape[1:], dtype=np.float64)
-    edge[(*lead, a, b)] = feats
+    edge[s, a, b] = feats
     pred = path_predecessors(sub, spd, adj)
     steps = np.zeros(adj.shape + (spd.cap, feats.shape[1]), dtype=np.float64)
     for d in range(1, spd.cap + 1):
-        *at, jj = np.nonzero(spd.dist == d)  # at = ([b,] i)
-        if len(jj) == 0:
+        s, i, j = np.nonzero(spd.dist == d)
+        if len(j) == 0:
             break
-        pp = pred[(*at, jj)]
-        steps[(*at, jj, slice(None, d - 1))] = steps[(*at, pp, slice(None, d - 1))]
-        steps[(*at, jj, d - 1)] = edge[(*at[:-1], pp, jj)]
+        p = pred[s, i, j]
+        steps[s, i, j, :d - 1] = steps[s, i, p, :d - 1]
+        steps[s, i, j, d - 1] = edge[s, p, j]
     lengths = np.where(spd.dist <= spd.cap, spd.dist, 0)
     return PathFeatures(steps=steps, lengths=lengths)

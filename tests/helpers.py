@@ -158,8 +158,40 @@ def brute_force_clustering(adj_sets, v) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
+def ego_stack(center: int, nodes, local_edges):
+    """One subgraph as a one-row ``EgoStack``: global ids ``nodes``, among
+    them ``center``, and its induced edges as (m, 2) local pairs."""
+    from tapeformer.graph import EgoStack
+
+    nodes = np.asarray(nodes, dtype=np.int64)
+    edges = np.asarray(local_edges, dtype=np.int64).reshape(-1, 2)
+    return EgoStack(centers=np.array([center], dtype=np.int64), nodes=nodes[None],
+                    sizes=np.array([len(nodes)], dtype=np.int64),
+                    local_edges=np.column_stack([np.zeros(len(edges), dtype=np.int64), edges]))
+
+
+def stack_row(stack, b: int):
+    """Row b of an ``EgoStack`` as a one-row stack, without padding."""
+    edges = stack.local_edges[stack.local_edges[:, 0] == b, 1:]
+    return ego_stack(int(stack.centers[b]), stack.nodes[b, :stack.sizes[b]], edges)
+
+
+def node_map(stack, b: int = 0) -> dict[int, int]:
+    """{global id: local index} of row b's real nodes."""
+    return {gid: li for li, gid in enumerate(stack.nodes[b, :stack.sizes[b]].tolist())}
+
+
+def relabelled_stack(sub, perm):
+    """A one-row stack with its local indices permuted: new local index i
+    is old local index ``perm[i]``."""
+    inv = np.argsort(perm)
+    edges = sub.local_edges[:, 1:]
+    return ego_stack(int(sub.centers[0]), sub.nodes[0][perm], inv[edges])
+
+
 def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int):
-    """Ego subgraph by a plain set/list BFS, one center at a time.
+    """Ego subgraph by a plain set/list BFS, one center at a time, as a
+    one-row ``EgoStack``.
 
     Each hop's new frontier is taken whole if it fits, otherwise
     ``room`` of its ascending ids are drawn with
@@ -167,8 +199,6 @@ def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int
     per center. Nodes: center first, then each hop's picks ascending;
     induced edges in (local src, then global dst) order.
     """
-    from tapeformer.graph import EgoSubgraph
-
     rng = np.random.default_rng(rng_seed)
     selected = [center]
     in_set = {center}
@@ -192,16 +222,14 @@ def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int
         selected.extend(nxt)
         in_set.update(nxt)
         frontier = nxt
-    node_map = {int(gid): li for li, gid in enumerate(selected)}
+    local_of = {int(gid): li for li, gid in enumerate(selected)}
     edges = []
     for li, gid in enumerate(selected):
         for t in g.out_neighbors(int(gid)):
-            lj = node_map.get(int(t))
+            lj = local_of.get(int(t))
             if lj is not None:
                 edges.append((li, lj))
-    return EgoSubgraph(center=center, nodes=np.asarray(selected, dtype=np.int64),
-                       local_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                       node_map=node_map)
+    return ego_stack(center, selected, edges)
 
 
 def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
@@ -220,7 +248,8 @@ def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
 
 
 def shortest_path_edges(sub, adj_sets, dist, cap, i, j):
-    """One shortest path i -> j as local (u, v) steps, walked back from j.
+    """One shortest path i -> j of a one-row stack as local (u, v) steps,
+    walked back from j.
 
     [] when i == j, None when unreachable within ``cap``. At every step
     the predecessor with the smallest global node id wins.
@@ -235,7 +264,7 @@ def shortest_path_edges(sub, adj_sets, dist, cap, i, j):
     while cur != i:
         want = drow[cur] - 1
         cands = [u for u in adj_sets[cur] if drow[u] == want]
-        pred = min(cands, key=lambda u: int(sub.nodes[u]))
+        pred = min(cands, key=lambda u: int(sub.nodes[0, u]))
         steps.append((pred, cur))
         cur = pred
     steps.reverse()
@@ -243,17 +272,17 @@ def shortest_path_edges(sub, adj_sets, dist, cap, i, j):
 
 
 def oracle_structural(g, sub, cap: int, d_edge: int = 3):
-    """(capped dist, path_coeffs) for a subgraph, pair by pair.
+    """(capped dist, path_coeffs) for a one-row stack, pair by pair.
 
     Distances come from Floyd-Warshall on the local edges (sentinel
     cap + 1 beyond the cap); each reachable pair's path features are
     built step by step and divided by the path length, laid out the way
-    ``build_batch`` lays out ``path_coeffs``.
+    ``SubgraphBatch`` lays out ``path_coeffs``: (k*k, cap*d_edge).
     """
-    k = sub.num_nodes
-    fw = floyd_warshall(sub.local_edges.tolist(), k)
+    k, nodes, edges = sub.num_nodes, sub.nodes[0], sub.local_edges[:, 1:].tolist()
+    fw = floyd_warshall(edges, k)
     dist = np.where(fw <= cap, fw, cap + 1).astype(np.int64)
-    adj_sets = undirected_adj_sets(sub.local_edges.tolist(), k)
+    adj_sets = undirected_adj_sets(edges, k)
     coeffs = np.zeros((k * k, cap * d_edge), dtype=np.float64)
     for i in range(k):
         for j in range(k):
@@ -262,7 +291,7 @@ def oracle_structural(g, sub, cap: int, d_edge: int = 3):
                 continue
             feats = np.empty((len(steps), d_edge), dtype=np.float64)
             for n, (lu, lv) in enumerate(steps):
-                feats[n] = oracle_edge_features(g, int(sub.nodes[lu]), int(sub.nodes[lv]))
+                feats[n] = oracle_edge_features(g, int(nodes[lu]), int(nodes[lv]))
             coeffs[i * k + j, : len(steps) * d_edge] = (feats / len(steps)).reshape(-1)
     return dist, coeffs
 

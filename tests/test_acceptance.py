@@ -25,7 +25,14 @@ from tapeformer.fusion import FusionConfig
 from tapeformer.model import GraphormerConfig, GraphormerModel
 from tapeformer.text import EmbeddingBundle
 
-from helpers import check_gradients, edge_encoding_cij, floyd_warshall, random_edge_list
+from helpers import (
+    check_gradients,
+    edge_encoding_cij,
+    ego_stack,
+    floyd_warshall,
+    random_edge_list,
+    relabelled_stack,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -169,9 +176,9 @@ def test_criterion_01_gradient_correctness():
                            d_ffn=16, max_spd=4, max_degree_bucket=8,
                            ego_hops=2, ego_max_nodes=8)
     g = gr.from_edge_list(random_edge_list(np.random.default_rng(7), 12, 0.3), 12)
-    sub = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=8, rng_seed=0)
+    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=8, seeds=[0])
     batch = gm.build_batch(g, sub, cfg)
-    assert batch.num_nodes == 8
+    assert batch.nodes.shape == (1, 8)
     dims = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
     model = GraphormerModel(cfg, FusionConfig(d_model=16, source_dims=dims), seed=1)
     bundle = EmbeddingBundle(**{f"h_{s}": rng.standard_normal((12, k)) for s, k in dims.items()})
@@ -196,16 +203,12 @@ def test_criterion_02_spd_oracle():
         density = float(rng.uniform(0.02, 0.35))
         edges = random_edge_list(rng, n, density)
         g = gr.from_edge_list(edges, n)
-        sub = gr.EgoSubgraph(
-            center=0, nodes=np.arange(n, dtype=np.int64),
-            local_edges=np.asarray(list(g.edges()), dtype=np.int64).reshape(-1, 2),
-            node_map={i: i for i in range(n)},
-        )
+        sub = ego_stack(0, np.arange(n), list(g.edges()))
         cap = int(rng.integers(1, 8))
         spd = st.bfs_spd(sub, cap=cap)
         fw = floyd_warshall(edges, n)
         expect = np.where(fw <= cap, fw, cap + 1).astype(np.int64)
-        assert np.array_equal(spd.dist, expect), f"trial {trial}"
+        assert np.array_equal(spd.dist[0], expect), f"trial {trial}"
         checked += n * n
     elapsed = time.time() - t0
     _report(2, "spd equals floyd-warshall", elapsed < 5.0,
@@ -290,21 +293,15 @@ def test_criterion_05_structural_invariance():
                                ego_hops=2, ego_max_nodes=12)
         model = GraphormerModel(cfg, FusionConfig(d_model=16, source_dims=dims), seed=trial)
         bundle = EmbeddingBundle(**{f"h_{s}": rng.standard_normal((n, k)) for s, k in dims.items()})
-        sub = gr.sample_ego_subgraph(g, int(rng.integers(0, n)), hops=2, max_nodes=12,
-                                     rng_seed=trial)
+        sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=2, max_nodes=12,
+                                     seeds=[trial])
         batch = gm.build_batch(g, sub, cfg)
         cap = {}
         base = model.forward(batch, bundle, capture=cap).data
         for layer_attn in cap["attention"]:
             worst_rows = max(worst_rows, float(np.max(np.abs(layer_attn.sum(axis=-1) - 1.0))))
-        perm = rng.permutation(batch.num_nodes)
-        inv = np.argsort(perm)
-        pnodes = sub.nodes[perm]
-        pedges = np.stack([inv[sub.local_edges[:, 0]], inv[sub.local_edges[:, 1]]], axis=1) \
-            if len(sub.local_edges) else sub.local_edges
-        psub = gr.EgoSubgraph(center=sub.center, nodes=pnodes, local_edges=pedges,
-                              node_map={int(gg): i for i, gg in enumerate(pnodes)})
-        pbatch = gm.build_batch(g, psub, cfg)
+        perm = rng.permutation(batch.nodes.shape[1])
+        pbatch = gm.build_batch(g, relabelled_stack(sub, perm), cfg)
         permuted = model.forward(pbatch, bundle).data
         worst_perm = max(worst_perm, float(np.max(np.abs(permuted - base[perm]))))
     _report(5, "permutation equivariance + attention rows",

@@ -139,6 +139,19 @@ def test_missing_edge_file_is_exit_2(workdir, tmp_path, capsys):
     assert "missing_edges.tsv" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("endpoint", ["99999999999999999999", "-99999999999999999999"])
+def test_edge_id_beyond_int64_is_exit_2(workdir, tmp_path, capsys, endpoint):
+    lines = (workdir / "edges.tsv").read_text().splitlines() + [f"0\t{endpoint}"]
+    (tmp_path / "edges.tsv").write_text("\n".join(lines) + "\n")
+    cfg = json.loads(Path(_cfg_path(workdir)).read_text())
+    cfg["paths"].update(edges=str(tmp_path / "edges.tsv"), dataset=str(tmp_path / "dataset.bin"),
+                        out_dir=str(tmp_path))
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["prepare", "--config", str(p)]) == 2
+    assert f"edges.tsv:{len(lines)}: endpoint beyond int64" in capsys.readouterr().err
+
+
 # --- prepare -----------------------------------------------------------------
 
 

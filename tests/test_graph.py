@@ -3,7 +3,14 @@ import pytest
 
 from tapeformer import graph as gr
 
-from helpers import bfs_distances, oracle_ego_subgraph, random_edge_list, undirected_adj_sets
+from helpers import (
+    bfs_distances,
+    node_map,
+    oracle_ego_subgraph,
+    random_edge_list,
+    stack_row,
+    undirected_adj_sets,
+)
 
 
 def test_line_graph_degrees():
@@ -128,6 +135,8 @@ EDGE_FILES = {
     "nul byte": (b"1\x00\t2\n", None),
     "out-of-range id": (b"0\t1\n1\t9\n", None),
     "negative id": (b"0\t1\n1\t-1\n", None),
+    "id beyond int64": (b"0\t1\n0\t99999999999999999999\n", False),
+    "id beyond int64, negative": (b"0\t1\n0\t-99999999999999999999\n", False),
     "not UTF-8": (b"0\t1\n\xff\t2\n", None),
 }
 
@@ -177,23 +186,23 @@ def test_sorted_unique_matches_np_unique():
 
 def test_isolated_center_singleton():
     g = gr.from_edge_list([(0, 1)], 3)
-    sub = gr.sample_ego_subgraph(g, 2, hops=2, max_nodes=10, rng_seed=0)
-    assert list(sub.nodes) == [2]
-    assert sub.local_edges.shape == (0, 2)
+    sub = gr.sample_ego_subgraph(g, [2], hops=2, max_nodes=10, seeds=[0])
+    assert sub.nodes.tolist() == [[2]]
+    assert sub.local_edges.shape == (0, 3)
 
 
 def test_hop_bound_on_line():
     g = gr.from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
-    sub = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=10, rng_seed=0)
-    assert sorted(sub.nodes.tolist()) == [0, 1, 2]
+    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=10, seeds=[0])
+    assert sorted(sub.nodes[0].tolist()) == [0, 1, 2]
 
 
 def test_center_first_and_local_indices_dense():
     g = gr.from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)], 5)
-    sub = gr.sample_ego_subgraph(g, 1, hops=2, max_nodes=10, rng_seed=0)
-    assert sub.nodes[0] == 1
-    assert sorted(sub.node_map.values()) == list(range(sub.num_nodes))
-    for li, lj in sub.local_edges:
+    sub = gr.sample_ego_subgraph(g, [1], hops=2, max_nodes=10, seeds=[0])
+    assert sub.nodes[0, 0] == 1
+    assert sorted(node_map(sub).values()) == list(range(sub.num_nodes))
+    for _, li, lj in sub.local_edges:
         assert 0 <= li < sub.num_nodes and 0 <= lj < sub.num_nodes
 
 
@@ -206,13 +215,13 @@ def test_all_nodes_within_hop_budget_bfs_oracle():
         adj = undirected_adj_sets(edges, n)
         center = int(rng.integers(0, n))
         hops = 2
-        sub = gr.sample_ego_subgraph(g, center, hops=hops, max_nodes=1000, rng_seed=seed)
+        sub = gr.sample_ego_subgraph(g, [center], hops=hops, max_nodes=1000, seeds=[seed])
         dist = bfs_distances(adj, center)
-        for gid in sub.nodes:
+        for gid in sub.nodes[0]:
             assert dist[int(gid)] <= hops
         # with no node budget, the subgraph is exactly the <=hops ball
         expected = sorted(v for v, d in dist.items() if d <= hops)
-        assert sorted(sub.nodes.tolist()) == expected
+        assert sorted(sub.nodes[0].tolist()) == expected
 
 
 def test_induced_edges_complete_and_valid():
@@ -220,10 +229,10 @@ def test_induced_edges_complete_and_valid():
     n = 30
     edges = random_edge_list(rng, n, 0.12)
     g = gr.from_edge_list(edges, n)
-    sub = gr.sample_ego_subgraph(g, 5, hops=2, max_nodes=15, rng_seed=3)
-    chosen = set(sub.nodes.tolist())
+    sub = gr.sample_ego_subgraph(g, [5], hops=2, max_nodes=15, seeds=[3])
+    chosen = set(sub.nodes[0].tolist())
     expected = {(u, v) for u, v in g.edges() if u in chosen and v in chosen}
-    got = {(int(sub.nodes[i]), int(sub.nodes[j])) for i, j in sub.local_edges}
+    got = {(int(sub.nodes[b, i]), int(sub.nodes[b, j])) for b, i, j in sub.local_edges}
     assert got == expected
 
 
@@ -232,12 +241,12 @@ def test_sampling_reproducible_and_budget_respected():
     n = 60
     edges = random_edge_list(rng, n, 0.3)
     g = gr.from_edge_list(edges, n)
-    a = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=12, rng_seed=99)
-    b = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=12, rng_seed=99)
+    a = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seeds=[99])
+    b = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seeds=[99])
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.local_edges, b.local_edges)
     assert a.num_nodes <= 12
-    c = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=12, rng_seed=100)
+    c = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seeds=[100])
     assert c.num_nodes <= 12  # different seed still valid (may differ in content)
 
 
@@ -253,12 +262,14 @@ def overflow_graph():
 
 
 def assert_same_subgraph(got, want, where=""):
-    assert got.center == want.center, where
+    """Two one-row stacks are equal field by field, byte for byte."""
+    assert got.centers.tolist() == want.centers.tolist(), where
+    assert got.sizes.tolist() == want.sizes.tolist(), where
     assert got.nodes.dtype == np.int64 and got.nodes.tobytes() == want.nodes.tobytes(), where
     assert got.local_edges.dtype == np.int64, where
     assert got.local_edges.shape == want.local_edges.shape, where
     assert got.local_edges.tobytes() == want.local_edges.tobytes(), where
-    assert got.node_map == want.node_map, where
+    assert node_map(got) == node_map(want), where
 
 
 def test_batched_sampling_matches_bfs_oracle_in_any_chunk():
@@ -274,8 +285,6 @@ def test_batched_sampling_matches_bfs_oracle_in_any_chunk():
             seeds = [int(s) for s in rng.integers(0, 2**32, size=n)]
             want = [oracle_ego_subgraph(g, int(c), hops, max_nodes, s)
                     for c, s in zip(centers, seeds)]
-            for c, s, w in zip(centers, seeds, want):
-                assert_same_subgraph(gr.sample_ego_subgraph(g, int(c), hops, max_nodes, s), w)
             for chunk in (1, 7, n):
                 for lo in range(0, n, chunk):
                     stack = gr.sample_ego_subgraph(g, centers[lo:lo + chunk], hops, max_nodes,
@@ -284,7 +293,9 @@ def test_batched_sampling_matches_bfs_oracle_in_any_chunk():
                     assert stack.num_nodes == sum(w.num_nodes for w in want[lo:lo + chunk])
                     for b in range(len(stack.centers)):
                         where = (gi, hops, max_nodes, chunk, int(centers[lo + b]))
-                        assert_same_subgraph(stack.subgraph(b), want[lo + b], where)
+                        if chunk == 1:  # a one-row stack is the oracle's as it stands
+                            assert_same_subgraph(stack, want[lo + b], where)
+                        assert_same_subgraph(stack_row(stack, b), want[lo + b], where)
                         assert (stack.nodes[b, stack.sizes[b]:] == -1).all()
 
 
@@ -292,26 +303,26 @@ def test_batched_sampling_overflow_on_both_hops_and_repeats():
     g = overflow_graph()
     hub = oracle_ego_subgraph(g, 0, 2, 5, 1)
     chain = oracle_ego_subgraph(g, 10, 2, 5, 2)
-    assert set(hub.nodes[1:].tolist()) < set(range(1, 7))  # hop 1 subsampled
-    assert chain.nodes[1] == 11 and set(chain.nodes[2:].tolist()) < set(range(12, 17))
+    assert set(hub.nodes[0, 1:].tolist()) < set(range(1, 7))  # hop 1 subsampled
+    assert chain.nodes[0, 1] == 11 and set(chain.nodes[0, 2:].tolist()) < set(range(12, 17))
     centers, seeds = [0, 10, 27, 0, 10], [1, 2, 3, 1, 2]
-    stack = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=5, rng_seed=seeds)
+    stack = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=5, seeds=seeds)
     assert stack.sizes.tolist() == [5, 5, 1, 5, 5]
     for b, want in enumerate([hub, chain, oracle_ego_subgraph(g, 27, 2, 5, 3), hub, chain]):
-        assert_same_subgraph(stack.subgraph(b), want, b)
+        assert_same_subgraph(stack_row(stack, b), want, b)
 
 
 def test_bad_center_or_budget_raises():
     g = gr.from_edge_list([(0, 1)], 3)
-    for center, seed in ((-1, 0), (3, 0), ([0, 3], [0, 0]), ([-1], [0])):
+    for centers, seeds in (([-1], [0]), ([3], [0]), ([0, 3], [0, 0]), ([2, -1], [0, 0])):
         with pytest.raises(gr.GraphConstructionError, match="outside"):
-            gr.sample_ego_subgraph(g, center, hops=1, max_nodes=2, rng_seed=seed)
+            gr.sample_ego_subgraph(g, centers, hops=1, max_nodes=2, seeds=seeds)
     for hops, max_nodes in ((0, 2), (1, 0), (-1, -1)):
-        for center, seed in ((0, 0), ([0, 1], [0, 0])):
+        for centers, seeds in (([0], [0]), ([0, 1], [0, 0])):
             with pytest.raises(gr.GraphConstructionError, match=">= 1"):
-                gr.sample_ego_subgraph(g, center, hops=hops, max_nodes=max_nodes, rng_seed=seed)
+                gr.sample_ego_subgraph(g, centers, hops=hops, max_nodes=max_nodes, seeds=seeds)
     with pytest.raises(gr.GraphConstructionError, match="seeds"):
-        gr.sample_ego_subgraph(g, [0, 1], hops=1, max_nodes=2, rng_seed=[0])
+        gr.sample_ego_subgraph(g, [0, 1], hops=1, max_nodes=2, seeds=[0])
 
 
 def test_log1p_degree_table_is_math_log1p():

@@ -12,11 +12,14 @@ from tapeformer.text import EmbeddingBundle
 from helpers import (
     check_gradients,
     edge_encoding_cij,
+    ego_stack,
+    node_map,
     oracle_ego_subgraph,
     oracle_logits_for_centers,
     oracle_structural,
     oracle_subgraph_logits,
     random_edge_list,
+    relabelled_stack,
 )
 from test_graph import overflow_graph
 
@@ -38,8 +41,8 @@ def random_case(seed, n=14, density=0.18, cfg=None):
     rng = np.random.default_rng(seed)
     cfg = cfg or tiny_config()
     g = gr.from_edge_list(random_edge_list(rng, n, density), n)
-    sub = gr.sample_ego_subgraph(g, int(rng.integers(0, n)), hops=cfg.ego_hops,
-                                 max_nodes=cfg.ego_max_nodes, rng_seed=seed)
+    sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=cfg.ego_hops,
+                                 max_nodes=cfg.ego_max_nodes, seeds=[seed])
     batch = gm.build_batch(g, sub, cfg)
     return rng, g, sub, batch, cfg
 
@@ -130,8 +133,8 @@ def test_edge_term_matches_loop_oracle_and_batched_form():
 def test_build_batch_calls_traced_structural_names_once_each(monkeypatch):
     """The traced benchmark run wraps these three names on the model
     module and reads ``per_pair`` off the path features; a batch must
-    go through each exactly once. One subgraph is built as a stack of
-    one, so its pairs are keyed (0, i, j)."""
+    go through each exactly once. A one-row stack's pairs are keyed
+    (0, i, j)."""
     calls = {name: 0 for name in ("local_adjacency", "bfs_spd", "build_path_features")}
     seen = []
 
@@ -152,8 +155,8 @@ def test_build_batch_calls_traced_structural_names_once_each(monkeypatch):
     for seed in range(5):
         _, _, _, batch, cfg = random_case(200 + seed)
         assert calls == {name: seed + 1 for name in calls}
-        dist = batch.spd.dist
-        k = batch.num_nodes
+        dist = batch.spd.dist[0]
+        k = batch.nodes.shape[1]
         reachable = {(i, j) for i in range(k) for j in range(k) if i != j and dist[i, j] <= cfg.max_spd}
         assert {b for b, _, _ in seen[-1].per_pair} <= {0}
         per_pair = {(i, j): f for (_, i, j), f in seen[-1].per_pair.items()}
@@ -164,9 +167,11 @@ def test_build_batch_calls_traced_structural_names_once_each(monkeypatch):
 
 def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
     """The traced benchmark run patches each ``spans.PATCHES`` name on its
-    owner, and its hooks read ``num_nodes`` off the sampler's result and
-    the array fields off ``build_batch``'s; a cold ``logits_for_centers``
-    must reach both through the model module."""
+    owner, and its hooks read ``num_nodes`` off the sampler's result, the
+    array fields off ``build_batch``'s and the 1-D ``nodes`` of each
+    ``batch_for`` result, which it concatenates per micro-batch; a cold
+    ``logits_for_centers`` must reach all three through the model
+    module."""
     import importlib
     import importlib.util
     from pathlib import Path
@@ -189,13 +194,27 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
             return out
 
         monkeypatch.setattr(gm, name, wrapped)
+    looked_up = []
+
+    def batch_for(self, *args, _orig=gm.GraphormerModel.batch_for, **kwargs):
+        out = _orig(self, *args, **kwargs)
+        looked_up.append(out)
+        return out
+
+    monkeypatch.setattr(gm.GraphormerModel, "batch_for", batch_for)
     _, data, model = _mixed_case(38)
-    model.logits_for_centers(data, np.arange(24), seed=0)
+    centers = np.arange(24)
+    model.logits_for_centers(data, centers, seed=0)
     (subs,), (built,) = results["sample_ego_subgraph"], results["build_batch"]
     assert subs.num_nodes == sum(b.num_nodes for b in model._batch_cache.values())
     for a in (built.nodes, built.spd.dist, built.spd_buckets, built.path_coeffs,
               built.in_deg, built.out_deg):
         assert isinstance(a, np.ndarray) and a.nbytes > 0
+    assert len(looked_up) == len(centers)
+    for b in looked_up:
+        assert b.nodes.ndim == 1 and len(b.nodes) == b.num_nodes
+    joined = np.concatenate([b.nodes for b in looked_up])
+    assert joined.tolist() == [v for b in looked_up for v in b.nodes.tolist()]
 
 
 def _cache_case(max_nodes):
@@ -231,8 +250,9 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
         for c in range(n):
             sub = oracle_ego_subgraph(g, c, cfg.ego_hops, max_nodes, gm.subgraph_seed(4, c))
             dist, coeffs = oracle_structural(g, sub, cfg.max_spd)
-            want[c] = (sub.nodes, dist, coeffs, np.asarray([g.in_degree(int(v)) for v in sub.nodes]),
-                       np.asarray([g.out_degree(int(v)) for v in sub.nodes]), sub.node_map[c])
+            nodes = sub.nodes[0]
+            want[c] = (nodes, dist, coeffs, np.asarray([g.in_degree(int(v)) for v in nodes]),
+                       np.asarray([g.out_degree(int(v)) for v in nodes]), node_map(sub)[c])
         sizes = {len(w[0]) for w in want.values()}
         assert 1 in sizes and (max_nodes == 1 or len(sizes) > 2)
         for chunks in ([list(range(n))], [[c] for c in range(n)],
@@ -296,34 +316,24 @@ def test_attention_bias_zero_tables():
     _, _, _, batch, cfg = random_case(5)
     bias = gm.attention_bias(batch, Tensor(np.zeros((cfg.num_spd_buckets, 2))),
                              Tensor(np.zeros((cfg.max_spd * 3, 2))))
-    assert np.array_equal(bias.data, np.zeros((batch.num_nodes ** 2, 2)))
+    assert np.array_equal(bias.data, np.zeros((batch.nodes.shape[1] ** 2, 2)))
 
 
 def test_attention_bias_two_node_path():
     g = gr.from_edge_list([(0, 1)], 2)
-    sub = gr.sample_ego_subgraph(g, 0, hops=1, max_nodes=4, rng_seed=0)
+    sub = gr.sample_ego_subgraph(g, [0], hops=1, max_nodes=4, seeds=[0])
     cfg = tiny_config(max_spd=3)
     batch = gm.build_batch(g, sub, cfg)
     rng = np.random.default_rng(6)
     b = rng.standard_normal((cfg.num_spd_buckets, cfg.num_heads))
     w = rng.standard_normal((cfg.max_spd * 3, cfg.num_heads))
     bias = gm.attention_bias(batch, Tensor(b), Tensor(w)).data
-    k = batch.num_nodes
+    k = batch.nodes.shape[1]
     feats = st.synth_edge_features(g, np.array([0]), np.array([1]))
     for h in range(cfg.num_heads):
         c01 = edge_encoding_cij(feats.reshape(1, 3), w, head=h, d_edge=3)
         assert bias[0 * k + 1, h] == pytest.approx(b[1, h] + c01, abs=1e-12)
         assert bias[0 * k + 0, h] == pytest.approx(b[0, h], abs=1e-12)  # diagonal: d=0, c=0
-
-
-def _relabel_subgraph(sub, perm):
-    """perm maps new local index -> old local index."""
-    inv = np.argsort(perm)
-    nodes = sub.nodes[perm]
-    edges = np.stack([inv[sub.local_edges[:, 0]], inv[sub.local_edges[:, 1]]], axis=1) \
-        if len(sub.local_edges) else sub.local_edges
-    return gr.EgoSubgraph(center=sub.center, nodes=nodes, local_edges=edges,
-                          node_map={int(g): i for i, g in enumerate(nodes)})
 
 
 def test_attention_bias_invariant_under_relabeling():
@@ -332,10 +342,10 @@ def test_attention_bias_invariant_under_relabeling():
         _, g, sub, batch, cfg = random_case(100 + seed)
         b = Tensor(rng.standard_normal((cfg.num_spd_buckets, cfg.num_heads)))
         w = Tensor(rng.standard_normal((cfg.max_spd * 3, cfg.num_heads)))
-        k = batch.num_nodes
+        k = batch.nodes.shape[1]
         bias = gm.attention_bias(batch, b, w).data.reshape(k, k, -1)
         perm = rng.permutation(k)
-        pbatch = gm.build_batch(g, _relabel_subgraph(sub, perm), cfg)
+        pbatch = gm.build_batch(g, relabelled_stack(sub, perm), cfg)
         pbias = gm.attention_bias(pbatch, b, w).data.reshape(k, k, -1)
         assert np.max(np.abs(pbias - bias[np.ix_(perm, perm)])) < 1e-12
 
@@ -405,9 +415,9 @@ def test_zero_layers_is_classifier_on_h0():
     model = gm.GraphormerModel(cfg, fusion_config(), seed=3)
     bundle = random_bundle(rng, g.num_nodes)
     logits = model.forward(batch, bundle)
-    rows = {s: bundle.source(s)[batch.nodes] for s in model.fusion.cfg.active}
+    rows = {s: bundle.source(s)[batch.nodes[0]] for s in model.fusion.cfg.active}
     x = model.fusion.fuse(rows)
-    h0 = gm.input_embedding(x, batch.in_deg, batch.out_deg, model.z_in, model.z_out,
+    h0 = gm.input_embedding(x, batch.in_deg[0], batch.out_deg[0], model.z_in, model.z_out,
                             cfg.max_degree_bucket)
     expect = h0.data @ model.head_w.data + model.head_b.data
     assert np.max(np.abs(logits.data - expect)) < 1e-12
@@ -419,8 +429,8 @@ def test_forward_permutation_equivariance():
         model = gm.GraphormerModel(cfg, fusion_config(), seed=seed)
         bundle = random_bundle(rng, g.num_nodes)
         base = model.forward(batch, bundle).data
-        perm = rng.permutation(batch.num_nodes)
-        pbatch = gm.build_batch(g, _relabel_subgraph(sub, perm), cfg)
+        perm = rng.permutation(batch.nodes.shape[1])
+        pbatch = gm.build_batch(g, relabelled_stack(sub, perm), cfg)
         permuted = model.forward(pbatch, bundle).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-6
         # the center row is found wherever the center landed
@@ -434,7 +444,7 @@ def test_attention_rows_sum_to_one_every_layer_head():
     cap = {}
     model.forward(batch, bundle, capture=cap)
     assert len(cap["attention"]) == cfg.num_layers
-    k = batch.num_nodes
+    k = batch.nodes.shape[1]
     for layer_attn in cap["attention"]:
         assert layer_attn.shape == (1, cfg.num_heads, k, k)
         sums = layer_attn.sum(axis=-1)
@@ -453,10 +463,7 @@ def test_zeroed_tables_make_model_rewiring_invariant():
 
     def batch_for_edges(edges):
         g = gr.from_edge_list(edges, n)
-        sub = gr.EgoSubgraph(center=0, nodes=nodes,
-                             local_edges=np.asarray(edges, dtype=np.int64).reshape(-1, 2),
-                             node_map={i: i for i in range(n)})
-        return gm.build_batch(g, sub, cfg)
+        return gm.build_batch(g, ego_stack(0, nodes, edges), cfg)
 
     ring = [(i, (i + 1) % n) for i in range(n)]
     star = [(0, i) for i in range(1, n)]
@@ -470,7 +477,7 @@ def test_full_model_gradient_check():
     cfg = tiny_config(num_layers=1)
     model = gm.GraphormerModel(cfg, fusion_config(), seed=8)
     bundle = random_bundle(rng, g.num_nodes)
-    labels = rng.integers(0, cfg.num_classes, size=batch.num_nodes)
+    labels = rng.integers(0, cfg.num_classes, size=batch.nodes.shape[1])
     from tapeformer.training import smoothed_cross_entropy
 
     def loss():
@@ -485,9 +492,7 @@ def test_overfit_tiny_subgraph():
     n = 20
     edges = random_edge_list(rng, n, 0.15)
     g = gr.from_edge_list(edges, n)
-    sub = gr.EgoSubgraph(center=0, nodes=np.arange(n, dtype=np.int64),
-                         local_edges=np.asarray([[u, v] for u, v in g.edges()], dtype=np.int64).reshape(-1, 2),
-                         node_map={i: i for i in range(n)})
+    sub = ego_stack(0, np.arange(n), list(g.edges()))
     cfg = tiny_config()
     batch = gm.build_batch(g, sub, cfg)
     model = gm.GraphormerModel(cfg, fusion_config(), seed=9)
@@ -544,27 +549,58 @@ def test_logits_for_centers_match_one_subgraph_oracle():
         nodes = [set(b.nodes.tolist()) for b in batches]
         assert any(nodes[i] & nodes[j] for i in range(24) for j in range(i))  # shared nodes
         for b in batches[::5]:
-            assert np.max(np.abs(model.forward(b, data.bundle).data
+            assert np.max(np.abs(model.forward(gm.stack_batches([b]), data.bundle).data
                                  - oracle_subgraph_logits(model, b, data.bundle))) < 1e-12
 
 
 def test_stack_batches_pads_and_masks():
     _, data, model = _mixed_case(34)
     batches = [model.batch_for(data.graph, c, 0) for c in (22, 0, 5)]
-    mb = gm.stack_batches(batches)
+    stack = gm.stack_batches(batches)
     k = max(b.num_nodes for b in batches)
-    assert mb.width == k and mb.key_mask.shape == (3, 1, 1, k)
+    assert stack.nodes.shape == (3, k) and stack.sizes.tolist() == [b.num_nodes for b in batches]
     for i, b in enumerate(batches):
         n = b.num_nodes
-        assert mb.key_mask[i, 0, 0].tolist() == [True] * n + [False] * (k - n)
-        assert np.array_equal(mb.union[mb.rows[i * k:i * k + n]], b.nodes)
-        assert mb.center_rows[i] == i * k + b.center_local
-        pairs = mb.spd_buckets.reshape(3, k, k)[i]
-        assert np.array_equal(pairs[:n, :n].reshape(-1), b.spd_buckets)
-        coeffs = mb.path_coeffs.reshape(3, k, k, -1)[i]
+        assert np.array_equal(stack.nodes[i, :n], b.nodes) and (stack.nodes[i, n:] == -1).all()
+        assert stack.center_local[i] == b.center_local
+        assert np.array_equal(stack.spd_buckets[i, :n, :n].reshape(-1), b.spd_buckets)
+        coeffs = stack.path_coeffs[i]
         assert np.array_equal(coeffs[:n, :n].reshape(n * n, -1), b.path_coeffs)
         assert not coeffs[n:].any() and not coeffs[:, n:].any()
-    assert np.array_equal(mb.union, np.unique(np.concatenate([b.nodes for b in batches])))
+    # padded keys are masked: every real row's logits are its own subgraph's
+    logits = model.forward(stack, data.bundle).data.reshape(3, k, -1)
+    for i, b in enumerate(batches):
+        alone = model.forward(gm.stack_batches([b]), data.bundle).data
+        assert np.max(np.abs(logits[i, :b.num_nodes] - alone)) < 1e-12
+
+
+def test_split_and_stack_batches_round_trip():
+    """``stack_batches`` inverts ``split`` byte for byte on every real row
+    of a built stack of mixed sizes; its padding reads -1 in ``nodes``
+    and 0 elsewhere, and ``build_batch`` pads the degrees with 0 too."""
+    g = overflow_graph()
+    cfg = tiny_config(max_spd=3)
+    centers = [0, 10, 27, 17, 22, 19, 11, 5, 28]
+    for max_nodes in (5, 12):
+        sub = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=max_nodes,
+                                     seeds=range(len(centers)))
+        built = gm.build_batch(g, sub, cfg)
+        back = gm.stack_batches(built.split())
+        assert len(set(built.sizes.tolist())) > 2  # sizes 1, mid and full
+        k = built.nodes.shape[1]
+        real = np.arange(k) < built.sizes[:, None]
+        pairs = real[:, :, None] & real[:, None, :]
+        assert back.spd.cap == built.spd.cap
+        for name, mask in (("sizes", None), ("center_local", None), ("nodes", real),
+                           ("in_deg", real), ("out_deg", real), ("spd_buckets", pairs),
+                           ("path_coeffs", pairs)):
+            got, want = getattr(back, name), getattr(built, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            if mask is not None:
+                got, want = got[mask], want[mask]
+                assert (getattr(back, name)[~mask] == (-1 if name == "nodes" else 0)).all(), name
+            assert got.tobytes() == want.tobytes(), (max_nodes, name)
+        assert not built.in_deg[~real].any() and not built.out_deg[~real].any()
 
 
 def test_logits_for_centers_gradient_check():
@@ -635,3 +671,24 @@ def test_mlp_model_shapes_and_gradients():
                                       Data.labels[:5], 0.1)
 
     check_gradients(loss, list(model.parameters().values()), max_entries=10, seed=2)
+
+
+# --- module surface ----------------------------------------------------------
+
+
+def test_every_exported_name_resolves():
+    """A stale ``__all__`` entry breaks ``from tapeformer.<module> import *``."""
+    import importlib
+    import pkgutil
+
+    import tapeformer
+
+    checked = 0
+    for info in pkgutil.iter_modules(tapeformer.__path__):
+        if info.name == "__main__":  # runs the CLI on import
+            continue
+        module = importlib.import_module(f"tapeformer.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"tapeformer.{info.name}.{name}"
+            checked += 1
+    assert checked > 0

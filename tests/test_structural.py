@@ -7,9 +7,12 @@ from tapeformer import structural as st
 
 from helpers import (
     brute_force_clustering,
+    ego_stack,
     floyd_warshall,
+    node_map,
     oracle_structural,
     random_edge_list,
+    relabelled_stack,
     shortest_path_edges,
     undirected_adj_sets,
 )
@@ -17,22 +20,22 @@ from helpers import (
 
 def _sub_from_edges(edges, n, center=0):
     g = gr.from_edge_list(edges, n)
-    return g, gr.sample_ego_subgraph(g, center, hops=n, max_nodes=n, rng_seed=0)
+    return g, gr.sample_ego_subgraph(g, [center], hops=n, max_nodes=n, seeds=[0])
 
 
 def _relabelled(g, rng):
-    """A subgraph over every node of g, in a scrambled local order."""
+    """A one-row stack over every node of g, in a scrambled local order."""
     n = g.num_nodes
     order = rng.permutation(n).astype(np.int64)
-    node_map = {int(gid): li for li, gid in enumerate(order)}
-    local = np.asarray([[node_map[u], node_map[v]] for u, v in g.edges()],
-                       dtype=np.int64).reshape(-1, 2)
-    return gr.EgoSubgraph(center=int(order[0]), nodes=order, local_edges=local, node_map=node_map)
+    local_of = {int(gid): li for li, gid in enumerate(order)}
+    local = [[local_of[u], local_of[v]] for u, v in g.edges()]
+    return ego_stack(int(order[0]), order, local)
 
 
 def _path(pred, i, j):
-    """The chosen path i -> j as local (u, v) steps, read off the
-    predecessor matrix; [] for i == j, None when there is no path."""
+    """The chosen path i -> j as local (u, v) steps, read off one
+    subgraph's (k, k) predecessor matrix; [] for i == j, None when there
+    is no path."""
     if i == j:
         return []
     if pred[i, j] < 0:
@@ -48,18 +51,18 @@ def _path(pred, i, j):
 
 def test_singleton_spd():
     g = gr.from_edge_list([], 1)
-    sub = gr.sample_ego_subgraph(g, 0, hops=1, max_nodes=1, rng_seed=0)
+    sub = gr.sample_ego_subgraph(g, [0], hops=1, max_nodes=1, seeds=[0])
     spd = st.bfs_spd(sub, cap=3)
-    assert spd.dist.shape == (1, 1)
-    assert spd.dist[0, 0] == 0
+    assert spd.dist.shape == (1, 1, 1)
+    assert spd.dist[0, 0, 0] == 0
 
 
 def test_line_spd():
     _, sub = _sub_from_edges([(0, 1), (1, 2)], 3)
     spd = st.bfs_spd(sub, cap=5)
-    i, j = sub.node_map[0], sub.node_map[2]
-    assert spd.dist[i, j] == 2
-    assert spd.dist[j, i] == 2
+    i, j = node_map(sub)[0], node_map(sub)[2]
+    assert spd.dist[0, i, j] == 2
+    assert spd.dist[0, j, i] == 2
 
 
 def test_spd_matches_floyd_warshall_on_100_random_graphs():
@@ -75,9 +78,9 @@ def test_spd_matches_floyd_warshall_on_100_random_graphs():
         fw = floyd_warshall(edges, n)
         for i in range(n):
             for j in range(n):
-                truth = fw[int(sub.nodes[i]), int(sub.nodes[j])]
+                truth = fw[int(sub.nodes[0, i]), int(sub.nodes[0, j])]
                 expect = int(truth) if truth <= cap else cap + 1
-                assert spd.dist[i, j] == expect, f"trial {trial} pair ({i},{j})"
+                assert spd.dist[0, i, j] == expect, f"trial {trial} pair ({i},{j})"
 
 
 def test_spd_symmetric_zero_diag_triangle_inequality():
@@ -85,7 +88,7 @@ def test_spd_symmetric_zero_diag_triangle_inequality():
     edges = random_edge_list(rng, 20, 0.15)
     _, sub = _sub_from_edges(edges, 20)
     spd = st.bfs_spd(sub, cap=6)
-    d = spd.dist
+    d = spd.dist[0]
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0)
     k = sub.num_nodes
@@ -100,16 +103,11 @@ def test_spd_permutation_consistent():
     rng = np.random.default_rng(6)
     edges = random_edge_list(rng, 15, 0.2)
     g = gr.from_edge_list(edges, 15)
-    sub = gr.sample_ego_subgraph(g, 0, hops=3, max_nodes=15, rng_seed=0)
+    sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=15, seeds=[0])
     spd = st.bfs_spd(sub, cap=4)
     perm = rng.permutation(sub.num_nodes)
-    pnodes = sub.nodes[perm]
-    pmap = {int(gid): li for li, gid in enumerate(pnodes)}
-    inv = np.argsort(perm)
-    pedges = np.stack([inv[sub.local_edges[:, 0]], inv[sub.local_edges[:, 1]]], axis=1)
-    psub = gr.EgoSubgraph(center=sub.center, nodes=pnodes, local_edges=pedges, node_map=pmap)
-    pspd = st.bfs_spd(psub, cap=4)
-    assert np.array_equal(pspd.dist, spd.dist[np.ix_(perm, perm)])
+    pspd = st.bfs_spd(relabelled_stack(sub, perm), cap=4)
+    assert np.array_equal(pspd.dist[0], spd.dist[0][np.ix_(perm, perm)])
 
 
 def test_increasing_cap_preserves_small_entries():
@@ -126,14 +124,9 @@ def test_increasing_cap_preserves_small_entries():
 
 
 def test_path_empty_for_same_node_none_for_unreachable():
-    sub_all = gr.EgoSubgraph(
-        center=0,
-        nodes=np.array([0, 1, 2]),
-        local_edges=np.array([[0, 1]]),
-        node_map={0: 0, 1: 1, 2: 2},
-    )
+    sub_all = ego_stack(0, [0, 1, 2], [[0, 1]])
     spd = st.bfs_spd(sub_all, cap=4)
-    pred = st.path_predecessors(sub_all, spd)
+    pred = st.path_predecessors(sub_all, spd)[0]
     assert _path(pred, 1, 1) == []
     assert _path(pred, 0, 2) is None
 
@@ -141,8 +134,8 @@ def test_path_empty_for_same_node_none_for_unreachable():
 def test_path_on_line():
     _, sub = _sub_from_edges([(0, 1), (1, 2)], 3)
     spd = st.bfs_spd(sub, cap=5)
-    i, j, m = sub.node_map[0], sub.node_map[2], sub.node_map[1]
-    assert _path(st.path_predecessors(sub, spd), i, j) == [(i, m), (m, j)]
+    i, j, m = node_map(sub)[0], node_map(sub)[2], node_map(sub)[1]
+    assert _path(st.path_predecessors(sub, spd)[0], i, j) == [(i, m), (m, j)]
 
 
 def test_paths_valid_on_random_graphs():
@@ -151,35 +144,36 @@ def test_paths_valid_on_random_graphs():
         n = int(rng.integers(4, 25))
         edges = random_edge_list(rng, n, 0.15)
         g = gr.from_edge_list(edges, n)
-        sub = gr.sample_ego_subgraph(g, int(rng.integers(0, n)), hops=4, max_nodes=n, rng_seed=1)
+        sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=4, max_nodes=n, seeds=[1])
         spd = st.bfs_spd(sub, cap=5)
-        pred = st.path_predecessors(sub, spd)
-        und = {(min(int(sub.nodes[a]), int(sub.nodes[b])), max(int(sub.nodes[a]), int(sub.nodes[b])))
-               for a, b in sub.local_edges}
+        pred, dist, nodes = st.path_predecessors(sub, spd)[0], spd.dist[0], sub.nodes[0]
+        und = {(min(int(nodes[a]), int(nodes[b])), max(int(nodes[a]), int(nodes[b])))
+               for _, a, b in sub.local_edges}
         k = sub.num_nodes
         for i in range(k):
             for j in range(k):
-                if i == j or spd.dist[i, j] > 5:
+                if i == j or dist[i, j] > 5:
                     continue
                 steps = _path(pred, i, j)
-                assert len(steps) == spd.dist[i, j]
+                assert len(steps) == dist[i, j]
                 assert steps[0][0] == i and steps[-1][1] == j
                 for a, b in steps:
-                    ga, gb = int(sub.nodes[a]), int(sub.nodes[b])
+                    ga, gb = int(nodes[a]), int(nodes[b])
                     assert (min(ga, gb), max(ga, gb)) in und
 
 
 def _assert_matches_oracle(g, sub, cap, where):
     cfg = gm.GraphormerConfig(num_classes=2, num_layers=1, num_heads=1, d_model=4, d_ffn=4,
                               max_spd=cap)
-    batch = gm.build_batch(g, sub, cfg)
+    built = gm.build_batch(g, sub, cfg)
     dist, coeffs = oracle_structural(g, sub, cap)
-    assert batch.spd.dist.tobytes() == dist.tobytes(), where
-    assert batch.spd_buckets.tobytes() == dist.reshape(-1).tobytes(), where
-    assert batch.path_coeffs.shape == coeffs.shape, where
-    assert batch.path_coeffs.tobytes() == coeffs.tobytes(), where
-    pred = st.path_predecessors(sub, batch.spd)
-    adj_sets = undirected_adj_sets(sub.local_edges.tolist(), sub.num_nodes)
+    k = sub.num_nodes
+    assert built.spd.dist.tobytes() == dist.tobytes(), where
+    assert built.spd_buckets.tobytes() == dist.reshape(-1).tobytes(), where
+    assert built.path_coeffs.shape == (1, k, k, coeffs.shape[1]), where
+    assert built.path_coeffs.tobytes() == coeffs.tobytes(), where
+    pred = st.path_predecessors(sub, built.spd)[0]
+    adj_sets = undirected_adj_sets(sub.local_edges[:, 1:].tolist(), sub.num_nodes)
     for i in range(sub.num_nodes):
         for j in range(sub.num_nodes):
             assert _path(pred, i, j) == shortest_path_edges(sub, adj_sets, dist, cap, i, j), where
@@ -203,7 +197,7 @@ def test_encodings_byte_identical_to_pairwise_oracle():
         g = gr.from_edge_list(edges, n)
         for cap in range(1, 7):
             _assert_matches_oracle(g, _relabelled(g, rng), cap, f"{name}, cap {cap}")
-            _assert_matches_oracle(g, gr.sample_ego_subgraph(g, 0, hops=3, max_nodes=n, rng_seed=cap),
+            _assert_matches_oracle(g, gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=n, seeds=[cap]),
                                    cap, f"{name}, ego, cap {cap}")
 
 
@@ -251,7 +245,7 @@ def test_build_path_features_lengths_match_spd():
     rng = np.random.default_rng(10)
     edges = random_edge_list(rng, 18, 0.15)
     g = gr.from_edge_list(edges, 18)
-    sub = gr.sample_ego_subgraph(g, 0, hops=3, max_nodes=18, rng_seed=0)
+    sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=18, seeds=[0])
     spd = st.bfs_spd(sub, cap=4)
     pf = st.build_path_features(g, sub, spd)
     assert pf.dim == st.EDGE_FEATURE_DIM
@@ -259,16 +253,16 @@ def test_build_path_features_lengths_match_spd():
     for i in range(k):
         for j in range(k):
             if i == j:
-                assert (i, j) not in pf.per_pair
-            elif spd.dist[i, j] <= 4:
-                assert pf.per_pair[(i, j)].shape == (spd.dist[i, j], 3)
+                assert (0, i, j) not in pf.per_pair
+            elif spd.dist[0, i, j] <= 4:
+                assert pf.per_pair[(0, i, j)].shape == (spd.dist[0, i, j], 3)
             else:
-                assert (i, j) not in pf.per_pair
+                assert (0, i, j) not in pf.per_pair
 
 
 def test_custom_edge_feature_fn():
     g = gr.from_edge_list([(0, 1), (1, 2)], 3)
-    sub = gr.sample_ego_subgraph(g, 0, hops=2, max_nodes=3, rng_seed=0)
+    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=3, seeds=[0])
     spd = st.bfs_spd(sub, cap=3)
     calls = []
 
@@ -278,9 +272,9 @@ def test_custom_edge_feature_fn():
 
     pf = st.build_path_features(g, sub, spd, edge_feature_fn=fn)
     assert pf.dim == 4
-    i, j = sub.node_map[0], sub.node_map[1]
-    assert pf.per_pair[(i, j)][0, 2] == 9.0
-    assert list(pf.per_pair[(i, j)][0, :2]) == [0.0, 1.0]  # global ids of the step
+    i, j = node_map(sub)[0], node_map(sub)[1]
+    assert pf.per_pair[(0, i, j)][0, 2] == 9.0
+    assert list(pf.per_pair[(0, i, j)][0, :2]) == [0.0, 1.0]  # global ids of the step
     # one call, over both orientations of each undirected edge
     assert len(calls) == 1
     assert sorted(zip(calls[0][0].tolist(), calls[0][1].tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
