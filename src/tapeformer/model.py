@@ -18,6 +18,7 @@ fused engine ops: ``layer_norm``, ``linear`` and one ``attention``.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -64,8 +65,12 @@ class GraphormerParams:
     def __post_init__(self):
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
-        if self.max_spd < 1:
-            raise ValueError("max_spd must be >= 1")
+        for name, low in (("max_spd", 1), ("max_degree_bucket", 0), ("ego_hops", 1),
+                          ("ego_max_nodes", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.ln_eps > 0.0:
+            raise ValueError(f"ln_eps must be > 0, got {self.ln_eps}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
@@ -90,15 +95,27 @@ class GraphormerConfig(GraphormerParams):
         return self.max_spd + 2
 
 
+def _path_coeffs(table: np.ndarray, index: np.ndarray, cap: int) -> np.ndarray:
+    """(..., k, k, cap * d_edge): position p holds row t of ``table``
+    divided by N where ``index[..., p]`` is t * cap + N - 1, so that
+    ``path_coeffs @ edge_weight`` is the averaged edge term of each pair."""
+    # one copy of each row per path length N, divided by N: a true division,
+    # not a product with 1/N, so the coefficients are the quotient bit for bit
+    scaled = table[:, None, :] / np.arange(1, cap + 1, dtype=np.float64)[:, None]
+    out = np.take(scaled.reshape(-1, table.shape[1]), index, axis=0)
+    return out.reshape(*index.shape[:-1], -1)
+
+
 @dataclass
 class SubgraphBatch:
     """One subgraph's row of a ``SubgraphStack``, without padding: the
-    compact form the batch cache holds per center."""
+    compact form the batch cache holds per center, ``path_coeffs`` derived."""
 
     nodes: np.ndarray  # global ids (k,)
     center_local: int
-    spd: SpdMatrix
-    path_coeffs: np.ndarray  # (k*k, max_spd * d_edge) averaged path features
+    spd: SpdMatrix  # dist (k, k) int8 (wider past max_spd 126)
+    edge_table: np.ndarray  # (m + 1, d_edge): a zero row, then the directed local edges
+    path_index: np.ndarray  # (k, k, max_spd) t * max_spd + N - 1 (0: no step), narrowest uint
     in_deg: np.ndarray  # (k,) full-graph in-degrees
     out_deg: np.ndarray  # (k,) full-graph out-degrees
 
@@ -111,6 +128,12 @@ class SubgraphBatch:
         """(k*k,) flattened bucket indices: a view of ``spd.dist``."""
         return self.spd.dist.reshape(-1)
 
+    @property
+    def path_coeffs(self) -> np.ndarray:
+        """(k*k, max_spd * d_edge) averaged path features."""
+        return _path_coeffs(self.edge_table, self.path_index, self.spd.cap).reshape(
+            self.num_nodes ** 2, -1)
+
 
 @dataclass
 class SubgraphStack:
@@ -118,13 +141,16 @@ class SubgraphStack:
     pass consumes, padded to the width ``k`` of the largest subgraph,
     pair arrays as (B, k, k, ...). Row ``b * k + i`` of a (B*k, ...)
     reshape is node i of subgraph b, and pair ``(b * k + i) * k + j`` of
-    a (B*k*k, ...) one is its pair (i, j)."""
+    a (B*k*k, ...) one is its pair (i, j). ``path_index`` is each entry's,
+    offset to its block of ``edge_table``; ``path_coeffs`` is built on first read."""
 
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
     center_local: np.ndarray  # (B,)
-    spd: SpdMatrix  # dist (B, k, k)
-    path_coeffs: np.ndarray  # (B, k, k, max_spd * d_edge)
+    spd: SpdMatrix  # dist (B, k, k) int64
+    edge_table: np.ndarray  # (rows, d_edge), a block per subgraph
+    edge_offsets: np.ndarray  # (B + 1,)
+    path_index: np.ndarray  # (B, k, k, max_spd) int64
     in_deg: np.ndarray  # (B, k), 0 on padding
     out_deg: np.ndarray  # (B, k), 0 on padding
 
@@ -132,16 +158,24 @@ class SubgraphStack:
     def spd_buckets(self) -> np.ndarray:
         return self.spd.dist
 
+    @cached_property
+    def path_coeffs(self) -> np.ndarray:
+        """(B, k, k, max_spd * d_edge) averaged path features."""
+        return _path_coeffs(self.edge_table, self.path_index, self.spd.cap)
+
     def split(self) -> list[SubgraphBatch]:
         """One ``SubgraphBatch`` per subgraph. Each owns compact copies of
         its rows: a view would keep the whole padded stack alive."""
-        out = []
+        cap, out = self.spd.cap, []
         for b, n in enumerate(self.sizes.tolist()):
+            lo, hi = self.edge_offsets[b], self.edge_offsets[b + 1]
             out.append(SubgraphBatch(
                 nodes=self.nodes[b, :n].copy(),
                 center_local=int(self.center_local[b]),
-                spd=SpdMatrix(dist=self.spd.dist[b, :n, :n].copy(), cap=self.spd.cap),
-                path_coeffs=self.path_coeffs[b, :n, :n].copy().reshape(n * n, -1),
+                spd=SpdMatrix(dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 1)), cap=cap),
+                edge_table=self.edge_table[lo:hi].copy(),
+                path_index=(self.path_index[b, :n, :n] - lo * cap).astype(
+                    np.min_scalar_type((hi - lo) * cap - 1)),
                 in_deg=self.in_deg[b, :n].copy(),
                 out_deg=self.out_deg[b, :n].copy(),
             ))
@@ -155,13 +189,7 @@ def build_batch(
     edge_feature_fn=None,
 ) -> SubgraphStack:
     """Run the structural encodings for every subgraph of ``stack`` in one
-    pass; ``split`` gives each subgraph's ``SubgraphBatch``.
-
-    ``path_coeffs[b, i, j]`` holds the path's per-position edge features
-    divided by its length N, laid out position-major, so that
-    ``path_coeffs @ edge_weight`` is exactly the average-dot-product
-    edge term for every pair at once.
-    """
+    pass; ``split`` gives each subgraph's ``SubgraphBatch``."""
     adj = local_adjacency(stack)
     spd = bfs_spd(stack, cap=cfg.max_spd, adj=adj)
     paths = build_path_features(g, stack, spd, edge_feature_fn=edge_feature_fn, adj=adj)
@@ -169,16 +197,18 @@ def build_batch(
         raise ValueError(
             f"edge features have dim {paths.dim}, config says {cfg.d_edge_feature}"
         )
-    # a true division, not a product with 1/N: the coefficients are pinned
-    # to the quotient bit for bit
-    n = np.maximum(paths.lengths, 1).astype(np.float64)
+    cap, blocks = spd.cap, paths.offsets[:-1, None, None, None]
+    length = np.clip(spd.dist, 1, cap)[..., None]
+    index = np.where(paths.index > 0, (blocks + paths.index) * cap + length - 1, blocks * cap)
     nodes, real = stack.nodes, stack.nodes >= 0
     return SubgraphStack(
         sizes=stack.sizes,
         nodes=nodes,
         center_local=stack.center_local,
         spd=spd,
-        path_coeffs=(paths.steps / n[..., None, None]).reshape(*n.shape, -1),
+        edge_table=paths.table,
+        edge_offsets=paths.offsets,
+        path_index=index,
         in_deg=np.where(real, g.in_offsets[nodes + 1] - g.in_offsets[nodes], 0),
         out_deg=np.where(real, g.out_offsets[nodes + 1] - g.out_offsets[nodes], 0),
     )
@@ -187,25 +217,29 @@ def build_batch(
 def stack_batches(batches: Sequence[SubgraphBatch]) -> SubgraphStack:
     """Pad ``batches`` to the largest subgraph and stack them, the inverse
     of ``SubgraphStack.split``: padding reads -1 in ``nodes`` and 0 in
-    every other array."""
+    the other arrays (``path_index`` then reads its block's zero row); the
+    forward rebuilds ``path_coeffs``."""
     sizes = np.array([b.num_nodes for b in batches])
-    count, k = len(batches), int(sizes.max())
+    count, k, cap = len(batches), int(sizes.max()), batches[0].spd.cap
+    offsets = np.append(0, np.cumsum([len(b.edge_table) for b in batches]))
     nodes = np.full((count, k), -1, dtype=np.int64)
     in_deg = np.zeros((count, k), dtype=np.int64)
     out_deg = np.zeros((count, k), dtype=np.int64)
     dist = np.zeros((count, k, k), dtype=np.int64)
-    coeffs = np.zeros((count, k, k, batches[0].path_coeffs.shape[1]))
+    index = np.zeros((count, k, k, cap), dtype=np.int64)
     for i, b in enumerate(batches):
         n = b.num_nodes
         nodes[i, :n] = b.nodes
         in_deg[i, :n] = b.in_deg
         out_deg[i, :n] = b.out_deg
         dist[i, :n, :n] = b.spd.dist
-        coeffs[i, :n, :n] = b.path_coeffs.reshape(n, n, -1)
+        index[i, :n, :n] = b.path_index
+    index += cap * offsets[:-1, None, None, None]  # into each entry's block
     return SubgraphStack(
         sizes=sizes, nodes=nodes, center_local=np.array([b.center_local for b in batches]),
-        spd=SpdMatrix(dist=dist, cap=batches[0].spd.cap), path_coeffs=coeffs,
-        in_deg=in_deg, out_deg=out_deg,
+        spd=SpdMatrix(dist=dist, cap=cap),
+        edge_table=np.concatenate([b.edge_table for b in batches]), edge_offsets=offsets,
+        path_index=index, in_deg=in_deg, out_deg=out_deg,
     )
 
 

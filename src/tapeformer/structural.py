@@ -8,9 +8,9 @@ would starve the distance-based attention bias.
 
 Every function takes an ``EgoStack`` of B padded subgraphs and works on
 (B, k, k) arrays in one pass: an all-source BFS as at most ``cap``
-frontier products, a predecessor matrix, and the path feature tensor
-filled one distance level at a time. Each result leads with the
-subgraph axis.
+frontier products, a predecessor matrix, and a path index into a table
+of edge features, filled one distance level at a time. Each result
+leads with the subgraph axis.
 """
 from __future__ import annotations
 
@@ -52,17 +52,24 @@ class SpdMatrix:
 class PathFeatures:
     """Edge features along one shortest path per ordered pair.
 
-    ``steps[b, i, j, p]`` is the feature vector of the p-th step of the
-    path i -> j in subgraph b. Positions past the path's length, the
-    diagonal and unreachable pairs hold zeros.
+    Rows ``offsets[b]:offsets[b + 1]`` of ``table`` are subgraph b's block:
+    a zero row, then its directed local edges' features. ``index[b, i, j, p]``
+    is the row in that block of the p-th step of the path i -> j, or 0.
     """
 
-    steps: np.ndarray  # (B, k, k, cap, dim)
+    index: np.ndarray  # (B, k, k, cap) int64
+    table: np.ndarray  # (m + B, dim) for m directed local edges in all
+    offsets: np.ndarray  # (B + 1,)
     lengths: np.ndarray  # (B, k, k) hop counts; 0 on the diagonal and for unreachable pairs
 
     @property
     def dim(self) -> int:
-        return self.steps.shape[-1]
+        return self.table.shape[-1]
+
+    @cached_property
+    def steps(self) -> np.ndarray:
+        """(B, k, k, cap, dim) feature vectors of each path's steps, zeros past its end."""
+        return self.table[self.index + self.offsets[:-1, None, None, None]]
 
     @cached_property
     def per_pair(self) -> dict[tuple[int, int, int], np.ndarray]:
@@ -193,16 +200,19 @@ def build_path_features(
     feats = np.asarray(fn(g, sub.nodes[s, a], sub.nodes[s, b]), dtype=np.float64)
     if feats.ndim != 2 or feats.shape[0] != len(a):
         raise ValueError(f"edge features must be ({len(a)}, dim), got shape {feats.shape}")
-    edge = np.zeros(adj.shape + feats.shape[1:], dtype=np.float64)
-    edge[s, a, b] = feats
+    # edges come grouped by subgraph; a zero row leads each subgraph's block
+    offsets = np.append(0, np.cumsum(np.bincount(s, minlength=len(adj)) + 1))
+    table = np.insert(feats, offsets[:-1] - np.arange(len(adj)), 0.0, axis=0)
+    edge = np.zeros(adj.shape, dtype=np.int64)
+    edge[s, a, b] = np.arange(len(s)) + s + 1 - offsets[s]  # row within the block
     pred = path_predecessors(sub, spd, adj)
-    steps = np.zeros(adj.shape + (spd.cap, feats.shape[1]), dtype=np.float64)
+    index = np.zeros(adj.shape + (spd.cap,), dtype=np.int64)
     for d in range(1, spd.cap + 1):
         s, i, j = np.nonzero(spd.dist == d)
         if len(j) == 0:
             break
         p = pred[s, i, j]
-        steps[s, i, j, :d - 1] = steps[s, i, p, :d - 1]
-        steps[s, i, j, d - 1] = edge[s, p, j]
+        index[s, i, j, :d - 1] = index[s, i, p, :d - 1]
+        index[s, i, j, d - 1] = edge[s, p, j]
     lengths = np.where(spd.dist <= spd.cap, spd.dist, 0)
-    return PathFeatures(steps=steps, lengths=lengths)
+    return PathFeatures(index=index, table=table, offsets=offsets, lengths=lengths)

@@ -54,7 +54,13 @@ def test_config_overrides_win(workdir):
 
 @pytest.mark.parametrize("setting, named", [("train.epochs=abc", "train.epochs"),
                                              ("model.dropout=1.5", "dropout"),
-                                             ("model.num_heads=3", "num_heads")])
+                                             ("model.num_heads=3", "num_heads"),
+                                             ("model.max_degree_bucket=-1", "max_degree_bucket"),
+                                             ("model.ln_eps=-1", "ln_eps"),
+                                             ("model.ln_eps=0", "ln_eps"),
+                                             ("model.ego_hops=0", "ego_hops"),
+                                             ("model.ego_max_nodes=0", "ego_max_nodes"),
+                                             ("model.max_spd=0", "max_spd")])
 def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     rc = main(["train", "--config", _cfg_path(workdir), "--set", setting])
     assert rc == 2
@@ -86,8 +92,11 @@ def test_resolved_config_loads_back_equal(workdir, tmp_path):
 
 
 def test_set_reruns_range_checks_at_load(workdir):
-    with pytest.raises(cli.ConfigError, match="num_heads"):
-        cli.apply_overrides(cli.load_config(_cfg_path(workdir)), ["model.num_heads=3"])
+    for bad in ("model.num_heads=3", "model.max_degree_bucket=-1", "model.ln_eps=0",
+                "model.ego_hops=0", "model.ego_max_nodes=0"):
+        name = bad.split(".")[1].split("=")[0]
+        with pytest.raises(cli.ConfigError, match=f"model: .*{name}"):
+            cli.apply_overrides(cli.load_config(_cfg_path(workdir)), [bad])
 
 
 def test_gen_synthetic_config_pins_format_and_defaults(tmp_path):

@@ -230,8 +230,9 @@ def _cache_case(max_nodes):
 
 
 def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
-    """Every center's cached batch equals, byte for byte, the one-center
-    oracles' (the BFS sampler and the pairwise encodings), whichever
+    """Every center's cached batch equals the one-center oracles' (the
+    BFS sampler and the pairwise encodings), byte for byte but for the
+    int8 distances, which match by value, whichever
     chunk of misses it was built in; a center given twice in one call is
     built once."""
     stacks = []
@@ -268,8 +269,10 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
                 b = model._batch_cache[(c, 4)]
                 nodes, dist, coeffs, in_deg, out_deg, center_local = want[c]
                 assert b.nodes.tobytes() == nodes.tobytes(), (max_nodes, c)
-                assert b.spd.dist.tobytes() == dist.tobytes(), (max_nodes, c)
-                assert b.spd_buckets.tobytes() == dist.reshape(-1).tobytes(), (max_nodes, c)
+                # the cache keeps distances as int8; their values are the oracle's
+                assert b.spd.dist.dtype == np.int8 and dist.dtype == np.int64
+                assert np.array_equal(b.spd.dist, dist), (max_nodes, c)
+                assert np.array_equal(b.spd_buckets, dist.reshape(-1)), (max_nodes, c)
                 assert b.path_coeffs.shape == coeffs.shape
                 assert b.path_coeffs.tobytes() == coeffs.tobytes(), (max_nodes, c)
                 assert b.in_deg.tobytes() == in_deg.astype(np.int64).tobytes()
@@ -292,13 +295,65 @@ def test_cached_batches_own_compact_arrays(monkeypatch):
     data, model = _cache_case(5)
     model.logits_for_centers(data, np.arange(data.graph.num_nodes), seed=0)
     (stack,) = stacks
-    padded = (stack.nodes, stack.spd.dist, stack.path_coeffs, stack.in_deg, stack.out_deg)
+    padded = (stack.nodes, stack.spd.dist, stack.path_coeffs, stack.edge_table, stack.path_index,
+              stack.in_deg, stack.out_deg)
     assert stack.nodes.shape[1] == 5
     for b in model._batch_cache.values():
-        for a in (b.nodes, b.spd.dist, b.spd_buckets, b.path_coeffs, b.in_deg, b.out_deg):
+        for a in (b.nodes, b.spd.dist, b.spd_buckets, b.path_coeffs, b.edge_table, b.path_index,
+                  b.in_deg, b.out_deg):
             assert not any(np.shares_memory(a, p) for p in padded)
             assert a.base is None or a.base.nbytes == a.nbytes
         assert np.shares_memory(b.spd_buckets, b.spd.dist)  # one copy of the distances
+
+
+def test_path_index_widens_with_the_edge_table():
+    """A k=200 ego subgraph of a 200-node complete graph has 39,800
+    directed local edges, more than int16 holds: each entry's path index
+    (row t on a path of length N as t * max_spd + N - 1) takes the
+    narrowest unsigned dtype that holds it, and the entry's derived
+    ``path_coeffs`` equal the stack's byte for byte."""
+    n = 200
+    g = gr.from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)], n)
+    sub = gr.sample_ego_subgraph(g, [0, 7], hops=1, max_nodes=n, seeds=[0, 1])
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    for cap, dtype in ((1, np.uint16), (2, np.uint32)):
+        built = gm.build_batch(g, sub, tiny_config(ego_max_nodes=n, ego_hops=1, max_spd=cap))
+        entries = built.split()
+        for b, entry in enumerate(entries):
+            rows = len(entry.edge_table)
+            assert rows == n * (n - 1) + 1 and rows - 1 > np.iinfo(np.int16).max
+            assert entry.path_index.dtype == dtype
+            assert int(entry.path_index.max()) == (rows - 1) * cap and not entry.edge_table[0].any()
+            coeffs = entry.path_coeffs
+            assert coeffs.tobytes() == built.path_coeffs[b].reshape(n * n, -1).tobytes()
+            # every pair is one hop apart: position 0 holds the step's own features
+            steps = coeffs.reshape(n, n, cap, 3)
+            assert np.array_equal(steps[i, j, 0], st.synth_edge_features(g, entry.nodes[i], entry.nodes[j]))
+            assert not steps[:, :, 1:].any() and not steps[np.arange(n), np.arange(n)].any()
+        assert gm.stack_batches(entries).path_coeffs.tobytes() == built.path_coeffs.tobytes()
+
+
+def test_cached_entry_is_a_fifth_of_the_padded_layout():
+    """At k=32 a cached entry holds at most a fifth of the bytes of the
+    layout that stored ``path_coeffs`` (k*k*max_spd*d_edge floats) with
+    int64 distances, and none of its arrays is that large."""
+    import dataclasses
+
+    rng = np.random.default_rng(41)
+    g = gr.from_edge_list(random_edge_list(rng, 120, 0.08), 120)
+    cfg = tiny_config(ego_max_nodes=32, max_spd=5)
+    model = gm.GraphormerModel(cfg, fusion_config(), seed=0)
+    model._build_missing(g, list(range(24)), 0)
+    full = [b for b in model._batch_cache.values() if b.num_nodes == 32]
+    assert len(full) > 12
+    k, coeffs = 32, 32 * 32 * cfg.max_spd * cfg.d_edge_feature
+    padded_layout = 8 * (k + k * k + coeffs + 2 * k)  # nodes, dist, path_coeffs, degrees
+    for b in full:
+        held = [getattr(b, f.name) for f in dataclasses.fields(b)]
+        arrays = [a.dist if isinstance(a, st.SpdMatrix) else a for a in held if not isinstance(a, int)]
+        assert sum(a.nbytes for a in arrays) * 5 <= padded_layout
+        assert all(a.size < coeffs for a in arrays)
+        assert b.path_coeffs.shape == (k * k, cfg.max_spd * cfg.d_edge_feature)
 
 
 def test_bad_center_raises_through_the_model():

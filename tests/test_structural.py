@@ -260,6 +260,28 @@ def test_build_path_features_lengths_match_spd():
                 assert (0, i, j) not in pf.per_pair
 
 
+def test_path_index_points_into_each_subgraphs_block():
+    """Block b of the table is a zero row and then subgraph b's directed
+    local edges; the index stays inside that block, holds 0 past each
+    path's end, and ``steps`` is the table gathered by it."""
+    rng = np.random.default_rng(12)
+    g = gr.from_edge_list(random_edge_list(rng, 30, 0.12), 30)
+    sub = gr.sample_ego_subgraph(g, [0, 4, 9, 17], hops=2, max_nodes=10, seeds=range(4))
+    spd = st.bfs_spd(sub, cap=3)
+    pf = st.build_path_features(g, sub, spd)
+    assert pf.offsets[0] == 0 and pf.offsets[-1] == len(pf.table)
+    past_end = np.arange(3) >= pf.lengths[..., None]
+    for b in range(4):
+        block = pf.table[pf.offsets[b]:pf.offsets[b + 1]]
+        assert len(block) == 1 + int(st.local_adjacency(sub)[b].sum())
+        assert not block[0].any()
+        assert (pf.index[b] >= 0).all() and (pf.index[b] < len(block)).all()
+        assert not pf.index[b][past_end[b]].any()
+        assert np.array_equal(pf.steps[b], block[pf.index[b]])
+    for (b, i, j), feats in pf.per_pair.items():
+        assert np.shares_memory(feats, pf.steps) and len(feats) == pf.lengths[b, i, j]
+
+
 def test_custom_edge_feature_fn():
     g = gr.from_edge_list([(0, 1), (1, 2)], 3)
     sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=3, seeds=[0])
