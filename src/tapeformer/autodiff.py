@@ -5,9 +5,9 @@ records a backward closure on a thread-local tape; ``backward(loss)``
 replays the tape in reverse execution order and accumulates gradients
 into leaf tensors. Shapes are explicit: the only broadcasting is a
 vector over rows (the bias of ``linear``, the gain and bias of
-``layer_norm``) and the key mask of ``attention``. ``attention`` and
-``permute`` work on stacks of matrices; everything else is 2-D or
-shape-agnostic.
+``layer_norm``) and the key mask of ``attention``. Every op takes 2-D
+or shape-agnostic operands; ``attention`` splits its flat projections
+into heads with views of its own.
 
 The model's hot chains are fused ops, one tape record each, with the
 arithmetic of the primitive chains they replace: ``linear``,
@@ -50,8 +50,6 @@ __all__ = [
     "log_softmax",
     "mean",
     "tsum",
-    "permute",
-    "reshape",
     "dropout",
     "save_parameters",
     "load_parameters",
@@ -339,22 +337,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     )
 
 
-def attention(q: Tensor, kt: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarray,
-              scale: float) -> tuple[Tensor, np.ndarray]:
-    """Softmax over keys of ``(q @ kt) * scale + bias``, times ``v``.
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarray,
+              num_heads: int, scale: float) -> tuple[Tensor, np.ndarray]:
+    """Softmax over keys of ``(q @ k.T) * scale + bias``, times ``v``, per
+    head of each of B stacked blocks.
 
-    ``q`` (..., n, d), ``kt`` (..., d, k), ``v`` (..., k, e) and ``bias``
-    (..., n, k) share their leading axes. Keys where the boolean
-    ``key_mask`` (broadcast to (..., n, k)) is False get weight and
-    gradient exactly 0; every row needs an unmasked key. Returns the
-    (..., n, e) output and the weights (an array, off the tape).
+    ``q`` is (B*n, d), ``k`` and ``v`` are (B*k, d), head h in columns
+    ``h*dh:(h+1)*dh``; ``bias`` is (B*n*k, H), row ``(b*n + i)*k + j``
+    for pair (i, j) of block b. Heads are split by views. Keys where the
+    boolean ``key_mask`` (broadcast to (B, H, n, k)) is False get weight
+    and gradient exactly 0; every row needs an unmasked key. Returns the
+    (B*n, d) output, heads side by side, and the (B, H, n, k) weights
+    (an array, off the tape).
     """
-    lead, scores_shape = q.shape[:-2], q.shape[:-1] + kt.shape[-1:]
-    if (q.data.ndim < 3 or kt.shape[:-2] != lead or v.shape[:-2] != lead
-            or kt.shape[-2] != q.shape[-1] or v.shape[-2] != kt.shape[-1]
-            or bias.shape != scores_shape):
-        raise ShapeError(f"attention: incompatible shapes q {q.shape}, kt {kt.shape}, "
-                         f"v {v.shape}, bias {bias.shape}")
+    ok = q.data.ndim == k.data.ndim == bias.data.ndim == 2 and 0 < num_heads == bias.shape[1]
+    count = q.shape[0] * k.shape[0] // bias.shape[0] if ok and bias.size else 0  # B
+    if (not count or q.shape[0] * k.shape[0] != count * bias.shape[0] or q.shape[0] % count
+            or k.shape[0] % count or q.shape[1] % num_heads or k.shape != v.shape
+            or k.shape[1] != q.shape[1]):
+        raise ShapeError(f"attention: incompatible shapes q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}, bias {bias.shape} for {num_heads} heads")
+    n, nk, dh = q.shape[0] // count, k.shape[0] // count, q.shape[1] // num_heads
+    scores_shape = (count, num_heads, n, nk)
     mask = np.asarray(key_mask, dtype=bool)
     try:
         ok = np.broadcast_shapes(mask.shape, scores_shape) == scores_shape
@@ -365,22 +369,28 @@ def attention(q: Tensor, kt: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarr
     if not mask.any(axis=-1).all():
         raise ShapeError("attention: a row has no unmasked key")
     scale = float(scale)
-    qd, ktd, vd = q.data, kt.data, v.data
+    qd = q.data.reshape(count, n, num_heads, dh).transpose(0, 2, 1, 3)
+    ktd = k.data.reshape(count, nk, num_heads, dh).transpose(0, 2, 3, 1)
+    vd = v.data.reshape(count, nk, num_heads, dh).transpose(0, 2, 1, 3)
     p = qd @ ktd
     p *= scale
-    p += bias.data
+    p += bias.data.reshape(count, n, nk, num_heads).transpose(0, 3, 1, 2)
     np.copyto(p, -np.inf, where=~mask)
     _softmax_rows(p)
 
     def grads(g):
+        g = g.reshape(count, n, num_heads, dh).transpose(0, 2, 1, 3)
         ds = g @ vd.swapaxes(-1, -2)
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         dqk = ds * scale
-        return (dqk @ ktd.swapaxes(-1, -2), qd.swapaxes(-1, -2) @ dqk,
-                p.swapaxes(-1, -2) @ g, ds)
+        return ((dqk @ ktd.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(q.shape),
+                (qd.swapaxes(-1, -2) @ dqk).transpose(0, 3, 1, 2).reshape(k.shape),
+                (p.swapaxes(-1, -2) @ g).transpose(0, 2, 1, 3).reshape(k.shape),
+                ds.transpose(0, 2, 3, 1).reshape(bias.shape))
 
-    return _make("attention", p @ vd, _joint((q, kt, v, bias), grads)), p
+    out = (p @ vd).transpose(0, 2, 1, 3).reshape(q.shape)
+    return _make("attention", out, _joint((q, k, v, bias), grads)), p
 
 
 def softmax_mix(values: Sequence[Tensor], scores: Sequence[Tensor]) -> tuple[Tensor, np.ndarray]:
@@ -451,20 +461,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
         return np.repeat(np.expand_dims(g, axis), x.shape[axis], axis=axis)
 
     return _make("sum", x.data.sum(axis=axis), [(x, bw_ax)])
-
-
-def permute(x: Tensor, axes: Sequence[int]) -> Tensor:
-    """Reorder the axes: output axis i is input axis ``axes[i]``."""
-    axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.data.ndim)):
-        raise ShapeError(f"permute: {axes} is not a permutation of the axes of {x.shape}")
-    inverse = tuple(int(a) for a in np.argsort(axes))
-    return _make("permute", x.data.transpose(axes), [(x, lambda g: g.transpose(inverse))])
-
-
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    data = x.data.reshape(shape)
-    return _make("reshape", data, [(x, lambda g: g.reshape(x.data.shape))])
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

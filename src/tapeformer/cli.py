@@ -100,6 +100,10 @@ class RunConfig:
     ablation: AblationConfig = field(default_factory=AblationConfig)
     seed: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
 
 def _from_dict(cls, obj, where: str = ""):
     """Build ``cls`` from a JSON object, its sections recursively.
@@ -134,7 +138,7 @@ def _from_dict(cls, obj, where: str = ""):
     try:
         return cls(**values)
     except ValueError as e:  # a range check in __post_init__
-        raise ConfigError(f"{where.rstrip('.')}: {e}") from None
+        raise ConfigError(f"{where.rstrip('.') or 'config'}: {e}") from None
 
 
 def load_config(path) -> RunConfig:

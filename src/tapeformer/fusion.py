@@ -32,6 +32,9 @@ class FusionConfig:
         unknown = [s for s in self.active if s not in SOURCES]
         if unknown:
             raise ValueError(f"fusion: unknown sources {unknown}; valid: {list(SOURCES)}")
+        repeated = sorted({s for s in self.active if self.active.count(s) > 1})
+        if repeated:
+            raise ValueError(f"fusion: sources {repeated} given more than once")
         missing = [s for s in self.active if s not in self.source_dims]
         if missing:
             raise ValueError(f"fusion: no dimension given for sources {missing}")

@@ -63,12 +63,13 @@ class GraphormerParams:
     ln_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.d_model % self.num_heads != 0:
-            raise ValueError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
-        for name, low in (("max_spd", 1), ("max_degree_bucket", 0), ("ego_hops", 1),
+        for name, low in (("num_layers", 0), ("num_heads", 1), ("d_model", 1), ("d_ffn", 1),
+                          ("max_spd", 1), ("max_degree_bucket", 0), ("ego_hops", 1),
                           ("ego_max_nodes", 1)):
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if self.d_model % self.num_heads != 0:
+            raise ValueError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
         if not self.ln_eps > 0.0:
             raise ValueError(f"ln_eps must be > 0, got {self.ln_eps}")
         if not 0.0 <= self.dropout < 1.0:
@@ -294,27 +295,19 @@ def multi_head_attention(
 
     ``h_in`` is (B*k, d), subgraph-major. ``queries`` picks the flat
     rows that ask (one per subgraph); None means every row (q = k).
-    ``bias`` is (B, H, q, k) and ``key_mask`` broadcasts to it, False on
-    padded keys. Heads are split by reshape and axis permutation, so
-    every head of every subgraph runs in one ``attention`` op.
-    Returns the (B*q, d) outputs of the query rows.
+    ``bias`` is (B*q*k, H) in ``attention_bias``'s layout, row
+    ``(b*q + i)*k + j`` for query i and key j of subgraph b; ``key_mask``
+    broadcasts to (B, H, q, k), False on padded keys. One ``attention``
+    op runs every head of every subgraph. Returns the (B*q, d) outputs
+    of the query rows.
     """
-    count, d_model = bias.shape[0], h_in.shape[1]
-    k, dh = h_in.shape[0] // count, d_model // num_heads
     q_in = h_in if queries is None else ad.embedding_lookup(h_in, queries)
-    nq = q_in.shape[0] // count
-
-    def split(x: Tensor, name: str, rows: int, axes) -> Tensor:
-        y = ad.linear(x, params["w" + name], params["b" + name])
-        return ad.permute(ad.reshape(y, (count, rows, num_heads, dh)), axes)
-
-    q = split(q_in, "q", nq, (0, 2, 1, 3))  # (B, H, q, dh)
-    kt = split(h_in, "k", k, (0, 2, 3, 1))  # (B, H, dh, k)
-    v = split(h_in, "v", k, (0, 2, 1, 3))  # (B, H, k, dh)
-    out, attn = ad.attention(q, kt, v, bias, key_mask, 1.0 / np.sqrt(dh))
+    q, k, v = (ad.linear(x, params["w" + name], params["b" + name])
+               for x, name in ((q_in, "q"), (h_in, "k"), (h_in, "v")))
+    scale = 1.0 / np.sqrt(h_in.shape[1] // num_heads)
+    out, attn = ad.attention(q, k, v, bias, key_mask, num_heads, scale)
     if capture is not None:
         capture.setdefault("attention", []).append(attn.copy())
-    out = ad.reshape(ad.permute(out, (0, 2, 1, 3)), (count * nq, d_model))
     return ad.linear(out, params["wo"], params["bo"])
 
 
@@ -410,7 +403,9 @@ class GraphormerModel:
         (B*k, d) node features, or of every row (B*k, C) with ``all_rows``.
 
         The last layer works on the center rows only: their query, FFN
-        and head; keys and values still cover all nodes.
+        and head; keys and values still cover all nodes. Every layer
+        reads the flat (B*k*k, H) ``attention_bias``, the last one its
+        (B*k, H) center rows.
         """
         cfg = self.cfg
         count, k = stack.nodes.shape
@@ -418,23 +413,21 @@ class GraphormerModel:
         center_rows = np.arange(count) * k + stack.center_local
         h = input_embedding(x, stack.in_deg.reshape(-1), stack.out_deg.reshape(-1),
                             self.z_in, self.z_out, cfg.max_degree_bucket)
-        bias_flat = attention_bias(stack, self.spatial_table, self.edge_weight)
-
-        def heads_first(flat: Tensor, rows: int) -> Tensor:  # (B*rows*k, H) -> (B, H, rows, k)
-            return ad.permute(ad.reshape(flat, (count, rows, k, cfg.num_heads)), (0, 3, 1, 2))
-
-        bias = heads_first(bias_flat, k)
+        bias = attention_bias(stack, self.spatial_table, self.edge_weight)
         drop = cfg.dropout if train else 0.0
         last = len(self.layers) - 1
+        if self.layers and not all_rows:
+            # the last layer's center rows, pairs (c, 0..k-1) from flat pair c * k. Looked up
+            # before the loop, so backward adds their gradient after summing the other layers'
+            # bias gradients rather than into that sum: the float order fixes the trained bits.
+            rows = (center_rows[:, None] * k + np.arange(k)).reshape(-1)
+            center_bias = ad.embedding_lookup(bias, rows)
         for i, layer in enumerate(self.layers):
             queries = None if all_rows or i < last else center_rows
-            if queries is not None:
-                # a center's bias row: pairs (c, 0..k-1) start at flat pair c * k
-                rows = (queries[:, None] * k + np.arange(k)).reshape(-1)
-                bias = heads_first(ad.embedding_lookup(bias_flat, rows), 1)
             a = multi_head_attention(
                 ad.layer_norm(h, layer["ln1_g"], layer["ln1_b"], cfg.ln_eps),
-                bias, key_mask, layer, cfg.num_heads, queries=queries, capture=capture,
+                bias if queries is None else center_bias, key_mask, layer, cfg.num_heads,
+                queries=queries, capture=capture,
             )
             if queries is not None:
                 h = ad.embedding_lookup(h, queries)

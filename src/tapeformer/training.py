@@ -69,6 +69,10 @@ class TrainParams:
             raise ValueError("patience must be >= 1")
         if self.grad_accum_steps < 1 or self.batch_size < 1:
             raise ValueError("batch_size and grad_accum_steps must be >= 1")
+        if not self.base_lr > 0.0:
+            raise ValueError(f"base_lr must be > 0, got {self.base_lr}")
+        if self.warmup_steps is not None and self.warmup_steps < 0:
+            raise ValueError(f"warmup_steps must be >= 0 or null, got {self.warmup_steps}")
 
 
 @dataclass

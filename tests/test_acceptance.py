@@ -158,15 +158,13 @@ def test_criterion_01_gradient_correctness():
     probe(lambda: ad.tsum(ad.mul(ad.log_softmax(x), r34)), [x])
     probe(lambda: ad.mean(x), [x])
     probe(lambda: ad.mean(ad.tsum(x, axis=1), axis=0), [x])
-    probe(lambda: ad.tsum(ad.mul(ad.reshape(x, (4, 3)), r43)), [x])
     probe(lambda: ad.tsum(ad.mul(ad.dropout(x, 0.3, np.random.default_rng(1)), r34)), [x])
-    s3, t3, u3, b3 = p(2, 3, 4), p(2, 4, 3), p(2, 3, 2), p(2, 3, 3)
-    keys = np.array([[[True, False, True]], [[False, True, False]]])
-    r232 = Tensor(rng.standard_normal((2, 3, 2)))
-    probe(lambda: ad.tsum(ad.mul(ad.attention(s3, t3, u3, b3, keys, 0.8)[0], r232)),
-          [s3, t3, u3, b3])
-    r432 = Tensor(rng.standard_normal((4, 3, 2)))
-    probe(lambda: ad.tsum(ad.mul(ad.permute(s3, (2, 1, 0)), r432)), [s3])
+    # two subgraphs of three nodes, two heads of width 2, flat (rows, d) operands
+    s6, t6, u6, b18 = p(6, 4), p(6, 4), p(6, 4), p(18, 2)
+    keys = np.array([[True, False, True], [False, True, False]])[:, None, None, :]
+    r64 = Tensor(rng.standard_normal((6, 4)))
+    probe(lambda: ad.tsum(ad.mul(ad.attention(s6, t6, u6, b18, keys, 2, 0.8)[0], r64)),
+          [s6, t6, u6, b18])
     mix_scores = [p(3, 1), p(3, 1)]
     probe(lambda: ad.tsum(ad.mul(ad.softmax_mix([x, y], mix_scores)[0], r34)),
           [x, y] + mix_scores)

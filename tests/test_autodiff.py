@@ -78,15 +78,22 @@ def test_backward_twice_doubles():
     assert np.array_equal(w.grad, 2.0 * once)
 
 
+def _view_reshape(x, shape):
+    """A reshape op whose backward hands back a view of the upstream gradient."""
+    return ad._make("reshape", x.data.reshape(shape), [(x, lambda g: g.reshape(x.shape))])
+
+
 def test_backward_grads_never_alias_and_accumulate_exactly():
-    """``add`` hands the same upstream array to both inputs; their grads
-    must still be separate arrays, and a second pass adds exactly."""
+    """``add`` hands the same upstream array to both inputs, and a view
+    closure a view of it; their grads must still be separate arrays that
+    own their memory, and a second pass adds exactly."""
     rng = np.random.default_rng(8)
     w1 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w3 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    loss = ad.tsum(ad.mul(ad.add(w1, w2), ad.reshape(w3, (3, 4))))
+    loss = ad.tsum(ad.mul(ad.add(w1, w2), _view_reshape(w3, (3, 4))))
     ad.backward(loss)
+    assert w3.grad.base is None
     first = {id(t): t.grad.copy() for t in (w1, w2, w3)}
     w1.grad += 100.0
     assert np.array_equal(w2.grad, first[id(w2)])
@@ -228,82 +235,117 @@ def test_grad_mean_sum_axes():
     _fd(lambda: ad.tsum(ad.mul(ad.mean(x, axis=0), r)), [x])
 
 
-def test_grad_reshape():
-    rng = np.random.default_rng(19)
-    x = _p(rng, 3, 4)
-    r2 = Tensor(rng.standard_normal((2, 6)))
-    _fd(lambda: ad.tsum(ad.mul(ad.reshape(x, (2, 6)), r2)), [x])
-
-
 def _attention_case(seed, heads=2, queries=4, keys=5, dh=3):
-    """q, kt, v, bias leaves for three subgraphs, and a key mask: all
-    keys, two padded keys, and a single unmasked key."""
+    """Flat q, k, v, bias leaves for three subgraphs of ``heads`` heads,
+    and a key mask: all keys, two padded keys, and a single unmasked key."""
     rng = np.random.default_rng(seed)
-    q, kt = _p(rng, 3, heads, queries, dh), _p(rng, 3, heads, dh, keys)
-    v, bias = _p(rng, 3, heads, keys, dh + 1), _p(rng, 3, heads, queries, keys)
+    d = heads * dh
+    q, k, v = _p(rng, 3 * queries, d), _p(rng, 3 * keys, d), _p(rng, 3 * keys, d)
+    bias = _p(rng, 3 * queries * keys, heads)
     mask = np.ones((3, 1, 1, keys), dtype=bool)
     mask[1, ..., [1, 3]] = False
     mask[2] = False
     mask[2, ..., 2] = True
-    return rng, [q, kt, v, bias], mask
+    return rng, [q, k, v, bias], mask
+
+
+def _by_head(x, count, heads):
+    """(count*rows, heads*dh) -> (count, heads, rows, dh)."""
+    return x.reshape(count, -1, heads, x.shape[1] // heads).transpose(0, 2, 1, 3)
+
+
+def _bias_by_head(bias, count, keys):
+    """(count*rows*keys, heads) -> (count, heads, rows, keys)."""
+    return bias.reshape(count, -1, keys, bias.shape[1]).transpose(0, 3, 1, 2)
+
+
+HEADS = (1, 2, 4)
 
 
 def test_grad_attention():
-    rng, inputs, mask = _attention_case(24)
-    r = Tensor(rng.standard_normal((3, 2, 4, 4)))
-    _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, 0.7)[0], r)), inputs)
-    q, kt, v, bias = inputs
-    with pytest.raises(ad.ShapeError, match="attention"):
-        ad.attention(q, kt, v, ad.reshape(bias, (3, 2, 5, 4)), mask, 1.0)
+    for heads in HEADS:
+        rng, inputs, mask = _attention_case(24, heads=heads)
+        r = Tensor(rng.standard_normal((12, 3 * heads)))
+        _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, heads, 0.7)[0], r)), inputs)
+        q, k, v, bias = inputs
+        for bad in (bias.data[:-5], bias.data.reshape(-1, 2 * heads), bias.data.reshape(-1)):
+            with pytest.raises(ad.ShapeError, match="attention"):
+                ad.attention(q, k, v, Tensor(bad), mask, heads, 1.0)
 
 
 def test_grad_bmm():
-    """The attention op's two batched products, q @ kt and weights @ v,
-    with every key unmasked."""
-    rng, (q, kt, v, bias), _ = _attention_case(23)
-    full = np.ones((3, 1, 1, 5), dtype=bool)
-    r = Tensor(rng.standard_normal((3, 2, 4, 4)))
-    _fd(lambda: ad.tsum(ad.mul(ad.attention(q, kt, v, bias, full, 0.7)[0], r)), [q, kt, v])
+    """The attention op's two batched products, q @ k.T and weights @ v,
+    per head, with every key unmasked."""
+    for heads in HEADS:
+        rng, (q, k, v, bias), _ = _attention_case(23, heads=heads)
+        full = np.ones((3, 1, 1, 5), dtype=bool)
+        r = Tensor(rng.standard_normal((12, 3 * heads)))
+        _fd(lambda: ad.tsum(ad.mul(ad.attention(q, k, v, bias, full, heads, 0.7)[0], r)),
+            [q, k, v])
+        with pytest.raises(ad.ShapeError, match="attention"):
+            ad.attention(q, _p(rng, 15, 3 * heads + 1), v, bias, full, heads, 1.0)
+        with pytest.raises(ad.ShapeError, match="attention"):
+            ad.attention(q, k, _p(rng, 12, 3 * heads), bias, full, heads, 1.0)
+        with pytest.raises(ad.ShapeError, match="attention"):
+            ad.attention(_p(rng, 13, 3 * heads), k, v, bias, full, heads, 1.0)
+    # d = 6 does not split into 4 heads, though the bias has 4 columns
+    rng, (q, k, v, _), _ = _attention_case(23, heads=2)
     with pytest.raises(ad.ShapeError, match="attention"):
-        ad.attention(q, _p(rng, 2, 3, 3, 5), v, bias, full, 1.0)
-    with pytest.raises(ad.ShapeError, match="attention"):
-        ad.attention(q, kt, _p(rng, 3, 2, 4, 4), bias, full, 1.0)
+        ad.attention(q, k, v, _p(rng, 60, 4), full, 4, 1.0)
 
 
 def test_grad_masked_softmax():
     """The attention op's masked softmax over keys: padded keys and a
     one-key row."""
-    rng, inputs, mask = _attention_case(25)
-    r = Tensor(rng.standard_normal((3, 2, 4, 4)))
-    _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, 0.7)[0], r)), inputs[3:])
-    # masked keys get exactly zero weight, and the bias exactly zero gradient there
-    inputs[3].zero_grad()
-    out, weights = ad.attention(*inputs, mask, 0.7)
-    ad.backward(ad.tsum(ad.mul(out, r)))
-    hidden = np.broadcast_to(~mask, weights.shape)
-    assert np.all(weights[hidden] == 0.0) and np.all(inputs[3].grad[hidden] == 0.0)
-    assert np.all(weights[2, ..., 2] == 1.0)  # the one-key rows
-    # the kept keys' weights are the plain softmax of their scores alone
-    q, kt, v, bias = inputs
-    keep = mask[1, 0, 0]
-    scores = ((q.data[1] @ kt.data[1]) * 0.7 + bias.data[1])[..., keep]
-    plain = np.exp(scores) / np.exp(scores).sum(axis=-1, keepdims=True)
-    assert np.max(np.abs(weights[1][..., keep] - plain)) < 1e-15
-    with pytest.raises(ad.ShapeError, match="no unmasked key"):
-        ad.attention(q, kt, v, bias, np.zeros((1, 1, 1, 5), dtype=bool), 1.0)
-    with pytest.raises(ad.ShapeError, match="broadcast"):
-        ad.attention(q, kt, v, bias, np.ones((2, 1, 1, 5), dtype=bool), 1.0)
+    for heads in HEADS:
+        rng, inputs, mask = _attention_case(25, heads=heads)
+        r = Tensor(rng.standard_normal((12, 3 * heads)))
+        _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, heads, 0.7)[0], r)), inputs[3:])
+        # masked keys get exactly zero weight, and the bias exactly zero gradient there
+        inputs[3].zero_grad()
+        out, weights = ad.attention(*inputs, mask, heads, 0.7)
+        assert weights.shape == (3, heads, 4, 5)
+        ad.backward(ad.tsum(ad.mul(out, r)))
+        hidden = np.broadcast_to(~mask, weights.shape)
+        assert np.all(weights[hidden] == 0.0)
+        assert np.all(_bias_by_head(inputs[3].grad, 3, 5)[hidden] == 0.0)
+        assert np.all(weights[2, ..., 2] == 1.0)  # the one-key rows
+        # the kept keys' weights are the plain softmax of their scores alone
+        q, k, v, bias = inputs
+        keep = mask[1, 0, 0]
+        scores = (_by_head(q.data, 3, heads)[1] @ _by_head(k.data, 3, heads)[1].swapaxes(-1, -2)
+                  * 0.7 + _bias_by_head(bias.data, 3, 5)[1])[..., keep]
+        plain = np.exp(scores) / np.exp(scores).sum(axis=-1, keepdims=True)
+        assert np.max(np.abs(weights[1][..., keep] - plain)) < 1e-15
+        with pytest.raises(ad.ShapeError, match="no unmasked key"):
+            ad.attention(q, k, v, bias, np.zeros((1, 1, 1, 5), dtype=bool), heads, 1.0)
+        with pytest.raises(ad.ShapeError, match="broadcast"):
+            ad.attention(q, k, v, bias, np.ones((2, 1, 1, 5), dtype=bool), heads, 1.0)
 
 
 def test_attention_bit_exact_against_primitive_chain():
-    for seed in (0, 1):
-        rng, inputs, mask = _attention_case(seed, heads=3)
-        r = rng.standard_normal((3, 3, 4, 4))
-        out, weights = ad.attention(*inputs, mask, 1.0 / np.sqrt(3))
-        want, want_weights, grads = oracle_attention(*(t.data for t in inputs), mask,
-                                                     1.0 / np.sqrt(3), r)
-        assert np.array_equal(out.data, want) and np.array_equal(weights, want_weights)
-        assert _all_equal(_grads_through(out, r, inputs), grads)
+    """Each head's column block matches the oracle's chain on that head
+    alone, bit for bit."""
+    dh, scale = 3, 1.0 / np.sqrt(3)
+    for heads in HEADS:
+        for seed in (0, 1):
+            rng, inputs, mask = _attention_case(seed, heads=heads, dh=dh)
+            r = rng.standard_normal((12, heads * dh))
+            out, weights = ad.attention(*inputs, mask, heads, scale)
+            got = _grads_through(out, r, inputs)
+            q, k, v, bias = (t.data for t in inputs)
+            for h in range(heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                want, want_weights, (dq, dkt, dv, dbias) = oracle_attention(
+                    q[:, cols].reshape(3, 4, dh), k[:, cols].reshape(3, 5, dh).swapaxes(-1, -2),
+                    v[:, cols].reshape(3, 5, dh), bias[:, h].reshape(3, 4, 5), mask[:, 0],
+                    scale, r[:, cols].reshape(3, 4, dh))
+                assert np.array_equal(out.data[:, cols], want.reshape(12, dh))
+                assert np.array_equal(weights[:, h], want_weights)
+                assert np.array_equal(got[0][:, cols], dq.reshape(12, dh))
+                assert np.array_equal(got[1][:, cols], dkt.swapaxes(-1, -2).reshape(15, dh))
+                assert np.array_equal(got[2][:, cols], dv.reshape(15, dh))
+                assert np.array_equal(got[3][:, h], dbias.reshape(-1))
 
 
 def _mix_case(seed, sources, n=5, d=4):
@@ -319,7 +361,7 @@ def test_grad_softmax_mix():
     with pytest.raises(ad.ShapeError, match="softmax_mix"):
         ad.softmax_mix(values, scores[:2])
     with pytest.raises(ad.ShapeError, match="softmax_mix"):
-        ad.softmax_mix(values, [ad.reshape(s, (1, 5)) for s in scores])
+        ad.softmax_mix(values, [Tensor(s.data.reshape(1, 5)) for s in scores])
 
 
 def test_softmax_mix_bit_exact_against_primitive_chain():
@@ -331,16 +373,6 @@ def test_softmax_mix_bit_exact_against_primitive_chain():
                                                      [t.data for t in scores], r)
         assert np.array_equal(out.data, want) and np.array_equal(alpha, want_alpha)
         assert _all_equal(_grads_through(out, r, values + scores), grads)
-
-
-def test_grad_permute():
-    rng = np.random.default_rng(26)
-    x = _p(rng, 2, 3, 4)
-    r = Tensor(rng.standard_normal((4, 2, 3)))
-    _fd(lambda: ad.tsum(ad.mul(ad.permute(x, (2, 0, 1)), r)), [x])
-    assert np.array_equal(ad.permute(x, (2, 0, 1)).data, np.transpose(x.data, (2, 0, 1)))
-    with pytest.raises(ad.ShapeError, match="permute"):
-        ad.permute(x, (0, 0, 1))
 
 
 def test_every_op_has_a_criterion_1_probe():

@@ -60,7 +60,19 @@ def test_config_overrides_win(workdir):
                                              ("model.ln_eps=0", "ln_eps"),
                                              ("model.ego_hops=0", "ego_hops"),
                                              ("model.ego_max_nodes=0", "ego_max_nodes"),
-                                             ("model.max_spd=0", "max_spd")])
+                                             ("model.max_spd=0", "max_spd"),
+                                             ("model.num_heads=0", "num_heads"),
+                                             ("model.num_heads=-4", "num_heads"),
+                                             ("model.d_model=0", "d_model"),
+                                             ("model.d_model=-8", "d_model"),
+                                             ("model.d_ffn=0", "d_ffn"),
+                                             ("model.d_ffn=-1", "d_ffn"),
+                                             ("model.num_layers=-1", "num_layers"),
+                                             ("train.base_lr=-1", "base_lr"),
+                                             ("train.warmup_steps=-5", "warmup_steps"),
+                                             ("seed=-1", "seed"),
+                                             ('model.sources=["text","text"]',
+                                              "sources ['text'] given more than once")])
 def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     rc = main(["train", "--config", _cfg_path(workdir), "--set", setting])
     assert rc == 2
@@ -93,10 +105,15 @@ def test_resolved_config_loads_back_equal(workdir, tmp_path):
 
 def test_set_reruns_range_checks_at_load(workdir):
     for bad in ("model.num_heads=3", "model.max_degree_bucket=-1", "model.ln_eps=0",
-                "model.ego_hops=0", "model.ego_max_nodes=0"):
-        name = bad.split(".")[1].split("=")[0]
-        with pytest.raises(cli.ConfigError, match=f"model: .*{name}"):
+                "model.ego_hops=0", "model.ego_max_nodes=0", "model.num_heads=0",
+                "model.d_model=0", "model.d_ffn=0", "model.num_layers=-1", "train.base_lr=-1",
+                "train.base_lr=0", "train.warmup_steps=-5", "seed=-1"):
+        section, _, name = bad.split("=")[0].rpartition(".")
+        with pytest.raises(cli.ConfigError, match=f"{section or 'config'}: .*{name}"):
             cli.apply_overrides(cli.load_config(_cfg_path(workdir)), [bad])
+    # zero layers and a zero warmup stay valid
+    cli.apply_overrides(cli.load_config(_cfg_path(workdir)),
+                        ["model.num_layers=0", "train.warmup_steps=0"])
 
 
 def test_gen_synthetic_config_pins_format_and_defaults(tmp_path):

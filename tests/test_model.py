@@ -422,7 +422,7 @@ def test_mha_single_node_weight_one():
     params = _attn_params(rng, d)
     h = Tensor(rng.standard_normal((1, d)))
     cap = {}
-    out = gm.multi_head_attention(h, Tensor(np.zeros((1, 2, 1, 1))), np.ones((1, 1, 1, 1), bool),
+    out = gm.multi_head_attention(h, Tensor(np.zeros((1, 2))), np.ones((1, 1, 1, 1), bool),
                                   params, num_heads=2, capture=cap)
     assert np.allclose(cap["attention"][0], 1.0)
     v = h.data @ params["wv"].data + params["bv"].data
@@ -437,7 +437,7 @@ def test_mha_large_negative_bias_masks_to_self():
     h = Tensor(rng.standard_normal((k, d)))
     bias = np.full((k, k), -1e9)
     np.fill_diagonal(bias, 0.0)
-    bias_heads = Tensor(np.tile(bias, (1, heads, 1, 1)))
+    bias_heads = Tensor(np.repeat(bias.reshape(-1, 1), heads, axis=1))  # (k*k, heads)
     out = gm.multi_head_attention(h, bias_heads, np.ones((1, 1, 1, k), bool), params,
                                   num_heads=heads)
     v = h.data @ params["wv"].data + params["bv"].data
@@ -454,8 +454,7 @@ def test_mha_gradients():
     r = Tensor(rng.standard_normal((k, d)))
 
     def loss():
-        heads_first = ad.permute(ad.reshape(bias, (1, k, k, 2)), (0, 3, 1, 2))
-        return ad.tsum(ad.mul(gm.multi_head_attention(h, heads_first, np.ones((1, 1, 1, k), bool),
+        return ad.tsum(ad.mul(gm.multi_head_attention(h, bias, np.ones((1, 1, 1, k), bool),
                                                       params, 2), r))
 
     check_gradients(loss, [h, bias] + list(params.values()))
