@@ -230,12 +230,12 @@ def cmd_gen_synthetic(args) -> int:
         homophily=args.homophily, feature_signal=args.feature_signal,
         feature_dim=args.feature_dim, avg_out_degree=args.avg_degree, seed=args.seed,
     )
+    cfg = RunConfig(data=DataConfig(text_dim=args.text_dim))  # range-checked before any write
     data = generate(params)
     out = Path(args.out)
     paths = write_synthetic_files(data, out)
-    cfg = RunConfig()
     cfg.paths = PathsConfig(out_dir=str(out), dataset=str(out / "dataset.bin"), **paths)
-    cfg.data = DataConfig(class_names=data.class_names, text_dim=args.text_dim)
+    cfg.data.class_names = data.class_names
     # desk-scale model/training defaults sized for the benchmark; the low
     # degree-bucket cap keeps centrality tables from memorizing individual
     # hubs on a 400-node transductive graph
@@ -399,15 +399,15 @@ def make_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen-synthetic", help="generate a synthetic benchmark corpus")
     g.add_argument("--out", required=True)
-    g.add_argument("--nodes", type=int, default=400)
-    g.add_argument("--classes", type=int, default=4)
-    g.add_argument("--text-signal", type=float, default=0.35)
-    g.add_argument("--homophily", type=float, default=0.75)
-    g.add_argument("--feature-signal", type=float, default=0.1)
-    g.add_argument("--feature-dim", type=int, default=128)
-    g.add_argument("--avg-degree", type=int, default=5)
+    g.add_argument("--nodes", type=int, default=SyntheticParams.num_nodes)
+    g.add_argument("--classes", type=int, default=SyntheticParams.num_classes)
+    g.add_argument("--text-signal", type=float, default=SyntheticParams.text_signal)
+    g.add_argument("--homophily", type=float, default=SyntheticParams.homophily)
+    g.add_argument("--feature-signal", type=float, default=SyntheticParams.feature_signal)
+    g.add_argument("--feature-dim", type=int, default=SyntheticParams.feature_dim)
+    g.add_argument("--avg-degree", type=int, default=SyntheticParams.avg_out_degree)
     g.add_argument("--text-dim", type=int, default=EncodingParams.text_dim)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=SyntheticParams.seed)
 
     for name, fn in (("prepare", cmd_prepare), ("train", cmd_train),
                      ("ablate", cmd_ablate), ("inspect", cmd_inspect)):

@@ -137,10 +137,10 @@ class EgoStack:
 
     Row b of ``nodes`` holds subgraph b's global ids, padded with -1 past
     ``sizes[b]``; the rows of ``local_edges`` are the induced directed
-    edges as (b, local src, local dst), grouped by b.
+    edges as (b, local src, local dst), grouped by b. Each subgraph's
+    center is its local node 0, so the centers are ``nodes[:, 0]``.
     """
 
-    centers: np.ndarray  # (B,) global ids, int64
     nodes: np.ndarray  # (B, k) global ids, -1 on padding
     sizes: np.ndarray  # (B,) real nodes per subgraph
     local_edges: np.ndarray  # (m, 3) int64
@@ -149,11 +149,6 @@ class EgoStack:
     def num_nodes(self) -> int:
         """Real nodes over all subgraphs."""
         return int(self.sizes.sum())
-
-    @property
-    def center_local(self) -> np.ndarray:
-        """(B,) local index of each subgraph's center."""
-        return np.argmax(self.nodes == self.centers[:, None], axis=1)
 
 
 def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
@@ -292,7 +287,8 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
     Each hop's new frontier is taken whole if it fits; an overflowing
     frontier is subsampled uniformly without replacement (seeded), so
     identical seeds give identical subgraphs. Node order is center
-    first, then each hop's nodes in ascending global id.
+    first (local node 0 of every row), then each hop's nodes in
+    ascending global id.
 
     Every center is sampled in the same pass: frontiers of all centers
     expand together over the CSR arrays as ``b * n + node`` keys, and
@@ -353,4 +349,4 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
     by_key = np.argsort(picked)
     pos, hit = _find(picked[by_key], seg[owner] * n + targets)
     local_edges = np.column_stack([seg[owner], local[owner], local[by_key[pos]]])[hit]
-    return EgoStack(centers=centers, nodes=nodes, sizes=size, local_edges=local_edges)
+    return EgoStack(nodes=nodes, sizes=size, local_edges=local_edges)

@@ -27,7 +27,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import FusionConfig, FusionLayer, xavier_init
 from .graph import DirectedGraph, EgoStack, check_centers, sample_ego_subgraph
-from .structural import SpdMatrix, bfs_spd, build_path_features, local_adjacency
+from .structural import EDGE_FEATURE_DIM, SpdMatrix, bfs_spd, build_path_features, local_adjacency
 
 __all__ = [
     "GraphormerParams",
@@ -56,7 +56,6 @@ class GraphormerParams:
     d_ffn: int = 256
     max_spd: int = 5
     max_degree_bucket: int = 64
-    d_edge_feature: int = 3
     ego_hops: int = 2
     ego_max_nodes: int = 32
     dropout: float = 0.0
@@ -97,7 +96,7 @@ class GraphormerConfig(GraphormerParams):
 
 
 def _path_coeffs(table: np.ndarray, index: np.ndarray, cap: int) -> np.ndarray:
-    """(..., k, k, cap * d_edge): position p holds row t of ``table``
+    """(..., k, k, cap * EDGE_FEATURE_DIM): position p holds row t of ``table``
     divided by N where ``index[..., p]`` is t * cap + N - 1, so that
     ``path_coeffs @ edge_weight`` is the averaged edge term of each pair."""
     # one copy of each row per path length N, divided by N: a true division,
@@ -112,10 +111,9 @@ class SubgraphBatch:
     """One subgraph's row of a ``SubgraphStack``, without padding: the
     compact form the batch cache holds per center, ``path_coeffs`` derived."""
 
-    nodes: np.ndarray  # global ids (k,)
-    center_local: int
+    nodes: np.ndarray  # global ids (k,), the center first
     spd: SpdMatrix  # dist (k, k) int8 (wider past max_spd 126)
-    edge_table: np.ndarray  # (m + 1, d_edge): a zero row, then the directed local edges
+    edge_table: np.ndarray  # (m + 1, EDGE_FEATURE_DIM): a zero row, then the directed local edges
     path_index: np.ndarray  # (k, k, max_spd) t * max_spd + N - 1 (0: no step), narrowest uint
     in_deg: np.ndarray  # (k,) full-graph in-degrees
     out_deg: np.ndarray  # (k,) full-graph out-degrees
@@ -131,7 +129,7 @@ class SubgraphBatch:
 
     @property
     def path_coeffs(self) -> np.ndarray:
-        """(k*k, max_spd * d_edge) averaged path features."""
+        """(k*k, max_spd * EDGE_FEATURE_DIM) averaged path features."""
         return _path_coeffs(self.edge_table, self.path_index, self.spd.cap).reshape(
             self.num_nodes ** 2, -1)
 
@@ -142,14 +140,14 @@ class SubgraphStack:
     pass consumes, padded to the width ``k`` of the largest subgraph,
     pair arrays as (B, k, k, ...). Row ``b * k + i`` of a (B*k, ...)
     reshape is node i of subgraph b, and pair ``(b * k + i) * k + j`` of
-    a (B*k*k, ...) one is its pair (i, j). ``path_index`` is each entry's,
-    offset to its block of ``edge_table``; ``path_coeffs`` is built on first read."""
+    a (B*k*k, ...) one is its pair (i, j); node 0 of each subgraph is its
+    center. ``path_index`` is each entry's, offset to its block of
+    ``edge_table``; ``path_coeffs`` is built on first read."""
 
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
-    center_local: np.ndarray  # (B,)
     spd: SpdMatrix  # dist (B, k, k) int64
-    edge_table: np.ndarray  # (rows, d_edge), a block per subgraph
+    edge_table: np.ndarray  # (rows, EDGE_FEATURE_DIM), a block per subgraph
     edge_offsets: np.ndarray  # (B + 1,)
     path_index: np.ndarray  # (B, k, k, max_spd) int64
     in_deg: np.ndarray  # (B, k), 0 on padding
@@ -161,7 +159,7 @@ class SubgraphStack:
 
     @cached_property
     def path_coeffs(self) -> np.ndarray:
-        """(B, k, k, max_spd * d_edge) averaged path features."""
+        """(B, k, k, max_spd * EDGE_FEATURE_DIM) averaged path features."""
         return _path_coeffs(self.edge_table, self.path_index, self.spd.cap)
 
     def split(self) -> list[SubgraphBatch]:
@@ -172,7 +170,6 @@ class SubgraphStack:
             lo, hi = self.edge_offsets[b], self.edge_offsets[b + 1]
             out.append(SubgraphBatch(
                 nodes=self.nodes[b, :n].copy(),
-                center_local=int(self.center_local[b]),
                 spd=SpdMatrix(dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 1)), cap=cap),
                 edge_table=self.edge_table[lo:hi].copy(),
                 path_index=(self.path_index[b, :n, :n] - lo * cap).astype(
@@ -183,21 +180,12 @@ class SubgraphStack:
         return out
 
 
-def build_batch(
-    g: DirectedGraph,
-    stack: EgoStack,
-    cfg: GraphormerConfig,
-    edge_feature_fn=None,
-) -> SubgraphStack:
+def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> SubgraphStack:
     """Run the structural encodings for every subgraph of ``stack`` in one
     pass; ``split`` gives each subgraph's ``SubgraphBatch``."""
     adj = local_adjacency(stack)
     spd = bfs_spd(stack, cap=cfg.max_spd, adj=adj)
-    paths = build_path_features(g, stack, spd, edge_feature_fn=edge_feature_fn, adj=adj)
-    if paths.dim != cfg.d_edge_feature:
-        raise ValueError(
-            f"edge features have dim {paths.dim}, config says {cfg.d_edge_feature}"
-        )
+    paths = build_path_features(g, stack, spd, adj=adj)
     cap, blocks = spd.cap, paths.offsets[:-1, None, None, None]
     length = np.clip(spd.dist, 1, cap)[..., None]
     index = np.where(paths.index > 0, (blocks + paths.index) * cap + length - 1, blocks * cap)
@@ -205,7 +193,6 @@ def build_batch(
     return SubgraphStack(
         sizes=stack.sizes,
         nodes=nodes,
-        center_local=stack.center_local,
         spd=spd,
         edge_table=paths.table,
         edge_offsets=paths.offsets,
@@ -237,8 +224,7 @@ def stack_batches(batches: Sequence[SubgraphBatch]) -> SubgraphStack:
         index[i, :n, :n] = b.path_index
     index += cap * offsets[:-1, None, None, None]  # into each entry's block
     return SubgraphStack(
-        sizes=sizes, nodes=nodes, center_local=np.array([b.center_local for b in batches]),
-        spd=SpdMatrix(dist=dist, cap=cap),
+        sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist, cap=cap),
         edge_table=np.concatenate([b.edge_table for b in batches]), edge_offsets=offsets,
         path_index=index, in_deg=in_deg, out_deg=out_deg,
     )
@@ -344,7 +330,7 @@ class GraphormerModel:
         self.z_out = Tensor(rng.normal(0.0, 0.02, size=(cfg.max_degree_bucket + 1, d)), requires_grad=True)
         self.spatial_table = Tensor(np.zeros((cfg.num_spd_buckets, cfg.num_heads)), requires_grad=True)
         self.edge_weight = Tensor(
-            np.zeros((cfg.max_spd * cfg.d_edge_feature, cfg.num_heads)), requires_grad=True
+            np.zeros((cfg.max_spd * EDGE_FEATURE_DIM, cfg.num_heads)), requires_grad=True
         )
         self.layers: list[dict[str, Tensor]] = []
         for _ in range(cfg.num_layers):
@@ -410,7 +396,7 @@ class GraphormerModel:
         cfg = self.cfg
         count, k = stack.nodes.shape
         key_mask = (np.arange(k) < stack.sizes[:, None])[:, None, None, :]
-        center_rows = np.arange(count) * k + stack.center_local
+        center_rows = np.arange(count) * k  # each subgraph's node 0
         h = input_embedding(x, stack.in_deg.reshape(-1), stack.out_deg.reshape(-1),
                             self.z_in, self.z_out, cfg.max_degree_bucket)
         bias = attention_bias(stack, self.spatial_table, self.edge_weight)

@@ -58,23 +58,20 @@ class PathFeatures:
     """
 
     index: np.ndarray  # (B, k, k, cap) int64
-    table: np.ndarray  # (m + B, dim) for m directed local edges in all
+    table: np.ndarray  # (m + B, EDGE_FEATURE_DIM) for m directed local edges in all
     offsets: np.ndarray  # (B + 1,)
     lengths: np.ndarray  # (B, k, k) hop counts; 0 on the diagonal and for unreachable pairs
 
-    @property
-    def dim(self) -> int:
-        return self.table.shape[-1]
-
     @cached_property
     def steps(self) -> np.ndarray:
-        """(B, k, k, cap, dim) feature vectors of each path's steps, zeros past its end."""
+        """(B, k, k, cap, EDGE_FEATURE_DIM) feature vectors of each path's
+        steps, zeros past its end."""
         return self.table[self.index + self.offsets[:-1, None, None, None]]
 
     @cached_property
     def per_pair(self) -> dict[tuple[int, int, int], np.ndarray]:
-        """(b, i, j) -> (length, dim) feature sequence, for every reachable
-        pair i != j; the arrays are views into ``steps``."""
+        """(b, i, j) -> (length, EDGE_FEATURE_DIM) feature sequence, for
+        every reachable pair i != j; the arrays are views into ``steps``."""
         return {tuple(map(int, at)): self.steps[at][: self.lengths[at]]
                 for at in zip(*np.nonzero(self.lengths))}
 
@@ -181,25 +178,19 @@ def build_path_features(
     g: DirectedGraph,
     sub: EgoStack,
     spd: SpdMatrix,
-    edge_feature_fn=None,
     adj: np.ndarray | None = None,
 ) -> PathFeatures:
     """Per-edge feature sequences along one shortest path per ordered pair.
 
-    ``edge_feature_fn(g, src_gids, dst_gids) -> (m, dim)`` may supply
-    external edge features; the synthesized 3-dim features are the
-    default. It is called once, over both orientations of every local
-    undirected edge of every subgraph. Paths are then
+    ``synth_edge_features`` is called once, over both orientations of
+    every local undirected edge of every subgraph. Paths are then
     filled one distance level at a time: the path i -> j is the path
     i -> pred[i, j] plus the step pred[i, j] -> j.
     """
-    fn = edge_feature_fn or synth_edge_features
     if adj is None:
         adj = local_adjacency(sub)
     s, a, b = np.nonzero(adj)
-    feats = np.asarray(fn(g, sub.nodes[s, a], sub.nodes[s, b]), dtype=np.float64)
-    if feats.ndim != 2 or feats.shape[0] != len(a):
-        raise ValueError(f"edge features must be ({len(a)}, dim), got shape {feats.shape}")
+    feats = synth_edge_features(g, sub.nodes[s, a], sub.nodes[s, b])
     # edges come grouped by subgraph; a zero row leads each subgraph's block
     offsets = np.append(0, np.cumsum(np.bincount(s, minlength=len(adj)) + 1))
     table = np.insert(feats, offsets[:-1] - np.arange(len(adj)), 0.0, axis=0)

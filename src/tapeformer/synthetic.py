@@ -55,6 +55,9 @@ class SyntheticParams:
                 f"{self.num_nodes} nodes cannot cover {self.num_classes} classes "
                 "across train/val/test; need at least 5 per class"
             )
+        for name in ("feature_dim", "avg_out_degree"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         for name in ("text_signal", "homophily", "feature_signal", "train_frac", "val_frac"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -128,7 +131,7 @@ def generate(params: SyntheticParams) -> SyntheticData:
     for t in range(n):
         v = int(order[t])
         if earlier:
-            m = min(len(earlier), 1 + int(rng.poisson(max(0, params.avg_out_degree - 1))))
+            m = min(len(earlier), 1 + int(rng.poisson(params.avg_out_degree - 1)))
             targets: set[int] = set()
             for _ in range(m):
                 same = by_class_earlier[labels[v]]

@@ -58,6 +58,11 @@ class EncodingParams:
     text_dim: int = 256  # width of the hashed text and explanation encodings
     pred_top_k: int = 5  # LLM predictions kept per node
 
+    def __post_init__(self):
+        for name in ("text_dim", "pred_top_k"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass
 class NodeDocument:
@@ -276,10 +281,9 @@ def build_bundle(
 # ---------------------------------------------------------------------------
 
 
-def load_node_documents(path) -> list[NodeDocument]:
-    """Parse the node-document JSONL file; ids must be exactly 0..n-1."""
-    docs: list[NodeDocument] = []
-    seen: set[int] = set()
+def _jsonl_objects(path):
+    """Yield (line number, parsed value) for each non-blank line of a
+    JSONL file; a line that is not JSON raises naming it."""
     with open(path, "r", encoding="utf-8") as f:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
@@ -289,22 +293,30 @@ def load_node_documents(path) -> list[NodeDocument]:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{ln}: invalid JSON: {e}") from None
-            try:
-                doc = NodeDocument(
-                    id=int(obj["id"]),
-                    title=str(obj["title"]),
-                    abstract=str(obj.get("abstract", "")),
-                    label=None if obj.get("label") is None else int(obj["label"]),
-                    year=int(obj["year"]),
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}:{ln}: bad document record: {e}") from None
-            if not doc.title:
-                raise DataError(f"{path}:{ln}: empty title for node {doc.id}")
-            if doc.id in seen:
-                raise DataError(f"{path}:{ln}: duplicate node id {doc.id}")
-            seen.add(doc.id)
-            docs.append(doc)
+            yield ln, obj
+
+
+def load_node_documents(path) -> list[NodeDocument]:
+    """Parse the node-document JSONL file; ids must be exactly 0..n-1."""
+    docs: list[NodeDocument] = []
+    seen: set[int] = set()
+    for ln, obj in _jsonl_objects(path):
+        try:
+            doc = NodeDocument(
+                id=int(obj["id"]),
+                title=str(obj["title"]),
+                abstract=str(obj.get("abstract", "")),
+                label=None if obj.get("label") is None else int(obj["label"]),
+                year=int(obj["year"]),
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}:{ln}: bad document record: {e}") from None
+        if not doc.title:
+            raise DataError(f"{path}:{ln}: empty title for node {doc.id}")
+        if doc.id in seen:
+            raise DataError(f"{path}:{ln}: duplicate node id {doc.id}")
+        seen.add(doc.id)
+        docs.append(doc)
     docs.sort(key=lambda d: d.id)
     for i, doc in enumerate(docs):
         if doc.id != i:
@@ -322,33 +334,25 @@ def load_llm_records(path, class_names: list[str]) -> dict[int, LlmRecord]:
     records: dict[int, LlmRecord] = {}
     unknown = 0
     duplicates = 0
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{ln}: invalid JSON: {e}") from None
-            try:
-                node_id = int(obj["id"])
-                names = list(obj["predictions"])
-                explanation = str(obj.get("explanation", ""))
-            except (KeyError, TypeError, ValueError) as e:
-                raise DataError(f"{path}:{ln}: bad LLM record: {e}") from None
-            if node_id in records:
-                raise DataError(f"{path}:{ln}: duplicate LLM record for node {node_id}")
-            preds: list[int] = []
-            for name in names:
-                idx = name_to_idx.get(name)
-                if idx is None:
-                    unknown += 1
-                elif idx in preds:
-                    duplicates += 1
-                else:
-                    preds.append(idx)
-            records[node_id] = LlmRecord(node_id=node_id, predictions=preds, explanation=explanation)
+    for ln, obj in _jsonl_objects(path):
+        try:
+            node_id = int(obj["id"])
+            names = list(obj["predictions"])
+            explanation = str(obj.get("explanation", ""))
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}:{ln}: bad LLM record: {e}") from None
+        if node_id in records:
+            raise DataError(f"{path}:{ln}: duplicate LLM record for node {node_id}")
+        preds: list[int] = []
+        for name in names:
+            idx = name_to_idx.get(name)
+            if idx is None:
+                unknown += 1
+            elif idx in preds:
+                duplicates += 1
+            else:
+                preds.append(idx)
+        records[node_id] = LlmRecord(node_id=node_id, predictions=preds, explanation=explanation)
     if unknown:
         log.warning("%s: dropped %d prediction(s) with unknown class names", path, unknown)
     if duplicates:

@@ -158,22 +158,21 @@ def brute_force_clustering(adj_sets, v) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
-def ego_stack(center: int, nodes, local_edges):
-    """One subgraph as a one-row ``EgoStack``: global ids ``nodes``, among
-    them ``center``, and its induced edges as (m, 2) local pairs."""
+def ego_stack(nodes, local_edges):
+    """One subgraph as a one-row ``EgoStack``: global ids ``nodes``, the
+    center first, and its induced edges as (m, 2) local pairs."""
     from tapeformer.graph import EgoStack
 
     nodes = np.asarray(nodes, dtype=np.int64)
     edges = np.asarray(local_edges, dtype=np.int64).reshape(-1, 2)
-    return EgoStack(centers=np.array([center], dtype=np.int64), nodes=nodes[None],
-                    sizes=np.array([len(nodes)], dtype=np.int64),
+    return EgoStack(nodes=nodes[None], sizes=np.array([len(nodes)], dtype=np.int64),
                     local_edges=np.column_stack([np.zeros(len(edges), dtype=np.int64), edges]))
 
 
 def stack_row(stack, b: int):
     """Row b of an ``EgoStack`` as a one-row stack, without padding."""
     edges = stack.local_edges[stack.local_edges[:, 0] == b, 1:]
-    return ego_stack(int(stack.centers[b]), stack.nodes[b, :stack.sizes[b]], edges)
+    return ego_stack(stack.nodes[b, :stack.sizes[b]], edges)
 
 
 def node_map(stack, b: int = 0) -> dict[int, int]:
@@ -183,10 +182,11 @@ def node_map(stack, b: int = 0) -> dict[int, int]:
 
 def relabelled_stack(sub, perm):
     """A one-row stack with its local indices permuted: new local index i
-    is old local index ``perm[i]``."""
+    is old local index ``perm[i]``, so the center moves to the i where
+    ``perm[i] == 0``."""
     inv = np.argsort(perm)
     edges = sub.local_edges[:, 1:]
-    return ego_stack(int(sub.centers[0]), sub.nodes[0][perm], inv[edges])
+    return ego_stack(sub.nodes[0][perm], inv[edges])
 
 
 def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int):
@@ -229,7 +229,7 @@ def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int
             lj = local_of.get(int(t))
             if lj is not None:
                 edges.append((li, lj))
-    return ego_stack(center, selected, edges)
+    return ego_stack(selected, edges)
 
 
 def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
@@ -368,11 +368,13 @@ def oracle_subgraph_logits(model, batch, bundle) -> np.ndarray:
 
 
 def oracle_logits_for_centers(model, data, centers, seed: int) -> np.ndarray:
-    """(B, C) center logits, one full subgraph forward per center."""
+    """(B, C) center logits, one full subgraph forward per center; the
+    center is node 0 of its subgraph."""
     rows = []
     for c in centers:
         batch = model.batch_for(data.graph, int(c), seed)
-        rows.append(oracle_subgraph_logits(model, batch, data.bundle)[batch.center_local])
+        assert batch.nodes[0] == c
+        rows.append(oracle_subgraph_logits(model, batch, data.bundle)[0])
     return np.stack(rows)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -71,6 +72,9 @@ def test_config_overrides_win(workdir):
                                              ("train.base_lr=-1", "base_lr"),
                                              ("train.warmup_steps=-5", "warmup_steps"),
                                              ("seed=-1", "seed"),
+                                             ("data.text_dim=0", "text_dim"),
+                                             ("data.pred_top_k=0", "pred_top_k"),
+                                             ("model.d_edge_feature=3", "model.d_edge_feature"),
                                              ('model.sources=["text","text"]',
                                               "sources ['text'] given more than once")])
 def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
@@ -78,6 +82,25 @@ def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     assert rc == 2
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+
+
+def test_config_file_with_removed_key_is_exit_2(workdir, tmp_path, capsys):
+    """``model.d_edge_feature`` is gone (edge features are always
+    ``EDGE_FEATURE_DIM`` wide): a config that still sets it is refused."""
+    cfg = json.loads(Path(_cfg_path(workdir)).read_text())
+    cfg["model"]["d_edge_feature"] = 3
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["train", "--config", str(p)]) == 2
+    assert "unknown config key(s) ['model.d_edge_feature']" in capsys.readouterr().err
+
+
+def test_readme_lists_every_model_and_train_field():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Model configuration\n", 1)[1].split("\n## ", 1)[0]
+    for cls in (cli.GraphormerParams, cli.TrainParams):
+        for f in dataclasses.fields(cls):
+            assert f"`{f.name}`" in section, (cls.__name__, f.name)
 
 
 def test_overrides_coerce_to_declared_types(workdir, tmp_path):
@@ -126,7 +149,7 @@ def test_gen_synthetic_config_pins_format_and_defaults(tmp_path):
                                  "full"]},
         "data": {"class_names": ["field0", "field1", "field2", "field3"], "pred_top_k": 5,
                  "text_dim": 256},
-        "model": {"d_edge_feature": 3, "d_ffn": 128, "d_model": 64, "dropout": 0.0,
+        "model": {"d_ffn": 128, "d_model": 64, "dropout": 0.0,
                   "ego_hops": 2, "ego_max_nodes": 16, "kind": "graphormer", "ln_eps": 1e-12,
                   "max_degree_bucket": 4, "max_spd": 5, "num_heads": 4, "num_layers": 2,
                   "sources": ["expl", "pred", "text", "ogb"]},
@@ -448,6 +471,23 @@ def test_gen_synthetic_rejects_bad_params(tmp_path, capsys):
     rc = main(["gen-synthetic", "--out", str(tmp_path), "--nodes", "3", "--classes", "4"])
     assert rc == 2
     assert "classes" in capsys.readouterr().err
+    for flag, value, named in (("--text-dim", "0", "text_dim"),
+                               ("--feature-dim", "-1", "feature_dim"),
+                               ("--avg-degree", "-3", "avg_out_degree")):
+        out = tmp_path / flag.lstrip("-")
+        assert main(["gen-synthetic", "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert f"{named} must be >= 1" in err and "internal error" not in err
+        assert not out.exists()  # refused before anything is written
+
+
+def test_gen_synthetic_flags_default_to_synthetic_params():
+    args = cli.make_parser().parse_args(["gen-synthetic", "--out", "x"])
+    got = cli.SyntheticParams(num_nodes=args.nodes, num_classes=args.classes,
+                              text_signal=args.text_signal, homophily=args.homophily,
+                              feature_signal=args.feature_signal, feature_dim=args.feature_dim,
+                              avg_out_degree=args.avg_degree, seed=args.seed)
+    assert got == cli.SyntheticParams()
 
 
 def test_out_dir_env_var(workdir, tmp_path, monkeypatch):

@@ -162,7 +162,7 @@ def test_build_batch_calls_traced_structural_names_once_each(monkeypatch):
         per_pair = {(i, j): f for (_, i, j), f in seen[-1].per_pair.items()}
         assert set(per_pair) == reachable
         for (i, j), feats in per_pair.items():
-            assert feats.shape == (dist[i, j], cfg.d_edge_feature)
+            assert feats.shape == (dist[i, j], st.EDGE_FEATURE_DIM)
 
 
 def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
@@ -253,7 +253,8 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
             dist, coeffs = oracle_structural(g, sub, cfg.max_spd)
             nodes = sub.nodes[0]
             want[c] = (nodes, dist, coeffs, np.asarray([g.in_degree(int(v)) for v in nodes]),
-                       np.asarray([g.out_degree(int(v)) for v in nodes]), node_map(sub)[c])
+                       np.asarray([g.out_degree(int(v)) for v in nodes]))
+            assert node_map(sub)[c] == 0
         sizes = {len(w[0]) for w in want.values()}
         assert 1 in sizes and (max_nodes == 1 or len(sizes) > 2)
         for chunks in ([list(range(n))], [[c] for c in range(n)],
@@ -267,7 +268,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
             assert len(stacks) == len(chunks)
             for c in range(n):
                 b = model._batch_cache[(c, 4)]
-                nodes, dist, coeffs, in_deg, out_deg, center_local = want[c]
+                nodes, dist, coeffs, in_deg, out_deg = want[c]
                 assert b.nodes.tobytes() == nodes.tobytes(), (max_nodes, c)
                 # the cache keeps distances as int8; their values are the oracle's
                 assert b.spd.dist.dtype == np.int8 and dist.dtype == np.int64
@@ -277,7 +278,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
                 assert b.path_coeffs.tobytes() == coeffs.tobytes(), (max_nodes, c)
                 assert b.in_deg.tobytes() == in_deg.astype(np.int64).tobytes()
                 assert b.out_deg.tobytes() == out_deg.astype(np.int64).tobytes()
-                assert b.center_local == center_local
+                assert b.nodes[0] == c
 
 
 def test_cached_batches_own_compact_arrays(monkeypatch):
@@ -346,14 +347,14 @@ def test_cached_entry_is_a_fifth_of_the_padded_layout():
     model._build_missing(g, list(range(24)), 0)
     full = [b for b in model._batch_cache.values() if b.num_nodes == 32]
     assert len(full) > 12
-    k, coeffs = 32, 32 * 32 * cfg.max_spd * cfg.d_edge_feature
+    k, coeffs = 32, 32 * 32 * cfg.max_spd * st.EDGE_FEATURE_DIM
     padded_layout = 8 * (k + k * k + coeffs + 2 * k)  # nodes, dist, path_coeffs, degrees
     for b in full:
         held = [getattr(b, f.name) for f in dataclasses.fields(b)]
-        arrays = [a.dist if isinstance(a, st.SpdMatrix) else a for a in held if not isinstance(a, int)]
+        arrays = [a.dist if isinstance(a, st.SpdMatrix) else a for a in held]
         assert sum(a.nbytes for a in arrays) * 5 <= padded_layout
         assert all(a.size < coeffs for a in arrays)
-        assert b.path_coeffs.shape == (k * k, cfg.max_spd * cfg.d_edge_feature)
+        assert b.path_coeffs.shape == (k * k, cfg.max_spd * st.EDGE_FEATURE_DIM)
 
 
 def test_bad_center_raises_through_the_model():
@@ -488,7 +489,8 @@ def test_forward_permutation_equivariance():
         permuted = model.forward(pbatch, bundle).data
         assert np.max(np.abs(permuted - base[perm])) < 1e-6
         # the center row is found wherever the center landed
-        assert np.max(np.abs(permuted[pbatch.center_local] - base[batch.center_local])) < 1e-6
+        moved = np.flatnonzero(perm == 0)[0]
+        assert np.max(np.abs(permuted[moved] - base[0])) < 1e-6
 
 
 def test_attention_rows_sum_to_one_every_layer_head():
@@ -517,7 +519,7 @@ def test_zeroed_tables_make_model_rewiring_invariant():
 
     def batch_for_edges(edges):
         g = gr.from_edge_list(edges, n)
-        return gm.build_batch(g, ego_stack(0, nodes, edges), cfg)
+        return gm.build_batch(g, ego_stack(nodes, edges), cfg)
 
     ring = [(i, (i + 1) % n) for i in range(n)]
     star = [(0, i) for i in range(1, n)]
@@ -546,7 +548,7 @@ def test_overfit_tiny_subgraph():
     n = 20
     edges = random_edge_list(rng, n, 0.15)
     g = gr.from_edge_list(edges, n)
-    sub = ego_stack(0, np.arange(n), list(g.edges()))
+    sub = ego_stack(np.arange(n), list(g.edges()))
     cfg = tiny_config()
     batch = gm.build_batch(g, sub, cfg)
     model = gm.GraphormerModel(cfg, fusion_config(), seed=9)
@@ -613,10 +615,10 @@ def test_stack_batches_pads_and_masks():
     stack = gm.stack_batches(batches)
     k = max(b.num_nodes for b in batches)
     assert stack.nodes.shape == (3, k) and stack.sizes.tolist() == [b.num_nodes for b in batches]
+    assert stack.nodes[:, 0].tolist() == [22, 0, 5]  # the center rows
     for i, b in enumerate(batches):
         n = b.num_nodes
         assert np.array_equal(stack.nodes[i, :n], b.nodes) and (stack.nodes[i, n:] == -1).all()
-        assert stack.center_local[i] == b.center_local
         assert np.array_equal(stack.spd_buckets[i, :n, :n].reshape(-1), b.spd_buckets)
         coeffs = stack.path_coeffs[i]
         assert np.array_equal(coeffs[:n, :n].reshape(n * n, -1), b.path_coeffs)
@@ -645,7 +647,8 @@ def test_split_and_stack_batches_round_trip():
         real = np.arange(k) < built.sizes[:, None]
         pairs = real[:, :, None] & real[:, None, :]
         assert back.spd.cap == built.spd.cap
-        for name, mask in (("sizes", None), ("center_local", None), ("nodes", real),
+        assert back.nodes[:, 0].tolist() == centers == built.nodes[:, 0].tolist()
+        for name, mask in (("sizes", None), ("nodes", real),
                            ("in_deg", real), ("out_deg", real), ("spd_buckets", pairs),
                            ("path_coeffs", pairs)):
             got, want = getattr(back, name), getattr(built, name)

@@ -29,7 +29,7 @@ def _relabelled(g, rng):
     order = rng.permutation(n).astype(np.int64)
     local_of = {int(gid): li for li, gid in enumerate(order)}
     local = [[local_of[u], local_of[v]] for u, v in g.edges()]
-    return ego_stack(int(order[0]), order, local)
+    return ego_stack(order, local)
 
 
 def _path(pred, i, j):
@@ -124,7 +124,7 @@ def test_increasing_cap_preserves_small_entries():
 
 
 def test_path_empty_for_same_node_none_for_unreachable():
-    sub_all = ego_stack(0, [0, 1, 2], [[0, 1]])
+    sub_all = ego_stack([0, 1, 2], [[0, 1]])
     spd = st.bfs_spd(sub_all, cap=4)
     pred = st.path_predecessors(sub_all, spd)[0]
     assert _path(pred, 1, 1) == []
@@ -248,7 +248,7 @@ def test_build_path_features_lengths_match_spd():
     sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=18, seeds=[0])
     spd = st.bfs_spd(sub, cap=4)
     pf = st.build_path_features(g, sub, spd)
-    assert pf.dim == st.EDGE_FEATURE_DIM
+    assert pf.table.shape[1] == st.EDGE_FEATURE_DIM
     k = sub.num_nodes
     for i in range(k):
         for j in range(k):
@@ -280,23 +280,3 @@ def test_path_index_points_into_each_subgraphs_block():
         assert np.array_equal(pf.steps[b], block[pf.index[b]])
     for (b, i, j), feats in pf.per_pair.items():
         assert np.shares_memory(feats, pf.steps) and len(feats) == pf.lengths[b, i, j]
-
-
-def test_custom_edge_feature_fn():
-    g = gr.from_edge_list([(0, 1), (1, 2)], 3)
-    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=3, seeds=[0])
-    spd = st.bfs_spd(sub, cap=3)
-    calls = []
-
-    def fn(g_, src, dst):
-        calls.append((src.copy(), dst.copy()))
-        return np.stack([src, dst, np.full(len(src), 9.0), np.full(len(src), 9.0)], axis=1)
-
-    pf = st.build_path_features(g, sub, spd, edge_feature_fn=fn)
-    assert pf.dim == 4
-    i, j = node_map(sub)[0], node_map(sub)[1]
-    assert pf.per_pair[(0, i, j)][0, 2] == 9.0
-    assert list(pf.per_pair[(0, i, j)][0, :2]) == [0.0, 1.0]  # global ids of the step
-    # one call, over both orientations of each undirected edge
-    assert len(calls) == 1
-    assert sorted(zip(calls[0][0].tolist(), calls[0][1].tolist())) == [(0, 1), (1, 0), (1, 2), (2, 1)]
