@@ -43,6 +43,7 @@ __all__ = [
     "attention_bias",
     "multi_head_attention",
     "subgraph_seed",
+    "BUILD_PASS_PAIRS",
 ]
 
 
@@ -186,9 +187,13 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     adj = local_adjacency(stack)
     spd = bfs_spd(stack, cap=cfg.max_spd, adj=adj)
     paths = build_path_features(g, stack, spd, adj=adj)
-    cap, blocks = spd.cap, paths.offsets[:-1, None, None, None]
-    length = np.clip(spd.dist, 1, cap)[..., None]
-    index = np.where(paths.index > 0, (blocks + paths.index) * cap + length - 1, blocks * cap)
+    cap = spd.cap
+    # row t of block b on a path of length N becomes (offset_b + t) * cap + N - 1,
+    # no step (t = 0) the block's zero row, offset_b * cap; in place, so that the
+    # pass holds one (B, k, k, cap) array beside the path features' own
+    index = paths.index + paths.offsets[:-1, None, None, None]
+    index *= cap
+    np.add(index, np.clip(spd.dist, 1, cap)[..., None] - 1, out=index, where=paths.index > 0)
     nodes, real = stack.nodes, stack.nodes >= 0
     return SubgraphStack(
         sizes=stack.sizes,
@@ -228,6 +233,11 @@ def stack_batches(batches: Sequence[SubgraphBatch]) -> SubgraphStack:
         edge_table=np.concatenate([b.edge_table for b in batches]), edge_offsets=offsets,
         path_index=index, in_deg=in_deg, out_deg=out_deg,
     )
+
+
+# the most padded pairs (centers x ego_max_nodes**2) one build pass encodes:
+# 64 centers at ego_max_nodes=16, 16 at 32; a pass holds at least one center
+BUILD_PASS_PAIRS = 16_384
 
 
 def subgraph_seed(base_seed: int, center: int) -> int:
@@ -455,19 +465,29 @@ class GraphormerModel:
             self._build_missing(g, [center], seed)
         return self._batch_cache[key]
 
+    def build_centers(self, data, centers, seed: int) -> None:
+        """Sample, encode and cache every center of ``centers`` not cached
+        yet, so that later forwards over them only look their batches up."""
+        self._build_missing(data.graph, [int(c) for c in centers], seed)
+
     def _build_missing(self, g: DirectedGraph, centers: list[int], seed: int) -> None:
-        """Sample and build every center of ``centers`` not yet cached,
-        all in one batched pass, and cache each one's batch."""
+        """Sample and build every center of ``centers`` not yet cached, in
+        batched passes of at most ``BUILD_PASS_PAIRS`` padded pairs, and
+        cache each one's batch. Each subgraph is sampled from its own
+        seed, so the pass a center is built in does not change its batch."""
         missing = [c for c in dict.fromkeys(centers) if (c, seed) not in self._batch_cache]
         if not missing:
             return
         check_centers(g, missing)  # before a negative center reaches subgraph_seed
-        subs = sample_ego_subgraph(
-            g, missing, hops=self.cfg.ego_hops, max_nodes=self.cfg.ego_max_nodes,
-            seeds=[subgraph_seed(seed, c) for c in missing],
-        )
-        for c, batch in zip(missing, build_batch(g, subs, self.cfg).split()):
-            self._batch_cache[(c, seed)] = batch
+        per_pass = max(1, BUILD_PASS_PAIRS // self.cfg.ego_max_nodes ** 2)
+        for lo in range(0, len(missing), per_pass):
+            part = missing[lo:lo + per_pass]
+            subs = sample_ego_subgraph(
+                g, part, hops=self.cfg.ego_hops, max_nodes=self.cfg.ego_max_nodes,
+                seeds=[subgraph_seed(seed, c) for c in part],
+            )
+            for c, batch in zip(part, build_batch(g, subs, self.cfg).split()):
+                self._batch_cache[(c, seed)] = batch
 
     def logits_for_centers(
         self,
@@ -478,9 +498,10 @@ class GraphormerModel:
         rng: np.random.Generator | None = None,
     ) -> Tensor:
         """(B, C) center-node logits from one padded forward over the
-        centers' cached subgraphs; the ones not cached yet are built
-        together first."""
+        centers' cached subgraphs; the ones not cached yet are built first."""
         centers = [int(c) for c in centers]
+        if not centers:
+            raise ValueError("logits_for_centers got an empty center list")
         self._build_missing(data.graph, centers, seed)
         stack = stack_batches([self.batch_for(data.graph, c, seed) for c in centers])
         return self.forward_fused(stack, self._fused_rows(stack, data.bundle), train=train, rng=rng)
@@ -512,6 +533,9 @@ class FusedMlp:
 
     def load_state(self, state: dict[str, np.ndarray]) -> None:
         _load_state(self.parameters(), state)
+
+    def build_centers(self, data, centers, seed: int) -> None:
+        """Nothing to build: the baseline reads no subgraphs."""
 
     def logits_for_centers(self, data, centers, seed: int = 0, train: bool = False,
                            rng: np.random.Generator | None = None) -> Tensor:

@@ -122,18 +122,40 @@ def path_predecessors(sub: EgoStack, spd: SpdMatrix, adj: np.ndarray | None = No
     (and hence the model's edge-encoding term) are invariant under
     relabeling of local indices. -1 on the diagonal and for unreachable
     pairs. Following ``pred[i, .]`` back from j walks the whole path.
+
+    Each directed local edge (j, u) is tested against every source at
+    once: the edges are listed by subgraph, node and the neighbor's
+    global id, and per node and source the first neighbor one hop closer
+    wins, so the work is k per local edge rather than k**3 per subgraph.
+    Returns a (B, k, k) view of an array laid out by (subgraph, node,
+    source).
     """
     if adj is None:
         adj = local_adjacency(sub)
-    dist = spd.dist
+    count, k = adj.shape[:2]
     order = np.argsort(sub.nodes, axis=-1)  # local indices by ascending global id
-    by_id = np.take_along_axis(dist, order[..., None, :], axis=-1)  # [i, r] = dist[i, order[r]]
-    nbr = np.take_along_axis(adj, order[..., :, None], axis=-2).swapaxes(-1, -2)  # [j, r]
-    # cand[i, j, r]: local node order[r] is a neighbor of j one hop closer to i
-    cand = (by_id[..., :, None, :] == dist[..., :, :, None] - 1) & nbr[..., None, :, :]
-    pred = np.take_along_axis(order[..., None, :], cand.argmax(axis=-1), axis=-1)
-    pred[(dist == 0) | (dist > spd.cap)] = -1
-    return pred
+    # edge (s * k + j, r): local node j of subgraph s and its neighbor order[s, r]
+    sj, r = np.nonzero(np.take_along_axis(adj, order[:, None, :], axis=-1).reshape(count * k, k))
+    out = np.full((count * k, k), -1, dtype=np.int64)  # [s * k + j, i]
+    if len(r):
+        s = sj // k
+        # row j of dist[s] holds j's distances to every source i: distances
+        # are symmetric on the undirected view. want[s * k + j, i] is the
+        # distance from i j's predecessor has, so none can match it on the
+        # diagonal (-1) or past the cap (-2)
+        dist = spd.dist.astype(np.min_scalar_type(-spd.cap - 2))
+        want = np.where(dist <= spd.cap, dist - 1, -2).reshape(count * k, k)
+        # each candidate scores k - r, so the one with the smallest global id
+        # scores highest within its node's run of edges
+        score = (k - r).astype(np.min_scalar_type(k))
+        cand = dist[s, order[s, r]] == want[sj]  # (edges, sources)
+        runs = np.flatnonzero(np.append(True, sj[1:] != sj[:-1]))
+        best = np.maximum.reduceat(cand * score[:, None], runs, axis=0)
+        # best 0 (no candidate) reads the -1 appended to each subgraph's order
+        padded = np.concatenate([order, np.full((count, 1), -1)], axis=1).reshape(-1)
+        rows = sj[runs]
+        out[rows] = padded[(rows // k * (k + 1))[:, None] + k - best]
+    return out.reshape(count, k, k).transpose(0, 2, 1)
 
 
 def clustering_coefficient(g: DirectedGraph, v: int) -> float:

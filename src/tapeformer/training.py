@@ -244,13 +244,15 @@ def predict(model, data, ids, seed: int, chunk: int = 16) -> np.ndarray:
     """Argmax class per node, computed without touching the tape.
 
     Each chunk of ids is one padded forward whose pair arrays hold
-    ``chunk * k * k`` rows, so the chunk bounds its memory. Chunks run
-    without per-op finite checks; a chunk with a non-finite logit runs
-    again with them on, and the ``FloatingPointError`` names the first
-    op that went non-finite.
+    ``chunk * k * k`` rows, so the chunk bounds its memory. Every id is
+    built before the first chunk, in the model's capped build passes.
+    Chunks run without per-op finite checks; a chunk with a non-finite
+    logit runs again with them on, and the ``FloatingPointError`` names
+    the first op that went non-finite.
     """
     ids = np.asarray(ids, dtype=np.int64)
     out = np.empty(len(ids), dtype=np.int64)
+    model.build_centers(data, ids, seed)
     with ad.no_grad():
         for lo in range(0, len(ids), chunk):
             part = ids[lo:lo + chunk]
@@ -265,7 +267,7 @@ def predict(model, data, ids, seed: int, chunk: int = 16) -> np.ndarray:
 
 def accuracy_on(model, data, ids, seed: int) -> float:
     preds = predict(model, data, ids, seed)
-    return float((preds == data.labels[np.asarray(ids)]).mean())
+    return float((preds == data.labels[np.asarray(ids, dtype=np.int64)]).mean())
 
 
 def _grad_norms(params: dict[str, Tensor], top: int = 5) -> str:
@@ -293,10 +295,14 @@ def _first_non_finite_op(forward) -> str:
 
 
 def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
-    """Run the full loop; returns the best-validation checkpoint and history."""
+    """Run the full loop; returns the best-validation checkpoint and history.
+
+    Every training center is built before the first step, so the
+    micro-batch loop only looks batches up."""
     params = model.parameters()
     opt = Adam(params)
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
+    model.build_centers(data, train_ids, cfg.seed)
     micro = cfg.batch_size
     per_step = micro * cfg.grad_accum_steps
     steps_per_epoch = max(1, -(-len(train_ids) // per_step))

@@ -271,6 +271,26 @@ def shortest_path_edges(sub, adj_sets, dist, cap, i, j):
     return steps
 
 
+def oracle_path_predecessors(sub, spd, adj=None) -> np.ndarray:
+    """(B, k, k) predecessors by the dense rule: for every source i and
+    node j, every local node is tested as a neighbor of j one hop closer
+    to i, in ascending global id, and the first one wins. -1 on the
+    diagonal and for unreachable pairs."""
+    from tapeformer.structural import local_adjacency
+
+    if adj is None:
+        adj = local_adjacency(sub)
+    dist = spd.dist
+    order = np.argsort(sub.nodes, axis=-1)  # local indices by ascending global id
+    by_id = np.take_along_axis(dist, order[..., None, :], axis=-1)  # [i, r] = dist[i, order[r]]
+    nbr = np.take_along_axis(adj, order[..., :, None], axis=-2).swapaxes(-1, -2)  # [j, r]
+    # cand[i, j, r]: local node order[r] is a neighbor of j one hop closer to i
+    cand = (by_id[..., :, None, :] == dist[..., :, :, None] - 1) & nbr[..., None, :, :]
+    pred = np.take_along_axis(order[..., None, :], cand.argmax(axis=-1), axis=-1)
+    pred[(dist == 0) | (dist > spd.cap)] = -1
+    return pred
+
+
 def oracle_structural(g, sub, cap: int, d_edge: int = 3):
     """(capped dist, path_coeffs) for a one-row stack, pair by pair.
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,8 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
     array fields off ``build_batch``'s and the 1-D ``nodes`` of each
     ``batch_for`` result, which it concatenates per micro-batch; a cold
     ``logits_for_centers`` must reach all three through the model
-    module."""
+    module, and the builds ``train`` and ``predict`` start before their
+    loops the first two."""
     import importlib
     import importlib.util
     from pathlib import Path
@@ -215,6 +218,23 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
         assert b.nodes.ndim == 1 and len(b.nodes) == b.num_nodes
     joined = np.concatenate([b.nodes for b in looked_up])
     assert joined.tolist() == [v for b in looked_up for v in b.nodes.tolist()]
+
+    # train and predict build their centers up front: through the same names
+    from tapeformer import training as tr
+
+    results.clear()
+    data.labels = np.arange(24) % model.cfg.num_classes
+    split = tr.TemporalSplit(train_ids=np.arange(14), val_ids=np.arange(14, 19),
+                             test_ids=np.arange(19, 24))
+    trained = gm.GraphormerModel(model.cfg, fusion_config(), seed=1)
+    tr.train(trained, data, split, tr.TrainConfig(epochs=1, batch_size=4, seed=0))
+    predicted = gm.GraphormerModel(model.cfg, fusion_config(), seed=2)
+    tr.predict(predicted, data, split.test_ids, seed=0)
+    built = trained._batch_cache | predicted._batch_cache
+    assert len(built) == 24
+    assert sum(s.num_nodes for s in results["sample_ego_subgraph"]) == sum(
+        b.num_nodes for b in built.values())
+    assert sum(len(s.sizes) for s in results["build_batch"]) == len(built)
 
 
 def _cache_case(max_nodes):
@@ -338,8 +358,6 @@ def test_cached_entry_is_a_fifth_of_the_padded_layout():
     """At k=32 a cached entry holds at most a fifth of the bytes of the
     layout that stored ``path_coeffs`` (k*k*max_spd*d_edge floats) with
     int64 distances, and none of its arrays is that large."""
-    import dataclasses
-
     rng = np.random.default_rng(41)
     g = gr.from_edge_list(random_edge_list(rng, 120, 0.08), 120)
     cfg = tiny_config(ego_max_nodes=32, max_spd=5)
@@ -363,6 +381,96 @@ def test_bad_center_raises_through_the_model():
         with pytest.raises(gr.GraphConstructionError, match=f"center {bad} outside"):
             model.logits_for_centers(data, centers, seed=0)
     assert not model._batch_cache
+
+
+def _desk_graph():
+    """The citation graph of ``gen-synthetic --nodes 400 --classes 4 --seed 0``."""
+    from tapeformer import synthetic as syn
+
+    data = syn.generate(syn.SyntheticParams(num_nodes=400, num_classes=4, seed=0))
+    return gr.from_edge_list(data.edges, 400)
+
+
+def _entry_bytes(entry):
+    """(field, dtype, bytes) of every array of a cached entry."""
+    out = []
+    for f in dataclasses.fields(entry):
+        a = getattr(entry, f.name)
+        a = a.dist if isinstance(a, st.SpdMatrix) else a
+        out.append((f.name, a.dtype.str, a.tobytes()))
+    return out
+
+
+def _record_pass_sizes(monkeypatch):
+    """The number of centers of every later ``build_batch`` pass, in order."""
+    passes = []
+    orig = gm.build_batch
+
+    def recording(*args, **kwargs):
+        out = orig(*args, **kwargs)
+        passes.append(len(out.sizes))
+        return out
+
+    monkeypatch.setattr(gm, "build_batch", recording)
+    return passes
+
+
+def test_build_passes_stay_under_the_pair_cap(monkeypatch):
+    """One ``_build_missing`` call over all 400 desk centers builds them in
+    passes of at most ``BUILD_PASS_PAIRS`` padded pairs (centers x
+    ego_max_nodes**2), and every entry is byte for byte the one built per
+    micro-batch of 8."""
+    passes = _record_pass_sizes(monkeypatch)
+    g = _desk_graph()
+    cfg = tiny_config(ego_max_nodes=16, max_spd=5)
+    whole = gm.GraphormerModel(cfg, fusion_config(), seed=0)
+    whole._build_missing(g, list(range(400)), 0)
+    per_pass = gm.BUILD_PASS_PAIRS // 16 ** 2
+    assert 1 < per_pass < 400
+    assert passes == [per_pass] * (400 // per_pass) + [400 % per_pass] * (400 % per_pass > 0)
+    assert all(n * 16 ** 2 <= gm.BUILD_PASS_PAIRS for n in passes)
+    micro = gm.GraphormerModel(cfg, fusion_config(), seed=0)
+    for lo in range(0, 400, 8):
+        micro._build_missing(g, list(range(lo, lo + 8)), 0)
+    assert set(whole._batch_cache) == set(micro._batch_cache) == {(c, 0) for c in range(400)}
+    for key, entry in whole._batch_cache.items():
+        assert _entry_bytes(entry) == _entry_bytes(micro._batch_cache[key]), key
+
+
+def test_oversized_micro_batch_builds_in_capped_passes(monkeypatch):
+    """A ``logits_for_centers`` miss larger than a pass is built in several
+    passes, with the same logits; a cap below one subgraph's pairs still
+    builds one center per pass."""
+    passes = _record_pass_sizes(monkeypatch)
+    _, data, model = _mixed_case(39)
+    k = model.cfg.ego_max_nodes
+    want = model.logits_for_centers(data, np.arange(24), seed=0).data
+    assert passes == [24]
+    for cap, sizes in ((5 * k * k, [5] * 4 + [4]), (k * k - 1, [1] * 24)):
+        monkeypatch.setattr(gm, "BUILD_PASS_PAIRS", cap)
+        model._batch_cache.clear()
+        passes.clear()
+        got = model.logits_for_centers(data, np.arange(24), seed=0).data
+        assert passes == sizes
+        assert got.tobytes() == want.tobytes()
+
+
+def test_build_centers_and_empty_center_lists():
+    """``build_centers`` caches what a forward would build, and does
+    nothing for an empty list or on the baseline; an empty forward is a
+    ``ValueError`` that says so."""
+    _, data, model = _mixed_case(40)
+    model.build_centers(data, [], seed=0)
+    assert not model._batch_cache
+    model.build_centers(data, np.array([3, 5, 3]), seed=0)
+    assert list(model._batch_cache) == [(3, 0), (5, 0)]
+    assert all(type(c) is int for c, _ in model._batch_cache)
+    with pytest.raises(ValueError, match="empty center list"):
+        model.logits_for_centers(data, [], seed=0)
+    with pytest.raises(gr.GraphConstructionError, match="center 24 outside"):
+        model.build_centers(data, [24], seed=0)
+    mlp = gm.FusedMlp(tiny_config(), fusion_config(), seed=0)
+    assert mlp.build_centers(data, [1, 2], seed=0) is None
 
 
 # --- attention bias ----------------------------------------------------------

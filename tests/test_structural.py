@@ -10,6 +10,7 @@ from helpers import (
     ego_stack,
     floyd_warshall,
     node_map,
+    oracle_path_predecessors,
     oracle_structural,
     random_edge_list,
     relabelled_stack,
@@ -199,6 +200,47 @@ def test_encodings_byte_identical_to_pairwise_oracle():
             _assert_matches_oracle(g, _relabelled(g, rng), cap, f"{name}, cap {cap}")
             _assert_matches_oracle(g, gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=n, seeds=[cap]),
                                    cap, f"{name}, ego, cap {cap}")
+
+
+def _assert_predecessors_match_dense_oracle(sub, cap, where):
+    spd = st.bfs_spd(sub, cap=cap)
+    got, want = st.path_predecessors(sub, spd), oracle_path_predecessors(sub, spd)
+    assert got.dtype == want.dtype and got.shape == want.shape, where
+    assert got.tobytes() == want.tobytes(), where
+
+
+def test_path_predecessors_byte_identical_to_dense_oracle():
+    """The edge-list predecessor walk picks what the dense rule picks: on
+    random graphs in scrambled local orders, on stacks of several ego
+    subgraphs padded with -1 rows, and on special graphs at caps 1-6."""
+    rng = np.random.default_rng(17)
+    padded = 0
+    for trial in range(80):
+        n = int(rng.integers(1, 30))
+        g = gr.from_edge_list(random_edge_list(rng, n, float(rng.uniform(0.02, 0.4))), n)
+        cap = int(rng.integers(1, 7))
+        _assert_predecessors_match_dense_oracle(_relabelled(g, rng), cap, f"trial {trial}")
+        centers = rng.choice(n, size=min(n, 6), replace=False)
+        sub = gr.sample_ego_subgraph(g, centers, hops=int(rng.integers(1, 4)),
+                                     max_nodes=int(rng.integers(1, n + 1)),
+                                     seeds=range(len(centers)))
+        padded += int((sub.nodes < 0).any())
+        _assert_predecessors_match_dense_oracle(sub, cap, f"trial {trial}, stack")
+    assert padded > 20
+    special = {
+        "k=1": ([], 1),
+        "no edges": ([], 6),
+        "isolated nodes": ([(0, 1), (1, 2), (4, 2)], 7),
+        # 0 and 1 are two hops apart along three paths: a three-way tie
+        "distance ties": ([(0, 2), (3, 0), (0, 4), (1, 2), (1, 3), (4, 1), (4, 5)], 6),
+        "reciprocal citations": ([(0, 1), (1, 0), (1, 2), (2, 1), (3, 2), (0, 3), (3, 0)], 5),
+    }
+    for name, (edges, n) in special.items():
+        g = gr.from_edge_list(edges, n)
+        stacked = gr.sample_ego_subgraph(g, list(range(n)), hops=3, max_nodes=n, seeds=range(n))
+        for cap in range(1, 7):
+            _assert_predecessors_match_dense_oracle(_relabelled(g, rng), cap, f"{name}, cap {cap}")
+            _assert_predecessors_match_dense_oracle(stacked, cap, f"{name}, stack, cap {cap}")
 
 
 # --- clustering coefficient --------------------------------------------------

@@ -209,6 +209,9 @@ class _ScalarStubModel:
     def load_state(self, state):
         self.w.data = state["w"].copy()
 
+    def build_centers(self, data, centers, seed):
+        pass
+
     def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
         b = len(centers)
         col = ad.matmul(Tensor(np.ones((b, 1))), self.w)
@@ -357,3 +360,70 @@ def test_divergence_aborts_with_diagnostics():
     with pytest.raises(tr.TrainingDiverged,
                        match="first non-finite op on replay: matmul produced non-finite"):
         tr.train(model, data, split, cfg)
+
+
+def _record_builds_and_forwards(monkeypatch, model):
+    """Events ("build", centers) per build pass, ("step", B) per training
+    forward, ("chunk", B) per prediction forward and ("predict", 0) per
+    ``predict`` call, in order."""
+    events = []
+    build, forward, predict = gm.build_batch, model.logits_for_centers, tr.predict
+
+    def recording_build(*args, **kwargs):
+        out = build(*args, **kwargs)
+        events.append(("build", len(out.sizes)))
+        return out
+
+    def recording_forward(data, centers, seed, train=False, rng=None):
+        events.append(("step" if train else "chunk", len(centers)))
+        return forward(data, centers, seed, train=train, rng=rng)
+
+    def recording_predict(*args, **kwargs):
+        events.append(("predict", 0))
+        return predict(*args, **kwargs)
+
+    monkeypatch.setattr(gm, "build_batch", recording_build)
+    monkeypatch.setattr(model, "logits_for_centers", recording_forward)
+    monkeypatch.setattr(tr, "predict", recording_predict)
+    return events
+
+
+def test_train_and_predict_build_before_their_loops(monkeypatch):
+    """With three centers per pass, ``train`` builds its 16 training
+    centers in six passes before its first step and nothing inside its
+    micro-batch loop; each validation ``predict`` builds its misses
+    before its first chunk. The history is the one of a model that
+    builds per micro-batch."""
+    data, split = _mini_graph_data(seed=4)
+    cfg = tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=4, early_stop_patience=5, seed=0)
+    want = tr.train(_tiny_model(seed=0), data, split, cfg)  # passes hold every miss
+
+    model = _tiny_model(seed=0)
+    k = model.cfg.ego_max_nodes
+    monkeypatch.setattr(gm, "BUILD_PASS_PAIRS", 3 * k * k)
+    events = _record_builds_and_forwards(monkeypatch, model)
+    got = tr.train(model, data, split, cfg)
+    assert events[:6] == [("build", 3)] * 5 + [("build", 1)]
+    assert events[6:10] == [("step", 4)] * 4
+    assert events[10:] == [("predict", 0), ("build", 3), ("build", 1), ("chunk", 4)] + (
+        [("step", 4)] * 4 + [("predict", 0), ("chunk", 4)])
+    assert [vars(r) for r in got.history] == [vars(r) for r in want.history]
+    for name, a in want.best_state.items():
+        assert got.best_state[name].tobytes() == a.tobytes(), name
+
+    fresh = _tiny_model(seed=1)
+    events = _record_builds_and_forwards(monkeypatch, fresh)
+    preds = tr.predict(fresh, data, np.arange(24), seed=0, chunk=5)
+    assert events == [("predict", 0)] + [("build", 3)] * 8 + [("chunk", 5)] * 4 + [("chunk", 4)]
+    assert preds.tolist() == tr.predict(_tiny_model(seed=1), data, np.arange(24), seed=0).tolist()
+
+
+@pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+def test_predict_and_accuracy_accept_empty_ids():
+    data, split = _mini_graph_data()
+    model = _tiny_model(seed=0)
+    for ids in ([], np.array([], dtype=np.int64), np.array([])):
+        preds = tr.predict(model, data, ids, seed=0)
+        assert preds.dtype == np.int64 and preds.shape == (0,)
+        assert np.isnan(tr.accuracy_on(model, data, ids, seed=0))
+    assert not model._batch_cache
