@@ -26,6 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .binfile import Reader, payload
+
 DEFAULT_DTYPE = np.float64
 
 __all__ = [
@@ -492,45 +494,41 @@ def save_parameters(path, params: dict[str, Tensor | np.ndarray]) -> None:
         f.write(_U64.pack(len(params)))
         for name in sorted(params):
             arr = params[name]
-            data = np.ascontiguousarray(arr.data if isinstance(arr, Tensor) else arr, dtype=np.float64)
+            data = arr.data if isinstance(arr, Tensor) else arr
+            # not ascontiguousarray, which would turn a 0-d array into shape (1,)
+            data = np.asarray(data, dtype=np.float64, order="C")
             raw = name.encode("utf-8")
             f.write(_U32.pack(len(raw)))
             f.write(raw)
             f.write(_U32.pack(data.ndim))
             for d in data.shape:
                 f.write(_U64.pack(d))
-            f.write(data.tobytes())
+            f.write(payload(data))
 
 
 def load_parameters(path) -> dict[str, np.ndarray]:
     """Read a container written by ``save_parameters``.
 
-    A truncated file, bytes after the last parameter, a repeated name or
-    a non-finite value is a ``ValueError`` naming the cause.
+    A truncated file (or a size field beyond the bytes left), bytes
+    after the last parameter, a repeated name or a non-finite value is a
+    ``ValueError`` naming the cause.
     """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
-
-        def take(n: int) -> bytes:
-            buf = f.read(n)
-            if len(buf) != n:
-                raise ValueError(f"truncated checkpoint file: {path}")
-            return buf
-
-        (count,) = _U64.unpack(take(8))
+        r = Reader(f, ValueError(f"truncated checkpoint file: {path}"))
+        (count,) = _U64.unpack(r.take(8))
         for _ in range(count):
-            (nlen,) = _U32.unpack(take(4))
-            name = take(nlen).decode("utf-8")
-            (rank,) = _U32.unpack(take(4))
-            shape = tuple(_U64.unpack(take(8))[0] for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            arr = np.frombuffer(take(n * 8), dtype="<f8").reshape(shape).copy()
+            (nlen,) = _U32.unpack(r.take(4))
+            name = r.take(nlen).decode("utf-8")
+            (rank,) = _U32.unpack(r.take(4))
+            shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(rank))
+            arr = r.array(shape, "<f8")
             if name in out:
                 raise ValueError(f"duplicate parameter name in checkpoint: {name}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"checkpoint parameter {name!r} has non-finite values: {path}")
             out[name] = arr
-        if f.read(1):
+        if r.left:
             last = f"after parameter {name!r} " if count else ""
             raise ValueError(f"trailing bytes {last}at the end of checkpoint file: {path}")
     return out

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import Reader, payload
 from .graph import DirectedGraph, load_edge_list
 from .text import (
     SOURCES,
@@ -127,7 +128,10 @@ def _arrays_of(ds: PreparedDataset) -> list[tuple[str, np.ndarray]]:
 
 
 def save_dataset(ds: PreparedDataset, path) -> str:
-    """Write the artifact; returns (and writes alongside) its sha256 hash."""
+    """Write the artifact; returns (and writes alongside) its sha256 hash.
+
+    Array payloads are hashed and written from the arrays' own buffers.
+    """
     meta = {
         "class_names": ds.class_names,
         "num_nodes": ds.num_nodes,
@@ -139,65 +143,55 @@ def save_dataset(ds: PreparedDataset, path) -> str:
         "duplicates_dropped": ds.graph.duplicates_dropped,
     }
     meta_raw = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    arrays = _arrays_of(ds)
+    parts = [_MAGIC, _U64.pack(len(meta_raw)), meta_raw, _U64.pack(len(arrays))]
+    for name, arr in arrays:
+        arr = np.ascontiguousarray(arr)
+        raw = name.encode("utf-8")
+        parts += [_U64.pack(len(raw)), raw, struct.pack("<B", _DTYPE_CODES[arr.dtype]),
+                  _U64.pack(arr.ndim), *map(_U64.pack, arr.shape), payload(arr)]
+    t0 = time.perf_counter()
     digest = hashlib.sha256()
-    with open(path, "wb") as f:
-
-        def put(buf: bytes):
-            digest.update(buf)
-            f.write(buf)
-
-        put(_MAGIC)
-        put(_U64.pack(len(meta_raw)))
-        put(meta_raw)
-        arrays = _arrays_of(ds)
-        put(_U64.pack(len(arrays)))
-        for name, arr in arrays:
-            arr = np.ascontiguousarray(arr)
-            raw = name.encode("utf-8")
-            put(_U64.pack(len(raw)))
-            put(raw)
-            put(struct.pack("<B", _DTYPE_CODES[arr.dtype]))
-            put(_U64.pack(arr.ndim))
-            for d in arr.shape:
-                put(_U64.pack(d))
-            put(arr.tobytes())
+    for part in parts:
+        digest.update(part)
     hexhash = digest.hexdigest()
+    t1 = time.perf_counter()
+    with open(path, "wb") as f:
+        f.writelines(parts)
     with open(str(path) + ".sha256", "w", encoding="utf-8") as f:
         f.write(hexhash + "\n")
+    log.info("wrote dataset artifact %s: %d bytes (hash %.3fs, write %.3fs)",
+             path, sum(len(p) for p in parts), t1 - t0, time.perf_counter() - t1)
     return hexhash
 
 
 def load_dataset(path) -> PreparedDataset:
-    """Read and validate an artifact; any inconsistency is a DataError."""
+    """Read and validate an artifact; any inconsistency is a DataError.
+
+    Each array is read straight into its final buffer and hashed there.
+    """
+    t0 = time.perf_counter()
     digest = hashlib.sha256()
     with open(path, "rb") as f:
-
-        def take(n: int) -> bytes:
-            buf = f.read(n)
-            if len(buf) != n:
-                raise DataError(f"{path}: truncated dataset artifact")
-            digest.update(buf)
-            return buf
-
-        if take(len(_MAGIC)) != _MAGIC:
+        r = Reader(f, DataError(f"{path}: truncated dataset artifact"), digest)
+        if r.take(len(_MAGIC)) != _MAGIC:
             raise DataError(f"{path}: not a prepared dataset artifact")
-        (meta_len,) = _U64.unpack(take(8))
-        meta = json.loads(take(meta_len).decode("utf-8"))
-        (count,) = _U64.unpack(take(8))
+        (meta_len,) = _U64.unpack(r.take(8))
+        meta = json.loads(r.take(meta_len).decode("utf-8"))
+        (count,) = _U64.unpack(r.take(8))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (nlen,) = _U64.unpack(take(8))
-            name = take(nlen).decode("utf-8")
-            code = struct.unpack("<B", take(1))[0]
+            (nlen,) = _U64.unpack(r.take(8))
+            name = r.take(nlen).decode("utf-8")
+            code = r.take(1)[0]
             if code not in _DTYPES:
                 raise DataError(f"{path}: array {name!r} has unknown dtype code {code}")
-            (rank,) = _U64.unpack(take(8))
-            shape = tuple(_U64.unpack(take(8))[0] for _ in range(rank))
-            dtype = np.dtype(_DTYPES[code])
-            n = int(np.prod(shape)) if shape else 1
-            arrays[name] = np.frombuffer(take(n * dtype.itemsize), dtype=dtype).reshape(shape).copy()
-        if f.read(1):
+            (rank,) = _U64.unpack(r.take(8))
+            shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(rank))
+            arrays[name] = r.array(shape, _DTYPES[code])
+        if r.left:
             raise DataError(f"{path}: trailing bytes after the last array")
+    t1 = time.perf_counter()
     sidecar = Path(str(path) + ".sha256")
     if sidecar.exists() and sidecar.read_text(encoding="utf-8").strip() != digest.hexdigest():
         raise DataError(f"{path}: sha256 {digest.hexdigest()} differs from {sidecar}")
@@ -215,6 +209,8 @@ def load_dataset(path) -> PreparedDataset:
     bundle = EmbeddingBundle(h_expl=arrays["h_expl"], h_pred=arrays["h_pred"],
                              h_text=arrays["h_text"], h_ogb=arrays["h_ogb"])
     bundle.validate()
+    log.info("loaded dataset artifact %s: %d nodes, %d edges (read+hash %.3fs, validation %.3fs)",
+             path, graph.num_nodes, graph.num_edges, t1 - t0, time.perf_counter() - t1)
     return PreparedDataset(
         class_names=list(meta["class_names"]),
         labels=arrays["labels"],

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import json
 import logging
-import re
 import struct
 import zlib
 from array import array
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice, repeat
 
 import numpy as np
+
+from .binfile import Reader, payload
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +45,12 @@ __all__ = [
 
 SOURCES = ("expl", "pred", "text", "ogb")
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TEXT_CHUNK = 64  # texts tokenized together by _encode_texts
+
+# bytes.translate table for tokenizing: ASCII letters and digits map to
+# themselves (the text is lowered first), every other byte to a space
+_TOKEN_BYTES = bytes(b if chr(b) in "abcdefghijklmnopqrstuvwxyz0123456789" else 0x20
+                     for b in range(256))
 
 
 class DataError(ValueError):
@@ -106,8 +112,21 @@ class EmbeddingBundle:
         return getattr(self, f"h_{name}")
 
 
+def _token_bytes(text: str) -> bytes:
+    """``text`` lowered and UTF-8 encoded, with every byte outside [a-z0-9]
+    turned into a space; ``.split()`` then yields its tokens.
+
+    Non-ASCII characters encode to bytes >= 0x80 only, so they split
+    tokens exactly where the regex ``[a-z0-9]+`` over the lowered text
+    would. "surrogatepass" lets a lone surrogate (a JSON ``\\ud800``
+    escape) through as three such bytes instead of raising.
+    """
+    return text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES)
+
+
 def tokenize(text: str) -> list[str]:
-    return _TOKEN_RE.findall(text.lower())
+    """The maximal runs of [a-z0-9] in the lowered text."""
+    return _token_bytes(text).decode("ascii").split()
 
 
 PROMPT_TEMPLATE = (
@@ -178,33 +197,28 @@ def encode_text(text: str, dim: int, seed: int = 0) -> np.ndarray:
 def _encode_texts(texts, dim: int, seed: int) -> np.ndarray:
     """``encode_text`` of every text in the iterable, one row each.
 
-    Tokens are numbered in a vocabulary local to the call, so crc32 runs
-    once per distinct token, and one ``bincount`` sums every row's signed
-    buckets. The sums are small integers, hence exact in any order, and
-    the norm is their exact sum of squares: rows equal ``encode_text``'s
-    bit for bit.
+    crc32 hashes each token occurrence's ASCII bytes as the tokenizer
+    leaves them, ``_TEXT_CHUNK`` texts at a time so that only one
+    chunk's token objects are alive at once, and one ``bincount`` sums
+    every row's signed buckets. The sums are small integers, hence exact
+    in any order, and the norm is their exact sum of squares: rows equal
+    ``encode_text``'s bit for bit.
     """
     if dim < 1:
         raise ValueError("encode_text: dim must be >= 1")
-    vocab: dict[str, int] = {}
-    ids, lengths = array("q"), array("q")
-    for text in texts:
-        toks = tokenize(text)
-        lengths.append(len(toks))
-        for tok in toks:
-            i = vocab.get(tok)
-            if i is None:
-                i = vocab[tok] = len(vocab)
-            ids.append(i)
     salt = zlib.crc32(struct.pack("<q", seed))
-    h = np.fromiter((zlib.crc32(tok.encode("utf-8"), salt) for tok in vocab),
-                    dtype=np.int64, count=len(vocab))
+    hashes, lengths = [np.zeros(0, dtype=np.int64)], []  # concatenable with no texts at all
+    texts = iter(texts)
+    while chunk := [_token_bytes(text).split() for text in islice(texts, _TEXT_CHUNK)]:
+        lengths += map(len, chunk)
+        hashes.append(np.fromiter(map(zlib.crc32, chain.from_iterable(chunk), repeat(salt)),
+                                  dtype=np.int64))
+    h = np.concatenate(hashes)
     sign = np.where(h & 0x80000000, 1.0, -1.0)
-    tok_ids = np.frombuffer(ids, dtype=np.int64)
     rows = len(lengths)
-    flat = np.repeat(np.arange(rows, dtype=np.int64) * dim, np.frombuffer(lengths, dtype=np.int64))
-    flat += (h % dim)[tok_ids]
-    out = np.bincount(flat, weights=sign[tok_ids], minlength=rows * dim)
+    flat = np.repeat(np.arange(rows, dtype=np.int64) * dim, lengths)
+    flat += h % dim
+    out = np.bincount(flat, weights=sign, minlength=rows * dim)
     out = out.astype(np.float64, copy=False).reshape(rows, dim)  # int64 when no tokens at all
     norm = np.sqrt(np.einsum("ij,ij->i", out, out))[:, None]
     np.divide(out, norm, out=out, where=norm > 0.0)
@@ -216,17 +230,30 @@ def encode_predictions(rec: LlmRecord | None, num_classes: int, top_k: int) -> n
 
     A missing record or empty prediction list yields the zero vector.
     """
+    return _prediction_rows([rec], num_classes, top_k)[0]
+
+
+def _prediction_rows(recs, num_classes: int, top_k: int) -> np.ndarray:
+    """``encode_predictions`` of each record (or None), one row each: one
+    scatter of every 1/rank weight, then one division by the row sums."""
     if top_k < 1:
         raise ValueError("encode_predictions: top_k must be >= 1")
-    vec = np.zeros(num_classes, dtype=np.float64)
-    if rec is None or not rec.predictions:
-        return vec
-    take = rec.predictions[:top_k]
-    for rank, cls in enumerate(take, start=1):
-        if not 0 <= cls < num_classes:
-            raise DataError(f"prediction class {cls} out of range [0, {num_classes})")
-        vec[cls] = 1.0 / rank
-    return vec / vec.sum()
+    rows, classes, ranks = array("q"), array("q"), array("q")
+    for i, rec in enumerate(recs):
+        if rec is not None:
+            take = rec.predictions[:top_k]
+            rows.extend([i] * len(take))
+            classes.extend(take)
+            ranks.extend(range(1, len(take) + 1))
+    cls = np.frombuffer(classes, dtype=np.int64)
+    bad = (cls < 0) | (cls >= num_classes)
+    if bad.any():
+        raise DataError(f"prediction class {cls[bad][0]} out of range [0, {num_classes})")
+    out = np.zeros((len(recs), num_classes), dtype=np.float64)
+    out[np.frombuffer(rows, dtype=np.int64), cls] = 1.0 / np.frombuffer(ranks, dtype=np.int64)
+    total = out.sum(axis=1, keepdims=True)
+    np.divide(out, total, out=out, where=total > 0.0)
+    return out
 
 
 def build_bundle(
@@ -255,11 +282,7 @@ def build_bundle(
         (records[doc.id].explanation if doc.id in records else "" for doc in docs),
     ), text_dim, seed)
     h_text, h_expl = hashed[:n], hashed[n:]
-    h_pred = np.zeros((n, num_classes), dtype=np.float64)
-    for i, doc in enumerate(docs):
-        rec = records.get(doc.id)
-        if rec is not None:
-            h_pred[i] = encode_predictions(rec, num_classes, pred_top_k)
+    h_pred = _prediction_rows([records.get(doc.id) for doc in docs], num_classes, pred_top_k)
     matrices = {"expl": h_expl, "pred": h_pred, "text": h_text, "ogb": ogb}
     for name, mat in (overrides or {}).items():
         if name not in SOURCES:
@@ -282,8 +305,8 @@ def build_bundle(
 
 
 def _jsonl_objects(path):
-    """Yield (line number, parsed value) for each non-blank line of a
-    JSONL file; a line that is not JSON raises naming it."""
+    """Yield (line number, parsed object) for each non-blank line of a
+    JSONL file; a line that is not a JSON object raises naming it."""
     with open(path, "r", encoding="utf-8") as f:
         for ln, line in enumerate(f, start=1):
             line = line.strip()
@@ -293,7 +316,24 @@ def _jsonl_objects(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{ln}: invalid JSON: {e}") from None
+            if type(obj) is not dict:
+                raise DataError(f"{path}:{ln}: expected a JSON object, got {line[:80]}")
             yield ln, obj
+
+
+def _integer(obj: dict, key: str, path, ln: int, nullable: bool = False) -> int | None:
+    """``obj[key]`` if it is a JSON integer that fits in int64 (or null,
+    when ``nullable``); a float, bool or string is a DataError naming the
+    line and the field, not truncated or coerced."""
+    v = obj.get(key) if nullable else obj[key]
+    if (type(v) is int and -2**63 <= v < 2**63) or (nullable and v is None):
+        return v
+    raise DataError(f"{path}:{ln}: {key!r} must be a 64-bit integer, got {json.dumps(v)[:80]}")
+
+
+def _text(value) -> str:
+    """A text field's string; null (like an absent key) is empty text."""
+    return "" if value is None else str(value)
 
 
 def load_node_documents(path) -> list[NodeDocument]:
@@ -303,14 +343,14 @@ def load_node_documents(path) -> list[NodeDocument]:
     for ln, obj in _jsonl_objects(path):
         try:
             doc = NodeDocument(
-                id=int(obj["id"]),
-                title=str(obj["title"]),
-                abstract=str(obj.get("abstract", "")),
-                label=None if obj.get("label") is None else int(obj["label"]),
-                year=int(obj["year"]),
+                id=_integer(obj, "id", path, ln),
+                title=_text(obj["title"]),
+                abstract=_text(obj.get("abstract")),
+                label=_integer(obj, "label", path, ln, nullable=True),
+                year=_integer(obj, "year", path, ln),
             )
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}:{ln}: bad document record: {e}") from None
+        except KeyError as e:
+            raise DataError(f"{path}:{ln}: bad document record: missing key {e}") from None
         if not doc.title:
             raise DataError(f"{path}:{ln}: empty title for node {doc.id}")
         if doc.id in seen:
@@ -322,6 +362,11 @@ def load_node_documents(path) -> list[NodeDocument]:
         if doc.id != i:
             raise DataError(f"{path}: node ids must be a dense range 0..n-1; missing id {i}")
     return docs
+
+
+def _bad_predictions(path, ln: int, value) -> DataError:
+    return DataError(f"{path}:{ln}: 'predictions' must be a JSON array of class-name strings, "
+                     f"got {json.dumps(value)[:80]}")
 
 
 def load_llm_records(path, class_names: list[str]) -> dict[int, LlmRecord]:
@@ -336,15 +381,18 @@ def load_llm_records(path, class_names: list[str]) -> dict[int, LlmRecord]:
     duplicates = 0
     for ln, obj in _jsonl_objects(path):
         try:
-            node_id = int(obj["id"])
-            names = list(obj["predictions"])
-            explanation = str(obj.get("explanation", ""))
-        except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"{path}:{ln}: bad LLM record: {e}") from None
+            node_id = _integer(obj, "id", path, ln)
+            names = obj["predictions"]
+        except KeyError as e:
+            raise DataError(f"{path}:{ln}: bad LLM record: missing key {e}") from None
         if node_id in records:
             raise DataError(f"{path}:{ln}: duplicate LLM record for node {node_id}")
+        if type(names) is not list:
+            raise _bad_predictions(path, ln, names)
         preds: list[int] = []
         for name in names:
+            if type(name) is not str:
+                raise _bad_predictions(path, ln, names)
             idx = name_to_idx.get(name)
             if idx is None:
                 unknown += 1
@@ -352,7 +400,8 @@ def load_llm_records(path, class_names: list[str]) -> dict[int, LlmRecord]:
                 duplicates += 1
             else:
                 preds.append(idx)
-        records[node_id] = LlmRecord(node_id=node_id, predictions=preds, explanation=explanation)
+        records[node_id] = LlmRecord(node_id=node_id, predictions=preds,
+                                     explanation=_text(obj.get("explanation")))
     if unknown:
         log.warning("%s: dropped %d prediction(s) with unknown class names", path, unknown)
     if duplicates:
@@ -371,18 +420,18 @@ def save_feature_matrix(path, matrix: np.ndarray) -> None:
     with open(path, "wb") as f:
         f.write(_FMAT_MAGIC)
         f.write(struct.pack("<QQ", m.shape[0], m.shape[1]))
-        f.write(m.tobytes())
+        f.write(payload(m))
 
 
 def load_feature_matrix(path) -> np.ndarray:
     """Read a feature matrix: binary (magic-tagged) or CSV with `n,d` header."""
     with open(path, "rb") as f:
-        head = f.read(len(_FMAT_MAGIC))
-        if head == _FMAT_MAGIC:
-            n, d = struct.unpack("<QQ", f.read(16))
-            m = np.empty((n, d), dtype="<f8")  # read in place: no second copy
-            if f.readinto(m.view(np.uint8).reshape(-1)) != m.nbytes:
-                raise DataError(f"{path}: truncated feature matrix")
+        if f.read(len(_FMAT_MAGIC)) == _FMAT_MAGIC:
+            r = Reader(f, DataError(f"{path}: truncated feature matrix"))
+            n, d = struct.unpack("<QQ", r.take(16))
+            m = r.array((n, d), "<f8")
+            if r.left:  # e.g. a column count too small, which would shift every row
+                raise DataError(f"{path}: {r.left} bytes after the ({n}, {d}) feature matrix")
             return m
     # CSV fallback: first non-comment line is `rows,cols`
     with open(path, "r", encoding="utf-8") as f:

@@ -463,6 +463,31 @@ def test_checkpoint_truncation_detected(tmp_path):
         ad.load_parameters(path)
 
 
+@pytest.mark.parametrize("at,value", [
+    (0, 2**64 - 1),  # parameter count: the file ends before the second
+    (8, 2**32 - 1),  # name length
+    (13, 2**32 - 1),  # rank
+    (17, 2**64 - 1), (17, 2**61), (17, 2**32),  # first dimension
+])
+def test_checkpoint_size_field_beyond_file_is_truncated(tmp_path, at, value):
+    path = tmp_path / "ck.bin"
+    ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})
+    raw = bytearray(path.read_bytes())
+    width = 4 if at in (8, 13) else 8
+    raw[at:at + width] = value.to_bytes(width, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="truncated checkpoint file"):
+        ad.load_parameters(path)
+
+
+def test_checkpoint_roundtrip_of_empty_and_scalar_arrays(tmp_path):
+    params = {"e": np.zeros((3, 0)), "s": np.array(2.5), "v": np.zeros(0)}
+    ad.save_parameters(tmp_path / "ck.bin", params)
+    loaded = ad.load_parameters(tmp_path / "ck.bin")
+    assert {k: v.shape for k, v in loaded.items()} == {"e": (3, 0), "s": (), "v": (0,)}
+    assert loaded["s"] == 2.5
+
+
 def test_checkpoint_trailing_bytes_detected(tmp_path):
     path = tmp_path / "ck.bin"
     ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})

@@ -201,6 +201,20 @@ def test_edge_id_beyond_int64_is_exit_2(workdir, tmp_path, capsys, endpoint):
     assert f"edges.tsv:{len(lines)}: endpoint beyond int64" in capsys.readouterr().err
 
 
+def test_feature_matrix_size_field_is_exit_2(workdir, tmp_path, capsys):
+    raw = bytearray(Path(workdir / "features.bin").read_bytes())
+    raw[8:16] = (2**64 - 1).to_bytes(8, "little")  # the row count
+    (tmp_path / "features.bin").write_bytes(bytes(raw))
+    cfg = json.loads(Path(_cfg_path(workdir)).read_text())
+    cfg["paths"].update(ogb_features=str(tmp_path / "features.bin"),
+                        dataset=str(tmp_path / "dataset.bin"), out_dir=str(tmp_path))
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["prepare", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "features.bin: truncated feature matrix" in err and "internal error" not in err
+
+
 # --- prepare -----------------------------------------------------------------
 
 
@@ -293,6 +307,15 @@ def _bad_dtype(src, dst):
     dst.write_bytes(bytes(raw))
 
 
+def _huge_first_dim(src, dst):
+    raw = bytearray(src.read_bytes())
+    n = int.from_bytes(raw[8:16], "little")
+    name_len = int.from_bytes(raw[24 + n:32 + n], "little")
+    at = 32 + n + name_len + 1 + 8  # past the dtype code and the rank
+    raw[at:at + 8] = (2**64 - 1).to_bytes(8, "little")
+    dst.write_bytes(bytes(raw))
+
+
 def _flip_last_byte(src, dst):
     raw = bytearray(src.read_bytes())
     raw[-1] ^= 1
@@ -315,6 +338,7 @@ def _reverse_a_row(ds):
 
 CORRUPT_ARTIFACTS = {
     "dtype code": (_bad_dtype, "unknown dtype code 7"),
+    "size field": (_huge_first_dim, "ds.bin: truncated dataset artifact"),
     "meta key": (lambda s, d: _rewrite_meta(s, d, lambda m: m.pop("num_edges")),
                  "missing keys ['num_edges']"),
     "length": (lambda s, d: _resave(s, d, lambda ds: setattr(ds, "years", ds.years[:-1])),
@@ -408,11 +432,18 @@ def test_eval_shape_incompatible_checkpoint(trained, capsys):
 @pytest.mark.parametrize("corruption,cause", [
     ("trailing", "trailing bytes after parameter"),
     ("non-finite", "'head.w' has non-finite values"),
+    ("size field", "truncated checkpoint file"),
 ])
 def test_eval_corrupt_checkpoint_is_exit_2(trained, tmp_path, capsys, corruption, cause):
     bad = tmp_path / "checkpoint.bin"
     if corruption == "trailing":
         bad.write_bytes((trained / "checkpoint.bin").read_bytes() + b"\0" * 8)
+    elif corruption == "size field":
+        raw = bytearray((trained / "checkpoint.bin").read_bytes())
+        name_len = int.from_bytes(raw[8:12], "little")
+        at = 12 + name_len + 4  # the first parameter's first dimension
+        raw[at:at + 8] = (2**64 - 1).to_bytes(8, "little")
+        bad.write_bytes(bytes(raw))
     else:
         state = ad.load_parameters(trained / "checkpoint.bin")
         state["head.w"][0, 0] = np.nan

@@ -1,3 +1,6 @@
+import re
+import struct
+
 import numpy as np
 import pytest
 
@@ -87,3 +90,68 @@ def test_artifact_corruption_detected(corpus, tmp_path):
     p.write_bytes(b"garbage!" + raw[8:])
     with pytest.raises(DataError, match="not a prepared dataset"):
         dsm.load_dataset(p)
+
+
+def _edgeless(tmp_path, corpus, cols=0):
+    """The corpus with no edges and a ``cols``-wide feature matrix."""
+    from tapeformer.text import save_feature_matrix
+
+    data, paths = corpus
+    (tmp_path / "edges.tsv").write_text("# no edges\n")
+    save_feature_matrix(tmp_path / "feat.bin", np.zeros((40, cols)))
+    return dsm.prepare(paths["node_docs"], tmp_path / "edges.tsv", tmp_path / "feat.bin",
+                       None, data.class_names, text_dim=8)
+
+
+def test_artifact_roundtrip_with_empty_arrays(corpus, tmp_path):
+    ds = _edgeless(tmp_path, corpus)
+    assert ds.graph.num_edges == 0 and ds.bundle.h_ogb.shape == (40, 0)
+    h = dsm.save_dataset(ds, tmp_path / "e.bin")
+    back = dsm.load_dataset(tmp_path / "e.bin")
+    assert back.graph.out_targets.shape == back.graph.in_targets.shape == (0,)
+    assert back.bundle.h_ogb.shape == (40, 0)
+    assert np.array_equal(back.graph.out_offsets, np.zeros(41, dtype=np.int64))
+    for s in ("expl", "pred", "text"):
+        assert back.bundle.source(s).tobytes() == ds.bundle.source(s).tobytes()
+    assert dsm.save_dataset(back, tmp_path / "f.bin") == h
+
+
+def _first_dim_offsets(raw: bytes) -> dict[str, int]:
+    """Byte offset of each array's first dimension in an artifact."""
+    (meta_len,) = struct.unpack_from("<Q", raw, 8)
+    pos, out = 16 + meta_len + 8, {}
+    while pos < len(raw):
+        (nlen,) = struct.unpack_from("<Q", raw, pos)
+        name = raw[pos + 8:pos + 8 + nlen].decode()
+        pos += 8 + nlen + 1
+        (rank,) = struct.unpack_from("<Q", raw, pos)
+        shape = struct.unpack_from(f"<{rank}Q", raw, pos + 8)
+        out[name] = pos + 8
+        pos += 8 + 8 * rank + 8 * int(np.prod(shape))
+    return out
+
+
+@pytest.mark.parametrize("field,value", [
+    ("meta length", 2**64 - 1), ("meta length", 2**40),
+    ("labels", 2**64 - 1), ("labels", 2**61), ("h_text", 2**32),
+    ("h_ogb", 2**62),  # zero columns: no bytes, but a shape numpy cannot hold
+])
+def test_artifact_size_field_beyond_file_is_truncated(corpus, tmp_path, field, value):
+    ds = _edgeless(tmp_path, corpus)
+    dsm.save_dataset(ds, tmp_path / "a.bin")
+    raw = bytearray((tmp_path / "a.bin").read_bytes())
+    at = 8 if field == "meta length" else _first_dim_offsets(bytes(raw))[field]
+    raw[at:at + 8] = struct.pack("<Q", value)
+    (tmp_path / "b.bin").write_bytes(bytes(raw))
+    with pytest.raises(DataError, match=r"b.bin: truncated dataset artifact"):
+        dsm.load_dataset(tmp_path / "b.bin")
+
+
+def test_save_and_load_log_their_stage_seconds(corpus, tmp_path, caplog):
+    ds = _edgeless(tmp_path, corpus, cols=3)
+    with caplog.at_level("INFO", logger="tapeformer.dataset"):
+        dsm.save_dataset(ds, tmp_path / "a.bin")
+        dsm.load_dataset(tmp_path / "a.bin")
+    assert "a.bin" in caplog.text
+    for stage in ("hash", "write", "read\\+hash", "validation"):
+        assert re.search(rf"\b{stage} \d+\.\d{{3}}s", caplog.text), stage

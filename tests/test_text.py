@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from tapeformer import text as tp
 from tapeformer.text import LlmRecord, NodeDocument
 
-from helpers import oracle_encode_text
+from helpers import oracle_encode_text, oracle_tokenize
 
 
 CLASSES = ["databases", "machine learning", "networking", "crypto", "vision"]
@@ -133,6 +134,39 @@ def test_encode_text_bit_exact_against_per_token_oracle(dim, seed):
     assert rows.tobytes() == expect.tobytes()
 
 
+# characters whose lowering, encoding or digit/letter class could trip a
+# byte-level tokenizer: the Kelvin sign lowers to ASCII "k", "İ" to "i"
+# plus a combining dot, Arabic-Indic and fullwidth digits and letters are
+# not ASCII, then NUL, combining marks, lone surrogates (a JSON "\\ud800"
+# escape gives one), "ß", a ligature and an astral character
+TRICKY_CHARS = ("\u212a", "\u0130", "\u0660", "\u0669", "\uff10", "\uff21", "\uff41", "\x00",
+                "\u0301", "\u0307", "\ud800", "\udfff", "\u00df", "\ufb01", "\U0001d400",
+                "\u03a3", " ", "\t", "\n", "-", "_", "A", "z", "0", "9")
+
+
+def test_tokenize_matches_regex_oracle_on_random_unicode():
+    rng = np.random.default_rng(13)
+    for _ in range(400):
+        parts = []
+        for _ in range(int(rng.integers(0, 30))):
+            pick = rng.random()
+            if pick < 0.35:
+                parts.append(TRICKY_CHARS[rng.integers(len(TRICKY_CHARS))])
+            elif pick < 0.7:
+                parts.append(chr(rng.integers(0x21, 0x7F)))  # printable ASCII
+            else:
+                parts.append(chr(rng.integers(0x80, 0x110000)))  # any code point, surrogates too
+        text = "".join(parts)
+        assert tp.tokenize(text) == oracle_tokenize(text), repr(text)
+        assert tp.encode_text(text, 8, 3).tobytes() == oracle_encode_text(text, 8, 3).tobytes()
+
+
+def test_tokenize_tricky_characters():
+    assert tp.tokenize("\u212aelvin \u0130stanbul") == ["kelvin", "i", "stanbul"]
+    assert tp.tokenize("x\u0660y \uff21\uff22 a\x00b c\u0301d e\ud800f") == ["x", "y", "a", "b", "c",
+                                                                            "d", "e", "f"]
+
+
 def test_encode_text_rejects_empty_dim():
     with pytest.raises(ValueError, match="encode_text: dim must be >= 1"):
         tp.encode_text("graph", 0)
@@ -208,6 +242,33 @@ def test_load_llm_records_errors(tmp_path):
         tp.load_llm_records(p, CLASSES)
 
 
+def test_load_llm_records_predictions_must_be_a_string_array(tmp_path):
+    p = tmp_path / "cache.jsonl"
+    for bad in ('"vision"', '{"vision": 1}', '["vision", 3]', "null"):
+        p.write_text('{"id": 0, "predictions": []}\n{"id": 1, "predictions": %s}\n' % bad)
+        with pytest.raises(tp.DataError, match=r"cache.jsonl:2: 'predictions' must be a JSON array"):
+            tp.load_llm_records(p, CLASSES)
+
+
+@pytest.mark.parametrize("value", ["1.0", "true", '"1"', "null", "1e3", "9223372036854775808"])
+def test_load_llm_records_id_must_be_an_integer(tmp_path, value):
+    p = tmp_path / "cache.jsonl"
+    p.write_text('{"id": %s, "predictions": ["vision"]}\n' % value)
+    with pytest.raises(tp.DataError, match=r"cache.jsonl:1: 'id' must be a 64-bit integer"):
+        tp.load_llm_records(p, CLASSES)
+
+
+def test_null_explanation_reads_as_absent(tmp_path):
+    p = tmp_path / "cache.jsonl"
+    p.write_text('{"id": 0, "predictions": ["vision"], "explanation": null}\n'
+                 '{"id": 1, "predictions": ["vision"]}\n')
+    recs = tp.load_llm_records(p, CLASSES)
+    assert recs[0].explanation == recs[1].explanation == ""
+    docs = [_doc(0), _doc(1)]
+    b = tp.build_bundle(docs, recs, np.zeros((2, 1)), num_classes=5, text_dim=16)
+    assert b.h_expl[0].tobytes() == b.h_expl[1].tobytes() == np.zeros(16).tobytes()
+
+
 def test_llm_cache_generator_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
     p = tmp_path / "cache.jsonl"
@@ -247,6 +308,44 @@ def test_load_node_documents_errors(tmp_path):
         tp.load_node_documents(p)
     p.write_text(json.dumps({"id": 0, "title": "t", "abstract": ""}) + "\n")
     with pytest.raises(tp.DataError, match=":1"):
+        tp.load_node_documents(p)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("id", "true"), ("id", "0.0"), ("id", '"0"'), ("label", "1.7"), ("label", "false"),
+    ("year", "2018.9"), ("year", '"2018"'), ("year", "null"), ("year", "-9223372036854775809"),
+])
+def test_load_node_documents_integer_fields(tmp_path, field, value):
+    rec = {"id": "0", "title": '"t"', "abstract": '"a"', "label": "1", "year": "2018"}
+    rec[field] = value
+    p = tmp_path / "docs.jsonl"
+    p.write_text('{"id": 1, "title": "u", "year": 2017}\n'
+                 + "{" + ", ".join(f'"{k}": {v}' for k, v in rec.items()) + "}\n")
+    with pytest.raises(tp.DataError, match=rf"docs.jsonl:2: '{field}' must be a 64-bit integer"):
+        tp.load_node_documents(p)
+
+
+def test_load_node_documents_null_label_and_abstract(tmp_path):
+    p = tmp_path / "docs.jsonl"
+    p.write_text('{"id": 0, "title": "graph nets", "abstract": null, "label": null, "year": 2015}\n'
+                 '{"id": 1, "title": "graph nets", "year": 2015}\n')
+    docs = tp.load_node_documents(p)
+    assert docs[0] == NodeDocument(0, "graph nets", "", None, 2015)
+    assert docs[1] == NodeDocument(1, "graph nets", "", None, 2015)
+    b = tp.build_bundle(docs, {}, np.zeros((2, 1)), num_classes=2, text_dim=32)
+    assert b.h_text[0].tobytes() == b.h_text[1].tobytes()
+    p.write_text('{"id": 0, "title": null, "year": 2015}\n')
+    with pytest.raises(tp.DataError, match="empty title"):
+        tp.load_node_documents(p)
+
+
+def test_load_node_documents_line_must_be_an_object(tmp_path):
+    p = tmp_path / "docs.jsonl"
+    p.write_text('{"id": 0, "title": "t", "year": 2015}\n[1, 2]\n')
+    with pytest.raises(tp.DataError, match=r"docs.jsonl:2: expected a JSON object"):
+        tp.load_node_documents(p)
+    p.write_text('{"id": 0, "title": "t", "year": 2015} {"id": 1}\n')
+    with pytest.raises(tp.DataError, match=r"docs.jsonl:1: invalid JSON: Extra data"):
         tp.load_node_documents(p)
 
 
@@ -353,3 +452,27 @@ def test_feature_matrix_csv(tmp_path):
     bad.write_text("2,3\n1.0,2.0,3.0\n")
     with pytest.raises(tp.DataError, match="does not match header"):
         tp.load_feature_matrix(bad)
+
+
+@pytest.mark.parametrize("dims", [(2**63, 2), (2**64 - 1, 2**64 - 1), (3, 2**61), (0, 2**62)])
+def test_feature_matrix_size_field_beyond_file_is_truncated(tmp_path, dims):
+    p = tmp_path / "feat.bin"
+    tp.save_feature_matrix(p, np.ones((3, 2)))
+    raw = bytearray(p.read_bytes())
+    raw[8:24] = struct.pack("<QQ", *dims)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(tp.DataError, match=r"feat.bin: truncated feature matrix"):
+        tp.load_feature_matrix(p)
+    p.write_bytes(bytes(raw[:20]))  # the header itself cut short
+    with pytest.raises(tp.DataError, match=r"feat.bin: truncated feature matrix"):
+        tp.load_feature_matrix(p)
+
+
+def test_feature_matrix_size_field_below_file_is_refused(tmp_path):
+    p = tmp_path / "feat.bin"
+    tp.save_feature_matrix(p, np.ones((3, 2)))
+    raw = bytearray(p.read_bytes())
+    raw[16:24] = struct.pack("<Q", 1)  # one column: the rows would shift
+    p.write_bytes(bytes(raw))
+    with pytest.raises(tp.DataError, match=r"feat.bin: 24 bytes after the \(3, 1\) feature matrix"):
+        tp.load_feature_matrix(p)
