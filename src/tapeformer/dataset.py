@@ -91,6 +91,14 @@ def prepare(
         )
     t3 = time.perf_counter()
     records = load_llm_records(llm_cache_path, class_names) if llm_cache_path else {}
+    unmatched = [i for i in records if not 0 <= i < n]  # document ids are 0..n-1
+    if unmatched and len(unmatched) == len(records):
+        raise DataError(f"{llm_cache_path}: no LLM record matches a document: all "
+                        f"{len(records)} ids lie outside [0, {n}), the first {unmatched[0]}")
+    if unmatched:
+        log.warning("%s: ignoring %d LLM record(s) whose id matches no document in [0, %d), "
+                    "the first %d", llm_cache_path, len(unmatched), n, unmatched[0])
+        records = {i: r for i, r in records.items() if 0 <= i < n}
     t4 = time.perf_counter()
     labels = np.asarray([-1 if d.label is None else d.label for d in docs], dtype=np.int64)
     if labels.max() >= len(class_names):

@@ -74,14 +74,6 @@ class DirectedGraph:
         i = np.searchsorted(t, v)
         return i < len(t) and t[i] == v
 
-    def has_edges(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-        """Directed edge src[n] -> dst[n] present, for paired id arrays;
-        only the out-edges of the distinct sources are searched."""
-        src, n = np.asarray(src, dtype=np.int64), np.int64(self.num_nodes)
-        u = _sorted_unique(src)
-        owner, targets = _csr_rows(self.out_offsets, self.out_targets, u)
-        return _find(u[owner] * n + targets, src * n + dst)[1]
-
     def has_undirected_edge(self, u: int, v: int) -> bool:
         return self.has_edge(u, v) or self.has_edge(v, u)
 
@@ -279,29 +271,45 @@ def check_centers(g: DirectedGraph, centers) -> None:
         raise GraphConstructionError(f"center {centers[bad][0]} outside [0, {g.num_nodes})")
 
 
+# SplitMix64's increment and multipliers (Steele et al., OOPSLA 2014)
+_GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """SplitMix64's output function on each word of a uint64 array, a
+    bijection; array arithmetic wraps mod 2**64 without a warning."""
+    x = x + _GAMMA
+    x ^= x >> 30
+    x *= _MIX1
+    x ^= x >> 27
+    x *= _MIX2
+    x ^= x >> 31
+    return x
+
+
 def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
-                        seeds) -> EgoStack:
+                        seed: int) -> EgoStack:
     """Undirected BFS from each of ``centers``, bounded by hops and node
-    budget; ``seeds`` holds one sampling seed per center.
+    budget, sampled under one ``seed``.
 
     Each hop's new frontier is taken whole if it fits; an overflowing
-    frontier is subsampled uniformly without replacement (seeded), so
-    identical seeds give identical subgraphs. Node order is center
-    first (local node 0 of every row), then each hop's nodes in
-    ascending global id.
+    one keeps the ``room`` nodes v with the smallest keys
+    ``s(s(s(seed) ^ center) ^ v)``, s being SplitMix64's output function
+    and ``seed`` taken mod 2**64: a uniform random subset that does not
+    depend on the pass. Node order is center first (local node 0 of
+    every row), then each hop's nodes in ascending global id.
 
     Every center is sampled in the same pass: frontiers of all centers
     expand together over the CSR arrays as ``b * n + node`` keys, and
-    each center draws from its own seeded generator.
+    one sort by (center, key) ranks every overflowing frontier at once.
     """
     centers = np.asarray(centers, dtype=np.int64)
-    seeds = list(seeds)
     check_centers(g, centers)
     if hops < 1 or max_nodes < 1:
         raise GraphConstructionError("hops and max_nodes must be >= 1")
-    if len(seeds) != len(centers):
-        raise GraphConstructionError(f"{len(centers)} centers but {len(seeds)} seeds")
     count, n = len(centers), np.int64(g.num_nodes)
+    salt = _splitmix64(_splitmix64(np.full(count, int(seed) % 2**64, dtype=np.uint64))
+                       ^ centers.astype(np.uint64))
     segs = [np.arange(count)]  # (subgraph, node) of every pick, hop by hop
     picks = [centers]
     seen = segs[0] * n + centers  # ascending
@@ -320,18 +328,13 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
         ]))
         keys = keys[~_find(seen, keys)[1]]
         seg = keys // n
+        node = keys - seg * n
+        # keep each center's ``room`` smallest sampling keys; the stable sort breaks ties by id
         found = np.bincount(seg, minlength=count)
-        take = np.ones(len(keys), dtype=bool)
-        # an overflowing frontier fills the budget, so it happens at most
-        # once per center: its generator is made only then
-        for b in np.flatnonzero(found > room).tolist():
-            rng = np.random.default_rng(seeds[b])
-            lo = int(np.searchsorted(seg, b))
-            pick = rng.choice(int(found[b]), size=int(room[b]), replace=False)
-            take[lo:lo + found[b]] = False
-            take[lo + pick] = True
-        keys, f_seg = keys[take], seg[take]
-        f_node = keys - f_seg * n
+        order = np.lexsort((_splitmix64(salt[seg] ^ node.astype(np.uint64)), seg))
+        take = np.empty(len(keys), dtype=bool)  # seg[order] is seg: order stays within centers
+        take[order] = np.arange(len(keys)) - (np.cumsum(found) - found)[seg] < room[seg]
+        keys, f_seg, f_node = keys[take], seg[take], node[take]
         segs.append(f_seg)
         picks.append(f_node)
         seen = _sorted_unique(np.concatenate([seen, keys]))

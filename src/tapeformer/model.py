@@ -42,7 +42,6 @@ __all__ = [
     "input_embedding",
     "attention_bias",
     "multi_head_attention",
-    "subgraph_seed",
     "BUILD_PASS_PAIRS",
 ]
 
@@ -238,11 +237,6 @@ def stack_batches(batches: Sequence[SubgraphBatch]) -> SubgraphStack:
 # the most padded pairs (centers x ego_max_nodes**2) one build pass encodes:
 # 64 centers at ego_max_nodes=16, 16 at 32; a pass holds at least one center
 BUILD_PASS_PAIRS = 16_384
-
-
-def subgraph_seed(base_seed: int, center: int) -> int:
-    """Stable per-center sampling seed, independent of batch composition."""
-    return int(np.random.SeedSequence([base_seed, center]).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +467,17 @@ class GraphormerModel:
     def _build_missing(self, g: DirectedGraph, centers: list[int], seed: int) -> None:
         """Sample and build every center of ``centers`` not yet cached, in
         batched passes of at most ``BUILD_PASS_PAIRS`` padded pairs, and
-        cache each one's batch. Each subgraph is sampled from its own
-        seed, so the pass a center is built in does not change its batch."""
+        cache each one's batch. A subgraph's sample depends only on its
+        center and ``seed``, so the pass it is built in does not change
+        its batch."""
         missing = [c for c in dict.fromkeys(centers) if (c, seed) not in self._batch_cache]
         if not missing:
             return
-        check_centers(g, missing)  # before a negative center reaches subgraph_seed
+        check_centers(g, missing)  # every center, before a pass caches any
         per_pass = max(1, BUILD_PASS_PAIRS // self.cfg.ego_max_nodes ** 2)
         for lo in range(0, len(missing), per_pass):
             part = missing[lo:lo + per_pass]
-            subs = sample_ego_subgraph(
-                g, part, hops=self.cfg.ego_hops, max_nodes=self.cfg.ego_max_nodes,
-                seeds=[subgraph_seed(seed, c) for c in part],
-            )
+            subs = sample_ego_subgraph(g, part, self.cfg.ego_hops, self.cfg.ego_max_nodes, seed)
             for c, batch in zip(part, build_batch(g, subs, self.cfg).split()):
                 self._batch_cache[(c, seed)] = batch
 

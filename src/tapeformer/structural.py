@@ -172,25 +172,18 @@ def clustering_coefficient(g: DirectedGraph, v: int) -> float:
     return 2.0 * links / (k * (k - 1))
 
 
-def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """(m, 3) features for the undirected steps src[n] -> dst[n].
-
-    The flag is +1 when the step follows the citation direction, -1
-    when it runs against it; degree terms describe the directed edge's
-    own endpoints. Reciprocal citations count as forward.
+def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray,
+                        forward: np.ndarray) -> np.ndarray:
+    """(m, 3) features for the undirected steps src[n] -> dst[n], where
+    ``forward[n]`` says the citation src[n] -> dst[n] exists (else
+    dst[n] -> src[n] does). The flag is +1 along the citation, -1
+    against it; degree terms describe the directed edge's own endpoints.
+    Reciprocal citations count as forward.
     """
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    fwd = g.has_edges(src, dst)
-    back = ~fwd
-    missing = np.flatnonzero(back)[~g.has_edges(dst[back], src[back])]
-    if len(missing):
-        n = missing[0]
-        raise ValueError(f"no edge between {src[n]} and {dst[n]} in either direction")
-    a = np.where(fwd, src, dst)
-    b = np.where(fwd, dst, src)
-    out = np.empty((len(src), EDGE_FEATURE_DIM), dtype=np.float64)
-    out[:, 0] = np.where(fwd, 1.0, -1.0)
+    a = np.where(forward, src, dst)
+    b = np.where(forward, dst, src)
+    out = np.empty((len(a), EDGE_FEATURE_DIM), dtype=np.float64)
+    out[:, 0] = np.where(forward, 1.0, -1.0)
     out[:, 1] = g.log1p_degree[g.out_offsets[a + 1] - g.out_offsets[a]]
     out[:, 2] = g.log1p_degree[g.in_offsets[b + 1] - g.in_offsets[b]]
     return out
@@ -205,14 +198,18 @@ def build_path_features(
     """Per-edge feature sequences along one shortest path per ordered pair.
 
     ``synth_edge_features`` is called once, over both orientations of
-    every local undirected edge of every subgraph. Paths are then
-    filled one distance level at a time: the path i -> j is the path
+    every local undirected edge of every subgraph, with each step's
+    direction read off ``sub.local_edges``: an induced subgraph holds
+    every citation between its nodes. Paths are then filled one
+    distance level at a time: the path i -> j is the path
     i -> pred[i, j] plus the step pred[i, j] -> j.
     """
     if adj is None:
         adj = local_adjacency(sub)
+    cited = np.zeros(adj.shape, dtype=bool)
+    cited[tuple(sub.local_edges.T)] = True
     s, a, b = np.nonzero(adj)
-    feats = synth_edge_features(g, sub.nodes[s, a], sub.nodes[s, b])
+    feats = synth_edge_features(g, sub.nodes[s, a], sub.nodes[s, b], cited[s, a, b])
     # edges come grouped by subgraph; a zero row leads each subgraph's block
     offsets = np.append(0, np.cumsum(np.bincount(s, minlength=len(adj)) + 1))
     table = np.insert(feats, offsets[:-1] - np.arange(len(adj)), 0.0, axis=0)

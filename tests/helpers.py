@@ -198,17 +198,31 @@ def relabelled_stack(sub, perm):
     return ego_stack(sub.nodes[0][perm], inv[edges])
 
 
-def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int):
+_MASK64 = 2**64 - 1
+
+
+def splitmix64(x: int) -> int:
+    """SplitMix64's output function on a Python int, masked to 64 bits."""
+    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return x ^ (x >> 31)
+
+
+def sampling_key(seed: int, center: int, node: int) -> int:
+    """The 64-bit key of ``node`` in ``center``'s frontier under ``seed``."""
+    return splitmix64(splitmix64(splitmix64(seed & _MASK64) ^ center) ^ node)
+
+
+def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, seed: int):
     """Ego subgraph by a plain set/list BFS, one center at a time, as a
     one-row ``EgoStack``.
 
-    Each hop's new frontier is taken whole if it fits, otherwise
-    ``room`` of its ascending ids are drawn with
-    ``rng.choice(len, size=room, replace=False)`` from one generator
-    per center. Nodes: center first, then each hop's picks ascending;
-    induced edges in (local src, then global dst) order.
+    Each hop's new frontier is taken whole if it fits, otherwise the
+    ``room`` nodes with the smallest ``(sampling_key, id)`` are kept.
+    Nodes: center first, then each hop's picks ascending; induced edges
+    in (local src, then global dst) order.
     """
-    rng = np.random.default_rng(rng_seed)
     selected = [center]
     in_set = {center}
     frontier = [center]
@@ -218,16 +232,14 @@ def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int
             break
         nxt_set: set[int] = set()
         for u in frontier:
-            for w in np.union1d(g.out_neighbors(u), g.in_neighbors(u)):
+            for w in list(g.out_neighbors(u)) + list(g.in_neighbors(u)):
                 w = int(w)
                 if w not in in_set:
                     nxt_set.add(w)
         if not nxt_set:
             break
-        nxt = sorted(nxt_set)
-        if len(nxt) > room:
-            pick = rng.choice(len(nxt), size=room, replace=False)
-            nxt = sorted(np.asarray(nxt)[np.sort(pick)].tolist())
+        nxt = sorted(nxt_set, key=lambda w: (sampling_key(seed, center, w), w))[:room]
+        nxt.sort()
         selected.extend(nxt)
         in_set.update(nxt)
         frontier = nxt
@@ -239,6 +251,28 @@ def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, rng_seed: int
             if lj is not None:
                 edges.append((li, lj))
     return ego_stack(selected, edges)
+
+
+def oracle_citation_flags(g, src, dst) -> np.ndarray:
+    """Does each step src[n] -> dst[n] follow a citation of ``g``? Looked
+    up in the full graph, not in any subgraph: a binary search of the
+    sorted ``src * n + dst`` keys of every directed edge. A step with
+    no edge in either direction raises."""
+    src, dst = np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64)
+    n = g.num_nodes
+    keys = np.repeat(np.arange(n), np.diff(g.out_offsets)) * n + g.out_targets
+
+    def cited(u, v):
+        if len(keys) == 0:
+            return np.zeros(len(u), dtype=bool)
+        pos = np.minimum(np.searchsorted(keys, u * n + v), len(keys) - 1)
+        return keys[pos] == u * n + v
+
+    fwd = cited(src, dst)
+    missing = np.flatnonzero(~fwd & ~cited(dst, src))
+    if len(missing):
+        raise ValueError(f"no edge between {src[missing[0]]} and {dst[missing[0]]} in either direction")
+    return fwd
 
 
 def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:

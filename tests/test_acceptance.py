@@ -174,7 +174,7 @@ def test_criterion_01_gradient_correctness():
                            d_ffn=16, max_spd=4, max_degree_bucket=8,
                            ego_hops=2, ego_max_nodes=8)
     g = gr.from_edge_list(random_edge_list(np.random.default_rng(7), 12, 0.3), 12)
-    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=8, seeds=[0])
+    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=8, seed=0)
     batch = gm.build_batch(g, sub, cfg)
     assert batch.nodes.shape == (1, 8)
     dims = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
@@ -292,7 +292,7 @@ def test_criterion_05_structural_invariance():
         model = GraphormerModel(cfg, FusionConfig(d_model=16, source_dims=dims), seed=trial)
         bundle = EmbeddingBundle(**{f"h_{s}": rng.standard_normal((n, k)) for s, k in dims.items()})
         sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=2, max_nodes=12,
-                                     seeds=[trial])
+                                     seed=trial)
         batch = gm.build_batch(g, sub, cfg)
         cap = {}
         base = model.forward(batch, bundle, capture=cap).data

@@ -215,6 +215,30 @@ def test_feature_matrix_size_field_is_exit_2(workdir, tmp_path, capsys):
     assert "features.bin: truncated feature matrix" in err and "internal error" not in err
 
 
+def test_llm_records_matching_no_document(workdir, tmp_path, capsys, caplog):
+    """``prepare -v`` warns about cache records whose id is no document
+    and counts only the matched ones; a cache none of whose records
+    matches exits 2 naming the cause."""
+    lines = (workdir / "llm_cache.jsonl").read_text().splitlines()
+    stray = '{"id": 100000, "predictions": ["field0"], "explanation": "x"}'
+    cfg = json.loads(Path(_cfg_path(workdir)).read_text())
+    cfg["paths"].update(llm_cache=str(tmp_path / "llm_cache.jsonl"),
+                        dataset=str(tmp_path / "dataset.bin"), out_dir=str(tmp_path))
+    p = tmp_path / "stray.json"
+    p.write_text(json.dumps(cfg))
+    (tmp_path / "llm_cache.jsonl").write_text("\n".join(lines + [stray]) + "\n")
+    with caplog.at_level("INFO"):
+        assert main(["-v", "prepare", "--config", str(p)]) == 0
+    assert "ignoring 1 LLM record(s) whose id matches no document in [0, 60), the first 100000" \
+        in caplog.text
+    assert f"{len(lines)} cached LLM records" in caplog.text and len(lines) == 60
+    capsys.readouterr()
+    (tmp_path / "llm_cache.jsonl").write_text(stray + "\n")
+    assert main(["prepare", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "llm_cache.jsonl: no LLM record matches a document: all 1 ids lie outside [0, 60)" in err
+
+
 # --- prepare -----------------------------------------------------------------
 
 

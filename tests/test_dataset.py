@@ -38,6 +38,40 @@ def test_prepare_without_cache_gives_zero_llm_rows(corpus):
     assert ds.bundle.h_text.any()
 
 
+def test_llm_records_matching_no_document_are_ignored_or_refused(corpus, tmp_path, caplog):
+    """Records whose id is no document id are dropped with a warning that
+    counts them and names the first; the INFO line counts matched records
+    only; a non-empty cache of which no record matches is a DataError."""
+    data, paths = corpus
+    lines = open(paths["llm_cache"], encoding="utf-8").read().splitlines()
+    extra = ['{"id": 100000, "predictions": ["field0"], "explanation": "x"}',
+             '{"id": -3, "predictions": [], "explanation": "y"}']
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text("\n".join(lines[:10] + extra) + "\n")
+    with caplog.at_level("INFO", logger="tapeformer.dataset"):
+        ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"], partial,
+                         data.class_names, text_dim=32)
+    assert "ignoring 2 LLM record(s) whose id matches no document in [0, 40), the first 100000" \
+        in caplog.text
+    assert "10 cached LLM records" in caplog.text
+    assert ds.bundle.h_pred[:10].any(axis=1).all() and not ds.bundle.h_pred[10:].any()
+    full = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
+                       paths["llm_cache"], data.class_names, text_dim=32)
+    for s in ("expl", "pred"):
+        assert ds.bundle.source(s)[:10].tobytes() == full.bundle.source(s)[:10].tobytes()
+    stray = tmp_path / "stray.jsonl"
+    stray.write_text("\n".join(extra) + "\n")
+    with pytest.raises(DataError, match=r"stray.jsonl: no LLM record matches a document: all 2 "
+                                        r"ids lie outside \[0, 40\), the first 100000"):
+        dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"], stray,
+                    data.class_names)
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"], empty,
+                     data.class_names, text_dim=32)
+    assert not ds.bundle.h_pred.any()
+
+
 def test_prepare_rejects_feature_row_mismatch(corpus, tmp_path):
     data, paths = corpus
     from tapeformer.text import save_feature_matrix

@@ -8,6 +8,7 @@ from helpers import (
     node_map,
     oracle_ego_subgraph,
     random_edge_list,
+    splitmix64,
     stack_row,
     undirected_adj_sets,
 )
@@ -70,21 +71,6 @@ def test_degree_sums_equal_edge_count():
         g = gr.from_edge_list(random_edge_list(rng, n, 0.1), n)
         assert g.out_degrees().sum() == g.num_edges
         assert g.in_degrees().sum() == g.num_edges
-
-
-def test_has_edges_matches_dense_matrix_oracle():
-    rng = np.random.default_rng(10)
-    for trial in range(10):
-        n = int(rng.integers(1, 30))
-        edges = random_edge_list(rng, n, float(rng.uniform(0.0, 0.4)))
-        g = gr.from_edge_list(edges, n)
-        dense = np.zeros((n, n), dtype=bool)
-        for u, v in edges:
-            dense[u, v] = u != v
-        src, dst = (a.reshape(-1) for a in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
-        assert np.array_equal(g.has_edges(src, dst), dense.reshape(-1)), f"trial {trial}"
-    assert g.has_edges(np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0,)
-    assert not gr.from_edge_list([], 3).has_edges(np.array([0, 1]), np.array([1, 0])).any()
 
 
 def test_out_in_adjacency_consistency():
@@ -186,20 +172,20 @@ def test_sorted_unique_matches_np_unique():
 
 def test_isolated_center_singleton():
     g = gr.from_edge_list([(0, 1)], 3)
-    sub = gr.sample_ego_subgraph(g, [2], hops=2, max_nodes=10, seeds=[0])
+    sub = gr.sample_ego_subgraph(g, [2], hops=2, max_nodes=10, seed=0)
     assert sub.nodes.tolist() == [[2]]
     assert sub.local_edges.shape == (0, 3)
 
 
 def test_hop_bound_on_line():
     g = gr.from_edge_list([(0, 1), (1, 2), (2, 3)], 4)
-    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=10, seeds=[0])
+    sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=10, seed=0)
     assert sorted(sub.nodes[0].tolist()) == [0, 1, 2]
 
 
 def test_center_first_and_local_indices_dense():
     g = gr.from_edge_list([(0, 1), (1, 2), (2, 0), (2, 3)], 5)
-    sub = gr.sample_ego_subgraph(g, [1], hops=2, max_nodes=10, seeds=[0])
+    sub = gr.sample_ego_subgraph(g, [1], hops=2, max_nodes=10, seed=0)
     assert sub.nodes[0, 0] == 1
     assert sorted(node_map(sub).values()) == list(range(sub.num_nodes))
     for _, li, lj in sub.local_edges:
@@ -215,7 +201,7 @@ def test_all_nodes_within_hop_budget_bfs_oracle():
         adj = undirected_adj_sets(edges, n)
         center = int(rng.integers(0, n))
         hops = 2
-        sub = gr.sample_ego_subgraph(g, [center], hops=hops, max_nodes=1000, seeds=[seed])
+        sub = gr.sample_ego_subgraph(g, [center], hops=hops, max_nodes=1000, seed=seed)
         dist = bfs_distances(adj, center)
         for gid in sub.nodes[0]:
             assert dist[int(gid)] <= hops
@@ -229,7 +215,7 @@ def test_induced_edges_complete_and_valid():
     n = 30
     edges = random_edge_list(rng, n, 0.12)
     g = gr.from_edge_list(edges, n)
-    sub = gr.sample_ego_subgraph(g, [5], hops=2, max_nodes=15, seeds=[3])
+    sub = gr.sample_ego_subgraph(g, [5], hops=2, max_nodes=15, seed=3)
     chosen = set(sub.nodes[0].tolist())
     expected = {(u, v) for u, v in g.edges() if u in chosen and v in chosen}
     got = {(int(sub.nodes[b, i]), int(sub.nodes[b, j])) for b, i, j in sub.local_edges}
@@ -241,12 +227,12 @@ def test_sampling_reproducible_and_budget_respected():
     n = 60
     edges = random_edge_list(rng, n, 0.3)
     g = gr.from_edge_list(edges, n)
-    a = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seeds=[99])
-    b = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seeds=[99])
+    a = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seed=99)
+    b = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seed=99)
     assert np.array_equal(a.nodes, b.nodes)
     assert np.array_equal(a.local_edges, b.local_edges)
     assert a.num_nodes <= 12
-    c = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seeds=[100])
+    c = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=12, seed=100)
     assert c.num_nodes <= 12  # different seed still valid (may differ in content)
 
 
@@ -281,13 +267,11 @@ def test_batched_sampling_matches_bfs_oracle_in_any_chunk():
         n = g.num_nodes
         for hops, max_nodes in ((1, 1), (2, 5), (2, 9), (3, 12), (2, 1000)):
             centers = rng.permutation(n)
-            seeds = [int(s) for s in rng.integers(0, 2**32, size=n)]
-            want = [oracle_ego_subgraph(g, int(c), hops, max_nodes, s)
-                    for c, s in zip(centers, seeds)]
+            seed = int(rng.integers(-2**63, 2**63))
+            want = [oracle_ego_subgraph(g, int(c), hops, max_nodes, seed) for c in centers]
             for chunk in (1, 7, n):
                 for lo in range(0, n, chunk):
-                    stack = gr.sample_ego_subgraph(g, centers[lo:lo + chunk], hops, max_nodes,
-                                                   seeds[lo:lo + chunk])
+                    stack = gr.sample_ego_subgraph(g, centers[lo:lo + chunk], hops, max_nodes, seed)
                     assert isinstance(stack, gr.EgoStack)
                     assert stack.num_nodes == sum(w.num_nodes for w in want[lo:lo + chunk])
                     assert (stack.nodes[:, 0] == centers[lo:lo + chunk]).all()
@@ -302,27 +286,51 @@ def test_batched_sampling_matches_bfs_oracle_in_any_chunk():
 def test_batched_sampling_overflow_on_both_hops_and_repeats():
     g = overflow_graph()
     hub = oracle_ego_subgraph(g, 0, 2, 5, 1)
-    chain = oracle_ego_subgraph(g, 10, 2, 5, 2)
+    chain = oracle_ego_subgraph(g, 10, 2, 5, 1)
     assert set(hub.nodes[0, 1:].tolist()) < set(range(1, 7))  # hop 1 subsampled
     assert chain.nodes[0, 1] == 11 and set(chain.nodes[0, 2:].tolist()) < set(range(12, 17))
-    centers, seeds = [0, 10, 27, 0, 10], [1, 2, 3, 1, 2]
-    stack = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=5, seeds=seeds)
+    stack = gr.sample_ego_subgraph(g, [0, 10, 27, 0, 10], hops=2, max_nodes=5, seed=1)
     assert stack.sizes.tolist() == [5, 5, 1, 5, 5]
-    for b, want in enumerate([hub, chain, oracle_ego_subgraph(g, 27, 2, 5, 3), hub, chain]):
+    for b, want in enumerate([hub, chain, oracle_ego_subgraph(g, 27, 2, 5, 1), hub, chain]):
         assert_same_subgraph(stack_row(stack, b), want, b)
+
+
+def test_sampling_key_is_splitmix64():
+    """The oracle's key function is SplitMix64: its first outputs from
+    state 0 are the published ones, and the sampler's array form agrees
+    with it on edge words."""
+    assert splitmix64(0) == 0xE220A8397B1DCDAF
+    assert splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
+    words = [0, 1, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+    got = gr._splitmix64(np.array(words, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.tolist() == [splitmix64(w) for w in words]
+
+
+def test_overflowing_hop_is_a_uniform_subset():
+    """A star with 40 leaves and room for 10 of them: over 2,000 seeds
+    every leaf is kept at a rate within 4.5 sigma of 10/40."""
+    leaves, room, trials = 40, 10, 2000
+    g = gr.from_edge_list([(0, v) for v in range(1, leaves + 1)], leaves + 1)
+    hits = np.zeros(leaves + 1, dtype=np.int64)
+    for seed in range(trials):
+        stack = gr.sample_ego_subgraph(g, [0], hops=1, max_nodes=room + 1, seed=seed)
+        assert stack.sizes.tolist() == [room + 1]
+        hits[stack.nodes[0]] += 1
+    p = room / leaves
+    sigma = np.sqrt(p * (1 - p) / trials)
+    assert hits[0] == trials
+    assert np.abs(hits[1:] / trials - p).max() < 4.5 * sigma
 
 
 def test_bad_center_or_budget_raises():
     g = gr.from_edge_list([(0, 1)], 3)
-    for centers, seeds in (([-1], [0]), ([3], [0]), ([0, 3], [0, 0]), ([2, -1], [0, 0])):
+    for centers in ([-1], [3], [0, 3], [2, -1]):
         with pytest.raises(gr.GraphConstructionError, match="outside"):
-            gr.sample_ego_subgraph(g, centers, hops=1, max_nodes=2, seeds=seeds)
+            gr.sample_ego_subgraph(g, centers, hops=1, max_nodes=2, seed=0)
     for hops, max_nodes in ((0, 2), (1, 0), (-1, -1)):
-        for centers, seeds in (([0], [0]), ([0, 1], [0, 0])):
+        for centers in ([0], [0, 1]):
             with pytest.raises(gr.GraphConstructionError, match=">= 1"):
-                gr.sample_ego_subgraph(g, centers, hops=hops, max_nodes=max_nodes, seeds=seeds)
-    with pytest.raises(gr.GraphConstructionError, match="seeds"):
-        gr.sample_ego_subgraph(g, [0, 1], hops=1, max_nodes=2, seeds=[0])
+                gr.sample_ego_subgraph(g, centers, hops=hops, max_nodes=max_nodes, seed=0)
 
 
 def test_log1p_degree_table_is_math_log1p():

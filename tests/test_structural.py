@@ -10,6 +10,7 @@ from helpers import (
     ego_stack,
     floyd_warshall,
     node_map,
+    oracle_citation_flags,
     oracle_path_predecessors,
     oracle_structural,
     random_edge_list,
@@ -21,7 +22,7 @@ from helpers import (
 
 def _sub_from_edges(edges, n, center=0):
     g = gr.from_edge_list(edges, n)
-    return g, gr.sample_ego_subgraph(g, [center], hops=n, max_nodes=n, seeds=[0])
+    return g, gr.sample_ego_subgraph(g, [center], hops=n, max_nodes=n, seed=0)
 
 
 def _relabelled(g, rng):
@@ -52,7 +53,7 @@ def _path(pred, i, j):
 
 def test_singleton_spd():
     g = gr.from_edge_list([], 1)
-    sub = gr.sample_ego_subgraph(g, [0], hops=1, max_nodes=1, seeds=[0])
+    sub = gr.sample_ego_subgraph(g, [0], hops=1, max_nodes=1, seed=0)
     spd = st.bfs_spd(sub, cap=3)
     assert spd.dist.shape == (1, 1, 1)
     assert spd.dist[0, 0, 0] == 0
@@ -104,7 +105,7 @@ def test_spd_permutation_consistent():
     rng = np.random.default_rng(6)
     edges = random_edge_list(rng, 15, 0.2)
     g = gr.from_edge_list(edges, 15)
-    sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=15, seeds=[0])
+    sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=15, seed=0)
     spd = st.bfs_spd(sub, cap=4)
     perm = rng.permutation(sub.num_nodes)
     pspd = st.bfs_spd(relabelled_stack(sub, perm), cap=4)
@@ -145,7 +146,7 @@ def test_paths_valid_on_random_graphs():
         n = int(rng.integers(4, 25))
         edges = random_edge_list(rng, n, 0.15)
         g = gr.from_edge_list(edges, n)
-        sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=4, max_nodes=n, seeds=[1])
+        sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=4, max_nodes=n, seed=1)
         spd = st.bfs_spd(sub, cap=5)
         pred, dist, nodes = st.path_predecessors(sub, spd)[0], spd.dist[0], sub.nodes[0]
         und = {(min(int(nodes[a]), int(nodes[b])), max(int(nodes[a]), int(nodes[b])))
@@ -198,7 +199,7 @@ def test_encodings_byte_identical_to_pairwise_oracle():
         g = gr.from_edge_list(edges, n)
         for cap in range(1, 7):
             _assert_matches_oracle(g, _relabelled(g, rng), cap, f"{name}, cap {cap}")
-            _assert_matches_oracle(g, gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=n, seeds=[cap]),
+            _assert_matches_oracle(g, gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=n, seed=cap),
                                    cap, f"{name}, ego, cap {cap}")
 
 
@@ -223,7 +224,7 @@ def test_path_predecessors_byte_identical_to_dense_oracle():
         centers = rng.choice(n, size=min(n, 6), replace=False)
         sub = gr.sample_ego_subgraph(g, centers, hops=int(rng.integers(1, 4)),
                                      max_nodes=int(rng.integers(1, n + 1)),
-                                     seeds=range(len(centers)))
+                                     seed=0)
         padded += int((sub.nodes < 0).any())
         _assert_predecessors_match_dense_oracle(sub, cap, f"trial {trial}, stack")
     assert padded > 20
@@ -237,7 +238,7 @@ def test_path_predecessors_byte_identical_to_dense_oracle():
     }
     for name, (edges, n) in special.items():
         g = gr.from_edge_list(edges, n)
-        stacked = gr.sample_ego_subgraph(g, list(range(n)), hops=3, max_nodes=n, seeds=range(n))
+        stacked = gr.sample_ego_subgraph(g, list(range(n)), hops=3, max_nodes=n, seed=0)
         for cap in range(1, 7):
             _assert_predecessors_match_dense_oracle(_relabelled(g, rng), cap, f"{name}, cap {cap}")
             _assert_predecessors_match_dense_oracle(stacked, cap, f"{name}, stack, cap {cap}")
@@ -273,21 +274,22 @@ def test_clustering_matches_brute_force():
 
 def test_synth_edge_feature_direction_and_degrees():
     g = gr.from_edge_list([(0, 1), (0, 2), (3, 1)], 4)
-    fwd, back = st.synth_edge_features(g, np.array([0, 1]), np.array([1, 0]))
+    src, dst = np.array([0, 1]), np.array([1, 0])
+    fwd, back = st.synth_edge_features(g, src, dst, oracle_citation_flags(g, src, dst))
     assert fwd[0] == 1.0
     assert fwd[1] == pytest.approx(np.log1p(2))  # out-degree of 0
     assert fwd[2] == pytest.approx(np.log1p(2))  # in-degree of 1
     assert back[0] == -1.0
     assert back[1] == pytest.approx(np.log1p(2))
     with pytest.raises(ValueError, match="between 1 and 2"):
-        st.synth_edge_features(g, np.array([0, 1]), np.array([1, 2]))
+        oracle_citation_flags(g, np.array([0, 1]), np.array([1, 2]))
 
 
 def test_build_path_features_lengths_match_spd():
     rng = np.random.default_rng(10)
     edges = random_edge_list(rng, 18, 0.15)
     g = gr.from_edge_list(edges, 18)
-    sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=18, seeds=[0])
+    sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=18, seed=0)
     spd = st.bfs_spd(sub, cap=4)
     pf = st.build_path_features(g, sub, spd)
     assert pf.table.shape[1] == st.EDGE_FEATURE_DIM
@@ -308,7 +310,7 @@ def test_path_index_points_into_each_subgraphs_block():
     path's end, and ``steps`` is the table gathered by it."""
     rng = np.random.default_rng(12)
     g = gr.from_edge_list(random_edge_list(rng, 30, 0.12), 30)
-    sub = gr.sample_ego_subgraph(g, [0, 4, 9, 17], hops=2, max_nodes=10, seeds=range(4))
+    sub = gr.sample_ego_subgraph(g, [0, 4, 9, 17], hops=2, max_nodes=10, seed=0)
     spd = st.bfs_spd(sub, cap=3)
     pf = st.build_path_features(g, sub, spd)
     assert pf.offsets[0] == 0 and pf.offsets[-1] == len(pf.table)
