@@ -510,8 +510,8 @@ def load_parameters(path) -> dict[str, np.ndarray]:
     """Read a container written by ``save_parameters``.
 
     A truncated file (or a size field beyond the bytes left), bytes
-    after the last parameter, a repeated name or a non-finite value is a
-    ``ValueError`` naming the cause.
+    after the last parameter, a name that is not UTF-8, a repeated name
+    or a non-finite value is a ``ValueError`` naming the cause.
     """
     out: dict[str, np.ndarray] = {}
     with open(path, "rb") as f:
@@ -519,7 +519,7 @@ def load_parameters(path) -> dict[str, np.ndarray]:
         (count,) = _U64.unpack(r.take(8))
         for _ in range(count):
             (nlen,) = _U32.unpack(r.take(4))
-            name = r.take(nlen).decode("utf-8")
+            name = r.utf8(nlen, ValueError(f"checkpoint parameter name is not UTF-8: {path}"))
             (rank,) = _U32.unpack(r.take(4))
             shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(rank))
             arr = r.array(shape, "<f8")

@@ -48,6 +48,13 @@ class Reader:
             self.digest.update(buf)
         return buf
 
+    def utf8(self, n: int, error: Exception) -> str:
+        """The next ``n`` bytes as text; ``error`` if they are not UTF-8."""
+        try:
+            return self.take(n).decode("utf-8")
+        except UnicodeDecodeError:
+            raise error from None
+
     def array(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """The next C-order array of ``shape``, read into its final buffer."""
         dtype = np.dtype(dtype)

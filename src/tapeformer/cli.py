@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .graph import GraphConstructionError
 from .model import GraphormerParams, build_model
-from .structural import clustering_coefficient
+from .structural import clustering_coefficients
 from .synthetic import SyntheticParams, generate, write_synthetic_files
 from .text import SOURCES, DataError, EncodingParams, load_feature_matrix
 from .training import (
@@ -373,7 +373,7 @@ def cmd_inspect(cfg: RunConfig) -> int:
         print(f"  class {i} ({name}): {support[i]}")
     rng = np.random.default_rng(cfg.seed)
     sample = rng.choice(ds.num_nodes, size=min(200, ds.num_nodes), replace=False)
-    cc = float(np.mean([clustering_coefficient(ds.graph, int(v)) for v in sample]))
+    cc = float(np.mean(clustering_coefficients(ds.graph, sample)))
     print(f"mean clustering coefficient (sampled {len(sample)} nodes): {cc:.4f}")
     return 0
 

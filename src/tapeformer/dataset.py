@@ -101,10 +101,11 @@ def prepare(
         records = {i: r for i, r in records.items() if 0 <= i < n}
     t4 = time.perf_counter()
     labels = np.asarray([-1 if d.label is None else d.label for d in docs], dtype=np.int64)
-    if labels.max() >= len(class_names):
-        raise DataError(
-            f"label {labels.max()} outside the {len(class_names)} configured classes"
-        )
+    c = len(class_names)
+    bad = np.flatnonzero((labels < -1) | (labels >= c))
+    if len(bad):
+        raise DataError(f"{node_docs_path}: node {bad[0]} has label {labels[bad[0]]}, "
+                        f"outside [-1, {c}) for the {c} configured classes")
     years = np.asarray([d.year for d in docs], dtype=np.int64)
     bundle = build_bundle(docs, records, features, num_classes=len(class_names),
                           text_dim=text_dim, pred_top_k=pred_top_k, seed=seed,
@@ -185,12 +186,16 @@ def load_dataset(path) -> PreparedDataset:
         if r.take(len(_MAGIC)) != _MAGIC:
             raise DataError(f"{path}: not a prepared dataset artifact")
         (meta_len,) = _U64.unpack(r.take(8))
-        meta = json.loads(r.take(meta_len).decode("utf-8"))
+        meta = r.utf8(meta_len, DataError(f"{path}: artifact meta is not UTF-8"))
+        try:
+            meta = json.loads(meta)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}: artifact meta is not JSON: {e}") from None
         (count,) = _U64.unpack(r.take(8))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
             (nlen,) = _U64.unpack(r.take(8))
-            name = r.take(nlen).decode("utf-8")
+            name = r.utf8(nlen, DataError(f"{path}: an array name is not UTF-8"))
             code = r.take(1)[0]
             if code not in _DTYPES:
                 raise DataError(f"{path}: array {name!r} has unknown dtype code {code}")

@@ -64,19 +64,6 @@ class DirectedGraph:
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_targets[self.in_offsets[v]:self.in_offsets[v + 1]]
 
-    def undirected_neighbors(self, v: int) -> np.ndarray:
-        """Sorted unique neighbors ignoring edge direction."""
-        return _sorted_unique(np.concatenate([self.out_neighbors(v), self.in_neighbors(v)]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        """Directed edge u -> v present?"""
-        t = self.out_neighbors(u)
-        i = np.searchsorted(t, v)
-        return i < len(t) and t[i] == v
-
-    def has_undirected_edge(self, u: int, v: int) -> bool:
-        return self.has_edge(u, v) or self.has_edge(v, u)
-
     def edges(self):
         """Yield (src, dst) in (src, dst) sorted order."""
         for u in range(self.num_nodes):

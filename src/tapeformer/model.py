@@ -109,29 +109,13 @@ def _path_coeffs(table: np.ndarray, index: np.ndarray, cap: int) -> np.ndarray:
 @dataclass
 class SubgraphBatch:
     """One subgraph's row of a ``SubgraphStack``, without padding: the
-    compact form the batch cache holds per center, ``path_coeffs`` derived."""
+    compact form the batch cache holds per center. Degrees are read off
+    the graph and the distance cap is ``path_index.shape[-1]``."""
 
     nodes: np.ndarray  # global ids (k,), the center first
-    spd: SpdMatrix  # dist (k, k) int8 (wider past max_spd 126)
+    dist: np.ndarray  # (k, k) int8 capped distances (wider past max_spd 126)
     edge_table: np.ndarray  # (m + 1, EDGE_FEATURE_DIM): a zero row, then the directed local edges
     path_index: np.ndarray  # (k, k, max_spd) t * max_spd + N - 1 (0: no step), narrowest uint
-    in_deg: np.ndarray  # (k,) full-graph in-degrees
-    out_deg: np.ndarray  # (k,) full-graph out-degrees
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def spd_buckets(self) -> np.ndarray:
-        """(k*k,) flattened bucket indices: a view of ``spd.dist``."""
-        return self.spd.dist.reshape(-1)
-
-    @property
-    def path_coeffs(self) -> np.ndarray:
-        """(k*k, max_spd * EDGE_FEATURE_DIM) averaged path features."""
-        return _path_coeffs(self.edge_table, self.path_index, self.spd.cap).reshape(
-            self.num_nodes ** 2, -1)
 
 
 @dataclass
@@ -170,14 +154,19 @@ class SubgraphStack:
             lo, hi = self.edge_offsets[b], self.edge_offsets[b + 1]
             out.append(SubgraphBatch(
                 nodes=self.nodes[b, :n].copy(),
-                spd=SpdMatrix(dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 1)), cap=cap),
+                dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 1)),
                 edge_table=self.edge_table[lo:hi].copy(),
                 path_index=(self.path_index[b, :n, :n] - lo * cap).astype(
                     np.min_scalar_type((hi - lo) * cap - 1)),
-                in_deg=self.in_deg[b, :n].copy(),
-                out_deg=self.out_deg[b, :n].copy(),
             ))
         return out
+
+
+def _degrees(g: DirectedGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(in, out) full-graph degrees of ``nodes``, 0 where a node is -1."""
+    real = nodes >= 0
+    return (np.where(real, g.in_offsets[nodes + 1] - g.in_offsets[nodes], 0),
+            np.where(real, g.out_offsets[nodes + 1] - g.out_offsets[nodes], 0))
 
 
 def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> SubgraphStack:
@@ -193,40 +182,36 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     index = paths.index + paths.offsets[:-1, None, None, None]
     index *= cap
     np.add(index, np.clip(spd.dist, 1, cap)[..., None] - 1, out=index, where=paths.index > 0)
-    nodes, real = stack.nodes, stack.nodes >= 0
+    in_deg, out_deg = _degrees(g, stack.nodes)
     return SubgraphStack(
         sizes=stack.sizes,
-        nodes=nodes,
+        nodes=stack.nodes,
         spd=spd,
         edge_table=paths.table,
         edge_offsets=paths.offsets,
         path_index=index,
-        in_deg=np.where(real, g.in_offsets[nodes + 1] - g.in_offsets[nodes], 0),
-        out_deg=np.where(real, g.out_offsets[nodes + 1] - g.out_offsets[nodes], 0),
+        in_deg=in_deg,
+        out_deg=out_deg,
     )
 
 
-def stack_batches(batches: Sequence[SubgraphBatch]) -> SubgraphStack:
+def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> SubgraphStack:
     """Pad ``batches`` to the largest subgraph and stack them, the inverse
-    of ``SubgraphStack.split``: padding reads -1 in ``nodes`` and 0 in
-    the other arrays (``path_index`` then reads its block's zero row); the
-    forward rebuilds ``path_coeffs``."""
-    sizes = np.array([b.num_nodes for b in batches])
-    count, k, cap = len(batches), int(sizes.max()), batches[0].spd.cap
+    of ``SubgraphStack.split``, with the degrees read off ``g``: padding
+    reads -1 in ``nodes`` and 0 in the other arrays (``path_index`` then
+    reads its block's zero row); the forward rebuilds ``path_coeffs``."""
+    sizes = np.array([len(b.nodes) for b in batches])
+    count, k, cap = len(batches), int(sizes.max()), batches[0].path_index.shape[-1]
     offsets = np.append(0, np.cumsum([len(b.edge_table) for b in batches]))
     nodes = np.full((count, k), -1, dtype=np.int64)
-    in_deg = np.zeros((count, k), dtype=np.int64)
-    out_deg = np.zeros((count, k), dtype=np.int64)
     dist = np.zeros((count, k, k), dtype=np.int64)
     index = np.zeros((count, k, k, cap), dtype=np.int64)
-    for i, b in enumerate(batches):
-        n = b.num_nodes
+    for i, (b, n) in enumerate(zip(batches, sizes.tolist())):
         nodes[i, :n] = b.nodes
-        in_deg[i, :n] = b.in_deg
-        out_deg[i, :n] = b.out_deg
-        dist[i, :n, :n] = b.spd.dist
+        dist[i, :n, :n] = b.dist
         index[i, :n, :n] = b.path_index
     index += cap * offsets[:-1, None, None, None]  # into each entry's block
+    in_deg, out_deg = _degrees(g, nodes)
     return SubgraphStack(
         sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist, cap=cap),
         edge_table=np.concatenate([b.edge_table for b in batches]), edge_offsets=offsets,
@@ -453,24 +438,19 @@ class GraphormerModel:
 
     # -- batching -----------------------------------------------------------
 
-    def batch_for(self, g: DirectedGraph, center: int, seed: int) -> SubgraphBatch:
-        key = (center, seed)
-        if key not in self._batch_cache:
-            self._build_missing(g, [center], seed)
-        return self._batch_cache[key]
+    def batch_for(self, center: int, seed: int) -> SubgraphBatch:
+        """The cached entry of ``center`` under ``seed``, which
+        ``build_centers`` made."""
+        return self._batch_cache[(center, seed)]
 
     def build_centers(self, data, centers, seed: int) -> None:
         """Sample, encode and cache every center of ``centers`` not cached
-        yet, so that later forwards over them only look their batches up."""
-        self._build_missing(data.graph, [int(c) for c in centers], seed)
-
-    def _build_missing(self, g: DirectedGraph, centers: list[int], seed: int) -> None:
-        """Sample and build every center of ``centers`` not yet cached, in
-        batched passes of at most ``BUILD_PASS_PAIRS`` padded pairs, and
-        cache each one's batch. A subgraph's sample depends only on its
-        center and ``seed``, so the pass it is built in does not change
-        its batch."""
-        missing = [c for c in dict.fromkeys(centers) if (c, seed) not in self._batch_cache]
+        yet, in batched passes of at most ``BUILD_PASS_PAIRS`` padded
+        pairs, so that later forwards over them only look their entries
+        up. A subgraph's sample depends only on its center and ``seed``,
+        so the pass it is built in does not change its entry."""
+        g = data.graph
+        missing = [c for c in dict.fromkeys(map(int, centers)) if (c, seed) not in self._batch_cache]
         if not missing:
             return
         check_centers(g, missing)  # every center, before a pass caches any
@@ -494,8 +474,8 @@ class GraphormerModel:
         centers = [int(c) for c in centers]
         if not centers:
             raise ValueError("logits_for_centers got an empty center list")
-        self._build_missing(data.graph, centers, seed)
-        stack = stack_batches([self.batch_for(data.graph, c, seed) for c in centers])
+        self.build_centers(data, centers, seed)
+        stack = stack_batches(data.graph, [self.batch_for(c, seed) for c in centers])
         return self.forward_fused(stack, self._fused_rows(stack, data.bundle), train=train, rng=rng)
 
 

@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import DirectedGraph, EgoStack
+from .graph import DirectedGraph, EgoStack, sample_ego_subgraph
 
 __all__ = [
     "SpdMatrix",
@@ -27,7 +27,7 @@ __all__ = [
     "EDGE_FEATURE_DIM",
     "bfs_spd",
     "path_predecessors",
-    "clustering_coefficient",
+    "clustering_coefficients",
     "local_adjacency",
     "synth_edge_features",
     "build_path_features",
@@ -158,18 +158,26 @@ def path_predecessors(sub: EgoStack, spd: SpdMatrix, adj: np.ndarray | None = No
     return out.reshape(count, k, k).transpose(0, 2, 1)
 
 
-def clustering_coefficient(g: DirectedGraph, v: int) -> float:
-    """Local clustering on the undirected simple view; degree < 2 gives 0."""
-    nbrs = g.undirected_neighbors(v)
-    k = len(nbrs)
-    if k < 2:
-        return 0.0
-    links = 0
-    for a in range(k):
-        for b in range(a + 1, k):
-            if g.has_undirected_edge(int(nbrs[a]), int(nbrs[b])):
-                links += 1
-    return 2.0 * links / (k * (k - 1))
+def clustering_coefficients(g: DirectedGraph, nodes) -> np.ndarray:
+    """Local clustering of each of ``nodes`` on the undirected simple
+    view; degree < 2 gives 0.
+
+    One 1-hop ego pass whose budget is the whole graph keeps every
+    neighbour; the distinct undirected induced edges between a
+    subgraph's non-center nodes are its center's neighbour links.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    if len(nodes) == 0:
+        return np.zeros(0)
+    sub = sample_ego_subgraph(g, nodes, hops=1, max_nodes=g.num_nodes, seed=0)
+    b, u, v = sub.local_edges.T
+    k = sub.nodes.shape[1]
+    among = (u > 0) & (v > 0)
+    keys = (b * k + np.minimum(u, v)) * k + np.maximum(u, v)
+    links = np.bincount(np.unique(keys[among]) // (k * k), minlength=len(nodes))
+    deg = sub.sizes - 1
+    pairs = deg * (deg - 1)
+    return np.divide(2.0 * links, pairs, out=np.zeros(len(nodes)), where=pairs > 0)
 
 
 def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray,

@@ -13,23 +13,40 @@ import numpy as np
 from tapeformer import autodiff as ad
 
 
-def numeric_grad(f, x: np.ndarray, h: float = 1e-5, entries=None) -> dict:
-    """Central finite differences of scalar f at selected flat entries.
+def _relu_inputs(f):
+    """``f()`` and a copy of the input of every ``autodiff.relu`` call it made."""
+    seen, relu = [], ad.relu
 
-    Returns {flat_index: derivative}. ``entries=None`` checks all.
-    """
-    flat = x.reshape(-1)
-    idxs = range(flat.size) if entries is None else entries
-    out = {}
-    for i in idxs:
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f()
-        flat[i] = orig - h
-        fm = f()
-        flat[i] = orig
-        out[i] = (fp - fm) / (2.0 * h)
-    return out
+    def recording(x):
+        seen.append(x.data.copy())
+        return relu(x)
+
+    ad.relu = recording
+    try:
+        return f(), seen
+    finally:
+        ad.relu = relu
+
+
+def central_difference(f, flat: np.ndarray, i: int, h: float):
+    """(derivative, kink) of scalar ``f`` in flat entry i by a central
+    difference of step h. ``kink`` is None unless some ReLU input lies
+    on different sides of zero at +h and at -h; then it is the smallest
+    |pre-activation| among those inputs, and the difference straddles
+    the kink."""
+    orig = flat[i]
+    flat[i] = orig + h
+    fp, up = _relu_inputs(f)
+    flat[i] = orig - h
+    fm, down = _relu_inputs(f)
+    flat[i] = orig
+    kink = None
+    for a, b in zip(up, down):
+        flip = (a > 0) != (b > 0)
+        if flip.any():
+            near = float(min(np.abs(a[flip]).min(), np.abs(b[flip]).min()))
+            kink = near if kink is None else min(kink, near)
+    return (fp - fm) / (2.0 * h), kink
 
 
 def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
@@ -41,6 +58,11 @@ def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
     checked entry-by-entry (all entries, or a seeded sample of
     ``max_entries``). Returns the worst relative error seen. The error
     measure is |analytic - numeric| / max(1, |analytic|).
+
+    A difference whose +h and -h evaluations put some ReLU input on
+    different sides of zero straddles the kink and measures nothing;
+    that entry is taken again at h/100, and fails the check if it still
+    straddles.
     """
     rng = np.random.default_rng(seed)
     ad.tape_clear()
@@ -49,22 +71,26 @@ def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
     loss = make_loss()
     ad.backward(loss)
     worst = 0.0
-    for p in params:
+    for n, p in enumerate(params):
         assert p.grad is not None, "parameter did not receive a gradient"
-        n = p.data.size
-        if max_entries is not None and n > max_entries:
-            entries = sorted(rng.choice(n, size=max_entries, replace=False).tolist())
+        size = p.data.size
+        if max_entries is not None and size > max_entries:
+            entries = sorted(rng.choice(size, size=max_entries, replace=False).tolist())
         else:
-            entries = None
+            entries = range(size)
 
-        def f(p=p):
+        def f():
             ad.tape_clear()
             with ad.no_grad():
                 return float(make_loss().data)
 
-        num = numeric_grad(f, p.data, h=h, entries=entries)
-        ana = p.grad.reshape(-1)
-        for i, dv in num.items():
+        flat, ana = p.data.reshape(-1), p.grad.reshape(-1)
+        for i in entries:
+            dv, kink = central_difference(f, flat, i, h)
+            if kink is not None:
+                dv, kink = central_difference(f, flat, i, h / 100)
+                assert kink is None, (f"entry {i} of parameter {n} straddles a ReLU kink at "
+                                      f"h/100: smallest |pre-activation| {kink:.3g}")
             err = abs(ana[i] - dv) / max(1.0, abs(ana[i]))
             worst = max(worst, err)
             assert err < rel_tol, f"grad mismatch at entry {i}: analytic={ana[i]}, numeric={dv}"
@@ -275,13 +301,18 @@ def oracle_citation_flags(g, src, dst) -> np.ndarray:
     return fwd
 
 
+def has_edge(g, u: int, v: int) -> bool:
+    """Does ``u`` cite ``v``? A scan of u's out-neighbours."""
+    return v in g.out_neighbors(u).tolist()
+
+
 def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
     """Synthesized features of one undirected step gu -> gv, one edge at
     a time: [+1 forward / -1 backward, log1p(src out-degree), log1p(dst
     in-degree)]; reciprocal citations count as forward."""
-    if g.has_edge(gu, gv):
+    if has_edge(g, gu, gv):
         flag, src, dst = 1.0, gu, gv
-    elif g.has_edge(gv, gu):
+    elif has_edge(g, gv, gu):
         flag, src, dst = -1.0, gv, gu
     else:
         raise ValueError(f"no edge between {gu} and {gv} in either direction")
@@ -340,7 +371,7 @@ def oracle_structural(g, sub, cap: int, d_edge: int = 3):
     Distances come from Floyd-Warshall on the local edges (sentinel
     cap + 1 beyond the cap); each reachable pair's path features are
     built step by step and divided by the path length, laid out the way
-    ``SubgraphBatch`` lays out ``path_coeffs``: (k*k, cap*d_edge).
+    ``entry_path_coeffs`` lays them out: (k*k, cap*d_edge).
     """
     k, nodes, edges = sub.num_nodes, sub.nodes[0], sub.local_edges[:, 1:].tolist()
     fw = floyd_warshall(edges, k)
@@ -394,12 +425,24 @@ def _ln_affine(x, gain, bias, eps):
     return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
 
 
-def oracle_subgraph_logits(model, batch, bundle) -> np.ndarray:
-    """(k, C) logits of every node of one subgraph, in plain numpy.
+def entry_path_coeffs(entry) -> np.ndarray:
+    """(k*k, cap*d_edge) averaged path features of one cached
+    ``SubgraphBatch``, decoded from its path index: position p of pair
+    (i, j) holds row t of the entry's edge table divided by N, where the
+    index reads t * cap + N - 1 (0, the zero row, for no step)."""
+    k, cap = len(entry.nodes), entry.path_index.shape[-1]
+    row, n_less_one = np.divmod(entry.path_index.astype(np.int64), cap)
+    return (entry.edge_table[row] / (n_less_one + 1)[..., None]).reshape(k * k, -1)
+
+
+def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
+    """(k, C) logits of every node of one cached subgraph of ``g``, in
+    plain numpy.
 
     One subgraph at a time, no padding, and one head at a time on
     column slices of the query, key and value projections: the forward
-    pass as it ran before micro-batches were stacked.
+    pass as it ran before micro-batches were stacked. Degrees are read
+    node by node off ``g``.
     """
     cfg, fusion = model.cfg, model.fusion
     proj = [bundle.source(s)[batch.nodes] @ fusion.proj[s].data for s in fusion.cfg.active]
@@ -410,10 +453,12 @@ def oracle_subgraph_logits(model, batch, bundle) -> np.ndarray:
     for i in range(1, len(proj)):
         x = x + proj[i] * alpha[:, i:i + 1]
     mb = cfg.max_degree_bucket
-    h = (x + model.z_in.data[np.minimum(batch.in_deg, mb)]
-         + model.z_out.data[np.minimum(batch.out_deg, mb)])
-    k, heads = batch.num_nodes, cfg.num_heads
-    bias = model.spatial_table.data[batch.spd_buckets] + batch.path_coeffs @ model.edge_weight.data
+    in_deg = np.array([g.in_degree(int(v)) for v in batch.nodes])
+    out_deg = np.array([g.out_degree(int(v)) for v in batch.nodes])
+    h = x + model.z_in.data[np.minimum(in_deg, mb)] + model.z_out.data[np.minimum(out_deg, mb)]
+    k, heads = len(batch.nodes), cfg.num_heads
+    bias = (model.spatial_table.data[batch.dist.reshape(-1)]
+            + entry_path_coeffs(batch) @ model.edge_weight.data)
     dh = cfg.d_model // heads
     for layer in model.layers:
         p = {name: t.data for name, t in layer.items()}
@@ -435,9 +480,9 @@ def oracle_logits_for_centers(model, data, centers, seed: int) -> np.ndarray:
     center is node 0 of its subgraph."""
     rows = []
     for c in centers:
-        batch = model.batch_for(data.graph, int(c), seed)
+        batch = model.batch_for(int(c), seed)
         assert batch.nodes[0] == c
-        rows.append(oracle_subgraph_logits(model, batch, data.bundle)[0])
+        rows.append(oracle_subgraph_logits(model, data.graph, batch, data.bundle)[0])
     return np.stack(rows)
 
 

@@ -204,6 +204,26 @@ def test_grad_relu_tanh():
     _fd(lambda: ad.tsum(ad.mul(ad.tanh(ad.relu(x)), r)), [x])
 
 
+def test_gradient_check_retakes_a_step_across_a_relu_kink():
+    """A pre-activation 3e-6 from zero lies within h = 1e-5 of the kink:
+    the +h / -h difference straddles it and reads (z + h) / 2h = 0.65
+    for a true slope of 1, so the check takes that entry again at h/100,
+    where it no longer straddles."""
+    w = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
+    b = Tensor(np.array([[3e-6, 0.5]]), requires_grad=True)
+    assert check_gradients(lambda: ad.tsum(ad.relu(ad.add(w, b))), [w, b], h=1e-5) < 1e-6
+
+
+def test_gradient_check_names_an_entry_that_straddles_at_h_over_100():
+    """Within h/100 of the kink the retaken difference straddles too, and
+    the check fails naming the entry and the smaller |pre-activation| of
+    the two evaluations: -4e-9 + 1e-7."""
+    b = Tensor(np.array([0.5, -4e-9]), requires_grad=True)
+    with pytest.raises(AssertionError, match=r"entry 1 of parameter 0 straddles a ReLU kink "
+                                             r"at h/100: smallest \|pre-activation\| 9.6e-08"):
+        check_gradients(lambda: ad.tsum(ad.relu(b)), [b], h=1e-5)
+
+
 def test_grad_layer_norm():
     rng = np.random.default_rng(16)
     x, gain, bias = _p(rng, 4, 8), _p(rng, 8), _p(rng, 8)
@@ -477,6 +497,16 @@ def test_checkpoint_size_field_beyond_file_is_truncated(tmp_path, at, value):
     raw[at:at + width] = value.to_bytes(width, "little")
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError, match="truncated checkpoint file"):
+        ad.load_parameters(path)
+
+
+def test_checkpoint_name_not_utf8_names_the_file(tmp_path):
+    path = tmp_path / "ck.bin"
+    ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})
+    raw = bytearray(path.read_bytes())
+    raw[12] = 0xFF  # the first byte of the first parameter's name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match=r"checkpoint parameter name is not UTF-8: .*ck.bin"):
         ad.load_parameters(path)
 
 

@@ -239,6 +239,26 @@ def test_llm_records_matching_no_document(workdir, tmp_path, capsys, caplog):
     assert "llm_cache.jsonl: no LLM record matches a document: all 1 ids lie outside [0, 60)" in err
 
 
+def test_label_outside_classes_is_refused_by_prepare(workdir, tmp_path, capsys):
+    """A document labelled -5 stops ``prepare`` with exit 2 naming the node
+    and the label, before any artifact is written that ``train`` would
+    refuse."""
+    docs = [json.loads(line) for line in (workdir / "docs.jsonl").read_text().splitlines()]
+    for doc in docs:
+        if doc["id"] == 11:
+            doc["label"] = -5
+    (tmp_path / "docs.jsonl").write_text("".join(json.dumps(d) + "\n" for d in docs))
+    cfg = json.loads(Path(_cfg_path(workdir)).read_text())
+    cfg["paths"].update(node_docs=str(tmp_path / "docs.jsonl"),
+                        dataset=str(tmp_path / "dataset.bin"), out_dir=str(tmp_path))
+    p = tmp_path / "labels.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["prepare", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "docs.jsonl: node 11 has label -5, outside [-1, 3) for the 3 configured classes" in err
+    assert not (tmp_path / "dataset.bin").exists()
+
+
 # --- prepare -----------------------------------------------------------------
 
 
@@ -348,6 +368,12 @@ def _flip_last_byte(src, dst):
         src.with_name(src.name + ".sha256").read_text())
 
 
+def _flip_first_meta_byte(src, dst):
+    raw = bytearray(src.read_bytes())
+    raw[16] ^= 1  # "{" becomes "z"; no hash sidecar is copied
+    dst.write_bytes(bytes(raw))
+
+
 def _set(array, index, value):
     def edit(ds):
         (ds.labels if array == "labels" else getattr(ds.graph, array))[index] = value
@@ -363,6 +389,7 @@ def _reverse_a_row(ds):
 CORRUPT_ARTIFACTS = {
     "dtype code": (_bad_dtype, "unknown dtype code 7"),
     "size field": (_huge_first_dim, "ds.bin: truncated dataset artifact"),
+    "meta JSON": (_flip_first_meta_byte, "ds.bin: artifact meta is not JSON"),
     "meta key": (lambda s, d: _rewrite_meta(s, d, lambda m: m.pop("num_edges")),
                  "missing keys ['num_edges']"),
     "length": (lambda s, d: _resave(s, d, lambda ds: setattr(ds, "years", ds.years[:-1])),

@@ -1,3 +1,4 @@
+import json
 import re
 import struct
 
@@ -82,11 +83,28 @@ def test_prepare_rejects_feature_row_mismatch(corpus, tmp_path):
         dsm.prepare(paths["node_docs"], paths["edges"], bad, None, data.class_names)
 
 
-def test_prepare_rejects_label_outside_classes(corpus):
+def test_prepare_rejects_label_outside_classes(corpus, tmp_path):
+    """A label outside [-1, C), above the classes or below -1, is a
+    DataError naming the documents file, the node and the label: an
+    artifact ``load_dataset`` refuses is never written."""
     data, paths = corpus
-    with pytest.raises(DataError, match="classes"):
+    first = int(np.flatnonzero(data.labels == 2)[0])
+    with pytest.raises(DataError, match=rf"docs.jsonl: node {first} has label 2, outside "
+                                        r"\[-1, 2\) for the 2 configured classes"):
         dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
                     None, data.class_names[:2])
+    docs = [json.loads(line) for line in open(paths["node_docs"], encoding="utf-8")]
+    for doc in docs:
+        if doc["id"] in (7, 9):
+            doc["label"] = -5 if doc["id"] == 7 else -1
+    bad = tmp_path / "labels.jsonl"
+    bad.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    with pytest.raises(DataError, match=r"labels.jsonl: node 7 has label -5, outside \[-1, 3\)"):
+        dsm.prepare(bad, paths["edges"], paths["ogb_features"], None, data.class_names)
+    docs = [d for d in docs if d["id"] != 7] + [dict(docs[0], id=7, label=None)]
+    bad.write_text("".join(json.dumps(d) + "\n" for d in docs))
+    ds = dsm.prepare(bad, paths["edges"], paths["ogb_features"], None, data.class_names)
+    assert ds.labels[7] == ds.labels[9] == -1  # null and -1 both mean unlabeled
 
 
 def test_artifact_roundtrip_and_stable_hash(corpus, tmp_path):
@@ -124,6 +142,31 @@ def test_artifact_corruption_detected(corpus, tmp_path):
     p.write_bytes(b"garbage!" + raw[8:])
     with pytest.raises(DataError, match="not a prepared dataset"):
         dsm.load_dataset(p)
+
+
+def test_undecodable_artifact_header_names_the_file(corpus, tmp_path):
+    """A meta block that is not JSON or not UTF-8, or an array name that
+    is not UTF-8, is a DataError naming the artifact, with or without the
+    hash sidecar."""
+    data, paths = corpus
+    ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
+                     None, data.class_names, text_dim=32)
+    p = tmp_path / "h.bin"
+    dsm.save_dataset(ds, p)
+    raw = p.read_bytes()
+    n = int.from_bytes(raw[8:16], "little")
+    name_at = 32 + n  # the first array's name
+    for at, value, cause in ((16, raw[16] ^ 1, "artifact meta is not JSON: Expecting value"),
+                             (16, 0xFF, "artifact meta is not UTF-8"),
+                             (name_at, 0xFF, "an array name is not UTF-8")):
+        bad = bytearray(raw)
+        bad[at] = value
+        p.write_bytes(bytes(bad))
+        for sidecar in (True, False):
+            if not sidecar:
+                p.with_name("h.bin.sha256").unlink(missing_ok=True)
+            with pytest.raises(DataError, match=rf"h.bin: {cause}"):
+                dsm.load_dataset(p)
 
 
 def _edgeless(tmp_path, corpus, cols=0):

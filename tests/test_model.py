@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from helpers import (
     check_gradients,
     edge_encoding_cij,
     ego_stack,
+    entry_path_coeffs,
     node_map,
     oracle_citation_flags,
     oracle_ego_subgraph,
@@ -173,7 +175,8 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
     """The traced benchmark run patches each ``spans.PATCHES`` name on its
     owner, and its hooks read ``num_nodes`` off the sampler's result, the
     array fields off ``build_batch``'s and the 1-D ``nodes`` of each
-    ``batch_for`` result, which it concatenates per micro-batch; a cold
+    ``batch_for`` result, real nodes only, which it concatenates per
+    micro-batch; a cold
     ``logits_for_centers`` must reach all three through the model
     module, and the builds ``train`` and ``predict`` start before their
     loops the first two."""
@@ -211,13 +214,13 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
     centers = np.arange(24)
     model.logits_for_centers(data, centers, seed=0)
     (subs,), (built,) = results["sample_ego_subgraph"], results["build_batch"]
-    assert subs.num_nodes == sum(b.num_nodes for b in model._batch_cache.values())
+    assert subs.num_nodes == sum(len(b.nodes) for b in model._batch_cache.values())
     for a in (built.nodes, built.spd.dist, built.spd_buckets, built.path_coeffs,
               built.in_deg, built.out_deg):
         assert isinstance(a, np.ndarray) and a.nbytes > 0
     assert len(looked_up) == len(centers)
     for b in looked_up:
-        assert b.nodes.ndim == 1 and len(b.nodes) == b.num_nodes
+        assert b.nodes.ndim == 1 and (b.nodes >= 0).all()
     joined = np.concatenate([b.nodes for b in looked_up])
     assert joined.tolist() == [v for b in looked_up for v in b.nodes.tolist()]
 
@@ -235,15 +238,13 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
     built = trained._batch_cache | predicted._batch_cache
     assert len(built) == 24
     assert sum(s.num_nodes for s in results["sample_ego_subgraph"]) == sum(
-        b.num_nodes for b in built.values())
+        len(b.nodes) for b in built.values())
     assert sum(len(s.sizes) for s in results["build_batch"]) == len(built)
 
 
 def _cache_case(max_nodes):
     """A model over ``overflow_graph`` (hop-1 and hop-2 overflow, isolated
     centers, a random part) with budget ``max_nodes``."""
-    import types
-
     rng = np.random.default_rng(max_nodes)
     g = overflow_graph()
     data = types.SimpleNamespace(graph=g, bundle=random_bundle(rng, g.num_nodes))
@@ -256,7 +257,8 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
     BFS sampler and the pairwise encodings), byte for byte but for the
     int8 distances, which match by value, whichever
     chunk of misses it was built in; a center given twice in one call is
-    built once."""
+    built once. The entry holds no degrees: stacked alone, it reads the
+    graph's."""
     stacks = []
     orig = gm.build_batch
 
@@ -293,13 +295,13 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
                 nodes, dist, coeffs, in_deg, out_deg = want[c]
                 assert b.nodes.tobytes() == nodes.tobytes(), (max_nodes, c)
                 # the cache keeps distances as int8; their values are the oracle's
-                assert b.spd.dist.dtype == np.int8 and dist.dtype == np.int64
-                assert np.array_equal(b.spd.dist, dist), (max_nodes, c)
-                assert np.array_equal(b.spd_buckets, dist.reshape(-1)), (max_nodes, c)
-                assert b.path_coeffs.shape == coeffs.shape
-                assert b.path_coeffs.tobytes() == coeffs.tobytes(), (max_nodes, c)
-                assert b.in_deg.tobytes() == in_deg.astype(np.int64).tobytes()
-                assert b.out_deg.tobytes() == out_deg.astype(np.int64).tobytes()
+                assert b.dist.dtype == np.int8 and dist.dtype == np.int64
+                assert np.array_equal(b.dist, dist), (max_nodes, c)
+                assert entry_path_coeffs(b).shape == coeffs.shape
+                assert entry_path_coeffs(b).tobytes() == coeffs.tobytes(), (max_nodes, c)
+                alone = gm.stack_batches(g, [b])
+                assert alone.in_deg[0].tobytes() == in_deg.astype(np.int64).tobytes()
+                assert alone.out_deg[0].tobytes() == out_deg.astype(np.int64).tobytes()
                 assert b.nodes[0] == c
 
 
@@ -322,19 +324,18 @@ def test_cached_batches_own_compact_arrays(monkeypatch):
               stack.in_deg, stack.out_deg)
     assert stack.nodes.shape[1] == 5
     for b in model._batch_cache.values():
-        for a in (b.nodes, b.spd.dist, b.spd_buckets, b.path_coeffs, b.edge_table, b.path_index,
-                  b.in_deg, b.out_deg):
+        for f in dataclasses.fields(b):
+            a = getattr(b, f.name)
             assert not any(np.shares_memory(a, p) for p in padded)
             assert a.base is None or a.base.nbytes == a.nbytes
-        assert np.shares_memory(b.spd_buckets, b.spd.dist)  # one copy of the distances
 
 
 def test_path_index_widens_with_the_edge_table():
     """A k=200 ego subgraph of a 200-node complete graph has 39,800
     directed local edges, more than int16 holds: each entry's path index
     (row t on a path of length N as t * max_spd + N - 1) takes the
-    narrowest unsigned dtype that holds it, and the entry's derived
-    ``path_coeffs`` equal the stack's byte for byte."""
+    narrowest unsigned dtype that holds it, and the path coefficients
+    decoded from the entry equal the stack's byte for byte."""
     n = 200
     g = gr.from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)], n)
     sub = gr.sample_ego_subgraph(g, [0, 7], hops=1, max_nodes=n, seed=0)
@@ -347,7 +348,7 @@ def test_path_index_widens_with_the_edge_table():
             assert rows == n * (n - 1) + 1 and rows - 1 > np.iinfo(np.int16).max
             assert entry.path_index.dtype == dtype
             assert int(entry.path_index.max()) == (rows - 1) * cap and not entry.edge_table[0].any()
-            coeffs = entry.path_coeffs
+            coeffs = entry_path_coeffs(entry)
             assert coeffs.tobytes() == built.path_coeffs[b].reshape(n * n, -1).tobytes()
             # every pair is one hop apart: position 0 holds the step's own features
             steps = coeffs.reshape(n, n, cap, 3)
@@ -355,7 +356,7 @@ def test_path_index_widens_with_the_edge_table():
             assert np.array_equal(steps[i, j, 0],
                                   st.synth_edge_features(g, src, dst, oracle_citation_flags(g, src, dst)))
             assert not steps[:, :, 1:].any() and not steps[np.arange(n), np.arange(n)].any()
-        assert gm.stack_batches(entries).path_coeffs.tobytes() == built.path_coeffs.tobytes()
+        assert gm.stack_batches(g, entries).path_coeffs.tobytes() == built.path_coeffs.tobytes()
 
 
 def test_cached_entry_is_a_fifth_of_the_padded_layout():
@@ -366,17 +367,16 @@ def test_cached_entry_is_a_fifth_of_the_padded_layout():
     g = gr.from_edge_list(random_edge_list(rng, 120, 0.08), 120)
     cfg = tiny_config(ego_max_nodes=32, max_spd=5)
     model = gm.GraphormerModel(cfg, fusion_config(), seed=0)
-    model._build_missing(g, list(range(24)), 0)
-    full = [b for b in model._batch_cache.values() if b.num_nodes == 32]
+    model.build_centers(types.SimpleNamespace(graph=g), range(24), 0)
+    full = [b for b in model._batch_cache.values() if len(b.nodes) == 32]
     assert len(full) > 12
     k, coeffs = 32, 32 * 32 * cfg.max_spd * st.EDGE_FEATURE_DIM
     padded_layout = 8 * (k + k * k + coeffs + 2 * k)  # nodes, dist, path_coeffs, degrees
     for b in full:
-        held = [getattr(b, f.name) for f in dataclasses.fields(b)]
-        arrays = [a.dist if isinstance(a, st.SpdMatrix) else a for a in held]
+        arrays = [getattr(b, f.name) for f in dataclasses.fields(b)]
         assert sum(a.nbytes for a in arrays) * 5 <= padded_layout
         assert all(a.size < coeffs for a in arrays)
-        assert b.path_coeffs.shape == (k * k, cfg.max_spd * st.EDGE_FEATURE_DIM)
+        assert entry_path_coeffs(b).shape == (k * k, cfg.max_spd * st.EDGE_FEATURE_DIM)
 
 
 def test_bad_center_raises_through_the_model():
@@ -397,12 +397,8 @@ def _desk_graph():
 
 def _entry_bytes(entry):
     """(field, dtype, bytes) of every array of a cached entry."""
-    out = []
-    for f in dataclasses.fields(entry):
-        a = getattr(entry, f.name)
-        a = a.dist if isinstance(a, st.SpdMatrix) else a
-        out.append((f.name, a.dtype.str, a.tobytes()))
-    return out
+    return [(f.name, getattr(entry, f.name).dtype.str, getattr(entry, f.name).tobytes())
+            for f in dataclasses.fields(entry)]
 
 
 def _record_pass_sizes(monkeypatch):
@@ -420,7 +416,7 @@ def _record_pass_sizes(monkeypatch):
 
 
 def test_build_passes_stay_under_the_pair_cap(monkeypatch):
-    """One ``_build_missing`` call over all 400 desk centers builds them in
+    """One ``build_centers`` call over all 400 desk centers builds them in
     passes of at most ``BUILD_PASS_PAIRS`` padded pairs (centers x
     ego_max_nodes**2), and every entry is byte for byte the one built per
     micro-batch of 8."""
@@ -428,14 +424,14 @@ def test_build_passes_stay_under_the_pair_cap(monkeypatch):
     g = _desk_graph()
     cfg = tiny_config(ego_max_nodes=16, max_spd=5)
     whole = gm.GraphormerModel(cfg, fusion_config(), seed=0)
-    whole._build_missing(g, list(range(400)), 0)
+    whole.build_centers(types.SimpleNamespace(graph=g), range(400), 0)
     per_pass = gm.BUILD_PASS_PAIRS // 16 ** 2
     assert 1 < per_pass < 400
     assert passes == [per_pass] * (400 // per_pass) + [400 % per_pass] * (400 % per_pass > 0)
     assert all(n * 16 ** 2 <= gm.BUILD_PASS_PAIRS for n in passes)
     micro = gm.GraphormerModel(cfg, fusion_config(), seed=0)
     for lo in range(0, 400, 8):
-        micro._build_missing(g, list(range(lo, lo + 8)), 0)
+        micro.build_centers(types.SimpleNamespace(graph=g), range(lo, lo + 8), 0)
     assert set(whole._batch_cache) == set(micro._batch_cache) == {(c, 0) for c in range(400)}
     for key, entry in whole._batch_cache.items():
         assert _entry_bytes(entry) == _entry_bytes(micro._batch_cache[key]), key
@@ -453,7 +449,7 @@ def test_passes_of_1_3_and_16_centers_build_the_same_entries(monkeypatch):
         monkeypatch.setattr(gm, "BUILD_PASS_PAIRS", per_pass * 16 ** 2)
         passes.clear()
         model = gm.GraphormerModel(cfg, fusion_config(), seed=0)
-        model._build_missing(g, list(range(400)), 7)
+        model.build_centers(types.SimpleNamespace(graph=g), range(400), 7)
         assert set(passes) == {per_pass} | ({400 % per_pass} - {0})
         built.append(model._batch_cache)
     for key, entry in built[0].items():
@@ -752,8 +748,6 @@ def _mixed_case(seed, **cfg_kw):
     """A graph whose first 20 nodes form a sparse citation graph and whose
     last 4 are isolated, so that micro-batches mix ego sizes from 1 to
     ``ego_max_nodes`` and neighbouring centers share nodes."""
-    import types
-
     rng = np.random.default_rng(seed)
     edges = random_edge_list(rng, 20, 0.12)
     g = gr.from_edge_list(edges, 24)
@@ -773,35 +767,42 @@ def test_logits_for_centers_match_one_subgraph_oracle():
             want = oracle_logits_for_centers(model, data, centers, 5)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) < 1e-12, (seed, centers)
-        batches = [model.batch_for(data.graph, c, 5) for c in range(24)]
-        sizes = {b.num_nodes for b in batches}
+        batches = [model.batch_for(c, 5) for c in range(24)]
+        sizes = {len(b.nodes) for b in batches}
         assert 1 in sizes and len(sizes) > 2  # isolated centers and padding
         nodes = [set(b.nodes.tolist()) for b in batches]
         assert any(nodes[i] & nodes[j] for i in range(24) for j in range(i))  # shared nodes
         for b in batches[::5]:
-            assert np.max(np.abs(model.forward(gm.stack_batches([b]), data.bundle).data
-                                 - oracle_subgraph_logits(model, b, data.bundle))) < 1e-12
+            assert np.max(np.abs(model.forward(gm.stack_batches(data.graph, [b]), data.bundle).data
+                                 - oracle_subgraph_logits(model, data.graph, b, data.bundle))) < 1e-12
 
 
 def test_stack_batches_pads_and_masks():
+    """Stacked entries keep their rows; padding reads -1, degree 0 and zero
+    coefficients, and the real rows' degrees are the graph's."""
     _, data, model = _mixed_case(34)
-    batches = [model.batch_for(data.graph, c, 0) for c in (22, 0, 5)]
-    stack = gm.stack_batches(batches)
-    k = max(b.num_nodes for b in batches)
-    assert stack.nodes.shape == (3, k) and stack.sizes.tolist() == [b.num_nodes for b in batches]
+    g = data.graph
+    model.build_centers(data, (22, 0, 5), 0)
+    batches = [model.batch_for(c, 0) for c in (22, 0, 5)]
+    stack = gm.stack_batches(g, batches)
+    k = max(len(b.nodes) for b in batches)
+    assert stack.nodes.shape == (3, k) and stack.sizes.tolist() == [len(b.nodes) for b in batches]
     assert stack.nodes[:, 0].tolist() == [22, 0, 5]  # the center rows
     for i, b in enumerate(batches):
-        n = b.num_nodes
+        n = len(b.nodes)
         assert np.array_equal(stack.nodes[i, :n], b.nodes) and (stack.nodes[i, n:] == -1).all()
-        assert np.array_equal(stack.spd_buckets[i, :n, :n].reshape(-1), b.spd_buckets)
+        assert stack.in_deg[i, :n].tolist() == [g.in_degree(int(v)) for v in b.nodes]
+        assert stack.out_deg[i, :n].tolist() == [g.out_degree(int(v)) for v in b.nodes]
+        assert not stack.in_deg[i, n:].any() and not stack.out_deg[i, n:].any()
+        assert np.array_equal(stack.spd_buckets[i, :n, :n], b.dist)
         coeffs = stack.path_coeffs[i]
-        assert np.array_equal(coeffs[:n, :n].reshape(n * n, -1), b.path_coeffs)
+        assert np.array_equal(coeffs[:n, :n].reshape(n * n, -1), entry_path_coeffs(b))
         assert not coeffs[n:].any() and not coeffs[:, n:].any()
     # padded keys are masked: every real row's logits are its own subgraph's
     logits = model.forward(stack, data.bundle).data.reshape(3, k, -1)
     for i, b in enumerate(batches):
-        alone = model.forward(gm.stack_batches([b]), data.bundle).data
-        assert np.max(np.abs(logits[i, :b.num_nodes] - alone)) < 1e-12
+        alone = model.forward(gm.stack_batches(g, [b]), data.bundle).data
+        assert np.max(np.abs(logits[i, :len(b.nodes)] - alone)) < 1e-12
 
 
 def test_split_and_stack_batches_round_trip():
@@ -815,7 +816,7 @@ def test_split_and_stack_batches_round_trip():
         sub = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=max_nodes,
                                      seed=0)
         built = gm.build_batch(g, sub, cfg)
-        back = gm.stack_batches(built.split())
+        back = gm.stack_batches(g, built.split())
         assert len(set(built.sizes.tolist())) > 2  # sizes 1, mid and full
         k = built.nodes.shape[1]
         real = np.arange(k) < built.sizes[:, None]

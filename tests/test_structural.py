@@ -249,24 +249,39 @@ def test_path_predecessors_byte_identical_to_dense_oracle():
 
 def test_triangle_clustering_is_one():
     g = gr.from_edge_list([(0, 1), (1, 2), (2, 0)], 3)
-    for v in range(3):
-        assert st.clustering_coefficient(g, v) == 1.0
+    assert st.clustering_coefficients(g, range(3)).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_star_center_clustering_zero():
     g = gr.from_edge_list([(0, i) for i in range(1, 6)], 6)
-    assert st.clustering_coefficient(g, 0) == 0.0
-    assert st.clustering_coefficient(g, 1) == 0.0  # degree 1
+    assert st.clustering_coefficients(g, [0, 1]).tolist() == [0.0, 0.0]  # node 1: degree 1
+    assert st.clustering_coefficients(g, []).shape == (0,)
 
 
 def test_clustering_matches_brute_force():
+    """Byte for byte the pairwise loop's value, for every node of random
+    graphs with self-loops, duplicates and reciprocal citations, asked
+    for in one call in any order."""
     rng = np.random.default_rng(9)
-    n = 25
-    edges = random_edge_list(rng, n, 0.15)
-    g = gr.from_edge_list(edges, n)
-    adj = undirected_adj_sets(edges, n)
-    for v in range(n):
-        assert st.clustering_coefficient(g, v) == pytest.approx(brute_force_clustering(adj, v), abs=1e-12)
+    for n in (25, 25, 40):
+        edges = random_edge_list(rng, n, 0.15)
+        g = gr.from_edge_list(edges, n)
+        adj = undirected_adj_sets(edges, n)
+        nodes = rng.permutation(n)
+        got = st.clustering_coefficients(g, nodes)
+        assert got.tolist() == [brute_force_clustering(adj, int(v)) for v in nodes]
+
+
+def test_clustering_of_a_hub():
+    """A wheel's hub has 3,000 neighbours linked in a ring: 3,000 links of
+    3,000 * 2,999 / 2 pairs, found without a pass over the pairs. A rim
+    node sees the hub and two rim nodes, two links; a reciprocal citation
+    is one link."""
+    n = 3000
+    ring = [(i, i % n + 1) for i in range(1, n + 1)]
+    g = gr.from_edge_list(ring + [(0, i) for i in range(1, n + 1)] + [(2, 1)], n + 1)
+    hub, rim = 2.0 * n / (n * (n - 1)), 2.0 * 2 / (3 * 2)
+    assert st.clustering_coefficients(g, [0, 1, 2, 0]).tolist() == [hub, rim, rim, hub]
 
 
 # --- path features -----------------------------------------------------------
