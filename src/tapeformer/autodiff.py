@@ -12,7 +12,8 @@ into heads with views of its own.
 The model's hot chains are fused ops, one tape record each, with the
 arithmetic of the primitive chains they replace: ``linear``,
 ``layer_norm`` with its affine, ``attention`` (its backward forms the
-score gradient once) and ``softmax_mix`` over per-source rows.
+score gradient once), ``softmax_mix`` over per-source rows and the
+training loss ``cross_entropy``.
 
 The tape persists until ``tape_clear()`` (or a new graph is built), so
 calling ``backward`` twice accumulates gradients additively -- that is
@@ -49,8 +50,7 @@ __all__ = [
     "layer_norm",
     "attention",
     "softmax_mix",
-    "log_softmax",
-    "mean",
+    "cross_entropy",
     "tsum",
     "dropout",
     "save_parameters",
@@ -272,6 +272,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise product. No model code calls it; see ``tsum``."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
     return _make(
@@ -422,47 +423,30 @@ def softmax_mix(values: Sequence[Tensor], scores: Sequence[Tensor]) -> tuple[Ten
     return _make("softmax_mix", out, _joint([*values, *scores], grads)), alpha
 
 
-def log_softmax(x: Tensor) -> Tensor:
-    z = x.data - x.data.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    out = z - lse
-    p = np.exp(out)
+def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """Mean over rows of ``-sum(targets * log_softmax(logits))``, both (n, c),
+    the targets constant, in the order of the chain it replaced: max-shifted
+    log-softmax, product with the targets, row sums, their mean, times -1."""
+    if logits.data.ndim != 2 or targets.shape != logits.shape:
+        raise ShapeError(f"cross_entropy: logits {logits.shape}, targets {targets.shape}")
+    n, c = logits.shape
+    z = logits.data - logits.data.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def bw(g):
-        return g - p * g.sum(axis=-1, keepdims=True)
+        g = np.repeat(np.expand_dims(g * -1.0, 0), n, axis=0) / n
+        g = np.repeat(np.expand_dims(g, 1), c, axis=1) * targets
+        return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
 
-    return _make("log_softmax", out, [(x, bw)])
-
-
-def mean(x: Tensor, axis: int | None = None) -> Tensor:
-    if axis is None:
-        n = x.data.size
-
-        def bw(g):
-            return np.full_like(x.data, float(g) / n)
-
-        return _make("mean", np.asarray(x.data.mean()), [(x, bw)])
-    n = x.shape[axis]
-
-    def bw_ax(g):
-        return np.repeat(np.expand_dims(g, axis), n, axis=axis) / n
-
-    return _make("mean", x.data.mean(axis=axis), [(x, bw_ax)])
+    return _make("cross_entropy", (targets * logp).sum(axis=1).mean(axis=0) * -1.0,
+                 [(logits, bw)])
 
 
-def tsum(x: Tensor, axis: int | None = None) -> Tensor:
-    """Sum over all elements (axis=None) or one axis."""
-    if axis is None:
-
-        def bw(g):
-            return np.full_like(x.data, float(g))
-
-        return _make("sum", np.asarray(x.data.sum()), [(x, bw)])
-
-    def bw_ax(g):
-        return np.repeat(np.expand_dims(g, axis), x.shape[axis], axis=axis)
-
-    return _make("sum", x.data.sum(axis=axis), [(x, bw_ax)])
+def tsum(x: Tensor) -> Tensor:
+    """Sum over all elements. No model code calls it: tests reduce an
+    op's output to a scalar with ``tsum(mul(y, r))`` to check gradients."""
+    return _make("sum", np.asarray(x.data.sum()),
+                 [(x, lambda g: np.full_like(x.data, float(g)))])
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -1,5 +1,6 @@
 """Array payloads of the binary file formats (feature matrix, dataset
-artifact, checkpoint), written and read without intermediate copies.
+artifact, checkpoint), written and read without intermediate copies,
+and the lines of the text formats.
 
 A payload is the array's raw bytes in C order. ``Reader`` checks every
 size a header declares against the bytes left in the file before it
@@ -69,3 +70,19 @@ class Reader:
         if self.digest is not None:
             self.digest.update(raw)
         return arr
+
+
+def utf8_lines(path, error: type[Exception]):
+    """(line number, line) for each line of a UTF-8 text file, split as
+    text mode splits it. Text mode decodes ahead in chunks, so its decode
+    error cannot name a line: bytes that are not UTF-8 come through as
+    lone surrogates, and a line holding one raises ``error`` naming it."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
+        for ln, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as e:  # the surrogate of byte b is U+DC00 + b
+                    raise error(f"{path}:{ln}: not UTF-8: byte {ord(line[e.start]) - 0xDC00:#04x}"
+                                f" at column {e.start + 1}") from None
+            yield ln, line

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
+from .binfile import utf8_lines
 from .dataset import PreparedDataset, load_dataset, prepare, save_dataset
 from .evaluation import (
     DEFAULT_ABLATION,
@@ -143,8 +144,7 @@ def _from_dict(cls, obj, where: str = ""):
 
 def load_config(path) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as f:
-            obj = json.load(f)
+        obj = json.loads("".join(line for _, line in utf8_lines(path, ConfigError)))
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:

@@ -206,7 +206,7 @@ def load_dataset(path) -> PreparedDataset:
             raise DataError(f"{path}: trailing bytes after the last array")
     t1 = time.perf_counter()
     sidecar = Path(str(path) + ".sha256")
-    if sidecar.exists() and sidecar.read_text(encoding="utf-8").strip() != digest.hexdigest():
+    if sidecar.exists() and sidecar.read_bytes().strip() != digest.hexdigest().encode():
         raise DataError(f"{path}: sha256 {digest.hexdigest()} differs from {sidecar}")
     _check_artifact(path, meta, arrays)
     graph = DirectedGraph(

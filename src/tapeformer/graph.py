@@ -18,6 +18,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .binfile import utf8_lines
+
 __all__ = [
     "DirectedGraph",
     "EgoStack",
@@ -229,21 +231,20 @@ def _read_edge_lines(path) -> np.ndarray:
     first bad line."""
     srcs: list[int] = []
     dsts: list[int] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise GraphConstructionError(f"{path}:{ln}: expected `src<TAB>dst`, got {line!r}")
-            try:
-                srcs.append(int(parts[0]))
-                dsts.append(int(parts[1]))
-            except ValueError:
-                raise GraphConstructionError(f"{path}:{ln}: non-integer endpoint in {line!r}") from None
-            if srcs[-1] not in _INT64 or dsts[-1] not in _INT64:
-                raise GraphConstructionError(f"{path}:{ln}: endpoint beyond int64 in {line!r}")
+    for ln, line in utf8_lines(path, GraphConstructionError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise GraphConstructionError(f"{path}:{ln}: expected `src<TAB>dst`, got {line!r}")
+        try:
+            srcs.append(int(parts[0]))
+            dsts.append(int(parts[1]))
+        except ValueError:
+            raise GraphConstructionError(f"{path}:{ln}: non-integer endpoint in {line!r}") from None
+        if srcs[-1] not in _INT64 or dsts[-1] not in _INT64:
+            raise GraphConstructionError(f"{path}:{ln}: endpoint beyond int64 in {line!r}")
     arr = np.empty((len(srcs), 2), dtype=np.int64)
     arr[:, 0] = srcs
     arr[:, 1] = dsts

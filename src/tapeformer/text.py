@@ -20,7 +20,7 @@ from itertools import chain, islice, repeat
 
 import numpy as np
 
-from .binfile import Reader, payload
+from .binfile import Reader, payload, utf8_lines
 
 log = logging.getLogger(__name__)
 
@@ -307,18 +307,17 @@ def build_bundle(
 def _jsonl_objects(path):
     """Yield (line number, parsed object) for each non-blank line of a
     JSONL file; a line that is not a JSON object raises naming it."""
-    with open(path, "r", encoding="utf-8") as f:
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{ln}: invalid JSON: {e}") from None
-            if type(obj) is not dict:
-                raise DataError(f"{path}:{ln}: expected a JSON object, got {line[:80]}")
-            yield ln, obj
+    for ln, line in utf8_lines(path, DataError):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{ln}: invalid JSON: {e}") from None
+        if type(obj) is not dict:
+            raise DataError(f"{path}:{ln}: expected a JSON object, got {line[:80]}")
+        yield ln, obj
 
 
 def _integer(obj: dict, key: str, path, ln: int, nullable: bool = False) -> int | None:
@@ -434,27 +433,27 @@ def load_feature_matrix(path) -> np.ndarray:
                 raise DataError(f"{path}: {r.left} bytes after the ({n}, {d}) feature matrix")
             return m
     # CSV fallback: first non-comment line is `rows,cols`
-    with open(path, "r", encoding="utf-8") as f:
-        header = None
-        data: list[np.ndarray] = []
-        for ln, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                try:
-                    header = tuple(int(x) for x in line.split(","))
-                    assert len(header) == 2
-                except (ValueError, AssertionError):
-                    raise DataError(f"{path}:{ln}: expected `rows,cols` header") from None
-                continue
+    header = None
+    data: list[np.ndarray] = []
+    for ln, line in utf8_lines(path, DataError):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if header is None:
             try:
-                data.append(np.asarray([float(x) for x in line.split(",")], dtype=np.float64))
-            except ValueError:
-                raise DataError(f"{path}:{ln}: non-numeric matrix entry") from None
+                n, d = map(int, line.split(","))
+            except ValueError:  # not two integer fields
+                raise DataError(f"{path}:{ln}: expected `rows,cols` header") from None
+            if n < 0 or d < 0:
+                raise DataError(f"{path}:{ln}: negative dimension in header {line!r}")
+            header = n, d
+            continue
+        try:
+            data.append(np.asarray([float(x) for x in line.split(",")], dtype=np.float64))
+        except ValueError:
+            raise DataError(f"{path}:{ln}: non-numeric matrix entry") from None
     if header is None:
         raise DataError(f"{path}: empty feature matrix file")
-    n, d = header
     if len(data) != n or any(row.size != d for row in data):
         raise DataError(f"{path}: matrix body does not match header ({n}, {d})")
     return np.vstack(data) if data else np.zeros((0, d))

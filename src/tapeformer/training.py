@@ -1,15 +1,16 @@
 """Loss, optimizer, schedule, temporal split, and the training loop.
 
-Training iterates over seeded shuffles of the training centers. Each
-optimizer step accumulates gradients over ``grad_accum_steps``
-micro-batches (each micro-batch loss is scaled by the accumulation
-count, so accumulation reproduces the equivalent large batch exactly),
-then applies Adam at the warmup/decay learning rate. Micro-batches and
-prediction chunks run with the engine's per-op finite checks off; a
-non-finite loss or logit replays them with the checks on, so the error
-names the first op that went non-finite. Validation accuracy drives
-checkpoint selection and early stopping. Single-threaded runs are
-bit-reproducible for a given seed.
+Training iterates over seeded shuffles of the training centers. The
+loss, label-smoothed cross-entropy, is one engine op. Each optimizer
+step accumulates gradients over ``grad_accum_steps`` micro-batches (each
+micro-batch loss is scaled by the accumulation count, so accumulation
+reproduces the equivalent large batch exactly), then applies Adam at the
+warmup/decay learning rate. Micro-batches and prediction chunks run with
+the engine's per-op finite checks off; a non-finite loss or logit
+replays them with the checks on, so the error names the first op that
+went non-finite. Validation accuracy drives checkpoint selection and
+early stopping. Single-threaded runs are bit-reproducible for a given
+seed.
 """
 from __future__ import annotations
 
@@ -124,8 +125,7 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float)
     """Mean cross-entropy against smoothed targets.
 
     The target row puts 1 - eps on the label and eps/C elsewhere; eps=0
-    recovers plain cross-entropy. Probabilities come from a log-sum-exp
-    stabilized log-softmax.
+    recovers plain cross-entropy, recorded as one ``autodiff.cross_entropy``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     n, c = logits.shape
@@ -135,9 +135,7 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float)
         raise ValueError(f"label out of range [0, {c})")
     targets = np.full((n, c), smoothing / c, dtype=np.float64)
     targets[np.arange(n), labels] += 1.0 - smoothing
-    logp = ad.log_softmax(logits)
-    per_row = ad.tsum(ad.mul(Tensor(targets), logp), axis=1)
-    return ad.mul_scalar(ad.mean(per_row, axis=0), -1.0)
+    return ad.cross_entropy(logits, targets)
 
 
 class Adam:

@@ -547,3 +547,15 @@ def oracle_softmax_mix(values, scores, g):
     ds = _softmax_backward(alpha, da)
     grads = [g * alpha[:, i][:, None] for i in range(len(values))]
     return out, alpha, tuple(grads + [ds[:, i:i + 1] for i in range(len(scores))])
+
+
+def oracle_cross_entropy(logits, targets, g):
+    """log_softmax, mul by the targets, sum over each row, mean over the
+    rows, times -1: (loss, dlogits)."""
+    n = logits.shape[0]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    loss = (targets * logp).sum(axis=1).mean(axis=0) * -1.0
+    drow = np.full(n, g * -1.0) / n
+    dlogp = drow[:, None] * targets
+    return loss, dlogp - np.exp(logp) * dlogp.sum(axis=-1, keepdims=True)

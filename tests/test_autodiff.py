@@ -7,6 +7,7 @@ from tapeformer.autodiff import Tensor
 from helpers import (
     check_gradients,
     oracle_attention,
+    oracle_cross_entropy,
     oracle_layer_norm,
     oracle_linear,
     oracle_softmax_mix,
@@ -71,7 +72,7 @@ def test_backward_sum_gives_ones():
 def test_backward_twice_doubles():
     rng = np.random.default_rng(3)
     w = _p(rng, 3, 3)
-    loss = ad.mean(ad.relu(ad.matmul(w, w)))
+    loss = ad.tsum(ad.relu(ad.matmul(w, w)))
     ad.backward(loss)
     once = w.grad.copy()
     ad.backward(loss)
@@ -235,24 +236,36 @@ def test_grad_layer_norm():
     assert _all_equal(_grads_through(out, r, [x, gain, bias]), grads)
 
 
-def test_grad_softmax_log_softmax():
+def test_grad_softmax_inside_softmax_mix():
+    """The softmax inside softmax_mix, through its weighted sum of one-hot rows."""
     rng = np.random.default_rng(17)
-    x = _p(rng, 4, 6)
     r = Tensor(rng.standard_normal((4, 6)))
-    _fd(lambda: ad.tsum(ad.mul(ad.log_softmax(x), r)), [x])
-    # the softmax inside softmax_mix, through its weighted sum of one-hot rows
     scores = [_p(rng, 4, 1) for _ in range(6)]
     onehots = [Tensor(np.eye(6)[[j] * 4]) for j in range(6)]
     _fd(lambda: ad.tsum(ad.mul(ad.softmax_mix(onehots, scores)[0], r)), scores)
 
 
-def test_grad_mean_sum_axes():
+def test_cross_entropy_bit_exact_against_primitive_chain():
+    """Value and logits gradient for upstream gradients 1 and 1/3, the
+    scale ``train`` puts on a loss at grad_accum_steps 1 and 3."""
     rng = np.random.default_rng(18)
-    x = _p(rng, 4, 6)
-    _fd(lambda: ad.mean(x), [x])
-    _fd(lambda: ad.mean(ad.tsum(x, axis=1), axis=0), [x])
-    r = Tensor(rng.standard_normal(6))
-    _fd(lambda: ad.tsum(ad.mul(ad.mean(x, axis=0), r)), [x])
+    # at 11 rows, -(1/3) / n and (1/3) * (-1 / n) differ in the last bit
+    for n, c in ((1, 2), (3, 4), (8, 4), (5, 7), (11, 3)):
+        labels = rng.integers(0, c, size=n)
+        for eps in (0.0, 0.1):
+            targets = np.full((n, c), eps / c)
+            targets[np.arange(n), labels] += 1.0 - eps
+            for g in (1.0, 1.0 / 3.0):
+                x = Tensor(rng.standard_normal((n, c)) * 3.0, requires_grad=True)
+                loss = ad.cross_entropy(x, targets)
+                ad.backward(ad.mul_scalar(loss, g))
+                ad.tape_clear()
+                want, dx = oracle_cross_entropy(x.data, targets, g)
+                assert np.array_equal(loss.data, want) and np.array_equal(x.grad, dx)
+    with pytest.raises(ad.ShapeError, match="cross_entropy"):
+        ad.cross_entropy(x, targets[:, :-1])
+    with pytest.raises(ad.ShapeError, match="cross_entropy"):
+        ad.cross_entropy(Tensor(np.zeros(c)), targets[0])
 
 
 def _attention_case(seed, heads=2, queries=4, keys=5, dh=3):
@@ -442,14 +455,14 @@ def test_gradient_accumulation_across_graphs():
     w = _p(rng, 3, 3)
     x1 = Tensor(rng.standard_normal((2, 3)))
     x2 = Tensor(rng.standard_normal((2, 3)))
-    ad.backward(ad.mean(ad.matmul(x1, w)))
+    ad.backward(ad.tsum(ad.matmul(x1, w)))
     ad.tape_clear()
     g1 = w.grad.copy()
-    ad.backward(ad.mean(ad.matmul(x2, w)))
+    ad.backward(ad.tsum(ad.matmul(x2, w)))
     ad.tape_clear()
     combined = w.grad.copy()
     w.zero_grad()
-    ad.backward(ad.mean(ad.matmul(x2, w)))
+    ad.backward(ad.tsum(ad.matmul(x2, w)))
     assert np.allclose(combined, g1 + w.grad)
 
 

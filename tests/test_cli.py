@@ -178,6 +178,29 @@ def test_missing_config_file_is_exit_2(tmp_path, capsys):
     assert "nope.json" in capsys.readouterr().err
 
 
+def test_config_not_utf8_is_a_config_error(tmp_path):
+    p = tmp_path / "c.json"
+    p.write_bytes(b'{"seed": 1,\n "note": "\xff"}\n')
+    with pytest.raises(cli.ConfigError, match=r"c.json:2: not UTF-8: byte 0xff"):
+        cli.load_config(p)
+
+
+@pytest.mark.parametrize("key", ["node_docs", "edges", "llm_cache"])
+def test_non_utf8_input_is_exit_2(workdir, tmp_path, capsys, key):
+    """A 0xff byte opening line 6 of a text input: exit 2, naming the file and the line."""
+    cfg = json.loads(Path(_cfg_path(workdir)).read_text())
+    src = Path(cfg["paths"][key])
+    lines = src.read_bytes().split(b"\n")
+    lines[5] = b"\xff" + lines[5]
+    (tmp_path / src.name).write_bytes(b"\n".join(lines))
+    cfg["paths"].update({key: str(tmp_path / src.name)}, dataset=str(tmp_path / "dataset.bin"),
+                        out_dir=str(tmp_path))
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(cfg))
+    assert main(["prepare", "--config", str(p)]) == 2
+    assert f"{src.name}:6: not UTF-8: byte 0xff at column 1" in capsys.readouterr().err
+
+
 def test_missing_edge_file_is_exit_2(workdir, tmp_path, capsys):
     cfg = json.loads(Path(_cfg_path(workdir)).read_text())
     cfg["paths"]["edges"] = str(tmp_path / "missing_edges.tsv")

@@ -169,6 +169,17 @@ def test_undecodable_artifact_header_names_the_file(corpus, tmp_path):
                 dsm.load_dataset(p)
 
 
+def test_undecodable_hash_sidecar_is_a_mismatch(corpus, tmp_path):
+    data, paths = corpus
+    ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
+                     None, data.class_names, text_dim=32)
+    p = tmp_path / "h.bin"
+    dsm.save_dataset(ds, p)
+    p.with_name("h.bin.sha256").write_bytes(b"\xff" * 64 + b"\n")
+    with pytest.raises(DataError, match=r"h.bin: sha256 [0-9a-f]{64} differs from .*h.bin.sha256"):
+        dsm.load_dataset(p)
+
+
 def _edgeless(tmp_path, corpus, cols=0):
     """The corpus with no edges and a ``cols``-wide feature matrix."""
     from tapeformer.text import save_feature_matrix

@@ -855,18 +855,22 @@ def test_logits_for_centers_gradient_check(monkeypatch):
 
 
 def test_tape_ops_per_step_independent_of_batch_and_heads():
+    """A training step's forward and loss record one tape length for any
+    B and H: 54 ops at 2 layers (the desk config) and 78 at 4 (the
+    default config)."""
     from tapeformer.training import smoothed_cross_entropy
 
-    ops = set()
-    for heads in (1, 2, 4):
-        rng, data, model = _mixed_case(36, num_heads=heads)
-        for size in (1, 4, 8):
-            centers = rng.permutation(24)[:size]
-            ad.tape_clear()
-            logits = model.logits_for_centers(data, centers, seed=0, train=True)
-            smoothed_cross_entropy(logits, rng.integers(0, 3, size=size), 0.1)
-            ops.add(ad.tape_size())
-    assert len(ops) == 1, ops
+    for layers, want in ((2, 54), (gm.GraphormerParams.num_layers, 78)):
+        ops = set()
+        for heads in (1, 2, 4):
+            rng, data, model = _mixed_case(36, num_layers=layers, num_heads=heads)
+            for size in (1, 4, 8):
+                centers = rng.permutation(24)[:size]
+                ad.tape_clear()
+                logits = model.logits_for_centers(data, centers, seed=0, train=True)
+                smoothed_cross_entropy(logits, rng.integers(0, 3, size=size), 0.1)
+                ops.add(ad.tape_size())
+        assert ops == {want}, layers
 
 
 # --- checkpoint plumbing -----------------------------------------------------

@@ -349,6 +349,27 @@ def test_load_node_documents_line_must_be_an_object(tmp_path):
         tp.load_node_documents(p)
 
 
+def test_text_inputs_must_be_utf8(tmp_path):
+    """A byte that is not UTF-8 is a DataError naming the file and the
+    line, also past the first chunk a text-mode read decodes; UTF-8
+    beyond ASCII loads."""
+    good = b'{"id": 0, "title": "caf\xc3\xa9", "year": 2015}\n'
+    p = tmp_path / "docs.jsonl"
+    p.write_bytes(good)
+    assert tp.load_node_documents(p)[0].title == "caf\u00e9"
+    p.write_bytes(good + b"\n" * 20000 + b'{"id": 1, "title": "\xff", "year": 2015}\n')
+    with pytest.raises(tp.DataError, match=r"docs.jsonl:20002: not UTF-8: byte 0xff at column 21"):
+        tp.load_node_documents(p)
+    p = tmp_path / "llm_cache.jsonl"
+    p.write_bytes(b'{"id": 0, "predictions": [], "explanation": "caf\xe9"}\n')
+    with pytest.raises(tp.DataError, match=r"llm_cache.jsonl:1: not UTF-8: byte 0xe9"):
+        tp.load_llm_records(p, CLASSES)
+    p = tmp_path / "feat.csv"
+    p.write_bytes(b"1,2\n1.0,\xc3\n")  # a two-byte sequence cut short
+    with pytest.raises(tp.DataError, match=r"feat.csv:2: not UTF-8: byte 0xc3"):
+        tp.load_feature_matrix(p)
+
+
 # --- bundle ------------------------------------------------------------------
 
 
@@ -452,6 +473,14 @@ def test_feature_matrix_csv(tmp_path):
     bad.write_text("2,3\n1.0,2.0,3.0\n")
     with pytest.raises(tp.DataError, match="does not match header"):
         tp.load_feature_matrix(bad)
+
+
+@pytest.mark.parametrize("header", ["0,-1", "-1,0", "-2,3"])
+def test_feature_matrix_csv_negative_dimension(tmp_path, header):
+    p = tmp_path / "feat.csv"
+    p.write_text(f"# rows,cols\n{header}\n")
+    with pytest.raises(tp.DataError, match=rf"feat.csv:2: negative dimension in header '{header}'"):
+        tp.load_feature_matrix(p)
 
 
 @pytest.mark.parametrize("dims", [(2**63, 2), (2**64 - 1, 2**64 - 1), (3, 2**61), (0, 2**62)])
