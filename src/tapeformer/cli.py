@@ -1,9 +1,12 @@
 """Batch entry points: dataset preparation, training, evaluation,
 ablation, synthetic-benchmark generation, and dataset inspection.
 
-One JSON config file drives every command; ``--set section.key=value``
-flags override individual fields (flags win). Every run writes the
-fully resolved config next to its outputs so results stay reproducible.
+One JSON config file drives every command; ``--set section.field=value``
+flags override individual fields (flags win). The commands that read
+the prepared dataset load it and split it in one place, ``_load_run``;
+metrics come from ``evaluation.score``. Every run writes the fully
+resolved config next to its outputs, through the same ``save_config``
+that writes ``gen-synthetic``'s config, so results stay reproducible.
 Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
 """
 from __future__ import annotations
@@ -22,15 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .binfile import utf8_lines
-from .dataset import PreparedDataset, load_dataset, prepare, save_dataset
-from .evaluation import (
-    DEFAULT_ABLATION,
-    confusion,
-    format_ablation_table,
-    metrics,
-    report_to_json,
-    run_ablation,
-)
+from .dataset import load_dataset, prepare, save_dataset
+from .evaluation import DEFAULT_ABLATION, format_ablation_table, report_to_json, run_ablation, score
 from .graph import GraphConstructionError
 from .model import GraphormerParams, build_model
 from .structural import clustering_coefficients
@@ -42,7 +38,6 @@ from .training import (
     TrainParams,
     TrainingDiverged,
     make_temporal_split,
-    predict,
     train,
     write_history_csv,
 )
@@ -89,6 +84,13 @@ class ModelConfig(GraphormerParams):
 @dataclass
 class AblationConfig:
     configs: list[str] = field(default_factory=lambda: list(DEFAULT_ABLATION))
+
+    def __post_init__(self):
+        if not self.configs:
+            raise ValueError("configs must name at least one configuration")
+        repeated = sorted({c for c in self.configs if self.configs.count(c) > 1})
+        if repeated:
+            raise ValueError(f"configs {repeated} given more than once")
 
 
 @dataclass
@@ -152,19 +154,22 @@ def load_config(path) -> RunConfig:
     return _from_dict(RunConfig, obj)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
+def save_config(cfg: RunConfig, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(dataclasses.asdict(cfg), f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def apply_overrides(cfg: RunConfig, sets: list[str]) -> RunConfig:
-    """Apply `section.key=value` overrides to the config's JSON form and
+    """Apply `section.field=value` overrides to the config's JSON form and
     build it again, so every field's type and range is checked as for a
     config file.
 
     Values parse as JSON, else as a string; a field declared as a string
-    always takes the raw text.
+    always takes the raw text. A key naming a whole section is refused:
+    its other fields would fall back to the library defaults.
     """
-    obj = config_to_dict(cfg)
+    obj = dataclasses.asdict(cfg)
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -183,6 +188,9 @@ def apply_overrides(cfg: RunConfig, sets: list[str]) -> RunConfig:
         hints = typing.get_type_hints(cls)
         if leaf not in hints:
             raise ConfigError(f"--set: unknown config field {key!r}")
+        if dataclasses.is_dataclass(hints[leaf]):
+            raise ConfigError(f"--set: {key!r} names a config section; "
+                              f"set its fields one at a time as section.field=value")
         if hints[leaf] is str and not isinstance(value, str):
             value = raw
         target[leaf] = value
@@ -196,27 +204,28 @@ def resolve_out_dir(cfg: RunConfig) -> Path:
     return p
 
 
-def echo_config(cfg: RunConfig, out_dir: Path) -> None:
-    with open(out_dir / "config.resolved.json", "w", encoding="utf-8") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _dataset_path(cfg: RunConfig, out_dir: Path) -> Path:
     return Path(cfg.paths.dataset) if cfg.paths.dataset else out_dir / "dataset.bin"
 
 
-def _load_prepared(cfg: RunConfig, out_dir: Path) -> PreparedDataset:
+def _load_run(cfg: RunConfig):
+    """The output directory, the prepared dataset and its temporal split."""
+    out_dir = resolve_out_dir(cfg)
     path = _dataset_path(cfg, out_dir)
     if not path.exists():
         raise DataError(f"prepared dataset not found: {path}; run `prepare` first")
-    return load_dataset(path)
+    ds = load_dataset(path)
+    return out_dir, ds, make_temporal_split(ds.years, ds.labels, **dataclasses.asdict(cfg.split))
 
 
-def _split_of(cfg: RunConfig, ds: PreparedDataset):
-    return make_temporal_split(ds.years, ds.labels,
-                               train_last_year=cfg.split.train_last_year,
-                               test_first_year=cfg.split.test_first_year)
+def _build_model(cfg: RunConfig, ds):
+    m = cfg.model
+    return build_model(m.for_classes(ds.num_classes), m.kind, m.sources, ds.source_dims(),
+                       cfg.seed)
+
+
+def _train_config(cfg: RunConfig) -> TrainConfig:
+    return TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +259,7 @@ def cmd_gen_synthetic(args) -> int:
     cfg.train.batch_size = 8
     cfg.train.early_stop_patience = 10
     cfg.seed = args.seed
-    with open(out / "config.json", "w", encoding="utf-8") as f:
-        json.dump(config_to_dict(cfg), f, indent=2, sort_keys=True)
-        f.write("\n")
+    save_config(cfg, out / "config.json")
     print(f"wrote synthetic corpus ({params.num_nodes} nodes, {len(data.edges)} edge "
           f"records, {params.num_classes} classes) and config to {out}")
     return 0
@@ -283,7 +290,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     )
     path = _dataset_path(cfg, out_dir)
     hexhash = save_dataset(ds, path)
-    echo_config(cfg, out_dir)
+    save_config(cfg, out_dir / "config.resolved.json")
     print(f"dataset: {path}")
     print(f"content sha256: {hexhash}")
     print(f"nodes={ds.num_nodes} edges={ds.graph.num_edges} classes={ds.num_classes}")
@@ -291,21 +298,14 @@ def cmd_prepare(cfg: RunConfig) -> int:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    out_dir = resolve_out_dir(cfg)
-    ds = _load_prepared(cfg, out_dir)
-    split = _split_of(cfg, ds)
-    m = cfg.model
-    model = build_model(m.for_classes(ds.num_classes), m.kind, m.sources, ds.source_dims(),
-                        cfg.seed)
-    result = train(model, ds, split, TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed))
+    out_dir, ds, split = _load_run(cfg)
+    model = _build_model(cfg, ds)
+    result = train(model, ds, split, _train_config(cfg))
     ad.save_parameters(out_dir / "checkpoint.bin", result.best_state)
     write_history_csv(out_dir / "history.csv", result.history)
-    model.load_state(result.best_state)
-    preds = predict(model, ds, split.val_ids, seed=cfg.seed)
-    report = metrics(confusion(preds, ds.labels[split.val_ids], ds.num_classes))
-    with open(out_dir / "val_metrics.json", "w", encoding="utf-8") as f:
-        f.write(report_to_json(report) + "\n")
-    echo_config(cfg, out_dir)
+    report = score(model, ds, split.val_ids, cfg.seed)
+    (out_dir / "val_metrics.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
+    save_config(cfg, out_dir / "config.resolved.json")
     print(f"best epoch {result.best_epoch}: val accuracy {result.best_val_accuracy:.4f}")
     print(f"checkpoint: {out_dir / 'checkpoint.bin'}")
     print(f"history: {out_dir / 'history.csv'}")
@@ -313,32 +313,21 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig, checkpoint: str, split_name: str) -> int:
-    out_dir = resolve_out_dir(cfg)
-    ds = _load_prepared(cfg, out_dir)
-    split = _split_of(cfg, ds)
-    m = cfg.model
-    model = build_model(m.for_classes(ds.num_classes), m.kind, m.sources, ds.source_dims(),
-                        cfg.seed)
+    out_dir, ds, split = _load_run(cfg)
+    model = _build_model(cfg, ds)
     if not Path(checkpoint).exists():
         raise DataError(f"checkpoint does not exist: {checkpoint}")
     model.load_state(ad.load_parameters(checkpoint))
-    ids = split.of(split_name)
-    preds = predict(model, ds, ids, seed=cfg.seed)
-    report = metrics(confusion(preds, ds.labels[ids], ds.num_classes))
-    payload = report_to_json(report)
-    with open(out_dir / f"eval_{split_name}.json", "w", encoding="utf-8") as f:
-        f.write(payload + "\n")
-    echo_config(cfg, out_dir)
+    payload = report_to_json(score(model, ds, split.of(split_name), cfg.seed))
+    (out_dir / f"eval_{split_name}.json").write_text(payload + "\n", encoding="utf-8")
+    save_config(cfg, out_dir / "config.resolved.json")
     print(payload)
     return 0
 
 
 def cmd_ablate(cfg: RunConfig) -> int:
-    out_dir = resolve_out_dir(cfg)
-    ds = _load_prepared(cfg, out_dir)
-    split = _split_of(cfg, ds)
-    rows = run_ablation(ds, split, cfg.model.for_classes(ds.num_classes),
-                        TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed),
+    out_dir, ds, split = _load_run(cfg)
+    rows = run_ablation(ds, split, cfg.model.for_classes(ds.num_classes), _train_config(cfg),
                         toggles=tuple(cfg.ablation.configs))
     table = format_ablation_table(rows)
     with open(out_dir / "ablation.txt", "w", encoding="utf-8") as f:
@@ -352,15 +341,13 @@ def cmd_ablate(cfg: RunConfig) -> int:
     with open(out_dir / "ablation.json", "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2)
         f.write("\n")
-    echo_config(cfg, out_dir)
+    save_config(cfg, out_dir / "config.resolved.json")
     print(table, end="")
     return 0
 
 
 def cmd_inspect(cfg: RunConfig) -> int:
-    out_dir = resolve_out_dir(cfg)
-    ds = _load_prepared(cfg, out_dir)
-    split = _split_of(cfg, ds)
+    _, ds, split = _load_run(cfg)
     print(f"nodes: {ds.num_nodes}")
     print(f"edges: {ds.graph.num_edges} "
           f"(dropped {ds.graph.self_loops_dropped} self-loops, "

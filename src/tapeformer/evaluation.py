@@ -1,11 +1,13 @@
 """Classification metrics and the component-ablation runner.
 
-Accuracy plus macro-averaged precision/recall/F1 from a confusion
-matrix. Per-class values with a zero denominator count as 0 and stay in
-the macro mean over all classes (the class count divides the sums
-unconditionally); they are tallied so callers can audit. The ablation
-runner retrains the model under named source/architecture toggles on a
-shared seed and split and tabulates the results.
+Accuracy plus macro-averaged precision/recall/F1 from the (C, C)
+confusion counts. Per-class values with a zero denominator count as 0
+and stay in the macro mean over all classes (the class count divides
+the sums unconditionally); they are tallied so callers can audit.
+``score`` is the one path from a trained model to its metrics on a set
+of nodes: predict, count, report. The ablation runner retrains the
+model under named source/architecture toggles on a shared seed and
+split and scores each on the test split.
 """
 from __future__ import annotations
 
@@ -22,11 +24,11 @@ from .training import TrainConfig, TemporalSplit, predict, train
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "ConfusionMatrix",
     "MetricsReport",
     "AblationRow",
     "confusion",
     "metrics",
+    "score",
     "report_to_json",
     "parse_toggle",
     "run_ablation",
@@ -56,19 +58,6 @@ _GROUPS = {
 
 
 @dataclass
-class ConfusionMatrix:
-    counts: np.ndarray  # (C, C) int64, rows = true class, cols = predicted
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-    @property
-    def num_classes(self) -> int:
-        return self.counts.shape[0]
-
-
-@dataclass
 class ClassMetrics:
     precision: float
     recall: float
@@ -86,7 +75,8 @@ class MetricsReport:
     zero_denominator_classes: int = 0
 
 
-def confusion(preds, labels, num_classes: int) -> ConfusionMatrix:
+def confusion(preds, labels, num_classes: int) -> np.ndarray:
+    """(C, C) int64 counts: rows are true classes, columns predicted ones."""
     preds = np.asarray(preds, dtype=np.int64)
     labels = np.asarray(labels, dtype=np.int64)
     if preds.shape != labels.shape or preds.ndim != 1:
@@ -98,12 +88,12 @@ def confusion(preds, labels, num_classes: int) -> ConfusionMatrix:
             raise ValueError(f"{name} class index out of range [0, {num_classes})")
     counts = np.zeros((num_classes, num_classes), dtype=np.int64)
     np.add.at(counts, (labels, preds), 1)
-    return ConfusionMatrix(counts=counts)
+    return counts
 
 
-def metrics(cm: ConfusionMatrix) -> MetricsReport:
-    counts = cm.counts
-    c = cm.num_classes
+def metrics(counts: np.ndarray) -> MetricsReport:
+    """The report of a ``confusion`` count matrix."""
+    c = counts.shape[0]
     tp = np.diag(counts).astype(np.float64)
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp
@@ -121,13 +111,19 @@ def metrics(cm: ConfusionMatrix) -> MetricsReport:
     if zero_den:
         log.info("metrics: %d class(es) had a zero precision/recall denominator", zero_den)
     return MetricsReport(
-        accuracy=float(tp.sum() / cm.total),
+        accuracy=float(tp.sum() / int(counts.sum())),
         macro_precision=float(sum(m.precision for m in per_class) / c),
         macro_recall=float(sum(m.recall for m in per_class) / c),
         macro_f1=float(sum(m.f1 for m in per_class) / c),
         per_class=per_class,
         zero_denominator_classes=zero_den,
     )
+
+
+def score(model, data, ids, seed: int) -> MetricsReport:
+    """Predict the nodes ``ids`` and report the metrics against their labels."""
+    preds = predict(model, data, ids, seed=seed)
+    return metrics(confusion(preds, data.labels[ids], data.num_classes))
 
 
 def report_to_json(report: MetricsReport) -> str:
@@ -193,19 +189,17 @@ class AblationRow:
 
 def run_ablation(data, split: TemporalSplit, model_cfg: GraphormerConfig,
                  train_cfg: TrainConfig, toggles=DEFAULT_ABLATION) -> list[AblationRow]:
-    """Train and evaluate every named configuration on the same split/seed."""
+    """Train every named configuration on the same split and seed, and
+    score each at its best-validation checkpoint on the test split."""
     parsed = [(name, *parse_toggle(name)) for name in toggles]
     rows: list[AblationRow] = []
     for name, kind, sources in sorted(parsed, key=lambda x: x[0]):
         model = build_model(model_cfg, kind, sources, data.source_dims(), train_cfg.seed)
         log.info("ablation %s: kind=%s sources=%s", name, kind, ",".join(sources))
         result = train(model, data, split, train_cfg)
-        model.load_state(result.best_state)
-        preds = predict(model, data, split.test_ids, seed=train_cfg.seed)
-        cm = confusion(preds, data.labels[split.test_ids], model_cfg.num_classes)
         rows.append(AblationRow(name=name, kind=kind, sources=sources,
                                 val_accuracy=result.best_val_accuracy,
-                                test_report=metrics(cm)))
+                                test_report=score(model, data, split.test_ids, train_cfg.seed)))
     return rows
 
 

@@ -297,7 +297,7 @@ def _load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None
                 f"checkpoint parameter {name!r} has shape {state[name].shape}, "
                 f"model expects {tensor.data.shape}"
             )
-        tensor.data = state[name].astype(np.float64).copy()
+        tensor.data = state[name].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ warmup/decay learning rate. Micro-batches and prediction chunks run with
 the engine's per-op finite checks off; a non-finite loss or logit
 replays them with the checks on, so the error names the first op that
 went non-finite. Validation accuracy drives checkpoint selection and
-early stopping. Single-threaded runs are bit-reproducible for a given
-seed.
+early stopping, and ``train`` returns with the model at its
+best-validation checkpoint. Single-threaded runs are bit-reproducible
+for a given seed.
 """
 from __future__ import annotations
 
@@ -293,10 +294,12 @@ def _first_non_finite_op(forward) -> str:
 
 
 def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
-    """Run the full loop; returns the best-validation checkpoint and history.
+    """Run the full loop and leave ``model`` at its best-validation
+    checkpoint; returns that checkpoint and the history.
 
     Every training center is built before the first step, so the
-    micro-batch loop only looks batches up."""
+    micro-batch loop only looks batches up. The checkpoint is loaded
+    after the last epoch's log line."""
     params = model.parameters()
     opt = Adam(params)
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
@@ -359,6 +362,7 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
             if stale >= cfg.early_stop_patience:
                 log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                 break
+    model.load_state(best_state)
     return TrainResult(best_state=best_state, best_val_accuracy=best_acc,
                        best_epoch=best_epoch, history=history)
 

@@ -58,16 +58,14 @@ def bench(tmp_path_factory):
 
 
 def _train_variant(bench_dir, kind, sources, seed=0, dataset_path=None):
-    from tapeformer.cli import _split_of, load_config
+    from tapeformer.cli import load_config
 
     cfg = load_config(bench_dir / "config.json")
     ds = load_dataset(dataset_path or bench_dir / "dataset.bin")
-    split = _split_of(cfg, ds)
+    split = tr.make_temporal_split(ds.years, ds.labels, **dataclasses.asdict(cfg.split))
     model = gm.build_model(cfg.model.for_classes(ds.num_classes), kind, sources,
                            ds.source_dims(), seed)
-    result = tr.train(model, ds, split, tr.TrainConfig(**dataclasses.asdict(cfg.train),
-                                                       seed=cfg.seed))
-    model.load_state(result.best_state)
+    tr.train(model, ds, split, tr.TrainConfig(**dataclasses.asdict(cfg.train), seed=cfg.seed))
     preds = tr.predict(model, ds, split.test_ids, seed=seed)
     return float((preds == ds.labels[split.test_ids]).mean())
 

@@ -76,7 +76,14 @@ def test_config_overrides_win(workdir):
                                              ("data.pred_top_k=0", "pred_top_k"),
                                              ("model.d_edge_feature=3", "model.d_edge_feature"),
                                              ('model.sources=["text","text"]',
-                                              "sources ['text'] given more than once")])
+                                              "sources ['text'] given more than once"),
+                                             ('model={"num_layers": 1}',
+                                              "'model' names a config section"),
+                                             ("paths={}", "'paths' names a config section"),
+                                             ("ablation.configs=[]",
+                                              "ablation: configs must name at least one"),
+                                             ('ablation.configs=["full","full"]',
+                                              "ablation: configs ['full'] given more than once")])
 def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     rc = main(["train", "--config", _cfg_path(workdir), "--set", setting])
     assert rc == 2
@@ -122,7 +129,7 @@ def test_resolved_config_loads_back_equal(workdir, tmp_path):
     sets = ["train.epochs=6", "train.warmup_steps=3", "model.kind=mlp", "model.dropout=0.25",
             f"paths.out_dir={tmp_path}", "seed=5"]
     cfg = cli.apply_overrides(cli.load_config(_cfg_path(workdir)), sets)
-    cli.echo_config(cfg, tmp_path)
+    cli.save_config(cfg, tmp_path / "config.resolved.json")
     assert cli.load_config(tmp_path / "config.resolved.json") == cfg
 
 
@@ -548,6 +555,36 @@ def test_ablate_emits_sorted_rows(workdir, capsys, tmp_path):
     assert table.splitlines()[0].startswith("configuration")
     again = capsys.readouterr().out
     assert "graphormer+E" in again
+
+
+def test_eval_val_matches_train_val_metrics(trained, tmp_path):
+    """``eval --split val`` on train's checkpoint reproduces val_metrics.json
+    byte for byte: train leaves the model at the checkpoint it saves."""
+    rc = main(["eval", "--config", _cfg_path(trained),
+               "--checkpoint", str(trained / "checkpoint.bin"), "--split", "val",
+               "--set", f"paths.out_dir={tmp_path}",
+               "--set", f"paths.dataset={trained / 'dataset.bin'}"])
+    assert rc == 0
+    assert (tmp_path / "eval_val.json").read_bytes() == \
+        (trained / "val_metrics.json").read_bytes()
+
+
+def test_ablation_row_matches_train_then_eval(trained, tmp_path):
+    """The ``full`` ablation row scores what ``train`` then ``eval --split
+    test`` score with the same kind, sources, seed and epochs."""
+    epochs = ["--set", "train.epochs=6", "--set", "train.early_stop_patience=6",
+              "--set", f"paths.dataset={trained / 'dataset.bin'}"]
+    assert main(["ablate", "--config", _cfg_path(trained), *epochs,
+                 "--set", 'ablation.configs=["full"]',
+                 "--set", f"paths.out_dir={tmp_path / 'ablate'}"]) == 0
+    assert main(["eval", "--config", _cfg_path(trained), *epochs,
+                 "--checkpoint", str(trained / "checkpoint.bin"), "--split", "test",
+                 "--set", f"paths.out_dir={tmp_path / 'eval'}"]) == 0
+    [row] = json.loads((tmp_path / "ablate" / "ablation.json").read_text())
+    report = json.loads((tmp_path / "eval" / "eval_test.json").read_text())
+    assert row["configuration"] == "full"
+    assert (row["test_accuracy"], row["test_macro_f1"]) == \
+        (report["accuracy"], report["macro_f1"])
 
 
 def test_ablate_unknown_toggle_is_exit_2(workdir, capsys, tmp_path):

@@ -8,9 +8,9 @@ from tapeformer import evaluation as ev
 
 def test_perfect_predictions_diagonal_and_all_ones():
     labels = np.array([0, 1, 2, 2, 1, 0])
-    cm = ev.confusion(labels, labels, 3)
-    assert np.array_equal(cm.counts, np.diag([2, 2, 2]))
-    rep = ev.metrics(cm)
+    counts = ev.confusion(labels, labels, 3)
+    assert np.array_equal(counts, np.diag([2, 2, 2]))
+    rep = ev.metrics(counts)
     assert rep.accuracy == 1.0
     assert rep.macro_precision == 1.0
     assert rep.macro_recall == 1.0
@@ -34,12 +34,13 @@ def test_confusion_matches_tally_oracle():
     c = 40
     preds = rng.integers(0, c, size=1000)
     labels = rng.integers(0, c, size=1000)
-    cm = ev.confusion(preds, labels, c)
+    counts = ev.confusion(preds, labels, c)
     tally = np.zeros((c, c), dtype=np.int64)
     for p, t in zip(preds, labels):
         tally[t, p] += 1
-    assert np.array_equal(cm.counts, tally)
-    assert cm.total == 1000
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, tally)
+    assert counts.sum() == 1000
 
 
 def test_single_predicted_class_zero_denominator_rule():
@@ -90,9 +91,9 @@ def test_accuracy_is_trace_over_total_exactly():
     rng = np.random.default_rng(2)
     preds = rng.integers(0, 5, size=333)
     labels = rng.integers(0, 5, size=333)
-    cm = ev.confusion(preds, labels, 5)
-    rep = ev.metrics(cm)
-    assert rep.accuracy == np.trace(cm.counts) / cm.total
+    counts = ev.confusion(preds, labels, 5)
+    rep = ev.metrics(counts)
+    assert rep.accuracy == np.trace(counts) / counts.sum()
 
 
 def test_macro_invariant_under_class_relabeling():

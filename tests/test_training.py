@@ -248,6 +248,22 @@ def test_early_stopping_returns_previous_best():
     assert result.best_val_accuracy == max(r.val_accuracy for r in result.history)
 
 
+def test_train_leaves_model_at_best_checkpoint():
+    """The best epoch is not the last, and ``train`` returns with every
+    parameter equal to the best-validation snapshot, byte for byte."""
+    data, split = _stub_data()
+    model = _ScalarStubModel(w0=0.02)
+    cfg = tr.TrainConfig(epochs=30, base_lr=0.004, label_smoothing=0.0,
+                         batch_size=2, early_stop_patience=1, seed=0)
+    result = tr.train(model, data, split, cfg)
+    assert result.best_epoch < result.history[-1].epoch
+    params = model.parameters()
+    assert set(params) == set(result.best_state)
+    for name, tensor in params.items():
+        assert tensor.data.tobytes() == result.best_state[name].tobytes(), name
+    assert tr.accuracy_on(model, data, split.val_ids, seed=0) == result.best_val_accuracy
+
+
 def _mini_graph_data(seed=0, n=24, c=3):
     rng = np.random.default_rng(seed)
     g = gr.from_edge_list(random_edge_list(rng, n, 0.15), n)
