@@ -26,7 +26,14 @@ import numpy as np
 from . import autodiff as ad
 from .binfile import utf8_lines
 from .dataset import load_dataset, prepare, save_dataset
-from .evaluation import DEFAULT_ABLATION, format_ablation_table, report_to_json, run_ablation, score
+from .evaluation import (
+    DEFAULT_ABLATION,
+    format_ablation_table,
+    parse_toggle,
+    report_to_json,
+    run_ablation,
+    score,
+)
 from .graph import GraphConstructionError
 from .model import GraphormerParams, build_model
 from .structural import clustering_coefficients
@@ -91,6 +98,13 @@ class AblationConfig:
         repeated = sorted({c for c in self.configs if self.configs.count(c) > 1})
         if repeated:
             raise ValueError(f"configs {repeated} given more than once")
+        named: dict[tuple, str] = {}  # (kind, sources) -> the first name selecting it
+        for name in self.configs:
+            kind, sources = selected = parse_toggle(name)
+            if selected in named:
+                raise ValueError(f"configs {named[selected]!r} and {name!r} both select "
+                                 f"{kind} over {'+'.join(sources)}")
+            named[selected] = name
 
 
 @dataclass

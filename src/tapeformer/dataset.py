@@ -2,9 +2,11 @@
 
 Ingestion (documents, edge list, feature matrix, LLM cache) happens
 once; the artifact stores the graph's CSR arrays, labels, years, class
-names and the four embedding matrices. Serialization is canonical
-(sorted JSON meta, fixed array order), so preparing the same inputs
-twice yields byte-identical files and the same content hash.
+names and the embedding bundle, each source ``s`` as the array
+``h_<s>``. Serialization is canonical (sorted JSON meta, fixed array
+order), so preparing the same inputs twice yields byte-identical files
+and the same content hash. Loading checks the bundle with the same
+``check_bundle`` that ``build_bundle`` runs.
 """
 from __future__ import annotations
 
@@ -23,9 +25,9 @@ from .graph import DirectedGraph, load_edge_list
 from .text import (
     SOURCES,
     DataError,
-    EmbeddingBundle,
     EncodingParams,
     build_bundle,
+    check_bundle,
     load_feature_matrix,
     load_llm_records,
     load_node_documents,
@@ -39,6 +41,7 @@ _MAGIC = b"TAPEDS01"
 _U64 = struct.Struct("<Q")
 _DTYPES = {0: np.float64, 1: np.int64}
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
+_SOURCE_ARRAYS = {s: f"h_{s}" for s in SOURCES}  # the artifact's array of each source
 
 
 @dataclass
@@ -47,7 +50,7 @@ class PreparedDataset:
     labels: np.ndarray  # int64, -1 where unlabeled
     years: np.ndarray
     graph: DirectedGraph
-    bundle: EmbeddingBundle
+    bundle: dict[str, np.ndarray]  # SOURCES -> (n, d) float64, see text.check_bundle
     text_dim: int
     pred_top_k: int
     seed: int
@@ -61,7 +64,7 @@ class PreparedDataset:
         return len(self.class_names)
 
     def source_dims(self) -> dict[str, int]:
-        return {s: self.bundle.source(s).shape[1] for s in SOURCES}
+        return {s: self.bundle[s].shape[1] for s in SOURCES}
 
 
 def prepare(
@@ -76,6 +79,9 @@ def prepare(
     overrides: dict[str, np.ndarray] | None = None,
 ) -> PreparedDataset:
     """Ingest the four input files and build the dataset in memory."""
+    repeated = sorted({c for c in class_names if class_names.count(c) > 1})
+    if repeated:
+        raise DataError(f"class names {repeated} given more than once")
     t0 = time.perf_counter()
     docs = load_node_documents(node_docs_path)
     n = len(docs)
@@ -129,10 +135,7 @@ def _arrays_of(ds: PreparedDataset) -> list[tuple[str, np.ndarray]]:
         ("out_targets", g.out_targets),
         ("in_offsets", g.in_offsets),
         ("in_targets", g.in_targets),
-        ("h_expl", ds.bundle.h_expl),
-        ("h_pred", ds.bundle.h_pred),
-        ("h_text", ds.bundle.h_text),
-        ("h_ogb", ds.bundle.h_ogb),
+        *((name, ds.bundle[s]) for s, name in _SOURCE_ARRAYS.items()),
     ]
 
 
@@ -219,9 +222,11 @@ def load_dataset(path) -> PreparedDataset:
         self_loops_dropped=meta["self_loops_dropped"],
         duplicates_dropped=meta["duplicates_dropped"],
     )
-    bundle = EmbeddingBundle(h_expl=arrays["h_expl"], h_pred=arrays["h_pred"],
-                             h_text=arrays["h_text"], h_ogb=arrays["h_ogb"])
-    bundle.validate()
+    bundle = {s: arrays[name] for s, name in _SOURCE_ARRAYS.items()}
+    try:
+        check_bundle(bundle, graph.num_nodes)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
     log.info("loaded dataset artifact %s: %d nodes, %d edges (read+hash %.3fs, validation %.3fs)",
              path, graph.num_nodes, graph.num_edges, t1 - t0, time.perf_counter() - t1)
     return PreparedDataset(
@@ -237,9 +242,10 @@ def load_dataset(path) -> PreparedDataset:
 
 
 def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """The invariants save_dataset's input holds: the meta keys, array
-    shapes that agree with the node and edge counts, CSR adjacency with
-    sorted in-range targets, and labels in [-1, num_classes)."""
+    """The invariants save_dataset's input holds, the bundle's aside
+    (``check_bundle`` states those): the meta keys, array shapes that
+    agree with the node and edge counts, CSR adjacency with sorted
+    in-range targets, and labels in [-1, num_classes)."""
     counts = ("num_nodes", "num_edges", "text_dim", "pred_top_k", "seed",
               "self_loops_dropped", "duplicates_dropped")
     if not isinstance(meta, dict):
@@ -253,7 +259,7 @@ def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     n, m = meta["num_nodes"], meta["num_edges"]
     expected = {"labels": (n,), "years": (n,), "out_offsets": (n + 1,), "out_targets": (m,),
                 "in_offsets": (n + 1,), "in_targets": (m,)}
-    missing = sorted((set(expected) | {f"h_{s}" for s in SOURCES}) - set(arrays))
+    missing = sorted((set(expected) | set(_SOURCE_ARRAYS.values())) - set(arrays))
     if missing:
         raise DataError(f"{path}: artifact is missing arrays {missing}")
     for name, shape in expected.items():
@@ -261,10 +267,6 @@ def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         if a.shape != shape or a.dtype != np.int64:
             raise DataError(f"{path}: {name} is {a.dtype} {a.shape}, expected int64 {shape} "
                             f"for {n} nodes and {m} edges")
-    for s in SOURCES:
-        a = arrays[f"h_{s}"]
-        if a.ndim != 2 or a.shape[0] != n or a.dtype != np.float64:
-            raise DataError(f"{path}: h_{s} is {a.dtype} {a.shape}, expected float64 ({n}, d)")
     for side in ("out", "in"):
         off, tgt = arrays[f"{side}_offsets"], arrays[f"{side}_targets"]
         if off[0] != 0 or off[-1] != m or np.any(np.diff(off) < 0):

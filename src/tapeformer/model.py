@@ -426,7 +426,7 @@ class GraphormerModel:
         union, inverse = np.unique(stack.nodes[real], return_inverse=True)
         rows = np.zeros(stack.nodes.shape, dtype=np.int64)
         rows[real] = inverse
-        fused = self.fusion.fuse({s: bundle.source(s)[union] for s in self.fusion.cfg.active})
+        fused = self.fusion.fuse({s: bundle[s][union] for s in self.fusion.cfg.active})
         return ad.embedding_lookup(fused, rows.reshape(-1))
 
     def forward(self, stack: SubgraphStack, bundle, train: bool = False,
@@ -512,7 +512,7 @@ class FusedMlp:
     def logits_for_centers(self, data, centers, seed: int = 0, train: bool = False,
                            rng: np.random.Generator | None = None) -> Tensor:
         idx = np.asarray(centers, dtype=np.int64)
-        rows = {s: data.bundle.source(s)[idx] for s in self.fusion.cfg.active}
+        rows = {s: data.bundle[s][idx] for s in self.fusion.cfg.active}
         x = self.fusion.fuse(rows)
         h = ad.relu(ad.linear(x, self.w1, self.b1))
         if train and self.cfg.dropout > 0.0:

@@ -32,6 +32,10 @@ __all__ = ["SyntheticParams", "SyntheticData", "generate", "write_synthetic_file
 
 _WORDS_PER_CLASS = 6
 _NOISE_VOCAB = 160
+# shares of each class given train (pre-2018) and val (2018) years; the
+# rest, and at least one node, get test years
+_TRAIN_FRAC = 0.6
+_VAL_FRAC = 0.2
 
 
 @dataclass
@@ -43,8 +47,6 @@ class SyntheticParams:
     feature_signal: float = 0.1
     feature_dim: int = 128
     avg_out_degree: int = 5
-    train_frac: float = 0.6
-    val_frac: float = 0.2
     seed: int = 0
 
     def __post_init__(self):
@@ -58,12 +60,12 @@ class SyntheticParams:
         for name in ("feature_dim", "avg_out_degree"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("text_signal", "homophily", "feature_signal", "train_frac", "val_frac"):
+        for name in ("text_signal", "homophily", "feature_signal"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.train_frac + self.val_frac >= 1.0:
-            raise ValueError("train_frac + val_frac must leave room for a test partition")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -88,8 +90,8 @@ def _assign_years(params: SyntheticParams, labels: np.ndarray,
         ids = np.nonzero(labels == cls)[0]
         ids = ids[rng.permutation(len(ids))]
         n = len(ids)
-        n_train = max(1, int(round(params.train_frac * n)))
-        n_val = max(1, int(round(params.val_frac * n)))
+        n_train = max(1, int(round(_TRAIN_FRAC * n)))
+        n_val = max(1, int(round(_VAL_FRAC * n)))
         n_train = min(n_train, n - 2)  # always keep one val and one test node
         n_val = min(n_val, n - n_train - 1)
         years[ids[:n_train]] = rng.integers(2012, 2018, size=n_train)
@@ -161,7 +163,7 @@ def generate(params: SyntheticParams) -> SyntheticData:
     features = s * mu[labels] + (1.0 - s) * g
     features /= np.linalg.norm(features, axis=1, keepdims=True)
 
-    records = {d.id: stub_llm_provider(d, class_names, seed=params.seed) for d in docs}
+    records = {d.id: stub_llm_provider(d, class_names) for d in docs}
     log.info("synthetic corpus: %d nodes, %d classes, %d edges", n, c, len(edges))
     return SyntheticData(params=params, class_names=class_names, docs=docs,
                          edges=edges, features=features, records=records)

@@ -1,12 +1,15 @@
 """Turns node text and cached LLM outputs into per-node embedding matrices.
 
-Four sources per node: hashed text features, hashed explanation
-features, a rank-weighted distribution over the LLM's predicted
-classes, and the dataset's own feature vectors. The heavy LM stage is
-replaced by deterministic feature hashing so the whole pipeline runs on
-a laptop; precomputed matrices from a real LM can be swapped in per
-source. Missing LLM records degrade to zero rows instead of failing --
-component ablations depend on being able to run with sources absent.
+Four sources per node: hashed explanation features, a rank-weighted
+distribution over the LLM's predicted classes, hashed text features,
+and the dataset's own feature vectors. An embedding bundle is a plain
+mapping from each name in ``SOURCES`` to its (n, d) float64 matrix, row
+i = node i, and ``check_bundle`` is the one statement of that rule.
+The heavy LM stage is replaced by deterministic feature hashing
+(``encode_texts``) so the whole pipeline runs on a laptop; precomputed
+matrices from a real LM can be swapped in per source. Missing LLM
+records degrade to zero rows instead of failing -- component ablations
+depend on being able to run with sources absent.
 """
 from __future__ import annotations
 
@@ -27,15 +30,14 @@ log = logging.getLogger(__name__)
 __all__ = [
     "NodeDocument",
     "LlmRecord",
-    "EmbeddingBundle",
     "EncodingParams",
     "DataError",
     "SOURCES",
     "tokenize",
-    "format_prompt",
     "stub_llm_provider",
-    "encode_text",
+    "encode_texts",
     "encode_predictions",
+    "check_bundle",
     "build_bundle",
     "load_node_documents",
     "load_llm_records",
@@ -43,9 +45,9 @@ __all__ = [
     "save_feature_matrix",
 ]
 
-SOURCES = ("expl", "pred", "text", "ogb")
+SOURCES = ("expl", "pred", "text", "ogb")  # the keys of an embedding bundle, in order
 
-_TEXT_CHUNK = 64  # texts tokenized together by _encode_texts
+_TEXT_CHUNK = 64  # texts tokenized together by encode_texts
 
 # bytes.translate table for tokenizing: ASCII letters and digits map to
 # themselves (the text is lowered first), every other byte to a space
@@ -86,32 +88,6 @@ class LlmRecord:
     explanation: str
 
 
-@dataclass
-class EmbeddingBundle:
-    """The four per-node embedding matrices, row i = node i."""
-
-    h_expl: np.ndarray
-    h_pred: np.ndarray
-    h_text: np.ndarray
-    h_ogb: np.ndarray
-
-    def validate(self) -> None:
-        rows = {m.shape[0] for m in (self.h_expl, self.h_pred, self.h_text, self.h_ogb)}
-        if len(rows) != 1:
-            raise DataError(f"embedding matrices disagree on row count: {sorted(rows)}")
-        for name in SOURCES:
-            m = getattr(self, f"h_{name}")
-            if not np.isfinite(m).all():
-                raise DataError(f"non-finite values in h_{name}")
-
-    @property
-    def num_nodes(self) -> int:
-        return self.h_text.shape[0]
-
-    def source(self, name: str) -> np.ndarray:
-        return getattr(self, f"h_{name}")
-
-
 def _token_bytes(text: str) -> bytes:
     """``text`` lowered and UTF-8 encoded, with every byte outside [a-z0-9]
     turned into a space; ``.split()`` then yields its tokens.
@@ -129,36 +105,13 @@ def tokenize(text: str) -> list[str]:
     return _token_bytes(text).decode("ascii").split()
 
 
-PROMPT_TEMPLATE = (
-    "Title: {title}\n"
-    "Abstract: {abstract}\n"
-    "\n"
-    "Question: which of the following {num_classes} research areas best describes "
-    "this paper? Areas: {class_list}.\n"
-    "Answer with the areas ranked from most to least likely, then give a short "
-    "explanation of the reasoning behind the top choice."
-)
-
-
-def format_prompt(doc: NodeDocument, class_names: list[str]) -> str:
-    """Render the classification prompt; byte-identical for equal inputs."""
-    return PROMPT_TEMPLATE.format(
-        title=doc.title,
-        abstract=doc.abstract,
-        num_classes=len(class_names),
-        class_list=", ".join(class_names),
-    )
-
-
-def stub_llm_provider(doc: NodeDocument, class_names: list[str], seed: int = 0,
-                      top_k: int = 5) -> LlmRecord:
+def stub_llm_provider(doc: NodeDocument, class_names: list[str], top_k: int = 5) -> LlmRecord:
     """Deterministic stand-in for a hosted LLM.
 
     Classes are ranked by multiset token overlap: the number of document
     token occurrences matching a token of the class name (ties fall back
     to class-index order). The explanation is a fixed template naming
-    the matched tokens. ``seed`` is accepted for interface parity with
-    sampling providers and ignored here.
+    the matched tokens.
     """
     doc_tokens = tokenize(doc.title + " " + doc.abstract)
     counts: dict[str, int] = {}
@@ -185,27 +138,21 @@ def stub_llm_provider(doc: NodeDocument, class_names: list[str], seed: int = 0,
     return LlmRecord(node_id=doc.id, predictions=predictions, explanation=explanation)
 
 
-def encode_text(text: str, dim: int, seed: int = 0) -> np.ndarray:
-    """Feature-hash unigrams into ``dim`` signed buckets, L2-normalized.
+def encode_texts(texts, dim: int, seed: int) -> np.ndarray:
+    """Feature-hash the unigrams of every text in the iterable into
+    ``dim`` signed buckets, one L2-normalized row each.
 
     crc32 keyed by the seed keeps the mapping stable across processes
-    and platforms; an all-zero vector (empty text) stays all-zero.
-    """
-    return _encode_texts([text], dim, seed)[0]
-
-
-def _encode_texts(texts, dim: int, seed: int) -> np.ndarray:
-    """``encode_text`` of every text in the iterable, one row each.
-
-    crc32 hashes each token occurrence's ASCII bytes as the tokenizer
-    leaves them, ``_TEXT_CHUNK`` texts at a time so that only one
-    chunk's token objects are alive at once, and one ``bincount`` sums
-    every row's signed buckets. The sums are small integers, hence exact
-    in any order, and the norm is their exact sum of squares: rows equal
-    ``encode_text``'s bit for bit.
+    and platforms; an all-zero row (empty text) stays all-zero. crc32
+    hashes each token occurrence's ASCII bytes as the tokenizer leaves
+    them, ``_TEXT_CHUNK`` texts at a time so that only one chunk's token
+    objects are alive at once, and one ``bincount`` sums every row's
+    signed buckets. The sums are small integers, hence exact in any
+    order, and the norm is their exact sum of squares: each row is the
+    same bit for bit whatever texts share its call.
     """
     if dim < 1:
-        raise ValueError("encode_text: dim must be >= 1")
+        raise ValueError("encode_texts: dim must be >= 1")
     salt = zlib.crc32(struct.pack("<q", seed))
     hashes, lengths = [np.zeros(0, dtype=np.int64)], []  # concatenable with no texts at all
     texts = iter(texts)
@@ -225,17 +172,11 @@ def _encode_texts(texts, dim: int, seed: int) -> np.ndarray:
     return out
 
 
-def encode_predictions(rec: LlmRecord | None, num_classes: int, top_k: int) -> np.ndarray:
-    """Rank-weighted class distribution: weight 1/rank, normalized to 1.
-
-    A missing record or empty prediction list yields the zero vector.
-    """
-    return _prediction_rows([rec], num_classes, top_k)[0]
-
-
-def _prediction_rows(recs, num_classes: int, top_k: int) -> np.ndarray:
-    """``encode_predictions`` of each record (or None), one row each: one
-    scatter of every 1/rank weight, then one division by the row sums."""
+def encode_predictions(recs, num_classes: int, top_k: int) -> np.ndarray:
+    """Rank-weighted class distribution of each record, one row each:
+    weight 1/rank over the first ``top_k`` predictions, normalized to 1.
+    A missing record (None) or empty prediction list yields a zero row.
+    One scatter of every weight, then one division by the row sums."""
     if top_k < 1:
         raise ValueError("encode_predictions: top_k must be >= 1")
     rows, classes, ranks = array("q"), array("q"), array("q")
@@ -256,6 +197,18 @@ def _prediction_rows(recs, num_classes: int, top_k: int) -> np.ndarray:
     return out
 
 
+def check_bundle(bundle: dict[str, np.ndarray], n: int) -> None:
+    """Every source of ``bundle`` is a finite float64 matrix with ``n``
+    rows; a DataError names the first source that is not."""
+    for s in SOURCES:
+        m = bundle[s]
+        if m.dtype != np.float64 or m.ndim != 2 or m.shape[0] != n:
+            raise DataError(f"source {s!r} is {m.dtype} {m.shape}, "
+                            f"expected a float64 matrix with {n} rows")
+        if not np.isfinite(m).all():
+            raise DataError(f"source {s!r} has non-finite values")
+
+
 def build_bundle(
     docs: list[NodeDocument],
     records: dict[int, LlmRecord],
@@ -265,37 +218,30 @@ def build_bundle(
     pred_top_k: int = EncodingParams.pred_top_k,
     seed: int = 0,
     overrides: dict[str, np.ndarray] | None = None,
-) -> EmbeddingBundle:
-    """Assemble the four embedding matrices for all documents.
+) -> dict[str, np.ndarray]:
+    """The embedding bundle of all documents: ``SOURCES`` in order.
 
     ``overrides`` replaces a computed source ("expl"/"pred"/"text"/"ogb")
     with a precomputed matrix, e.g. real LM embeddings.
     """
     n = len(docs)
-    ogb = np.asarray(ogb_features, dtype=np.float64)
-    if ogb.shape[0] != n:
-        raise DataError(f"feature matrix has {ogb.shape[0]} rows for {n} documents")
     # rows 0..n-1 hash the title and abstract, rows n..2n-1 the explanation
     # (empty, so zero, without a record)
-    hashed = _encode_texts(chain(
+    hashed = encode_texts(chain(
         (doc.title + "\n" + doc.abstract for doc in docs),
         (records[doc.id].explanation if doc.id in records else "" for doc in docs),
     ), text_dim, seed)
-    h_text, h_expl = hashed[:n], hashed[n:]
-    h_pred = _prediction_rows([records.get(doc.id) for doc in docs], num_classes, pred_top_k)
-    matrices = {"expl": h_expl, "pred": h_pred, "text": h_text, "ogb": ogb}
+    bundle = {
+        "expl": hashed[n:],
+        "pred": encode_predictions([records.get(doc.id) for doc in docs], num_classes, pred_top_k),
+        "text": hashed[:n],
+        "ogb": np.asarray(ogb_features, dtype=np.float64),
+    }
     for name, mat in (overrides or {}).items():
         if name not in SOURCES:
             raise DataError(f"unknown embedding source override: {name!r}")
-        mat = np.asarray(mat, dtype=np.float64)
-        if mat.shape[0] != n:
-            raise DataError(f"override for {name!r} has {mat.shape[0]} rows, expected {n}")
-        matrices[name] = mat
-    bundle = EmbeddingBundle(
-        h_expl=matrices["expl"], h_pred=matrices["pred"],
-        h_text=matrices["text"], h_ogb=matrices["ogb"],
-    )
-    bundle.validate()
+        bundle[name] = np.asarray(mat, dtype=np.float64)
+    check_bundle(bundle, n)
     return bundle
 
 

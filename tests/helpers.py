@@ -445,7 +445,7 @@ def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
     node by node off ``g``.
     """
     cfg, fusion = model.cfg, model.fusion
-    proj = [bundle.source(s)[batch.nodes] @ fusion.proj[s].data for s in fusion.cfg.active]
+    proj = [bundle[s][batch.nodes] @ fusion.proj[s].data for s in fusion.cfg.active]
     scores = np.concatenate([np.tanh(u @ fusion.score_m.data) @ fusion.score_w.data
                              for u in proj], axis=1)
     alpha = _softmax_rows(scores)

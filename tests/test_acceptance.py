@@ -23,7 +23,6 @@ from tapeformer.cli import main as cli_main
 from tapeformer.dataset import load_dataset, prepare
 from tapeformer.fusion import FusionConfig
 from tapeformer.model import GraphormerConfig, GraphormerModel
-from tapeformer.text import EmbeddingBundle
 
 from helpers import (
     check_gradients,
@@ -177,7 +176,7 @@ def test_criterion_01_gradient_correctness():
     assert batch.nodes.shape == (1, 8)
     dims = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
     model = GraphormerModel(cfg, FusionConfig(d_model=16, source_dims=dims), seed=1)
-    bundle = EmbeddingBundle(**{f"h_{s}": rng.standard_normal((12, k)) for s, k in dims.items()})
+    bundle = {s: rng.standard_normal((12, k)) for s, k in dims.items()}
     labels = rng.integers(0, 3, size=8)
 
     def model_loss():
@@ -288,7 +287,7 @@ def test_criterion_05_structural_invariance():
                                d_ffn=16, max_spd=4, max_degree_bucket=8,
                                ego_hops=2, ego_max_nodes=12)
         model = GraphormerModel(cfg, FusionConfig(d_model=16, source_dims=dims), seed=trial)
-        bundle = EmbeddingBundle(**{f"h_{s}": rng.standard_normal((n, k)) for s, k in dims.items()})
+        bundle = {s: rng.standard_normal((n, k)) for s, k in dims.items()}
         sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=2, max_nodes=12,
                                      seed=trial)
         batch = gm.build_batch(g, sub, cfg)
@@ -313,7 +312,7 @@ def test_criterion_06_grad_accum_equivalence():
     n = 32
     g = gr.from_edge_list(random_edge_list(rng, n, 0.15), n)
     dims = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
-    bundle = EmbeddingBundle(**{f"h_{s}": rng.standard_normal((n, k)) for s, k in dims.items()})
+    bundle = {s: rng.standard_normal((n, k)) for s, k in dims.items()}
     labels = rng.integers(0, 3, size=n)
     data = types.SimpleNamespace(graph=g, bundle=bundle, labels=labels)
     split = tr.TemporalSplit(train_ids=np.arange(16), val_ids=np.arange(16, 24),

@@ -83,7 +83,15 @@ def test_config_overrides_win(workdir):
                                              ("ablation.configs=[]",
                                               "ablation: configs must name at least one"),
                                              ('ablation.configs=["full","full"]',
-                                              "ablation: configs ['full'] given more than once")])
+                                              "ablation: configs ['full'] given more than once"),
+                                             ('ablation.configs=["full","graphormer+TA+P+E"]',
+                                              "ablation: configs 'full' and 'graphormer+TA+P+E' "
+                                              "both select graphormer over expl+pred+text+ogb"),
+                                             ('ablation.configs=["graphormer"]',
+                                              "ablation: ablation configuration 'graphormer' "
+                                              "enables no embedding sources"),
+                                             ('ablation.configs=["bogus"]',
+                                              "ablation: unknown ablation toggle 'bogus'")])
 def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     rc = main(["train", "--config", _cfg_path(workdir), "--set", setting])
     assert rc == 2
@@ -333,6 +341,17 @@ def test_synthetic_roundtrip_through_artifact(workdir):
     assert np.array_equal(ds.years, np.array([d.year for d in docs]))
 
 
+def test_prepare_refuses_a_repeated_class_name(workdir, tmp_path, capsys):
+    rc = main(["prepare", "--config", _cfg_path(workdir),
+               "--set", 'data.class_names=["field0","field0","field2"]',
+               "--set", f"paths.out_dir={tmp_path}",
+               "--set", f"paths.dataset={tmp_path / 'ds.bin'}"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "class names ['field0'] given more than once" in err and "internal error" not in err
+    assert not (tmp_path / "ds.bin").exists()
+
+
 def test_prepare_with_embedding_override(workdir, tmp_path):
     from tapeformer.dataset import load_dataset
     from tapeformer.text import save_feature_matrix
@@ -346,11 +365,11 @@ def test_prepare_with_embedding_override(workdir, tmp_path):
                "--set", f"paths.dataset={tmp_path / 'ds.bin'}"])
     assert rc == 0
     ds = load_dataset(tmp_path / "ds.bin")
-    assert ds.bundle.h_expl.shape == (60, 12)
-    assert np.array_equal(ds.bundle.h_expl, mat)
+    assert ds.bundle["expl"].shape == (60, 12)
+    assert np.array_equal(ds.bundle["expl"], mat)
     # the other sources are untouched
     base = load_dataset(workdir / "dataset.bin")
-    assert np.array_equal(ds.bundle.h_text, base.bundle.h_text)
+    assert np.array_equal(ds.bundle["text"], base.bundle["text"])
 
 
 def _rewrite_meta(src, dst, edit):
@@ -404,6 +423,13 @@ def _flip_first_meta_byte(src, dst):
     dst.write_bytes(bytes(raw))
 
 
+def _nan_in_pred(src, dst):
+    raw = bytearray(src.read_bytes())
+    at = raw.index(b"h_pred") + len(b"h_pred") + 1 + 8 + 2 * 8  # past dtype code, rank, shape
+    raw[at:at + 8] = np.array(np.nan).tobytes()
+    dst.write_bytes(bytes(raw))  # no hash sidecar is copied
+
+
 def _set(array, index, value):
     def edit(ds):
         (ds.labels if array == "labels" else getattr(ds.graph, array))[index] = value
@@ -437,6 +463,7 @@ CORRUPT_ARTIFACTS = {
     "label range": (lambda s, d: _resave(s, d, _set("labels", 0, 3)),
                     "labels must lie in [-1, 3)"),
     "sha256": (_flip_last_byte, "differs from"),
+    "non-finite source": (_nan_in_pred, "ds.bin: source 'pred' has non-finite values"),
     "trailing bytes": (lambda s, d: d.write_bytes(s.read_bytes() + b"\0"),
                        "trailing bytes after the last array"),
 }
@@ -621,6 +648,14 @@ def test_gen_synthetic_rejects_bad_params(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{named} must be >= 1" in err and "internal error" not in err
         assert not out.exists()  # refused before anything is written
+
+
+def test_gen_synthetic_negative_seed_is_exit_2(tmp_path, capsys):
+    out = tmp_path / "neg"
+    assert main(["gen-synthetic", "--out", str(out), "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert "seed must be >= 0, got -1" in err and "internal error" not in err
+    assert not out.exists()  # refused before anything is written
 
 
 def test_gen_synthetic_flags_default_to_synthetic_params():

@@ -7,7 +7,7 @@ import pytest
 
 from tapeformer import dataset as dsm
 from tapeformer import synthetic as syn
-from tapeformer.text import DataError
+from tapeformer.text import SOURCES, DataError
 
 
 @pytest.fixture(scope="module")
@@ -25,18 +25,46 @@ def test_prepare_builds_consistent_dataset(corpus):
     assert ds.num_nodes == 40
     assert ds.num_classes == 3
     assert np.array_equal(ds.labels, data.labels)
-    assert ds.bundle.h_text.shape == (40, 64)
-    assert ds.bundle.h_pred.shape == (40, 3)
+    assert ds.bundle["text"].shape == (40, 64)
+    assert ds.bundle["pred"].shape == (40, 3)
     assert ds.source_dims() == {"expl": 64, "pred": 3, "text": 64, "ogb": 128}
+    assert tuple(ds.bundle) == SOURCES
+
+
+def test_prepare_refuses_a_repeated_class_name(corpus, tmp_path):
+    """A class name given twice would map every cached prediction of it
+    to one index only; it is refused before any file is read."""
+    data, paths = corpus
+    names = [data.class_names[0], data.class_names[0], data.class_names[2]]
+    missing = tmp_path / "absent.jsonl"
+    with pytest.raises(DataError, match=r"class names \['field0'\] given more than once"):
+        dsm.prepare(missing, missing, missing, missing, names)
+
+
+def test_override_must_be_a_matrix_per_node(corpus):
+    """A 1-D override is refused by name instead of making an artifact
+    that ``load_dataset`` refuses; a float32 one is stored as float64."""
+    data, paths = corpus
+    args = (paths["node_docs"], paths["edges"], paths["ogb_features"], None, data.class_names)
+    with pytest.raises(DataError, match=r"source 'expl' is float64 \(40,\), expected a float64 "
+                                        r"matrix with 40 rows"):
+        dsm.prepare(*args, text_dim=8, overrides={"expl": np.zeros(40)})
+    with pytest.raises(DataError, match=r"source 'text' has non-finite values"):
+        dsm.prepare(*args, text_dim=8, overrides={"text": np.full((40, 2), np.nan)})
+    mat = np.random.default_rng(0).standard_normal((40, 6)).astype(np.float32)
+    ds = dsm.prepare(*args, text_dim=8, overrides={"pred": mat})
+    assert ds.bundle["pred"].dtype == np.float64
+    assert np.array_equal(ds.bundle["pred"], mat.astype(np.float64))
+    assert tuple(ds.bundle) == SOURCES
 
 
 def test_prepare_without_cache_gives_zero_llm_rows(corpus):
     data, paths = corpus
     ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
                      None, data.class_names, text_dim=32)
-    assert not ds.bundle.h_expl.any()
-    assert not ds.bundle.h_pred.any()
-    assert ds.bundle.h_text.any()
+    assert not ds.bundle["expl"].any()
+    assert not ds.bundle["pred"].any()
+    assert ds.bundle["text"].any()
 
 
 def test_llm_records_matching_no_document_are_ignored_or_refused(corpus, tmp_path, caplog):
@@ -55,11 +83,11 @@ def test_llm_records_matching_no_document_are_ignored_or_refused(corpus, tmp_pat
     assert "ignoring 2 LLM record(s) whose id matches no document in [0, 40), the first 100000" \
         in caplog.text
     assert "10 cached LLM records" in caplog.text
-    assert ds.bundle.h_pred[:10].any(axis=1).all() and not ds.bundle.h_pred[10:].any()
+    assert ds.bundle["pred"][:10].any(axis=1).all() and not ds.bundle["pred"][10:].any()
     full = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
                        paths["llm_cache"], data.class_names, text_dim=32)
     for s in ("expl", "pred"):
-        assert ds.bundle.source(s)[:10].tobytes() == full.bundle.source(s)[:10].tobytes()
+        assert ds.bundle[s][:10].tobytes() == full.bundle[s][:10].tobytes()
     stray = tmp_path / "stray.jsonl"
     stray.write_text("\n".join(extra) + "\n")
     with pytest.raises(DataError, match=r"stray.jsonl: no LLM record matches a document: all 2 "
@@ -70,7 +98,7 @@ def test_llm_records_matching_no_document_are_ignored_or_refused(corpus, tmp_pat
     empty.write_text("")
     ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"], empty,
                      data.class_names, text_dim=32)
-    assert not ds.bundle.h_pred.any()
+    assert not ds.bundle["pred"].any()
 
 
 def test_prepare_rejects_feature_row_mismatch(corpus, tmp_path):
@@ -125,8 +153,9 @@ def test_artifact_roundtrip_and_stable_hash(corpus, tmp_path):
     assert np.array_equal(back.graph.out_offsets, ds.graph.out_offsets)
     assert np.array_equal(back.graph.in_targets, ds.graph.in_targets)
     assert back.graph.num_edges == ds.graph.num_edges
+    assert tuple(back.bundle) == tuple(ds.bundle) == SOURCES
     for s in ("expl", "pred", "text", "ogb"):
-        assert back.bundle.source(s).tobytes() == ds.bundle.source(s).tobytes()
+        assert back.bundle[s].tobytes() == ds.bundle[s].tobytes()
 
 
 def test_artifact_corruption_detected(corpus, tmp_path):
@@ -193,14 +222,14 @@ def _edgeless(tmp_path, corpus, cols=0):
 
 def test_artifact_roundtrip_with_empty_arrays(corpus, tmp_path):
     ds = _edgeless(tmp_path, corpus)
-    assert ds.graph.num_edges == 0 and ds.bundle.h_ogb.shape == (40, 0)
+    assert ds.graph.num_edges == 0 and ds.bundle["ogb"].shape == (40, 0)
     h = dsm.save_dataset(ds, tmp_path / "e.bin")
     back = dsm.load_dataset(tmp_path / "e.bin")
     assert back.graph.out_targets.shape == back.graph.in_targets.shape == (0,)
-    assert back.bundle.h_ogb.shape == (40, 0)
+    assert back.bundle["ogb"].shape == (40, 0)
     assert np.array_equal(back.graph.out_offsets, np.zeros(41, dtype=np.int64))
     for s in ("expl", "pred", "text"):
-        assert back.bundle.source(s).tobytes() == ds.bundle.source(s).tobytes()
+        assert back.bundle[s].tobytes() == ds.bundle[s].tobytes()
     assert dsm.save_dataset(back, tmp_path / "f.bin") == h
 
 

@@ -1,5 +1,6 @@
 """Static checks on the package source, standard library only: every
-imported name is used, and every ``__all__`` entry is defined."""
+imported name is used, every ``__all__`` entry is defined, and every
+function parameter is read."""
 import ast
 from pathlib import Path
 
@@ -58,3 +59,51 @@ def test_every_all_entry_is_defined(path):
     tree = _parse(path)
     missing = sorted(set(_exported(tree)) - _top_level_names(tree))
     assert not missing, f"{path.name}: __all__ names undefined {missing}"
+
+
+# parameters kept only to share another class's interface, by
+# (function qualname, parameter): FusedMlp is called like GraphormerModel
+SHARED_INTERFACE = {
+    ("FusedMlp.build_centers", "data"),
+    ("FusedMlp.build_centers", "centers"),
+    ("FusedMlp.build_centers", "seed"),
+    ("FusedMlp.logits_for_centers", "seed"),
+}
+
+
+def _functions(tree: ast.Module):
+    """(qualname, node) of every function and method, nested ones too."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child
+                yield from walk(child, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                yield from walk(child, prefix + child.name + ".")
+            else:
+                yield from walk(child, prefix)
+    yield from walk(tree, "")
+
+
+def _unread_parameters(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualname, parameter) of each parameter its function never reads;
+    a method's ``self``/``cls`` and dunder protocol methods are exempt."""
+    unread = []
+    for qualname, fn in _functions(tree):
+        if fn.name.startswith("__") and fn.name.endswith("__"):
+            continue
+        a = fn.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p]
+        if "." in qualname and params[:1] in (["self"], ["cls"]):
+            params = params[1:]
+        read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        unread += [(qualname, p) for p in params if p not in read]
+    return unread
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_parameter_is_read(path):
+    unread = [f"{path.name}: {fn}({p})" for fn, p in _unread_parameters(_parse(path))
+              if (fn, p) not in SHARED_INTERFACE]
+    assert not unread, f"parameters never read: {unread}"

@@ -10,7 +10,6 @@ from tapeformer import model as gm
 from tapeformer import structural as st
 from tapeformer.autodiff import Tensor
 from tapeformer.fusion import FusionConfig
-from tapeformer.text import EmbeddingBundle
 
 from helpers import (
     bfs_distances,
@@ -54,12 +53,7 @@ def random_case(seed, n=14, density=0.18, cfg=None):
 
 
 def random_bundle(rng, n):
-    return EmbeddingBundle(
-        h_expl=rng.standard_normal((n, DIMS["expl"])),
-        h_pred=rng.standard_normal((n, DIMS["pred"])),
-        h_text=rng.standard_normal((n, DIMS["text"])),
-        h_ogb=rng.standard_normal((n, DIMS["ogb"])),
-    )
+    return {s: rng.standard_normal((n, DIMS[s])) for s in DIMS}
 
 
 @pytest.fixture(autouse=True)
@@ -640,7 +634,7 @@ def test_zero_layers_is_classifier_on_h0():
     model = gm.GraphormerModel(cfg, fusion_config(), seed=3)
     bundle = random_bundle(rng, g.num_nodes)
     logits = model.forward(batch, bundle)
-    rows = {s: bundle.source(s)[batch.nodes[0]] for s in model.fusion.cfg.active}
+    rows = {s: bundle[s][batch.nodes[0]] for s in model.fusion.cfg.active}
     x = model.fusion.fuse(rows)
     h0 = gm.input_embedding(x, batch.in_deg[0], batch.out_deg[0], model.z_in, model.z_out,
                             cfg.max_degree_bucket)

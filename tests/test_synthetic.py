@@ -12,8 +12,8 @@ def test_infeasible_params_rejected():
         syn.SyntheticParams(num_nodes=3, num_classes=4)
     with pytest.raises(ValueError, match="text_signal"):
         syn.SyntheticParams(text_signal=1.5)
-    with pytest.raises(ValueError, match="test partition"):
-        syn.SyntheticParams(train_frac=0.8, val_frac=0.3)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        syn.SyntheticParams(seed=-1)
 
 
 def test_generation_deterministic():

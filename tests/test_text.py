@@ -17,44 +17,19 @@ def _doc(i=0, title="A", abstract="B", label=0, year=2015):
     return NodeDocument(id=i, title=title, abstract=abstract, label=label, year=year)
 
 
-# --- prompt ------------------------------------------------------------------
-
-
-def test_prompt_contains_inputs_and_classes():
-    p = tp.format_prompt(_doc(title="Graph nets", abstract="We study things."), CLASSES)
-    assert "Graph nets" in p and "We study things." in p
-    for name in CLASSES:
-        assert name in p
-
-
-def test_prompt_deterministic():
-    d = _doc(title="T", abstract="A")
-    assert tp.format_prompt(d, CLASSES) == tp.format_prompt(d, CLASSES)
-
-
-def test_prompt_no_unfilled_placeholders():
-    import re
-
-    placeholders = re.findall(r"\{(\w+)\}", tp.PROMPT_TEMPLATE)
-    assert placeholders  # template really is parameterized
-    rendered = tp.format_prompt(_doc(title="x", abstract="y"), CLASSES)
-    for ph in placeholders:
-        assert "{" + ph + "}" not in rendered
-
-
 # --- stub provider -----------------------------------------------------------
 
 
 def test_stub_ranks_verbatim_class_first():
     d = _doc(title="A survey", abstract="advances in machine learning for graphs")
-    rec = tp.stub_llm_provider(d, CLASSES, seed=0)
+    rec = tp.stub_llm_provider(d, CLASSES)
     assert rec.predictions[0] == CLASSES.index("machine learning")
     assert "machine" in rec.explanation
 
 
 def test_stub_tie_break_is_class_index_order():
     d = _doc(title="zzz", abstract="qqq www")
-    rec = tp.stub_llm_provider(d, CLASSES, seed=0)
+    rec = tp.stub_llm_provider(d, CLASSES)
     assert rec.predictions == list(range(5))
 
 
@@ -64,7 +39,7 @@ def test_stub_perfect_when_class_name_embedded():
     for i in range(50):
         cls = int(rng.integers(0, len(CLASSES)))
         d = _doc(i, title=f"note {i}", abstract=f"a paper about {CLASSES[cls]} methods")
-        rec = tp.stub_llm_provider(d, CLASSES, seed=0)
+        rec = tp.stub_llm_provider(d, CLASSES)
         hits += rec.predictions[0] == cls
     assert hits == 50
 
@@ -73,7 +48,7 @@ def test_stub_perfect_when_class_name_embedded():
 
 
 def test_encode_empty_text_zero_vector():
-    v = tp.encode_text("", 64, seed=0)
+    v = tp.encode_texts([""], 64, seed=0)[0]
     assert np.array_equal(v, np.zeros(64))
 
 
@@ -81,14 +56,14 @@ def test_encode_text_unit_norm():
     rng = np.random.default_rng(1)
     for i in range(20):
         words = " ".join(f"w{int(rng.integers(0, 50))}" for _ in range(int(rng.integers(1, 30))))
-        v = tp.encode_text(words, 128, seed=3)
+        v = tp.encode_texts([words], 128, seed=3)[0]
         assert abs(np.linalg.norm(v) - 1.0) < 1e-9
 
 
 def test_encode_text_deterministic_and_seed_sensitive():
-    a = tp.encode_text("graph transformers", 64, seed=1)
-    b = tp.encode_text("graph transformers", 64, seed=1)
-    c = tp.encode_text("graph transformers", 64, seed=2)
+    a = tp.encode_texts(["graph transformers"], 64, seed=1)[0]
+    b = tp.encode_texts(["graph transformers"], 64, seed=1)[0]
+    c = tp.encode_texts(["graph transformers"], 64, seed=2)[0]
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -105,7 +80,7 @@ def test_encode_text_similarity_ordering():
         t0 = " ".join(base_words)
         t1 = t0 + " " + " ".join(suffix)
         t2 = " ".join(disjoint)
-        e0, e1, e2 = (tp.encode_text(x, 256, seed=5) for x in (t0, t1, t2))
+        e0, e1, e2 = (tp.encode_texts([x], 256, seed=5)[0] for x in (t0, t1, t2))
         wins += float(e0 @ e1) > float(e0 @ e2)
     assert wins == trials
 
@@ -125,11 +100,11 @@ ORACLE_TEXTS = [
 @pytest.mark.parametrize("seed", [0, 1, -1, 2**40])
 def test_encode_text_bit_exact_against_per_token_oracle(dim, seed):
     for text in ORACLE_TEXTS:
-        got = tp.encode_text(text, dim, seed)
+        got = tp.encode_texts([text], dim, seed)[0]
         assert got.shape == (dim,)
         assert got.tobytes() == oracle_encode_text(text, dim, seed).tobytes(), text
     # all texts in one pass: the shared vocabulary must not leak between rows
-    rows = tp._encode_texts(ORACLE_TEXTS, dim, seed)
+    rows = tp.encode_texts(ORACLE_TEXTS, dim, seed)
     expect = np.stack([oracle_encode_text(t, dim, seed) for t in ORACLE_TEXTS])
     assert rows.tobytes() == expect.tobytes()
 
@@ -158,7 +133,8 @@ def test_tokenize_matches_regex_oracle_on_random_unicode():
                 parts.append(chr(rng.integers(0x80, 0x110000)))  # any code point, surrogates too
         text = "".join(parts)
         assert tp.tokenize(text) == oracle_tokenize(text), repr(text)
-        assert tp.encode_text(text, 8, 3).tobytes() == oracle_encode_text(text, 8, 3).tobytes()
+        got = tp.encode_texts([text], 8, 3)[0]
+        assert got.tobytes() == oracle_encode_text(text, 8, 3).tobytes()
 
 
 def test_tokenize_tricky_characters():
@@ -168,8 +144,8 @@ def test_tokenize_tricky_characters():
 
 
 def test_encode_text_rejects_empty_dim():
-    with pytest.raises(ValueError, match="encode_text: dim must be >= 1"):
-        tp.encode_text("graph", 0)
+    with pytest.raises(ValueError, match="encode_texts: dim must be >= 1"):
+        tp.encode_texts(["graph"], 0, 0)
 
 
 # --- prediction encoding -----------------------------------------------------
@@ -177,7 +153,7 @@ def test_encode_text_rejects_empty_dim():
 
 def test_single_prediction_one_hot():
     rec = LlmRecord(0, [3], "")
-    v = tp.encode_predictions(rec, 5, top_k=5)
+    v = tp.encode_predictions([rec], 5, top_k=5)[0]
     expect = np.zeros(5)
     expect[3] = 1.0
     assert np.array_equal(v, expect)
@@ -185,7 +161,7 @@ def test_single_prediction_one_hot():
 
 def test_two_predictions_rank_weights():
     rec = LlmRecord(0, [3, 1], "")
-    v = tp.encode_predictions(rec, 5, top_k=2)
+    v = tp.encode_predictions([rec], 5, top_k=2)[0]
     assert v[3] == pytest.approx(2.0 / 3.0)
     assert v[1] == pytest.approx(1.0 / 3.0)
     assert v.sum() == pytest.approx(1.0)
@@ -198,10 +174,10 @@ def test_prediction_rows_sum_one_or_zero():
         m = int(rng.integers(0, c + 1))
         preds = rng.permutation(c)[:m].tolist()
         rec = LlmRecord(0, preds, "")
-        v = tp.encode_predictions(rec, c, top_k=int(rng.integers(1, 8)))
+        v = tp.encode_predictions([rec], c, top_k=int(rng.integers(1, 8)))[0]
         s = v.sum()
         assert s == pytest.approx(1.0) or s == 0.0
-    assert tp.encode_predictions(None, 4, 3).sum() == 0.0
+    assert tp.encode_predictions([None], 4, 3)[0].sum() == 0.0
 
 
 # --- llm cache file ----------------------------------------------------------
@@ -266,7 +242,7 @@ def test_null_explanation_reads_as_absent(tmp_path):
     assert recs[0].explanation == recs[1].explanation == ""
     docs = [_doc(0), _doc(1)]
     b = tp.build_bundle(docs, recs, np.zeros((2, 1)), num_classes=5, text_dim=16)
-    assert b.h_expl[0].tobytes() == b.h_expl[1].tobytes() == np.zeros(16).tobytes()
+    assert b["expl"][0].tobytes() == b["expl"][1].tobytes() == np.zeros(16).tobytes()
 
 
 def test_llm_cache_generator_roundtrip(tmp_path):
@@ -333,7 +309,7 @@ def test_load_node_documents_null_label_and_abstract(tmp_path):
     assert docs[0] == NodeDocument(0, "graph nets", "", None, 2015)
     assert docs[1] == NodeDocument(1, "graph nets", "", None, 2015)
     b = tp.build_bundle(docs, {}, np.zeros((2, 1)), num_classes=2, text_dim=32)
-    assert b.h_text[0].tobytes() == b.h_text[1].tobytes()
+    assert b["text"][0].tobytes() == b["text"][1].tobytes()
     p.write_text('{"id": 0, "title": null, "year": 2015}\n')
     with pytest.raises(tp.DataError, match="empty title"):
         tp.load_node_documents(p)
@@ -378,7 +354,7 @@ def _tiny_corpus(n=6):
         _doc(i, title=f"paper {i}", abstract=f"about {CLASSES[i % 5]}", label=i % 5, year=2015 + i % 5)
         for i in range(n)
     ]
-    records = {d.id: tp.stub_llm_provider(d, CLASSES, 0) for d in docs if d.id != 2}
+    records = {d.id: tp.stub_llm_provider(d, CLASSES) for d in docs if d.id != 2}
     ogb = np.random.default_rng(0).standard_normal((n, 8))
     return docs, records, ogb
 
@@ -386,18 +362,18 @@ def _tiny_corpus(n=6):
 def test_bundle_missing_record_zero_rows():
     docs, records, ogb = _tiny_corpus()
     b = tp.build_bundle(docs, records, ogb, num_classes=5, text_dim=32)
-    assert np.array_equal(b.h_expl[2], np.zeros(32))
-    assert np.array_equal(b.h_pred[2], np.zeros(5))
-    assert np.linalg.norm(b.h_text[2]) > 0
+    assert np.array_equal(b["expl"][2], np.zeros(32))
+    assert np.array_equal(b["pred"][2], np.zeros(5))
+    assert np.linalg.norm(b["text"][2]) > 0
 
 
 def test_bundle_shapes_and_rows():
     docs, records, ogb = _tiny_corpus()
     b = tp.build_bundle(docs, records, ogb, num_classes=5, text_dim=32)
-    assert b.h_text.shape == (6, 32)
-    assert b.h_expl.shape == (6, 32)
-    assert b.h_pred.shape == (6, 5)
-    assert b.h_ogb.shape == (6, 8)
+    assert b["text"].shape == (6, 32)
+    assert b["expl"].shape == (6, 32)
+    assert b["pred"].shape == (6, 5)
+    assert b["ogb"].shape == (6, 8)
 
 
 def test_bundle_deterministic():
@@ -405,7 +381,7 @@ def test_bundle_deterministic():
     b1 = tp.build_bundle(docs, records, ogb, num_classes=5, text_dim=32, seed=9)
     b2 = tp.build_bundle(docs, records, ogb, num_classes=5, text_dim=32, seed=9)
     for s in tp.SOURCES:
-        assert b1.source(s).tobytes() == b2.source(s).tobytes()
+        assert b1[s].tobytes() == b2[s].tobytes()
 
 
 def test_bundle_local_degradation():
@@ -414,11 +390,11 @@ def test_bundle_local_degradation():
     changed = dict(records)
     changed[3] = LlmRecord(3, [0], "different words entirely")
     b2 = tp.build_bundle(docs, changed, ogb, num_classes=5, text_dim=32)
-    assert not np.array_equal(full.h_expl[3], b2.h_expl[3])
+    assert not np.array_equal(full["expl"][3], b2["expl"][3])
     mask = np.ones(6, dtype=bool)
     mask[3] = False
-    assert np.array_equal(full.h_expl[mask], b2.h_expl[mask])
-    assert np.array_equal(full.h_text, b2.h_text)
+    assert np.array_equal(full["expl"][mask], b2["expl"][mask])
+    assert np.array_equal(full["text"], b2["text"])
 
 
 def test_bundle_bit_exact_against_per_node_oracle():
@@ -433,18 +409,18 @@ def test_bundle_bit_exact_against_per_node_oracle():
         rec = records.get(doc.id)
         if rec is not None:
             h_expl[i] = oracle_encode_text(rec.explanation, 16, 7)
-            h_pred[i] = tp.encode_predictions(rec, 5, 3)
-    assert b.h_text.tobytes() == h_text.tobytes()
-    assert b.h_expl.tobytes() == h_expl.tobytes()
-    assert b.h_pred.tobytes() == h_pred.tobytes()
-    assert b.h_ogb.tobytes() == ogb.tobytes()
+            h_pred[i] = tp.encode_predictions([rec], 5, 3)[0]
+    assert b["text"].tobytes() == h_text.tobytes()
+    assert b["expl"].tobytes() == h_expl.tobytes()
+    assert b["pred"].tobytes() == h_pred.tobytes()
+    assert b["ogb"].tobytes() == ogb.tobytes()
 
 
 def test_bundle_override_and_errors():
     docs, records, ogb = _tiny_corpus()
     pre = np.full((6, 10), 0.5)
     b = tp.build_bundle(docs, records, ogb, num_classes=5, text_dim=32, overrides={"expl": pre})
-    assert b.h_expl.shape == (6, 10)
+    assert b["expl"].shape == (6, 10)
     with pytest.raises(tp.DataError, match="rows"):
         tp.build_bundle(docs, records, ogb[:3], num_classes=5, text_dim=32)
     with pytest.raises(tp.DataError, match="unknown embedding source"):

@@ -9,7 +9,7 @@ from tapeformer import model as gm
 from tapeformer import training as tr
 from tapeformer.autodiff import Tensor
 from tapeformer.fusion import FusionConfig
-from tapeformer.text import DataError, EmbeddingBundle
+from tapeformer.text import DataError
 
 from helpers import random_edge_list
 
@@ -267,12 +267,12 @@ def test_train_leaves_model_at_best_checkpoint():
 def _mini_graph_data(seed=0, n=24, c=3):
     rng = np.random.default_rng(seed)
     g = gr.from_edge_list(random_edge_list(rng, n, 0.15), n)
-    bundle = EmbeddingBundle(
-        h_expl=rng.standard_normal((n, 5)),
-        h_pred=rng.standard_normal((n, c)),
-        h_text=rng.standard_normal((n, 5)),
-        h_ogb=rng.standard_normal((n, 4)),
-    )
+    bundle = {
+        "expl": rng.standard_normal((n, 5)),
+        "pred": rng.standard_normal((n, c)),
+        "text": rng.standard_normal((n, 5)),
+        "ogb": rng.standard_normal((n, 4)),
+    }
     labels = rng.integers(0, c, size=n)
     data = types.SimpleNamespace(graph=g, bundle=bundle, labels=labels)
     split = tr.TemporalSplit(train_ids=np.arange(16), val_ids=np.arange(16, 20),
