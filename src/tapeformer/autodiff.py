@@ -52,7 +52,6 @@ __all__ = [
     "softmax_mix",
     "cross_entropy",
     "tsum",
-    "dropout",
     "save_parameters",
     "load_parameters",
 ]
@@ -447,16 +446,6 @@ def tsum(x: Tensor) -> Tensor:
     op's output to a scalar with ``tsum(mul(y, r))`` to check gradients."""
     return _make("sum", np.asarray(x.data.sum()),
                  [(x, lambda g: np.full_like(x.data, float(g)))])
-
-
-def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout with an explicit generator (no-op at rate 0)."""
-    if rate <= 0.0:
-        return x
-    if not 0.0 < rate < 1.0:
-        raise ShapeError(f"dropout: rate must be in [0, 1), got {rate}")
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return _make("dropout", x.data * mask, [(x, lambda g: g * mask)])
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,8 @@ from .evaluation import (
     score,
 )
 from .graph import GraphConstructionError
-from .model import GraphormerParams, build_model
+from .fusion import check_sources
+from .model import GraphormerParams, build_model, check_kind
 from .structural import clustering_coefficients
 from .synthetic import SyntheticParams, generate, write_synthetic_files
 from .text import SOURCES, DataError, EncodingParams, load_feature_matrix
@@ -86,6 +87,11 @@ class DataConfig(EncodingParams):
 class ModelConfig(GraphormerParams):
     kind: str = "graphormer"  # or "mlp" (fused features, no structure)
     sources: list[str] = field(default_factory=lambda: list(SOURCES))
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_kind(self.kind)
+        check_sources(self.sources)
 
 
 @dataclass

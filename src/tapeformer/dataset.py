@@ -5,8 +5,8 @@ once; the artifact stores the graph's CSR arrays, labels, years, class
 names and the embedding bundle, each source ``s`` as the array
 ``h_<s>``. Serialization is canonical (sorted JSON meta, fixed array
 order), so preparing the same inputs twice yields byte-identical files
-and the same content hash. Loading checks the bundle with the same
-``check_bundle`` that ``build_bundle`` runs.
+and the same content hash. Loading checks the class names and the
+bundle with the same rules that ``prepare`` applies.
 """
 from __future__ import annotations
 
@@ -79,9 +79,7 @@ def prepare(
     overrides: dict[str, np.ndarray] | None = None,
 ) -> PreparedDataset:
     """Ingest the four input files and build the dataset in memory."""
-    repeated = sorted({c for c in class_names if class_names.count(c) > 1})
-    if repeated:
-        raise DataError(f"class names {repeated} given more than once")
+    _check_class_names(class_names)
     t0 = time.perf_counter()
     docs = load_node_documents(node_docs_path)
     n = len(docs)
@@ -124,6 +122,17 @@ def prepare(
     return PreparedDataset(class_names=class_names, labels=labels, years=years,
                            graph=graph, bundle=bundle, text_dim=text_dim,
                            pred_top_k=pred_top_k, seed=seed)
+
+
+def _check_class_names(names: list) -> None:
+    """Class names are distinct strings; a DataError names the first
+    entry that is not a string, or the names given twice."""
+    odd = [c for c in names if not isinstance(c, str)]
+    if odd:
+        raise DataError(f"class name {odd[0]!r} is not a string")
+    repeated = sorted({c for c in names if names.count(c) > 1})
+    if repeated:
+        raise DataError(f"class names {repeated} given more than once")
 
 
 def _arrays_of(ds: PreparedDataset) -> list[tuple[str, np.ndarray]]:
@@ -224,6 +233,7 @@ def load_dataset(path) -> PreparedDataset:
     )
     bundle = {s: arrays[name] for s, name in _SOURCE_ARRAYS.items()}
     try:
+        _check_class_names(meta["class_names"])
         check_bundle(bundle, graph.num_nodes)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
@@ -242,10 +252,11 @@ def load_dataset(path) -> PreparedDataset:
 
 
 def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """The invariants save_dataset's input holds, the bundle's aside
-    (``check_bundle`` states those): the meta keys, array shapes that
-    agree with the node and edge counts, CSR adjacency with sorted
-    in-range targets, and labels in [-1, num_classes)."""
+    """The invariants save_dataset's input holds, the class names' and
+    the bundle's aside (``_check_class_names`` and ``check_bundle`` state
+    those): the meta keys, array shapes that agree with the node and
+    edge counts, CSR adjacency with sorted in-range targets, and labels
+    in [-1, num_classes)."""
     counts = ("num_nodes", "num_edges", "text_dim", "pred_top_k", "seed",
               "self_loops_dropped", "duplicates_dropped")
     if not isinstance(meta, dict):

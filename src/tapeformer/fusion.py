@@ -16,7 +16,19 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .text import SOURCES
 
-__all__ = ["FusionConfig", "FusionLayer"]
+__all__ = ["FusionConfig", "FusionLayer", "check_sources"]
+
+
+def check_sources(sources) -> None:
+    """A fusion's sources: at least one, each in ``SOURCES``, none twice."""
+    if not sources:
+        raise ValueError("at least one source must be active")
+    unknown = [s for s in sources if s not in SOURCES]
+    if unknown:
+        raise ValueError(f"unknown sources {unknown}; valid: {list(SOURCES)}")
+    repeated = sorted({s for s in sources if sources.count(s) > 1})
+    if repeated:
+        raise ValueError(f"sources {repeated} given more than once")
 
 
 @dataclass
@@ -27,14 +39,7 @@ class FusionConfig:
 
     def __post_init__(self):
         self.active = tuple(self.active)
-        if not self.active:
-            raise ValueError("fusion: at least one source must be active")
-        unknown = [s for s in self.active if s not in SOURCES]
-        if unknown:
-            raise ValueError(f"fusion: unknown sources {unknown}; valid: {list(SOURCES)}")
-        repeated = sorted({s for s in self.active if self.active.count(s) > 1})
-        if repeated:
-            raise ValueError(f"fusion: sources {repeated} given more than once")
+        check_sources(self.active)
         missing = [s for s in self.active if s not in self.source_dims]
         if missing:
             raise ValueError(f"fusion: no dimension given for sources {missing}")
@@ -58,10 +63,10 @@ class FusionLayer:
         self.score_m = Tensor(xavier_init(rng, d, d), requires_grad=True)
         self.score_w = Tensor(xavier_init(rng, d, 1), requires_grad=True)
 
-    def parameters(self, prefix: str = "fusion") -> dict[str, Tensor]:
-        out = {f"{prefix}.proj.{s}": p for s, p in self.proj.items()}
-        out[f"{prefix}.score_m"] = self.score_m
-        out[f"{prefix}.score_w"] = self.score_w
+    def parameters(self) -> dict[str, Tensor]:
+        out = {f"fusion.proj.{s}": p for s, p in self.proj.items()}
+        out["fusion.score_m"] = self.score_m
+        out["fusion.score_w"] = self.score_w
         return out
 
     def fuse(self, rows: dict[str, np.ndarray | Tensor],

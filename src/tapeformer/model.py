@@ -14,6 +14,8 @@ gradients reach the edge weight tables without bespoke ops. Subgraphs
 are sampled, encoded and run as padded stacks: every layer works on
 (B*k, d) activations and all heads of all subgraphs attend at once, in
 fused engine ops: ``layer_norm``, ``linear`` and one ``attention``.
+A forward is one call in training and in prediction: nothing in it is
+random, and whether it records on the tape is ``autodiff.no_grad``'s call.
 """
 from __future__ import annotations
 
@@ -39,6 +41,7 @@ __all__ = [
     "GraphormerModel",
     "FusedMlp",
     "build_model",
+    "check_kind",
     "input_embedding",
     "attention_bias",
     "multi_head_attention",
@@ -58,8 +61,6 @@ class GraphormerParams:
     max_degree_bucket: int = 64
     ego_hops: int = 2
     ego_max_nodes: int = 32
-    dropout: float = 0.0
-    ln_eps: float = 1e-12
 
     def __post_init__(self):
         for name, low in (("num_layers", 0), ("num_heads", 1), ("d_model", 1), ("d_ffn", 1),
@@ -69,10 +70,6 @@ class GraphormerParams:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
-        if not self.ln_eps > 0.0:
-            raise ValueError(f"ln_eps must be > 0, got {self.ln_eps}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     def for_classes(self, num_classes: int) -> GraphormerConfig:
         """These hyperparameters as the model config for ``num_classes`` classes."""
@@ -365,15 +362,8 @@ class GraphormerModel:
 
     # -- forward ------------------------------------------------------------
 
-    def forward_fused(
-        self,
-        stack: SubgraphStack,
-        x: Tensor,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        capture: dict | None = None,
-        all_rows: bool = False,
-    ) -> Tensor:
+    def forward_fused(self, stack: SubgraphStack, x: Tensor, capture: dict | None = None,
+                      all_rows: bool = False) -> Tensor:
         """Logits of each subgraph's center row (B, C) from the fused
         (B*k, d) node features, or of every row (B*k, C) with ``all_rows``.
 
@@ -389,7 +379,6 @@ class GraphormerModel:
         h = input_embedding(x, stack.in_deg.reshape(-1), stack.out_deg.reshape(-1),
                             self.z_in, self.z_out, cfg.max_degree_bucket)
         bias = attention_bias(stack, self.spatial_table, self.edge_weight)
-        drop = cfg.dropout if train else 0.0
         last = len(self.layers) - 1
         if self.layers and not all_rows:
             # the last layer's center rows, pairs (c, 0..k-1) from flat pair c * k. Looked up
@@ -400,19 +389,15 @@ class GraphormerModel:
         for i, layer in enumerate(self.layers):
             queries = None if all_rows or i < last else center_rows
             a = multi_head_attention(
-                ad.layer_norm(h, layer["ln1_g"], layer["ln1_b"], cfg.ln_eps),
+                ad.layer_norm(h, layer["ln1_g"], layer["ln1_b"]),
                 bias if queries is None else center_bias, key_mask, layer, cfg.num_heads,
                 queries=queries, capture=capture,
             )
             if queries is not None:
                 h = ad.embedding_lookup(h, queries)
-            if drop > 0.0:
-                a = ad.dropout(a, drop, rng)
             h = ad.add(h, a)
-            z = ad.layer_norm(h, layer["ln2_g"], layer["ln2_b"], cfg.ln_eps)
+            z = ad.layer_norm(h, layer["ln2_g"], layer["ln2_b"])
             z = ad.linear(ad.relu(ad.linear(z, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
-            if drop > 0.0:
-                z = ad.dropout(z, drop, rng)
             h = ad.add(h, z)
         if not self.layers and not all_rows:
             h = ad.embedding_lookup(h, center_rows)
@@ -429,12 +414,11 @@ class GraphormerModel:
         fused = self.fusion.fuse({s: bundle[s][union] for s in self.fusion.cfg.active})
         return ad.embedding_lookup(fused, rows.reshape(-1))
 
-    def forward(self, stack: SubgraphStack, bundle, train: bool = False,
-                rng: np.random.Generator | None = None, capture: dict | None = None) -> Tensor:
+    def forward(self, stack: SubgraphStack, bundle, capture: dict | None = None) -> Tensor:
         """(B*k, C) logits of every row of ``stack``, padding rows included;
         ``capture["attention"]`` gets one (B, H, k, k) array per layer."""
         x = self._fused_rows(stack, bundle)
-        return self.forward_fused(stack, x, train=train, rng=rng, capture=capture, all_rows=True)
+        return self.forward_fused(stack, x, capture=capture, all_rows=True)
 
     # -- batching -----------------------------------------------------------
 
@@ -461,14 +445,7 @@ class GraphormerModel:
             for c, batch in zip(part, build_batch(g, subs, self.cfg).split()):
                 self._batch_cache[(c, seed)] = batch
 
-    def logits_for_centers(
-        self,
-        data,
-        centers,
-        seed: int,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
+    def logits_for_centers(self, data, centers, seed: int) -> Tensor:
         """(B, C) center-node logits from one padded forward over the
         centers' cached subgraphs; the ones not cached yet are built first."""
         centers = [int(c) for c in centers]
@@ -476,7 +453,7 @@ class GraphormerModel:
             raise ValueError("logits_for_centers got an empty center list")
         self.build_centers(data, centers, seed)
         stack = stack_batches(data.graph, [self.batch_for(c, seed) for c in centers])
-        return self.forward_fused(stack, self._fused_rows(stack, data.bundle), train=train, rng=rng)
+        return self.forward_fused(stack, self._fused_rows(stack, data.bundle))
 
 
 class FusedMlp:
@@ -489,7 +466,6 @@ class FusedMlp:
     def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int = 0):
         if fusion_cfg.d_model != cfg.d_model:
             raise ValueError("fusion and model widths disagree")
-        self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.fusion = FusionLayer(fusion_cfg, rng)
         d, f = cfg.d_model, cfg.d_ffn
@@ -509,23 +485,26 @@ class FusedMlp:
     def build_centers(self, data, centers, seed: int) -> None:
         """Nothing to build: the baseline reads no subgraphs."""
 
-    def logits_for_centers(self, data, centers, seed: int = 0, train: bool = False,
-                           rng: np.random.Generator | None = None) -> Tensor:
+    def logits_for_centers(self, data, centers, seed: int) -> Tensor:
         idx = np.asarray(centers, dtype=np.int64)
         rows = {s: data.bundle[s][idx] for s in self.fusion.cfg.active}
-        x = self.fusion.fuse(rows)
-        h = ad.relu(ad.linear(x, self.w1, self.b1))
-        if train and self.cfg.dropout > 0.0:
-            h = ad.dropout(h, self.cfg.dropout, rng)
+        h = ad.relu(ad.linear(self.fusion.fuse(rows), self.w1, self.b1))
         return ad.linear(h, self.w2, self.b2)
+
+
+_KINDS = {"graphormer": GraphormerModel, "mlp": FusedMlp}
+
+
+def check_kind(kind: str) -> None:
+    """``kind`` names a model ``build_model`` builds."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r}; use {' or '.join(_KINDS)}")
 
 
 def build_model(cfg: GraphormerConfig, kind: str, sources, source_dims: dict[str, int],
                 seed: int):
     """The graph transformer (``kind="graphormer"``) or the structure-free
     baseline (``"mlp"``) over the fusion of ``sources``."""
-    classes = {"graphormer": GraphormerModel, "mlp": FusedMlp}
-    if kind not in classes:
-        raise ValueError(f"unknown model kind {kind!r}; use graphormer or mlp")
+    check_kind(kind)
     fusion_cfg = FusionConfig(d_model=cfg.d_model, source_dims=source_dims, active=sources)
-    return classes[kind](cfg, fusion_cfg, seed=seed)
+    return _KINDS[kind](cfg, fusion_cfg, seed=seed)

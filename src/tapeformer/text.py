@@ -369,7 +369,7 @@ def save_feature_matrix(path, matrix: np.ndarray) -> None:
 
 
 def load_feature_matrix(path) -> np.ndarray:
-    """Read a feature matrix: binary (magic-tagged) or CSV with `n,d` header."""
+    """Read a finite feature matrix: binary (magic-tagged) or CSV with `n,d` header."""
     with open(path, "rb") as f:
         if f.read(len(_FMAT_MAGIC)) == _FMAT_MAGIC:
             r = Reader(f, DataError(f"{path}: truncated feature matrix"))
@@ -377,6 +377,9 @@ def load_feature_matrix(path) -> np.ndarray:
             m = r.array((n, d), "<f8")
             if r.left:  # e.g. a column count too small, which would shift every row
                 raise DataError(f"{path}: {r.left} bytes after the ({n}, {d}) feature matrix")
+            bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+            if len(bad):
+                raise DataError(f"{path}: row {bad[0]} has a non-finite value")
             return m
     # CSV fallback: first non-comment line is `rows,cols`
     header = None
@@ -395,9 +398,12 @@ def load_feature_matrix(path) -> np.ndarray:
             header = n, d
             continue
         try:
-            data.append(np.asarray([float(x) for x in line.split(",")], dtype=np.float64))
+            row = np.asarray([float(x) for x in line.split(",")], dtype=np.float64)
         except ValueError:
             raise DataError(f"{path}:{ln}: non-numeric matrix entry") from None
+        if not np.isfinite(row).all():
+            raise DataError(f"{path}:{ln}: non-finite matrix entry")
+        data.append(row)
     if header is None:
         raise DataError(f"{path}: empty feature matrix file")
     if len(data) != n or any(row.size != d for row in data):

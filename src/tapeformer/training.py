@@ -1,8 +1,11 @@
 """Loss, optimizer, schedule, temporal split, and the training loop.
 
-Training iterates over seeded shuffles of the training centers. The
-loss, label-smoothed cross-entropy, is one engine op. Each optimizer
-step accumulates gradients over ``grad_accum_steps`` micro-batches (each
+Training iterates over seeded shuffles of the training centers; the
+seeded generator does nothing else. A training forward is the same
+``logits_for_centers`` call as a prediction forward, recorded because it
+runs outside ``autodiff.no_grad``. The loss, label-smoothed
+cross-entropy, is one engine op. Each optimizer step accumulates
+gradients over ``grad_accum_steps`` micro-batches (each
 micro-batch loss is scaled by the accumulation count, so accumulation
 reproduces the equivalent large batch exactly), then applies Adam at the
 warmup/decay learning rate. Micro-batches and prediction chunks run with
@@ -277,8 +280,8 @@ def _grad_norms(params: dict[str, Tensor], top: int = 5) -> str:
     return ", ".join(f"{k}={n:.3e}" for n, k in norms[:top])
 
 
-def _micro_batch_loss(model, data, centers, cfg: TrainConfig, rng) -> Tensor:
-    logits = model.logits_for_centers(data, centers, seed=cfg.seed, train=True, rng=rng)
+def _micro_batch_loss(model, data, centers, cfg: TrainConfig) -> Tensor:
+    logits = model.logits_for_centers(data, centers, seed=cfg.seed)
     return smoothed_cross_entropy(logits, data.labels[centers], cfg.label_smoothing)
 
 
@@ -328,14 +331,12 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                 pos += micro
                 if len(centers) == 0:
                     break
-                replay = rng.bit_generator.state
                 # per-op finite checks are off in the hot path; a non-finite
                 # loss replays the micro-batch with them on to find the op
                 with ad.finite_checks(False):
-                    loss = _micro_batch_loss(model, data, centers, cfg, rng)
+                    loss = _micro_batch_loss(model, data, centers, cfg)
                 if not np.isfinite(loss.data):
-                    rng.bit_generator.state = replay
-                    why = _first_non_finite_op(lambda: _micro_batch_loss(model, data, centers, cfg, rng))
+                    why = _first_non_finite_op(lambda: _micro_batch_loss(model, data, centers, cfg))
                     raise TrainingDiverged(
                         f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}; "
                         f"largest grad norms: {_grad_norms(params)}"

@@ -462,7 +462,7 @@ def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
     dh = cfg.d_model // heads
     for layer in model.layers:
         p = {name: t.data for name, t in layer.items()}
-        z = _ln_affine(h, p["ln1_g"], p["ln1_b"], cfg.ln_eps)
+        z = _ln_affine(h, p["ln1_g"], p["ln1_b"], 1e-12)
         q, kk, v = (z @ p["w" + n] + p["b" + n] for n in "qkv")
         outs = []
         for hd in range(heads):
@@ -470,7 +470,7 @@ def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
             s = (q[:, cols] @ kk[:, cols].T) * (1.0 / np.sqrt(dh)) + bias[:, hd].reshape(k, k)
             outs.append(_softmax_rows(s) @ v[:, cols])
         h = h + (np.concatenate(outs, axis=1) @ p["wo"] + p["bo"])
-        z = _ln_affine(h, p["ln2_g"], p["ln2_b"], cfg.ln_eps)
+        z = _ln_affine(h, p["ln2_g"], p["ln2_b"], 1e-12)
         h = h + (np.maximum(z @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"])
     return h @ model.head_w.data + model.head_b.data
 

@@ -427,13 +427,6 @@ def test_every_op_has_a_criterion_1_probe():
     assert probed - ops == set(), "probes naming no op"
 
 
-def test_grad_dropout_fixed_mask():
-    rng = np.random.default_rng(20)
-    x = _p(rng, 6, 6)
-    r = Tensor(rng.standard_normal((6, 6)))
-    _fd(lambda: ad.tsum(ad.mul(ad.dropout(x, 0.4, np.random.default_rng(7)), r)), [x])
-
-
 def test_grad_three_layer_mlp():
     rng = np.random.default_rng(21)
     w1, b1 = _p(rng, 6, 8), _p(rng, 8)

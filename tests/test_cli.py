@@ -99,15 +99,33 @@ def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     assert named in err and "internal error" not in err
 
 
-def test_config_file_with_removed_key_is_exit_2(workdir, tmp_path, capsys):
-    """``model.d_edge_feature`` is gone (edge features are always
-    ``EDGE_FEATURE_DIM`` wide): a config that still sets it is refused."""
+@pytest.mark.parametrize("setting, named", [
+    ("model.kind=bogus", "model: unknown model kind 'bogus'; use graphormer or mlp"),
+    ("model.sources=[]", "model: at least one source must be active"),
+    ('model.sources=["expl","expl"]', "model: sources ['expl'] given more than once"),
+    ('model.sources=["bogus"]', "model: unknown sources ['bogus']"),
+])
+def test_model_kind_and_sources_are_checked_at_load(workdir, capsys, setting, named):
+    """``inspect`` builds no model, yet a bad kind or source list is exit 2."""
+    rc = main(["inspect", "--config", _cfg_path(workdir), "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert named in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("key, value", [("d_edge_feature", 3), ("dropout", 0.0),
+                                        ("ln_eps", 1e-12)])
+def test_config_file_with_removed_key_is_exit_2(workdir, tmp_path, capsys, key, value):
+    """Removed model keys are refused, not ignored: ``d_edge_feature``
+    (edge features are always ``EDGE_FEATURE_DIM`` wide), ``dropout``
+    (the model has none) and ``ln_eps`` (layer norm always uses 1e-12).
+    Every config an older ``gen-synthetic`` wrote sets the last two."""
     cfg = json.loads(Path(_cfg_path(workdir)).read_text())
-    cfg["model"]["d_edge_feature"] = 3
+    cfg["model"][key] = value
     p = tmp_path / "old.json"
     p.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(p)]) == 2
-    assert "unknown config key(s) ['model.d_edge_feature']" in capsys.readouterr().err
+    assert f"unknown config key(s) ['model.{key}']" in capsys.readouterr().err
 
 
 def test_readme_lists_every_model_and_train_field():
@@ -134,18 +152,18 @@ def test_overrides_coerce_to_declared_types(workdir, tmp_path):
 
 
 def test_resolved_config_loads_back_equal(workdir, tmp_path):
-    sets = ["train.epochs=6", "train.warmup_steps=3", "model.kind=mlp", "model.dropout=0.25",
-            f"paths.out_dir={tmp_path}", "seed=5"]
+    sets = ["train.epochs=6", "train.warmup_steps=3", "model.kind=mlp",
+            "train.label_smoothing=0.25", f"paths.out_dir={tmp_path}", "seed=5"]
     cfg = cli.apply_overrides(cli.load_config(_cfg_path(workdir)), sets)
     cli.save_config(cfg, tmp_path / "config.resolved.json")
     assert cli.load_config(tmp_path / "config.resolved.json") == cfg
 
 
 def test_set_reruns_range_checks_at_load(workdir):
-    for bad in ("model.num_heads=3", "model.max_degree_bucket=-1", "model.ln_eps=0",
-                "model.ego_hops=0", "model.ego_max_nodes=0", "model.num_heads=0",
-                "model.d_model=0", "model.d_ffn=0", "model.num_layers=-1", "train.base_lr=-1",
-                "train.base_lr=0", "train.warmup_steps=-5", "seed=-1"):
+    for bad in ("model.num_heads=3", "model.max_degree_bucket=-1", "model.ego_hops=0",
+                "model.ego_max_nodes=0", "model.num_heads=0", "model.d_model=0", "model.d_ffn=0",
+                "model.num_layers=-1", "train.base_lr=-1", "train.base_lr=0",
+                "train.warmup_steps=-5", "seed=-1"):
         section, _, name = bad.split("=")[0].rpartition(".")
         with pytest.raises(cli.ConfigError, match=f"{section or 'config'}: .*{name}"):
             cli.apply_overrides(cli.load_config(_cfg_path(workdir)), [bad])
@@ -164,10 +182,9 @@ def test_gen_synthetic_config_pins_format_and_defaults(tmp_path):
                                  "full"]},
         "data": {"class_names": ["field0", "field1", "field2", "field3"], "pred_top_k": 5,
                  "text_dim": 256},
-        "model": {"d_ffn": 128, "d_model": 64, "dropout": 0.0,
-                  "ego_hops": 2, "ego_max_nodes": 16, "kind": "graphormer", "ln_eps": 1e-12,
-                  "max_degree_bucket": 4, "max_spd": 5, "num_heads": 4, "num_layers": 2,
-                  "sources": ["expl", "pred", "text", "ogb"]},
+        "model": {"d_ffn": 128, "d_model": 64, "ego_hops": 2, "ego_max_nodes": 16,
+                  "kind": "graphormer", "max_degree_bucket": 4, "max_spd": 5, "num_heads": 4,
+                  "num_layers": 2, "sources": ["expl", "pred", "text", "ogb"]},
         "paths": {**paths, "out_dir": str(tmp_path), "override_expl": "", "override_ogb": "",
                   "override_pred": "", "override_text": ""},
         "seed": 0,
@@ -352,6 +369,29 @@ def test_prepare_refuses_a_repeated_class_name(workdir, tmp_path, capsys):
     assert not (tmp_path / "ds.bin").exists()
 
 
+@pytest.mark.parametrize("suffix", ["bin", "csv"])
+def test_prepare_names_the_feature_file_with_a_nan(workdir, tmp_path, capsys, suffix):
+    from tapeformer.text import load_feature_matrix, save_feature_matrix
+
+    feats = load_feature_matrix(workdir / "features.bin")
+    feats[5, 0] = np.nan
+    bad = tmp_path / f"feat.{suffix}"
+    if suffix == "bin":
+        save_feature_matrix(bad, feats)
+    else:
+        rows = "\n".join(",".join(map(repr, row.tolist())) for row in feats)
+        bad.write_text(f"{feats.shape[0]},{feats.shape[1]}\n{rows}\n")
+    for key in ("ogb_features", "override_expl"):
+        rc = main(["prepare", "--config", _cfg_path(workdir), "--set", f"paths.{key}={bad}",
+                   "--set", f"paths.out_dir={tmp_path}",
+                   "--set", f"paths.dataset={tmp_path / 'ds.bin'}"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        where = f"{bad}: row 5 has" if suffix == "bin" else f"{bad}:7: non-finite"
+        assert where in err and "internal error" not in err
+    assert not (tmp_path / "ds.bin").exists()
+
+
 def test_prepare_with_embedding_override(workdir, tmp_path):
     from tapeformer.dataset import load_dataset
     from tapeformer.text import save_feature_matrix
@@ -464,6 +504,12 @@ CORRUPT_ARTIFACTS = {
                     "labels must lie in [-1, 3)"),
     "sha256": (_flip_last_byte, "differs from"),
     "non-finite source": (_nan_in_pred, "ds.bin: source 'pred' has non-finite values"),
+    "repeated class name": (
+        lambda s, d: _rewrite_meta(s, d, lambda m: m.update(class_names=["a", "a", "c"])),
+        "ds.bin: class names ['a'] given more than once"),
+    "null class name": (
+        lambda s, d: _rewrite_meta(s, d, lambda m: m.update(class_names=["a", None, "c"])),
+        "ds.bin: class name None is not a string"),
     "trailing bytes": (lambda s, d: d.write_bytes(s.read_bytes() + b"\0"),
                        "trailing bytes after the last array"),
 }

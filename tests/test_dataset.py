@@ -41,6 +41,26 @@ def test_prepare_refuses_a_repeated_class_name(corpus, tmp_path):
         dsm.prepare(missing, missing, missing, missing, names)
 
 
+@pytest.mark.parametrize("names, named", [
+    (["field0", "field0", "field2"], r"class names \['field0'\] given more than once"),
+    ([1, 2, 3], "class name 1 is not a string"),
+    (["a", None, "c"], "class name None is not a string"),
+])
+def test_class_names_must_be_distinct_strings(corpus, tmp_path, names, named):
+    """One rule for ``prepare``'s class names and an artifact's: a list of
+    distinct strings. An artifact breaking it is refused by path."""
+    data, paths = corpus
+    missing = tmp_path / "absent.jsonl"
+    with pytest.raises(DataError, match=named):
+        dsm.prepare(missing, missing, missing, missing, names)
+    ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"], None,
+                     data.class_names, text_dim=8)
+    ds.class_names = names
+    dsm.save_dataset(ds, tmp_path / "ds.bin")
+    with pytest.raises(DataError, match=rf"ds.bin: {named}"):
+        dsm.load_dataset(tmp_path / "ds.bin")
+
+
 def test_override_must_be_a_matrix_per_node(corpus):
     """A 1-D override is refused by name instead of making an artifact
     that ``load_dataset`` refuses; a float32 one is stored as float64."""

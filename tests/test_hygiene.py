@@ -1,12 +1,21 @@
 """Static checks on the package source, standard library only: every
-imported name is used, every ``__all__`` entry is defined, and every
-function parameter is read."""
+imported name is used, every ``__all__`` entry is defined, every
+function parameter is read, and the README gives every config field's
+default."""
 import ast
+import dataclasses
+import json
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "tapeformer"
+from tapeformer.model import GraphormerParams
+from tapeformer.text import EncodingParams
+from tapeformer.training import SplitParams, TrainParams
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "tapeformer"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -107,3 +116,13 @@ def test_every_parameter_is_read(path):
     unread = [f"{path.name}: {fn}({p})" for fn, p in _unread_parameters(_parse(path))
               if (fn, p) not in SHARED_INTERFACE]
     assert not unread, f"parameters never read: {unread}"
+
+
+@pytest.mark.parametrize("params", [GraphormerParams, TrainParams, EncodingParams, SplitParams],
+                         ids=lambda cls: cls.__name__)
+def test_readme_gives_every_config_default(params):
+    """Each field reads `name` (<its default as JSON> somewhere in the README."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    missing = [f"`{f.name}` ({json.dumps(f.default)}" for f in dataclasses.fields(params)
+               if not re.search(rf"`{f.name}`\s*\({re.escape(json.dumps(f.default))}", readme)]
+    assert not missing, f"README.md does not give these defaults: {missing}"

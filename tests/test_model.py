@@ -861,7 +861,7 @@ def test_tape_ops_per_step_independent_of_batch_and_heads():
             for size in (1, 4, 8):
                 centers = rng.permutation(24)[:size]
                 ad.tape_clear()
-                logits = model.logits_for_centers(data, centers, seed=0, train=True)
+                logits = model.logits_for_centers(data, centers, seed=0)
                 smoothed_cross_entropy(logits, rng.integers(0, 3, size=size), 0.1)
                 ops.add(ad.tape_size())
         assert ops == {want}, layers

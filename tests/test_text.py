@@ -451,6 +451,23 @@ def test_feature_matrix_csv(tmp_path):
         tp.load_feature_matrix(bad)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_matrix_binary_refuses_non_finite(tmp_path, bad):
+    m = np.ones((4, 3))
+    m[2, 1] = bad
+    tp.save_feature_matrix(tmp_path / "feat.bin", m)
+    with pytest.raises(tp.DataError, match=r"feat.bin: row 2 has a non-finite value"):
+        tp.load_feature_matrix(tmp_path / "feat.bin")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_feature_matrix_csv_refuses_non_finite(tmp_path, bad):
+    p = tmp_path / "feat.csv"
+    p.write_text(f"# rows,cols\n2,2\n1.0,2.0\n3.0,{bad}\n")
+    with pytest.raises(tp.DataError, match=r"feat.csv:4: non-finite matrix entry"):
+        tp.load_feature_matrix(p)
+
+
 @pytest.mark.parametrize("header", ["0,-1", "-1,0", "-2,3"])
 def test_feature_matrix_csv_negative_dimension(tmp_path, header):
     p = tmp_path / "feat.csv"

@@ -212,7 +212,7 @@ class _ScalarStubModel:
     def build_centers(self, data, centers, seed):
         pass
 
-    def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
+    def logits_for_centers(self, data, centers, seed):
         b = len(centers)
         col = ad.matmul(Tensor(np.ones((b, 1))), self.w)
         return ad.matmul(col, Tensor(np.array([[1.0, 0.0]])))
@@ -331,14 +331,14 @@ def test_micro_batches_run_without_finite_checks():
     seen = []
 
     class Recording(_ScalarStubModel):
-        def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
-            seen.append((train, ad._state.check_finite))
-            return super().logits_for_centers(data, centers, seed, train, rng)
+        def logits_for_centers(self, data, centers, seed):
+            seen.append((ad._state.recording, ad._state.check_finite))
+            return super().logits_for_centers(data, centers, seed)
 
     cfg = tr.TrainConfig(epochs=1, base_lr=0.01, batch_size=4, early_stop_patience=1, seed=0)
     tr.train(Recording(w0=0.5), data, split, cfg)
-    assert {checks for train, checks in seen if train} == {False}
-    assert {checks for train, checks in seen if not train} == {False}  # validation too
+    assert {checks for recording, checks in seen if recording} == {False}
+    assert {checks for recording, checks in seen if not recording} == {False}  # validation too
     assert ad._state.check_finite is True  # restored after training
 
 
@@ -348,9 +348,9 @@ def test_predict_replays_a_non_finite_chunk_with_checks_on():
     seen = []
 
     class Recording(_ScalarStubModel):
-        def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
+        def logits_for_centers(self, data, centers, seed):
             seen.append(ad._state.check_finite)
-            return super().logits_for_centers(data, centers, seed, train, rng)
+            return super().logits_for_centers(data, centers, seed)
 
     assert tr.predict(Recording(w0=0.5), data, split.val_ids, seed=0, chunk=3).tolist() == [0] * 4
     assert seen == [False, False]
@@ -367,9 +367,9 @@ def test_divergence_aborts_with_diagnostics():
     data, split = _stub_data()
 
     class ExplodingModel(_ScalarStubModel):
-        def logits_for_centers(self, data, centers, seed=0, train=False, rng=None):
+        def logits_for_centers(self, data, centers, seed):
             self.w.data *= 1e200  # force overflow in the loss path
-            return super().logits_for_centers(data, centers, seed, train, rng)
+            return super().logits_for_centers(data, centers, seed)
 
     model = ExplodingModel(w0=1e200)
     cfg = tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=4, early_stop_patience=2, seed=0)
@@ -390,9 +390,9 @@ def _record_builds_and_forwards(monkeypatch, model):
         events.append(("build", len(out.sizes)))
         return out
 
-    def recording_forward(data, centers, seed, train=False, rng=None):
-        events.append(("step" if train else "chunk", len(centers)))
-        return forward(data, centers, seed, train=train, rng=rng)
+    def recording_forward(data, centers, seed):
+        events.append(("step" if ad._state.recording else "chunk", len(centers)))
+        return forward(data, centers, seed)
 
     def recording_predict(*args, **kwargs):
         events.append(("predict", 0))
