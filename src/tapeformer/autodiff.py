@@ -300,7 +300,8 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
         # a bincount over flat (row, col) slots adds in the same order as
         # np.add.at, several times faster
         flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
-        return np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols).reshape(rows, cols)
+        return np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols).reshape(
+            rows, cols).astype(table.data.dtype, copy=False)
 
     return _make("embedding_lookup", table.data[idx], [(table, bw)])
 

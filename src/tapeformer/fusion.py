@@ -73,7 +73,8 @@ class FusionLayer:
              return_weights: bool = False):
         """Mix one matrix of rows per active source into (n, d_model).
 
-        ``rows[s]`` is (n, source_dims[s]). Returns the fused Tensor,
+        ``rows[s]`` is (n, source_dims[s]); an array enters the tape in the
+        parameters' dtype. Returns the fused Tensor,
         plus the (n, num_active) softmax weights when requested (a
         Tensor off the tape).
         """
@@ -81,7 +82,7 @@ class FusionLayer:
         scores = []
         for s in self.cfg.active:
             h = rows[s]
-            h = h if isinstance(h, Tensor) else Tensor(h)
+            h = h if isinstance(h, Tensor) else Tensor(h, dtype=self.score_w.data.dtype)
             u = ad.matmul(h, self.proj[s])
             projected.append(u)
             scores.append(ad.matmul(ad.tanh(ad.matmul(u, self.score_m)), self.score_w))

@@ -61,6 +61,7 @@ class GraphormerParams:
     max_degree_bucket: int = 64
     ego_hops: int = 2
     ego_max_nodes: int = 32
+    dtype: str = "float64"  # of every parameter and every array on the tape
 
     def __post_init__(self):
         for name, low in (("num_layers", 0), ("num_heads", 1), ("d_model", 1), ("d_ffn", 1),
@@ -70,6 +71,8 @@ class GraphormerParams:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.d_model % self.num_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
+        if self.dtype not in ("float64", "float32"):
+            raise ValueError(f"dtype must be 'float64' or 'float32', got {self.dtype!r}")
 
     def for_classes(self, num_classes: int) -> GraphormerConfig:
         """These hyperparameters as the model config for ``num_classes`` classes."""
@@ -92,13 +95,14 @@ class GraphormerConfig(GraphormerParams):
         return self.max_spd + 2
 
 
-def _path_coeffs(table: np.ndarray, index: np.ndarray, cap: int) -> np.ndarray:
-    """(..., k, k, cap * EDGE_FEATURE_DIM): position p holds row t of ``table``
-    divided by N where ``index[..., p]`` is t * cap + N - 1, so that
-    ``path_coeffs @ edge_weight`` is the averaged edge term of each pair."""
+def _path_coeffs(table: np.ndarray, index: np.ndarray, cap: int, dtype=np.float64) -> np.ndarray:
+    """(..., k, k, cap * EDGE_FEATURE_DIM) of ``dtype``: position p holds row t
+    of ``table`` divided by N where ``index[..., p]`` is t * cap + N - 1, so
+    that ``path_coeffs @ edge_weight`` is the averaged edge term of each pair."""
     # one copy of each row per path length N, divided by N: a true division,
     # not a product with 1/N, so the coefficients are the quotient bit for bit
-    scaled = table[:, None, :] / np.arange(1, cap + 1, dtype=np.float64)[:, None]
+    scaled = (table[:, None, :] / np.arange(1, cap + 1, dtype=np.float64)[:, None]).astype(
+        dtype, copy=False)
     out = np.take(scaled.reshape(-1, table.shape[1]), index, axis=0)
     return out.reshape(*index.shape[:-1], -1)
 
@@ -140,7 +144,7 @@ class SubgraphStack:
 
     @cached_property
     def path_coeffs(self) -> np.ndarray:
-        """(B, k, k, max_spd * EDGE_FEATURE_DIM) averaged path features."""
+        """(B, k, k, max_spd * EDGE_FEATURE_DIM) averaged path features, float64."""
         return _path_coeffs(self.edge_table, self.path_index, self.spd.cap)
 
     def split(self) -> list[SubgraphBatch]:
@@ -248,9 +252,10 @@ def attention_bias(stack: SubgraphStack, spatial_table: Tensor, edge_weight: Ten
     plus its edge term; the diagonal hits the distance-0 bucket with a
     zero edge term, unreachable pairs hit the dedicated last bucket.
     """
-    coeffs = stack.path_coeffs
+    dtype = edge_weight.data.dtype
+    coeffs = _path_coeffs(stack.edge_table, stack.path_index, stack.spd.cap, dtype)
     sp = ad.embedding_lookup(spatial_table, stack.spd_buckets.reshape(-1))
-    ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1])), edge_weight)
+    ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1]), dtype=dtype), edge_weight)
     return ad.add(sp, ce)
 
 
@@ -284,6 +289,7 @@ def multi_head_attention(
 
 
 def _load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None:
+    """Copy ``state`` into ``params`` in their dtypes, refusing a value beyond one."""
     missing = sorted(set(params) - set(state))
     extra = sorted(set(state) - set(params))
     if missing or extra:
@@ -294,7 +300,18 @@ def _load_state(params: dict[str, Tensor], state: dict[str, np.ndarray]) -> None
                 f"checkpoint parameter {name!r} has shape {state[name].shape}, "
                 f"model expects {tensor.data.shape}"
             )
-        tensor.data = state[name].astype(np.float64)
+        with np.errstate(over="ignore"):
+            value = state[name].astype(tensor.data.dtype)
+        if not np.isfinite(value).all():
+            raise ValueError(f"checkpoint parameter {name!r} has values beyond the "
+                             f"model's {value.dtype} range")
+        tensor.data = value
+
+
+def _cast(params: dict[str, Tensor], dtype: str) -> None:
+    """Round each parameter, drawn in float64, to the model's ``dtype`` once."""
+    for tensor in params.values():
+        tensor.data = tensor.data.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +357,7 @@ class GraphormerModel:
             })
         self.head_w = Tensor(xavier_init(rng, d, cfg.num_classes), requires_grad=True)
         self.head_b = Tensor(np.zeros(cfg.num_classes), requires_grad=True)
+        _cast(self.parameters(), cfg.dtype)
         self._batch_cache: dict[tuple[int, int], SubgraphBatch] = {}
 
     # -- parameters ---------------------------------------------------------
@@ -473,6 +491,7 @@ class FusedMlp:
         self.b1 = Tensor(np.zeros(f), requires_grad=True)
         self.w2 = Tensor(xavier_init(rng, f, cfg.num_classes), requires_grad=True)
         self.b2 = Tensor(np.zeros(cfg.num_classes), requires_grad=True)
+        _cast(self.parameters(), cfg.dtype)
 
     def parameters(self) -> dict[str, Tensor]:
         out = self.fusion.parameters()

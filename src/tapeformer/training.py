@@ -137,7 +137,7 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float)
         raise ValueError(f"labels shape {labels.shape} does not match logits {logits.shape}")
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"label out of range [0, {c})")
-    targets = np.full((n, c), smoothing / c, dtype=np.float64)
+    targets = np.full((n, c), smoothing / c, dtype=logits.data.dtype)
     targets[np.arange(n), labels] += 1.0 - smoothing
     return ad.cross_entropy(logits, targets)
 
@@ -158,7 +158,8 @@ class Adam:
         self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
-        rows = np.empty((2, max((t.data.size for t in params.values()), default=0)))
+        data = [t.data for t in params.values()]  # scratch rows in the parameters' dtype
+        rows = np.empty((2, max((a.size for a in data), default=0)), np.result_type(np.float32, *data))
         # per parameter, two views of the shared rows in its shape
         self._scratch = {k: [row[: t.data.size].reshape(t.data.shape) for row in rows]
                          for k, t in params.items()}

@@ -19,6 +19,7 @@ from tapeformer import model as gm
 from tapeformer import structural as st
 from tapeformer import training as tr
 from tapeformer.autodiff import Tensor
+from tapeformer.cli import load_config
 from tapeformer.cli import main as cli_main
 from tapeformer.dataset import load_dataset, prepare
 from tapeformer.fusion import FusionConfig
@@ -57,8 +58,6 @@ def bench(tmp_path_factory):
 
 
 def _train_variant(bench_dir, kind, sources, seed=0, dataset_path=None):
-    from tapeformer.cli import load_config
-
     cfg = load_config(bench_dir / "config.json")
     ds = load_dataset(dataset_path or bench_dir / "dataset.bin")
     split = tr.make_temporal_split(ds.years, ds.labels, **dataclasses.asdict(cfg.split))
@@ -413,5 +412,7 @@ def test_criterion_10_reproducibility(bench, tmp_path):
         assert rc == 0
         runs.append((Path(d, "history.csv").read_bytes(), Path(d, "checkpoint.bin").read_bytes()))
     same = runs[0][0] == runs[1][0] and runs[0][1] == runs[1][1]
-    _report(10, "bit-reproducible runs", same,
-            f"history {len(runs[0][0])} bytes and checkpoint {len(runs[0][1])} bytes identical")
+    dtype = load_config(bench / "config.json").model.dtype
+    _report(10, "bit-reproducible runs", same and dtype == "float32",
+            f"{dtype} quick start: history {len(runs[0][0])} bytes and checkpoint "
+            f"{len(runs[0][1])} bytes identical")

@@ -104,9 +104,11 @@ def test_bad_set_value_is_exit_2(workdir, capsys, setting, named):
     ("model.sources=[]", "model: at least one source must be active"),
     ('model.sources=["expl","expl"]', "model: sources ['expl'] given more than once"),
     ('model.sources=["bogus"]', "model: unknown sources ['bogus']"),
+    ("model.dtype=float16", "model: dtype must be 'float64' or 'float32', got 'float16'"),
+    ("model.dtype=Float32", "model: dtype must be 'float64' or 'float32', got 'Float32'"),
 ])
 def test_model_kind_and_sources_are_checked_at_load(workdir, capsys, setting, named):
-    """``inspect`` builds no model, yet a bad kind or source list is exit 2."""
+    """``inspect`` builds no model, yet a bad kind, source list or dtype is exit 2."""
     rc = main(["inspect", "--config", _cfg_path(workdir), "--set", setting])
     assert rc == 2
     err = capsys.readouterr().err
@@ -126,6 +128,15 @@ def test_config_file_with_removed_key_is_exit_2(workdir, tmp_path, capsys, key, 
     p.write_text(json.dumps(cfg))
     assert main(["train", "--config", str(p)]) == 2
     assert f"unknown config key(s) ['model.{key}']" in capsys.readouterr().err
+
+
+def test_config_without_dtype_loads_as_float64(workdir, tmp_path):
+    """Every config an older ``gen-synthetic`` wrote has no ``model.dtype``."""
+    cfg = json.loads(Path(_cfg_path(workdir)).read_text())
+    assert cfg["model"].pop("dtype") == "float32"
+    p = tmp_path / "old.json"
+    p.write_text(json.dumps(cfg))
+    assert cli.load_config(p).model.dtype == "float64"
 
 
 def test_readme_lists_every_model_and_train_field():
@@ -182,7 +193,8 @@ def test_gen_synthetic_config_pins_format_and_defaults(tmp_path):
                                  "full"]},
         "data": {"class_names": ["field0", "field1", "field2", "field3"], "pred_top_k": 5,
                  "text_dim": 256},
-        "model": {"d_ffn": 128, "d_model": 64, "ego_hops": 2, "ego_max_nodes": 16,
+        "model": {"d_ffn": 128, "d_model": 64, "dtype": "float32", "ego_hops": 2,
+                  "ego_max_nodes": 16,
                   "kind": "graphormer", "max_degree_bucket": 4, "max_spd": 5, "num_heads": 4,
                   "num_layers": 2, "sources": ["expl", "pred", "text", "ogb"]},
         "paths": {**paths, "out_dir": str(tmp_path), "override_expl": "", "override_ogb": "",
@@ -587,6 +599,7 @@ def test_eval_shape_incompatible_checkpoint(trained, capsys):
     ("trailing", "trailing bytes after parameter"),
     ("non-finite", "'head.w' has non-finite values"),
     ("size field", "truncated checkpoint file"),
+    ("beyond float32", "'head.w' has values beyond the model's float32 range"),
 ])
 def test_eval_corrupt_checkpoint_is_exit_2(trained, tmp_path, capsys, corruption, cause):
     bad = tmp_path / "checkpoint.bin"
@@ -598,9 +611,9 @@ def test_eval_corrupt_checkpoint_is_exit_2(trained, tmp_path, capsys, corruption
         at = 12 + name_len + 4  # the first parameter's first dimension
         raw[at:at + 8] = (2**64 - 1).to_bytes(8, "little")
         bad.write_bytes(bytes(raw))
-    else:
+    else:  # the quick start's model is float32: 1e300 is finite on disk only
         state = ad.load_parameters(trained / "checkpoint.bin")
-        state["head.w"][0, 0] = np.nan
+        state["head.w"][0, 0] = np.nan if corruption == "non-finite" else 1e300
         ad.save_parameters(bad, state)
     rc = main(["eval", "--config", _cfg_path(trained), "--checkpoint", str(bad),
                "--split", "val", "--set", f"paths.out_dir={tmp_path}",

@@ -889,6 +889,79 @@ def test_state_roundtrip_and_shape_error(tmp_path):
         clone.load_state(bad)
 
 
+def _labelled_case(seed):
+    rng = np.random.default_rng(seed)
+    g = gr.from_edge_list(random_edge_list(rng, 20, 0.12), 24)
+    return rng, types.SimpleNamespace(graph=g, bundle=random_bundle(rng, 24),
+                                      labels=rng.integers(0, 3, size=24))
+
+
+@pytest.mark.parametrize("kind", ["graphormer", "mlp"])
+def test_float32_model_is_the_float64_model_rounded(kind):
+    """The same draws, each parameter rounded to float32 once; the float32
+    logits agree with the float64 ones to 1e-4 relative."""
+    rng, data = _labelled_case(40)
+    models = [gm.build_model(tiny_config(dtype=dtype), kind, tuple(DIMS), DIMS, seed=40)
+              for dtype in ("float64", "float32")]
+    p64, p32 = (m.parameters() for m in models)
+    for name, t in p64.items():
+        assert t.data.dtype == np.float64, name
+        assert p32[name].data.tobytes() == t.data.astype(np.float32).tobytes(), name
+    if kind == "graphormer":  # zero at init: make the bias count
+        for name in ("spatial.bias", "edge.weight"):
+            values = rng.standard_normal(p64[name].shape)
+            p64[name].data[...] = values
+            p32[name].data[...] = values
+    want, got = (m.logits_for_centers(data, np.arange(24), seed=0).data for m in models)
+    assert (want.dtype, got.dtype) == (np.float64, np.float32)
+    assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+
+
+def test_float32_state_roundtrips_bit_exact_through_a_checkpoint(tmp_path):
+    """Checkpoints are float64 on disk: widening and narrowing back are exact."""
+    cfg = tiny_config(dtype="float32")
+    params = gm.GraphormerModel(cfg, fusion_config(), seed=10).parameters()
+    rng = np.random.default_rng(0)
+    for t in params.values():  # off the rounded float64 draws
+        t.data += rng.standard_normal(t.shape).astype(np.float32)
+    ad.save_parameters(tmp_path / "m.bin", params)
+    state = ad.load_parameters(tmp_path / "m.bin")
+    assert {a.dtype for a in state.values()} == {np.dtype(np.float64)}
+    clone = gm.GraphormerModel(cfg, fusion_config(), seed=11)
+    clone.load_state(state)
+    for name, t in clone.parameters().items():
+        assert t.data.dtype == np.float32 and t.data.tobytes() == params[name].data.tobytes()
+
+
+def test_float64_trained_checkpoint_loads_into_a_float32_model(tmp_path):
+    from tapeformer import training as tr
+
+    _, data = _labelled_case(41)
+    split = tr.TemporalSplit(train_ids=np.arange(16), val_ids=np.arange(16, 20),
+                             test_ids=np.arange(20, 24))
+    trained = gm.GraphormerModel(tiny_config(), fusion_config(), seed=41)
+    tr.train(trained, data, split, tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=8))
+    ad.save_parameters(tmp_path / "m.bin", trained.parameters())
+    model = gm.GraphormerModel(tiny_config(dtype="float32"), fusion_config(), seed=0)
+    model.load_state(ad.load_parameters(tmp_path / "m.bin"))
+    for name, t in trained.parameters().items():
+        assert model.parameters()[name].data.tobytes() == t.data.astype(np.float32).tobytes()
+    want, got = (m.logits_for_centers(data, split.test_ids, seed=0).data for m in (trained, model))
+    assert np.max(np.abs(got - want)) <= 1e-4 * np.max(np.abs(want))
+
+
+def test_float32_model_refuses_a_value_beyond_its_range():
+    """1e300 is a finite float64, so the checkpoint format holds it, but it
+    would narrow to inf: the float32 model refuses it, naming the parameter."""
+    state = {name: t.data.copy() for name, t in
+             gm.GraphormerModel(tiny_config(), fusion_config(), seed=0).parameters().items()}
+    state["head.w"][0, 0] = 1e300
+    gm.GraphormerModel(tiny_config(), fusion_config(), seed=1).load_state(state)
+    model = gm.GraphormerModel(tiny_config(dtype="float32"), fusion_config(), seed=1)
+    with pytest.raises(ValueError, match=r"'head.w' has values beyond the model's float32 range"):
+        model.load_state(state)
+
+
 def test_mlp_model_shapes_and_gradients():
     rng = np.random.default_rng(16)
     n = 12

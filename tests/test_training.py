@@ -315,6 +315,50 @@ def test_training_reproducible_bitwise():
         assert a.best_state[k].tobytes() == b.best_state[k].tobytes()
 
 
+# the model config gen-synthetic writes, but for its dtype
+DESK = dict(num_layers=2, num_heads=4, d_model=64, d_ffn=128, max_degree_bucket=4,
+            ego_max_nodes=16)
+
+
+@pytest.mark.parametrize("kind", ["graphormer", "mlp"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_training_step_stays_in_the_model_dtype(monkeypatch, kind, dtype):
+    """One optimizer step over two micro-batches and the validation
+    predict after it: every op output, every leaf gradient, Adam's moments
+    and scratch rows and the logits are of the model's dtype."""
+    data, split = _mini_graph_data()
+    cfg = gm.GraphormerParams(dtype=dtype, **DESK).for_classes(3)
+    model = gm.build_model(cfg, kind, ("expl", "pred", "text", "ogb"),
+                           {"expl": 5, "pred": 3, "text": 5, "ogb": 4}, seed=0)
+    outputs, optimizers, make = [], [], ad._make
+
+    def spy(op_name, out, inputs):
+        outputs.append((op_name, out.dtype))
+        return make(op_name, out, inputs)
+
+    class SpyAdam(tr.Adam):
+        def __init__(self, params):
+            super().__init__(params)
+            optimizers.append(self)
+
+    monkeypatch.setattr(ad, "_make", spy)
+    monkeypatch.setattr(tr, "Adam", SpyAdam)
+    tcfg = tr.TrainConfig(epochs=1, batch_size=8, grad_accum_steps=2, seed=0)
+    tr.train(model, data, split, tcfg)  # 16 training centers: one step
+    (opt,) = optimizers
+    assert opt.t == 1
+    ops = {name for name, _ in outputs}
+    assert {"cross_entropy", "mul_scalar", "softmax_mix", "linear"} <= ops
+    assert kind == "mlp" or {"attention", "layer_norm", "embedding_lookup"} <= ops
+    assert [(n, d) for n, d in outputs if d != dtype] == []
+    params = model.parameters()
+    assert {name: t.grad.dtype for name, t in params.items()} == dict.fromkeys(params, dtype)
+    arrays = [*opt.m.values(), *opt.v.values(), *(a for pair in opt._scratch.values() for a in pair)]
+    assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+    with ad.no_grad():
+        assert model.logits_for_centers(data, split.test_ids, seed=0).data.dtype == dtype
+
+
 def test_history_csv_roundtrip(tmp_path):
     rows = [tr.HistoryRow(1, 2, 0.5, 0.25, 1e-3), tr.HistoryRow(2, 4, 0.25, 0.5, 5e-4)]
     p = tmp_path / "history.csv"
