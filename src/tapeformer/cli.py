@@ -274,7 +274,6 @@ def cmd_gen_synthetic(args) -> int:
     cfg.model.d_ffn = 128
     cfg.model.ego_max_nodes = 16
     cfg.model.max_degree_bucket = 4
-    cfg.model.dtype = "float32"
     cfg.train.epochs = 40
     cfg.train.base_lr = 0.002
     cfg.train.batch_size = 8

@@ -61,7 +61,7 @@ class GraphormerParams:
     max_degree_bucket: int = 64
     ego_hops: int = 2
     ego_max_nodes: int = 32
-    dtype: str = "float64"  # of every parameter and every array on the tape
+    dtype: str = "float32"  # of every parameter and every array on the tape
 
     def __post_init__(self):
         for name, low in (("num_layers", 0), ("num_heads", 1), ("d_model", 1), ("d_ffn", 1),

@@ -54,24 +54,32 @@ def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
     """Compare analytic gradients with central differences.
 
     ``make_loss`` builds the graph from scratch and returns the scalar
-    loss Tensor. Each tensor in ``params`` gets its analytic gradient
-    checked entry-by-entry (all entries, or a seeded sample of
-    ``max_entries``). Returns the worst relative error seen. The error
-    measure is |analytic - numeric| / max(1, |analytic|).
+    loss Tensor. Each tensor in ``params`` (a list, or a dict such as
+    ``model.parameters()`` whose names then appear in failures) gets its
+    analytic gradient checked entry-by-entry (all entries, or a seeded
+    sample of ``max_entries``). Returns the worst relative error seen.
+    The error measure is |analytic - numeric| / max(1, |analytic|).
+    Every parameter must be float64: a float32 difference at h=1e-5 is
+    rounding noise.
 
     A difference whose +h and -h evaluations put some ReLU input on
     different sides of zero straddles the kink and measures nothing;
     that entry is taken again at h/100, and fails the check if it still
     straddles.
     """
+    named = params if isinstance(params, dict) else dict(enumerate(params))
+    for n, p in named.items():
+        assert p.data.dtype == np.float64, (
+            f"parameter {n!r} is {p.data.dtype}: finite differences need float64, so build "
+            f'the model with dtype="float64"')
     rng = np.random.default_rng(seed)
     ad.tape_clear()
-    for p in params:
+    for p in named.values():
         p.zero_grad()
     loss = make_loss()
     ad.backward(loss)
     worst = 0.0
-    for n, p in enumerate(params):
+    for n, p in named.items():
         assert p.grad is not None, "parameter did not receive a gradient"
         size = p.data.size
         if max_entries is not None and size > max_entries:
@@ -89,11 +97,12 @@ def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
             dv, kink = central_difference(f, flat, i, h)
             if kink is not None:
                 dv, kink = central_difference(f, flat, i, h / 100)
-                assert kink is None, (f"entry {i} of parameter {n} straddles a ReLU kink at "
+                assert kink is None, (f"entry {i} of parameter {n!r} straddles a ReLU kink at "
                                       f"h/100: smallest |pre-activation| {kink:.3g}")
             err = abs(ana[i] - dv) / max(1.0, abs(ana[i]))
             worst = max(worst, err)
-            assert err < rel_tol, f"grad mismatch at entry {i}: analytic={ana[i]}, numeric={dv}"
+            assert err < rel_tol, (f"grad mismatch at entry {i} of parameter {n!r}: "
+                                   f"analytic={ana[i]}, numeric={dv}")
     ad.tape_clear()
     return worst
 

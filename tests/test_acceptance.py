@@ -167,7 +167,7 @@ def test_criterion_01_gradient_correctness():
     # the full tiny model: L=2, H=2, d_model=16, k=8 nodes
     cfg = GraphormerConfig(num_classes=3, num_layers=2, num_heads=2, d_model=16,
                            d_ffn=16, max_spd=4, max_degree_bucket=8,
-                           ego_hops=2, ego_max_nodes=8)
+                           ego_hops=2, ego_max_nodes=8, dtype="float64")
     g = gr.from_edge_list(random_edge_list(np.random.default_rng(7), 12, 0.3), 12)
     sub = gr.sample_ego_subgraph(g, [0], hops=2, max_nodes=8, seed=0)
     batch = gm.build_batch(g, sub, cfg)
@@ -180,7 +180,7 @@ def test_criterion_01_gradient_correctness():
     def model_loss():
         return tr.smoothed_cross_entropy(model.forward(batch, bundle), labels, 0.1)
 
-    worst = max(worst, check_gradients(model_loss, list(model.parameters().values()),
+    worst = max(worst, check_gradients(model_loss, model.parameters(),
                                        h=1e-5, rel_tol=1e-4))
     elapsed = time.time() - t0
     _report(1, "gradient correctness", worst < 1e-4 and elapsed < 30.0,
@@ -283,7 +283,7 @@ def test_criterion_05_structural_invariance():
         g = gr.from_edge_list(random_edge_list(rng, n, 0.25), n)
         cfg = GraphormerConfig(num_classes=3, num_layers=2, num_heads=2, d_model=16,
                                d_ffn=16, max_spd=4, max_degree_bucket=8,
-                               ego_hops=2, ego_max_nodes=12)
+                               ego_hops=2, ego_max_nodes=12, dtype="float64")
         model = GraphormerModel(cfg, FusionConfig(d_model=16, source_dims=dims), seed=trial)
         bundle = {s: rng.standard_normal((n, k)) for s, k in dims.items()}
         sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=2, max_nodes=12,
@@ -319,7 +319,7 @@ def test_criterion_06_grad_accum_equivalence():
     for batch_size, accum in ((8, 2), (16, 1)):
         cfg = GraphormerConfig(num_classes=3, num_layers=1, num_heads=2, d_model=8,
                                d_ffn=8, max_spd=3, max_degree_bucket=8,
-                               ego_hops=1, ego_max_nodes=6)
+                               ego_hops=1, ego_max_nodes=6, dtype="float64")
         model = GraphormerModel(cfg, FusionConfig(d_model=8, source_dims=dims), seed=4)
         tcfg = tr.TrainConfig(epochs=1, base_lr=0.01, warmup_steps=0, batch_size=batch_size,
                               grad_accum_steps=accum, early_stop_patience=3, seed=11)

@@ -130,13 +130,14 @@ def test_config_file_with_removed_key_is_exit_2(workdir, tmp_path, capsys, key, 
     assert f"unknown config key(s) ['model.{key}']" in capsys.readouterr().err
 
 
-def test_config_without_dtype_loads_as_float64(workdir, tmp_path):
-    """Every config an older ``gen-synthetic`` wrote has no ``model.dtype``."""
+def test_config_without_dtype_loads_the_default(workdir, tmp_path):
+    """Every config an older ``gen-synthetic`` wrote has no ``model.dtype``:
+    it runs in the library default, float32."""
     cfg = json.loads(Path(_cfg_path(workdir)).read_text())
     assert cfg["model"].pop("dtype") == "float32"
     p = tmp_path / "old.json"
     p.write_text(json.dumps(cfg))
-    assert cli.load_config(p).model.dtype == "float64"
+    assert cli.load_config(p).model.dtype == cli.GraphormerParams.dtype == "float32"
 
 
 def test_readme_lists_every_model_and_train_field():

@@ -32,8 +32,10 @@ DIMS = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
 
 
 def tiny_config(**kw):
+    """float64 unless ``dtype`` says otherwise: the tests below hold the model
+    to finite differences and float64-tight bounds."""
     base = dict(num_classes=3, num_layers=2, num_heads=2, d_model=16, d_ffn=24,
-                max_spd=4, max_degree_bucket=8, ego_hops=2, ego_max_nodes=12)
+                max_spd=4, max_degree_bucket=8, ego_hops=2, ego_max_nodes=12, dtype="float64")
     base.update(kw)
     return gm.GraphormerConfig(**base)
 
@@ -703,7 +705,17 @@ def test_full_model_gradient_check():
     def loss():
         return smoothed_cross_entropy(model.forward(batch, bundle), labels, 0.1)
 
-    check_gradients(loss, list(model.parameters().values()), max_entries=12, seed=1)
+    check_gradients(loss, model.parameters(), max_entries=12, seed=1)
+
+
+def test_gradient_check_refuses_a_float32_model():
+    """A float32 central difference at h=1e-5 is rounding noise: the check
+    refuses before differencing, naming the parameter and the fix."""
+    model = gm.GraphormerModel(tiny_config(dtype="float32"), fusion_config(), seed=8)
+    with pytest.raises(AssertionError, match=r"parameter 'fusion.proj.expl' is float32: finite "
+                                             r"differences need float64, so build the model "
+                                             r'with dtype="float64"'):
+        check_gradients(lambda: pytest.fail("differenced a float32 model"), model.parameters())
 
 
 def test_overfit_tiny_subgraph():
@@ -845,7 +857,7 @@ def test_logits_for_centers_gradient_check(monkeypatch):
     loss()
     monkeypatch.undo()
     assert min(np.abs(x).min() for x in inputs) > 10 * 1e-5
-    check_gradients(loss, list(model.parameters().values()), h=1e-5, max_entries=8, seed=3)
+    check_gradients(loss, model.parameters(), h=1e-5, max_entries=8, seed=3)
 
 
 def test_tape_ops_per_step_independent_of_batch_and_heads():
@@ -939,7 +951,7 @@ def test_float64_trained_checkpoint_loads_into_a_float32_model(tmp_path):
     _, data = _labelled_case(41)
     split = tr.TemporalSplit(train_ids=np.arange(16), val_ids=np.arange(16, 20),
                              test_ids=np.arange(20, 24))
-    trained = gm.GraphormerModel(tiny_config(), fusion_config(), seed=41)
+    trained = gm.GraphormerModel(tiny_config(dtype="float64"), fusion_config(), seed=41)
     tr.train(trained, data, split, tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=8))
     ad.save_parameters(tmp_path / "m.bin", trained.parameters())
     model = gm.GraphormerModel(tiny_config(dtype="float32"), fusion_config(), seed=0)
@@ -953,10 +965,11 @@ def test_float64_trained_checkpoint_loads_into_a_float32_model(tmp_path):
 def test_float32_model_refuses_a_value_beyond_its_range():
     """1e300 is a finite float64, so the checkpoint format holds it, but it
     would narrow to inf: the float32 model refuses it, naming the parameter."""
+    f64 = tiny_config(dtype="float64")
     state = {name: t.data.copy() for name, t in
-             gm.GraphormerModel(tiny_config(), fusion_config(), seed=0).parameters().items()}
+             gm.GraphormerModel(f64, fusion_config(), seed=0).parameters().items()}
     state["head.w"][0, 0] = 1e300
-    gm.GraphormerModel(tiny_config(), fusion_config(), seed=1).load_state(state)
+    gm.GraphormerModel(f64, fusion_config(), seed=1).load_state(state)
     model = gm.GraphormerModel(tiny_config(dtype="float32"), fusion_config(), seed=1)
     with pytest.raises(ValueError, match=r"'head.w' has values beyond the model's float32 range"):
         model.load_state(state)
@@ -980,7 +993,7 @@ def test_mlp_model_shapes_and_gradients():
         return smoothed_cross_entropy(model.logits_for_centers(Data, np.arange(5), seed=0),
                                       Data.labels[:5], 0.1)
 
-    check_gradients(loss, list(model.parameters().values()), max_entries=10, seed=2)
+    check_gradients(loss, model.parameters(), max_entries=10, seed=2)
 
 
 # --- module surface ----------------------------------------------------------

@@ -325,7 +325,8 @@ DESK = dict(num_layers=2, num_heads=4, d_model=64, d_ffn=128, max_degree_bucket=
 def test_training_step_stays_in_the_model_dtype(monkeypatch, kind, dtype):
     """One optimizer step over two micro-batches and the validation
     predict after it: every op output, every leaf gradient, Adam's moments
-    and scratch rows and the logits are of the model's dtype."""
+    and scratch rows, the logits and the fusion weights are of the model's
+    dtype."""
     data, split = _mini_graph_data()
     cfg = gm.GraphormerParams(dtype=dtype, **DESK).for_classes(3)
     model = gm.build_model(cfg, kind, ("expl", "pred", "text", "ogb"),
@@ -355,8 +356,11 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, kind, dtype):
     assert {name: t.grad.dtype for name, t in params.items()} == dict.fromkeys(params, dtype)
     arrays = [*opt.m.values(), *opt.v.values(), *(a for pair in opt._scratch.values() for a in pair)]
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
+    rows = {s: data.bundle[s][split.test_ids] for s in model.fusion.cfg.active}
     with ad.no_grad():
         assert model.logits_for_centers(data, split.test_ids, seed=0).data.dtype == dtype
+        fused, weights = model.fusion.fuse(rows, return_weights=True)
+    assert (fused.data.dtype, weights.data.dtype) == (dtype, dtype)
 
 
 def test_history_csv_roundtrip(tmp_path):
