@@ -3,10 +3,11 @@ ablation, synthetic-benchmark generation, and dataset inspection.
 
 One JSON config file drives every command; ``--set section.field=value``
 flags override individual fields (flags win). The commands that read
-the prepared dataset load it and split it in one place, ``_load_run``;
-metrics come from ``evaluation.score``. Every run writes the fully
-resolved config next to its outputs, through the same ``save_config``
-that writes ``gen-synthetic``'s config, so results stay reproducible.
+the prepared dataset load it, in the model's dtype, and split it in one
+place, ``_load_run``; metrics come from ``evaluation.score``. Every run
+writes the fully resolved config next to its outputs, through the same
+``save_config`` that writes ``gen-synthetic``'s config, so results stay
+reproducible.
 Exit codes: 0 success, 1 runtime failure, 2 invalid input or config.
 """
 from __future__ import annotations
@@ -229,12 +230,13 @@ def _dataset_path(cfg: RunConfig, out_dir: Path) -> Path:
 
 
 def _load_run(cfg: RunConfig):
-    """The output directory, the prepared dataset and its temporal split."""
+    """The output directory, the prepared dataset with its bundle in the
+    model's dtype, and its temporal split."""
     out_dir = resolve_out_dir(cfg)
     path = _dataset_path(cfg, out_dir)
     if not path.exists():
         raise DataError(f"prepared dataset not found: {path}; run `prepare` first")
-    ds = load_dataset(path)
+    ds = load_dataset(path, cfg.model.dtype)
     return out_dir, ds, make_temporal_split(ds.years, ds.labels, **dataclasses.asdict(cfg.split))
 
 

@@ -22,12 +22,13 @@ import numpy as np
 
 from .binfile import Reader, payload
 from .graph import DirectedGraph, load_edge_list
+from .model import GraphormerParams
 from .text import (
     SOURCES,
     DataError,
     EncodingParams,
     build_bundle,
-    check_bundle,
+    check_source,
     load_feature_matrix,
     load_llm_records,
     load_node_documents,
@@ -41,7 +42,7 @@ _MAGIC = b"TAPEDS01"
 _U64 = struct.Struct("<Q")
 _DTYPES = {0: np.float64, 1: np.int64}
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
-_SOURCE_ARRAYS = {s: f"h_{s}" for s in SOURCES}  # the artifact's array of each source
+_SOURCE_OF = {f"h_{s}": s for s in SOURCES}  # the source each bundle array of the artifact holds
 
 
 @dataclass
@@ -50,7 +51,8 @@ class PreparedDataset:
     labels: np.ndarray  # int64, -1 where unlabeled
     years: np.ndarray
     graph: DirectedGraph
-    bundle: dict[str, np.ndarray]  # SOURCES -> (n, d) float64, see text.check_bundle
+    # SOURCES -> (n, d): float64 from prepare (see text.check_bundle), the model dtype once loaded
+    bundle: dict[str, np.ndarray]
     text_dim: int
     pred_top_k: int
     seed: int
@@ -144,7 +146,7 @@ def _arrays_of(ds: PreparedDataset) -> list[tuple[str, np.ndarray]]:
         ("out_targets", g.out_targets),
         ("in_offsets", g.in_offsets),
         ("in_targets", g.in_targets),
-        *((name, ds.bundle[s]) for s, name in _SOURCE_ARRAYS.items()),
+        *((name, ds.bundle[s]) for name, s in _SOURCE_OF.items()),
     ]
 
 
@@ -152,6 +154,8 @@ def save_dataset(ds: PreparedDataset, path) -> str:
     """Write the artifact; returns (and writes alongside) its sha256 hash.
 
     Array payloads are hashed and written from the arrays' own buffers.
+    The artifact holds float64 and int64 arrays only: a bundle loaded in
+    another dtype is refused by name, not rounded back to float64.
     """
     meta = {
         "class_names": ds.class_names,
@@ -168,6 +172,10 @@ def save_dataset(ds: PreparedDataset, path) -> str:
     parts = [_MAGIC, _U64.pack(len(meta_raw)), meta_raw, _U64.pack(len(arrays))]
     for name, arr in arrays:
         arr = np.ascontiguousarray(arr)
+        if arr.dtype not in _DTYPE_CODES:
+            raise ValueError(f"cannot save array {name!r} of dtype {arr.dtype}: the artifact "
+                             f"holds float64 and int64 arrays; load the dataset with "
+                             f'load_dataset(..., dtype="float64") to save it again')
         raw = name.encode("utf-8")
         parts += [_U64.pack(len(raw)), raw, struct.pack("<B", _DTYPE_CODES[arr.dtype]),
                   _U64.pack(arr.ndim), *map(_U64.pack, arr.shape), payload(arr)]
@@ -186,12 +194,18 @@ def save_dataset(ds: PreparedDataset, path) -> str:
     return hexhash
 
 
-def load_dataset(path) -> PreparedDataset:
+def load_dataset(path, dtype: str = GraphormerParams.dtype) -> PreparedDataset:
     """Read and validate an artifact; any inconsistency is a DataError.
 
     Each array is read straight into its final buffer and hashed there.
+    Each embedding source is read as the float64 it is stored as,
+    checked as ``prepare`` checks it, and cast to ``dtype`` (by default
+    the model's) before the next array is read, so the float64 bundle is
+    never held whole. A finite value beyond ``dtype``'s range is a
+    DataError naming the source.
     """
     t0 = time.perf_counter()
+    sources_s = 0.0  # checking and casting the sources, inside the read
     digest = hashlib.sha256()
     with open(path, "rb") as f:
         r = Reader(f, DataError(f"{path}: truncated dataset artifact"), digest)
@@ -203,6 +217,7 @@ def load_dataset(path) -> PreparedDataset:
             meta = json.loads(meta)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: artifact meta is not JSON: {e}") from None
+        _check_meta(path, meta)
         (count,) = _U64.unpack(r.take(8))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):
@@ -214,6 +229,11 @@ def load_dataset(path) -> PreparedDataset:
             (rank,) = _U64.unpack(r.take(8))
             shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(rank))
             arrays[name] = r.array(shape, _DTYPES[code])
+            if name in _SOURCE_OF:
+                ts = time.perf_counter()
+                arrays[name] = _cast_source(path, _SOURCE_OF[name], arrays[name],
+                                            meta["num_nodes"], dtype)
+                sources_s += time.perf_counter() - ts
         if r.left:
             raise DataError(f"{path}: trailing bytes after the last array")
     t1 = time.perf_counter()
@@ -231,14 +251,10 @@ def load_dataset(path) -> PreparedDataset:
         self_loops_dropped=meta["self_loops_dropped"],
         duplicates_dropped=meta["duplicates_dropped"],
     )
-    bundle = {s: arrays[name] for s, name in _SOURCE_ARRAYS.items()}
-    try:
-        _check_class_names(meta["class_names"])
-        check_bundle(bundle, graph.num_nodes)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
-    log.info("loaded dataset artifact %s: %d nodes, %d edges (read+hash %.3fs, validation %.3fs)",
-             path, graph.num_nodes, graph.num_edges, t1 - t0, time.perf_counter() - t1)
+    bundle = {s: arrays[name] for name, s in _SOURCE_OF.items()}
+    log.info("loaded dataset artifact %s: %d nodes, %d edges, bundle in %s (read+hash %.3fs, "
+             "sources %.3fs, validation %.3fs)", path, graph.num_nodes, graph.num_edges,
+             np.dtype(dtype), t1 - t0 - sources_s, sources_s, time.perf_counter() - t1)
     return PreparedDataset(
         class_names=list(meta["class_names"]),
         labels=arrays["labels"],
@@ -251,12 +267,22 @@ def load_dataset(path) -> PreparedDataset:
     )
 
 
-def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """The invariants save_dataset's input holds, the class names' and
-    the bundle's aside (``_check_class_names`` and ``check_bundle`` state
-    those): the meta keys, array shapes that agree with the node and
-    edge counts, CSR adjacency with sorted in-range targets, and labels
-    in [-1, num_classes)."""
+def _cast_source(path, s: str, m: np.ndarray, n: int, dtype) -> np.ndarray:
+    """Source ``s`` as read, checked by ``check_source`` and cast to ``dtype``."""
+    try:
+        check_source(s, m, n)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+    try:
+        with np.errstate(over="raise"):  # m is finite: only a value beyond dtype's range overflows
+            return m.astype(dtype, copy=False)
+    except FloatingPointError:
+        raise DataError(f"{path}: source {s!r} has finite values beyond the {np.dtype(dtype)} "
+                        f"range (largest magnitude {np.abs(m).max():.6g})") from None
+
+
+def _check_meta(path, meta) -> None:
+    """The meta block's keys, their types and the class names."""
     counts = ("num_nodes", "num_edges", "text_dim", "pred_top_k", "seed",
               "self_loops_dropped", "duplicates_dropped")
     if not isinstance(meta, dict):
@@ -267,10 +293,22 @@ def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     not_int = [k for k in counts if type(meta[k]) is not int]
     if not_int or not isinstance(meta["class_names"], list):
         raise DataError(f"{path}: artifact meta has ill-typed values for {not_int or 'class_names'}")
+    try:
+        _check_class_names(meta["class_names"])
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+
+
+def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """The invariants save_dataset's input holds, the meta's and the
+    bundle's aside (``_check_meta`` and ``check_source`` state those,
+    as each is read): array shapes that agree with the node and edge
+    counts, CSR adjacency with sorted in-range targets, and labels in
+    [-1, num_classes)."""
     n, m = meta["num_nodes"], meta["num_edges"]
     expected = {"labels": (n,), "years": (n,), "out_offsets": (n + 1,), "out_targets": (m,),
                 "in_offsets": (n + 1,), "in_targets": (m,)}
-    missing = sorted((set(expected) | set(_SOURCE_ARRAYS.values())) - set(arrays))
+    missing = sorted((set(expected) | set(_SOURCE_OF)) - set(arrays))
     if missing:
         raise DataError(f"{path}: artifact is missing arrays {missing}")
     for name, shape in expected.items():

@@ -74,15 +74,22 @@ class FusionLayer:
         """Mix one matrix of rows per active source into (n, d_model).
 
         ``rows[s]`` is (n, source_dims[s]); an array enters the tape in the
-        parameters' dtype. Returns the fused Tensor,
-        plus the (n, num_active) softmax weights when requested (a
+        parameters' dtype. Rows narrower than that dtype (float32 rows into
+        a float64 model) are refused rather than widened. Returns the fused
+        Tensor, plus the (n, num_active) softmax weights when requested (a
         Tensor off the tape).
         """
+        dtype = self.score_w.data.dtype
         projected = []
         scores = []
         for s in self.cfg.active:
             h = rows[s]
-            h = h if isinstance(h, Tensor) else Tensor(h, dtype=self.score_w.data.dtype)
+            if not isinstance(h, Tensor):
+                if h.dtype.itemsize < dtype.itemsize:
+                    raise ValueError(f"source {s!r} rows are {h.dtype}, narrower than the "
+                                     f"{dtype} model: load the dataset with "
+                                     f'load_dataset(..., dtype="{dtype}")')
+                h = Tensor(h, dtype=dtype)
             u = ad.matmul(h, self.proj[s])
             projected.append(u)
             scores.append(ad.matmul(ad.tanh(ad.matmul(u, self.score_m)), self.score_w))

@@ -4,7 +4,8 @@ Four sources per node: hashed explanation features, a rank-weighted
 distribution over the LLM's predicted classes, hashed text features,
 and the dataset's own feature vectors. An embedding bundle is a plain
 mapping from each name in ``SOURCES`` to its (n, d) float64 matrix, row
-i = node i, and ``check_bundle`` is the one statement of that rule.
+i = node i, and ``check_source`` is the one statement of that rule; a
+dataset loaded for a model holds the checked matrices in its dtype.
 The heavy LM stage is replaced by deterministic feature hashing
 (``encode_texts``) so the whole pipeline runs on a laptop; precomputed
 matrices from a real LM can be swapped in per source. Missing LLM
@@ -38,6 +39,7 @@ __all__ = [
     "encode_texts",
     "encode_predictions",
     "check_bundle",
+    "check_source",
     "build_bundle",
     "load_node_documents",
     "load_llm_records",
@@ -199,14 +201,21 @@ def encode_predictions(recs, num_classes: int, top_k: int) -> np.ndarray:
 
 def check_bundle(bundle: dict[str, np.ndarray], n: int) -> None:
     """Every source of ``bundle`` is a finite float64 matrix with ``n``
-    rows; a DataError names the first source that is not."""
+    rows, as ``prepare`` builds it and the artifact stores it; a
+    DataError names the first source that is not. ``load_dataset``
+    checks each source so before casting it to the model dtype."""
     for s in SOURCES:
-        m = bundle[s]
-        if m.dtype != np.float64 or m.ndim != 2 or m.shape[0] != n:
-            raise DataError(f"source {s!r} is {m.dtype} {m.shape}, "
-                            f"expected a float64 matrix with {n} rows")
-        if not np.isfinite(m).all():
-            raise DataError(f"source {s!r} has non-finite values")
+        check_source(s, bundle[s], n)
+
+
+def check_source(name: str, m: np.ndarray, n: int) -> None:
+    """Source ``name`` is a finite float64 matrix with ``n`` rows; a
+    DataError names it if not."""
+    if m.dtype != np.float64 or m.ndim != 2 or m.shape[0] != n:
+        raise DataError(f"source {name!r} is {m.dtype} {m.shape}, "
+                        f"expected a float64 matrix with {n} rows")
+    if not np.isfinite(m).all():
+        raise DataError(f"source {name!r} has non-finite values")
 
 
 def build_bundle(

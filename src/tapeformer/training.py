@@ -145,53 +145,82 @@ def smoothed_cross_entropy(logits: Tensor, labels: np.ndarray, smoothing: float)
 class Adam:
     """Standard Adam with bias correction over a named parameter dict.
 
-    Moments and parameters are updated in place through two scratch
-    rows sized for the largest parameter, in the operation order of the
-    textbook formulas, so the result is bit for bit what evaluating
-    them with temporaries gives.
+    The moments are two flat buffers holding the parameters end to end
+    in dict order; ``m[k]`` and ``v[k]`` are views of parameter ``k``'s
+    slice in its shape. A step walks runs of adjacent parameters that
+    have a gradient, none longer than the largest parameter, through two
+    scratch rows of that length: the ops that read a gradient and the
+    final update run per parameter, the rest once per run. Every element
+    goes through the textbook formulas' ops in their order with the same
+    scalars, so the result is bit for bit what evaluating them per
+    parameter with temporaries gives.
     """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
         self.t = 0
-        data = [t.data for t in params.values()]  # scratch rows in the parameters' dtype
-        rows = np.empty((2, max((a.size for a in data), default=0)), np.result_type(np.float32, *data))
-        # per parameter, two views of the shared rows in its shape
-        self._scratch = {k: [row[: t.data.size].reshape(t.data.shape) for row in rows]
-                         for k, t in params.items()}
+        data = [t.data for t in params.values()]  # moments and scratch in the parameters' dtype
+        dtype = np.result_type(np.float32, *data)
+        sizes = [a.size for a in data]
+        self._moments = np.zeros((2, sum(sizes)), dtype)
+        self._rows = np.empty((2, max(sizes, default=0)), dtype)
+        # greedy blocks of adjacent parameters that fit the scratch rows: (block start,
+        # [(parameter, flat slice, its slice of the first scratch row in its shape)])
+        self._blocks: list[tuple[int, list]] = []
+        self.m, self.v = {}, {}
+        lo = 0
+        for (k, p), size in zip(params.items(), sizes):
+            hi, shape = lo + size, p.data.shape
+            if not self._blocks or hi - self._blocks[-1][0] > self._rows.shape[1]:
+                self._blocks.append((lo, []))
+            start, members = self._blocks[-1]
+            self.m[k], self.v[k] = (row[lo:hi].reshape(shape) for row in self._moments)
+            members.append((p, slice(lo, hi), self._rows[0, lo - start:hi - start].reshape(shape)))
+            lo = hi
 
     def step(self, lr: float) -> None:
         self.t += 1
+        c1 = 1.0 - self.beta1 ** self.t
+        c2 = 1.0 - self.beta2 ** self.t
+        for start, members in self._blocks:
+            run = []
+            for member in members:
+                if member[0].grad is not None:
+                    run.append(member)
+                elif run:
+                    self._step_run(start, run, lr, c1, c2)
+                    run = []
+            if run:
+                self._step_run(start, run, lr, c1, c2)
+
+    def _step_run(self, start: int, run: list, lr: float, c1: float, c2: float) -> None:
+        """One step over ``run``, adjacent parameters of the block at ``start``."""
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for k, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            m, v = self.m[k], self.v[k]
-            num, den = self._scratch[k]
-            # m = b1 * m + (1 - b1) * g
-            m *= b1
-            np.multiply(g, 1.0 - b1, num)
-            m += num
-            # v = b2 * v + (1 - b2) * (g * g)
-            v *= b2
-            np.multiply(g, g, num)
-            num *= 1.0 - b2
-            v += num
-            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-            np.divide(m, c1, num)
-            num *= lr
-            np.divide(v, c2, den)
-            np.sqrt(den, den)
-            den += self.eps
-            num /= den
-            p.data -= num
+        at = slice(run[0][1].start, run[-1][1].stop)
+        m, v = self._moments[:, at]
+        num, den = self._rows[:, at.start - start:at.stop - start]
+        # m = b1 * m + (1 - b1) * g
+        m *= b1
+        for p, _, g_num in run:
+            np.multiply(p.grad, 1.0 - b1, g_num)
+        m += num
+        # v = b2 * v + (1 - b2) * (g * g)
+        v *= b2
+        for p, _, g_num in run:
+            np.multiply(p.grad, p.grad, g_num)
+        num *= 1.0 - b2
+        v += num
+        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+        np.divide(m, c1, num)
+        num *= lr
+        np.divide(v, c2, den)
+        np.sqrt(den, den)
+        den += self.eps
+        num /= den
+        for p, _, g_num in run:
+            p.data -= g_num
 
     def zero_grad(self) -> None:
         for p in self.params.values():

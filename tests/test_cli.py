@@ -436,11 +436,11 @@ def _rewrite_meta(src, dst, edit):
 
 
 def _resave(src, dst, edit):
-    """Load an artifact, corrupt it in memory with ``edit``, save it with a
-    matching hash sidecar."""
+    """Load an artifact in float64, as it is stored, corrupt it in memory
+    with ``edit``, save it with a matching hash sidecar."""
     from tapeformer.dataset import load_dataset, save_dataset
 
-    ds = load_dataset(src)
+    ds = load_dataset(src, dtype="float64")
     edit(ds)
     save_dataset(ds, dst)
 
@@ -476,11 +476,15 @@ def _flip_first_meta_byte(src, dst):
     dst.write_bytes(bytes(raw))
 
 
-def _nan_in_pred(src, dst):
-    raw = bytearray(src.read_bytes())
-    at = raw.index(b"h_pred") + len(b"h_pred") + 1 + 8 + 2 * 8  # past dtype code, rank, shape
-    raw[at:at + 8] = np.array(np.nan).tobytes()
-    dst.write_bytes(bytes(raw))  # no hash sidecar is copied
+def _first_value_of(source, value):
+    """Copy an artifact with the first float64 of ``source`` set to ``value``."""
+    def corrupt(src, dst):
+        raw = bytearray(src.read_bytes())
+        name = f"h_{source}".encode()
+        at = raw.index(name) + len(name) + 1 + 8 + 2 * 8  # past dtype code, rank, shape
+        raw[at:at + 8] = np.array(value, dtype=np.float64).tobytes()
+        dst.write_bytes(bytes(raw))  # no hash sidecar is copied
+    return corrupt
 
 
 def _set(array, index, value):
@@ -516,7 +520,8 @@ CORRUPT_ARTIFACTS = {
     "label range": (lambda s, d: _resave(s, d, _set("labels", 0, 3)),
                     "labels must lie in [-1, 3)"),
     "sha256": (_flip_last_byte, "differs from"),
-    "non-finite source": (_nan_in_pred, "ds.bin: source 'pred' has non-finite values"),
+    "non-finite source": (_first_value_of("pred", np.nan),
+                          "ds.bin: source 'pred' has non-finite values"),
     "repeated class name": (
         lambda s, d: _rewrite_meta(s, d, lambda m: m.update(class_names=["a", "a", "c"])),
         "ds.bin: class names ['a'] given more than once"),
@@ -537,6 +542,22 @@ def test_corrupt_artifact_is_exit_2(workdir, tmp_path, capsys, case):
     assert rc == 2
     err = capsys.readouterr().err
     assert named in err and "internal error" not in err
+
+
+def test_source_beyond_float32_range_is_exit_2_in_float32_only(workdir, tmp_path, capsys):
+    """1e300 is a finite float64, so the artifact may hold it: a float32
+    run refuses it on load, naming the source, and a float64 run loads it."""
+    art = tmp_path / "ds.bin"
+    _first_value_of("ogb", 1e300)(workdir / "dataset.bin", art)
+    args = ["--config", _cfg_path(workdir), "--set", f"paths.dataset={art}",
+            "--set", f"paths.out_dir={tmp_path}"]
+    assert main(["train", *args]) == 2
+    err = capsys.readouterr().err
+    assert ("ds.bin: source 'ogb' has finite values beyond the float32 range "
+            "(largest magnitude 1e+300)") in err
+    assert "internal error" not in err
+    assert main(["inspect", *args, "--set", "model.dtype=float64"]) == 0
+    assert "nodes: 60" in capsys.readouterr().out
 
 
 # --- train / eval ------------------------------------------------------------

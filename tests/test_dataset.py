@@ -166,7 +166,7 @@ def test_artifact_roundtrip_and_stable_hash(corpus, tmp_path):
     assert h1 == h2
     assert p1.read_bytes() == p2.read_bytes()
     assert (tmp_path / "a.bin.sha256").read_text().strip() == h1
-    back = dsm.load_dataset(p1)
+    back = dsm.load_dataset(p1, dtype="float64")
     assert back.class_names == ds.class_names
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.years, ds.years)
@@ -176,6 +176,31 @@ def test_artifact_roundtrip_and_stable_hash(corpus, tmp_path):
     assert tuple(back.bundle) == tuple(ds.bundle) == SOURCES
     for s in ("expl", "pred", "text", "ogb"):
         assert back.bundle[s].tobytes() == ds.bundle[s].tobytes()
+    narrow = dsm.load_dataset(p1, dtype="float32")
+    assert tuple(narrow.bundle) == SOURCES
+    for s in SOURCES:
+        assert narrow.bundle[s].tobytes() == ds.bundle[s].astype(np.float32).tobytes()
+    assert narrow.years.tobytes() == ds.years.tobytes()
+
+
+def test_load_defaults_to_the_model_dtype(corpus, tmp_path):
+    """Without ``dtype`` the bundle loads in ``GraphormerParams.dtype``;
+    such a dataset is refused by ``save_dataset`` by name, and saves
+    byte for byte once loaded in float64."""
+    from tapeformer.model import GraphormerParams
+
+    data, paths = corpus
+    ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
+                     None, data.class_names, text_dim=16)
+    dsm.save_dataset(ds, tmp_path / "a.bin")
+    loaded = dsm.load_dataset(tmp_path / "a.bin")
+    assert {m.dtype for m in loaded.bundle.values()} == {np.dtype(GraphormerParams.dtype)}
+    with pytest.raises(ValueError, match=r"cannot save array 'h_expl' of dtype float32"):
+        dsm.save_dataset(loaded, tmp_path / "b.bin")
+    assert not (tmp_path / "b.bin").exists()
+    wide = dsm.load_dataset(tmp_path / "a.bin", dtype="float64")
+    dsm.save_dataset(wide, tmp_path / "c.bin")
+    assert (tmp_path / "c.bin").read_bytes() == (tmp_path / "a.bin").read_bytes()
 
 
 def test_artifact_corruption_detected(corpus, tmp_path):
@@ -244,13 +269,17 @@ def test_artifact_roundtrip_with_empty_arrays(corpus, tmp_path):
     ds = _edgeless(tmp_path, corpus)
     assert ds.graph.num_edges == 0 and ds.bundle["ogb"].shape == (40, 0)
     h = dsm.save_dataset(ds, tmp_path / "e.bin")
-    back = dsm.load_dataset(tmp_path / "e.bin")
+    back = dsm.load_dataset(tmp_path / "e.bin", dtype="float64")
     assert back.graph.out_targets.shape == back.graph.in_targets.shape == (0,)
     assert back.bundle["ogb"].shape == (40, 0)
     assert np.array_equal(back.graph.out_offsets, np.zeros(41, dtype=np.int64))
     for s in ("expl", "pred", "text"):
         assert back.bundle[s].tobytes() == ds.bundle[s].tobytes()
     assert dsm.save_dataset(back, tmp_path / "f.bin") == h
+    narrow = dsm.load_dataset(tmp_path / "e.bin", dtype="float32")
+    assert narrow.bundle["ogb"].shape == (40, 0) and narrow.bundle["ogb"].dtype == np.float32
+    for s in SOURCES:
+        assert narrow.bundle[s].tobytes() == ds.bundle[s].astype(np.float32).tobytes()
 
 
 def _first_dim_offsets(raw: bytes) -> dict[str, int]:
@@ -290,5 +319,5 @@ def test_save_and_load_log_their_stage_seconds(corpus, tmp_path, caplog):
         dsm.save_dataset(ds, tmp_path / "a.bin")
         dsm.load_dataset(tmp_path / "a.bin")
     assert "a.bin" in caplog.text
-    for stage in ("hash", "write", "read\\+hash", "validation"):
+    for stage in ("hash", "write", "read\\+hash", "sources", "validation"):
         assert re.search(rf"\b{stage} \d+\.\d{{3}}s", caplog.text), stage

@@ -105,3 +105,19 @@ def test_zero_rows_still_finite():
     rows = {s: np.zeros((3, DIMS[s])) for s in layer.cfg.active}
     out = layer.fuse(rows)
     assert np.allclose(out.data, 0.0)
+
+
+def test_float64_layer_refuses_rows_narrower_than_its_dtype():
+    """float32 rows would enter a float64 layer already rounded: refused,
+    naming the source, both dtypes and the load that avoids them. A
+    float32 layer takes float64 or float32 rows."""
+    layer = _layer()
+    rows = _rows(np.random.default_rng(5), 3, layer.cfg.active)
+    narrow = {s: h.astype(np.float32) if s == "pred" else h for s, h in rows.items()}
+    with pytest.raises(ValueError, match=r"source 'pred' rows are float32, narrower than the "
+                                         r'float64 model: load the dataset with '
+                                         r'load_dataset\(\.\.\., dtype="float64"\)'):
+        layer.fuse(narrow)
+    for p in layer.parameters().values():
+        p.data = p.data.astype(np.float32)
+    assert layer.fuse(rows).data.tobytes() == layer.fuse(narrow).data.tobytes()

@@ -98,18 +98,31 @@ def test_adam_first_step_is_signed_lr():
 
 
 def test_adam_in_place_matches_textbook_formulas_bit_for_bit():
+    """In both dtypes and two layouts: the second has a gradient-less
+    parameter between others, one larger than its neighbours, so that a
+    step walks several runs, and a scalar."""
+    layouts = ({"a": (5, 7), "b": (7,), "c": (3, 2, 4), "skipped": (2, 2)},
+               {"a": (3, 2), "skipped": (4,), "b": (5,), "big": (6, 7), "c": (2, 3), "d": (9,),
+                "s": ()})
+    for shapes in layouts:
+        for dtype in (np.float64, np.float32):
+            _check_adam_against_textbook(shapes, dtype)
+
+
+def _check_adam_against_textbook(shapes, dtype):
     rng = np.random.default_rng(14)
-    shapes = {"a": (5, 7), "b": (7,), "c": (3, 2, 4), "skipped": (2, 2)}
-    params = {k: Tensor(rng.standard_normal(s), requires_grad=True) for k, s in shapes.items()}
+    params = {k: Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype)
+              for k, s in shapes.items()}
     ref = {k: t.data.copy() for k, t in params.items()}
-    m = {k: np.zeros(s) for k, s in shapes.items()}
-    v = {k: np.zeros(s) for k, s in shapes.items()}
+    m = {k: np.zeros(s, dtype) for k, s in shapes.items()}
+    v = {k: np.zeros(s, dtype) for k, s in shapes.items()}
     opt = tr.Adam(params)
     b1, b2, eps = opt.beta1, opt.beta2, opt.eps
     for t in range(1, 7):
         lr = 0.01 * t
         for k, p in params.items():
-            p.grad = None if k == "skipped" else rng.standard_normal(shapes[k]) * 10.0 ** t
+            p.grad = None if k == "skipped" else (rng.standard_normal(shapes[k])
+                                                  * 10.0 ** t).astype(dtype)
         opt.step(lr)
         c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
         for k, p in params.items():
@@ -120,7 +133,7 @@ def test_adam_in_place_matches_textbook_formulas_bit_for_bit():
             v[k] = b2 * v[k] + (1.0 - b2) * (g * g)
             ref[k] = ref[k] - lr * (m[k] / c1) / (np.sqrt(v[k] / c2) + eps)
         for k, p in params.items():
-            assert p.data.tobytes() == ref[k].tobytes(), (t, k)
+            assert p.data.tobytes() == ref[k].tobytes(), (dtype, t, k)
             assert opt.m[k].tobytes() == m[k].tobytes() and opt.v[k].tobytes() == v[k].tobytes()
 
 
@@ -322,11 +335,11 @@ DESK = dict(num_layers=2, num_heads=4, d_model=64, d_ffn=128, max_degree_bucket=
 
 @pytest.mark.parametrize("kind", ["graphormer", "mlp"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_training_step_stays_in_the_model_dtype(monkeypatch, kind, dtype):
+def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dtype):
     """One optimizer step over two micro-batches and the validation
     predict after it: every op output, every leaf gradient, Adam's moments
     and scratch rows, the logits and the fusion weights are of the model's
-    dtype."""
+    dtype, and so are the rows ``fuse`` gets from a loaded dataset."""
     data, split = _mini_graph_data()
     cfg = gm.GraphormerParams(dtype=dtype, **DESK).for_classes(3)
     model = gm.build_model(cfg, kind, ("expl", "pred", "text", "ogb"),
@@ -354,13 +367,36 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, kind, dtype):
     assert [(n, d) for n, d in outputs if d != dtype] == []
     params = model.parameters()
     assert {name: t.grad.dtype for name, t in params.items()} == dict.fromkeys(params, dtype)
-    arrays = [*opt.m.values(), *opt.v.values(), *(a for pair in opt._scratch.values() for a in pair)]
+    arrays = [*opt.m.values(), *opt.v.values(), opt._moments, opt._rows]
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
     rows = {s: data.bundle[s][split.test_ids] for s in model.fusion.cfg.active}
     with ad.no_grad():
         assert model.logits_for_centers(data, split.test_ids, seed=0).data.dtype == dtype
         fused, weights = model.fusion.fuse(rows, return_weights=True)
     assert (fused.data.dtype, weights.data.dtype) == (dtype, dtype)
+    loaded = _saved_and_loaded(data, tmp_path, dtype)
+    fused_rows, fuse = [], model.fusion.fuse
+
+    def spy_fuse(rows, **kw):
+        fused_rows.extend(rows.values())
+        return fuse(rows, **kw)
+
+    monkeypatch.setattr(model.fusion, "fuse", spy_fuse)
+    with ad.no_grad():
+        model.logits_for_centers(loaded, split.test_ids, seed=0)
+    assert fused_rows and {h.dtype for h in fused_rows} == {np.dtype(dtype)}
+
+
+def _saved_and_loaded(data, tmp_path, dtype):
+    """``data`` through ``save_dataset`` and back with its bundle in ``dtype``."""
+    from tapeformer import dataset as dsm
+
+    n = data.graph.num_nodes
+    ds = dsm.PreparedDataset(class_names=["a", "b", "c"], labels=data.labels,
+                             years=np.zeros(n, dtype=np.int64), graph=data.graph,
+                             bundle=data.bundle, text_dim=5, pred_top_k=3, seed=0)
+    dsm.save_dataset(ds, tmp_path / "ds.bin")
+    return dsm.load_dataset(tmp_path / "ds.bin", dtype=dtype)
 
 
 def test_history_csv_roundtrip(tmp_path):
