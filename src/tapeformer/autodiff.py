@@ -1,8 +1,9 @@
 """Dense-tensor engine with reverse-mode automatic differentiation.
 
 A small define-by-run engine backed by numpy. Every differentiable op
-records a backward closure on a thread-local tape; ``backward(loss)``
-replays the tape in reverse execution order and accumulates gradients
+records a backward closure on a thread-local tape; ``backward(out,
+grad)`` replays the tape in reverse execution order from the cotangent
+``grad`` of ``out`` (1 for a scalar loss) and accumulates gradients
 into leaf tensors. Shapes are explicit: the only broadcasting is a
 vector over rows (the bias of ``linear``, the gain and bias of
 ``layer_norm``) and the key mask of ``attention``. Every op takes 2-D
@@ -30,6 +31,7 @@ import numpy as np
 from .binfile import Reader, payload
 
 DEFAULT_DTYPE = np.float64
+LN_EPS = 1e-12
 
 __all__ = [
     "Tensor",
@@ -42,8 +44,6 @@ __all__ = [
     "matmul",
     "linear",
     "add",
-    "mul",
-    "mul_scalar",
     "embedding_lookup",
     "relu",
     "tanh",
@@ -51,7 +51,6 @@ __all__ = [
     "attention",
     "softmax_mix",
     "cross_entropy",
-    "tsum",
     "save_parameters",
     "load_parameters",
 ]
@@ -164,20 +163,28 @@ def _make(op_name: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, Callabl
     return out
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``.grad``.
+def backward(out: Tensor, grad=None) -> None:
+    """Accumulate the vector-Jacobian product of ``grad`` with d(out)/d(leaf)
+    into every reachable leaf's ``.grad``.
 
-    ``loss`` must hold a single element. Repeated calls on the same
-    graph add up (the tape is only freed by ``tape_clear``).
+    ``grad``, the cotangent of ``out``, has ``out``'s shape and is cast to
+    its dtype; ``None`` means 1, and ``out`` must then hold a single
+    element. Repeated calls on the same graph add up (the tape is only
+    freed by ``tape_clear``).
     """
-    if loss.size != 1:
-        raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
-    seed = np.ones_like(loss.data)
-    if loss.is_leaf:
-        if loss.requires_grad:
-            loss.grad = seed if loss.grad is None else loss.grad + seed
+    if grad is None:
+        if out.size != 1:
+            raise ShapeError(f"backward expects a scalar loss, got shape {out.shape}")
+        grad = 1.0
+    elif np.shape(grad) != out.shape:
+        raise ShapeError(f"backward: grad of shape {np.shape(grad)} for an output of "
+                         f"shape {out.shape}")
+    seed = np.full_like(out.data, grad)
+    if out.is_leaf:
+        if out.requires_grad:
+            out.grad = seed if out.grad is None else out.grad + seed
         return
-    grads: dict[int, np.ndarray] = {id(loss): seed}
+    grads: dict[int, np.ndarray] = {id(out): seed}
     # id -> (leaf, total, whether the total may share memory with another array)
     leaves: dict[int, tuple[Tensor, np.ndarray, bool]] = {}
     for rec in reversed(_state.records):
@@ -270,22 +277,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make("add", a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product. No model code calls it; see ``tsum``."""
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch {a.shape} vs {b.shape}")
-    return _make(
-        "mul",
-        a.data * b.data,
-        [(a, lambda g, bd=b.data: g * bd), (b, lambda g, ad=a.data: g * ad)],
-    )
-
-
-def mul_scalar(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    return _make("mul_scalar", x.data * s, [(x, lambda g: g * s)])
-
-
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows ``table[indices]``; backward scatter-adds."""
     idx = np.asarray(indices, dtype=np.int64)
@@ -315,14 +306,15 @@ def tanh(x: Tensor) -> Tensor:
     return _make("tanh", out, [(x, lambda g, o=out: g * (1.0 - o * o))])
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize each row of ``x`` to zero mean and unit variance, then
-    scale column j by ``gain[j]`` and add ``bias[j]``."""
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row of ``x`` to zero mean and unit variance (``LN_EPS``
+    added to the variance), then scale column j by ``gain[j]`` and add
+    ``bias[j]``."""
     if x.data.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise ShapeError(f"layer_norm: {x.shape} with gain {gain.shape}, bias {bias.shape}")
     mu = x.data.mean(axis=-1, keepdims=True)
     xhat = x.data - mu
-    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LN_EPS)
     xhat *= inv
     out = xhat * gain.data
     out += bias.data
@@ -440,13 +432,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
 
     return _make("cross_entropy", (targets * logp).sum(axis=1).mean(axis=0) * -1.0,
                  [(logits, bw)])
-
-
-def tsum(x: Tensor) -> Tensor:
-    """Sum over all elements. No model code calls it: tests reduce an
-    op's output to a scalar with ``tsum(mul(y, r))`` to check gradients."""
-    return _make("sum", np.asarray(x.data.sum()),
-                 [(x, lambda g: np.full_like(x.data, float(g)))])
 
 
 # ---------------------------------------------------------------------------

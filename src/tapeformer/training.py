@@ -5,13 +5,13 @@ seeded generator does nothing else. A training forward is the same
 ``logits_for_centers`` call as a prediction forward, recorded because it
 runs outside ``autodiff.no_grad``. The loss, label-smoothed
 cross-entropy, is one engine op. Each optimizer step accumulates
-gradients over ``grad_accum_steps`` micro-batches (each
-micro-batch loss is scaled by the accumulation count, so accumulation
-reproduces the equivalent large batch exactly), then applies Adam at the
-warmup/decay learning rate. Micro-batches and prediction chunks run with
-the engine's per-op finite checks off; a non-finite loss or logit
-replays them with the checks on, so the error names the first op that
-went non-finite. Validation accuracy drives checkpoint selection and
+gradients over ``grad_accum_steps`` micro-batches (each micro-batch's
+``backward`` starts from the cotangent 1 / the accumulation count, so
+accumulation reproduces the equivalent large batch exactly), then
+applies Adam at the warmup/decay learning rate. Micro-batches and
+prediction chunks run with the engine's per-op finite checks off; a
+non-finite loss or logit replays them with the checks on, so the error
+names the first op that went non-finite. Validation accuracy drives checkpoint selection and
 early stopping, and ``train`` returns with the model at its
 best-validation checkpoint. Single-threaded runs are bit-reproducible
 for a given seed.
@@ -371,8 +371,7 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                         f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}; "
                         f"largest grad norms: {_grad_norms(params)}"
                     )
-                scaled = ad.mul_scalar(loss, 1.0 / cfg.grad_accum_steps)
-                ad.backward(scaled)
+                ad.backward(loss, 1.0 / cfg.grad_accum_steps)
                 ad.tape_clear()
                 losses.append(float(loss.data))
             global_step += 1

@@ -49,18 +49,20 @@ def central_difference(f, flat: np.ndarray, i: int, h: float):
     return (fp - fm) / (2.0 * h), kink
 
 
-def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
-                    max_entries: int | None = None, seed: int = 0) -> float:
+def check_gradients(make_out, params, h: float = 1e-5, rel_tol: float = 1e-4,
+                    max_entries: int | None = None, seed: int = 0, grad=None) -> float:
     """Compare analytic gradients with central differences.
 
-    ``make_loss`` builds the graph from scratch and returns the scalar
-    loss Tensor. Each tensor in ``params`` (a list, or a dict such as
-    ``model.parameters()`` whose names then appear in failures) gets its
-    analytic gradient checked entry-by-entry (all entries, or a seeded
-    sample of ``max_entries``). Returns the worst relative error seen.
-    The error measure is |analytic - numeric| / max(1, |analytic|).
-    Every parameter must be float64: a float32 difference at h=1e-5 is
-    rounding noise.
+    ``make_out`` builds the graph from scratch and returns an output
+    Tensor. The checked function is ``sum(out * grad)``, summed in numpy,
+    whose analytic gradient is ``backward(out, grad)``; with ``grad``
+    None, ``out`` is a scalar loss, checked as it is. Each tensor in
+    ``params`` (a list, or a dict such as ``model.parameters()`` whose
+    names then appear in failures) gets its analytic gradient checked
+    entry-by-entry (all entries, or a seeded sample of ``max_entries``).
+    Returns the worst relative error seen. The error measure is
+    |analytic - numeric| / max(1, |analytic|). Every parameter must be
+    float64: a float32 difference at h=1e-5 is rounding noise.
 
     A difference whose +h and -h evaluations put some ReLU input on
     different sides of zero straddles the kink and measures nothing;
@@ -76,8 +78,7 @@ def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
     ad.tape_clear()
     for p in named.values():
         p.zero_grad()
-    loss = make_loss()
-    ad.backward(loss)
+    ad.backward(make_out(), grad)
     worst = 0.0
     for n, p in named.items():
         assert p.grad is not None, "parameter did not receive a gradient"
@@ -90,7 +91,8 @@ def check_gradients(make_loss, params, h: float = 1e-5, rel_tol: float = 1e-4,
         def f():
             ad.tape_clear()
             with ad.no_grad():
-                return float(make_loss().data)
+                out = make_out().data
+            return float(out if grad is None else np.sum(out * grad))
 
         flat, ana = p.data.reshape(-1), p.grad.reshape(-1)
         for i in entries:
@@ -526,7 +528,7 @@ def oracle_layer_norm(x, gain, bias, eps, g):
 
 
 def oracle_attention(q, kt, v, bias, mask, scale, g):
-    """bmm, mul_scalar, add of the bias, masked softmax, bmm:
+    """bmm, scaling by ``scale``, add of the bias, masked softmax, bmm:
     (out, weights, (dq, dkt, dv, dbias))."""
     scores = ((q @ kt) * scale) + bias
     z = np.where(mask, scores, -np.inf)

@@ -129,40 +129,36 @@ def test_criterion_01_gradient_correctness():
 
     worst = 0.0
 
-    def probe(make_loss, params):
+    def probe(make_out, params, grad=None):
         nonlocal worst
-        worst = max(worst, check_gradients(make_loss, params, h=1e-5, rel_tol=1e-4))
+        worst = max(worst, check_gradients(make_out, params, h=1e-5, rel_tol=1e-4, grad=grad))
 
     # every differentiable op
     a, b = p(4, 5), p(5, 3)
-    r43 = Tensor(rng.standard_normal((4, 3)))
-    probe(lambda: ad.tsum(ad.mul(ad.matmul(a, b), r43)), [a, b])
+    r43 = rng.standard_normal((4, 3))
+    probe(lambda: ad.matmul(a, b), [a, b], r43)
     x, y, v = p(3, 4), p(3, 4), p(5)
-    r34, r35 = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 5)))
-    probe(lambda: ad.tsum(ad.mul(ad.add(x, y), r34)), [x, y])
-    probe(lambda: ad.tsum(ad.mul(ad.linear(x, a, v), r35)), [x, a, v])
-    probe(lambda: ad.tsum(ad.mul(ad.mul(x, y), r34)), [x, y])
-    probe(lambda: ad.tsum(ad.mul(ad.mul_scalar(x, -2.5), r34)), [x])
+    r34, r35 = rng.standard_normal((3, 4)), rng.standard_normal((3, 5))
+    probe(lambda: ad.add(x, y), [x, y], r34)
+    probe(lambda: ad.linear(x, a, v), [x, a, v], r35)
     table = p(6, 4)
     idx = np.array([0, 2, 2, 5])
-    r44 = Tensor(rng.standard_normal((4, 4)))
-    probe(lambda: ad.tsum(ad.mul(ad.embedding_lookup(table, idx), r44)), [table])
-    probe(lambda: ad.tsum(ad.mul(ad.relu(x), r34)), [x])
-    probe(lambda: ad.tsum(ad.mul(ad.tanh(x), r34)), [x])
+    r44 = rng.standard_normal((4, 4))
+    probe(lambda: ad.embedding_lookup(table, idx), [table], r44)
+    probe(lambda: ad.relu(x), [x], r34)
+    probe(lambda: ad.tanh(x), [x], r34)
     gain, shift = p(4), p(4)
-    probe(lambda: ad.tsum(ad.mul(ad.layer_norm(x, gain, shift), r34)), [x, gain, shift])
+    probe(lambda: ad.layer_norm(x, gain, shift), [x, gain, shift], r34)
     smoothed = np.full((3, 4), 0.025)
     smoothed[[0, 1, 2], [1, 3, 0]] += 0.9
     probe(lambda: ad.cross_entropy(x, smoothed), [x])
     # two subgraphs of three nodes, two heads of width 2, flat (rows, d) operands
     s6, t6, u6, b18 = p(6, 4), p(6, 4), p(6, 4), p(18, 2)
     keys = np.array([[True, False, True], [False, True, False]])[:, None, None, :]
-    r64 = Tensor(rng.standard_normal((6, 4)))
-    probe(lambda: ad.tsum(ad.mul(ad.attention(s6, t6, u6, b18, keys, 2, 0.8)[0], r64)),
-          [s6, t6, u6, b18])
+    r64 = rng.standard_normal((6, 4))
+    probe(lambda: ad.attention(s6, t6, u6, b18, keys, 2, 0.8)[0], [s6, t6, u6, b18], r64)
     mix_scores = [p(3, 1), p(3, 1)]
-    probe(lambda: ad.tsum(ad.mul(ad.softmax_mix([x, y], mix_scores)[0], r34)),
-          [x, y] + mix_scores)
+    probe(lambda: ad.softmax_mix([x, y], mix_scores)[0], [x, y] + mix_scores, r34)
 
     # the full tiny model: L=2, H=2, d_model=16, k=8 nodes
     cfg = GraphormerConfig(num_classes=3, num_layers=2, num_heads=2, d_model=16,

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -57,25 +59,25 @@ def test_matmul_identity():
 def test_layer_norm_moments():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((9, 16)) * 3 + 1.5
-    out = ad.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16)), eps=1e-12).data
+    out = ad.layer_norm(Tensor(x), Tensor(np.ones(16)), Tensor(np.zeros(16))).data
     assert np.max(np.abs(out.mean(axis=-1))) < 1e-9
     assert np.max(np.abs(out.var(axis=-1) - 1.0)) < 1e-6
 
 
 def test_backward_sum_gives_ones():
     w = Tensor(np.arange(6, dtype=float).reshape(2, 3), requires_grad=True)
-    loss = ad.tsum(w)
-    ad.backward(loss)
+    x = Tensor(np.eye(2))
+    ad.backward(ad.matmul(x, w), np.ones((2, 3)))
     assert np.array_equal(w.grad, np.ones((2, 3)))
 
 
 def test_backward_twice_doubles():
     rng = np.random.default_rng(3)
     w = _p(rng, 3, 3)
-    loss = ad.tsum(ad.relu(ad.matmul(w, w)))
-    ad.backward(loss)
+    out = ad.relu(ad.matmul(w, w))
+    ad.backward(out, np.ones((3, 3)))
     once = w.grad.copy()
-    ad.backward(loss)
+    ad.backward(out, np.ones((3, 3)))
     assert np.array_equal(w.grad, 2.0 * once)
 
 
@@ -92,18 +94,19 @@ def test_backward_grads_never_alias_and_accumulate_exactly():
     w1 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w3 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
-    loss = ad.tsum(ad.mul(ad.add(w1, w2), _view_reshape(w3, (3, 4))))
-    ad.backward(loss)
+    r = rng.standard_normal((3, 4))
+    out = ad.add(ad.add(w1, w2), _view_reshape(w3, (3, 4)))
+    ad.backward(out, r)
     assert w3.grad.base is None
     first = {id(t): t.grad.copy() for t in (w1, w2, w3)}
     w1.grad += 100.0
     assert np.array_equal(w2.grad, first[id(w2)])
     w2.grad[0, 0] = -7.0
     assert np.array_equal(w3.grad, first[id(w3)])
-    ad.backward(loss)
+    ad.backward(out, r)
     assert np.array_equal(w1.grad, (first[id(w1)] + 100.0) + first[id(w1)])
     assert np.array_equal(w3.grad, first[id(w3)] + first[id(w3)])
-    assert np.array_equal(w3.grad, 2.0 * (w1.data + w2.data).reshape(4, 3))
+    assert np.array_equal(w3.grad, 2.0 * r.reshape(4, 3))
     ad.tape_clear()
 
 
@@ -111,6 +114,37 @@ def test_backward_rejects_non_scalar():
     w = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ad.ShapeError):
         ad.backward(ad.matmul(w, w))
+
+
+@pytest.mark.parametrize("grad", [np.ones((3, 2)), np.ones((2, 3, 1)), 1.0])
+def test_backward_rejects_a_grad_of_another_shape(grad):
+    w = Tensor(np.ones((2, 3)), requires_grad=True)
+    out = ad.matmul(Tensor(np.ones((2, 2))), w)
+    msg = f"grad of shape {np.shape(grad)} for an output of shape (2, 3)"
+    with pytest.raises(ad.ShapeError, match=re.escape(msg)):
+        ad.backward(out, grad)
+    assert w.grad is None
+
+
+def test_backward_on_a_leaf():
+    """A leaf's own cotangent goes into its grad, cast to its dtype, and
+    a second call adds to it; a leaf without ``requires_grad`` gets none."""
+    w = Tensor(np.ones((2, 3)), requires_grad=True, dtype=np.float32)
+    r = np.arange(6.0).reshape(2, 3) / 3.0
+    ad.backward(w, r)
+    assert w.grad.dtype == np.float32 and np.array_equal(w.grad, r.astype(np.float32))
+    ad.backward(w, r)
+    assert np.array_equal(w.grad, 2 * r.astype(np.float32))
+    s = Tensor(np.array([4.0]), requires_grad=True)
+    ad.backward(s)
+    ad.backward(s)
+    assert np.array_equal(s.grad, [2.0])
+    c = Tensor(np.array(4.0))
+    ad.backward(c)
+    ad.backward(c, 3.0)
+    assert c.grad is None
+    with pytest.raises(ad.ShapeError, match="scalar loss"):
+        ad.backward(w)
 
 
 def test_shape_mismatch_names_op():
@@ -125,8 +159,8 @@ def test_shape_mismatch_names_op():
 @pytest.mark.filterwarnings("ignore:overflow")
 def test_finite_check_trips():
     big = Tensor(np.array([[1e308, 1e308]]))
-    with pytest.raises(FloatingPointError):
-        ad.mul_scalar(big, 10.0)
+    with pytest.raises(FloatingPointError, match="add"):
+        ad.add(big, big)
 
 
 def test_no_grad_skips_recording():
@@ -139,38 +173,26 @@ def test_no_grad_skips_recording():
 # --- finite-difference checks for every op ---------------------------------
 
 
-def _fd(make_loss, params, **kw):
-    return check_gradients(make_loss, params, **kw)
-
-
 def test_grad_matmul():
     rng = np.random.default_rng(10)
     a, b = _p(rng, 4, 5), _p(rng, 5, 3)
-    r = Tensor(rng.standard_normal((4, 3)))
-    _fd(lambda: ad.tsum(ad.mul(ad.matmul(a, b), r)), [a, b])
+    r = rng.standard_normal((4, 3))
+    check_gradients(lambda: ad.matmul(a, b), [a, b], grad=r)
 
 
-def test_grad_add_bias_mul():
+def test_grad_add_linear():
     rng = np.random.default_rng(11)
     a, b = _p(rng, 3, 4), _p(rng, 3, 4)
     w, v = _p(rng, 4, 2), _p(rng, 2)
-    r = Tensor(rng.standard_normal((3, 2)))
-    _fd(lambda: ad.tsum(ad.mul(ad.linear(ad.add(a, b), w, v), r)), [a, b, w, v])
-
-
-def test_grad_mul_scalar():
-    rng = np.random.default_rng(12)
-    x = _p(rng, 4, 5)
-    r = Tensor(rng.standard_normal((4, 5)))
-    _fd(lambda: ad.tsum(ad.mul(ad.mul_scalar(x, 1.7), r)), [x])
+    r = rng.standard_normal((3, 2))
+    check_gradients(lambda: ad.linear(ad.add(a, b), w, v), [a, b, w, v], grad=r)
 
 
 def _grads_through(out, r, inputs):
-    """Backward of sum(out * r), so the upstream gradient is ``r`` exactly;
-    returns each input's gradient."""
+    """Backward from the upstream gradient ``r``; returns each input's gradient."""
     for t in inputs:
         t.zero_grad()
-    ad.backward(ad.tsum(ad.mul(out, Tensor(r))))
+    ad.backward(out, r)
     ad.tape_clear()
     return [t.grad for t in inputs]
 
@@ -183,7 +205,7 @@ def test_grad_linear():
     rng = np.random.default_rng(13)
     x, w, b = _p(rng, 5, 4), _p(rng, 4, 3), _p(rng, 3)
     r = rng.standard_normal((5, 3))
-    _fd(lambda: ad.tsum(ad.mul(ad.linear(x, w, b), Tensor(r))), [x, w, b])
+    check_gradients(lambda: ad.linear(x, w, b), [x, w, b], grad=r)
     out = ad.linear(x, w, b)
     want, grads = oracle_linear(x.data, w.data, b.data, r)
     assert np.array_equal(out.data, want)
@@ -194,15 +216,15 @@ def test_grad_embedding_lookup():
     rng = np.random.default_rng(14)
     table = _p(rng, 6, 4)
     idx = np.array([0, 3, 3, 5, 1])
-    r = Tensor(rng.standard_normal((5, 4)))
-    _fd(lambda: ad.tsum(ad.mul(ad.embedding_lookup(table, idx), r)), [table])
+    r = rng.standard_normal((5, 4))
+    check_gradients(lambda: ad.embedding_lookup(table, idx), [table], grad=r)
 
 
 def test_grad_relu_tanh():
     rng = np.random.default_rng(15)
     x = _p(rng, 5, 5)
-    r = Tensor(rng.standard_normal((5, 5)))
-    _fd(lambda: ad.tsum(ad.mul(ad.tanh(ad.relu(x)), r)), [x])
+    r = rng.standard_normal((5, 5))
+    check_gradients(lambda: ad.tanh(ad.relu(x)), [x], grad=r)
 
 
 def test_gradient_check_retakes_a_step_across_a_relu_kink():
@@ -212,7 +234,8 @@ def test_gradient_check_retakes_a_step_across_a_relu_kink():
     where it no longer straddles."""
     w = Tensor(np.array([[0.0, 1.0]]), requires_grad=True)
     b = Tensor(np.array([[3e-6, 0.5]]), requires_grad=True)
-    assert check_gradients(lambda: ad.tsum(ad.relu(ad.add(w, b))), [w, b], h=1e-5) < 1e-6
+    assert check_gradients(lambda: ad.relu(ad.add(w, b)), [w, b], h=1e-5,
+                           grad=np.ones((1, 2))) < 1e-6
 
 
 def test_gradient_check_names_an_entry_that_straddles_at_h_over_100():
@@ -222,16 +245,16 @@ def test_gradient_check_names_an_entry_that_straddles_at_h_over_100():
     b = Tensor(np.array([0.5, -4e-9]), requires_grad=True)
     with pytest.raises(AssertionError, match=r"entry 1 of parameter 0 straddles a ReLU kink "
                                              r"at h/100: smallest \|pre-activation\| 9.6e-08"):
-        check_gradients(lambda: ad.tsum(ad.relu(b)), [b], h=1e-5)
+        check_gradients(lambda: ad.relu(b), [b], h=1e-5, grad=np.ones(2))
 
 
 def test_grad_layer_norm():
     rng = np.random.default_rng(16)
     x, gain, bias = _p(rng, 4, 8), _p(rng, 8), _p(rng, 8)
     r = rng.standard_normal((4, 8))
-    _fd(lambda: ad.tsum(ad.mul(ad.layer_norm(x, gain, bias), Tensor(r))), [x, gain, bias])
-    out = ad.layer_norm(x, gain, bias, eps=1e-5)
-    want, grads = oracle_layer_norm(x.data, gain.data, bias.data, 1e-5, r)
+    check_gradients(lambda: ad.layer_norm(x, gain, bias), [x, gain, bias], grad=r)
+    out = ad.layer_norm(x, gain, bias)
+    want, grads = oracle_layer_norm(x.data, gain.data, bias.data, ad.LN_EPS, r)
     assert np.array_equal(out.data, want)
     assert _all_equal(_grads_through(out, r, [x, gain, bias]), grads)
 
@@ -239,10 +262,10 @@ def test_grad_layer_norm():
 def test_grad_softmax_inside_softmax_mix():
     """The softmax inside softmax_mix, through its weighted sum of one-hot rows."""
     rng = np.random.default_rng(17)
-    r = Tensor(rng.standard_normal((4, 6)))
+    r = rng.standard_normal((4, 6))
     scores = [_p(rng, 4, 1) for _ in range(6)]
     onehots = [Tensor(np.eye(6)[[j] * 4]) for j in range(6)]
-    _fd(lambda: ad.tsum(ad.mul(ad.softmax_mix(onehots, scores)[0], r)), scores)
+    check_gradients(lambda: ad.softmax_mix(onehots, scores)[0], scores, grad=r)
 
 
 def test_cross_entropy_bit_exact_against_primitive_chain():
@@ -258,7 +281,7 @@ def test_cross_entropy_bit_exact_against_primitive_chain():
             for g in (1.0, 1.0 / 3.0):
                 x = Tensor(rng.standard_normal((n, c)) * 3.0, requires_grad=True)
                 loss = ad.cross_entropy(x, targets)
-                ad.backward(ad.mul_scalar(loss, g))
+                ad.backward(loss, g)
                 ad.tape_clear()
                 want, dx = oracle_cross_entropy(x.data, targets, g)
                 assert np.array_equal(loss.data, want) and np.array_equal(x.grad, dx)
@@ -298,8 +321,8 @@ HEADS = (1, 2, 4)
 def test_grad_attention():
     for heads in HEADS:
         rng, inputs, mask = _attention_case(24, heads=heads)
-        r = Tensor(rng.standard_normal((12, 3 * heads)))
-        _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, heads, 0.7)[0], r)), inputs)
+        r = rng.standard_normal((12, 3 * heads))
+        check_gradients(lambda: ad.attention(*inputs, mask, heads, 0.7)[0], inputs, grad=r)
         q, k, v, bias = inputs
         for bad in (bias.data[:-5], bias.data.reshape(-1, 2 * heads), bias.data.reshape(-1)):
             with pytest.raises(ad.ShapeError, match="attention"):
@@ -312,9 +335,9 @@ def test_grad_bmm():
     for heads in HEADS:
         rng, (q, k, v, bias), _ = _attention_case(23, heads=heads)
         full = np.ones((3, 1, 1, 5), dtype=bool)
-        r = Tensor(rng.standard_normal((12, 3 * heads)))
-        _fd(lambda: ad.tsum(ad.mul(ad.attention(q, k, v, bias, full, heads, 0.7)[0], r)),
-            [q, k, v])
+        r = rng.standard_normal((12, 3 * heads))
+        check_gradients(lambda: ad.attention(q, k, v, bias, full, heads, 0.7)[0], [q, k, v],
+                        grad=r)
         with pytest.raises(ad.ShapeError, match="attention"):
             ad.attention(q, _p(rng, 15, 3 * heads + 1), v, bias, full, heads, 1.0)
         with pytest.raises(ad.ShapeError, match="attention"):
@@ -332,13 +355,14 @@ def test_grad_masked_softmax():
     one-key row."""
     for heads in HEADS:
         rng, inputs, mask = _attention_case(25, heads=heads)
-        r = Tensor(rng.standard_normal((12, 3 * heads)))
-        _fd(lambda: ad.tsum(ad.mul(ad.attention(*inputs, mask, heads, 0.7)[0], r)), inputs[3:])
+        r = rng.standard_normal((12, 3 * heads))
+        check_gradients(lambda: ad.attention(*inputs, mask, heads, 0.7)[0], inputs[3:],
+                        grad=r)
         # masked keys get exactly zero weight, and the bias exactly zero gradient there
         inputs[3].zero_grad()
         out, weights = ad.attention(*inputs, mask, heads, 0.7)
         assert weights.shape == (3, heads, 4, 5)
-        ad.backward(ad.tsum(ad.mul(out, r)))
+        ad.backward(out, r)
         hidden = np.broadcast_to(~mask, weights.shape)
         assert np.all(weights[hidden] == 0.0)
         assert np.all(_bias_by_head(inputs[3].grad, 3, 5)[hidden] == 0.0)
@@ -389,8 +413,8 @@ def _mix_case(seed, sources, n=5, d=4):
 def test_grad_softmax_mix():
     for sources in (1, 3):
         rng, values, scores = _mix_case(27, sources)
-        r = Tensor(rng.standard_normal((5, 4)))
-        _fd(lambda: ad.tsum(ad.mul(ad.softmax_mix(values, scores)[0], r)), values + scores)
+        r = rng.standard_normal((5, 4))
+        check_gradients(lambda: ad.softmax_mix(values, scores)[0], values + scores, grad=r)
     with pytest.raises(ad.ShapeError, match="softmax_mix"):
         ad.softmax_mix(values, scores[:2])
     with pytest.raises(ad.ShapeError, match="softmax_mix"):
@@ -412,7 +436,6 @@ def test_every_op_has_a_criterion_1_probe():
     """Each public op that records on the tape is gradient-checked by a
     criterion-1 probe, and every op a probe names still exists."""
     import inspect
-    import re
     from pathlib import Path
 
     ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))
@@ -433,14 +456,14 @@ def test_grad_three_layer_mlp():
     w2, b2 = _p(rng, 8, 8), _p(rng, 8)
     w3, b3 = _p(rng, 8, 3), _p(rng, 3)
     x = Tensor(rng.standard_normal((5, 6)))
-    r = Tensor(rng.standard_normal((5, 3)))
+    r = rng.standard_normal((5, 3))
 
-    def loss():
+    def out():
         h = ad.relu(ad.linear(x, w1, b1))
         h = ad.tanh(ad.linear(h, w2, b2))
-        return ad.tsum(ad.mul(ad.linear(h, w3, b3), r))
+        return ad.linear(h, w3, b3)
 
-    _fd(loss, [w1, b1, w2, b2, w3, b3])
+    check_gradients(out, [w1, b1, w2, b2, w3, b3], grad=r)
 
 
 def test_gradient_accumulation_across_graphs():
@@ -448,14 +471,15 @@ def test_gradient_accumulation_across_graphs():
     w = _p(rng, 3, 3)
     x1 = Tensor(rng.standard_normal((2, 3)))
     x2 = Tensor(rng.standard_normal((2, 3)))
-    ad.backward(ad.tsum(ad.matmul(x1, w)))
+    ones = np.ones((2, 3))
+    ad.backward(ad.matmul(x1, w), ones)
     ad.tape_clear()
     g1 = w.grad.copy()
-    ad.backward(ad.tsum(ad.matmul(x2, w)))
+    ad.backward(ad.matmul(x2, w), ones)
     ad.tape_clear()
     combined = w.grad.copy()
     w.zero_grad()
-    ad.backward(ad.tsum(ad.matmul(x2, w)))
+    ad.backward(ad.matmul(x2, w), ones)
     assert np.allclose(combined, g1 + w.grad)
 
 

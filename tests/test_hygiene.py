@@ -1,7 +1,7 @@
 """Static checks on the package source, standard library only: every
 imported name is used, every ``__all__`` entry is defined, every
-function parameter is read, and the README gives every config field's
-default."""
+function parameter is read, every autodiff op has a caller in the
+package, and the README gives every config field's default."""
 import ast
 import dataclasses
 import json
@@ -116,6 +116,37 @@ def test_every_parameter_is_read(path):
     unread = [f"{path.name}: {fn}({p})" for fn, p in _unread_parameters(_parse(path))
               if (fn, p) not in SHARED_INTERFACE]
     assert not unread, f"parameters never read: {unread}"
+
+
+def test_every_autodiff_op_has_a_caller():
+    """An engine op (an ``__all__`` function of ``autodiff`` that records
+    with ``_make(``) is called as ``<autodiff module alias>.<op>(`` or by
+    its imported name in some other package module: an op no model code
+    calls only adds code."""
+    engine = SRC / "autodiff.py"
+    tree = _parse(engine)
+    source = engine.read_text(encoding="utf-8")
+    ops = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+           and node.name in _exported(tree) and "_make(" in ast.get_source_segment(source, node)}
+    called: set[str] = set()
+    for path in MODULES:
+        if path == engine:
+            continue
+        tree = _parse(path)
+        aliases, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
+                names.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
+        for f in (node.func for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                if f.value.id in aliases:
+                    called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in names:
+                called.add(f.id)
+    assert {"matmul", "linear", "attention", "cross_entropy"} <= ops
+    assert sorted(ops - called) == [], "autodiff ops that no package module calls"
 
 
 @pytest.mark.parametrize("params", [GraphormerParams, TrainParams, EncodingParams, SplitParams],

@@ -362,7 +362,7 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
     (opt,) = optimizers
     assert opt.t == 1
     ops = {name for name, _ in outputs}
-    assert {"cross_entropy", "mul_scalar", "softmax_mix", "linear"} <= ops
+    assert {"cross_entropy", "softmax_mix", "linear"} <= ops
     assert kind == "mlp" or {"attention", "layer_norm", "embedding_lookup"} <= ops
     assert [(n, d) for n, d in outputs if d != dtype] == []
     params = model.parameters()
