@@ -66,13 +66,15 @@ class Tensor:
     Leaf tensors (constructed directly) with ``requires_grad=True`` are
     the trainable parameters; ``backward`` accumulates into their
     ``.grad``. Tensors produced by ops are interior nodes and never
-    retain gradients.
+    retain gradients. A floating ``data`` keeps its dtype unless
+    ``dtype`` is given; any other input becomes ``DEFAULT_DTYPE``.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "is_leaf")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+        data = np.asarray(data, dtype=dtype)
+        self.data = data if data.dtype.kind == "f" else data.astype(DEFAULT_DTYPE)
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.is_leaf = True
@@ -84,9 +86,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"

@@ -58,12 +58,19 @@ class Reader:
 
     def array(self, shape: tuple[int, ...], dtype) -> np.ndarray:
         """The next C-order array of ``shape``, read into its final buffer."""
-        dtype = np.dtype(dtype)
-        self._reserve(math.prod(shape) * dtype.itemsize)
+        return self.fill(self.empty(shape, dtype, dtype))
+
+    def empty(self, shape: tuple[int, ...], stored, dtype) -> np.ndarray:
+        """An empty ``dtype`` array of ``shape`` for the next array, once the
+        file is known to hold its bytes as ``stored``; ``fill`` reads them."""
+        self._reserve(math.prod(shape) * np.dtype(stored).itemsize)
         try:
-            arr = np.empty(shape, dtype=dtype)
+            return np.empty(shape, dtype=dtype)
         except ValueError:  # a huge dimension of an empty array, or rank > 64
             raise self.error from None
+
+    def fill(self, arr: np.ndarray) -> np.ndarray:
+        """``arr``, C-contiguous, filled with the next bytes ``empty`` reserved."""
         raw = payload(arr)
         if self.f.readinto(raw) != raw.size:
             raise self.error

@@ -29,6 +29,7 @@ from .text import (
     EncodingParams,
     build_bundle,
     check_source,
+    check_values,
     load_feature_matrix,
     load_llm_records,
     load_node_documents,
@@ -43,6 +44,7 @@ _U64 = struct.Struct("<Q")
 _DTYPES = {0: np.float64, 1: np.int64}
 _DTYPE_CODES = {np.dtype(np.float64): 0, np.dtype(np.int64): 1}
 _SOURCE_OF = {f"h_{s}": s for s in SOURCES}  # the source each bundle array of the artifact holds
+_SOURCE_RUN_BYTES = 1 << 24  # of a source's float64 rows, read, checked and cast at once
 
 
 @dataclass
@@ -51,7 +53,7 @@ class PreparedDataset:
     labels: np.ndarray  # int64, -1 where unlabeled
     years: np.ndarray
     graph: DirectedGraph
-    # SOURCES -> (n, d): float64 from prepare (see text.check_bundle), the model dtype once loaded
+    # SOURCES -> (n, d): float64 from prepare (see text.check_source), the model dtype once loaded
     bundle: dict[str, np.ndarray]
     text_dim: int
     pred_top_k: int
@@ -195,52 +197,55 @@ def save_dataset(ds: PreparedDataset, path) -> str:
 
 
 def load_dataset(path, dtype: str = GraphormerParams.dtype) -> PreparedDataset:
-    """Read and validate an artifact; any inconsistency is a DataError.
+    """Read and validate an artifact; any inconsistency is a DataError naming the file.
 
-    Each array is read straight into its final buffer and hashed there.
-    Each embedding source is read as the float64 it is stored as,
-    checked as ``prepare`` checks it, and cast to ``dtype`` (by default
-    the model's) before the next array is read, so the float64 bundle is
-    never held whole. A finite value beyond ``dtype``'s range is a
-    DataError naming the source.
+    Each array is read straight into its final buffer and hashed there,
+    but for the embedding sources, which ``_read_source`` reads in runs
+    of rows, checking each as ``prepare`` checks it and casting it to
+    ``dtype`` (by default the model's) before reading the next, so a
+    load holds one run of float64 beside its result.
     """
     t0 = time.perf_counter()
-    sources_s = 0.0  # checking and casting the sources, inside the read
+    sources_s = 0.0  # reading, checking and casting the sources
     digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        r = Reader(f, DataError(f"{path}: truncated dataset artifact"), digest)
-        if r.take(len(_MAGIC)) != _MAGIC:
-            raise DataError(f"{path}: not a prepared dataset artifact")
-        (meta_len,) = _U64.unpack(r.take(8))
-        meta = r.utf8(meta_len, DataError(f"{path}: artifact meta is not UTF-8"))
-        try:
-            meta = json.loads(meta)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: artifact meta is not JSON: {e}") from None
-        _check_meta(path, meta)
-        (count,) = _U64.unpack(r.take(8))
-        arrays: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = _U64.unpack(r.take(8))
-            name = r.utf8(nlen, DataError(f"{path}: an array name is not UTF-8"))
-            code = r.take(1)[0]
-            if code not in _DTYPES:
-                raise DataError(f"{path}: array {name!r} has unknown dtype code {code}")
-            (rank,) = _U64.unpack(r.take(8))
-            shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(rank))
-            arrays[name] = r.array(shape, _DTYPES[code])
-            if name in _SOURCE_OF:
-                ts = time.perf_counter()
-                arrays[name] = _cast_source(path, _SOURCE_OF[name], arrays[name],
-                                            meta["num_nodes"], dtype)
-                sources_s += time.perf_counter() - ts
-        if r.left:
-            raise DataError(f"{path}: trailing bytes after the last array")
-    t1 = time.perf_counter()
-    sidecar = Path(str(path) + ".sha256")
-    if sidecar.exists() and sidecar.read_bytes().strip() != digest.hexdigest().encode():
-        raise DataError(f"{path}: sha256 {digest.hexdigest()} differs from {sidecar}")
-    _check_artifact(path, meta, arrays)
+    try:
+        with open(path, "rb") as f:
+            r = Reader(f, DataError("truncated dataset artifact"), digest)
+            if r.take(len(_MAGIC)) != _MAGIC:
+                raise DataError("not a prepared dataset artifact")
+            (meta_len,) = _U64.unpack(r.take(8))
+            meta = r.utf8(meta_len, DataError("artifact meta is not UTF-8"))
+            try:
+                meta = json.loads(meta)
+            except json.JSONDecodeError as e:
+                raise DataError(f"artifact meta is not JSON: {e}") from None
+            _check_meta(meta)
+            (count,) = _U64.unpack(r.take(8))
+            arrays: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (nlen,) = _U64.unpack(r.take(8))
+                name = r.utf8(nlen, DataError("an array name is not UTF-8"))
+                code = r.take(1)[0]
+                if code not in _DTYPES:
+                    raise DataError(f"array {name!r} has unknown dtype code {code}")
+                (rank,) = _U64.unpack(r.take(8))
+                shape = tuple(_U64.unpack(r.take(8))[0] for _ in range(rank))
+                if name in _SOURCE_OF:
+                    ts = time.perf_counter()
+                    arrays[name] = _read_source(r, _SOURCE_OF[name], _DTYPES[code], shape,
+                                                meta["num_nodes"], dtype)
+                    sources_s += time.perf_counter() - ts
+                else:
+                    arrays[name] = r.array(shape, _DTYPES[code])
+            if r.left:
+                raise DataError("trailing bytes after the last array")
+        t1 = time.perf_counter()
+        sidecar = Path(str(path) + ".sha256")
+        if sidecar.exists() and sidecar.read_bytes().strip() != digest.hexdigest().encode():
+            raise DataError(f"sha256 {digest.hexdigest()} differs from {sidecar}")
+        _check_artifact(meta, arrays)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
     graph = DirectedGraph(
         num_nodes=meta["num_nodes"],
         out_offsets=arrays["out_offsets"],
@@ -267,41 +272,47 @@ def load_dataset(path, dtype: str = GraphormerParams.dtype) -> PreparedDataset:
     )
 
 
-def _cast_source(path, s: str, m: np.ndarray, n: int, dtype) -> np.ndarray:
-    """Source ``s`` as read, checked by ``check_source`` and cast to ``dtype``."""
-    try:
-        check_source(s, m, n)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
-    try:
-        with np.errstate(over="raise"):  # m is finite: only a value beyond dtype's range overflows
-            return m.astype(dtype, copy=False)
-    except FloatingPointError:
-        raise DataError(f"{path}: source {s!r} has finite values beyond the {np.dtype(dtype)} "
-                        f"range (largest magnitude {np.abs(m).max():.6g})") from None
+def _read_source(r: Reader, s: str, stored, shape: tuple[int, ...], n: int, dtype) -> np.ndarray:
+    """Source ``s``, stored as ``stored`` in ``shape``, read from ``r`` into
+    a ``dtype`` matrix in runs of rows, each checked by ``check_values``
+    and cast before the next is read. A finite value beyond ``dtype``'s
+    range is a DataError naming the largest magnitude read."""
+    out = r.empty(shape, stored, dtype)
+    check_source(s, stored, shape, n)
+    per = max(1, _SOURCE_RUN_BYTES // max(1, 8 * shape[1]))  # float64 rows per run
+    buf = None if out.dtype == stored else np.empty((min(per, n), shape[1]), stored)
+    for lo in range(0, n, per):
+        run = out[lo:lo + per] if buf is None else buf[:min(per, n - lo)]  # float64: in place
+        r.fill(run)
+        check_values(s, run)
+        try:
+            with np.errstate(over="raise"):  # run is finite: only a value beyond dtype's overflows
+                if buf is not None:
+                    out[lo:lo + len(run)] = run
+        except FloatingPointError:  # the earlier runs fit, so this one holds the largest value
+            raise DataError(f"source {s!r} has finite values beyond the {out.dtype} range "
+                            f"(largest magnitude {np.abs(run).max():.6g})") from None
+    return out
 
 
-def _check_meta(path, meta) -> None:
+def _check_meta(meta) -> None:
     """The meta block's keys, their types and the class names."""
     counts = ("num_nodes", "num_edges", "text_dim", "pred_top_k", "seed",
               "self_loops_dropped", "duplicates_dropped")
     if not isinstance(meta, dict):
-        raise DataError(f"{path}: artifact meta is not a JSON object")
+        raise DataError("artifact meta is not a JSON object")
     missing = sorted({"class_names", *counts} - set(meta))
     if missing:
-        raise DataError(f"{path}: artifact meta is missing keys {missing}")
+        raise DataError(f"artifact meta is missing keys {missing}")
     not_int = [k for k in counts if type(meta[k]) is not int]
     if not_int or not isinstance(meta["class_names"], list):
-        raise DataError(f"{path}: artifact meta has ill-typed values for {not_int or 'class_names'}")
-    try:
-        _check_class_names(meta["class_names"])
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
+        raise DataError(f"artifact meta has ill-typed values for {not_int or 'class_names'}")
+    _check_class_names(meta["class_names"])
 
 
-def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+def _check_artifact(meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """The invariants save_dataset's input holds, the meta's and the
-    bundle's aside (``_check_meta`` and ``check_source`` state those,
+    bundle's aside (``_check_meta`` and ``_read_source`` check those
     as each is read): array shapes that agree with the node and edge
     counts, CSR adjacency with sorted in-range targets, and labels in
     [-1, num_classes)."""
@@ -310,22 +321,22 @@ def _check_artifact(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
                 "in_offsets": (n + 1,), "in_targets": (m,)}
     missing = sorted((set(expected) | set(_SOURCE_OF)) - set(arrays))
     if missing:
-        raise DataError(f"{path}: artifact is missing arrays {missing}")
+        raise DataError(f"artifact is missing arrays {missing}")
     for name, shape in expected.items():
         a = arrays[name]
         if a.shape != shape or a.dtype != np.int64:
-            raise DataError(f"{path}: {name} is {a.dtype} {a.shape}, expected int64 {shape} "
+            raise DataError(f"{name} is {a.dtype} {a.shape}, expected int64 {shape} "
                             f"for {n} nodes and {m} edges")
     for side in ("out", "in"):
         off, tgt = arrays[f"{side}_offsets"], arrays[f"{side}_targets"]
         if off[0] != 0 or off[-1] != m or np.any(np.diff(off) < 0):
-            raise DataError(f"{path}: {side}_offsets must rise monotonically from 0 to {m}")
+            raise DataError(f"{side}_offsets must rise monotonically from 0 to {m}")
         if m and (tgt.min() < 0 or tgt.max() >= n):
-            raise DataError(f"{path}: {side}_targets has a node id outside [0, {n})")
+            raise DataError(f"{side}_targets has a node id outside [0, {n})")
         # row-major keys rise strictly iff each row's targets are sorted and distinct
         keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(off)) * n + tgt
         if np.any(np.diff(keys) <= 0):
-            raise DataError(f"{path}: {side}_targets are not sorted within a row")
+            raise DataError(f"{side}_targets are not sorted within a row")
     labels, c = arrays["labels"], len(meta["class_names"])
     if n and (labels.min() < -1 or labels.max() >= c):
-        raise DataError(f"{path}: labels must lie in [-1, {c}) for {c} classes")
+        raise DataError(f"labels must lie in [-1, {c}) for {c} classes")

@@ -94,4 +94,4 @@ class FusionLayer:
             projected.append(u)
             scores.append(ad.matmul(ad.tanh(ad.matmul(u, self.score_m)), self.score_w))
         out, alpha = ad.softmax_mix(projected, scores)
-        return (out, Tensor(alpha, dtype=alpha.dtype)) if return_weights else out
+        return (out, Tensor(alpha)) if return_weights else out

@@ -48,29 +48,11 @@ class DirectedGraph:
     self_loops_dropped: int = 0
     duplicates_dropped: int = 0
 
-    def out_degree(self, v: int) -> int:
-        return int(self.out_offsets[v + 1] - self.out_offsets[v])
-
-    def in_degree(self, v: int) -> int:
-        return int(self.in_offsets[v + 1] - self.in_offsets[v])
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_offsets)
 
     def in_degrees(self) -> np.ndarray:
         return np.diff(self.in_offsets)
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_targets[self.out_offsets[v]:self.out_offsets[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_targets[self.in_offsets[v]:self.in_offsets[v + 1]]
-
-    def edges(self):
-        """Yield (src, dst) in (src, dst) sorted order."""
-        for u in range(self.num_nodes):
-            for v in self.out_neighbors(u):
-                yield u, int(v)
 
     @cached_property
     def log1p_degree(self) -> np.ndarray:

@@ -252,10 +252,9 @@ def attention_bias(stack: SubgraphStack, spatial_table: Tensor, edge_weight: Ten
     plus its edge term; the diagonal hits the distance-0 bucket with a
     zero edge term, unreachable pairs hit the dedicated last bucket.
     """
-    dtype = edge_weight.data.dtype
-    coeffs = _path_coeffs(stack.edge_table, stack.path_index, stack.spd.cap, dtype)
+    coeffs = _path_coeffs(stack.edge_table, stack.path_index, stack.spd.cap, edge_weight.data.dtype)
     sp = ad.embedding_lookup(spatial_table, stack.spd_buckets.reshape(-1))
-    ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1]), dtype=dtype), edge_weight)
+    ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1])), edge_weight)
     return ad.add(sp, ce)
 
 
@@ -322,7 +321,7 @@ def _cast(params: dict[str, Tensor], dtype: str) -> None:
 class GraphormerModel:
     """Pre-norm transformer blocks over ego subgraphs with structural biases."""
 
-    def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int = 0):
+    def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int):
         if fusion_cfg.d_model != cfg.d_model:
             raise ValueError("fusion and model widths disagree")
         self.cfg = cfg
@@ -359,6 +358,7 @@ class GraphormerModel:
         self.head_b = Tensor(np.zeros(cfg.num_classes), requires_grad=True)
         _cast(self.parameters(), cfg.dtype)
         self._batch_cache: dict[tuple[int, int], SubgraphBatch] = {}
+        self._cache_graph: DirectedGraph | None = None  # the graph of the cached entries
 
     # -- parameters ---------------------------------------------------------
 
@@ -452,6 +452,8 @@ class GraphormerModel:
         up. A subgraph's sample depends only on its center and ``seed``,
         so the pass it is built in does not change its entry."""
         g = data.graph
+        if g is not self._cache_graph:  # another graph's entries: start empty
+            self._batch_cache, self._cache_graph = {}, g
         missing = [c for c in dict.fromkeys(map(int, centers)) if (c, seed) not in self._batch_cache]
         if not missing:
             return
@@ -481,7 +483,7 @@ class FusedMlp:
     "sources only" configuration of the ablation table.
     """
 
-    def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int = 0):
+    def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int):
         if fusion_cfg.d_model != cfg.d_model:
             raise ValueError("fusion and model widths disagree")
         rng = np.random.default_rng(seed)

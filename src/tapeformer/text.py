@@ -4,7 +4,7 @@ Four sources per node: hashed explanation features, a rank-weighted
 distribution over the LLM's predicted classes, hashed text features,
 and the dataset's own feature vectors. An embedding bundle is a plain
 mapping from each name in ``SOURCES`` to its (n, d) float64 matrix, row
-i = node i, and ``check_source`` is the one statement of that rule; a
+i = node i; ``check_source`` and ``check_values`` state that rule, and a
 dataset loaded for a model holds the checked matrices in its dtype.
 The heavy LM stage is replaced by deterministic feature hashing
 (``encode_texts``) so the whole pipeline runs on a laptop; precomputed
@@ -38,8 +38,8 @@ __all__ = [
     "stub_llm_provider",
     "encode_texts",
     "encode_predictions",
-    "check_bundle",
     "check_source",
+    "check_values",
     "build_bundle",
     "load_node_documents",
     "load_llm_records",
@@ -107,13 +107,13 @@ def tokenize(text: str) -> list[str]:
     return _token_bytes(text).decode("ascii").split()
 
 
-def stub_llm_provider(doc: NodeDocument, class_names: list[str], top_k: int = 5) -> LlmRecord:
+def stub_llm_provider(doc: NodeDocument, class_names: list[str]) -> LlmRecord:
     """Deterministic stand-in for a hosted LLM.
 
-    Classes are ranked by multiset token overlap: the number of document
-    token occurrences matching a token of the class name (ties fall back
-    to class-index order). The explanation is a fixed template naming
-    the matched tokens.
+    It predicts the first five classes ranked by multiset token overlap:
+    the number of document token occurrences matching a token of the
+    class name (ties fall back to class-index order). The explanation is
+    a fixed template naming the matched tokens.
     """
     doc_tokens = tokenize(doc.title + " " + doc.abstract)
     counts: dict[str, int] = {}
@@ -126,7 +126,7 @@ def stub_llm_provider(doc: NodeDocument, class_names: list[str], top_k: int = 5)
         score = sum(counts[t] for t in overlap)
         scored.append((-score, idx, overlap))
     scored.sort()
-    ranked = scored[: min(top_k, len(class_names))]
+    ranked = scored[:5]
     predictions = [idx for _, idx, _ in ranked]
     top_name = class_names[predictions[0]]
     top_overlap = ranked[0][2]
@@ -199,22 +199,18 @@ def encode_predictions(recs, num_classes: int, top_k: int) -> np.ndarray:
     return out
 
 
-def check_bundle(bundle: dict[str, np.ndarray], n: int) -> None:
-    """Every source of ``bundle`` is a finite float64 matrix with ``n``
-    rows, as ``prepare`` builds it and the artifact stores it; a
-    DataError names the first source that is not. ``load_dataset``
-    checks each source so before casting it to the model dtype."""
-    for s in SOURCES:
-        check_source(s, bundle[s], n)
-
-
-def check_source(name: str, m: np.ndarray, n: int) -> None:
-    """Source ``name`` is a finite float64 matrix with ``n`` rows; a
-    DataError names it if not."""
-    if m.dtype != np.float64 or m.ndim != 2 or m.shape[0] != n:
-        raise DataError(f"source {name!r} is {m.dtype} {m.shape}, "
+def check_source(name: str, dtype, shape: tuple[int, ...], n: int) -> None:
+    """Source ``name``, of ``dtype`` and ``shape``, is a float64 matrix
+    with ``n`` rows, as ``prepare`` builds it and the artifact stores it;
+    a DataError names it if not. ``check_values`` checks its rows."""
+    if dtype != np.float64 or len(shape) != 2 or shape[0] != n:
+        raise DataError(f"source {name!r} is {np.dtype(dtype)} {shape}, "
                         f"expected a float64 matrix with {n} rows")
-    if not np.isfinite(m).all():
+
+
+def check_values(name: str, rows: np.ndarray) -> None:
+    """The ``rows`` of source ``name`` are finite; a DataError names it if not."""
+    if not np.isfinite(rows).all():
         raise DataError(f"source {name!r} has non-finite values")
 
 
@@ -250,7 +246,9 @@ def build_bundle(
         if name not in SOURCES:
             raise DataError(f"unknown embedding source override: {name!r}")
         bundle[name] = np.asarray(mat, dtype=np.float64)
-    check_bundle(bundle, n)
+    for s in SOURCES:  # as load_dataset checks each source, a run of rows at a time
+        check_source(s, bundle[s].dtype, bundle[s].shape, n)
+        check_values(s, bundle[s])
     return bundle
 
 

@@ -29,6 +29,7 @@ from .autodiff import Tensor
 from .text import DataError
 
 log = logging.getLogger(__name__)
+PREDICT_CHUNK = 16  # ids per prediction forward: a padded chunk holds PREDICT_CHUNK * k * k pairs
 
 __all__ = [
     "TrainParams",
@@ -156,10 +157,10 @@ class Adam:
     parameter with temporaries gives.
     """
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         data = [t.data for t in params.values()]  # moments and scratch in the parameters' dtype
         dtype = np.result_type(np.float32, *data)
@@ -272,22 +273,21 @@ def make_temporal_split(
     return split
 
 
-def predict(model, data, ids, seed: int, chunk: int = 16) -> np.ndarray:
+def predict(model, data, ids, seed: int) -> np.ndarray:
     """Argmax class per node, computed without touching the tape.
 
-    Each chunk of ids is one padded forward whose pair arrays hold
-    ``chunk * k * k`` rows, so the chunk bounds its memory. Every id is
-    built before the first chunk, in the model's capped build passes.
-    Chunks run without per-op finite checks; a chunk with a non-finite
-    logit runs again with them on, and the ``FloatingPointError`` names
-    the first op that went non-finite.
+    Each chunk of ``PREDICT_CHUNK`` ids is one padded forward, so the
+    chunk bounds its memory. Every id is built before the first chunk,
+    in the model's capped build passes. Chunks run without per-op finite
+    checks; a chunk with a non-finite logit runs again with them on, and
+    the ``FloatingPointError`` names the first op that went non-finite.
     """
     ids = np.asarray(ids, dtype=np.int64)
     out = np.empty(len(ids), dtype=np.int64)
     model.build_centers(data, ids, seed)
     with ad.no_grad():
-        for lo in range(0, len(ids), chunk):
-            part = ids[lo:lo + chunk]
+        for lo in range(0, len(ids), PREDICT_CHUNK):
+            part = ids[lo:lo + PREDICT_CHUNK]
             with ad.finite_checks(False):
                 logits = model.logits_for_centers(data, part, seed=seed).data
             if not np.isfinite(logits).all():
@@ -302,12 +302,12 @@ def accuracy_on(model, data, ids, seed: int) -> float:
     return float((preds == data.labels[np.asarray(ids, dtype=np.int64)]).mean())
 
 
-def _grad_norms(params: dict[str, Tensor], top: int = 5) -> str:
+def _grad_norms(params: dict[str, Tensor]) -> str:
     norms = sorted(
         ((float(np.linalg.norm(t.grad)) if t.grad is not None else 0.0, k) for k, t in params.items()),
         reverse=True,
     )
-    return ", ".join(f"{k}={n:.3e}" for n, k in norms[:top])
+    return ", ".join(f"{k}={n:.3e}" for n, k in norms[:5])
 
 
 def _micro_batch_loss(model, data, centers, cfg: TrainConfig) -> Tensor:

@@ -77,7 +77,7 @@ def check_gradients(make_out, params, h: float = 1e-5, rel_tol: float = 1e-4,
     rng = np.random.default_rng(seed)
     ad.tape_clear()
     for p in named.values():
-        p.zero_grad()
+        p.grad = None
     ad.backward(make_out(), grad)
     worst = 0.0
     for n, p in named.items():
@@ -151,6 +151,24 @@ def random_edge_list(rng: np.random.Generator, n: int, density: float):
         v = int(rng.integers(0, n))
         edges.append((u, v))
     return edges
+
+
+def out_neighbors(g, v: int) -> np.ndarray:
+    """The targets of v's citations, off ``g``'s out-CSR arrays."""
+    return g.out_targets[g.out_offsets[v]:g.out_offsets[v + 1]]
+
+
+def in_neighbors(g, v: int) -> np.ndarray:
+    """The sources citing v, off ``g``'s in-CSR arrays."""
+    return g.in_targets[g.in_offsets[v]:g.in_offsets[v + 1]]
+
+
+def edge_pairs(g):
+    """Yield every (src, dst) citation of ``g`` in (src, dst) sorted order,
+    one out-neighbour at a time."""
+    for u in range(g.num_nodes):
+        for v in out_neighbors(g, u):
+            yield u, int(v)
 
 
 def undirected_adj_sets(edges, n):
@@ -269,7 +287,7 @@ def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, seed: int):
             break
         nxt_set: set[int] = set()
         for u in frontier:
-            for w in list(g.out_neighbors(u)) + list(g.in_neighbors(u)):
+            for w in list(out_neighbors(g, u)) + list(in_neighbors(g, u)):
                 w = int(w)
                 if w not in in_set:
                     nxt_set.add(w)
@@ -283,7 +301,7 @@ def oracle_ego_subgraph(g, center: int, hops: int, max_nodes: int, seed: int):
     local_of = {int(gid): li for li, gid in enumerate(selected)}
     edges = []
     for li, gid in enumerate(selected):
-        for t in g.out_neighbors(int(gid)):
+        for t in out_neighbors(g, int(gid)):
             lj = local_of.get(int(t))
             if lj is not None:
                 edges.append((li, lj))
@@ -314,7 +332,7 @@ def oracle_citation_flags(g, src, dst) -> np.ndarray:
 
 def has_edge(g, u: int, v: int) -> bool:
     """Does ``u`` cite ``v``? A scan of u's out-neighbours."""
-    return v in g.out_neighbors(u).tolist()
+    return v in out_neighbors(g, u).tolist()
 
 
 def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
@@ -327,9 +345,8 @@ def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
         flag, src, dst = -1.0, gv, gu
     else:
         raise ValueError(f"no edge between {gu} and {gv} in either direction")
-    return np.asarray(
-        [flag, math.log1p(g.out_degree(src)), math.log1p(g.in_degree(dst))], dtype=np.float64
-    )
+    return np.asarray([flag, math.log1p(g.out_degrees()[src]), math.log1p(g.in_degrees()[dst])],
+                      dtype=np.float64)
 
 
 def shortest_path_edges(sub, adj_sets, dist, cap, i, j):
@@ -464,8 +481,7 @@ def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
     for i in range(1, len(proj)):
         x = x + proj[i] * alpha[:, i:i + 1]
     mb = cfg.max_degree_bucket
-    in_deg = np.array([g.in_degree(int(v)) for v in batch.nodes])
-    out_deg = np.array([g.out_degree(int(v)) for v in batch.nodes])
+    in_deg, out_deg = g.in_degrees()[batch.nodes], g.out_degrees()[batch.nodes]
     h = x + model.z_in.data[np.minimum(in_deg, mb)] + model.z_out.data[np.minimum(out_deg, mb)]
     k, heads = len(batch.nodes), cfg.num_heads
     bias = (model.spatial_table.data[batch.dist.reshape(-1)]

@@ -28,6 +28,7 @@ from tapeformer.model import GraphormerConfig, GraphormerModel
 from helpers import (
     check_gradients,
     edge_encoding_cij,
+    edge_pairs,
     ego_stack,
     floyd_warshall,
     random_edge_list,
@@ -192,7 +193,7 @@ def test_criterion_02_spd_oracle():
         density = float(rng.uniform(0.02, 0.35))
         edges = random_edge_list(rng, n, density)
         g = gr.from_edge_list(edges, n)
-        sub = ego_stack(np.arange(n), list(g.edges()))
+        sub = ego_stack(np.arange(n), list(edge_pairs(g)))
         cap = int(rng.integers(1, 8))
         spd = st.bfs_spd(sub, cap=cap)
         fw = floyd_warshall(edges, n)

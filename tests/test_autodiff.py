@@ -33,6 +33,16 @@ def _softmax_weights(x):
     return ad.softmax_mix(values, [Tensor(x[:, j:j + 1]) for j in range(x.shape[1])])[1]
 
 
+def test_tensor_keeps_a_floating_array_s_dtype():
+    """A float32 constant stays float32 on its way onto the tape; input
+    that is not floating becomes float64, and ``dtype`` casts."""
+    assert Tensor(np.ones(3, dtype=np.float32)).data.dtype == np.float32
+    assert Tensor([1, 2]).data.dtype == np.float64
+    assert Tensor([0.5]).data.dtype == np.float64
+    assert Tensor(np.arange(3)).data.dtype == np.float64
+    assert Tensor(np.ones(3), dtype=np.float32).data.dtype == np.float32
+
+
 def test_softmax_uniform_row():
     p = _softmax_weights(np.zeros((1, 4)))
     assert np.allclose(p, 0.25)
@@ -191,7 +201,7 @@ def test_grad_add_linear():
 def _grads_through(out, r, inputs):
     """Backward from the upstream gradient ``r``; returns each input's gradient."""
     for t in inputs:
-        t.zero_grad()
+        t.grad = None
     ad.backward(out, r)
     ad.tape_clear()
     return [t.grad for t in inputs]
@@ -359,7 +369,7 @@ def test_grad_masked_softmax():
         check_gradients(lambda: ad.attention(*inputs, mask, heads, 0.7)[0], inputs[3:],
                         grad=r)
         # masked keys get exactly zero weight, and the bias exactly zero gradient there
-        inputs[3].zero_grad()
+        inputs[3].grad = None
         out, weights = ad.attention(*inputs, mask, heads, 0.7)
         assert weights.shape == (3, heads, 4, 5)
         ad.backward(out, r)
@@ -478,7 +488,7 @@ def test_gradient_accumulation_across_graphs():
     ad.backward(ad.matmul(x2, w), ones)
     ad.tape_clear()
     combined = w.grad.copy()
-    w.zero_grad()
+    w.grad = None
     ad.backward(ad.matmul(x2, w), ones)
     assert np.allclose(combined, g1 + w.grad)
 

@@ -282,6 +282,27 @@ def test_artifact_roundtrip_with_empty_arrays(corpus, tmp_path):
         assert narrow.bundle[s].tobytes() == ds.bundle[s].astype(np.float32).tobytes()
 
 
+def test_sources_load_in_runs_of_rows(corpus, tmp_path, monkeypatch):
+    """Sources read a row or two at a time load as a whole read does, in
+    either dtype; a NaN or a value beyond float32 in the last run is
+    refused naming the file and the source."""
+    ds = _edgeless(tmp_path, corpus, cols=3)
+    dsm.save_dataset(ds, tmp_path / "a.bin")
+    monkeypatch.setattr(dsm, "_SOURCE_RUN_BYTES", 64)  # 1 row of expl and text, 2 of ogb
+    for dtype in ("float64", "float32"):
+        back = dsm.load_dataset(tmp_path / "a.bin", dtype=dtype)
+        for s in SOURCES:
+            assert back.bundle[s].tobytes() == ds.bundle[s].astype(dtype).tobytes(), s
+    raw = (tmp_path / "a.bin").read_bytes()  # h_ogb is the last array
+    for value, named in ((np.nan, "source 'ogb' has non-finite values"),
+                         (1e300, "source 'ogb' has finite values beyond the float32 range "
+                                 r"\(largest magnitude 1e\+300\)")):
+        (tmp_path / "b.bin").write_bytes(raw[:-8] + np.float64(value).tobytes())
+        with pytest.raises(DataError, match=rf"b.bin: {named}"):
+            dsm.load_dataset(tmp_path / "b.bin", dtype="float32")
+    assert dsm.load_dataset(tmp_path / "b.bin", dtype="float64").bundle["ogb"][-1, -1] == 1e300
+
+
 def _first_dim_offsets(raw: bytes) -> dict[str, int]:
     """Byte offset of each array's first dimension in an artifact."""
     (meta_len,) = struct.unpack_from("<Q", raw, 8)

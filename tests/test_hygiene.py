@@ -1,7 +1,9 @@
 """Static checks on the package source, standard library only: every
 imported name is used, every ``__all__`` entry is defined, every
-function parameter is read, every autodiff op has a caller in the
-package, and the README gives every config field's default."""
+function parameter is read, every default-valued parameter is passed by
+some call in the package or the benchmark, every autodiff op has a
+caller in the package, and the README gives every config field's
+default."""
 import ast
 import dataclasses
 import json
@@ -147,6 +149,82 @@ def test_every_autodiff_op_has_a_caller():
                 called.add(f.id)
     assert {"matmul", "linear", "attention", "cross_entropy"} <= ops
     assert sorted(ops - called) == [], "autodiff ops that no package module calls"
+
+
+# default-valued parameters that no program call passes yet, by
+# (function qualname, parameter), each with the reason it stays
+UNPASSED_DEFAULTS = {
+    # acceptance criterion 5 reads the per-layer attention maps through it
+    ("GraphormerModel.forward", "capture"),
+    # the per-source fusion weights, for a checkpoint inspector (ROADMAP item 4b)
+    ("FusionLayer.fuse", "return_weights"),
+}
+
+
+def _defaulted(tree: ast.Module):
+    """(qualname, positional parameter names, default-valued parameter
+    names) of every module-level function and every method of a
+    top-level class that has a default-valued parameter. A method's
+    positional names leave out the ``self`` or ``cls`` a call binds, a
+    constructor's qualname is its class's, and nested closures are left
+    out."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            members = [(f"{node.name}.{fn.name}", fn) for fn in node.body
+                       if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            members = [(node.name, node)]
+        else:
+            continue
+        for qualname, fn in members:
+            a = fn.args
+            positional = [p.arg for p in (*a.posonlyargs, *a.args)]
+            if "." in qualname and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                           for d in fn.decorator_list):
+                positional = positional[1:]  # self or cls, bound by the call
+            named = positional[len(positional) - len(a.defaults):] if a.defaults else []
+            named += [p.arg for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if named:
+                yield qualname.removesuffix(".__init__"), positional, named
+
+
+def _calls_by_name() -> dict[str, list[ast.Call]]:
+    """Every call in the package and the benchmark, by the called name:
+    ``f`` for ``f(...)`` and ``x.f(...)``, ``C`` for ``C(...)``."""
+    calls: dict[str, list[ast.Call]] = {}
+    for path in [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, positional: list[str], param: str) -> bool:
+    """Does ``call`` pass ``param``, by keyword, by position or through a
+    ``*``/``**`` unpacking?"""
+    if any(k.arg in (param, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return param in positional[:len(call.args)]
+
+
+def test_every_default_is_passed_somewhere():
+    """A default-valued parameter that no call in the package or the
+    benchmark passes is a constant with a knob on it: make it a constant.
+    Calls match by name alone, so a name two functions share keeps both
+    alive; tests do not count as callers."""
+    calls = _calls_by_name()
+    unpassed = []
+    for path in MODULES:
+        for qualname, positional, named in _defaulted(_parse(path)):
+            site = calls.get(qualname.rsplit(".", 1)[-1], [])
+            unpassed += [f"{path.name}: {qualname}.{p}" for p in named
+                         if (qualname, p) not in UNPASSED_DEFAULTS
+                         and not any(_passes(c, positional, p) for c in site)]
+    assert not unpassed, f"default-valued parameters no call passes: {unpassed}"
 
 
 @pytest.mark.parametrize("params", [GraphormerParams, TrainParams, EncodingParams, SplitParams],

@@ -15,14 +15,17 @@ from helpers import (
     bfs_distances,
     check_gradients,
     edge_encoding_cij,
+    edge_pairs,
     ego_stack,
     entry_path_coeffs,
+    in_neighbors,
     node_map,
     oracle_citation_flags,
     oracle_ego_subgraph,
     oracle_logits_for_centers,
     oracle_structural,
     oracle_subgraph_logits,
+    out_neighbors,
     random_edge_list,
     relabelled_stack,
 )
@@ -272,8 +275,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
             sub = oracle_ego_subgraph(g, c, cfg.ego_hops, max_nodes, 4)
             dist, coeffs = oracle_structural(g, sub, cfg.max_spd)
             nodes = sub.nodes[0]
-            want[c] = (nodes, dist, coeffs, np.asarray([g.in_degree(int(v)) for v in nodes]),
-                       np.asarray([g.out_degree(int(v)) for v in nodes]))
+            want[c] = (nodes, dist, coeffs, g.in_degrees()[nodes], g.out_degrees()[nodes])
             assert node_map(sub)[c] == 0
         sizes = {len(w[0]) for w in want.values()}
         assert 1 in sizes and (max_nodes == 1 or len(sizes) > 2)
@@ -454,7 +456,7 @@ def test_passes_of_1_3_and_16_centers_build_the_same_entries(monkeypatch):
 
 def _with_reciprocal_citations(g):
     """``g`` plus the reverse of every fifth citation."""
-    edges = list(g.edges())
+    edges = list(edge_pairs(g))
     return gr.from_edge_list(edges + [(v, u) for u, v in edges[::5]], g.num_nodes)
 
 
@@ -471,7 +473,7 @@ def test_edge_orientation_from_the_stack_matches_the_graph_lookup(monkeypatch):
 
     desk = _desk_graph()
     for g in (desk, _with_reciprocal_citations(desk)):
-        adj_sets = [set(g.out_neighbors(v).tolist()) | set(g.in_neighbors(v).tolist())
+        adj_sets = [set(out_neighbors(g, v).tolist()) | set(in_neighbors(g, v).tolist())
                     for v in range(400)]
         ball = [sum(d <= 2 for d in bfs_distances(adj_sets, c).values()) for c in range(400)]
         reciprocal = 0
@@ -511,6 +513,22 @@ def test_oversized_micro_batch_builds_in_capped_passes(monkeypatch):
         got = model.logits_for_centers(data, np.arange(24), seed=0).data
         assert passes == sizes
         assert got.tobytes() == want.tobytes()
+
+
+def test_a_model_reused_on_another_graph_builds_that_graph_s_subgraphs():
+    """The batch cache holds one graph's entries: after forwards on one
+    graph, a forward on another is, byte for byte, the forward of a model
+    that never saw the first, and going back rebuilds the first's."""
+    _, first, model = _mixed_case(41)
+    _, second, fresh = _mixed_case(41)  # the same parameters and bundle
+    second.graph = _mixed_case(42)[1].graph
+    centers = np.arange(24)
+    before = model.logits_for_centers(first, centers, seed=0).data.copy()
+    got = model.logits_for_centers(second, centers, seed=0).data
+    assert got.tobytes() == fresh.logits_for_centers(second, centers, seed=0).data.tobytes()
+    for c in centers:
+        assert model.batch_for(c, 0).nodes.tolist() == fresh.batch_for(c, 0).nodes.tolist()
+    assert model.logits_for_centers(first, centers, seed=0).data.tobytes() == before.tobytes()
 
 
 def test_build_centers_and_empty_center_lists():
@@ -723,7 +741,7 @@ def test_overfit_tiny_subgraph():
     n = 20
     edges = random_edge_list(rng, n, 0.15)
     g = gr.from_edge_list(edges, n)
-    sub = ego_stack(np.arange(n), list(g.edges()))
+    sub = ego_stack(np.arange(n), list(edge_pairs(g)))
     cfg = tiny_config()
     batch = gm.build_batch(g, sub, cfg)
     model = gm.GraphormerModel(cfg, fusion_config(), seed=9)
@@ -796,8 +814,8 @@ def test_stack_batches_pads_and_masks():
     for i, b in enumerate(batches):
         n = len(b.nodes)
         assert np.array_equal(stack.nodes[i, :n], b.nodes) and (stack.nodes[i, n:] == -1).all()
-        assert stack.in_deg[i, :n].tolist() == [g.in_degree(int(v)) for v in b.nodes]
-        assert stack.out_deg[i, :n].tolist() == [g.out_degree(int(v)) for v in b.nodes]
+        assert stack.in_deg[i, :n].tolist() == g.in_degrees()[b.nodes].tolist()
+        assert stack.out_deg[i, :n].tolist() == g.out_degrees()[b.nodes].tolist()
         assert not stack.in_deg[i, n:].any() and not stack.out_deg[i, n:].any()
         assert np.array_equal(stack.spd_buckets[i, :n, :n], b.dist)
         coeffs = stack.path_coeffs[i]

@@ -7,6 +7,7 @@ from tapeformer import structural as st
 
 from helpers import (
     brute_force_clustering,
+    edge_pairs,
     ego_stack,
     floyd_warshall,
     node_map,
@@ -30,7 +31,7 @@ def _relabelled(g, rng):
     n = g.num_nodes
     order = rng.permutation(n).astype(np.int64)
     local_of = {int(gid): li for li, gid in enumerate(order)}
-    local = [[local_of[u], local_of[v]] for u, v in g.edges()]
+    local = [[local_of[u], local_of[v]] for u, v in edge_pairs(g)]
     return ego_stack(order, local)
 
 

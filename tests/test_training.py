@@ -427,8 +427,9 @@ def test_micro_batches_run_without_finite_checks():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
-def test_predict_replays_a_non_finite_chunk_with_checks_on():
+def test_predict_replays_a_non_finite_chunk_with_checks_on(monkeypatch):
     data, split = _stub_data()
+    monkeypatch.setattr(tr, "PREDICT_CHUNK", 3)
     seen = []
 
     class Recording(_ScalarStubModel):
@@ -436,12 +437,12 @@ def test_predict_replays_a_non_finite_chunk_with_checks_on():
             seen.append(ad._state.check_finite)
             return super().logits_for_centers(data, centers, seed)
 
-    assert tr.predict(Recording(w0=0.5), data, split.val_ids, seed=0, chunk=3).tolist() == [0] * 4
+    assert tr.predict(Recording(w0=0.5), data, split.val_ids, seed=0).tolist() == [0] * 4
     assert seen == [False, False]
     seen.clear()
     with pytest.raises(FloatingPointError,
                        match="first non-finite op on replay: matmul produced non-finite"):
-        tr.predict(Recording(w0=np.inf), data, split.val_ids, seed=0, chunk=3)
+        tr.predict(Recording(w0=np.inf), data, split.val_ids, seed=0)
     assert seen == [False, True]  # the first chunk, then its checked replay
     assert ad._state.check_finite is True
 
@@ -513,8 +514,11 @@ def test_train_and_predict_build_before_their_loops(monkeypatch):
 
     fresh = _tiny_model(seed=1)
     events = _record_builds_and_forwards(monkeypatch, fresh)
-    preds = tr.predict(fresh, data, np.arange(24), seed=0, chunk=5)
+    chunk = tr.PREDICT_CHUNK
+    monkeypatch.setattr(tr, "PREDICT_CHUNK", 5)
+    preds = tr.predict(fresh, data, np.arange(24), seed=0)
     assert events == [("predict", 0)] + [("build", 3)] * 8 + [("chunk", 5)] * 4 + [("chunk", 4)]
+    monkeypatch.setattr(tr, "PREDICT_CHUNK", chunk)
     assert preds.tolist() == tr.predict(_tiny_model(seed=1), data, np.arange(24), seed=0).tolist()
 
 
