@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import struct
 import threading
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
@@ -91,19 +92,10 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
 
-class _Record:
-    """One executed op: its output and per-input backward closures."""
-
-    __slots__ = ("out", "inputs")
-
-    def __init__(self, out: Tensor, inputs: list[tuple[Tensor, Callable]]):
-        self.out = out
-        self.inputs = inputs
-
-
 class _State(threading.local):
     def __init__(self):
-        self.records: list[_Record] = []
+        # one (output, [(input, backward closure)]) pair per executed op
+        self.records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
         self.recording = True
         self.check_finite = True
 
@@ -120,33 +112,27 @@ def tape_size() -> int:
     return len(_state.records)
 
 
-class no_grad:
+@contextmanager
+def _switch(flag: str, value: bool):
+    """Set the ``_state`` flag ``flag`` to ``value`` for a ``with`` block
+    and restore it afterwards, also when the block raises."""
+    prev = getattr(_state, flag)
+    setattr(_state, flag, value)
+    try:
+        yield
+    finally:
+        setattr(_state, flag, prev)
+
+
+def no_grad():
     """Context manager that disables tape recording."""
-
-    def __enter__(self):
-        self._prev = _state.recording
-        _state.recording = False
-        return self
-
-    def __exit__(self, *exc):
-        _state.recording = self._prev
-        return False
+    return _switch("recording", False)
 
 
-class finite_checks:
+def finite_checks(enabled: bool):
     """Context manager that turns the NaN/Inf assertion run after every
     op on or off for its block."""
-
-    def __init__(self, enabled: bool):
-        self.enabled = enabled
-
-    def __enter__(self):
-        self._prev, _state.check_finite = _state.check_finite, self.enabled
-        return self
-
-    def __exit__(self, *exc):
-        _state.check_finite = self._prev
-        return False
+    return _switch("check_finite", enabled)
 
 
 def _make(op_name: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
@@ -158,7 +144,7 @@ def _make(op_name: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, Callabl
     if _state.check_finite and not np.isfinite(data).all():
         raise FloatingPointError(f"{op_name} produced non-finite values")
     if _state.recording and out.requires_grad:
-        _state.records.append(_Record(out, [(t, fn) for t, fn in inputs if t.requires_grad]))
+        _state.records.append((out, [(t, fn) for t, fn in inputs if t.requires_grad]))
     return out
 
 
@@ -186,11 +172,11 @@ def backward(out: Tensor, grad=None) -> None:
     grads: dict[int, np.ndarray] = {id(out): seed}
     # id -> (leaf, total, whether the total may share memory with another array)
     leaves: dict[int, tuple[Tensor, np.ndarray, bool]] = {}
-    for rec in reversed(_state.records):
-        g = grads.pop(id(rec.out), None)
+    for op_out, inputs in reversed(_state.records):
+        g = grads.pop(id(op_out), None)
         if g is None:
             continue
-        for t, fn in rec.inputs:
+        for t, fn in inputs:
             contrib = fn(g)
             if t.is_leaf:
                 prev = leaves.get(id(t))
@@ -420,13 +406,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     log-softmax, product with the targets, row sums, their mean, times -1."""
     if logits.data.ndim != 2 or targets.shape != logits.shape:
         raise ShapeError(f"cross_entropy: logits {logits.shape}, targets {targets.shape}")
-    n, c = logits.shape
+    n = logits.shape[0]
     z = logits.data - logits.data.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def bw(g):
-        g = np.repeat(np.expand_dims(g * -1.0, 0), n, axis=0) / n
-        g = np.repeat(np.expand_dims(g, 1), c, axis=1) * targets
+        # the chain's negation and mean hand every entry (g * -1.0) / n
+        g = targets * (g * -1.0 / n)
         return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
 
     return _make("cross_entropy", (targets * logp).sum(axis=1).mean(axis=0) * -1.0,

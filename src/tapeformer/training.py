@@ -330,16 +330,20 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
     """Run the full loop and leave ``model`` at its best-validation
     checkpoint; returns that checkpoint and the history.
 
-    Every training center is built before the first step, so the
-    micro-batch loop only looks batches up. The checkpoint is loaded
-    after the last epoch's log line."""
+    An empty training or validation partition is a ``DataError``,
+    raised before any work. Every training center is built before the
+    first step, so the micro-batch loop only looks batches up. The
+    checkpoint is loaded after the last epoch's log line."""
+    for name in ("train", "val"):
+        if len(split.of(name)) == 0:
+            raise DataError(f"cannot train on an empty {name} partition")
     params = model.parameters()
     opt = Adam(params)
     train_ids = np.asarray(split.train_ids, dtype=np.int64)
     model.build_centers(data, train_ids, cfg.seed)
     micro = cfg.batch_size
     per_step = micro * cfg.grad_accum_steps
-    steps_per_epoch = max(1, -(-len(train_ids) // per_step))
+    steps_per_epoch = -(-len(train_ids) // per_step)
     warmup = cfg.warmup_steps if cfg.warmup_steps is not None else steps_per_epoch
     total = cfg.epochs * steps_per_epoch
     rng = np.random.default_rng(cfg.seed)
@@ -351,16 +355,12 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
     global_step = 0
     for epoch in range(1, cfg.epochs + 1):
         order = train_ids[rng.permutation(len(train_ids))]
-        pos = 0
         losses = []
-        while pos < len(order):
+        for start in range(0, len(order), per_step):
             opt.zero_grad()
             lr = lr_at(global_step + 1, cfg.base_lr, warmup, total)
-            for _ in range(cfg.grad_accum_steps):
-                centers = order[pos:pos + micro]
-                pos += micro
-                if len(centers) == 0:
-                    break
+            for lo in range(start, min(start + per_step, len(order)), micro):
+                centers = order[lo:lo + micro]
                 # per-op finite checks are off in the hot path; a non-finite
                 # loss replays the micro-batch with them on to find the op
                 with ad.finite_checks(False):
@@ -378,7 +378,7 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
             opt.step(lr)
         val_acc = accuracy_on(model, data, split.val_ids, seed=cfg.seed)
         row = HistoryRow(epoch=epoch, step=global_step,
-                         train_loss=float(np.mean(losses)) if losses else float("nan"),
+                         train_loss=float(np.mean(losses)),
                          val_accuracy=val_acc, lr=lr)
         history.append(row)
         log.info("epoch %d: loss=%.4f val_acc=%.4f lr=%.2e", epoch, row.train_loss, val_acc, lr)

@@ -180,6 +180,25 @@ def test_no_grad_skips_recording():
     assert ad.tape_size() == 0
 
 
+def test_a_raising_block_restores_the_flag_it_switched():
+    """``no_grad`` and ``finite_checks`` put back what they found when
+    their block raises, also when nested and when found off."""
+    for switch, flag in ((ad.no_grad, "recording"),
+                         (lambda: ad.finite_checks(False), "check_finite")):
+        for found in (True, False):
+            setattr(ad._state, flag, found)
+            try:
+                with pytest.raises(KeyError):
+                    with switch():
+                        assert getattr(ad._state, flag) is False
+                        with ad.finite_checks(True):
+                            raise KeyError("inside")
+                assert ad._state.recording is (found if flag == "recording" else True)
+                assert ad._state.check_finite is (found if flag == "check_finite" else True)
+            finally:
+                ad._state.recording = ad._state.check_finite = True
+
+
 # --- finite-difference checks for every op ---------------------------------
 
 

@@ -261,6 +261,23 @@ def test_early_stopping_returns_previous_best():
     assert result.best_val_accuracy == max(r.val_accuracy for r in result.history)
 
 
+def test_train_refuses_an_empty_train_or_val_partition():
+    """Before any work: no build, no parameter read, the model untouched."""
+    data, split = _stub_data()
+    cfg = tr.TrainConfig(epochs=1, batch_size=2, seed=0)
+    empty = np.array([], dtype=np.int64)
+
+    class Untouchable:
+        def __getattr__(self, name):
+            raise AssertionError(f"train used model.{name} before checking its split")
+
+    for name in ("train", "val"):
+        parts = {"train_ids": split.train_ids, "val_ids": split.val_ids,
+                 "test_ids": split.test_ids, f"{name}_ids": empty}
+        with pytest.raises(DataError, match=f"empty {name} partition"):
+            tr.train(Untouchable(), data, tr.TemporalSplit(**parts), cfg)
+
+
 def test_train_leaves_model_at_best_checkpoint():
     """The best epoch is not the last, and ``train`` returns with every
     parameter equal to the best-validation snapshot, byte for byte."""
