@@ -95,16 +95,17 @@ class GraphormerConfig(GraphormerParams):
         return self.max_spd + 2
 
 
-def _path_coeffs(table: np.ndarray, index: np.ndarray, cap: int, dtype=np.float64) -> np.ndarray:
-    """(..., k, k, cap * EDGE_FEATURE_DIM) of ``dtype``: position p holds row t
-    of ``table`` divided by N where ``index[..., p]`` is t * cap + N - 1, so
-    that ``path_coeffs @ edge_weight`` is the averaged edge term of each pair."""
+def _path_coeffs(table: np.ndarray, offsets: np.ndarray, index: np.ndarray, cap: int,
+                 dtype) -> np.ndarray:
+    """(B, k, k, cap * EDGE_FEATURE_DIM) of ``dtype``: position p of pair (b, i, j)
+    holds row ``offsets[b] + t`` of ``table`` divided by N where ``index[b, i, j, p]``
+    is t * cap + N - 1, so ``path_coeffs @ edge_weight`` is each pair's averaged edge term."""
     # one copy of each row per path length N, divided by N: a true division,
     # not a product with 1/N, so the coefficients are the quotient bit for bit
     scaled = (table[:, None, :] / np.arange(1, cap + 1, dtype=np.float64)[:, None]).astype(
         dtype, copy=False)
-    out = np.take(scaled.reshape(-1, table.shape[1]), index, axis=0)
-    return out.reshape(*index.shape[:-1], -1)
+    rows = index + cap * offsets[:-1, None, None, None]  # into each subgraph's block
+    return np.take(scaled.reshape(-1, table.shape[1]), rows, axis=0).reshape(*index.shape[:-1], -1)
 
 
 @dataclass
@@ -126,15 +127,15 @@ class SubgraphStack:
     pair arrays as (B, k, k, ...). Row ``b * k + i`` of a (B*k, ...)
     reshape is node i of subgraph b, and pair ``(b * k + i) * k + j`` of
     a (B*k*k, ...) one is its pair (i, j); node 0 of each subgraph is its
-    center. ``path_index`` is each entry's, offset to its block of
+    center. ``path_index[b]`` is entry b's, into block b of
     ``edge_table``; ``path_coeffs`` is built on first read."""
 
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
     spd: SpdMatrix  # dist (B, k, k) int64
     edge_table: np.ndarray  # (rows, EDGE_FEATURE_DIM), a block per subgraph
-    edge_offsets: np.ndarray  # (B + 1,)
-    path_index: np.ndarray  # (B, k, k, max_spd) int64
+    edge_offsets: np.ndarray  # (B + 1,): block b is rows edge_offsets[b]:edge_offsets[b + 1]
+    path_index: np.ndarray  # (B, k, k, max_spd) int64, t * max_spd + N - 1 (0: no step)
     in_deg: np.ndarray  # (B, k), 0 on padding
     out_deg: np.ndarray  # (B, k), 0 on padding
 
@@ -145,7 +146,8 @@ class SubgraphStack:
     @cached_property
     def path_coeffs(self) -> np.ndarray:
         """(B, k, k, max_spd * EDGE_FEATURE_DIM) averaged path features, float64."""
-        return _path_coeffs(self.edge_table, self.path_index, self.spd.cap)
+        return _path_coeffs(self.edge_table, self.edge_offsets, self.path_index, self.spd.cap,
+                            np.float64)
 
     def split(self) -> list[SubgraphBatch]:
         """One ``SubgraphBatch`` per subgraph. Each owns compact copies of
@@ -157,7 +159,7 @@ class SubgraphStack:
                 nodes=self.nodes[b, :n].copy(),
                 dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 1)),
                 edge_table=self.edge_table[lo:hi].copy(),
-                path_index=(self.path_index[b, :n, :n] - lo * cap).astype(
+                path_index=self.path_index[b, :n, :n].astype(
                     np.min_scalar_type((hi - lo) * cap - 1)),
             ))
         return out
@@ -176,13 +178,6 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     adj = local_adjacency(stack)
     spd = bfs_spd(stack, cap=cfg.max_spd, adj=adj)
     paths = build_path_features(g, stack, spd, adj=adj)
-    cap = spd.cap
-    # row t of block b on a path of length N becomes (offset_b + t) * cap + N - 1,
-    # no step (t = 0) the block's zero row, offset_b * cap; in place, so that the
-    # pass holds one (B, k, k, cap) array beside the path features' own
-    index = paths.index + paths.offsets[:-1, None, None, None]
-    index *= cap
-    np.add(index, np.clip(spd.dist, 1, cap)[..., None] - 1, out=index, where=paths.index > 0)
     in_deg, out_deg = _degrees(g, stack.nodes)
     return SubgraphStack(
         sizes=stack.sizes,
@@ -190,7 +185,7 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
         spd=spd,
         edge_table=paths.table,
         edge_offsets=paths.offsets,
-        path_index=index,
+        path_index=paths.index,
         in_deg=in_deg,
         out_deg=out_deg,
     )
@@ -199,8 +194,8 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
 def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> SubgraphStack:
     """Pad ``batches`` to the largest subgraph and stack them, the inverse
     of ``SubgraphStack.split``, with the degrees read off ``g``: padding
-    reads -1 in ``nodes`` and 0 in the other arrays (``path_index`` then
-    reads its block's zero row); the forward rebuilds ``path_coeffs``."""
+    reads -1 in ``nodes`` and 0 in the other arrays (``path_index`` 0 is
+    no step); the forward rebuilds ``path_coeffs``."""
     sizes = np.array([len(b.nodes) for b in batches])
     count, k, cap = len(batches), int(sizes.max()), batches[0].path_index.shape[-1]
     offsets = np.append(0, np.cumsum([len(b.edge_table) for b in batches]))
@@ -211,7 +206,6 @@ def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> Subgrap
         nodes[i, :n] = b.nodes
         dist[i, :n, :n] = b.dist
         index[i, :n, :n] = b.path_index
-    index += cap * offsets[:-1, None, None, None]  # into each entry's block
     in_deg, out_deg = _degrees(g, nodes)
     return SubgraphStack(
         sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist, cap=cap),
@@ -252,7 +246,8 @@ def attention_bias(stack: SubgraphStack, spatial_table: Tensor, edge_weight: Ten
     plus its edge term; the diagonal hits the distance-0 bucket with a
     zero edge term, unreachable pairs hit the dedicated last bucket.
     """
-    coeffs = _path_coeffs(stack.edge_table, stack.path_index, stack.spd.cap, edge_weight.data.dtype)
+    coeffs = _path_coeffs(stack.edge_table, stack.edge_offsets, stack.path_index, stack.spd.cap,
+                          edge_weight.data.dtype)
     sp = ad.embedding_lookup(spatial_table, stack.spd_buckets.reshape(-1))
     ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1])), edge_weight)
     return ad.add(sp, ce)

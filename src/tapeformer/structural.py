@@ -9,8 +9,8 @@ would starve the distance-based attention bias.
 Every function takes an ``EgoStack`` of B padded subgraphs and works on
 (B, k, k) arrays in one pass: an all-source BFS as at most ``cap``
 frontier products, a predecessor matrix, and a path index into a table
-of edge features, filled one distance level at a time. Each result
-leads with the subgraph axis.
+of edge features, filled one distance level at a time in the form the
+batch cache stores. Each result leads with the subgraph axis.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ class PathFeatures:
 
     Rows ``offsets[b]:offsets[b + 1]`` of ``table`` are subgraph b's block:
     a zero row, then its directed local edges' features. ``index[b, i, j, p]``
-    is the row in that block of the p-th step of the path i -> j, or 0.
+    is t * cap + N - 1 where step p of the N-step path i -> j is row t, or 0.
     """
 
     index: np.ndarray  # (B, k, k, cap) int64
@@ -66,7 +66,7 @@ class PathFeatures:
     def steps(self) -> np.ndarray:
         """(B, k, k, cap, EDGE_FEATURE_DIM) feature vectors of each path's
         steps, zeros past its end."""
-        return self.table[self.index + self.offsets[:-1, None, None, None]]
+        return self.table[self.index // self.index.shape[-1] + self.offsets[:-1, None, None, None]]
 
     @cached_property
     def per_pair(self) -> dict[tuple[int, int, int], np.ndarray]:
@@ -209,8 +209,8 @@ def build_path_features(
     every local undirected edge of every subgraph, with each step's
     direction read off ``sub.local_edges``: an induced subgraph holds
     every citation between its nodes. Paths are then filled one
-    distance level at a time: the path i -> j is the path
-    i -> pred[i, j] plus the step pred[i, j] -> j.
+    distance level at a time: the path i -> j is the path i -> pred[i, j],
+    each step's N one larger, plus the step pred[i, j] -> j.
     """
     if adj is None:
         adj = local_adjacency(sub)
@@ -230,7 +230,7 @@ def build_path_features(
         if len(j) == 0:
             break
         p = pred[s, i, j]
-        index[s, i, j, :d - 1] = index[s, i, p, :d - 1]
-        index[s, i, j, d - 1] = edge[s, p, j]
+        index[s, i, j, :d - 1] = index[s, i, p, :d - 1] + 1
+        index[s, i, j, d - 1] = edge[s, p, j] * spd.cap + d - 1
     lengths = np.where(spd.dist <= spd.cap, spd.dist, 0)
     return PathFeatures(index=index, table=table, offsets=offsets, lengths=lengths)

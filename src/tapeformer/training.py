@@ -5,9 +5,9 @@ seeded generator does nothing else. A training forward is the same
 ``logits_for_centers`` call as a prediction forward, recorded because it
 runs outside ``autodiff.no_grad``. The loss, label-smoothed
 cross-entropy, is one engine op. Each optimizer step accumulates
-gradients over ``grad_accum_steps`` micro-batches (each micro-batch's
-``backward`` starts from the cotangent 1 / the accumulation count, so
-accumulation reproduces the equivalent large batch exactly), then
+gradients over ``grad_accum_steps`` micro-batches (each one's
+``backward`` starts from its share of the step's centers, so even an
+epoch's short last step is the equivalent large batch's), then
 applies Adam at the warmup/decay learning rate. Micro-batches and
 prediction chunks run with the engine's per-op finite checks off; a
 non-finite loss or logit replays them with the checks on, so the error
@@ -357,10 +357,11 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
         order = train_ids[rng.permutation(len(train_ids))]
         losses = []
         for start in range(0, len(order), per_step):
+            step = order[start:start + per_step]
             opt.zero_grad()
             lr = lr_at(global_step + 1, cfg.base_lr, warmup, total)
-            for lo in range(start, min(start + per_step, len(order)), micro):
-                centers = order[lo:lo + micro]
+            for lo in range(0, len(step), micro):
+                centers = step[lo:lo + micro]
                 # per-op finite checks are off in the hot path; a non-finite
                 # loss replays the micro-batch with them on to find the op
                 with ad.finite_checks(False):
@@ -371,7 +372,7 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                         f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}; "
                         f"largest grad norms: {_grad_norms(params)}"
                     )
-                ad.backward(loss, 1.0 / cfg.grad_accum_steps)
+                ad.backward(loss, len(centers) / len(step))
                 ad.tape_clear()
                 losses.append(float(loss.data))
             global_step += 1

@@ -848,7 +848,7 @@ def test_split_and_stack_batches_round_trip():
         assert back.nodes[:, 0].tolist() == centers == built.nodes[:, 0].tolist()
         for name, mask in (("sizes", None), ("nodes", real),
                            ("in_deg", real), ("out_deg", real), ("spd_buckets", pairs),
-                           ("path_coeffs", pairs)):
+                           ("path_index", pairs), ("path_coeffs", pairs)):
             got, want = getattr(back, name), getattr(built, name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             if mask is not None:
@@ -856,6 +856,29 @@ def test_split_and_stack_batches_round_trip():
                 assert (getattr(back, name)[~mask] == (-1 if name == "nodes" else 0)).all(), name
             assert got.tobytes() == want.tobytes(), (max_nodes, name)
         assert not built.in_deg[~real].any() and not built.out_deg[~real].any()
+
+
+def test_stacking_a_full_width_pass_gives_back_the_built_stack():
+    """When every subgraph of a build pass has the pass's width,
+    ``stack_batches`` of its split entries is ``build_batch``'s stack
+    field by field, byte for byte: ``path_index`` and ``edge_offsets``
+    included, so both hold one encoding."""
+    g = _desk_graph()
+    for k in (16, 32):
+        cfg = tiny_config(ego_max_nodes=k, max_spd=5)
+        sizes = gr.sample_ego_subgraph(g, range(400), hops=2, max_nodes=k, seed=0).sizes
+        centers = np.flatnonzero(sizes == k)[:16]
+        assert len(centers) == 16
+        built = gm.build_batch(g, gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=k, seed=0),
+                               cfg)
+        back = gm.stack_batches(g, built.split())
+        for f in dataclasses.fields(built):
+            got, want = getattr(back, f.name), getattr(built, f.name)
+            if f.name == "spd":
+                assert got.cap == want.cap
+                got, want = got.dist, want.dist
+            assert got.dtype == want.dtype and got.shape == want.shape, (k, f.name)
+            assert got.tobytes() == want.tobytes(), (k, f.name)
 
 
 def test_logits_for_centers_gradient_check(monkeypatch):

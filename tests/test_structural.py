@@ -322,21 +322,31 @@ def test_build_path_features_lengths_match_spd():
 
 def test_path_index_points_into_each_subgraphs_block():
     """Block b of the table is a zero row and then subgraph b's directed
-    local edges; the index stays inside that block, holds 0 past each
-    path's end, and ``steps`` is the table gathered by it."""
+    local edges. A step of a path of length N is stored as t * cap + N - 1
+    for its row t: ``index // cap`` stays inside the block and names an
+    edge row on the path, ``index % cap + 1`` is the path's length at
+    every step, the index is 0 past each path's end, and ``steps`` is the
+    block gathered by ``index // cap``."""
     rng = np.random.default_rng(12)
     g = gr.from_edge_list(random_edge_list(rng, 30, 0.12), 30)
     sub = gr.sample_ego_subgraph(g, [0, 4, 9, 17], hops=2, max_nodes=10, seed=0)
-    spd = st.bfs_spd(sub, cap=3)
+    cap = 3
+    spd = st.bfs_spd(sub, cap=cap)
     pf = st.build_path_features(g, sub, spd)
     assert pf.offsets[0] == 0 and pf.offsets[-1] == len(pf.table)
-    past_end = np.arange(3) >= pf.lengths[..., None]
+    assert pf.index.shape[-1] == cap and (pf.lengths == cap).any()
+    past_end = np.arange(cap) >= pf.lengths[..., None]
     for b in range(4):
         block = pf.table[pf.offsets[b]:pf.offsets[b + 1]]
         assert len(block) == 1 + int(st.local_adjacency(sub)[b].sum())
         assert not block[0].any()
-        assert (pf.index[b] >= 0).all() and (pf.index[b] < len(block)).all()
+        row, n_less_one = np.divmod(pf.index[b], cap)
+        assert (pf.index[b] >= 0).all() and (row < len(block)).all()
+        on_path = ~past_end[b]
+        assert (row[on_path] > 0).all()
+        lengths = np.broadcast_to(pf.lengths[b][..., None], on_path.shape)
+        assert np.array_equal(n_less_one[on_path] + 1, lengths[on_path])
         assert not pf.index[b][past_end[b]].any()
-        assert np.array_equal(pf.steps[b], block[pf.index[b]])
+        assert np.array_equal(pf.steps[b], block[row])
     for (b, i, j), feats in pf.per_pair.items():
         assert np.shares_memory(feats, pf.steps) and len(feats) == pf.lengths[b, i, j]

@@ -310,10 +310,10 @@ def _mini_graph_data(seed=0, n=24, c=3):
     return data, split
 
 
-def _tiny_model(seed, c=3):
+def _tiny_model(seed, c=3, dtype="float32"):
     cfg = gm.GraphormerConfig(num_classes=c, num_layers=1, num_heads=2, d_model=8,
                               d_ffn=12, max_spd=3, max_degree_bucket=8,
-                              ego_hops=1, ego_max_nodes=6)
+                              ego_hops=1, ego_max_nodes=6, dtype=dtype)
     fusion = FusionConfig(d_model=8, source_dims={"expl": 5, "pred": c, "text": 5, "ogb": 4})
     return gm.GraphormerModel(cfg, fusion, seed=seed)
 
@@ -330,6 +330,36 @@ def test_grad_accum_matches_full_batch():
     assert set(a.best_state) == set(b.best_state)
     for k in a.best_state:
         assert np.max(np.abs(a.best_state[k] - b.best_state[k])) < 1e-10, k
+
+
+def test_short_last_step_gets_the_equivalent_large_batch_gradient(monkeypatch):
+    """16 training centers at 12 per optimizer step leave a last step of
+    4. Under ``batch_size=4, grad_accum_steps=3`` its one micro-batch's
+    ``backward`` starts from its share of the step's centers, 4 / 4, so
+    the step accumulates the gradients ``batch_size=12,
+    grad_accum_steps=1`` gives it, not a third of them."""
+    data, split = _mini_graph_data(seed=4)
+    grads = []
+
+    class SpyAdam(tr.Adam):
+        def step(self, lr):
+            grads.append({k: t.grad.copy() for k, t in self.params.items()})
+            super().step(lr)
+
+    monkeypatch.setattr(tr, "Adam", SpyAdam)
+    tails = []
+    for batch_size, accum in ((4, 3), (12, 1)):
+        grads.clear()
+        cfg = tr.TrainConfig(epochs=1, base_lr=0.01, warmup_steps=0, batch_size=batch_size,
+                             grad_accum_steps=accum, early_stop_patience=5, seed=0)
+        tr.train(_tiny_model(seed=0, dtype="float64"), data, split, cfg)
+        assert len(grads) == 2
+        tails.append(grads[-1])
+    accumulated, whole = tails
+    assert accumulated.keys() == whole.keys()
+    for k, g in whole.items():
+        assert g.dtype == np.float64 and np.abs(g).max() > 0, k
+        assert np.max(np.abs(accumulated[k] - g)) < 1e-12, k
 
 
 def test_training_reproducible_bitwise():
