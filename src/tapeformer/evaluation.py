@@ -6,8 +6,8 @@ and stay in the macro mean over all classes (the class count divides
 the sums unconditionally); they are tallied so callers can audit.
 ``score`` is the one path from a trained model to its metrics on a set
 of nodes: predict, count, report. The ablation runner retrains the
-model under named source/architecture toggles on a shared seed and
-split and scores each on the test split.
+model under named source/architecture toggles on one seed, split and
+subgraph store, and scores each on the test split.
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GraphormerConfig, build_model
+from .model import GraphormerConfig, SubgraphStore, build_model
 from .text import SOURCES
 from .training import TrainConfig, TemporalSplit, predict, train
 
@@ -190,11 +190,14 @@ class AblationRow:
 def run_ablation(data, split: TemporalSplit, model_cfg: GraphormerConfig,
                  train_cfg: TrainConfig, toggles=DEFAULT_ABLATION) -> list[AblationRow]:
     """Train every named configuration on the same split and seed, and
-    score each at its best-validation checkpoint on the test split."""
+    score each at its best-validation checkpoint on the test split. The
+    rows share one ``SubgraphStore``: each center is built once, for the
+    first graph transformer row, and the later rows look it up."""
     parsed = [(name, *parse_toggle(name)) for name in toggles]
     rows: list[AblationRow] = []
+    store = SubgraphStore()
     for name, kind, sources in sorted(parsed, key=lambda x: x[0]):
-        model = build_model(model_cfg, kind, sources, data.source_dims(), train_cfg.seed)
+        model = build_model(model_cfg, kind, sources, data.source_dims(), train_cfg.seed, store)
         log.info("ablation %s: kind=%s sources=%s", name, kind, ",".join(sources))
         result = train(model, data, split, train_cfg)
         rows.append(AblationRow(name=name, kind=kind, sources=sources,

@@ -38,6 +38,7 @@ __all__ = [
     "SubgraphStack",
     "build_batch",
     "stack_batches",
+    "SubgraphStore",
     "GraphormerModel",
     "FusedMlp",
     "build_model",
@@ -111,7 +112,7 @@ def _path_coeffs(table: np.ndarray, offsets: np.ndarray, index: np.ndarray, cap:
 @dataclass
 class SubgraphBatch:
     """One subgraph's row of a ``SubgraphStack``, without padding: the
-    compact form the batch cache holds per center. Degrees are read off
+    compact form a ``SubgraphStore`` holds per center. Degrees are read off
     the graph and the distance cap is ``path_index.shape[-1]``."""
 
     nodes: np.ndarray  # global ids (k,), the center first
@@ -219,6 +220,35 @@ def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> Subgrap
 BUILD_PASS_PAIRS = 16_384
 
 
+class SubgraphStore:
+    """Built entries ``(center, seed) -> SubgraphBatch`` of one graph under
+    one ego config (``ego_hops``, ``ego_max_nodes``, ``max_spd``), shared by
+    the models given the store. A build for another graph (by identity) or
+    ego config empties it first, so it never serves other inputs' entries."""
+
+    def __init__(self):
+        self.entries: dict[tuple[int, int], SubgraphBatch] = {}
+        self.graph = self.ego = None  # what the entries were built from
+
+    def build(self, g: DirectedGraph, cfg: GraphormerConfig, centers, seed: int) -> None:
+        """Sample, encode and store each center of ``centers`` not stored yet,
+        in passes of at most ``BUILD_PASS_PAIRS`` padded pairs. An entry
+        depends only on its center and ``seed``, not on its pass."""
+        ego = (cfg.ego_hops, cfg.ego_max_nodes, cfg.max_spd)
+        if g is not self.graph or ego != self.ego:  # other inputs' entries: start empty
+            self.entries, self.graph, self.ego = {}, g, ego
+        missing = [c for c in dict.fromkeys(map(int, centers)) if (c, seed) not in self.entries]
+        if not missing:
+            return
+        check_centers(g, missing)  # every center, before a pass stores any
+        per_pass = max(1, BUILD_PASS_PAIRS // cfg.ego_max_nodes ** 2)
+        for lo in range(0, len(missing), per_pass):
+            part = missing[lo:lo + per_pass]
+            subs = sample_ego_subgraph(g, part, cfg.ego_hops, cfg.ego_max_nodes, seed)
+            for c, batch in zip(part, build_batch(g, subs, cfg).split()):
+                self.entries[(c, seed)] = batch
+
+
 # ---------------------------------------------------------------------------
 # model pieces, exposed for direct testing
 # ---------------------------------------------------------------------------
@@ -316,7 +346,8 @@ def _cast(params: dict[str, Tensor], dtype: str) -> None:
 class GraphormerModel:
     """Pre-norm transformer blocks over ego subgraphs with structural biases."""
 
-    def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int):
+    def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int,
+                 store: SubgraphStore | None = None):
         if fusion_cfg.d_model != cfg.d_model:
             raise ValueError("fusion and model widths disagree")
         self.cfg = cfg
@@ -352,8 +383,7 @@ class GraphormerModel:
         self.head_w = Tensor(xavier_init(rng, d, cfg.num_classes), requires_grad=True)
         self.head_b = Tensor(np.zeros(cfg.num_classes), requires_grad=True)
         _cast(self.parameters(), cfg.dtype)
-        self._batch_cache: dict[tuple[int, int], SubgraphBatch] = {}
-        self._cache_graph: DirectedGraph | None = None  # the graph of the cached entries
+        self.store = SubgraphStore() if store is None else store
 
     # -- parameters ---------------------------------------------------------
 
@@ -436,33 +466,18 @@ class GraphormerModel:
     # -- batching -----------------------------------------------------------
 
     def batch_for(self, center: int, seed: int) -> SubgraphBatch:
-        """The cached entry of ``center`` under ``seed``, which
+        """The store's entry of ``center`` under ``seed``, which
         ``build_centers`` made."""
-        return self._batch_cache[(center, seed)]
+        return self.store.entries[(center, seed)]
 
     def build_centers(self, data, centers, seed: int) -> None:
-        """Sample, encode and cache every center of ``centers`` not cached
-        yet, in batched passes of at most ``BUILD_PASS_PAIRS`` padded
-        pairs, so that later forwards over them only look their entries
-        up. A subgraph's sample depends only on its center and ``seed``,
-        so the pass it is built in does not change its entry."""
-        g = data.graph
-        if g is not self._cache_graph:  # another graph's entries: start empty
-            self._batch_cache, self._cache_graph = {}, g
-        missing = [c for c in dict.fromkeys(map(int, centers)) if (c, seed) not in self._batch_cache]
-        if not missing:
-            return
-        check_centers(g, missing)  # every center, before a pass caches any
-        per_pass = max(1, BUILD_PASS_PAIRS // self.cfg.ego_max_nodes ** 2)
-        for lo in range(0, len(missing), per_pass):
-            part = missing[lo:lo + per_pass]
-            subs = sample_ego_subgraph(g, part, self.cfg.ego_hops, self.cfg.ego_max_nodes, seed)
-            for c, batch in zip(part, build_batch(g, subs, self.cfg).split()):
-                self._batch_cache[(c, seed)] = batch
+        """Build the store's missing entries of ``centers`` under this model's
+        config, so that later forwards over them only look them up."""
+        self.store.build(data.graph, self.cfg, centers, seed)
 
     def logits_for_centers(self, data, centers, seed: int) -> Tensor:
         """(B, C) center-node logits from one padded forward over the
-        centers' cached subgraphs; the ones not cached yet are built first."""
+        centers' stored subgraphs; the ones not stored yet are built first."""
         centers = [int(c) for c in centers]
         if not centers:
             raise ValueError("logits_for_centers got an empty center list")
@@ -508,7 +523,7 @@ class FusedMlp:
         return ad.linear(h, self.w2, self.b2)
 
 
-_KINDS = {"graphormer": GraphormerModel, "mlp": FusedMlp}
+_KINDS = ("graphormer", "mlp")
 
 
 def check_kind(kind: str) -> None:
@@ -518,9 +533,11 @@ def check_kind(kind: str) -> None:
 
 
 def build_model(cfg: GraphormerConfig, kind: str, sources, source_dims: dict[str, int],
-                seed: int):
-    """The graph transformer (``kind="graphormer"``) or the structure-free
-    baseline (``"mlp"``) over the fusion of ``sources``."""
+                seed: int, store: SubgraphStore | None = None):
+    """The graph transformer (``kind="graphormer"``) over ``store``, or the
+    structure-free baseline (``"mlp"``), over the fusion of ``sources``."""
     check_kind(kind)
     fusion_cfg = FusionConfig(d_model=cfg.d_model, source_dims=source_dims, active=sources)
-    return _KINDS[kind](cfg, fusion_cfg, seed=seed)
+    if kind == "mlp":
+        return FusedMlp(cfg, fusion_cfg, seed=seed)
+    return GraphormerModel(cfg, fusion_cfg, seed=seed, store=store)

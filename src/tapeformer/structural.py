@@ -10,7 +10,7 @@ Every function takes an ``EgoStack`` of B padded subgraphs and works on
 (B, k, k) arrays in one pass: an all-source BFS as at most ``cap``
 frontier products, a predecessor matrix, and a path index into a table
 of edge features, filled one distance level at a time in the form the
-batch cache stores. Each result leads with the subgraph axis.
+subgraph store keeps. Each result leads with the subgraph axis.
 """
 from __future__ import annotations
 

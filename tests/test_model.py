@@ -213,7 +213,7 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
     centers = np.arange(24)
     model.logits_for_centers(data, centers, seed=0)
     (subs,), (built,) = results["sample_ego_subgraph"], results["build_batch"]
-    assert subs.num_nodes == sum(len(b.nodes) for b in model._batch_cache.values())
+    assert subs.num_nodes == sum(len(b.nodes) for b in model.store.entries.values())
     for a in (built.nodes, built.spd.dist, built.spd_buckets, built.path_coeffs,
               built.in_deg, built.out_deg):
         assert isinstance(a, np.ndarray) and a.nbytes > 0
@@ -234,7 +234,7 @@ def test_every_traced_name_exists_where_it_is_patched(monkeypatch):
     tr.train(trained, data, split, tr.TrainConfig(epochs=1, batch_size=4, seed=0))
     predicted = gm.GraphormerModel(model.cfg, fusion_config(), seed=2)
     tr.predict(predicted, data, split.test_ids, seed=0)
-    built = trained._batch_cache | predicted._batch_cache
+    built = trained.store.entries | predicted.store.entries
     assert len(built) == 24
     assert sum(s.num_nodes for s in results["sample_ego_subgraph"]) == sum(
         len(b.nodes) for b in built.values())
@@ -281,7 +281,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
         assert 1 in sizes and (max_nodes == 1 or len(sizes) > 2)
         for chunks in ([list(range(n))], [[c] for c in range(n)],
                        [[0, 10, 0, 27, 10], [5, 3, 5], list(range(n))[::-1]]):
-            model._batch_cache.clear()
+            model.store.entries.clear()
             stacks.clear()
             for part in chunks:
                 model.logits_for_centers(data, part, seed=4)
@@ -289,7 +289,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
             assert sum(len(s.sizes) for s in stacks) == n
             assert len(stacks) == len(chunks)
             for c in range(n):
-                b = model._batch_cache[(c, 4)]
+                b = model.store.entries[(c, 4)]
                 nodes, dist, coeffs, in_deg, out_deg = want[c]
                 assert b.nodes.tobytes() == nodes.tobytes(), (max_nodes, c)
                 # the cache keeps distances as int8; their values are the oracle's
@@ -321,7 +321,7 @@ def test_cached_batches_own_compact_arrays(monkeypatch):
     padded = (stack.nodes, stack.spd.dist, stack.path_coeffs, stack.edge_table, stack.path_index,
               stack.in_deg, stack.out_deg)
     assert stack.nodes.shape[1] == 5
-    for b in model._batch_cache.values():
+    for b in model.store.entries.values():
         for f in dataclasses.fields(b):
             a = getattr(b, f.name)
             assert not any(np.shares_memory(a, p) for p in padded)
@@ -366,7 +366,7 @@ def test_cached_entry_is_a_fifth_of_the_padded_layout():
     cfg = tiny_config(ego_max_nodes=32, max_spd=5)
     model = gm.GraphormerModel(cfg, fusion_config(), seed=0)
     model.build_centers(types.SimpleNamespace(graph=g), range(24), 0)
-    full = [b for b in model._batch_cache.values() if len(b.nodes) == 32]
+    full = [b for b in model.store.entries.values() if len(b.nodes) == 32]
     assert len(full) > 12
     k, coeffs = 32, 32 * 32 * cfg.max_spd * st.EDGE_FEATURE_DIM
     padded_layout = 8 * (k + k * k + coeffs + 2 * k)  # nodes, dist, path_coeffs, degrees
@@ -382,7 +382,7 @@ def test_bad_center_raises_through_the_model():
     for centers, bad in (([30], 30), ([0, 31, 2], 31), ([-1], -1), ([0, 2, -7, 40], -7)):
         with pytest.raises(gr.GraphConstructionError, match=f"center {bad} outside"):
             model.logits_for_centers(data, centers, seed=0)
-    assert not model._batch_cache
+    assert not model.store.entries
 
 
 def _desk_graph():
@@ -430,9 +430,9 @@ def test_build_passes_stay_under_the_pair_cap(monkeypatch):
     micro = gm.GraphormerModel(cfg, fusion_config(), seed=0)
     for lo in range(0, 400, 8):
         micro.build_centers(types.SimpleNamespace(graph=g), range(lo, lo + 8), 0)
-    assert set(whole._batch_cache) == set(micro._batch_cache) == {(c, 0) for c in range(400)}
-    for key, entry in whole._batch_cache.items():
-        assert _entry_bytes(entry) == _entry_bytes(micro._batch_cache[key]), key
+    assert set(whole.store.entries) == set(micro.store.entries) == {(c, 0) for c in range(400)}
+    for key, entry in whole.store.entries.items():
+        assert _entry_bytes(entry) == _entry_bytes(micro.store.entries[key]), key
 
 
 def test_passes_of_1_3_and_16_centers_build_the_same_entries(monkeypatch):
@@ -449,7 +449,7 @@ def test_passes_of_1_3_and_16_centers_build_the_same_entries(monkeypatch):
         model = gm.GraphormerModel(cfg, fusion_config(), seed=0)
         model.build_centers(types.SimpleNamespace(graph=g), range(400), 7)
         assert set(passes) == {per_pass} | ({400 % per_pass} - {0})
-        built.append(model._batch_cache)
+        built.append(model.store.entries)
     for key, entry in built[0].items():
         assert _entry_bytes(entry) == _entry_bytes(built[1][key]) == _entry_bytes(built[2][key]), key
 
@@ -508,7 +508,7 @@ def test_oversized_micro_batch_builds_in_capped_passes(monkeypatch):
     assert passes == [24]
     for cap, sizes in ((5 * k * k, [5] * 4 + [4]), (k * k - 1, [1] * 24)):
         monkeypatch.setattr(gm, "BUILD_PASS_PAIRS", cap)
-        model._batch_cache.clear()
+        model.store.entries.clear()
         passes.clear()
         got = model.logits_for_centers(data, np.arange(24), seed=0).data
         assert passes == sizes
@@ -516,9 +516,12 @@ def test_oversized_micro_batch_builds_in_capped_passes(monkeypatch):
 
 
 def test_a_model_reused_on_another_graph_builds_that_graph_s_subgraphs():
-    """The batch cache holds one graph's entries: after forwards on one
-    graph, a forward on another is, byte for byte, the forward of a model
-    that never saw the first, and going back rebuilds the first's."""
+    """A subgraph store holds one graph's entries under one ego config:
+    after forwards on one graph, a forward on another is, byte for byte,
+    the forward of a model that never saw the first, and going back
+    rebuilds the first's. Two models that share a store but not their
+    ``ego_max_nodes`` or ``max_spd`` each get a fresh model's logits
+    under their own config, also after the other has built."""
     _, first, model = _mixed_case(41)
     _, second, fresh = _mixed_case(41)  # the same parameters and bundle
     second.graph = _mixed_case(42)[1].graph
@@ -530,6 +533,17 @@ def test_a_model_reused_on_another_graph_builds_that_graph_s_subgraphs():
         assert model.batch_for(c, 0).nodes.tolist() == fresh.batch_for(c, 0).nodes.tolist()
     assert model.logits_for_centers(first, centers, seed=0).data.tobytes() == before.tobytes()
 
+    for other in ({"ego_max_nodes": 5}, {"max_spd": 2}):
+        _, data, a = _mixed_case(43)
+        fresh_a, fresh_b = _mixed_case(43)[2], _mixed_case(43, **other)[2]
+        b = gm.GraphormerModel(fresh_b.cfg, fusion_config(), seed=0, store=a.store)
+        b.load_state({name: t.data for name, t in fresh_b.parameters().items()})
+        wants = [(a, fresh_a.logits_for_centers(data, centers, seed=0).data),
+                 (b, fresh_b.logits_for_centers(data, centers, seed=0).data)]
+        for m, want in wants * 2:  # each builds after the other has
+            got = m.logits_for_centers(data, centers, seed=0).data
+            assert got.tobytes() == want.tobytes(), other
+
 
 def test_build_centers_and_empty_center_lists():
     """``build_centers`` caches what a forward would build, and does
@@ -537,10 +551,10 @@ def test_build_centers_and_empty_center_lists():
     ``ValueError`` that says so."""
     _, data, model = _mixed_case(40)
     model.build_centers(data, [], seed=0)
-    assert not model._batch_cache
+    assert not model.store.entries
     model.build_centers(data, np.array([3, 5, 3]), seed=0)
-    assert list(model._batch_cache) == [(3, 0), (5, 0)]
-    assert all(type(c) is int for c, _ in model._batch_cache)
+    assert list(model.store.entries) == [(3, 0), (5, 0)]
+    assert all(type(c) is int for c, _ in model.store.entries)
     with pytest.raises(ValueError, match="empty center list"):
         model.logits_for_centers(data, [], seed=0)
     with pytest.raises(gr.GraphConstructionError, match="center 24 outside"):

@@ -380,6 +380,34 @@ DESK = dict(num_layers=2, num_heads=4, d_model=64, d_ffn=128, max_degree_bucket=
             ego_max_nodes=16)
 
 
+def test_an_ablation_builds_each_center_once(monkeypatch):
+    """The graph transformer rows of an ablation share one subgraph store:
+    over all rows each train, val and test center is built once, and
+    every row equals, field for field, the row trained on a fresh model
+    with a store of its own."""
+    from tapeformer import evaluation as ev
+
+    data, split = _mini_graph_data()
+    data.num_classes = 3
+    data.source_dims = lambda: {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
+    cfg = gm.GraphormerParams(**DESK).for_classes(3)
+    tcfg = tr.TrainConfig(epochs=2, batch_size=8, seed=0)
+    toggles = ("graphormer+TA", "graphormer+E", "TA+P+E", "full")
+    built, build_batch = [], gm.build_batch
+
+    def counting(g, stack, cfg):
+        built.extend(stack.nodes[:, 0].tolist())
+        return build_batch(g, stack, cfg)
+
+    monkeypatch.setattr(gm, "build_batch", counting)
+    rows = ev.run_ablation(data, split, cfg, tcfg, toggles=toggles)
+    assert [r.kind for r in rows].count("graphormer") == 3
+    centers = np.concatenate([split.train_ids, split.val_ids, split.test_ids])
+    assert sorted(built) == sorted(set(centers.tolist()))
+    alone = [ev.run_ablation(data, split, cfg, tcfg, toggles=(r.name,))[0] for r in rows]
+    assert rows == alone
+
+
 @pytest.mark.parametrize("kind", ["graphormer", "mlp"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dtype):
@@ -577,4 +605,4 @@ def test_predict_and_accuracy_accept_empty_ids():
         preds = tr.predict(model, data, ids, seed=0)
         assert preds.dtype == np.int64 and preds.shape == (0,)
         assert np.isnan(tr.accuracy_on(model, data, ids, seed=0))
-    assert not model._batch_cache
+    assert not model.store.entries
