@@ -9,8 +9,9 @@ would starve the distance-based attention bias.
 Every function takes an ``EgoStack`` of B padded subgraphs and works on
 (B, k, k) arrays in one pass: an all-source BFS as at most ``cap``
 frontier products, a predecessor matrix, and a path index into a table
-of edge features, filled one distance level at a time in the form the
-subgraph store keeps. Each result leads with the subgraph axis.
+of edge features in the form the subgraph store keeps, filled per
+distance level and step position over flat pair ids by 1-D gathers and
+scatters, numpy's fast path. Each result leads with the subgraph axis.
 """
 from __future__ import annotations
 
@@ -92,25 +93,26 @@ def bfs_spd(sub: EgoStack, cap: int, adj: np.ndarray | None = None) -> SpdMatrix
 
     Row s of ``frontier`` holds the nodes first reached from s at the
     current hop; one product with the adjacency advances every source
-    of every subgraph by a hop at once.
+    of every subgraph by a hop at once. No mask assignment writes the
+    distances: a pair's distance is the number of hops 0..cap at which
+    it is still unseen, so each hop adds the unseen mask to ``dist``.
     """
     if cap < 1:
         raise ValueError("spd cap must be >= 1")
     if adj is None:
         adj = local_adjacency(sub)
-    eye = np.eye(adj.shape[-1], dtype=bool)
-    dist = np.full(adj.shape, cap + 1, dtype=np.int64)
-    dist[:, eye] = 0
-    seen = np.broadcast_to(eye, adj.shape).copy()
-    frontier = seen.astype(np.float64)
+    unseen = ~np.broadcast_to(np.eye(adj.shape[-1], dtype=bool), adj.shape)
+    frontier = (~unseen).astype(np.float64)
     step = adj.astype(np.float64)
+    dist = np.zeros(adj.shape, dtype=np.int64)
     for d in range(1, cap + 1):
-        reached = ((frontier @ step) > 0) & ~seen
+        dist += unseen
+        reached = ((frontier @ step) > 0) & unseen
         if not reached.any():
             break
-        dist[reached] = d
-        seen |= reached
+        unseen ^= reached
         frontier = reached.astype(np.float64)
+    dist += (cap + 1 - d) * unseen  # hops d..cap, at which the rest stays unseen
     return SpdMatrix(dist=dist, cap=cap)
 
 
@@ -208,9 +210,12 @@ def build_path_features(
     ``synth_edge_features`` is called once, over both orientations of
     every local undirected edge of every subgraph, with each step's
     direction read off ``sub.local_edges``: an induced subgraph holds
-    every citation between its nodes. Paths are then filled one
-    distance level at a time: the path i -> j is the path i -> pred[i, j],
-    each step's N one larger, plus the step pred[i, j] -> j.
+    every citation between its nodes, and one scatter puts the features
+    at their table rows. Paths are then filled one distance level at a
+    time: the path i -> j is the path i -> pred[i, j], each step's N one
+    larger, plus the step pred[i, j] -> j. Within a level, step position
+    t of every pair f is one flat copy from its predecessor pair fp,
+    ``index[f * cap + t] = index[fp * cap + t] + 1``.
     """
     if adj is None:
         adj = local_adjacency(sub)
@@ -218,19 +223,25 @@ def build_path_features(
     cited[tuple(sub.local_edges.T)] = True
     s, a, b = np.nonzero(adj)
     feats = synth_edge_features(g, sub.nodes[s, a], sub.nodes[s, b], cited[s, a, b])
-    # edges come grouped by subgraph; a zero row leads each subgraph's block
+    # edges come grouped by subgraph and a zero row leads each subgraph's
+    # block, so edge n of subgraph s is row n + s + 1 of the table
     offsets = np.append(0, np.cumsum(np.bincount(s, minlength=len(adj)) + 1))
-    table = np.insert(feats, offsets[:-1] - np.arange(len(adj)), 0.0, axis=0)
-    edge = np.zeros(adj.shape, dtype=np.int64)
-    edge[s, a, b] = np.arange(len(s)) + s + 1 - offsets[s]  # row within the block
-    pred = path_predecessors(sub, spd, adj)
-    index = np.zeros(adj.shape + (spd.cap,), dtype=np.int64)
-    for d in range(1, spd.cap + 1):
-        s, i, j = np.nonzero(spd.dist == d)
-        if len(j) == 0:
+    rows = np.arange(len(s)) + s + 1
+    table = np.zeros((len(rows) + len(adj), EDGE_FEATURE_DIM))
+    table[rows] = feats
+    cap, k = spd.cap, adj.shape[-1]
+    edge = np.zeros(adj.size, dtype=np.int64)
+    edge[(s * k + a) * k + b] = rows - offsets[s]  # row within the block
+    pred = path_predecessors(sub, spd, adj).reshape(-1)
+    index = np.zeros(adj.size * cap, dtype=np.int64)
+    for d in range(1, cap + 1):
+        f = np.flatnonzero(spd.dist == d)  # pair (s, i, j) is f = (s * k + i) * k + j
+        if len(f) == 0:
             break
-        p = pred[s, i, j]
-        index[s, i, j, :d - 1] = index[s, i, p, :d - 1] + 1
-        index[s, i, j, d - 1] = edge[s, p, j] * spd.cap + d - 1
-    lengths = np.where(spd.dist <= spd.cap, spd.dist, 0)
-    return PathFeatures(index=index, table=table, offsets=offsets, lengths=lengths)
+        j, p = f % k, pred[f]
+        at, fp = f * cap, (f - j + p) * cap  # first slots of (s, i, j) and (s, i, p)
+        for t in range(d - 1):
+            index[at + t] = index[fp + t] + 1
+        index[at + d - 1] = edge[f - f % (k * k) + p * k + j] * cap + d - 1  # edge[s, p, j]
+    return PathFeatures(index=index.reshape(adj.shape + (cap,)), table=table, offsets=offsets,
+                        lengths=np.where(spd.dist <= cap, spd.dist, 0))

@@ -58,6 +58,24 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.max(np.abs(p - p_shift)) < 1e-12
 
 
+def test_softmax_rows_keeps_the_bytes_of_the_max_shifted_chain():
+    """On both sides of the row-max selection (6 rows, then 64, of 4) the
+    in-place softmax gives the bytes of ``z - z.max(axis=-1)`` then exp
+    and the row sum, for rows holding -inf, NaN and signed zeros."""
+    rng = np.random.default_rng(4)
+    special = [[-np.inf, 1.0, -np.inf, 0.5], [np.nan, 0.0, 1.0, -1.0],
+               [-0.0, 0.0, -0.0, -np.inf], [0.0, -0.0, 0.0, -0.0], [2.0, -np.inf, np.nan, -0.0],
+               [-np.inf] * 4]
+    for rows in (len(special), 64):
+        z = rng.standard_normal((rows, 4))
+        z[:len(special)] = special
+        with np.errstate(invalid="ignore"):  # the all -inf row is NaN throughout
+            want = np.exp(z - z.max(axis=-1, keepdims=True))
+            want /= want.sum(axis=-1, keepdims=True)
+            got = ad._softmax_rows(z.copy())
+        assert got.tobytes() == want.tobytes()
+
+
 def test_matmul_identity():
     rng = np.random.default_rng(1)
     b = rng.standard_normal((4, 6))
@@ -320,17 +338,19 @@ def test_cross_entropy_bit_exact_against_primitive_chain():
         ad.cross_entropy(Tensor(np.zeros(c)), targets[0])
 
 
-def _attention_case(seed, heads=2, queries=4, keys=5, dh=3):
-    """Flat q, k, v, bias leaves for three subgraphs of ``heads`` heads,
-    and a key mask: all keys, two padded keys, and a single unmasked key."""
+def _attention_case(seed, heads=2, queries=4, keys=5, dh=3, count=3):
+    """Flat q, k, v, bias leaves for ``count`` subgraphs of ``heads``
+    heads, and a key mask: all keys, two padded keys, a single unmasked
+    key, and the last key padded in each further subgraph."""
     rng = np.random.default_rng(seed)
     d = heads * dh
-    q, k, v = _p(rng, 3 * queries, d), _p(rng, 3 * keys, d), _p(rng, 3 * keys, d)
-    bias = _p(rng, 3 * queries * keys, heads)
-    mask = np.ones((3, 1, 1, keys), dtype=bool)
+    q, k, v = _p(rng, count * queries, d), _p(rng, count * keys, d), _p(rng, count * keys, d)
+    bias = _p(rng, count * queries * keys, heads)
+    mask = np.ones((count, 1, 1, keys), dtype=bool)
     mask[1, ..., [1, 3]] = False
     mask[2] = False
     mask[2, ..., 2] = True
+    mask[3:, ..., -1] = False
     return rng, [q, k, v, bias], mask
 
 
@@ -411,27 +431,34 @@ def test_grad_masked_softmax():
 
 def test_attention_bit_exact_against_primitive_chain():
     """Each head's column block matches the oracle's chain on that head
-    alone, bit for bit."""
+    alone, bit for bit, whether the softmax takes its row max along the
+    rows or, over 16 subgraphs of 8 queries x 8 keys, down the columns."""
     dh, scale = 3, 1.0 / np.sqrt(3)
-    for heads in HEADS:
-        for seed in (0, 1):
-            rng, inputs, mask = _attention_case(seed, heads=heads, dh=dh)
-            r = rng.standard_normal((12, heads * dh))
-            out, weights = ad.attention(*inputs, mask, heads, scale)
-            got = _grads_through(out, r, inputs)
-            q, k, v, bias = (t.data for t in inputs)
-            for h in range(heads):
-                cols = slice(h * dh, (h + 1) * dh)
-                want, want_weights, (dq, dkt, dv, dbias) = oracle_attention(
-                    q[:, cols].reshape(3, 4, dh), k[:, cols].reshape(3, 5, dh).swapaxes(-1, -2),
-                    v[:, cols].reshape(3, 5, dh), bias[:, h].reshape(3, 4, 5), mask[:, 0],
-                    scale, r[:, cols].reshape(3, 4, dh))
-                assert np.array_equal(out.data[:, cols], want.reshape(12, dh))
-                assert np.array_equal(weights[:, h], want_weights)
-                assert np.array_equal(got[0][:, cols], dq.reshape(12, dh))
-                assert np.array_equal(got[1][:, cols], dkt.swapaxes(-1, -2).reshape(15, dh))
-                assert np.array_equal(got[2][:, cols], dv.reshape(15, dh))
-                assert np.array_equal(got[3][:, h], dbias.reshape(-1))
+    column_max = set()
+    for count, n, nk in ((3, 4, 5), (16, 8, 8)):
+        for heads in HEADS:
+            column_max.add(count * heads * n * nk >= 8 * nk * nk)
+            for seed in (0, 1):
+                rng, inputs, mask = _attention_case(seed, heads, n, nk, dh, count)
+                r = rng.standard_normal((count * n, heads * dh))
+                out, weights = ad.attention(*inputs, mask, heads, scale)
+                got = _grads_through(out, r, inputs)
+                q, k, v, bias = (t.data for t in inputs)
+                for h in range(heads):
+                    cols = slice(h * dh, (h + 1) * dh)
+                    want, want_weights, (dq, dkt, dv, dbias) = oracle_attention(
+                        q[:, cols].reshape(count, n, dh),
+                        k[:, cols].reshape(count, nk, dh).swapaxes(-1, -2),
+                        v[:, cols].reshape(count, nk, dh), bias[:, h].reshape(count, n, nk),
+                        mask[:, 0], scale, r[:, cols].reshape(count, n, dh))
+                    assert np.array_equal(out.data[:, cols], want.reshape(count * n, dh))
+                    assert np.array_equal(weights[:, h], want_weights)
+                    assert np.array_equal(got[0][:, cols], dq.reshape(count * n, dh))
+                    assert np.array_equal(got[1][:, cols],
+                                          dkt.swapaxes(-1, -2).reshape(count * nk, dh))
+                    assert np.array_equal(got[2][:, cols], dv.reshape(count * nk, dh))
+                    assert np.array_equal(got[3][:, h], dbias.reshape(-1))
+    assert column_max == {False, True}
 
 
 def _mix_case(seed, sources, n=5, d=4):
@@ -451,9 +478,11 @@ def test_grad_softmax_mix():
 
 
 def test_softmax_mix_bit_exact_against_primitive_chain():
-    for sources in (1, 2, 4):
-        rng, values, scores = _mix_case(sources, sources)
-        r = rng.standard_normal((5, 4))
+    """Five rows take the softmax's row max along the rows; 64 rows of 3
+    scores take it down the columns."""
+    for sources, n in ((1, 5), (2, 5), (4, 5), (3, 64)):
+        rng, values, scores = _mix_case(sources, sources, n=n)
+        r = rng.standard_normal((n, 4))
         out, alpha = ad.softmax_mix(values, scores)
         want, want_alpha, grads = oracle_softmax_mix([t.data for t in values],
                                                      [t.data for t in scores], r)

@@ -165,10 +165,13 @@ def test_paths_valid_on_random_graphs():
                     assert (min(ga, gb), max(ga, gb)) in und
 
 
+def _tiny_config(cap):
+    return gm.GraphormerConfig(num_classes=2, num_layers=1, num_heads=1, d_model=4, d_ffn=4,
+                               max_spd=cap)
+
+
 def _assert_matches_oracle(g, sub, cap, where):
-    cfg = gm.GraphormerConfig(num_classes=2, num_layers=1, num_heads=1, d_model=4, d_ffn=4,
-                              max_spd=cap)
-    built = gm.build_batch(g, sub, cfg)
+    built = gm.build_batch(g, sub, _tiny_config(cap))
     dist, coeffs = oracle_structural(g, sub, cap)
     k = sub.num_nodes
     assert built.spd.dist.tobytes() == dist.tobytes(), where
@@ -182,14 +185,47 @@ def _assert_matches_oracle(g, sub, cap, where):
             assert _path(pred, i, j) == shortest_path_edges(sub, adj_sets, dist, cap, i, j), where
 
 
+def _assert_rows_match_one_row_builds(g, centers, hops, budget, cap, where):
+    """Row b of a B-row build is center b's one-row build, padded: the
+    distances (0 on the padding's diagonal, cap + 1 off it), the path
+    index (0 past the subgraph) and the table block, byte for byte.
+    Returns whether any row was padded."""
+    cfg = _tiny_config(cap)
+    built = gm.build_batch(g, gr.sample_ego_subgraph(g, centers, hops, budget, seed=0), cfg)
+    k = built.nodes.shape[1]
+    for b, c in enumerate(centers):
+        one = gm.build_batch(g, gr.sample_ego_subgraph(g, [c], hops, budget, seed=0), cfg)
+        n = one.nodes.shape[1]
+        dist = np.full((k, k), cap + 1, dtype=np.int64)
+        np.fill_diagonal(dist, 0)
+        dist[:n, :n] = one.spd.dist[0]
+        index = np.zeros((k, k, cap), dtype=np.int64)
+        index[:n, :n] = one.path_index[0]
+        lo, hi = built.edge_offsets[b], built.edge_offsets[b + 1]
+        assert built.spd.dist[b].tobytes() == dist.tobytes(), where
+        assert built.path_index[b].tobytes() == index.tobytes(), where
+        assert built.edge_table[lo:hi].tobytes() == one.edge_table.tobytes(), where
+    return bool((built.nodes < 0).any())
+
+
 def test_encodings_byte_identical_to_pairwise_oracle():
+    """The one-row build matches the pairwise oracle; each row b of a
+    multi-center stack, padded or not, matches its center's one-row
+    build, whose pair ids and table rows sit in block 0, not block b."""
     rng = np.random.default_rng(11)
+    stack_rng = np.random.default_rng(13)
+    padded = 0
     for trial in range(120):
         n = int(rng.integers(2, 33))
         edges = random_edge_list(rng, n, float(rng.uniform(0.02, 0.3)))
         g = gr.from_edge_list(edges, n)
         cap = int(rng.integers(1, 7))
         _assert_matches_oracle(g, _relabelled(g, rng), cap, f"trial {trial}")
+        centers = stack_rng.choice(n, size=min(n, 6), replace=False)
+        hops, budget = int(stack_rng.integers(1, 4)), int(stack_rng.integers(1, n + 1))
+        padded += _assert_rows_match_one_row_builds(g, centers, hops, budget, cap,
+                                                    f"trial {trial}, stack")
+    assert padded > 20
     special = {
         "k=1": ([], 1),
         "no edges": ([], 6),
