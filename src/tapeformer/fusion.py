@@ -69,12 +69,11 @@ class FusionLayer:
         out["fusion.score_w"] = self.score_w
         return out
 
-    def fuse(self, rows: dict[str, np.ndarray | Tensor],
-             return_weights: bool = False):
+    def fuse(self, rows: dict[str, np.ndarray], return_weights: bool = False):
         """Mix one matrix of rows per active source into (n, d_model).
 
-        ``rows[s]`` is (n, source_dims[s]); an array enters the tape in the
-        parameters' dtype. Rows narrower than that dtype (float32 rows into
+        ``rows[s]`` is an (n, source_dims[s]) array; it enters the tape in
+        the parameters' dtype. Rows narrower than that dtype (float32 rows into
         a float64 model) are refused rather than widened. Returns the fused
         Tensor, plus the (n, num_active) softmax weights when requested (a
         Tensor off the tape).
@@ -84,13 +83,11 @@ class FusionLayer:
         scores = []
         for s in self.cfg.active:
             h = rows[s]
-            if not isinstance(h, Tensor):
-                if h.dtype.itemsize < dtype.itemsize:
-                    raise ValueError(f"source {s!r} rows are {h.dtype}, narrower than the "
-                                     f"{dtype} model: load the dataset with "
-                                     f'load_dataset(..., dtype="{dtype}")')
-                h = Tensor(h, dtype=dtype)
-            u = ad.matmul(h, self.proj[s])
+            if h.dtype.itemsize < dtype.itemsize:
+                raise ValueError(f"source {s!r} rows are {h.dtype}, narrower than the "
+                                 f"{dtype} model: load the dataset with "
+                                 f'load_dataset(..., dtype="{dtype}")')
+            u = ad.matmul(Tensor(h, dtype=dtype), self.proj[s])
             projected.append(u)
             scores.append(ad.matmul(ad.tanh(ad.matmul(u, self.score_m)), self.score_w))
         out, alpha = ad.softmax_mix(projected, scores)

@@ -116,7 +116,7 @@ class SubgraphBatch:
     the graph and the distance cap is ``path_index.shape[-1]``."""
 
     nodes: np.ndarray  # global ids (k,), the center first
-    dist: np.ndarray  # (k, k) int8 capped distances (wider past max_spd 126)
+    dist: np.ndarray  # (k, k) capped distances: int8, int16 from max_spd 127 (sentinel 128)
     edge_table: np.ndarray  # (m + 1, EDGE_FEATURE_DIM): a zero row, then the directed local edges
     path_index: np.ndarray  # (k, k, max_spd) t * max_spd + N - 1 (0: no step), narrowest uint
 
@@ -158,7 +158,7 @@ class SubgraphStack:
             lo, hi = self.edge_offsets[b], self.edge_offsets[b + 1]
             out.append(SubgraphBatch(
                 nodes=self.nodes[b, :n].copy(),
-                dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 1)),
+                dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 2)),
                 edge_table=self.edge_table[lo:hi].copy(),
                 path_index=self.path_index[b, :n, :n].astype(
                     np.min_scalar_type((hi - lo) * cap - 1)),
@@ -177,8 +177,8 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     """Run the structural encodings for every subgraph of ``stack`` in one
     pass; ``split`` gives each subgraph's ``SubgraphBatch``."""
     adj = local_adjacency(stack)
-    spd = bfs_spd(stack, cap=cfg.max_spd, adj=adj)
-    paths = build_path_features(g, stack, spd, adj=adj)
+    spd = bfs_spd(adj, cfg.max_spd)
+    paths = build_path_features(g, stack, spd, adj)
     in_deg, out_deg = _degrees(g, stack.nodes)
     return SubgraphStack(
         sizes=stack.sizes,

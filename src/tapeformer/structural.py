@@ -6,12 +6,13 @@ coefficients. Distances and paths are computed on the undirected view:
 in citation graphs most directed pairs are mutually unreachable, which
 would starve the distance-based attention bias.
 
-Every function takes an ``EgoStack`` of B padded subgraphs and works on
-(B, k, k) arrays in one pass: an all-source BFS as at most ``cap``
-frontier products, a predecessor matrix, and a path index into a table
-of edge features in the form the subgraph store keeps, filled per
-distance level and step position over flat pair ids by 1-D gathers and
-scatters, numpy's fast path. Each result leads with the subgraph axis.
+The encoders work on B padded subgraphs at once, as (B, k, k) arrays
+read off the one undirected adjacency ``local_adjacency`` gives for an
+``EgoStack``: an all-source BFS as at most ``cap`` frontier products, a
+predecessor matrix, and a path index into a table of edge features in
+the form the subgraph store keeps, filled per distance level and step
+position over flat pair ids by 1-D gathers and scatters, numpy's fast
+path. Each result leads with the subgraph axis.
 """
 from __future__ import annotations
 
@@ -88,8 +89,9 @@ def local_adjacency(sub: EgoStack) -> np.ndarray:
     return adj
 
 
-def bfs_spd(sub: EgoStack, cap: int, adj: np.ndarray | None = None) -> SpdMatrix:
-    """All-source BFS on the undirected view, truncated at ``cap`` hops.
+def bfs_spd(adj: np.ndarray, cap: int) -> SpdMatrix:
+    """All-source BFS on the (B, k, k) undirected adjacency ``adj``,
+    truncated at ``cap`` hops.
 
     Row s of ``frontier`` holds the nodes first reached from s at the
     current hop; one product with the adjacency advances every source
@@ -99,8 +101,6 @@ def bfs_spd(sub: EgoStack, cap: int, adj: np.ndarray | None = None) -> SpdMatrix
     """
     if cap < 1:
         raise ValueError("spd cap must be >= 1")
-    if adj is None:
-        adj = local_adjacency(sub)
     unseen = ~np.broadcast_to(np.eye(adj.shape[-1], dtype=bool), adj.shape)
     frontier = (~unseen).astype(np.float64)
     step = adj.astype(np.float64)
@@ -116,7 +116,7 @@ def bfs_spd(sub: EgoStack, cap: int, adj: np.ndarray | None = None) -> SpdMatrix
     return SpdMatrix(dist=dist, cap=cap)
 
 
-def path_predecessors(sub: EgoStack, spd: SpdMatrix, adj: np.ndarray | None = None) -> np.ndarray:
+def path_predecessors(sub: EgoStack, spd: SpdMatrix, adj: np.ndarray) -> np.ndarray:
     """(B, k, k) last-step predecessor of j on the chosen shortest path i -> j.
 
     Among the neighbors u of j with ``dist[i, u] == dist[i, j] - 1`` the
@@ -132,8 +132,6 @@ def path_predecessors(sub: EgoStack, spd: SpdMatrix, adj: np.ndarray | None = No
     Returns a (B, k, k) view of an array laid out by (subgraph, node,
     source).
     """
-    if adj is None:
-        adj = local_adjacency(sub)
     count, k = adj.shape[:2]
     order = np.argsort(sub.nodes, axis=-1)  # local indices by ascending global id
     # edge (s * k + j, r): local node j of subgraph s and its neighbor order[s, r]
@@ -199,12 +197,8 @@ def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray,
     return out
 
 
-def build_path_features(
-    g: DirectedGraph,
-    sub: EgoStack,
-    spd: SpdMatrix,
-    adj: np.ndarray | None = None,
-) -> PathFeatures:
+def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix,
+                        adj: np.ndarray) -> PathFeatures:
     """Per-edge feature sequences along one shortest path per ordered pair.
 
     ``synth_edge_features`` is called once, over both orientations of
@@ -217,8 +211,6 @@ def build_path_features(
     t of every pair f is one flat copy from its predecessor pair fp,
     ``index[f * cap + t] = index[fp * cap + t] + 1``.
     """
-    if adj is None:
-        adj = local_adjacency(sub)
     cited = np.zeros(adj.shape, dtype=bool)
     cited[tuple(sub.local_edges.T)] = True
     s, a, b = np.nonzero(adj)

@@ -148,13 +148,21 @@ class Adam:
 
     The moments are two flat buffers holding the parameters end to end
     in dict order; ``m[k]`` and ``v[k]`` are views of parameter ``k``'s
-    slice in its shape. A step walks runs of adjacent parameters that
-    have a gradient, none longer than the largest parameter, through two
-    scratch rows of that length: the ops that read a gradient and the
-    final update run per parameter, the rest once per run. Every element
+    slice in its shape. The parameters form greedy blocks of adjacent
+    ones, none longer than the largest parameter, and a step updates
+    each block in one pass over its slice of the moments and two scratch
+    rows of that length: the ops that read a gradient and the final
+    update run per parameter, the rest once per block. Every element
     goes through the textbook formulas' ops in their order with the same
     scalars, so the result is bit for bit what evaluating them per
     parameter with temporaries gives.
+
+    A parameter whose ``grad`` is None steps with a zero gradient. While
+    its moments are zero that leaves it and them exactly as they are
+    (the update is 0 / eps), so it is the same as skipping it; ``train``
+    keeps that condition, since its loss reaches a parameter in every
+    step or in none (``spatial.bias`` and ``edge.weight`` at
+    ``num_layers=0``).
     """
 
     beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -167,61 +175,50 @@ class Adam:
         sizes = [a.size for a in data]
         self._moments = np.zeros((2, sum(sizes)), dtype)
         self._rows = np.empty((2, max(sizes, default=0)), dtype)
-        # greedy blocks of adjacent parameters that fit the scratch rows: (block start,
-        # [(parameter, flat slice, its slice of the first scratch row in its shape)])
-        self._blocks: list[tuple[int, list]] = []
+        # greedy blocks of adjacent parameters that fit the scratch rows: [flat start,
+        # flat stop, [(parameter, its slice of the first scratch row in its shape)]]
+        self._blocks: list[list] = []
         self.m, self.v = {}, {}
         lo = 0
         for (k, p), size in zip(params.items(), sizes):
             hi, shape = lo + size, p.data.shape
             if not self._blocks or hi - self._blocks[-1][0] > self._rows.shape[1]:
-                self._blocks.append((lo, []))
-            start, members = self._blocks[-1]
+                self._blocks.append([lo, hi, []])
+            block = self._blocks[-1]
+            block[1] = hi
             self.m[k], self.v[k] = (row[lo:hi].reshape(shape) for row in self._moments)
-            members.append((p, slice(lo, hi), self._rows[0, lo - start:hi - start].reshape(shape)))
+            block[2].append((p, self._rows[0, lo - block[0]:hi - block[0]].reshape(shape)))
             lo = hi
 
     def step(self, lr: float) -> None:
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
-        for start, members in self._blocks:
-            run = []
-            for member in members:
-                if member[0].grad is not None:
-                    run.append(member)
-                elif run:
-                    self._step_run(start, run, lr, c1, c2)
-                    run = []
-            if run:
-                self._step_run(start, run, lr, c1, c2)
-
-    def _step_run(self, start: int, run: list, lr: float, c1: float, c2: float) -> None:
-        """One step over ``run``, adjacent parameters of the block at ``start``."""
         b1, b2 = self.beta1, self.beta2
-        at = slice(run[0][1].start, run[-1][1].stop)
-        m, v = self._moments[:, at]
-        num, den = self._rows[:, at.start - start:at.stop - start]
-        # m = b1 * m + (1 - b1) * g
-        m *= b1
-        for p, _, g_num in run:
-            np.multiply(p.grad, 1.0 - b1, g_num)
-        m += num
-        # v = b2 * v + (1 - b2) * (g * g)
-        v *= b2
-        for p, _, g_num in run:
-            np.multiply(p.grad, p.grad, g_num)
-        num *= 1.0 - b2
-        v += num
-        # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
-        np.divide(m, c1, num)
-        num *= lr
-        np.divide(v, c2, den)
-        np.sqrt(den, den)
-        den += self.eps
-        num /= den
-        for p, _, g_num in run:
-            p.data -= g_num
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
+        for lo, hi, members in self._blocks:
+            m, v = self._moments[:, lo:hi]
+            num, den = self._rows[:, :hi - lo]
+            # m = b1 * m + (1 - b1) * g
+            m *= b1
+            for p, g_num in members:
+                np.multiply(0.0 if p.grad is None else p.grad, 1.0 - b1, g_num)
+            m += num
+            # v = b2 * v + (1 - b2) * (g * g)
+            v *= b2
+            for p, g_num in members:
+                g = 0.0 if p.grad is None else p.grad
+                np.multiply(g, g, g_num)
+            num *= 1.0 - b2
+            v += num
+            # p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(m, c1, num)
+            num *= lr
+            np.divide(v, c2, den)
+            np.sqrt(den, den)
+            den += self.eps
+            num /= den
+            for p, g_num in members:
+                p.data -= g_num
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -243,21 +240,20 @@ def lr_at(step: int, base_lr: float, warmup: int, total: int) -> float:
 
 def make_temporal_split(
     years: np.ndarray,
-    labels: np.ndarray | None = None,
+    labels: np.ndarray,
     train_last_year: int = SplitParams.train_last_year,
     test_first_year: int = SplitParams.test_first_year,
 ) -> TemporalSplit:
     """Partition labeled nodes chronologically.
 
     Train: year <= train_last_year; test: year >= test_first_year; the
-    years in between validate. Unlabeled nodes (label < 0 or None) are
+    years in between validate. Unlabeled nodes (label < 0) are
     excluded. Any empty partition is a configuration error.
     """
     years = np.asarray(years, dtype=np.int64)
     if train_last_year >= test_first_year:
         raise DataError("train_last_year must be < test_first_year")
-    labeled = np.ones(len(years), dtype=bool) if labels is None else np.asarray(labels) >= 0
-    ids = np.nonzero(labeled)[0]
+    ids = np.nonzero(np.asarray(labels) >= 0)[0]
     y = years[ids]
     split = TemporalSplit(
         train_ids=ids[y <= train_last_year],

@@ -357,6 +357,25 @@ def test_path_index_widens_with_the_edge_table():
         assert gm.stack_batches(g, entries).path_coeffs.tobytes() == built.path_coeffs.tobytes()
 
 
+def test_stored_distances_widen_past_max_spd_126():
+    """On a 129-node path the center's ego subgraph has pairs 128 hops
+    apart, so at ``max_spd=127`` they hold the sentinel 128, which int8
+    cannot: the forward over the stored entry is finite, and the entry
+    keeps its distances as int16 and restacks to the built stack's."""
+    n = 129
+    g = gr.from_edge_list([(u, u + 1) for u in range(n - 1)], n)
+    cfg = tiny_config(num_layers=1, max_spd=127, ego_hops=64, ego_max_nodes=n)
+    data = types.SimpleNamespace(graph=g, bundle=random_bundle(np.random.default_rng(0), n))
+    model = gm.GraphormerModel(cfg, fusion_config(), seed=0)
+    with ad.no_grad():
+        assert np.isfinite(model.logits_for_centers(data, [64], seed=0).data).all()
+    built = gm.build_batch(g, gr.sample_ego_subgraph(g, [64], hops=64, max_nodes=n, seed=0), cfg)
+    assert built.spd.dist.max() == 128
+    entry = model.store.entries[(64, 0)]
+    assert entry.dist.dtype == np.int16
+    assert gm.stack_batches(g, [entry]).spd.dist.tobytes() == built.spd.dist.tobytes()
+
+
 def test_cached_entry_is_a_fifth_of_the_padded_layout():
     """At k=32 a cached entry holds at most a fifth of the bytes of the
     layout that stored ``path_coeffs`` (k*k*max_spd*d_edge floats) with

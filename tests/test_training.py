@@ -100,7 +100,7 @@ def test_adam_first_step_is_signed_lr():
 def test_adam_in_place_matches_textbook_formulas_bit_for_bit():
     """In both dtypes and two layouts: the second has a gradient-less
     parameter between others, one larger than its neighbours, so that a
-    step walks several runs, and a scalar."""
+    step walks several blocks, and a scalar."""
     layouts = ({"a": (5, 7), "b": (7,), "c": (3, 2, 4), "skipped": (2, 2)},
                {"a": (3, 2), "skipped": (4,), "b": (5,), "big": (6, 7), "c": (2, 3), "d": (9,),
                 "s": ()})
@@ -180,7 +180,7 @@ def test_lr_sweep_monotone_up_then_down():
 
 def test_split_one_node_per_partition():
     years = np.array([2016, 2018, 2020])
-    split = tr.make_temporal_split(years)
+    split = tr.make_temporal_split(years, np.zeros(3, dtype=np.int64))
     assert split.train_ids.tolist() == [0]
     assert split.val_ids.tolist() == [1]
     assert split.test_ids.tolist() == [2]
@@ -188,7 +188,7 @@ def test_split_one_node_per_partition():
 
 def test_split_empty_partition_is_error():
     with pytest.raises(DataError, match="empty"):
-        tr.make_temporal_split(np.array([2015, 2016, 2017]))
+        tr.make_temporal_split(np.array([2015, 2016, 2017]), np.zeros(3, dtype=np.int64))
 
 
 def test_split_excludes_unlabeled():
@@ -201,7 +201,8 @@ def test_split_excludes_unlabeled():
 
 def test_split_boundaries_configurable():
     years = np.array([1999, 2005, 2010])
-    split = tr.make_temporal_split(years, train_last_year=2000, test_first_year=2008)
+    split = tr.make_temporal_split(years, np.zeros(3, dtype=np.int64), train_last_year=2000,
+                                   test_first_year=2008)
     assert split.train_ids.tolist() == [0]
     assert split.val_ids.tolist() == [1]
     assert split.test_ids.tolist() == [2]
@@ -310,12 +311,28 @@ def _mini_graph_data(seed=0, n=24, c=3):
     return data, split
 
 
-def _tiny_model(seed, c=3, dtype="float32"):
-    cfg = gm.GraphormerConfig(num_classes=c, num_layers=1, num_heads=2, d_model=8,
+def _tiny_model(seed, c=3, dtype="float32", num_layers=1):
+    cfg = gm.GraphormerConfig(num_classes=c, num_layers=num_layers, num_heads=2, d_model=8,
                               d_ffn=12, max_spd=3, max_degree_bucket=8,
                               ego_hops=1, ego_max_nodes=6, dtype=dtype)
     fusion = FusionConfig(d_model=8, source_dims={"expl": 5, "pred": c, "text": 5, "ogb": 4})
     return gm.GraphormerModel(cfg, fusion, seed=seed)
+
+
+def test_parameters_the_loss_never_reaches_stay_put():
+    """At ``num_layers=0`` no attention reads the spatial or edge bias, so
+    their gradients stay None through every step of a 2-epoch ``train``:
+    Adam steps them with a zero gradient and zero moments, which leaves
+    them byte for byte at their initial values, while every other
+    parameter moves."""
+    data, split = _mini_graph_data()
+    model = _tiny_model(seed=3, num_layers=0)
+    before = {k: t.data.copy() for k, t in model.parameters().items()}
+    cfg = tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=8, early_stop_patience=5, seed=0)
+    tr.train(model, data, split, cfg)
+    idle = {"spatial.bias", "edge.weight"}
+    for k, t in model.parameters().items():
+        assert (t.data.tobytes() == before[k].tobytes()) == (k in idle), k
 
 
 def test_grad_accum_matches_full_batch():
