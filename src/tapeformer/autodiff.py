@@ -16,12 +16,17 @@ arithmetic of the primitive chains they replace: ``linear``,
 score gradient once), ``softmax_mix`` over per-source rows and the
 training loss ``cross_entropy``.
 
-The tape persists until ``tape_clear()`` (or a new graph is built), so
-calling ``backward`` twice accumulates gradients additively -- that is
-what gradient accumulation over micro-batches relies on.
+A tape record holds only what backward reads: its output's key (unique
+in the process) and, per input that needs a gradient, the leaf Tensor or
+the non-leaf's key with a closure that holds only the arrays it reads, so
+an op output no closure reads is freed in the forward once its caller
+drops it. The tape persists until ``tape_clear()`` (or a new graph is
+built), so calling ``backward`` twice accumulates gradients additively --
+that is what gradient accumulation over micro-batches relies on.
 """
 from __future__ import annotations
 
+import itertools
 import struct
 import threading
 from contextlib import contextmanager
@@ -33,6 +38,7 @@ from .binfile import Reader, payload
 
 DEFAULT_DTYPE = np.float64
 LN_EPS = 1e-12
+_next_key = itertools.count().__next__  # op outputs' tape keys
 
 __all__ = [
     "Tensor",
@@ -67,11 +73,11 @@ class Tensor:
     Leaf tensors (constructed directly) with ``requires_grad=True`` are
     the trainable parameters; ``backward`` accumulates into their
     ``.grad``. Tensors produced by ops are interior nodes and never
-    retain gradients. A floating ``data`` keeps its dtype unless
-    ``dtype`` is given; any other input becomes ``DEFAULT_DTYPE``.
+    retain gradients; the tape names them by ``key``. Floating ``data`` keeps
+    its dtype unless ``dtype`` is given; other input becomes ``DEFAULT_DTYPE``.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf")
+    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "key")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         data = np.asarray(data, dtype=dtype)
@@ -94,8 +100,8 @@ class Tensor:
 
 class _State(threading.local):
     def __init__(self):
-        # one (output, [(input, backward closure)]) pair per executed op
-        self.records: list[tuple[Tensor, list[tuple[Tensor, Callable]]]] = []
+        # one (output key, [(leaf input or input key, backward closure)]) per op
+        self.records: list[tuple[int, list[tuple[Tensor | int, Callable]]]] = []
         self.recording = True
         self.check_finite = True
 
@@ -141,10 +147,12 @@ def _make(op_name: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, Callabl
     out.grad = None
     out.requires_grad = any(t.requires_grad for t, _ in inputs)
     out.is_leaf = False
+    out.key = _next_key()
     if _state.check_finite and not np.isfinite(data).all():
         raise FloatingPointError(f"{op_name} produced non-finite values")
     if _state.recording and out.requires_grad:
-        _state.records.append((out, [(t, fn) for t, fn in inputs if t.requires_grad]))
+        _state.records.append((out.key, [(t if t.is_leaf else t.key, fn)
+                                         for t, fn in inputs if t.requires_grad]))
     return out
 
 
@@ -169,16 +177,16 @@ def backward(out: Tensor, grad=None) -> None:
         if out.requires_grad:
             out.grad = seed if out.grad is None else out.grad + seed
         return
-    grads: dict[int, np.ndarray] = {id(out): seed}
+    grads: dict[int, np.ndarray] = {out.key: seed}
     # id -> (leaf, total, whether the total may share memory with another array)
     leaves: dict[int, tuple[Tensor, np.ndarray, bool]] = {}
-    for op_out, inputs in reversed(_state.records):
-        g = grads.pop(id(op_out), None)
+    for key, inputs in reversed(_state.records):
+        g = grads.pop(key, None)
         if g is None:
             continue
         for t, fn in inputs:
             contrib = fn(g)
-            if t.is_leaf:
+            if isinstance(t, Tensor):  # a leaf
                 prev = leaves.get(id(t))
                 if prev is None:
                     # an identity or view closure hands back g or a view of
@@ -189,8 +197,8 @@ def backward(out: Tensor, grad=None) -> None:
                 else:
                     leaves[id(t)] = (t, prev[1] + contrib, False)
             else:
-                prev = grads.get(id(t))
-                grads[id(t)] = contrib if prev is None else prev + contrib
+                prev = grads.get(t)
+                grads[t] = contrib if prev is None else prev + contrib
     # flush per-pass totals; a total that may alias is copied so no two
     # grads share memory
     for t, total, shared in leaves.values():
@@ -279,20 +287,21 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
         raise ShapeError(f"embedding_lookup: index out of range for table {table.shape}")
 
-    rows, cols = table.shape
+    (rows, cols), dtype = table.shape, table.data.dtype
 
     def bw(g):
         # a bincount over flat (row, col) slots adds in the same order as
         # np.add.at, several times faster
         flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
         return np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols).reshape(
-            rows, cols).astype(table.data.dtype, copy=False)
+            rows, cols).astype(dtype, copy=False)
 
     return _make("embedding_lookup", table.data[idx], [(table, bw)])
 
 
 def relu(x: Tensor) -> Tensor:
-    return _make("relu", np.maximum(x.data, 0.0), [(x, lambda g, xd=x.data: g * (xd > 0))])
+    out = np.maximum(x.data, 0.0)  # > 0 exactly where x.data is
+    return _make("relu", out, [(x, lambda g: g * (out > 0))])
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -373,10 +382,10 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarra
         ds -= (ds * p).sum(axis=-1, keepdims=True)
         ds *= p
         dqk = ds * scale
-        return ((dqk @ ktd.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(q.shape),
-                (qd.swapaxes(-1, -2) @ dqk).transpose(0, 3, 1, 2).reshape(k.shape),
-                (p.swapaxes(-1, -2) @ g).transpose(0, 2, 1, 3).reshape(k.shape),
-                ds.transpose(0, 2, 3, 1).reshape(bias.shape))
+        return ((dqk @ ktd.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(count * n, -1),
+                (qd.swapaxes(-1, -2) @ dqk).transpose(0, 3, 1, 2).reshape(count * nk, -1),
+                (p.swapaxes(-1, -2) @ g).transpose(0, 2, 1, 3).reshape(count * nk, -1),
+                ds.transpose(0, 2, 3, 1).reshape(-1, num_heads))
 
     out = (p @ vd).transpose(0, 2, 1, 3).reshape(q.shape)
     return _make("attention", out, _joint((q, k, v, bias), grads)), p
@@ -397,14 +406,14 @@ def softmax_mix(values: Sequence[Tensor], scores: Sequence[Tensor]) -> tuple[Ten
     for i in range(1, len(values)):
         out += values[i].data * alpha[:, i:i + 1]
 
-    def grads(g):
+    def grads(g, vals=tuple(u.data for u in values)):
         da = np.empty_like(alpha)
-        for i, u in enumerate(values):
-            da[:, i] = (g * u.data).sum(axis=1)
+        for i, u in enumerate(vals):
+            da[:, i] = (g * u).sum(axis=1)
         da -= (da * alpha).sum(axis=-1, keepdims=True)
         da *= alpha
-        return ([g * alpha[:, i:i + 1] for i in range(len(values))]
-                + [da[:, i:i + 1] for i in range(len(scores))])
+        return ([g * alpha[:, i:i + 1] for i in range(len(vals))]
+                + [da[:, i:i + 1] for i in range(len(vals))])
 
     return _make("softmax_mix", out, _joint([*values, *scores], grads)), alpha
 

@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -196,6 +197,61 @@ def test_no_grad_skips_recording():
     with ad.no_grad():
         ad.matmul(w, w)
     assert ad.tape_size() == 0
+
+
+def test_tape_frees_op_outputs_no_closure_reads():
+    """In linear -> add -> layer_norm -> linear no backward closure reads
+    the add's output (layer_norm keeps its own normalised rows), so its
+    array dies with the caller's Tensor, before backward runs. The
+    gradients are those of the same chain with the Tensor kept, and a
+    second backward still adds the same again."""
+    rng = np.random.default_rng(21)
+    x, r = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+    params = [_p(rng, 4, 6), _p(rng, 6), _p(rng, 5, 6), _p(rng, 6), _p(rng, 6), _p(rng, 6, 3),
+              _p(rng, 3)]
+    w1, b1, c, gain, bias, w2, b2 = params
+
+    def run(keep):
+        s = ad.add(ad.linear(Tensor(x), w1, b1), c)
+        array, kept = weakref.ref(s.data), [s] if keep else []
+        out = ad.linear(ad.layer_norm(s, gain, bias), w2, b2)
+        del s
+        freed = array() is None
+        for t in params:
+            t.grad = None
+        ad.backward(out, r)
+        once = [t.grad.copy() for t in params]
+        ad.backward(out, r)
+        ad.tape_clear()
+        return freed, kept, once, [t.grad for t in params]
+
+    freed, _, once, twice = run(keep=False)
+    assert freed
+    assert _all_equal(twice, [g + g for g in once])
+    freed, kept, want, _ = run(keep=True)
+    assert not freed and kept
+    assert _all_equal(once, want)
+
+
+def test_op_output_keys_never_repeat():
+    """The tape names op outputs by key, not by ``id``: an id comes back
+    once its Tensor is dropped, a key does not."""
+    a = Tensor(np.ones((2, 2)), requires_grad=True)
+    keys = [ad.add(a, a).key for _ in range(50)]
+    assert len(set(keys)) == len(keys)
+
+
+def test_a_tensor_made_under_no_grad_is_a_gradient_sink():
+    """An op output made off the tape and then used in a recorded op takes
+    its gradient and passes none on to the leaves behind it."""
+    rng = np.random.default_rng(22)
+    w, v = _p(rng, 3, 3), _p(rng, 3, 3)
+    with ad.no_grad():
+        h = ad.matmul(w, w)
+    assert h.requires_grad and not h.is_leaf
+    r = rng.standard_normal((3, 3))
+    ad.backward(ad.matmul(h, v), r)
+    assert w.grad is None and np.array_equal(v.grad, h.data.T @ r)
 
 
 def test_a_raising_block_restores_the_flag_it_switched():

@@ -18,6 +18,7 @@ from helpers import (
     edge_pairs,
     ego_stack,
     entry_path_coeffs,
+    floyd_warshall,
     in_neighbors,
     node_map,
     oracle_citation_flags,
@@ -374,6 +375,31 @@ def test_stored_distances_widen_past_max_spd_126():
     entry = model.store.entries[(64, 0)]
     assert entry.dist.dtype == np.int16
     assert gm.stack_batches(g, [entry]).spd.dist.tobytes() == built.spd.dist.tobytes()
+
+
+def test_stored_distances_stay_within_twice_ego_hops():
+    """A sampled subgraph keeps a node only if a kept node one hop nearer
+    reached it, and keeps every edge among its nodes, so no pair of a
+    stored entry is unreachable or more than 2 * ``ego_hops`` apart. The
+    stored distances equal Floyd-Warshall's on the induced subgraph;
+    ``max_spd`` lies above the bound, so no cap hides a distance."""
+    rng = np.random.default_rng(43)
+    for trial in range(30):
+        n = int(rng.integers(2, 40))
+        g = gr.from_edge_list(random_edge_list(rng, n, float(rng.uniform(0.02, 0.3))), n)
+        edges = list(edge_pairs(g))
+        hops = int(rng.integers(1, 4))
+        cfg = tiny_config(ego_hops=hops, ego_max_nodes=int(rng.integers(1, 20)),
+                          max_spd=2 * hops + 2)
+        store = gm.SubgraphStore()
+        store.build(g, cfg, range(n), seed=trial)
+        assert len(store.entries) == n
+        for entry in store.entries.values():
+            local = {v: i for i, v in enumerate(entry.nodes.tolist())}
+            fw = floyd_warshall([(local[u], local[v]) for u, v in edges
+                                 if u in local and v in local], len(local))
+            assert np.isfinite(fw).all() and fw.max() <= 2 * hops, trial
+            assert np.array_equal(entry.dist, fw), trial
 
 
 def test_cached_entry_is_a_fifth_of_the_padded_layout():
