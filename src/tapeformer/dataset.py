@@ -1,12 +1,14 @@
 """Prepared-dataset artifact: everything training needs in one binary file.
 
 Ingestion (documents, edge list, feature matrix, LLM cache) happens
-once; the artifact stores the graph's CSR arrays, labels, years, class
-names and the embedding bundle, each source ``s`` as the array
-``h_<s>``. Serialization is canonical (sorted JSON meta, fixed array
-order), so preparing the same inputs twice yields byte-identical files
-and the same content hash. Loading checks the class names and the
-bundle with the same rules that ``prepare`` applies.
+once; the artifact stores the graph's out-CSR arrays (the graph derives
+its in-CSR; an older artifact's stored copy is read, hashed and
+ignored), labels, years, class names and the embedding bundle, each
+source ``s`` as the array ``h_<s>``. Serialization is canonical (sorted
+JSON meta, fixed array order), so preparing the same inputs twice
+yields byte-identical files and the same content hash. Loading checks
+the class names and the bundle with the same rules that ``prepare``
+applies.
 """
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .binfile import Reader, payload
-from .graph import DirectedGraph, load_edge_list
+from .graph import DirectedGraph, GraphConstructionError, from_out_csr, load_edge_list
 from .model import GraphormerParams
 from .text import (
     SOURCES,
@@ -146,8 +148,6 @@ def _arrays_of(ds: PreparedDataset) -> list[tuple[str, np.ndarray]]:
         ("years", ds.years),
         ("out_offsets", g.out_offsets),
         ("out_targets", g.out_targets),
-        ("in_offsets", g.in_offsets),
-        ("in_targets", g.in_targets),
         *((name, ds.bundle[s]) for name, s in _SOURCE_OF.items()),
     ]
 
@@ -244,18 +244,10 @@ def load_dataset(path, dtype: str = GraphormerParams.dtype) -> PreparedDataset:
         if sidecar.exists() and sidecar.read_bytes().strip() != digest.hexdigest().encode():
             raise DataError(f"sha256 {digest.hexdigest()} differs from {sidecar}")
         _check_artifact(meta, arrays)
-    except DataError as e:
+        graph = from_out_csr(arrays["out_offsets"], arrays["out_targets"],
+                             meta["self_loops_dropped"], meta["duplicates_dropped"])
+    except (DataError, GraphConstructionError) as e:
         raise DataError(f"{path}: {e}") from None
-    graph = DirectedGraph(
-        num_nodes=meta["num_nodes"],
-        out_offsets=arrays["out_offsets"],
-        out_targets=arrays["out_targets"],
-        in_offsets=arrays["in_offsets"],
-        in_targets=arrays["in_targets"],
-        num_edges=meta["num_edges"],
-        self_loops_dropped=meta["self_loops_dropped"],
-        duplicates_dropped=meta["duplicates_dropped"],
-    )
     bundle = {s: arrays[name] for name, s in _SOURCE_OF.items()}
     log.info("loaded dataset artifact %s: %d nodes, %d edges, bundle in %s (read+hash %.3fs, "
              "sources %.3fs, validation %.3fs)", path, graph.num_nodes, graph.num_edges,
@@ -313,12 +305,10 @@ def _check_meta(meta) -> None:
 def _check_artifact(meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """The invariants save_dataset's input holds, the meta's and the
     bundle's aside (``_check_meta`` and ``_read_source`` check those
-    as each is read): array shapes that agree with the node and edge
-    counts, CSR adjacency with sorted in-range targets, and labels in
-    [-1, num_classes)."""
+    as each is read, ``from_out_csr`` the out-CSR): array shapes that
+    agree with the node and edge counts, and labels in [-1, num_classes)."""
     n, m = meta["num_nodes"], meta["num_edges"]
-    expected = {"labels": (n,), "years": (n,), "out_offsets": (n + 1,), "out_targets": (m,),
-                "in_offsets": (n + 1,), "in_targets": (m,)}
+    expected = {"labels": (n,), "years": (n,), "out_offsets": (n + 1,), "out_targets": (m,)}
     missing = sorted((set(expected) | set(_SOURCE_OF)) - set(arrays))
     if missing:
         raise DataError(f"artifact is missing arrays {missing}")
@@ -327,16 +317,6 @@ def _check_artifact(meta: dict, arrays: dict[str, np.ndarray]) -> None:
         if a.shape != shape or a.dtype != np.int64:
             raise DataError(f"{name} is {a.dtype} {a.shape}, expected int64 {shape} "
                             f"for {n} nodes and {m} edges")
-    for side in ("out", "in"):
-        off, tgt = arrays[f"{side}_offsets"], arrays[f"{side}_targets"]
-        if off[0] != 0 or off[-1] != m or np.any(np.diff(off) < 0):
-            raise DataError(f"{side}_offsets must rise monotonically from 0 to {m}")
-        if m and (tgt.min() < 0 or tgt.max() >= n):
-            raise DataError(f"{side}_targets has a node id outside [0, {n})")
-        # row-major keys rise strictly iff each row's targets are sorted and distinct
-        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(off)) * n + tgt
-        if np.any(np.diff(keys) <= 0):
-            raise DataError(f"{side}_targets are not sorted within a row")
     labels, c = arrays["labels"], len(meta["class_names"])
     if n and (labels.min() < -1 or labels.max() >= c):
         raise DataError(f"labels must lie in [-1, {c}) for {c} classes")

@@ -171,8 +171,9 @@ def parse_toggle(name: str) -> tuple[str, tuple[str, ...]]:
                 if s not in sources:
                     sources.append(s)
         else:
-            valid = sorted({"graphormer", "mlp", "full", *(_GROUPS)})
-            raise ValueError(f"unknown ablation toggle {token!r} in {name!r}; valid tokens: {valid}")
+            valid = sorted({"graphormer", "mlp", *(_GROUPS)})
+            raise ValueError(f"unknown ablation toggle {token!r} in {name!r}; valid tokens: "
+                             f"{valid}, or the whole name 'full' alone for the full system")
     if not sources:
         raise ValueError(f"ablation configuration {name!r} enables no embedding sources")
     return kind, tuple(s for s in SOURCES if s in sources)

@@ -1,19 +1,20 @@
 """Directed-graph storage and traversal for citation networks.
 
 The graph is immutable CSR in both directions (out- and in-adjacency),
-built once from an edge list. Self-loops are dropped and parallel edges
-merged at construction; targets are sorted per source so everything
-downstream is deterministic. Ego-subgraph sampling gives the model its
-attention contexts: full-graph attention is quadratic in node count and
-infeasible past a few thousand nodes, so each classified node gets a
-bounded neighborhood instead.
+given by its out-CSR, from which the in-CSR is derived. Self-loops are
+dropped and parallel edges merged when an edge list is read; targets
+are sorted per source so everything downstream is deterministic.
+Ego-subgraph sampling gives the model its attention contexts:
+full-graph attention is quadratic in node count and infeasible past a
+few thousand nodes, so each classified node gets a bounded
+neighborhood instead.
 """
 from __future__ import annotations
 
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +27,7 @@ __all__ = [
     "GraphConstructionError",
     "check_centers",
     "from_edge_list",
+    "from_out_csr",
     "load_edge_list",
     "sample_ego_subgraph",
 ]
@@ -37,16 +39,33 @@ class GraphConstructionError(ValueError):
 
 @dataclass
 class DirectedGraph:
-    """CSR adjacency in both directions; immutable after construction."""
+    """CSR adjacency in both directions, immutable after construction;
+    the in-CSR is derived from the given out-CSR, so the two agree."""
 
-    num_nodes: int
     out_offsets: np.ndarray  # int64, len num_nodes+1
-    out_targets: np.ndarray  # int64, sorted ascending within each source
-    in_offsets: np.ndarray
-    in_targets: np.ndarray
-    num_edges: int
-    self_loops_dropped: int = 0
-    duplicates_dropped: int = 0
+    out_targets: np.ndarray  # int64, sorted ascending and distinct within each source
+    self_loops_dropped: int
+    duplicates_dropped: int
+    in_offsets: np.ndarray = field(init=False)
+    in_targets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        n = np.int64(self.num_nodes)
+        keys = self.out_targets * n  # dst * n + src, sorted: the sources grouped by target
+        keys += np.repeat(np.arange(n), self.out_degrees())
+        keys.sort()
+        keys -= keys // n * n  # keys % n: numpy divides by a scalar several times faster
+        self.in_targets = keys
+        self.in_offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.out_targets, minlength=n), out=self.in_offsets[1:])
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.out_offsets) - 1
+
+    @property
+    def num_edges(self) -> int:
+        return len(self.out_targets)
 
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_offsets)
@@ -115,7 +134,7 @@ class EgoStack:
 
 
 def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
-    """Build both CSR directions from (src, dst) pairs.
+    """Build the graph from (src, dst) pairs.
 
     Self-loops are dropped and duplicate edges merged, each with a
     counter. Endpoints outside [0, num_nodes) raise, naming the edge.
@@ -138,24 +157,30 @@ def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
     # encode (src, dst) into one key; num_nodes is well below the overflow bound
     keys = arr[:, 0] * np.int64(num_nodes) + arr[:, 1]
     uniq = _sorted_unique(keys)
-    n_dup = len(keys) - len(uniq)
-    src = uniq // num_nodes
-    dst = uniq % num_nodes
     out_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=num_nodes), out=out_offsets[1:])
-    order = np.lexsort((src, dst))  # group by dst, then by src: in-adjacency
-    in_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(dst, minlength=num_nodes), out=in_offsets[1:])
-    return DirectedGraph(
-        num_nodes=num_nodes,
-        out_offsets=out_offsets,
-        out_targets=dst,
-        in_offsets=in_offsets,
-        in_targets=src[order],
-        num_edges=len(uniq),
-        self_loops_dropped=n_loops,
-        duplicates_dropped=n_dup,
-    )
+    np.cumsum(np.bincount(uniq // num_nodes, minlength=num_nodes), out=out_offsets[1:])
+    return DirectedGraph(out_offsets, uniq % num_nodes, self_loops_dropped=n_loops,
+                         duplicates_dropped=len(keys) - len(uniq))
+
+
+def from_out_csr(out_offsets: np.ndarray, out_targets: np.ndarray, self_loops_dropped: int,
+                 duplicates_dropped: int) -> DirectedGraph:
+    """Build the graph from a stored out-CSR, after checking what deriving
+    the in-CSR relies on: offsets rising from 0 to the edge count, and
+    in-range targets, sorted and distinct within each row. The error
+    names the first check that fails."""
+    n, m = len(out_offsets) - 1, len(out_targets)
+    if out_offsets[0] != 0 or out_offsets[-1] != m or np.any(np.diff(out_offsets) < 0):
+        raise GraphConstructionError(f"out_offsets must rise monotonically from 0 to {m}")
+    if m and (out_targets.min() < 0 or out_targets.max() >= n):
+        raise GraphConstructionError(f"out_targets has a node id outside [0, {n})")
+    # targets rise strictly within each row: only where a row starts may they fall or repeat
+    bad = np.diff(out_targets) <= 0
+    starts = out_offsets[1:-1]
+    bad[starts[(starts > 0) & (starts < m)] - 1] = False
+    if bad.any():
+        raise GraphConstructionError("out_targets are not sorted within a row")
+    return DirectedGraph(out_offsets, out_targets, self_loops_dropped, duplicates_dropped)
 
 
 def load_edge_list(path, num_nodes: int) -> DirectedGraph:

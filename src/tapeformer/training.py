@@ -51,7 +51,7 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    """Loss went non-finite; message carries step/lr/grad diagnostics."""
+    """Loss went non-finite; the message names the step, the lr and the op a replay blames."""
 
 
 @dataclass
@@ -298,14 +298,6 @@ def accuracy_on(model, data, ids, seed: int) -> float:
     return float((preds == data.labels[np.asarray(ids, dtype=np.int64)]).mean())
 
 
-def _grad_norms(params: dict[str, Tensor]) -> str:
-    norms = sorted(
-        ((float(np.linalg.norm(t.grad)) if t.grad is not None else 0.0, k) for k, t in params.items()),
-        reverse=True,
-    )
-    return ", ".join(f"{k}={n:.3e}" for n, k in norms[:5])
-
-
 def _micro_batch_loss(model, data, centers, cfg: TrainConfig) -> Tensor:
     logits = model.logits_for_centers(data, centers, seed=cfg.seed)
     return smoothed_cross_entropy(logits, data.labels[centers], cfg.label_smoothing)
@@ -365,9 +357,7 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                 if not np.isfinite(loss.data):
                     why = _first_non_finite_op(lambda: _micro_batch_loss(model, data, centers, cfg))
                     raise TrainingDiverged(
-                        f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}; "
-                        f"largest grad norms: {_grad_norms(params)}"
-                    )
+                        f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}")
                 ad.backward(loss, len(centers) / len(step))
                 ad.tape_clear()
                 losses.append(float(loss.data))

@@ -163,6 +163,12 @@ def in_neighbors(g, v: int) -> np.ndarray:
     return g.in_targets[g.in_offsets[v]:g.in_offsets[v + 1]]
 
 
+def citers_oracle(edges, n: int) -> list[list[int]]:
+    """For each node v, the distinct sources u != v of an edge (u, v) in
+    ``edges``, ascending: the in-adjacency, read off the raw edge list."""
+    return [sorted({u for u, w in edges if w == v and u != v}) for v in range(n)]
+
+
 def edge_pairs(g):
     """Yield every (src, dst) citation of ``g`` in (src, dst) sorted order,
     one out-neighbour at a time."""

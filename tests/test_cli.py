@@ -350,7 +350,7 @@ def test_prepare_artifact_hash_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     assert main(["prepare", "--config", str(tmp_path / "config.json")]) == 0
     out = capsys.readouterr().out
-    assert "content sha256: 46a71a2a0862a28df4772cb811cf3ed915e4843a7be007233fbad728238f977d" in out
+    assert "content sha256: 295da8110764a89b5940711e0b1da11100bbcca42e8f72733c0b3e48fb0c186e" in out
 
 
 def test_prepare_writes_resolved_config(workdir):
@@ -494,7 +494,7 @@ def _set(array, index, value):
 
 
 def _reverse_a_row(ds):
-    off, tgt = ds.graph.in_offsets, ds.graph.in_targets
+    off, tgt = ds.graph.out_offsets, ds.graph.out_targets
     v = int(np.argmax(np.diff(off) >= 2))
     tgt[off[v]:off[v + 1]] = tgt[off[v]:off[v + 1]][::-1].copy()
 
@@ -509,14 +509,14 @@ CORRUPT_ARTIFACTS = {
                "years is int64 (59,), expected int64 (60,)"),
     "offsets start": (lambda s, d: _resave(s, d, _set("out_offsets", 0, 1)),
                       "out_offsets must rise monotonically from 0"),
-    "offsets order": (lambda s, d: _resave(s, d, _set("in_offsets", 5, 10 ** 6)),
-                      "in_offsets must rise monotonically"),
+    "offsets order": (lambda s, d: _resave(s, d, _set("out_offsets", 5, 10 ** 6)),
+                      "out_offsets must rise monotonically"),
     "offsets end": (lambda s, d: _resave(s, d, _set("out_offsets", -1, 0)),
                     "out_offsets must rise monotonically"),
     "target range": (lambda s, d: _resave(s, d, _set("out_targets", 0, 60)),
                      "out_targets has a node id outside [0, 60)"),
     "target order": (lambda s, d: _resave(s, d, _reverse_a_row),
-                     "in_targets are not sorted within a row"),
+                     "out_targets are not sorted within a row"),
     "label range": (lambda s, d: _resave(s, d, _set("labels", 0, 3)),
                     "labels must lie in [-1, 3)"),
     "sha256": (_flip_last_byte, "differs from"),

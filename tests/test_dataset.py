@@ -9,6 +9,8 @@ from tapeformer import dataset as dsm
 from tapeformer import synthetic as syn
 from tapeformer.text import SOURCES, DataError
 
+from helpers import citers_oracle, edge_pairs
+
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -181,6 +183,44 @@ def test_artifact_roundtrip_and_stable_hash(corpus, tmp_path):
     for s in SOURCES:
         assert narrow.bundle[s].tobytes() == ds.bundle[s].astype(np.float32).tobytes()
     assert narrow.years.tobytes() == ds.years.tobytes()
+
+
+def test_artifact_stores_the_out_csr_only(corpus, tmp_path):
+    data, paths = corpus
+    ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
+                     None, data.class_names, text_dim=8)
+    dsm.save_dataset(ds, tmp_path / "new.bin")
+    raw = (tmp_path / "new.bin").read_bytes()
+    assert b"in_offsets" not in raw and b"in_targets" not in raw
+
+
+def test_old_layout_artifact_loads_with_a_derived_in_csr(corpus, tmp_path, monkeypatch):
+    """An artifact written in the older layout, whose stored in-CSR (here
+    the out-CSR itself) contradicts its out-CSR, loads with a valid hash,
+    and its graph's in-CSR is the transpose of its out-CSR: the stored
+    copy is read, hashed and ignored."""
+    data, paths = corpus
+    ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
+                     None, data.class_names, text_dim=8)
+    arrays_of = dsm._arrays_of
+
+    def old_layout(ds):
+        arrays = [(name, a) for name, a in arrays_of(ds) if not name.startswith("in_")]
+        g = ds.graph  # the out-CSR stored as the in-CSR: well-formed, but not the transpose
+        return [*arrays[:4], ("in_offsets", g.out_offsets), ("in_targets", g.out_targets),
+                *arrays[4:]]
+
+    with monkeypatch.context() as m:
+        m.setattr(dsm, "_arrays_of", old_layout)
+        dsm.save_dataset(ds, tmp_path / "old.bin")
+    assert b"in_targets" in (tmp_path / "old.bin").read_bytes()
+    g = dsm.load_dataset(tmp_path / "old.bin", dtype="float64").graph
+    edges = list(edge_pairs(g))
+    want = citers_oracle(edges, g.num_nodes)
+    assert g.in_offsets.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
+    assert g.in_targets.tolist() == [u for w in want for u in w]
+    assert g.in_targets.tobytes() == ds.graph.in_targets.tobytes()
+    assert g.in_offsets.tobytes() == ds.graph.in_offsets.tobytes()
 
 
 def test_load_defaults_to_the_model_dtype(corpus, tmp_path):

@@ -140,6 +140,18 @@ def test_parse_toggle_errors_list_valid_names():
         ev.parse_toggle("graphormer")
 
 
+def test_parse_toggle_names_full_as_a_whole_name_only():
+    """``full`` is a whole configuration name, not a token: ``full+E`` is
+    refused, and the message lists the tokens without it and names
+    ``full`` apart."""
+    with pytest.raises(ValueError) as err:
+        ev.parse_toggle("full+E")
+    assert str(err.value) == (
+        "unknown ablation toggle 'full' in 'full+E'; valid tokens: "
+        "['e', 'expl', 'graphormer', 'mlp', 'ogb', 'p', 'pred', 'ta', 'text'], "
+        "or the whole name 'full' alone for the full system")
+
+
 def test_format_table_sorted_and_aligned():
     rep = ev.metrics(ev.confusion([0, 1], [0, 1], 2))
     rows = [

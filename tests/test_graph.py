@@ -5,6 +5,7 @@ from tapeformer import graph as gr
 
 from helpers import (
     bfs_distances,
+    citers_oracle,
     edge_pairs,
     in_neighbors,
     node_map,
@@ -82,6 +83,45 @@ def test_out_in_adjacency_consistency():
     out_set = set(edge_pairs(g))
     in_set = {(int(s), v) for v in range(n) for s in in_neighbors(g, v)}
     assert out_set == in_set
+
+
+def test_derived_in_csr_matches_the_per_node_oracle():
+    """The in-CSR the graph derives from its out-CSR lists, for every
+    node, the distinct sources citing it in ascending order, also with
+    self-loops, duplicate edges and isolated nodes in the input."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(1, 30))
+        edges = random_edge_list(rng, n, float(rng.uniform(0.0, 0.3)))
+        edges += [edges[i] for i in rng.integers(0, len(edges), len(edges) // 4)] if edges else []
+        edges += [(v, v) for v in rng.integers(0, n, 2).tolist()]
+        g = gr.from_edge_list(edges, n + 3)  # the last three nodes are isolated
+        want = citers_oracle(edges, n + 3)
+        assert g.in_offsets.dtype == g.in_targets.dtype == np.int64
+        assert g.in_offsets.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
+        assert g.in_targets.tolist() == [u for w in want for u in w]
+        assert g.num_nodes == n + 3 and g.num_edges == len(g.in_targets)
+
+
+def test_from_out_csr_checks_what_the_in_csr_relies_on():
+    """A stored out-CSR builds the graph ``from_edge_list`` builds, empty
+    first and last rows included; offsets that do not rise from 0 to the
+    edge count, a target out of range and a row that is not sorted or
+    holds a target twice are refused, while a target may fall where a
+    row starts."""
+    g = gr.from_edge_list([(1, 3), (1, 2), (2, 1), (3, 2), (3, 1)], 5)
+    back = gr.from_out_csr(g.out_offsets, g.out_targets, 0, 0)
+    assert back.in_offsets.tobytes() == g.in_offsets.tobytes()
+    assert back.in_targets.tobytes() == g.in_targets.tobytes()
+    off, tgt = g.out_offsets.tolist(), g.out_targets.tolist()  # [0, 0, 2, 3, 5, 5], [2, 3, 1, 1, 2]
+    for bad_off, bad_tgt, named in (
+            ([1, 1, 2, 3, 5, 5], tgt, "out_offsets must rise monotonically from 0 to 5"),
+            ([0, 0, 3, 2, 5, 5], tgt, "out_offsets must rise monotonically"),
+            (off, [2, 3, 1, 1, 5], r"out_targets has a node id outside \[0, 5\)"),
+            (off, [3, 2, 1, 1, 2], "out_targets are not sorted within a row"),
+            (off, [2, 3, 1, 2, 2], "out_targets are not sorted within a row")):
+        with pytest.raises(gr.GraphConstructionError, match=named):
+            gr.from_out_csr(np.array(bad_off), np.array(bad_tgt), 0, 0)
 
 
 def test_edge_list_file_parsing(tmp_path):

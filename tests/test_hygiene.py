@@ -2,8 +2,8 @@
 imported name is used, every ``__all__`` entry is defined, every
 function parameter is read, every default-valued parameter is passed by
 some call in the package or the benchmark, every autodiff op has a
-caller in the package, and the README gives every config field's
-default."""
+caller in the package, only ``graph.py`` calls the ``DirectedGraph``
+constructor, and the README gives every config field's default."""
 import ast
 import dataclasses
 import json
@@ -149,6 +149,19 @@ def test_every_autodiff_op_has_a_caller():
                 called.add(f.id)
     assert {"matmul", "linear", "attention", "cross_entropy"} <= ops
     assert sorted(ops - called) == [], "autodiff ops that no package module calls"
+
+
+def test_only_the_graph_module_builds_a_graph():
+    """``DirectedGraph`` derives its in-CSR from the out-CSR it is given;
+    ``from_edge_list`` and ``from_out_csr`` hand it an out-CSR that holds
+    the invariants this relies on, so no other module or benchmark file
+    calls the constructor itself."""
+    callers = [path.name for path in [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
+               if path != SRC / "graph.py"
+               and any(isinstance(node, ast.Call) and "DirectedGraph" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                       for node in ast.walk(_parse(path)))]
+    assert callers == [], "modules that call DirectedGraph( outside graph.py"
 
 
 # default-valued parameters that no program call passes yet, by
