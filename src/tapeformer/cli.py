@@ -188,9 +188,10 @@ def apply_overrides(cfg: RunConfig, sets: list[str]) -> RunConfig:
 
     Values parse as JSON, else as a string; a field declared as a string
     always takes the raw text. A key naming a whole section is refused:
-    its other fields would fall back to the library defaults.
+    its other fields would fall back to the library defaults. Sections and
+    string fields are those of ``cfg``, whatever an earlier override set.
     """
-    obj = dataclasses.asdict(cfg)
+    obj, given = dataclasses.asdict(cfg), dataclasses.asdict(cfg)
     for item in sets:
         if "=" not in item:
             raise ConfigError(f"--set expects section.key=value, got {item!r}")
@@ -200,19 +201,17 @@ def apply_overrides(cfg: RunConfig, sets: list[str]) -> RunConfig:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        cls, target = RunConfig, obj
+        target, section = obj, given
         for p in sections:
-            cls = typing.get_type_hints(cls).get(p)
-            if not dataclasses.is_dataclass(cls):
+            if not isinstance(section.get(p), dict):
                 raise ConfigError(f"--set: unknown config section {p!r} in {key!r}")
-            target = target[p]
-        hints = typing.get_type_hints(cls)
-        if leaf not in hints:
+            target, section = target[p], section[p]
+        if leaf not in section:
             raise ConfigError(f"--set: unknown config field {key!r}")
-        if dataclasses.is_dataclass(hints[leaf]):
+        if isinstance(section[leaf], dict):
             raise ConfigError(f"--set: {key!r} names a config section; "
                               f"set its fields one at a time as section.field=value")
-        if hints[leaf] is str and not isinstance(value, str):
+        if isinstance(section[leaf], str) and not isinstance(value, str):
             value = raw
         target[leaf] = value
     return _from_dict(RunConfig, obj)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -127,18 +127,8 @@ def score(model, data, ids, seed: int) -> MetricsReport:
 
 
 def report_to_json(report: MetricsReport) -> str:
-    payload = {
-        "accuracy": report.accuracy,
-        "macro_precision": report.macro_precision,
-        "macro_recall": report.macro_recall,
-        "macro_f1": report.macro_f1,
-        "per_class": [
-            {"class": i, "precision": m.precision, "recall": m.recall,
-             "f1": m.f1, "support": m.support}
-            for i, m in enumerate(report.per_class)
-        ],
-        "zero_denominator_classes": report.zero_denominator_classes,
-    }
+    payload = asdict(report)
+    payload["per_class"] = [{"class": i, **m} for i, m in enumerate(payload["per_class"])]
     return json.dumps(payload, indent=2)
 
 

@@ -8,11 +8,12 @@ cross-entropy, is one engine op. Each optimizer step accumulates
 gradients over ``grad_accum_steps`` micro-batches (each one's
 ``backward`` starts from its share of the step's centers, so even an
 epoch's short last step is the equivalent large batch's), then
-applies Adam at the warmup/decay learning rate. Micro-batches and
-prediction chunks run with the engine's per-op finite checks off; a
-non-finite loss or logit replays them with the checks on, so the error
-names the first op that went non-finite. Validation accuracy drives checkpoint selection and
-early stopping, and ``train`` returns with the model at its
+applies Adam at the warmup/decay learning rate. Micro-batch losses and
+prediction chunks both go through ``_guarded``: it runs the forward with
+the engine's per-op finite checks off, and on a non-finite result
+replays it with the checks on, off the tape, so the error names the
+first op that went non-finite. Validation accuracy drives checkpoint
+selection and early stopping, and ``train`` returns with the model at its
 best-validation checkpoint. Single-threaded runs are bit-reproducible
 for a given seed.
 """
@@ -269,14 +270,32 @@ def make_temporal_split(
     return split
 
 
+def _guarded(forward, fail) -> Tensor:
+    """``forward()`` run with per-op finite checks off. A non-finite
+    result replays it with the checks on and off the tape, then raises
+    ``fail(why)``, where ``why`` names the first op that went non-finite."""
+    with ad.finite_checks(False):
+        out = forward()
+    if np.isfinite(out.data).all():
+        return out
+    try:
+        with ad.finite_checks(True), ad.no_grad():
+            forward()
+    except FloatingPointError as e:
+        why = f"first non-finite op on replay: {e}"
+    else:
+        why = "no op went non-finite on replay"
+    raise fail(why)
+
+
 def predict(model, data, ids, seed: int) -> np.ndarray:
     """Argmax class per node, computed without touching the tape.
 
     Each chunk of ``PREDICT_CHUNK`` ids is one padded forward, so the
     chunk bounds its memory. Every id is built before the first chunk,
-    in the model's capped build passes. Chunks run without per-op finite
-    checks; a chunk with a non-finite logit runs again with them on, and
-    the ``FloatingPointError`` names the first op that went non-finite.
+    in the model's capped build passes. Each chunk runs through
+    ``_guarded``, so a non-finite logit raises a ``FloatingPointError``
+    that names the first op that went non-finite.
     """
     ids = np.asarray(ids, dtype=np.int64)
     out = np.empty(len(ids), dtype=np.int64)
@@ -284,34 +303,16 @@ def predict(model, data, ids, seed: int) -> np.ndarray:
     with ad.no_grad():
         for lo in range(0, len(ids), PREDICT_CHUNK):
             part = ids[lo:lo + PREDICT_CHUNK]
-            with ad.finite_checks(False):
-                logits = model.logits_for_centers(data, part, seed=seed).data
-            if not np.isfinite(logits).all():
-                why = _first_non_finite_op(lambda: model.logits_for_centers(data, part, seed=seed))
-                raise FloatingPointError(f"predict produced non-finite logits; {why}")
-            out[lo:lo + len(part)] = np.argmax(logits, axis=1)
+            logits = _guarded(lambda: model.logits_for_centers(data, part, seed=seed),
+                              lambda why: FloatingPointError(
+                                  f"predict produced non-finite logits; {why}"))
+            out[lo:lo + len(part)] = np.argmax(logits.data, axis=1)
     return out
 
 
 def accuracy_on(model, data, ids, seed: int) -> float:
     preds = predict(model, data, ids, seed)
     return float((preds == data.labels[np.asarray(ids, dtype=np.int64)]).mean())
-
-
-def _micro_batch_loss(model, data, centers, cfg: TrainConfig) -> Tensor:
-    logits = model.logits_for_centers(data, centers, seed=cfg.seed)
-    return smoothed_cross_entropy(logits, data.labels[centers], cfg.label_smoothing)
-
-
-def _first_non_finite_op(forward) -> str:
-    """Re-run ``forward()`` with per-op finite checks on and name the
-    first op whose output went non-finite."""
-    try:
-        with ad.finite_checks(True), ad.no_grad():
-            forward()
-    except FloatingPointError as e:
-        return f"first non-finite op on replay: {e}"
-    return "no op went non-finite on replay"
 
 
 def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
@@ -350,14 +351,12 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
             lr = lr_at(global_step + 1, cfg.base_lr, warmup, total)
             for lo in range(0, len(step), micro):
                 centers = step[lo:lo + micro]
-                # per-op finite checks are off in the hot path; a non-finite
-                # loss replays the micro-batch with them on to find the op
-                with ad.finite_checks(False):
-                    loss = _micro_batch_loss(model, data, centers, cfg)
-                if not np.isfinite(loss.data):
-                    why = _first_non_finite_op(lambda: _micro_batch_loss(model, data, centers, cfg))
-                    raise TrainingDiverged(
-                        f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}")
+                loss = _guarded(
+                    lambda: smoothed_cross_entropy(
+                        model.logits_for_centers(data, centers, seed=cfg.seed),
+                        data.labels[centers], cfg.label_smoothing),
+                    lambda why: TrainingDiverged(
+                        f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}"))
                 ad.backward(loss, len(centers) / len(step))
                 ad.tape_clear()
                 losses.append(float(loss.data))

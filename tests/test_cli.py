@@ -53,6 +53,25 @@ def test_config_overrides_win(workdir):
         cli.apply_overrides(cfg, ["no-equals-sign"])
 
 
+@pytest.mark.parametrize("setting, section", [("seed.x=1", "seed"),
+                                              ("model.sources.x=1", "sources"),
+                                              ("bogus.x=1", "bogus")])
+def test_set_under_a_non_section_is_exit_2(workdir, capsys, setting, section):
+    """A top-level field, a list field and a missing name are no sections."""
+    rc = main(["train", "--config", _cfg_path(workdir), "--set", setting])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown config section {section!r} in {setting.split('=')[0]!r}" in err
+
+
+def test_a_later_set_of_a_field_wins_over_a_bad_earlier_one(workdir):
+    """A field's type is the loaded config's: a string an earlier ``--set``
+    left in an int field does not make the later value a string."""
+    cfg = cli.apply_overrides(cli.load_config(_cfg_path(workdir)),
+                              ["train.epochs=abc", "train.epochs=3"])
+    assert cfg.train.epochs == 3
+
+
 @pytest.mark.parametrize("setting, named", [("train.epochs=abc", "train.epochs"),
                                              ("model.dropout=1.5", "dropout"),
                                              ("model.num_heads=3", "num_heads"),

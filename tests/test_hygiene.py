@@ -3,7 +3,8 @@ imported name is used, every ``__all__`` entry is defined, every
 function parameter is read, every default-valued parameter is passed by
 some call in the package or the benchmark, every autodiff op has a
 caller in the package, only ``graph.py`` calls the ``DirectedGraph``
-constructor, and the README gives every config field's default."""
+constructor, only ``training._guarded`` switches the per-op finite
+checks, and the README gives every config field's default."""
 import ast
 import dataclasses
 import json
@@ -162,6 +163,21 @@ def test_only_the_graph_module_builds_a_graph():
                    getattr(node.func, "id", None), getattr(node.func, "attr", None))
                        for node in ast.walk(_parse(path)))]
     assert callers == [], "modules that call DirectedGraph( outside graph.py"
+
+
+def test_only_the_guarded_forward_switches_finite_checks():
+    """Per-op finite checks go off, and back on for the replay of a
+    non-finite result, in ``training._guarded`` alone, so training and
+    prediction share one protocol."""
+    def calls(tree):
+        return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "finite_checks" in (getattr(node.func, "id", None),
+                                        getattr(node.func, "attr", None))}
+
+    everywhere = {(path.name, line) for path in MODULES for line in calls(_parse(path))}
+    guarded = {("training.py", line) for qualname, fn in _functions(_parse(SRC / "training.py"))
+               if qualname == "_guarded" for line in calls(fn)}
+    assert guarded and sorted(everywhere - guarded) == [], "finite_checks( outside _guarded"
 
 
 # default-valued parameters that no program call passes yet, by

@@ -552,8 +552,7 @@ def test_divergence_aborts_with_diagnostics():
     cfg = tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=4, early_stop_patience=2, seed=0)
     with pytest.raises(tr.TrainingDiverged) as err:
         tr.train(model, data, split, cfg)
-    # the step, the lr and the op the replay names; no gradient has been computed
-    # in the step yet, so the message reports no gradient norms
+    # the whole message: the step, the lr and the op the replay names
     assert str(err.value) == ("non-finite loss at step 1 (lr=3.333e-03); "
                               "first non-finite op on replay: matmul produced non-finite values")
 
