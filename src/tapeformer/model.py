@@ -95,17 +95,24 @@ class GraphormerConfig(GraphormerParams):
         # distances 0..max_spd plus the unreachable bucket
         return self.max_spd + 2
 
+    @property
+    def path_width(self) -> int:
+        """Steps a stored path can have: no pair of an ego subgraph is more
+        than 2 * ego_hops or ego_max_nodes - 1 apart, nor kept past max_spd."""
+        return max(1, min(self.max_spd, 2 * self.ego_hops, self.ego_max_nodes - 1))
 
-def _path_coeffs(table: np.ndarray, offsets: np.ndarray, index: np.ndarray, cap: int,
+
+def _path_coeffs(table: np.ndarray, offsets: np.ndarray, index: np.ndarray,
                  dtype) -> np.ndarray:
-    """(B, k, k, cap * EDGE_FEATURE_DIM) of ``dtype``: position p of pair (b, i, j)
-    holds row ``offsets[b] + t`` of ``table`` divided by N where ``index[b, i, j, p]``
-    is t * cap + N - 1, so ``path_coeffs @ edge_weight`` is each pair's averaged edge term."""
+    """(B, k, k, 3w) of ``dtype`` for a (B, k, k, w) ``index``: position p of pair
+    (b, i, j) holds row ``offsets[b] + t`` of ``table`` over N where ``index[b, i, j, p]``
+    is t * w + N - 1, so times ``edge_weight[:3w]`` it is each pair's averaged edge term."""
+    width = index.shape[-1]
     # one copy of each row per path length N, divided by N: a true division,
     # not a product with 1/N, so the coefficients are the quotient bit for bit
-    scaled = (table[:, None, :] / np.arange(1, cap + 1, dtype=np.float64)[:, None]).astype(
+    scaled = (table[:, None, :] / np.arange(1, width + 1, dtype=np.float64)[:, None]).astype(
         dtype, copy=False)
-    rows = index + cap * offsets[:-1, None, None, None]  # into each subgraph's block
+    rows = index + width * offsets[:-1, None, None, None]  # into each subgraph's block
     return np.take(scaled.reshape(-1, table.shape[1]), rows, axis=0).reshape(*index.shape[:-1], -1)
 
 
@@ -113,12 +120,12 @@ def _path_coeffs(table: np.ndarray, offsets: np.ndarray, index: np.ndarray, cap:
 class SubgraphBatch:
     """One subgraph's row of a ``SubgraphStack``, without padding: the
     compact form a ``SubgraphStore`` holds per center. Degrees are read off
-    the graph and the distance cap is ``path_index.shape[-1]``."""
+    the graph; the path width w is ``path_index.shape[-1]``."""
 
     nodes: np.ndarray  # global ids (k,), the center first
-    dist: np.ndarray  # (k, k) capped distances: int8, int16 from max_spd 127 (sentinel 128)
+    dist: np.ndarray  # (k, k) capped distances, the narrowest int that holds them
     edge_table: np.ndarray  # (m + 1, EDGE_FEATURE_DIM): a zero row, then the directed local edges
-    path_index: np.ndarray  # (k, k, max_spd) t * max_spd + N - 1 (0: no step), narrowest uint
+    path_index: np.ndarray  # (k, k, w) t * w + N - 1 (0: no step), narrowest uint
 
 
 @dataclass
@@ -129,14 +136,15 @@ class SubgraphStack:
     reshape is node i of subgraph b, and pair ``(b * k + i) * k + j`` of
     a (B*k*k, ...) one is its pair (i, j); node 0 of each subgraph is its
     center. ``path_index[b]`` is entry b's, into block b of
-    ``edge_table``; ``path_coeffs`` is built on first read."""
+    ``edge_table``; ``path_coeffs`` is built on first read. ``spd.cap`` is
+    the config's ``max_spd`` and ``path_index.shape[-1]`` its ``path_width`` w."""
 
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
     spd: SpdMatrix  # dist (B, k, k) int64
     edge_table: np.ndarray  # (rows, EDGE_FEATURE_DIM), a block per subgraph
     edge_offsets: np.ndarray  # (B + 1,): block b is rows edge_offsets[b]:edge_offsets[b + 1]
-    path_index: np.ndarray  # (B, k, k, max_spd) int64, t * max_spd + N - 1 (0: no step)
+    path_index: np.ndarray  # (B, k, k, w) int64, t * w + N - 1 (0: no step)
     in_deg: np.ndarray  # (B, k), 0 on padding
     out_deg: np.ndarray  # (B, k), 0 on padding
 
@@ -146,22 +154,22 @@ class SubgraphStack:
 
     @cached_property
     def path_coeffs(self) -> np.ndarray:
-        """(B, k, k, max_spd * EDGE_FEATURE_DIM) averaged path features, float64."""
-        return _path_coeffs(self.edge_table, self.edge_offsets, self.path_index, self.spd.cap,
-                            np.float64)
+        """(B, k, k, w * EDGE_FEATURE_DIM) averaged path features, float64."""
+        return _path_coeffs(self.edge_table, self.edge_offsets, self.path_index, np.float64)
 
     def split(self) -> list[SubgraphBatch]:
         """One ``SubgraphBatch`` per subgraph. Each owns compact copies of
         its rows: a view would keep the whole padded stack alive."""
-        cap, out = self.spd.cap, []
+        width, out = self.path_index.shape[-1], []
         for b, n in enumerate(self.sizes.tolist()):
             lo, hi = self.edge_offsets[b], self.edge_offsets[b + 1]
+            dist = self.spd.dist[b, :n, :n]  # at most width, or the sentinel off an ego subgraph
             out.append(SubgraphBatch(
                 nodes=self.nodes[b, :n].copy(),
-                dist=self.spd.dist[b, :n, :n].astype(np.min_scalar_type(-cap - 2)),
+                dist=dist.astype(np.min_scalar_type(-int(dist.max()) - 1)),
                 edge_table=self.edge_table[lo:hi].copy(),
                 path_index=self.path_index[b, :n, :n].astype(
-                    np.min_scalar_type((hi - lo) * cap - 1)),
+                    np.min_scalar_type((hi - lo) * width - 1)),
             ))
         return out
 
@@ -177,8 +185,8 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     """Run the structural encodings for every subgraph of ``stack`` in one
     pass; ``split`` gives each subgraph's ``SubgraphBatch``."""
     adj = local_adjacency(stack)
-    spd = bfs_spd(adj, cfg.max_spd)
-    paths = build_path_features(g, stack, spd, adj)
+    spd, pred = bfs_spd(adj, stack.nodes, cfg.max_spd, cfg.path_width)
+    paths = build_path_features(g, stack, spd, pred, adj, cfg.path_width)
     in_deg, out_deg = _degrees(g, stack.nodes)
     return SubgraphStack(
         sizes=stack.sizes,
@@ -192,17 +200,17 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     )
 
 
-def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> SubgraphStack:
-    """Pad ``batches`` to the largest subgraph and stack them, the inverse
-    of ``SubgraphStack.split``, with the degrees read off ``g``: padding
-    reads -1 in ``nodes`` and 0 in the other arrays (``path_index`` 0 is
-    no step); the forward rebuilds ``path_coeffs``."""
+def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch], cap: int) -> SubgraphStack:
+    """Pad ``batches``, built under distance cap ``cap``, to the largest
+    subgraph and stack them, the inverse of ``SubgraphStack.split``, with
+    the degrees read off ``g``: padding reads -1 in ``nodes`` and 0 in the
+    other arrays (``path_index`` 0 is no step)."""
     sizes = np.array([len(b.nodes) for b in batches])
-    count, k, cap = len(batches), int(sizes.max()), batches[0].path_index.shape[-1]
+    count, k, width = len(batches), int(sizes.max()), batches[0].path_index.shape[-1]
     offsets = np.append(0, np.cumsum([len(b.edge_table) for b in batches]))
     nodes = np.full((count, k), -1, dtype=np.int64)
     dist = np.zeros((count, k, k), dtype=np.int64)
-    index = np.zeros((count, k, k, cap), dtype=np.int64)
+    index = np.zeros((count, k, k, width), dtype=np.int64)
     for i, (b, n) in enumerate(zip(batches, sizes.tolist())):
         nodes[i, :n] = b.nodes
         dist[i, :n, :n] = b.dist
@@ -274,12 +282,14 @@ def attention_bias(stack: SubgraphStack, spatial_table: Tensor, edge_weight: Ten
 
     Column h, row (b*k + i)*k + j is the head's distance-bucket scalar
     plus its edge term; the diagonal hits the distance-0 bucket with a
-    zero edge term, unreachable pairs hit the dedicated last bucket.
+    zero edge term, unreachable pairs hit the dedicated last bucket. Paths
+    have at most w steps, so only the first 3w rows of ``edge_weight`` are read.
     """
-    coeffs = _path_coeffs(stack.edge_table, stack.edge_offsets, stack.path_index, stack.spd.cap,
+    coeffs = _path_coeffs(stack.edge_table, stack.edge_offsets, stack.path_index,
                           edge_weight.data.dtype)
     sp = ad.embedding_lookup(spatial_table, stack.spd_buckets.reshape(-1))
-    ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1])), edge_weight)
+    read = ad.embedding_lookup(edge_weight, np.arange(coeffs.shape[-1]))
+    ce = ad.matmul(Tensor(coeffs.reshape(-1, coeffs.shape[-1])), read)
     return ad.add(sp, ce)
 
 
@@ -482,7 +492,8 @@ class GraphormerModel:
         if not centers:
             raise ValueError("logits_for_centers got an empty center list")
         self.build_centers(data, centers, seed)
-        stack = stack_batches(data.graph, [self.batch_for(c, seed) for c in centers])
+        stack = stack_batches(data.graph, [self.batch_for(c, seed) for c in centers],
+                              self.cfg.max_spd)
         return self.forward_fused(stack, self._fused_rows(stack, data.bundle))
 
 

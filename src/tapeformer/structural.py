@@ -8,11 +8,11 @@ would starve the distance-based attention bias.
 
 The encoders work on B padded subgraphs at once, as (B, k, k) arrays
 read off the one undirected adjacency ``local_adjacency`` gives for an
-``EgoStack``: an all-source BFS as at most ``cap`` frontier products, a
-predecessor matrix, and a path index into a table of edge features in
-the form the subgraph store keeps, filled per distance level and step
-position over flat pair ids by 1-D gathers and scatters, numpy's fast
-path. Each result leads with the subgraph axis.
+``EgoStack``: an all-source BFS as at most ``width`` frontier products,
+whose sums also name each pair's predecessor, and a ``width``-step path
+index into a table of edge features in the form the subgraph store keeps,
+filled per distance level and step position over flat pair ids by 1-D
+gathers and scatters, numpy's fast path. Each result leads with B.
 """
 from __future__ import annotations
 
@@ -28,7 +28,6 @@ __all__ = [
     "PathFeatures",
     "EDGE_FEATURE_DIM",
     "bfs_spd",
-    "path_predecessors",
     "clustering_coefficients",
     "local_adjacency",
     "synth_edge_features",
@@ -43,8 +42,8 @@ EDGE_FEATURE_DIM = 3
 
 @dataclass
 class SpdMatrix:
-    """Pairwise hop counts, capped; entries beyond the cap (or in other
-    components) hold the UNREACHABLE sentinel ``cap + 1``."""
+    """Pairwise hop counts, capped; entries beyond the BFS's reach (or in
+    other components) hold the UNREACHABLE sentinel ``cap + 1``."""
 
     dist: np.ndarray  # (B, k, k) int64
     cap: int
@@ -56,17 +55,17 @@ class PathFeatures:
 
     Rows ``offsets[b]:offsets[b + 1]`` of ``table`` are subgraph b's block:
     a zero row, then its directed local edges' features. ``index[b, i, j, p]``
-    is t * cap + N - 1 where step p of the N-step path i -> j is row t, or 0.
+    is t * width + N - 1 where step p of the N-step path i -> j is row t, or 0.
     """
 
-    index: np.ndarray  # (B, k, k, cap) int64
+    index: np.ndarray  # (B, k, k, width) int64
     table: np.ndarray  # (m + B, EDGE_FEATURE_DIM) for m directed local edges in all
     offsets: np.ndarray  # (B + 1,)
     lengths: np.ndarray  # (B, k, k) hop counts; 0 on the diagonal and for unreachable pairs
 
     @cached_property
     def steps(self) -> np.ndarray:
-        """(B, k, k, cap, EDGE_FEATURE_DIM) feature vectors of each path's
+        """(B, k, k, width, EDGE_FEATURE_DIM) feature vectors of each path's
         steps, zeros past its end."""
         return self.table[self.index // self.index.shape[-1] + self.offsets[:-1, None, None, None]]
 
@@ -89,73 +88,61 @@ def local_adjacency(sub: EgoStack) -> np.ndarray:
     return adj
 
 
-def bfs_spd(adj: np.ndarray, cap: int) -> SpdMatrix:
-    """All-source BFS on the (B, k, k) undirected adjacency ``adj``,
-    truncated at ``cap`` hops.
+def bfs_spd(adj: np.ndarray, nodes: np.ndarray, cap: int,
+            width: int) -> tuple[SpdMatrix, np.ndarray]:
+    """All-source BFS on the (B, k, k) undirected adjacency ``adj`` of
+    subgraphs with global ids ``nodes``, truncated at ``width`` <= ``cap``
+    hops; pairs not reached hold the sentinel ``cap + 1``. Also returns
+    the (B, k, k) predecessor of j on the chosen shortest path i -> j: the
+    neighbour of j one hop closer to i with the smallest *global* id, so
+    the paths do not depend on the order of local indices; -1 on the
+    diagonal and for pairs not reached.
 
     Row s of ``frontier`` holds the nodes first reached from s at the
-    current hop; one product with the adjacency advances every source
-    of every subgraph by a hop at once. No mask assignment writes the
-    distances: a pair's distance is the number of hops 0..cap at which
-    it is still unseen, so each hop adds the unseen mask to ``dist``.
+    current hop; one product with the adjacency advances every source of
+    every subgraph by a hop. A pair's distance is the number of hops at
+    which it is still unseen, so no masked write sets it. Row u of the
+    operand is scaled by 2**(51 - r % 52) for u's rank r by global id, one
+    operand per 52 ranks: a sum of distinct powers of two below 2**52 is
+    exact in float64, and its top bit names the smallest rank in it.
     """
-    if cap < 1:
-        raise ValueError("spd cap must be >= 1")
-    unseen = ~np.broadcast_to(np.eye(adj.shape[-1], dtype=bool), adj.shape)
+    if not 1 <= width <= cap:
+        raise ValueError(f"need 1 <= width <= cap, got width {width}, cap {cap}")
+    count, k = nodes.shape
+    order = np.argsort(nodes, axis=-1)  # local indices by ascending global id
+    rank = np.argsort(order, axis=-1)
+    operands = [adj * np.where(rank // 52 == g, np.ldexp(1.0, 51 - rank % 52), 0.0)[..., None]
+                for g in range(-(-k // 52))]
+    unseen = ~np.broadcast_to(np.eye(k, dtype=bool), adj.shape)
     frontier = (~unseen).astype(np.float64)
-    step = adj.astype(np.float64)
-    dist = np.zeros(adj.shape, dtype=np.int64)
-    for d in range(1, cap + 1):
+    dist = np.zeros(adj.shape, dtype=np.min_scalar_type(cap + 1))
+    sums = [np.zeros(adj.shape) for _ in operands]  # per group, its sum on the hop reaching a pair
+    for d in range(1, width + 1):
         dist += unseen
-        reached = ((frontier @ step) > 0) & unseen
+        hits = [frontier @ op for op in operands]
+        reached = hits[0] > 0
+        for hit in hits[1:]:
+            reached |= hit > 0
+        reached &= unseen
         if not reached.any():
             break
         unseen ^= reached
         frontier = reached.astype(np.float64)
-    dist += (cap + 1 - d) * unseen  # hops d..cap, at which the rest stays unseen
-    return SpdMatrix(dist=dist, cap=cap)
-
-
-def path_predecessors(sub: EgoStack, spd: SpdMatrix, adj: np.ndarray) -> np.ndarray:
-    """(B, k, k) last-step predecessor of j on the chosen shortest path i -> j.
-
-    Among the neighbors u of j with ``dist[i, u] == dist[i, j] - 1`` the
-    one with the smallest *global* node id wins, so the chosen paths
-    (and hence the model's edge-encoding term) are invariant under
-    relabeling of local indices. -1 on the diagonal and for unreachable
-    pairs. Following ``pred[i, .]`` back from j walks the whole path.
-
-    Each directed local edge (j, u) is tested against every source at
-    once: the edges are listed by subgraph, node and the neighbor's
-    global id, and per node and source the first neighbor one hop closer
-    wins, so the work is k per local edge rather than k**3 per subgraph.
-    Returns a (B, k, k) view of an array laid out by (subgraph, node,
-    source).
-    """
-    count, k = adj.shape[:2]
-    order = np.argsort(sub.nodes, axis=-1)  # local indices by ascending global id
-    # edge (s * k + j, r): local node j of subgraph s and its neighbor order[s, r]
-    sj, r = np.nonzero(np.take_along_axis(adj, order[:, None, :], axis=-1).reshape(count * k, k))
-    out = np.full((count * k, k), -1, dtype=np.int64)  # [s * k + j, i]
-    if len(r):
-        s = sj // k
-        # row j of dist[s] holds j's distances to every source i: distances
-        # are symmetric on the undirected view. want[s * k + j, i] is the
-        # distance from i j's predecessor has, so none can match it on the
-        # diagonal (-1) or past the cap (-2)
-        dist = spd.dist.astype(np.min_scalar_type(-spd.cap - 2))
-        want = np.where(dist <= spd.cap, dist - 1, -2).reshape(count * k, k)
-        # each candidate scores k - r, so the one with the smallest global id
-        # scores highest within its node's run of edges
-        score = (k - r).astype(np.min_scalar_type(k))
-        cand = dist[s, order[s, r]] == want[sj]  # (edges, sources)
-        runs = np.flatnonzero(np.append(True, sj[1:] != sj[:-1]))
-        best = np.maximum.reduceat(cand * score[:, None], runs, axis=0)
-        # best 0 (no candidate) reads the -1 appended to each subgraph's order
-        padded = np.concatenate([order, np.full((count, 1), -1)], axis=1).reshape(-1)
-        rows = sj[runs]
-        out[rows] = padded[(rows // k * (k + 1))[:, None] + k - best]
-    return out.reshape(count, k, k).transpose(0, 2, 1)
+        for hit, total in zip(hits, sums):
+            hit *= frontier
+            total += hit
+    # hops d..cap, at which the rest stays unseen
+    dist += np.multiply(unseen, cap + 1 - d, dtype=dist.dtype)
+    # group g's sum 2**(e - 1) + ... leads with rank 52 * (g + 1) - e; e is 0
+    # for an empty sum, and every sum is empty off the reached pairs
+    none = 52 * len(sums)  # the code of no predecessor
+    best = none - np.frexp(sums[-1])[1]
+    for g in range(len(sums) - 2, -1, -1):
+        best = np.where(sums[g] > 0, 52 * (g + 1) - np.frexp(sums[g])[1], best)
+    # ranks past k, and the code of no predecessor, read -1
+    lookup = np.concatenate([order, np.full((count, none + 1 - k), -1)], axis=1)
+    pred = np.take(lookup, best + (none + 1) * np.arange(count)[:, None, None])
+    return SpdMatrix(dist=dist.astype(np.int64), cap=cap), pred
 
 
 def clustering_coefficients(g: DirectedGraph, nodes) -> np.ndarray:
@@ -197,9 +184,10 @@ def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray,
     return out
 
 
-def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix,
-                        adj: np.ndarray) -> PathFeatures:
-    """Per-edge feature sequences along one shortest path per ordered pair.
+def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix, pred: np.ndarray,
+                        adj: np.ndarray, width: int) -> PathFeatures:
+    """Per-edge feature sequences along the shortest paths ``pred`` picks,
+    one per ordered pair, for pairs at most ``width`` apart.
 
     ``synth_edge_features`` is called once, over both orientations of
     every local undirected edge of every subgraph, with each step's
@@ -209,7 +197,7 @@ def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix,
     time: the path i -> j is the path i -> pred[i, j], each step's N one
     larger, plus the step pred[i, j] -> j. Within a level, step position
     t of every pair f is one flat copy from its predecessor pair fp,
-    ``index[f * cap + t] = index[fp * cap + t] + 1``.
+    ``index[f * width + t] = index[fp * width + t] + 1``.
     """
     cited = np.zeros(adj.shape, dtype=bool)
     cited[tuple(sub.local_edges.T)] = True
@@ -221,19 +209,19 @@ def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix,
     rows = np.arange(len(s)) + s + 1
     table = np.zeros((len(rows) + len(adj), EDGE_FEATURE_DIM))
     table[rows] = feats
-    cap, k = spd.cap, adj.shape[-1]
+    k = adj.shape[-1]
     edge = np.zeros(adj.size, dtype=np.int64)
     edge[(s * k + a) * k + b] = rows - offsets[s]  # row within the block
-    pred = path_predecessors(sub, spd, adj).reshape(-1)
-    index = np.zeros(adj.size * cap, dtype=np.int64)
-    for d in range(1, cap + 1):
+    pred = pred.reshape(-1)
+    index = np.zeros(adj.size * width, dtype=np.int64)
+    for d in range(1, width + 1):
         f = np.flatnonzero(spd.dist == d)  # pair (s, i, j) is f = (s * k + i) * k + j
         if len(f) == 0:
             break
         j, p = f % k, pred[f]
-        at, fp = f * cap, (f - j + p) * cap  # first slots of (s, i, j) and (s, i, p)
+        at, fp = f * width, (f - j + p) * width  # first slots of (s, i, j) and (s, i, p)
         for t in range(d - 1):
             index[at + t] = index[fp + t] + 1
-        index[at + d - 1] = edge[f - f % (k * k) + p * k + j] * cap + d - 1  # edge[s, p, j]
-    return PathFeatures(index=index.reshape(adj.shape + (cap,)), table=table, offsets=offsets,
-                        lengths=np.where(spd.dist <= cap, spd.dist, 0))
+        index[at + d - 1] = edge[f - f % (k * k) + p * k + j] * width + d - 1  # edge[s, p, j]
+    return PathFeatures(index=index.reshape(adj.shape + (width,)), table=table, offsets=offsets,
+                        lengths=np.where(spd.dist <= width, spd.dist, 0))

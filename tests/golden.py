@@ -2,10 +2,13 @@
 
 The chain runs in a fresh directory, one subprocess per command, with
 ``OPENBLAS_NUM_THREADS=1``: the quick start on the seed-0 400-node
-corpus (2 epochs, ``eval --split test``, a 1-epoch ``ablate``) and a
-1-epoch ``train`` at the library's default model config. The bits
-depend on the BLAS and SIMD kernels, so each record is keyed by numpy
-version, BLAS name and version, and the highest SIMD level numpy found.
+corpus (2 epochs, ``eval --split test``, a 1-epoch ``ablate``), a
+1-epoch ``train`` at the library's default model config, and one
+1-epoch quick-start ``train`` per entry of ``VARIANTS``. The quick
+start's ``train`` runs once more with ``OPENBLAS_NUM_THREADS=2``, which
+must not move its bits. The bits depend on the BLAS and SIMD kernels,
+so each record is keyed by numpy version, BLAS name and version, and
+the highest SIMD level numpy found.
 
     python tests/golden.py            # print this machine's key and digests
     python tests/golden.py --record   # store them in tests/golden.json
@@ -28,6 +31,20 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden.json")
+RUN_FILES = ("history.csv", "checkpoint.bin", "val_metrics.json")
+TWO_THREADS = "quick start, OPENBLAS_NUM_THREADS=2"
+
+# 1-epoch quick-start trains, by the --set overrides that make them: no
+# transformer layer, float64 throughout, a short last accumulated step
+# (240 training centers in steps of 22 leave 20, micro-batches of 11 and
+# 9), and a path width set by max_spd (3) and by ego_max_nodes (3 - 1)
+VARIANTS = {
+    "model.num_layers=0": ("model.num_layers=0",),
+    "model.dtype=float64": ("model.dtype=float64",),
+    "train.grad_accum_steps=2": ("train.grad_accum_steps=2", "train.batch_size=11"),
+    "model.max_spd=3": ("model.max_spd=3",),
+    "model.ego_max_nodes=3": ("model.ego_max_nodes=3",),
+}
 
 
 def machine_key() -> str:
@@ -39,7 +56,11 @@ def machine_key() -> str:
 
 
 def _tapeformer(cwd: Path, *args: str) -> None:
-    env = {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    _run(cwd, "1", args)
+
+
+def _run(cwd: Path, threads: str, args: tuple[str, ...]) -> None:
+    env = {"PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": threads}
     done = subprocess.run([sys.executable, "-m", "tapeformer", *args], cwd=cwd, env=env,
                           capture_output=True, text=True)
     if done.returncode != 0:
@@ -68,11 +89,20 @@ def run_chain(work: Path) -> dict[str, dict[str, str]]:
                       for a in ("--set", f"model.{f.name}={f.default}")]
     _tapeformer(work, "train", "--config", config, "--set", "train.epochs=1",
                 "--set", f"paths.out_dir={default}", *model_defaults)
-    run_files = ("history.csv", "checkpoint.bin", "val_metrics.json")
-    return {
-        "quick start": _digests(bench, (*run_files, "eval_test.json", "ablation.json")),
-        "default model, 1 epoch": _digests(default, run_files),
+    digests = {
+        "quick start": _digests(bench, (*RUN_FILES, "eval_test.json", "ablation.json")),
+        "default model, 1 epoch": _digests(default, RUN_FILES),
     }
+    for n, (name, sets) in enumerate(VARIANTS.items()):
+        out = work / f"variant{n}"
+        _tapeformer(work, "train", "--config", config, "--set", "train.epochs=1",
+                    "--set", f"paths.out_dir={out}", *(a for s in sets for a in ("--set", s)))
+        digests[f"{name}, 1 epoch"] = _digests(out, RUN_FILES)
+    threads = work / "threads"
+    _run(work, "2", ("train", "--config", config, "--set", "train.epochs=2",
+                     "--set", f"paths.out_dir={threads}"))
+    digests[TWO_THREADS] = _digests(threads, RUN_FILES)
+    return digests
 
 
 def main(argv=None) -> int:

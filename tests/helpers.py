@@ -424,6 +424,13 @@ def oracle_structural(g, sub, cap: int, d_edge: int = 3):
     return dist, coeffs
 
 
+def within_width(coeffs: np.ndarray, width: int, d_edge: int = 3) -> np.ndarray:
+    """``oracle_structural``'s (pairs, cap * d_edge) path coefficients cut to
+    their first ``width`` positions, after checking that no path is longer."""
+    assert not coeffs[:, width * d_edge:].any(), f"a path is longer than {width} steps"
+    return coeffs[:, :width * d_edge]
+
+
 # ---------------------------------------------------------------------------
 # model oracles
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from golden import GOLDEN, machine_key, run_chain
+from golden import GOLDEN, RUN_FILES, TWO_THREADS, machine_key, run_chain
 
 
 def test_outputs_match_the_recorded_digests(tmp_path):
@@ -13,4 +13,7 @@ def test_outputs_match_the_recorded_digests(tmp_path):
     if key not in records:
         pytest.skip(f"no golden record for {key!r}; record one with "
                     f"`python tests/golden.py --record`")
-    assert run_chain(tmp_path) == records[key]
+    got = run_chain(tmp_path)
+    assert got[TWO_THREADS] == {name: got["quick start"][name] for name in RUN_FILES}, \
+        "two BLAS threads moved the quick start's bits"
+    assert got == records[key]

@@ -1,10 +1,11 @@
 """Static checks on the package source, standard library only: every
 imported name is used, every ``__all__`` entry is defined, every
 function parameter is read, every default-valued parameter is passed by
-some call in the package or the benchmark, every autodiff op has a
-caller in the package, only ``graph.py`` calls the ``DirectedGraph``
-constructor, only ``training._guarded`` switches the per-op finite
-checks, and the README gives every config field's default."""
+some call in the package or the benchmark, every autodiff op and every
+public ``structural`` function has a caller in the package, only
+``graph.py`` calls the ``DirectedGraph`` constructor, only
+``training._guarded`` switches the per-op finite checks, and the README
+gives every config field's default."""
 import ast
 import dataclasses
 import json
@@ -121,6 +122,30 @@ def test_every_parameter_is_read(path):
     assert not unread, f"parameters never read: {unread}"
 
 
+def _called_from(module: str, among) -> set[str]:
+    """Names of ``module``'s functions called in the package modules
+    ``among``: as ``<alias>.<name>(`` for an imported alias of the module,
+    by a name imported from it, or by bare name inside the module itself."""
+    called: set[str] = set()
+    for path in among:
+        tree = _parse(path)
+        aliases, names = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == module:
+                names.update(a.asname or a.name for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module is None:
+                aliases.update(a.asname or a.name for a in node.names if a.name == module)
+        if path.stem == module:
+            names.update(_top_level_names(tree))
+        for f in (node.func for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
+                if f.value.id in aliases:
+                    called.add(f.attr)
+            elif isinstance(f, ast.Name) and f.id in names:
+                called.add(f.id)
+    return called
+
+
 def test_every_autodiff_op_has_a_caller():
     """An engine op (an ``__all__`` function of ``autodiff`` that records
     with ``_make(``) is called as ``<autodiff module alias>.<op>(`` or by
@@ -131,25 +156,22 @@ def test_every_autodiff_op_has_a_caller():
     source = engine.read_text(encoding="utf-8")
     ops = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
            and node.name in _exported(tree) and "_make(" in ast.get_source_segment(source, node)}
-    called: set[str] = set()
-    for path in MODULES:
-        if path == engine:
-            continue
-        tree = _parse(path)
-        aliases, names = set(), set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "autodiff":
-                names.update(a.asname or a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module is None:
-                aliases.update(a.asname or a.name for a in node.names if a.name == "autodiff")
-        for f in (node.func for node in ast.walk(tree) if isinstance(node, ast.Call)):
-            if isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name):
-                if f.value.id in aliases:
-                    called.add(f.attr)
-            elif isinstance(f, ast.Name) and f.id in names:
-                called.add(f.id)
+    called = _called_from("autodiff", [path for path in MODULES if path != engine])
     assert {"matmul", "linear", "attention", "cross_entropy"} <= ops
     assert sorted(ops - called) == [], "autodiff ops that no package module calls"
+
+
+def test_every_structural_encoder_has_a_caller():
+    """Every ``__all__`` function of ``structural`` is called somewhere in
+    the package, in another module or by another function of its own: an
+    encoder that a newer one superseded fails here instead of lingering
+    with only its tests to call it."""
+    tree = _parse(SRC / "structural.py")
+    functions = {node.name for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in _exported(tree)}
+    assert {"bfs_spd", "build_path_features", "local_adjacency"} <= functions
+    assert sorted(functions - _called_from("structural", MODULES)) == [], \
+        "structural functions that no package code calls"
 
 
 def test_only_the_graph_module_builds_a_graph():

@@ -29,6 +29,7 @@ from helpers import (
     out_neighbors,
     random_edge_list,
     relabelled_stack,
+    within_width,
 )
 from test_graph import overflow_graph
 
@@ -275,6 +276,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
         for c in range(n):
             sub = oracle_ego_subgraph(g, c, cfg.ego_hops, max_nodes, 4)
             dist, coeffs = oracle_structural(g, sub, cfg.max_spd)
+            coeffs = within_width(coeffs, cfg.path_width)
             nodes = sub.nodes[0]
             want[c] = (nodes, dist, coeffs, g.in_degrees()[nodes], g.out_degrees()[nodes])
             assert node_map(sub)[c] == 0
@@ -298,7 +300,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
                 assert np.array_equal(b.dist, dist), (max_nodes, c)
                 assert entry_path_coeffs(b).shape == coeffs.shape
                 assert entry_path_coeffs(b).tobytes() == coeffs.tobytes(), (max_nodes, c)
-                alone = gm.stack_batches(g, [b])
+                alone = gm.stack_batches(g, [b], cfg.max_spd)
                 assert alone.in_deg[0].tobytes() == in_deg.astype(np.int64).tobytes()
                 assert alone.out_deg[0].tobytes() == out_deg.astype(np.int64).tobytes()
                 assert b.nodes[0] == c
@@ -332,9 +334,10 @@ def test_cached_batches_own_compact_arrays(monkeypatch):
 def test_path_index_widens_with_the_edge_table():
     """A k=200 ego subgraph of a 200-node complete graph has 39,800
     directed local edges, more than int16 holds: each entry's path index
-    (row t on a path of length N as t * max_spd + N - 1) takes the
-    narrowest unsigned dtype that holds it, and the path coefficients
-    decoded from the entry equal the stack's byte for byte."""
+    (row t on a path of length N as t * w + N - 1 for the path width w,
+    here ``max_spd``) takes the narrowest unsigned dtype that holds it,
+    and the path coefficients decoded from the entry equal the stack's
+    byte for byte."""
     n = 200
     g = gr.from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)], n)
     sub = gr.sample_ego_subgraph(g, [0, 7], hops=1, max_nodes=n, seed=0)
@@ -355,7 +358,8 @@ def test_path_index_widens_with_the_edge_table():
             assert np.array_equal(steps[i, j, 0],
                                   st.synth_edge_features(g, src, dst, oracle_citation_flags(g, src, dst)))
             assert not steps[:, :, 1:].any() and not steps[np.arange(n), np.arange(n)].any()
-        assert gm.stack_batches(g, entries).path_coeffs.tobytes() == built.path_coeffs.tobytes()
+        stacked = gm.stack_batches(g, entries, cap)
+        assert stacked.path_coeffs.tobytes() == built.path_coeffs.tobytes()
 
 
 def test_stored_distances_widen_past_max_spd_126():
@@ -374,32 +378,70 @@ def test_stored_distances_widen_past_max_spd_126():
     assert built.spd.dist.max() == 128
     entry = model.store.entries[(64, 0)]
     assert entry.dist.dtype == np.int16
-    assert gm.stack_batches(g, [entry]).spd.dist.tobytes() == built.spd.dist.tobytes()
+    assert gm.stack_batches(g, [entry], cfg.max_spd).spd.dist.tobytes() == built.spd.dist.tobytes()
 
 
 def test_stored_distances_stay_within_twice_ego_hops():
     """A sampled subgraph keeps a node only if a kept node one hop nearer
     reached it, and keeps every edge among its nodes, so no pair of a
-    stored entry is unreachable or more than 2 * ``ego_hops`` apart. The
-    stored distances equal Floyd-Warshall's on the induced subgraph;
-    ``max_spd`` lies above the bound, so no cap hides a distance."""
+    stored entry is unreachable or more than 2 * ``ego_hops`` apart, at
+    every ``ego_hops`` the path width depends on. The stored distances
+    equal Floyd-Warshall's on the induced subgraph; ``max_spd`` lies above
+    the bound, so no cap hides a distance."""
     rng = np.random.default_rng(43)
-    for trial in range(30):
+    for trial in range(12):
         n = int(rng.integers(2, 40))
         g = gr.from_edge_list(random_edge_list(rng, n, float(rng.uniform(0.02, 0.3))), n)
         edges = list(edge_pairs(g))
-        hops = int(rng.integers(1, 4))
-        cfg = tiny_config(ego_hops=hops, ego_max_nodes=int(rng.integers(1, 20)),
-                          max_spd=2 * hops + 2)
-        store = gm.SubgraphStore()
-        store.build(g, cfg, range(n), seed=trial)
-        assert len(store.entries) == n
-        for entry in store.entries.values():
-            local = {v: i for i, v in enumerate(entry.nodes.tolist())}
-            fw = floyd_warshall([(local[u], local[v]) for u, v in edges
-                                 if u in local and v in local], len(local))
-            assert np.isfinite(fw).all() and fw.max() <= 2 * hops, trial
-            assert np.array_equal(entry.dist, fw), trial
+        for hops in (1, 2, 3):
+            cfg = tiny_config(ego_hops=hops, ego_max_nodes=int(rng.integers(1, 20)),
+                              max_spd=2 * hops + 2)
+            store = gm.SubgraphStore()
+            store.build(g, cfg, range(n), seed=trial)
+            assert len(store.entries) == n
+            for entry in store.entries.values():
+                local = {v: i for i, v in enumerate(entry.nodes.tolist())}
+                fw = floyd_warshall([(local[u], local[v]) for u, v in edges
+                                     if u in local and v in local], len(local))
+                assert np.isfinite(fw).all() and fw.max() <= 2 * hops, (trial, hops)
+                assert np.array_equal(entry.dist, fw), (trial, hops)
+
+
+def test_path_width_is_what_a_subgraph_can_hold():
+    """Every entry's path index is w = max(1, min(max_spd, 2 * ego_hops,
+    ego_max_nodes - 1)) steps wide and decodes to the pairwise oracle's
+    paths, whatever the three settings: no path of a sampled subgraph is
+    longer than 2 * ego_hops, nor than k - 1 on k nodes. So the width,
+    not ``max_spd``, sets an entry's size: one built at max_spd=2000 has
+    the bytes of one built at 15."""
+    rng = np.random.default_rng(44)
+    n = 30
+    g = gr.from_edge_list(random_edge_list(rng, n, 0.08), n)
+    centers = range(0, n, 3)
+    for hops in (1, 2, 3):
+        for max_nodes in (1, 2, 4, 16):
+            nbytes = {}
+            for max_spd in (1, 3, 5, 15, 126, 127, 2000):
+                where = (hops, max_nodes, max_spd)
+                w = max(1, min(max_spd, 2 * hops, max_nodes - 1))
+                cfg = tiny_config(ego_hops=hops, ego_max_nodes=max_nodes, max_spd=max_spd)
+                store = gm.SubgraphStore()
+                store.build(g, cfg, centers, seed=0)
+                for c in centers:
+                    entry = store.entries[(c, 0)]
+                    k = len(entry.nodes)
+                    assert entry.path_index.shape == (k, k, w), where
+                    # no distance reaches the oracle's cap, so its sentinel is max_spd's
+                    cap = min(max_spd, max_nodes)
+                    dist, coeffs = oracle_structural(
+                        g, oracle_ego_subgraph(g, c, hops, max_nodes, 0), cap)
+                    dist = np.where(dist > cap, max_spd + 1, dist)
+                    assert np.array_equal(dist, entry.dist), where
+                    coeffs = within_width(coeffs, w)
+                    assert entry_path_coeffs(entry).tobytes() == coeffs.tobytes(), where
+                nbytes[max_spd] = sum(getattr(e, f.name).nbytes for e in store.entries.values()
+                                      for f in dataclasses.fields(e))
+            assert nbytes[2000] == nbytes[15], (hops, max_nodes)
 
 
 def test_cached_entry_is_a_fifth_of_the_padded_layout():
@@ -419,7 +461,7 @@ def test_cached_entry_is_a_fifth_of_the_padded_layout():
         arrays = [getattr(b, f.name) for f in dataclasses.fields(b)]
         assert sum(a.nbytes for a in arrays) * 5 <= padded_layout
         assert all(a.size < coeffs for a in arrays)
-        assert entry_path_coeffs(b).shape == (k * k, cfg.max_spd * st.EDGE_FEATURE_DIM)
+        assert entry_path_coeffs(b).shape == (k * k, cfg.path_width * st.EDGE_FEATURE_DIM)
 
 
 def test_bad_center_raises_through_the_model():
@@ -855,7 +897,8 @@ def test_logits_for_centers_match_one_subgraph_oracle():
         nodes = [set(b.nodes.tolist()) for b in batches]
         assert any(nodes[i] & nodes[j] for i in range(24) for j in range(i))  # shared nodes
         for b in batches[::5]:
-            assert np.max(np.abs(model.forward(gm.stack_batches(data.graph, [b]), data.bundle).data
+            alone = gm.stack_batches(data.graph, [b], model.cfg.max_spd)
+            assert np.max(np.abs(model.forward(alone, data.bundle).data
                                  - oracle_subgraph_logits(model, data.graph, b, data.bundle))) < 1e-12
 
 
@@ -866,7 +909,7 @@ def test_stack_batches_pads_and_masks():
     g = data.graph
     model.build_centers(data, (22, 0, 5), 0)
     batches = [model.batch_for(c, 0) for c in (22, 0, 5)]
-    stack = gm.stack_batches(g, batches)
+    stack = gm.stack_batches(g, batches, model.cfg.max_spd)
     k = max(len(b.nodes) for b in batches)
     assert stack.nodes.shape == (3, k) and stack.sizes.tolist() == [len(b.nodes) for b in batches]
     assert stack.nodes[:, 0].tolist() == [22, 0, 5]  # the center rows
@@ -883,7 +926,7 @@ def test_stack_batches_pads_and_masks():
     # padded keys are masked: every real row's logits are its own subgraph's
     logits = model.forward(stack, data.bundle).data.reshape(3, k, -1)
     for i, b in enumerate(batches):
-        alone = model.forward(gm.stack_batches(g, [b]), data.bundle).data
+        alone = model.forward(gm.stack_batches(g, [b], model.cfg.max_spd), data.bundle).data
         assert np.max(np.abs(logits[i, :len(b.nodes)] - alone)) < 1e-12
 
 
@@ -898,7 +941,7 @@ def test_split_and_stack_batches_round_trip():
         sub = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=max_nodes,
                                      seed=0)
         built = gm.build_batch(g, sub, cfg)
-        back = gm.stack_batches(g, built.split())
+        back = gm.stack_batches(g, built.split(), cfg.max_spd)
         assert len(set(built.sizes.tolist())) > 2  # sizes 1, mid and full
         k = built.nodes.shape[1]
         real = np.arange(k) < built.sizes[:, None]
@@ -930,7 +973,7 @@ def test_stacking_a_full_width_pass_gives_back_the_built_stack():
         assert len(centers) == 16
         built = gm.build_batch(g, gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=k, seed=0),
                                cfg)
-        back = gm.stack_batches(g, built.split())
+        back = gm.stack_batches(g, built.split(), cfg.max_spd)
         for f in dataclasses.fields(built):
             got, want = getattr(back, f.name), getattr(built, f.name)
             if f.name == "spd":
@@ -961,11 +1004,11 @@ def test_logits_for_centers_gradient_check(monkeypatch):
 
 def test_tape_ops_per_step_independent_of_batch_and_heads():
     """A training step's forward and loss record one tape length for any
-    B and H: 54 ops at 2 layers (the desk config) and 78 at 4 (the
+    B and H: 55 ops at 2 layers (the desk config) and 79 at 4 (the
     default config)."""
     from tapeformer.training import smoothed_cross_entropy
 
-    for layers, want in ((2, 54), (gm.GraphormerParams.num_layers, 78)):
+    for layers, want in ((2, 55), (gm.GraphormerParams.num_layers, 79)):
         ops = set()
         for heads in (1, 2, 4):
             rng, data, model = _mixed_case(36, num_layers=layers, num_heads=heads)

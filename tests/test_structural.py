@@ -35,6 +35,16 @@ def _relabelled(g, rng):
     return ego_stack(order, local)
 
 
+def _bfs(sub, cap):
+    """(adjacency, distances, predecessors) of ``sub``, BFS run to ``cap`` hops."""
+    adj = st.local_adjacency(sub)
+    return (adj, *st.bfs_spd(adj, sub.nodes, cap, cap))
+
+
+def _spd(sub, cap):
+    return _bfs(sub, cap)[1]
+
+
 def _path(pred, i, j):
     """The chosen path i -> j as local (u, v) steps, read off one
     subgraph's (k, k) predecessor matrix; [] for i == j, None when there
@@ -55,14 +65,14 @@ def _path(pred, i, j):
 def test_singleton_spd():
     g = gr.from_edge_list([], 1)
     sub = gr.sample_ego_subgraph(g, [0], hops=1, max_nodes=1, seed=0)
-    spd = st.bfs_spd(st.local_adjacency(sub), cap=3)
+    spd = _spd(sub, 3)
     assert spd.dist.shape == (1, 1, 1)
     assert spd.dist[0, 0, 0] == 0
 
 
 def test_line_spd():
     _, sub = _sub_from_edges([(0, 1), (1, 2)], 3)
-    spd = st.bfs_spd(st.local_adjacency(sub), cap=5)
+    spd = _spd(sub, 5)
     i, j = node_map(sub)[0], node_map(sub)[2]
     assert spd.dist[0, i, j] == 2
     assert spd.dist[0, j, i] == 2
@@ -77,7 +87,7 @@ def test_spd_matches_floyd_warshall_on_100_random_graphs():
         g = gr.from_edge_list(edges, n)
         sub = _relabelled(g, rng)
         cap = int(rng.integers(1, 7))
-        spd = st.bfs_spd(st.local_adjacency(sub), cap=cap)
+        spd = _spd(sub, cap)
         fw = floyd_warshall(edges, n)
         for i in range(n):
             for j in range(n):
@@ -90,7 +100,7 @@ def test_spd_symmetric_zero_diag_triangle_inequality():
     rng = np.random.default_rng(5)
     edges = random_edge_list(rng, 20, 0.15)
     _, sub = _sub_from_edges(edges, 20)
-    spd = st.bfs_spd(st.local_adjacency(sub), cap=6)
+    spd = _spd(sub, 6)
     d = spd.dist[0]
     assert np.array_equal(d, d.T)
     assert np.all(np.diag(d) == 0)
@@ -107,9 +117,9 @@ def test_spd_permutation_consistent():
     edges = random_edge_list(rng, 15, 0.2)
     g = gr.from_edge_list(edges, 15)
     sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=15, seed=0)
-    spd = st.bfs_spd(st.local_adjacency(sub), cap=4)
+    spd = _spd(sub, 4)
     perm = rng.permutation(sub.num_nodes)
-    pspd = st.bfs_spd(st.local_adjacency(relabelled_stack(sub, perm)), cap=4)
+    pspd = _spd(relabelled_stack(sub, perm), 4)
     assert np.array_equal(pspd.dist[0], spd.dist[0][np.ix_(perm, perm)])
 
 
@@ -117,8 +127,8 @@ def test_increasing_cap_preserves_small_entries():
     rng = np.random.default_rng(7)
     edges = random_edge_list(rng, 25, 0.08)
     _, sub = _sub_from_edges(edges, 25)
-    lo = st.bfs_spd(st.local_adjacency(sub), cap=2)
-    hi = st.bfs_spd(st.local_adjacency(sub), cap=6)
+    lo = _spd(sub, 2)
+    hi = _spd(sub, 6)
     mask = lo.dist <= 2
     assert np.array_equal(lo.dist[mask], hi.dist[mask])
 
@@ -128,19 +138,15 @@ def test_increasing_cap_preserves_small_entries():
 
 def test_path_empty_for_same_node_none_for_unreachable():
     sub_all = ego_stack([0, 1, 2], [[0, 1]])
-    adj = st.local_adjacency(sub_all)
-    spd = st.bfs_spd(adj, cap=4)
-    pred = st.path_predecessors(sub_all, spd, adj)[0]
+    pred = _bfs(sub_all, 4)[2][0]
     assert _path(pred, 1, 1) == []
     assert _path(pred, 0, 2) is None
 
 
 def test_path_on_line():
     _, sub = _sub_from_edges([(0, 1), (1, 2)], 3)
-    adj = st.local_adjacency(sub)
-    spd = st.bfs_spd(adj, cap=5)
     i, j, m = node_map(sub)[0], node_map(sub)[2], node_map(sub)[1]
-    assert _path(st.path_predecessors(sub, spd, adj)[0], i, j) == [(i, m), (m, j)]
+    assert _path(_bfs(sub, 5)[2][0], i, j) == [(i, m), (m, j)]
 
 
 def test_paths_valid_on_random_graphs():
@@ -150,9 +156,8 @@ def test_paths_valid_on_random_graphs():
         edges = random_edge_list(rng, n, 0.15)
         g = gr.from_edge_list(edges, n)
         sub = gr.sample_ego_subgraph(g, [int(rng.integers(0, n))], hops=4, max_nodes=n, seed=1)
-        adj = st.local_adjacency(sub)
-        spd = st.bfs_spd(adj, cap=5)
-        pred, dist, nodes = st.path_predecessors(sub, spd, adj)[0], spd.dist[0], sub.nodes[0]
+        _, spd, pred = _bfs(sub, 5)
+        pred, dist, nodes = pred[0], spd.dist[0], sub.nodes[0]
         und = {(min(int(nodes[a]), int(nodes[b])), max(int(nodes[a]), int(nodes[b])))
                for _, a, b in sub.local_edges}
         k = sub.num_nodes
@@ -169,8 +174,10 @@ def test_paths_valid_on_random_graphs():
 
 
 def _tiny_config(cap):
+    """A config whose path width is ``cap`` on any stack of at most 32
+    nodes: at ego_hops = cap, 2 * ego_hops does not narrow it."""
     return gm.GraphormerConfig(num_classes=2, num_layers=1, num_heads=1, d_model=4, d_ffn=4,
-                               max_spd=cap)
+                               max_spd=cap, ego_hops=cap)
 
 
 def _assert_matches_oracle(g, sub, cap, where):
@@ -181,7 +188,7 @@ def _assert_matches_oracle(g, sub, cap, where):
     assert built.spd_buckets.tobytes() == dist.reshape(-1).tobytes(), where
     assert built.path_coeffs.shape == (1, k, k, coeffs.shape[1]), where
     assert built.path_coeffs.tobytes() == coeffs.tobytes(), where
-    pred = st.path_predecessors(sub, built.spd, st.local_adjacency(sub))[0]
+    pred = _bfs(sub, cap)[2][0]
     adj_sets = undirected_adj_sets(sub.local_edges[:, 1:].tolist(), sub.num_nodes)
     for i in range(sub.num_nodes):
         for j in range(sub.num_nodes):
@@ -244,9 +251,8 @@ def test_encodings_byte_identical_to_pairwise_oracle():
 
 
 def _assert_predecessors_match_dense_oracle(sub, cap, where):
-    adj = st.local_adjacency(sub)
-    spd = st.bfs_spd(adj, cap=cap)
-    got, want = st.path_predecessors(sub, spd, adj), oracle_path_predecessors(sub, spd)
+    _, spd, got = _bfs(sub, cap)
+    want = oracle_path_predecessors(sub, spd)
     assert got.dtype == want.dtype and got.shape == want.shape, where
     assert got.tobytes() == want.tobytes(), where
 
@@ -283,6 +289,35 @@ def test_path_predecessors_byte_identical_to_dense_oracle():
         for cap in range(1, 7):
             _assert_predecessors_match_dense_oracle(_relabelled(g, rng), cap, f"{name}, cap {cap}")
             _assert_predecessors_match_dense_oracle(stacked, cap, f"{name}, stack, cap {cap}")
+
+
+def test_predecessors_past_one_rank_group():
+    """The BFS names a pair's predecessor by the top bit of a float64 sum
+    over one group of 52 ranks by global id, so 53 and 120 nodes take two
+    and three groups. On random dense graphs at 52, 53 and 120 nodes, in
+    scrambled local orders, as stacks of ego subgraphs padded with -1 rows
+    and under a random relabelling, the predecessors are the dense
+    oracle's and the distances Floyd-Warshall's."""
+    rng = np.random.default_rng(52)
+    for n in (52, 53, 120):
+        for density in (0.03, 0.1, 0.4):
+            where = (n, density)
+            edges = random_edge_list(rng, n, density)
+            g = gr.from_edge_list(edges, n)
+            cap = 8
+            sub = _relabelled(g, rng)
+            _assert_predecessors_match_dense_oracle(sub, cap, where)
+            fw = floyd_warshall(edges, n)[np.ix_(sub.nodes[0], sub.nodes[0])]
+            assert np.array_equal(_spd(sub, cap).dist[0], np.where(fw <= cap, fw, cap + 1)), where
+            perm = rng.permutation(n)
+            _, _, pred = _bfs(sub, cap)
+            _, _, ppred = _bfs(relabelled_stack(sub, perm), cap)
+            # local node perm[a] of sub is node a of the relabelled stack
+            back = np.where(pred[0] < 0, -1, np.argsort(perm)[pred[0]])
+            assert np.array_equal(ppred[0], back[np.ix_(perm, perm)]), where
+            stacked = gr.sample_ego_subgraph(g, rng.choice(n, size=4, replace=False), hops=2,
+                                             max_nodes=n, seed=0)
+            _assert_predecessors_match_dense_oracle(stacked, cap, (*where, "stack"))
 
 
 # --- clustering coefficient --------------------------------------------------
@@ -346,9 +381,8 @@ def test_build_path_features_lengths_match_spd():
     edges = random_edge_list(rng, 18, 0.15)
     g = gr.from_edge_list(edges, 18)
     sub = gr.sample_ego_subgraph(g, [0], hops=3, max_nodes=18, seed=0)
-    adj = st.local_adjacency(sub)
-    spd = st.bfs_spd(adj, cap=4)
-    pf = st.build_path_features(g, sub, spd, adj)
+    adj, spd, pred = _bfs(sub, 4)
+    pf = st.build_path_features(g, sub, spd, pred, adj, 4)
     assert pf.table.shape[1] == st.EDGE_FEATURE_DIM
     k = sub.num_nodes
     for i in range(k):
@@ -372,9 +406,8 @@ def test_path_index_points_into_each_subgraphs_block():
     g = gr.from_edge_list(random_edge_list(rng, 30, 0.12), 30)
     sub = gr.sample_ego_subgraph(g, [0, 4, 9, 17], hops=2, max_nodes=10, seed=0)
     cap = 3
-    adj = st.local_adjacency(sub)
-    spd = st.bfs_spd(adj, cap=cap)
-    pf = st.build_path_features(g, sub, spd, adj)
+    adj, spd, pred = _bfs(sub, cap)
+    pf = st.build_path_features(g, sub, spd, pred, adj, cap)
     assert pf.offsets[0] == 0 and pf.offsets[-1] == len(pf.table)
     assert pf.index.shape[-1] == cap and (pf.lengths == cap).any()
     past_end = np.arange(cap) >= pf.lengths[..., None]

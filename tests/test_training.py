@@ -335,6 +335,36 @@ def test_parameters_the_loss_never_reaches_stay_put():
         assert (t.data.tobytes() == before[k].tobytes()) == (k in idle), k
 
 
+def test_bias_rows_past_the_path_width_stay_zero(tmp_path):
+    """No stored path is longer than w = ``path_width`` (4 at the default
+    model config, 2 * ego_hops), and no stacked pair holds a distance past
+    w: an ego subgraph has no unreachable pair and padding reads 0. So the
+    ``edge.weight`` rows past 3w and the spatial buckets past w get no
+    gradient, and after a 2-epoch train at the default model config on
+    the seed-0 corpus they are still their initial zeros, while the rows
+    and buckets before them have moved."""
+    import dataclasses
+
+    from tapeformer.cli import main as cli_main
+
+    out = tmp_path / "bench"
+    assert cli_main(["gen-synthetic", "--out", str(out), "--nodes", "400", "--classes", "4",
+                     "--seed", "0"]) == 0
+    config = str(out / "config.json")
+    assert cli_main(["prepare", "--config", config]) == 0
+    defaults = [a for f in dataclasses.fields(gm.GraphormerParams)
+                for a in ("--set", f"model.{f.name}={f.default}")]
+    assert cli_main(["train", "--config", config, "--set", "train.epochs=2", *defaults]) == 0
+    state = ad.load_parameters(out / "checkpoint.bin")
+    cfg = gm.GraphormerParams().for_classes(4)
+    w = cfg.path_width
+    assert w == 4 < cfg.max_spd
+    edge, spatial = state["edge.weight"], state["spatial.bias"]
+    assert edge.shape == (3 * cfg.max_spd, cfg.num_heads) and not edge[3 * w:].any()
+    assert spatial.shape == (cfg.max_spd + 2, cfg.num_heads) and not spatial[w + 1:].any()
+    assert edge[:3 * w].all() and spatial[:w + 1].all()
+
+
 def test_grad_accum_matches_full_batch():
     data, split = _mini_graph_data()
     results = []
