@@ -48,16 +48,20 @@ class DirectedGraph:
     duplicates_dropped: int
     in_offsets: np.ndarray = field(init=False)
     in_targets: np.ndarray = field(init=False)
+    out_degree: np.ndarray = field(init=False)  # int64, len num_nodes
+    in_degree: np.ndarray = field(init=False)  # int64, len num_nodes
 
     def __post_init__(self):
         n = np.int64(self.num_nodes)
+        self.out_degree = np.diff(self.out_offsets)
+        self.in_degree = np.bincount(self.out_targets, minlength=n)
         keys = self.out_targets * n  # dst * n + src, sorted: the sources grouped by target
-        keys += np.repeat(np.arange(n), self.out_degrees())
+        keys += np.repeat(np.arange(n), self.out_degree)
         keys.sort()
         keys -= keys // n * n  # keys % n: numpy divides by a scalar several times faster
         self.in_targets = keys
         self.in_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.out_targets, minlength=n), out=self.in_offsets[1:])
+        np.cumsum(self.in_degree, out=self.in_offsets[1:])
 
     @property
     def num_nodes(self) -> int:
@@ -67,12 +71,6 @@ class DirectedGraph:
     def num_edges(self) -> int:
         return len(self.out_targets)
 
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.out_offsets)
-
-    def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_offsets)
-
     @cached_property
     def log1p_degree(self) -> np.ndarray:
         """``math.log1p(d)`` for every degree d from 0 to the largest in-
@@ -80,7 +78,7 @@ class DirectedGraph:
         ``np.log1p``: the two disagree in the last ulp on some integers
         (2 among them), and the synthesized edge features are pinned to
         ``math.log1p``."""
-        top = int(max(self.out_degrees().max(initial=0), self.in_degrees().max(initial=0)))
+        top = int(max(self.out_degree.max(initial=0), self.in_degree.max(initial=0)))
         return np.array(list(map(math.log1p, range(top + 1))), dtype=np.float64)
 
 

@@ -97,8 +97,9 @@ class GraphormerConfig(GraphormerParams):
 
     @property
     def path_width(self) -> int:
-        """Steps a stored path can have: no pair of an ego subgraph is more
-        than 2 * ego_hops or ego_max_nodes - 1 apart, nor kept past max_spd."""
+        """The one bound w of distances and paths: no pair of an ego subgraph
+        is more than 2 * ego_hops or ego_max_nodes - 1 apart, and no step past
+        max_spd has a weight. Pairs further apart than w read w + 1."""
         return max(1, min(self.max_spd, 2 * self.ego_hops, self.ego_max_nodes - 1))
 
 
@@ -123,7 +124,7 @@ class SubgraphBatch:
     the graph; the path width w is ``path_index.shape[-1]``."""
 
     nodes: np.ndarray  # global ids (k,), the center first
-    dist: np.ndarray  # (k, k) capped distances, the narrowest int that holds them
+    dist: np.ndarray  # (k, k) distances up to w (w + 1 past it), the narrowest int that holds them
     edge_table: np.ndarray  # (m + 1, EDGE_FEATURE_DIM): a zero row, then the directed local edges
     path_index: np.ndarray  # (k, k, w) t * w + N - 1 (0: no step), narrowest uint
 
@@ -136,8 +137,8 @@ class SubgraphStack:
     reshape is node i of subgraph b, and pair ``(b * k + i) * k + j`` of
     a (B*k*k, ...) one is its pair (i, j); node 0 of each subgraph is its
     center. ``path_index[b]`` is entry b's, into block b of
-    ``edge_table``; ``path_coeffs`` is built on first read. ``spd.cap`` is
-    the config's ``max_spd`` and ``path_index.shape[-1]`` its ``path_width`` w."""
+    ``edge_table``; ``path_coeffs`` is built on first read. The path width
+    w, which also bounds the distances, is ``path_index.shape[-1]``."""
 
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
@@ -177,15 +178,14 @@ class SubgraphStack:
 def _degrees(g: DirectedGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(in, out) full-graph degrees of ``nodes``, 0 where a node is -1."""
     real = nodes >= 0
-    return (np.where(real, g.in_offsets[nodes + 1] - g.in_offsets[nodes], 0),
-            np.where(real, g.out_offsets[nodes + 1] - g.out_offsets[nodes], 0))
+    return np.where(real, g.in_degree[nodes], 0), np.where(real, g.out_degree[nodes], 0)
 
 
 def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> SubgraphStack:
     """Run the structural encodings for every subgraph of ``stack`` in one
     pass; ``split`` gives each subgraph's ``SubgraphBatch``."""
     adj = local_adjacency(stack)
-    spd, pred = bfs_spd(adj, stack.nodes, cfg.max_spd, cfg.path_width)
+    spd, pred = bfs_spd(adj, stack.nodes, cfg.path_width)
     paths = build_path_features(g, stack, spd, pred, adj, cfg.path_width)
     in_deg, out_deg = _degrees(g, stack.nodes)
     return SubgraphStack(
@@ -200,11 +200,11 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     )
 
 
-def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch], cap: int) -> SubgraphStack:
-    """Pad ``batches``, built under distance cap ``cap``, to the largest
-    subgraph and stack them, the inverse of ``SubgraphStack.split``, with
-    the degrees read off ``g``: padding reads -1 in ``nodes`` and 0 in the
-    other arrays (``path_index`` 0 is no step)."""
+def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> SubgraphStack:
+    """Pad ``batches`` to the largest subgraph and stack them, the inverse
+    of ``SubgraphStack.split``, with the degrees read off ``g``: padding
+    reads -1 in ``nodes`` and 0 in the other arrays (``path_index`` 0 is
+    no step)."""
     sizes = np.array([len(b.nodes) for b in batches])
     count, k, width = len(batches), int(sizes.max()), batches[0].path_index.shape[-1]
     offsets = np.append(0, np.cumsum([len(b.edge_table) for b in batches]))
@@ -217,7 +217,7 @@ def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch], cap: int) 
         index[i, :n, :n] = b.path_index
     in_deg, out_deg = _degrees(g, nodes)
     return SubgraphStack(
-        sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist, cap=cap),
+        sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist),
         edge_table=np.concatenate([b.edge_table for b in batches]), edge_offsets=offsets,
         path_index=index, in_deg=in_deg, out_deg=out_deg,
     )
@@ -230,9 +230,9 @@ BUILD_PASS_PAIRS = 16_384
 
 class SubgraphStore:
     """Built entries ``(center, seed) -> SubgraphBatch`` of one graph under
-    one ego config (``ego_hops``, ``ego_max_nodes``, ``max_spd``), shared by
-    the models given the store. A build for another graph (by identity) or
-    ego config empties it first, so it never serves other inputs' entries."""
+    one ego config (``ego_hops``, ``ego_max_nodes``, ``path_width``), shared
+    by the models given the store. A build for another graph (by identity)
+    or ego config empties it first, so it never serves other inputs' entries."""
 
     def __init__(self):
         self.entries: dict[tuple[int, int], SubgraphBatch] = {}
@@ -242,7 +242,7 @@ class SubgraphStore:
         """Sample, encode and store each center of ``centers`` not stored yet,
         in passes of at most ``BUILD_PASS_PAIRS`` padded pairs. An entry
         depends only on its center and ``seed``, not on its pass."""
-        ego = (cfg.ego_hops, cfg.ego_max_nodes, cfg.max_spd)
+        ego = (cfg.ego_hops, cfg.ego_max_nodes, cfg.path_width)
         if g is not self.graph or ego != self.ego:  # other inputs' entries: start empty
             self.entries, self.graph, self.ego = {}, g, ego
         missing = [c for c in dict.fromkeys(map(int, centers)) if (c, seed) not in self.entries]
@@ -492,8 +492,7 @@ class GraphormerModel:
         if not centers:
             raise ValueError("logits_for_centers got an empty center list")
         self.build_centers(data, centers, seed)
-        stack = stack_batches(data.graph, [self.batch_for(c, seed) for c in centers],
-                              self.cfg.max_spd)
+        stack = stack_batches(data.graph, [self.batch_for(c, seed) for c in centers])
         return self.forward_fused(stack, self._fused_rows(stack, data.bundle))
 
 

@@ -42,11 +42,10 @@ EDGE_FEATURE_DIM = 3
 
 @dataclass
 class SpdMatrix:
-    """Pairwise hop counts, capped; entries beyond the BFS's reach (or in
-    other components) hold the UNREACHABLE sentinel ``cap + 1``."""
+    """Pairwise hop counts up to the path width w; pairs further apart
+    (or in other components) hold the sentinel w + 1."""
 
     dist: np.ndarray  # (B, k, k) int64
-    cap: int
 
 
 @dataclass
@@ -88,11 +87,10 @@ def local_adjacency(sub: EgoStack) -> np.ndarray:
     return adj
 
 
-def bfs_spd(adj: np.ndarray, nodes: np.ndarray, cap: int,
-            width: int) -> tuple[SpdMatrix, np.ndarray]:
+def bfs_spd(adj: np.ndarray, nodes: np.ndarray, width: int) -> tuple[SpdMatrix, np.ndarray]:
     """All-source BFS on the (B, k, k) undirected adjacency ``adj`` of
-    subgraphs with global ids ``nodes``, truncated at ``width`` <= ``cap``
-    hops; pairs not reached hold the sentinel ``cap + 1``. Also returns
+    subgraphs with global ids ``nodes``, truncated at ``width`` hops;
+    pairs not reached hold the sentinel ``width + 1``. Also returns
     the (B, k, k) predecessor of j on the chosen shortest path i -> j: the
     neighbour of j one hop closer to i with the smallest *global* id, so
     the paths do not depend on the order of local indices; -1 on the
@@ -106,8 +104,8 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, cap: int,
     operand per 52 ranks: a sum of distinct powers of two below 2**52 is
     exact in float64, and its top bit names the smallest rank in it.
     """
-    if not 1 <= width <= cap:
-        raise ValueError(f"need 1 <= width <= cap, got width {width}, cap {cap}")
+    if width < 1:
+        raise ValueError(f"need width >= 1, got {width}")
     count, k = nodes.shape
     order = np.argsort(nodes, axis=-1)  # local indices by ascending global id
     rank = np.argsort(order, axis=-1)
@@ -115,7 +113,7 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, cap: int,
                 for g in range(-(-k // 52))]
     unseen = ~np.broadcast_to(np.eye(k, dtype=bool), adj.shape)
     frontier = (~unseen).astype(np.float64)
-    dist = np.zeros(adj.shape, dtype=np.min_scalar_type(cap + 1))
+    dist = np.zeros(adj.shape, dtype=np.min_scalar_type(width + 1))
     sums = [np.zeros(adj.shape) for _ in operands]  # per group, its sum on the hop reaching a pair
     for d in range(1, width + 1):
         dist += unseen
@@ -131,8 +129,8 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, cap: int,
         for hit, total in zip(hits, sums):
             hit *= frontier
             total += hit
-    # hops d..cap, at which the rest stays unseen
-    dist += np.multiply(unseen, cap + 1 - d, dtype=dist.dtype)
+    # hops d..width, at which the rest stays unseen
+    dist += np.multiply(unseen, width + 1 - d, dtype=dist.dtype)
     # group g's sum 2**(e - 1) + ... leads with rank 52 * (g + 1) - e; e is 0
     # for an empty sum, and every sum is empty off the reached pairs
     none = 52 * len(sums)  # the code of no predecessor
@@ -142,7 +140,7 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, cap: int,
     # ranks past k, and the code of no predecessor, read -1
     lookup = np.concatenate([order, np.full((count, none + 1 - k), -1)], axis=1)
     pred = np.take(lookup, best + (none + 1) * np.arange(count)[:, None, None])
-    return SpdMatrix(dist=dist.astype(np.int64), cap=cap), pred
+    return SpdMatrix(dist=dist.astype(np.int64)), pred
 
 
 def clustering_coefficients(g: DirectedGraph, nodes) -> np.ndarray:
@@ -179,8 +177,8 @@ def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray,
     b = np.where(forward, dst, src)
     out = np.empty((len(a), EDGE_FEATURE_DIM), dtype=np.float64)
     out[:, 0] = np.where(forward, 1.0, -1.0)
-    out[:, 1] = g.log1p_degree[g.out_offsets[a + 1] - g.out_offsets[a]]
-    out[:, 2] = g.log1p_degree[g.in_offsets[b + 1] - g.in_offsets[b]]
+    out[:, 1] = g.log1p_degree[g.out_degree[a]]
+    out[:, 2] = g.log1p_degree[g.in_degree[b]]
     return out
 
 

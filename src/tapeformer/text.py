@@ -144,8 +144,8 @@ def encode_texts(texts, dim: int, seed: int) -> np.ndarray:
     """Feature-hash the unigrams of every text in the iterable into
     ``dim`` signed buckets, one L2-normalized row each.
 
-    crc32 keyed by the seed keeps the mapping stable across processes
-    and platforms; an all-zero row (empty text) stays all-zero. crc32
+    crc32 keyed by the seed mod 2**64 keeps the mapping stable across
+    processes and platforms; an all-zero row (empty text) stays all-zero. crc32
     hashes each token occurrence's ASCII bytes as the tokenizer leaves
     them, ``_TEXT_CHUNK`` texts at a time so that only one chunk's token
     objects are alive at once, and one ``bincount`` sums every row's
@@ -155,7 +155,7 @@ def encode_texts(texts, dim: int, seed: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("encode_texts: dim must be >= 1")
-    salt = zlib.crc32(struct.pack("<q", seed))
+    salt = zlib.crc32(struct.pack("<Q", int(seed) % 2**64))
     hashes, lengths = [np.zeros(0, dtype=np.int64)], []  # concatenable with no texts at all
     texts = iter(texts)
     while chunk := [_token_bytes(text).split() for text in islice(texts, _TEXT_CHUNK)]:

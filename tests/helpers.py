@@ -351,7 +351,7 @@ def oracle_edge_features(g, gu: int, gv: int) -> np.ndarray:
         flag, src, dst = -1.0, gv, gu
     else:
         raise ValueError(f"no edge between {gu} and {gv} in either direction")
-    return np.asarray([flag, math.log1p(g.out_degrees()[src]), math.log1p(g.in_degrees()[dst])],
+    return np.asarray([flag, math.log1p(g.out_degree[src]), math.log1p(g.in_degree[dst])],
                       dtype=np.float64)
 
 
@@ -379,15 +379,14 @@ def shortest_path_edges(sub, adj_sets, dist, cap, i, j):
     return steps
 
 
-def oracle_path_predecessors(sub, spd, adj=None) -> np.ndarray:
+def oracle_path_predecessors(sub, spd, width: int) -> np.ndarray:
     """(B, k, k) predecessors by the dense rule: for every source i and
     node j, every local node is tested as a neighbor of j one hop closer
     to i, in ascending global id, and the first one wins. -1 on the
-    diagonal and for unreachable pairs."""
+    diagonal and for pairs more than ``width`` hops apart or unreachable."""
     from tapeformer.structural import local_adjacency
 
-    if adj is None:
-        adj = local_adjacency(sub)
+    adj = local_adjacency(sub)
     dist = spd.dist
     order = np.argsort(sub.nodes, axis=-1)  # local indices by ascending global id
     by_id = np.take_along_axis(dist, order[..., None, :], axis=-1)  # [i, r] = dist[i, order[r]]
@@ -395,7 +394,7 @@ def oracle_path_predecessors(sub, spd, adj=None) -> np.ndarray:
     # cand[i, j, r]: local node order[r] is a neighbor of j one hop closer to i
     cand = (by_id[..., :, None, :] == dist[..., :, :, None] - 1) & nbr[..., None, :, :]
     pred = np.take_along_axis(order[..., None, :], cand.argmax(axis=-1), axis=-1)
-    pred[(dist == 0) | (dist > spd.cap)] = -1
+    pred[(dist == 0) | (dist > width)] = -1
     return pred
 
 
@@ -494,7 +493,7 @@ def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
     for i in range(1, len(proj)):
         x = x + proj[i] * alpha[:, i:i + 1]
     mb = cfg.max_degree_bucket
-    in_deg, out_deg = g.in_degrees()[batch.nodes], g.out_degrees()[batch.nodes]
+    in_deg, out_deg = g.in_degree[batch.nodes], g.out_degree[batch.nodes]
     h = x + model.z_in.data[np.minimum(in_deg, mb)] + model.z_out.data[np.minimum(out_deg, mb)]
     k, heads = len(batch.nodes), cfg.num_heads
     bias = (model.spatial_table.data[batch.dist.reshape(-1)]

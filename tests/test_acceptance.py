@@ -195,7 +195,7 @@ def test_criterion_02_spd_oracle():
         g = gr.from_edge_list(edges, n)
         sub = ego_stack(np.arange(n), list(edge_pairs(g)))
         cap = int(rng.integers(1, 8))
-        spd, _ = st.bfs_spd(st.local_adjacency(sub), sub.nodes, cap, cap)
+        spd, _ = st.bfs_spd(st.local_adjacency(sub), sub.nodes, cap)
         fw = floyd_warshall(edges, n)
         expect = np.where(fw <= cap, fw, cap + 1).astype(np.int64)
         assert np.array_equal(spd.dist[0], expect), f"trial {trial}"

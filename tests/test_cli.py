@@ -380,6 +380,17 @@ def test_prepare_writes_resolved_config(workdir):
     assert obj["train"]["epochs"] == 40
 
 
+def test_prepare_takes_a_seed_past_int64(workdir, tmp_path):
+    """``prepare`` at seed 2**64 - 1, which the config accepts, exits 0."""
+    from tapeformer.dataset import load_dataset
+
+    rc = main(["prepare", "--config", _cfg_path(workdir), "--set", f"seed={2**64 - 1}",
+               "--set", f"paths.out_dir={tmp_path}",
+               "--set", f"paths.dataset={tmp_path / 'ds.bin'}"])
+    assert rc == 0
+    assert load_dataset(tmp_path / "ds.bin").num_nodes == 60
+
+
 def test_synthetic_roundtrip_through_artifact(workdir):
     from tapeformer.dataset import load_dataset
     from tapeformer.text import load_node_documents

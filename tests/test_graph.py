@@ -19,9 +19,9 @@ from helpers import (
 
 def test_line_graph_degrees():
     g = gr.from_edge_list([(0, 1), (1, 2)], 3)
-    assert g.out_degrees()[0] == 1
-    assert g.in_degrees()[2] == 1
-    assert g.in_degrees()[0] == 0
+    assert g.out_degree[0] == 1
+    assert g.in_degree[2] == 1
+    assert g.in_degree[0] == 0
     assert g.num_edges == 2
 
 
@@ -40,8 +40,8 @@ def test_endpoint_out_of_range_names_edge():
 def test_star_out_degree():
     edges = [(0, i) for i in range(1, 6)]
     g = gr.from_edge_list(edges, 6)
-    assert g.out_degrees()[0] == 5
-    assert all(g.in_degrees()[1:] == 1)
+    assert g.out_degree[0] == 5
+    assert all(g.in_degree[1:] == 1)
 
 
 def test_degrees_match_dense_matrix_oracle():
@@ -53,8 +53,8 @@ def test_degrees_match_dense_matrix_oracle():
     for u, v in edges:
         if u != v:
             dense[u, v] = 1  # dedup: 0/1 adjacency
-    assert np.array_equal(g.out_degrees(), dense.sum(axis=1))
-    assert np.array_equal(g.in_degrees(), dense.sum(axis=0))
+    assert np.array_equal(g.out_degree, dense.sum(axis=1))
+    assert np.array_equal(g.in_degree, dense.sum(axis=0))
 
 
 def test_roundtrip_reproduces_dedup_edge_set():
@@ -72,8 +72,8 @@ def test_degree_sums_equal_edge_count():
     for seed in range(5):
         n = int(rng.integers(5, 40))
         g = gr.from_edge_list(random_edge_list(rng, n, 0.1), n)
-        assert g.out_degrees().sum() == g.num_edges
-        assert g.in_degrees().sum() == g.num_edges
+        assert g.out_degree.sum() == g.num_edges
+        assert g.in_degree.sum() == g.num_edges
 
 
 def test_out_in_adjacency_consistency():

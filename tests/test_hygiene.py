@@ -2,7 +2,8 @@
 imported name is used, every ``__all__`` entry is defined, every
 function parameter is read, every default-valued parameter is passed by
 some call in the package or the benchmark, every autodiff op and every
-public ``structural`` function has a caller in the package, only
+public ``structural`` function has a caller in the package, every field
+of a ``structural`` or ``model`` dataclass is read, only
 ``graph.py`` calls the ``DirectedGraph`` constructor, only
 ``training._guarded`` switches the per-op finite checks, and the README
 gives every config field's default."""
@@ -200,6 +201,26 @@ def test_only_the_guarded_forward_switches_finite_checks():
     guarded = {("training.py", line) for qualname, fn in _functions(_parse(SRC / "training.py"))
                if qualname == "_guarded" for line in calls(fn)}
     assert guarded and sorted(everywhere - guarded) == [], "finite_checks( outside _guarded"
+
+
+def test_every_structural_and_model_field_is_read():
+    """Every field of a dataclass in ``structural`` or ``model`` is read as
+    ``<value>.<field>`` somewhere in the package or the benchmark: a field
+    that nothing reads is carried for nobody. The report and config
+    dataclasses of ``evaluation`` and ``cli`` are read through ``asdict``
+    and ``getattr``, so they are out of scope here."""
+    read = {node.attr for path in [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for name in ("structural.py", "model.py"):
+        for cls in _parse(SRC / name).body:
+            if isinstance(cls, ast.ClassDef) and any(
+                    "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+                    for d in (getattr(d, "func", d) for d in cls.decorator_list)):
+                unread += [f"{name}: {cls.name}.{f.target.id}" for f in cls.body
+                           if isinstance(f, ast.AnnAssign) and f.target.id not in read]
+    assert unread == [], "dataclass fields that no package or benchmark code reads"
 
 
 # default-valued parameters that no program call passes yet, by

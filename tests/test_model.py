@@ -278,7 +278,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
             dist, coeffs = oracle_structural(g, sub, cfg.max_spd)
             coeffs = within_width(coeffs, cfg.path_width)
             nodes = sub.nodes[0]
-            want[c] = (nodes, dist, coeffs, g.in_degrees()[nodes], g.out_degrees()[nodes])
+            want[c] = (nodes, dist, coeffs, g.in_degree[nodes], g.out_degree[nodes])
             assert node_map(sub)[c] == 0
         sizes = {len(w[0]) for w in want.values()}
         assert 1 in sizes and (max_nodes == 1 or len(sizes) > 2)
@@ -300,7 +300,7 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
                 assert np.array_equal(b.dist, dist), (max_nodes, c)
                 assert entry_path_coeffs(b).shape == coeffs.shape
                 assert entry_path_coeffs(b).tobytes() == coeffs.tobytes(), (max_nodes, c)
-                alone = gm.stack_batches(g, [b], cfg.max_spd)
+                alone = gm.stack_batches(g, [b])
                 assert alone.in_deg[0].tobytes() == in_deg.astype(np.int64).tobytes()
                 assert alone.out_deg[0].tobytes() == out_deg.astype(np.int64).tobytes()
                 assert b.nodes[0] == c
@@ -358,7 +358,7 @@ def test_path_index_widens_with_the_edge_table():
             assert np.array_equal(steps[i, j, 0],
                                   st.synth_edge_features(g, src, dst, oracle_citation_flags(g, src, dst)))
             assert not steps[:, :, 1:].any() and not steps[np.arange(n), np.arange(n)].any()
-        stacked = gm.stack_batches(g, entries, cap)
+        stacked = gm.stack_batches(g, entries)
         assert stacked.path_coeffs.tobytes() == built.path_coeffs.tobytes()
 
 
@@ -378,7 +378,67 @@ def test_stored_distances_widen_past_max_spd_126():
     assert built.spd.dist.max() == 128
     entry = model.store.entries[(64, 0)]
     assert entry.dist.dtype == np.int16
-    assert gm.stack_batches(g, [entry], cfg.max_spd).spd.dist.tobytes() == built.spd.dist.tobytes()
+    assert gm.stack_batches(g, [entry]).spd.dist.tobytes() == built.spd.dist.tobytes()
+
+
+def test_distances_past_the_path_width_read_its_sentinel():
+    """A whole-graph stack can hold pairs further apart than any ego
+    subgraph's. ``build_batch`` stops its distances at the path width w,
+    whatever ``max_spd`` is: a pair more than w hops apart, or in another
+    component, reads w + 1 and has no path. Below that the distances are
+    Floyd-Warshall's and the paths the pairwise oracle's."""
+    rng = np.random.default_rng(46)
+    past = 0
+    for trial in range(16):
+        n = int(rng.integers(8, 30))
+        g = gr.from_edge_list(random_edge_list(rng, n, float(rng.uniform(0.03, 0.15))), n)
+        edges = list(edge_pairs(g))
+        sub, fw = ego_stack(np.arange(n), edges), floyd_warshall(edges, n)
+        # w from ego_hops, from ego_max_nodes, and from max_spd
+        for hops, max_nodes, max_spd in ((1, 12, 6), (2, 12, 9), (3, 3, 5), (2, 12, 3)):
+            cfg = tiny_config(ego_hops=hops, ego_max_nodes=max_nodes, max_spd=max_spd)
+            w, where = cfg.path_width, (trial, hops, max_nodes, max_spd)
+            built = gm.build_batch(g, sub, cfg)
+            want = np.where(fw <= w, fw, w + 1).astype(np.int64)
+            assert built.spd.dist[0].tobytes() == want.tobytes(), where
+            _, coeffs = oracle_structural(g, sub, w)
+            assert built.path_coeffs.tobytes() == coeffs.tobytes(), where
+            past += bool((np.isfinite(fw) & (fw > w)).any())
+    assert past > 40
+
+
+def test_a_max_spd_that_keeps_the_width_keeps_the_store(monkeypatch):
+    """The store keys its entries on ``ego_hops``, ``ego_max_nodes`` and the
+    path width w. Built at ``max_spd=5`` and again at 15, both w = 4, it
+    builds each center once, and its entries equal a fresh build's at 15
+    byte for byte; at ``max_spd=3``, w = 3, it builds every center again."""
+    built = []
+    orig = gm.build_batch
+
+    def recording(g, stack, cfg):
+        built.extend(stack.nodes[:, 0].tolist())
+        return orig(g, stack, cfg)
+
+    rng = np.random.default_rng(47)
+    n = 60
+    g = gr.from_edge_list(random_edge_list(rng, n, 0.06), n)
+    configs = {m: tiny_config(max_spd=m, ego_max_nodes=16) for m in (5, 15, 3)}
+    assert [cfg.path_width for cfg in configs.values()] == [4, 4, 3]
+    fresh = gm.SubgraphStore()
+    fresh.build(g, configs[15], range(n), seed=2)
+    monkeypatch.setattr(gm, "build_batch", recording)
+    store = gm.SubgraphStore()
+    store.build(g, configs[5], range(n), seed=2)
+    store.build(g, configs[15], range(n), seed=2)
+    assert sorted(built) == list(range(n))
+    assert store.entries.keys() == fresh.entries.keys()
+    for key, entry in store.entries.items():
+        for f in dataclasses.fields(entry):
+            got, want = getattr(entry, f.name), getattr(fresh.entries[key], f.name)
+            assert got.dtype == want.dtype and got.shape == want.shape, (key, f.name)
+            assert got.tobytes() == want.tobytes(), (key, f.name)
+    store.build(g, configs[3], range(n), seed=2)
+    assert sorted(built) == sorted(2 * list(range(n)))
 
 
 def test_stored_distances_stay_within_twice_ego_hops():
@@ -431,11 +491,11 @@ def test_path_width_is_what_a_subgraph_can_hold():
                     entry = store.entries[(c, 0)]
                     k = len(entry.nodes)
                     assert entry.path_index.shape == (k, k, w), where
-                    # no distance reaches the oracle's cap, so its sentinel is max_spd's
+                    # no distance reaches the oracle's cap, so its sentinel is the width's
                     cap = min(max_spd, max_nodes)
                     dist, coeffs = oracle_structural(
                         g, oracle_ego_subgraph(g, c, hops, max_nodes, 0), cap)
-                    dist = np.where(dist > cap, max_spd + 1, dist)
+                    dist = np.where(dist > cap, w + 1, dist)
                     assert np.array_equal(dist, entry.dist), where
                     coeffs = within_width(coeffs, w)
                     assert entry_path_coeffs(entry).tobytes() == coeffs.tobytes(), where
@@ -897,7 +957,7 @@ def test_logits_for_centers_match_one_subgraph_oracle():
         nodes = [set(b.nodes.tolist()) for b in batches]
         assert any(nodes[i] & nodes[j] for i in range(24) for j in range(i))  # shared nodes
         for b in batches[::5]:
-            alone = gm.stack_batches(data.graph, [b], model.cfg.max_spd)
+            alone = gm.stack_batches(data.graph, [b])
             assert np.max(np.abs(model.forward(alone, data.bundle).data
                                  - oracle_subgraph_logits(model, data.graph, b, data.bundle))) < 1e-12
 
@@ -909,15 +969,15 @@ def test_stack_batches_pads_and_masks():
     g = data.graph
     model.build_centers(data, (22, 0, 5), 0)
     batches = [model.batch_for(c, 0) for c in (22, 0, 5)]
-    stack = gm.stack_batches(g, batches, model.cfg.max_spd)
+    stack = gm.stack_batches(g, batches)
     k = max(len(b.nodes) for b in batches)
     assert stack.nodes.shape == (3, k) and stack.sizes.tolist() == [len(b.nodes) for b in batches]
     assert stack.nodes[:, 0].tolist() == [22, 0, 5]  # the center rows
     for i, b in enumerate(batches):
         n = len(b.nodes)
         assert np.array_equal(stack.nodes[i, :n], b.nodes) and (stack.nodes[i, n:] == -1).all()
-        assert stack.in_deg[i, :n].tolist() == g.in_degrees()[b.nodes].tolist()
-        assert stack.out_deg[i, :n].tolist() == g.out_degrees()[b.nodes].tolist()
+        assert stack.in_deg[i, :n].tolist() == g.in_degree[b.nodes].tolist()
+        assert stack.out_deg[i, :n].tolist() == g.out_degree[b.nodes].tolist()
         assert not stack.in_deg[i, n:].any() and not stack.out_deg[i, n:].any()
         assert np.array_equal(stack.spd_buckets[i, :n, :n], b.dist)
         coeffs = stack.path_coeffs[i]
@@ -926,7 +986,7 @@ def test_stack_batches_pads_and_masks():
     # padded keys are masked: every real row's logits are its own subgraph's
     logits = model.forward(stack, data.bundle).data.reshape(3, k, -1)
     for i, b in enumerate(batches):
-        alone = model.forward(gm.stack_batches(g, [b], model.cfg.max_spd), data.bundle).data
+        alone = model.forward(gm.stack_batches(g, [b]), data.bundle).data
         assert np.max(np.abs(logits[i, :len(b.nodes)] - alone)) < 1e-12
 
 
@@ -941,12 +1001,11 @@ def test_split_and_stack_batches_round_trip():
         sub = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=max_nodes,
                                      seed=0)
         built = gm.build_batch(g, sub, cfg)
-        back = gm.stack_batches(g, built.split(), cfg.max_spd)
+        back = gm.stack_batches(g, built.split())
         assert len(set(built.sizes.tolist())) > 2  # sizes 1, mid and full
         k = built.nodes.shape[1]
         real = np.arange(k) < built.sizes[:, None]
         pairs = real[:, :, None] & real[:, None, :]
-        assert back.spd.cap == built.spd.cap
         assert back.nodes[:, 0].tolist() == centers == built.nodes[:, 0].tolist()
         for name, mask in (("sizes", None), ("nodes", real),
                            ("in_deg", real), ("out_deg", real), ("spd_buckets", pairs),
@@ -973,11 +1032,10 @@ def test_stacking_a_full_width_pass_gives_back_the_built_stack():
         assert len(centers) == 16
         built = gm.build_batch(g, gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=k, seed=0),
                                cfg)
-        back = gm.stack_batches(g, built.split(), cfg.max_spd)
+        back = gm.stack_batches(g, built.split())
         for f in dataclasses.fields(built):
             got, want = getattr(back, f.name), getattr(built, f.name)
             if f.name == "spd":
-                assert got.cap == want.cap
                 got, want = got.dist, want.dist
             assert got.dtype == want.dtype and got.shape == want.shape, (k, f.name)
             assert got.tobytes() == want.tobytes(), (k, f.name)

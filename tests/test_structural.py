@@ -38,7 +38,7 @@ def _relabelled(g, rng):
 def _bfs(sub, cap):
     """(adjacency, distances, predecessors) of ``sub``, BFS run to ``cap`` hops."""
     adj = st.local_adjacency(sub)
-    return (adj, *st.bfs_spd(adj, sub.nodes, cap, cap))
+    return (adj, *st.bfs_spd(adj, sub.nodes, cap))
 
 
 def _spd(sub, cap):
@@ -252,7 +252,7 @@ def test_encodings_byte_identical_to_pairwise_oracle():
 
 def _assert_predecessors_match_dense_oracle(sub, cap, where):
     _, spd, got = _bfs(sub, cap)
-    want = oracle_path_predecessors(sub, spd)
+    want = oracle_path_predecessors(sub, spd, cap)
     assert got.dtype == want.dtype and got.shape == want.shape, where
     assert got.tobytes() == want.tobytes(), where
 

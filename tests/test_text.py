@@ -109,6 +109,15 @@ def test_encode_text_bit_exact_against_per_token_oracle(dim, seed):
     assert rows.tobytes() == expect.tobytes()
 
 
+def test_encode_texts_keys_its_hash_on_the_seed_mod_2_64():
+    """A config takes any seed >= 0: one past int64 hashes as its residue
+    mod 2**64, the way the ego sampler takes it, so s and s + 2**64 give
+    the same rows."""
+    for seed in (0, 5, -1, 2**63 - 1, 2**63):
+        assert (tp.encode_texts(ORACLE_TEXTS, 64, seed).tobytes()
+                == tp.encode_texts(ORACLE_TEXTS, 64, seed + 2**64).tobytes()), seed
+
+
 # characters whose lowering, encoding or digit/letter class could trip a
 # byte-level tokenizer: the Kelvin sign lowers to ASCII "k", "İ" to "i"
 # plus a combining dot, Arabic-Indic and fullwidth digits and letters are
