@@ -81,6 +81,11 @@ class GraphormerParams:
             f.name: getattr(self, f.name) for f in fields(GraphormerParams)})
 
 
+# the most padded pairs (centers x ego_max_nodes**2) of one pass, a build pass
+# or a predict chunk: 64 centers at ego_max_nodes=16, 16 at 32, 1 from 91
+BUILD_PASS_PAIRS = 16_384
+
+
 @dataclass(kw_only=True)
 class GraphormerConfig(GraphormerParams):
     num_classes: int  # from the dataset
@@ -101,6 +106,10 @@ class GraphormerConfig(GraphormerParams):
         is more than 2 * ego_hops or ego_max_nodes - 1 apart, and no step past
         max_spd has a weight. Pairs further apart than w read w + 1."""
         return max(1, min(self.max_spd, 2 * self.ego_hops, self.ego_max_nodes - 1))
+
+    @property
+    def pass_centers(self) -> int:
+        return max(1, BUILD_PASS_PAIRS // self.ego_max_nodes ** 2)
 
 
 def _path_coeffs(table: np.ndarray, offsets: np.ndarray, index: np.ndarray,
@@ -223,11 +232,6 @@ def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> Subgrap
     )
 
 
-# the most padded pairs (centers x ego_max_nodes**2) one build pass encodes:
-# 64 centers at ego_max_nodes=16, 16 at 32; a pass holds at least one center
-BUILD_PASS_PAIRS = 16_384
-
-
 class SubgraphStore:
     """Built entries ``(center, seed) -> SubgraphBatch`` of one graph under
     one ego config (``ego_hops``, ``ego_max_nodes``, ``path_width``), shared
@@ -240,8 +244,8 @@ class SubgraphStore:
 
     def build(self, g: DirectedGraph, cfg: GraphormerConfig, centers, seed: int) -> None:
         """Sample, encode and store each center of ``centers`` not stored yet,
-        in passes of at most ``BUILD_PASS_PAIRS`` padded pairs. An entry
-        depends only on its center and ``seed``, not on its pass."""
+        in passes of ``cfg.pass_centers`` centers. An entry depends only on
+        its center and ``seed``, not on its pass."""
         ego = (cfg.ego_hops, cfg.ego_max_nodes, cfg.path_width)
         if g is not self.graph or ego != self.ego:  # other inputs' entries: start empty
             self.entries, self.graph, self.ego = {}, g, ego
@@ -249,9 +253,8 @@ class SubgraphStore:
         if not missing:
             return
         check_centers(g, missing)  # every center, before a pass stores any
-        per_pass = max(1, BUILD_PASS_PAIRS // cfg.ego_max_nodes ** 2)
-        for lo in range(0, len(missing), per_pass):
-            part = missing[lo:lo + per_pass]
+        for lo in range(0, len(missing), cfg.pass_centers):
+            part = missing[lo:lo + cfg.pass_centers]
             subs = sample_ego_subgraph(g, part, cfg.ego_hops, cfg.ego_max_nodes, seed)
             for c, batch in zip(part, build_batch(g, subs, cfg).split()):
                 self.entries[(c, seed)] = batch
@@ -506,6 +509,7 @@ class FusedMlp:
     def __init__(self, cfg: GraphormerConfig, fusion_cfg: FusionConfig, seed: int):
         if fusion_cfg.d_model != cfg.d_model:
             raise ValueError("fusion and model widths disagree")
+        self.cfg = cfg  # predict chunks by its pass_centers, as for the graph transformer
         rng = np.random.default_rng(seed)
         self.fusion = FusionLayer(fusion_cfg, rng)
         d, f = cfg.d_model, cfg.d_ffn

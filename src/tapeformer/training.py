@@ -7,15 +7,15 @@ runs outside ``autodiff.no_grad``. The loss, label-smoothed
 cross-entropy, is one engine op. Each optimizer step accumulates
 gradients over ``grad_accum_steps`` micro-batches (each one's
 ``backward`` starts from its share of the step's centers, so even an
-epoch's short last step is the equivalent large batch's), then
-applies Adam at the warmup/decay learning rate. Micro-batch losses and
-prediction chunks both go through ``_guarded``: it runs the forward with
-the engine's per-op finite checks off, and on a non-finite result
-replays it with the checks on, off the tape, so the error names the
-first op that went non-finite. Validation accuracy drives checkpoint
-selection and early stopping, and ``train`` returns with the model at its
-best-validation checkpoint. Single-threaded runs are bit-reproducible
-for a given seed.
+epoch's short last step is the equivalent large batch's), then applies
+Adam at the warmup/decay learning rate. Micro-batch losses and prediction
+chunks (of a build pass's ``pass_centers`` ids) go through ``_guarded``:
+it runs the forward with the engine's per-op finite checks off, and on a
+non-finite result replays it with the checks on, off the tape, so the
+error names the first op that went non-finite. Validation accuracy
+drives checkpoint selection and early stopping, and ``train`` returns
+with the model at its best-validation checkpoint. Single-threaded runs
+are bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
@@ -30,7 +30,6 @@ from .autodiff import Tensor
 from .text import DataError
 
 log = logging.getLogger(__name__)
-PREDICT_CHUNK = 16  # ids per prediction forward: a padded chunk holds PREDICT_CHUNK * k * k pairs
 
 __all__ = [
     "TrainParams",
@@ -291,18 +290,18 @@ def _guarded(forward, fail) -> Tensor:
 def predict(model, data, ids, seed: int) -> np.ndarray:
     """Argmax class per node, computed without touching the tape.
 
-    Each chunk of ``PREDICT_CHUNK`` ids is one padded forward, so the
-    chunk bounds its memory. Every id is built before the first chunk,
-    in the model's capped build passes. Each chunk runs through
-    ``_guarded``, so a non-finite logit raises a ``FloatingPointError``
-    that names the first op that went non-finite.
+    Each chunk of ``model.cfg.pass_centers`` ids is one padded forward,
+    sized as a build pass, so ``BUILD_PASS_PAIRS`` bounds its memory. Every
+    id is built before the first chunk, in those passes. Each chunk runs
+    through ``_guarded``, so a non-finite logit raises a
+    ``FloatingPointError`` that names the first op that went non-finite.
     """
     ids = np.asarray(ids, dtype=np.int64)
     out = np.empty(len(ids), dtype=np.int64)
     model.build_centers(data, ids, seed)
     with ad.no_grad():
-        for lo in range(0, len(ids), PREDICT_CHUNK):
-            part = ids[lo:lo + PREDICT_CHUNK]
+        for lo in range(0, len(ids), model.cfg.pass_centers):
+            part = ids[lo:lo + model.cfg.pass_centers]
             logits = _guarded(lambda: model.logits_for_centers(data, part, seed=seed),
                               lambda why: FloatingPointError(
                                   f"predict produced non-finite logits; {why}"))

@@ -5,8 +5,9 @@ some call in the package or the benchmark, every autodiff op and every
 public ``structural`` function has a caller in the package, every field
 of a ``structural`` or ``model`` dataclass is read, only
 ``graph.py`` calls the ``DirectedGraph`` constructor, only
-``training._guarded`` switches the per-op finite checks, and the README
-gives every config field's default."""
+``training._guarded`` switches the per-op finite checks, only
+``GraphormerConfig.pass_centers`` reads ``BUILD_PASS_PAIRS``, and the
+README gives every config field's default."""
 import ast
 import dataclasses
 import json
@@ -201,6 +202,21 @@ def test_only_the_guarded_forward_switches_finite_checks():
     guarded = {("training.py", line) for qualname, fn in _functions(_parse(SRC / "training.py"))
                if qualname == "_guarded" for line in calls(fn)}
     assert guarded and sorted(everywhere - guarded) == [], "finite_checks( outside _guarded"
+
+
+def test_only_pass_centers_reads_the_pair_budget():
+    """``BUILD_PASS_PAIRS`` becomes a center count in
+    ``GraphormerConfig.pass_centers`` alone, so build passes and predict
+    chunks are sized by one rule."""
+    def reads(tree):
+        return {node.lineno for node in ast.walk(tree)
+                if isinstance(getattr(node, "ctx", None), ast.Load)
+                and "BUILD_PASS_PAIRS" in (getattr(node, "id", None), getattr(node, "attr", None))}
+
+    everywhere = {(path.name, line) for path in MODULES for line in reads(_parse(path))}
+    rule = {("model.py", line) for qualname, fn in _functions(_parse(SRC / "model.py"))
+            if qualname == "GraphormerConfig.pass_centers" for line in reads(fn)}
+    assert rule and sorted(everywhere - rule) == [], "BUILD_PASS_PAIRS read outside pass_centers"
 
 
 def test_every_structural_and_model_field_is_read():

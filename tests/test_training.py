@@ -214,6 +214,8 @@ def test_split_boundaries_configurable():
 class _ScalarStubModel:
     """Logits [w, 0]: predicts class 0 while w > 0, class 1 after."""
 
+    cfg = types.SimpleNamespace(pass_centers=16)  # ids per predict chunk
+
     def __init__(self, w0: float):
         self.w = Tensor(np.array([[w0]]), requires_grad=True)
 
@@ -427,6 +429,14 @@ DESK = dict(num_layers=2, num_heads=4, d_model=64, d_ffn=128, max_degree_bucket=
             ego_max_nodes=16)
 
 
+def _desk_model(kind, **params):
+    """A ``kind`` model of the desk config, with ``params`` over it, for the
+    sources and classes of ``_mini_graph_data``."""
+    cfg = gm.GraphormerParams(**{**DESK, **params}).for_classes(3)
+    return gm.build_model(cfg, kind, ("expl", "pred", "text", "ogb"),
+                          {"expl": 5, "pred": 3, "text": 5, "ogb": 4}, seed=0)
+
+
 def test_an_ablation_builds_each_center_once(monkeypatch):
     """The graph transformer rows of an ablation share one subgraph store:
     over all rows each train, val and test center is built once, and
@@ -463,9 +473,7 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
     and scratch rows, the logits and the fusion weights are of the model's
     dtype, and so are the rows ``fuse`` gets from a loaded dataset."""
     data, split = _mini_graph_data()
-    cfg = gm.GraphormerParams(dtype=dtype, **DESK).for_classes(3)
-    model = gm.build_model(cfg, kind, ("expl", "pred", "text", "ogb"),
-                           {"expl": 5, "pred": 3, "text": 5, "ogb": 4}, seed=0)
+    model = _desk_model(kind, dtype=dtype)
     outputs, optimizers, make = [], [], ad._make
 
     def spy(op_name, out, inputs):
@@ -549,12 +557,13 @@ def test_micro_batches_run_without_finite_checks():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value")
-def test_predict_replays_a_non_finite_chunk_with_checks_on(monkeypatch):
+def test_predict_replays_a_non_finite_chunk_with_checks_on():
     data, split = _stub_data()
-    monkeypatch.setattr(tr, "PREDICT_CHUNK", 3)
     seen = []
 
     class Recording(_ScalarStubModel):
+        cfg = types.SimpleNamespace(pass_centers=3)
+
         def logits_for_centers(self, data, centers, seed):
             seen.append(ad._state.check_finite)
             return super().logits_for_centers(data, centers, seed)
@@ -617,33 +626,59 @@ def test_train_and_predict_build_before_their_loops(monkeypatch):
     """With three centers per pass, ``train`` builds its 16 training
     centers in six passes before its first step and nothing inside its
     micro-batch loop; each validation ``predict`` builds its misses
-    before its first chunk. The history is the one of a model that
-    builds per micro-batch."""
+    before its first chunk, and its chunks hold three centers too. The
+    history is the one of a model that builds and predicts in passes
+    that hold every miss."""
     data, split = _mini_graph_data(seed=4)
     cfg = tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=4, early_stop_patience=5, seed=0)
     want = tr.train(_tiny_model(seed=0), data, split, cfg)  # passes hold every miss
 
     model = _tiny_model(seed=0)
-    k = model.cfg.ego_max_nodes
+    k, pairs = model.cfg.ego_max_nodes, gm.BUILD_PASS_PAIRS
     monkeypatch.setattr(gm, "BUILD_PASS_PAIRS", 3 * k * k)
     events = _record_builds_and_forwards(monkeypatch, model)
     got = tr.train(model, data, split, cfg)
     assert events[:6] == [("build", 3)] * 5 + [("build", 1)]
     assert events[6:10] == [("step", 4)] * 4
-    assert events[10:] == [("predict", 0), ("build", 3), ("build", 1), ("chunk", 4)] + (
-        [("step", 4)] * 4 + [("predict", 0), ("chunk", 4)])
+    val_chunks = [("chunk", 3), ("chunk", 1)]
+    assert events[10:] == [("predict", 0), ("build", 3), ("build", 1), *val_chunks] + (
+        [("step", 4)] * 4 + [("predict", 0), *val_chunks])
     assert [vars(r) for r in got.history] == [vars(r) for r in want.history]
     for name, a in want.best_state.items():
         assert got.best_state[name].tobytes() == a.tobytes(), name
 
     fresh = _tiny_model(seed=1)
     events = _record_builds_and_forwards(monkeypatch, fresh)
-    chunk = tr.PREDICT_CHUNK
-    monkeypatch.setattr(tr, "PREDICT_CHUNK", 5)
     preds = tr.predict(fresh, data, np.arange(24), seed=0)
-    assert events == [("predict", 0)] + [("build", 3)] * 8 + [("chunk", 5)] * 4 + [("chunk", 4)]
-    monkeypatch.setattr(tr, "PREDICT_CHUNK", chunk)
+    assert events == [("predict", 0)] + [("build", 3)] * 8 + [("chunk", 3)] * 8
+    monkeypatch.setattr(gm, "BUILD_PASS_PAIRS", pairs)
     assert preds.tolist() == tr.predict(_tiny_model(seed=1), data, np.arange(24), seed=0).tolist()
+
+
+@pytest.mark.parametrize("kind", ["graphormer", "mlp"])
+@pytest.mark.parametrize("k, chunks", [(16, [64, 6]), (32, [16] * 4 + [6]), (200, [1] * 70)],
+                         ids=["k=16", "k=32", "k=200"])
+def test_predict_chunks_are_build_passes(monkeypatch, kind, k, chunks):
+    """``predict`` runs one forward per ``pass_centers`` ids, the centers
+    a build pass holds, for either kind of model: 64 at ego_max_nodes=16,
+    16 at 32 and 1 at 200."""
+    data, _ = _mini_graph_data(n=70)
+    model = _desk_model(kind, ego_max_nodes=k)
+    events = _record_builds_and_forwards(monkeypatch, model)
+    tr.predict(model, data, np.arange(70), seed=0)
+    assert [n for event, n in events if event == "chunk"] == chunks
+
+
+@pytest.mark.parametrize("widths", [{"d_model": 1, "num_heads": 1}, {"d_ffn": 1}],
+                         ids=["d_model=1", "d_ffn=1"])
+def test_the_narrowest_widths_train(widths):
+    """``d_model`` and ``d_ffn`` may be 1, their lower bound: the graph
+    transformer builds and takes a training step with a finite loss."""
+    data, split = _mini_graph_data()
+    model = _desk_model("graphormer", **widths)
+    result = tr.train(model, data, split, tr.TrainConfig(epochs=1, batch_size=16, seed=0))
+    assert [(r.epoch, r.step) for r in result.history] == [(1, 1)]
+    assert np.isfinite(result.history[0].train_loss)
 
 
 @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
