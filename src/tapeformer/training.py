@@ -1,21 +1,21 @@
 """Loss, optimizer, schedule, temporal split, and the training loop.
 
-Training iterates over seeded shuffles of the training centers; the
-seeded generator does nothing else. A training forward is the same
+Training iterates over seeded shuffles of the training centers; the seeded
+generator does nothing else. A training forward is the same
 ``logits_for_centers`` call as a prediction forward, recorded because it
-runs outside ``autodiff.no_grad``. The loss, label-smoothed
-cross-entropy, is one engine op. Each optimizer step accumulates
-gradients over ``grad_accum_steps`` micro-batches (each one's
-``backward`` starts from its share of the step's centers, so even an
-epoch's short last step is the equivalent large batch's), then applies
-Adam at the warmup/decay learning rate. Micro-batch losses and prediction
-chunks (of a build pass's ``pass_centers`` ids) go through ``_guarded``:
-it runs the forward with the engine's per-op finite checks off, and on a
-non-finite result replays it with the checks on, off the tape, so the
-error names the first op that went non-finite. Validation accuracy
-drives checkpoint selection and early stopping, and ``train`` returns
-with the model at its best-validation checkpoint. Single-threaded runs
-are bit-reproducible for a given seed.
+runs outside ``autodiff.no_grad``. The loss, label-smoothed cross-entropy,
+is one engine op. Each optimizer step accumulates gradients over
+``grad_accum_steps`` micro-batches (each one's ``backward`` starts from
+its share of the step's centers, so even an epoch's short last step is the
+equivalent large batch's), then applies Adam at the warmup/decay learning
+rate. Micro-batch losses and prediction chunks (of a build pass's
+``pass_centers`` ids) go through ``_guarded``: it runs the forward with
+the engine's per-op finite checks off, and on a non-finite result replays
+it with the checks on, off the tape, so the error names the first op that
+went non-finite. Validation accuracy drives checkpoint selection and early
+stopping. ``train`` leaves the model at its best-validation checkpoint,
+and returns or raises with no gradients on the parameters and an empty
+tape. Single-threaded runs are bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
@@ -321,62 +321,67 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
     An empty training or validation partition is a ``DataError``,
     raised before any work. Every training center is built before the
     first step, so the micro-batch loop only looks batches up. The
-    checkpoint is loaded after the last epoch's log line."""
+    checkpoint is loaded after the last epoch's log line. ``train``
+    returns or raises with no gradients on the parameters and an empty tape."""
     for name in ("train", "val"):
         if len(split.of(name)) == 0:
             raise DataError(f"cannot train on an empty {name} partition")
     params = model.parameters()
     opt = Adam(params)
-    train_ids = np.asarray(split.train_ids, dtype=np.int64)
-    model.build_centers(data, train_ids, cfg.seed)
-    micro = cfg.batch_size
-    per_step = micro * cfg.grad_accum_steps
-    steps_per_epoch = -(-len(train_ids) // per_step)
-    warmup = cfg.warmup_steps if cfg.warmup_steps is not None else steps_per_epoch
-    total = cfg.epochs * steps_per_epoch
-    rng = np.random.default_rng(cfg.seed)
-    history: list[HistoryRow] = []
-    best_acc = -1.0
-    best_state: dict[str, np.ndarray] = {}
-    best_epoch = 0
-    stale = 0
-    global_step = 0
-    for epoch in range(1, cfg.epochs + 1):
-        order = train_ids[rng.permutation(len(train_ids))]
-        losses = []
-        for start in range(0, len(order), per_step):
-            step = order[start:start + per_step]
-            opt.zero_grad()
-            lr = lr_at(global_step + 1, cfg.base_lr, warmup, total)
-            for lo in range(0, len(step), micro):
-                centers = step[lo:lo + micro]
-                loss = _guarded(
-                    lambda: smoothed_cross_entropy(
-                        model.logits_for_centers(data, centers, seed=cfg.seed),
-                        data.labels[centers], cfg.label_smoothing),
-                    lambda why: TrainingDiverged(
-                        f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}"))
-                ad.backward(loss, len(centers) / len(step))
-                ad.tape_clear()
-                losses.append(float(loss.data))
-            global_step += 1
-            opt.step(lr)
-        val_acc = accuracy_on(model, data, split.val_ids, seed=cfg.seed)
-        row = HistoryRow(epoch=epoch, step=global_step,
-                         train_loss=float(np.mean(losses)),
-                         val_accuracy=val_acc, lr=lr)
-        history.append(row)
-        log.info("epoch %d: loss=%.4f val_acc=%.4f lr=%.2e", epoch, row.train_loss, val_acc, lr)
-        if val_acc > best_acc:
-            best_acc = val_acc
-            best_epoch = epoch
-            best_state = {k: t.data.copy() for k, t in params.items()}
-            stale = 0
-        else:
-            stale += 1
-            if stale >= cfg.early_stop_patience:
-                log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
-                break
+    try:
+        train_ids = np.asarray(split.train_ids, dtype=np.int64)
+        model.build_centers(data, train_ids, cfg.seed)
+        micro = cfg.batch_size
+        per_step = micro * cfg.grad_accum_steps
+        steps_per_epoch = -(-len(train_ids) // per_step)
+        warmup = cfg.warmup_steps if cfg.warmup_steps is not None else steps_per_epoch
+        total = cfg.epochs * steps_per_epoch
+        rng = np.random.default_rng(cfg.seed)
+        history: list[HistoryRow] = []
+        best_acc = -1.0
+        best_state: dict[str, np.ndarray] = {}
+        best_epoch = 0
+        stale = 0
+        global_step = 0
+        for epoch in range(1, cfg.epochs + 1):
+            order = train_ids[rng.permutation(len(train_ids))]
+            losses = []
+            for start in range(0, len(order), per_step):
+                step = order[start:start + per_step]
+                opt.zero_grad()
+                lr = lr_at(global_step + 1, cfg.base_lr, warmup, total)
+                for lo in range(0, len(step), micro):
+                    centers = step[lo:lo + micro]
+                    loss = _guarded(
+                        lambda: smoothed_cross_entropy(
+                            model.logits_for_centers(data, centers, seed=cfg.seed),
+                            data.labels[centers], cfg.label_smoothing),
+                        lambda why: TrainingDiverged(
+                            f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}"))
+                    ad.backward(loss, len(centers) / len(step))
+                    ad.tape_clear()
+                    losses.append(float(loss.data))
+                global_step += 1
+                opt.step(lr)
+            val_acc = accuracy_on(model, data, split.val_ids, seed=cfg.seed)
+            row = HistoryRow(epoch=epoch, step=global_step,
+                             train_loss=float(np.mean(losses)),
+                             val_accuracy=val_acc, lr=lr)
+            history.append(row)
+            log.info("epoch %d: loss=%.4f val_acc=%.4f lr=%.2e", epoch, row.train_loss, val_acc, lr)
+            if val_acc > best_acc:
+                best_acc = val_acc
+                best_epoch = epoch
+                best_state = {k: t.data.copy() for k, t in params.items()}
+                stale = 0
+            else:
+                stale += 1
+                if stale >= cfg.early_stop_patience:
+                    log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
+                    break
+    finally:  # the last step's gradients and a diverged forward's records
+        opt.zero_grad()
+        ad.tape_clear()
     model.load_state(best_state)
     return TrainResult(best_state=best_state, best_val_accuracy=best_acc,
                        best_epoch=best_epoch, history=history)

@@ -17,13 +17,6 @@ from helpers import (
 )
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.tape_clear()
-    yield
-    ad.tape_clear()
-
-
 def _p(rng, *shape):
     return Tensor(rng.standard_normal(shape), requires_grad=True)
 

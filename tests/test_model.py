@@ -63,13 +63,6 @@ def random_bundle(rng, n):
     return {s: rng.standard_normal((n, DIMS[s])) for s in DIMS}
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.tape_clear()
-    yield
-    ad.tape_clear()
-
-
 # --- input embedding ---------------------------------------------------------
 
 

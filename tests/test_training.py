@@ -14,13 +14,6 @@ from tapeformer.text import DataError
 from helpers import random_edge_list
 
 
-@pytest.fixture(autouse=True)
-def fresh_tape():
-    ad.tape_clear()
-    yield
-    ad.tape_clear()
-
-
 # --- loss --------------------------------------------------------------------
 
 
@@ -469,9 +462,10 @@ def test_an_ablation_builds_each_center_once(monkeypatch):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dtype):
     """One optimizer step over two micro-batches and the validation
-    predict after it: every op output, every leaf gradient, Adam's moments
-    and scratch rows, the logits and the fusion weights are of the model's
-    dtype, and so are the rows ``fuse`` gets from a loaded dataset."""
+    predict after it: every op output, every leaf gradient (as Adam gets
+    it), Adam's moments and scratch rows, the logits and the fusion weights
+    are of the model's dtype, and so are the rows ``fuse`` gets from a
+    loaded dataset. ``train`` returns with no gradients and an empty tape."""
     data, split = _mini_graph_data()
     model = _desk_model(kind, dtype=dtype)
     outputs, optimizers, make = [], [], ad._make
@@ -485,6 +479,11 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
             super().__init__(params)
             optimizers.append(self)
 
+        def step(self, lr):
+            grads = {name: t.grad.dtype for name, t in self.params.items()}
+            assert grads == dict.fromkeys(self.params, dtype)
+            super().step(lr)
+
     monkeypatch.setattr(ad, "_make", spy)
     monkeypatch.setattr(tr, "Adam", SpyAdam)
     tcfg = tr.TrainConfig(epochs=1, batch_size=8, grad_accum_steps=2, seed=0)
@@ -495,8 +494,8 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
     assert {"cross_entropy", "softmax_mix", "linear"} <= ops
     assert kind == "mlp" or {"attention", "layer_norm", "embedding_lookup"} <= ops
     assert [(n, d) for n, d in outputs if d != dtype] == []
-    params = model.parameters()
-    assert {name: t.grad.dtype for name, t in params.items()} == dict.fromkeys(params, dtype)
+    assert all(t.grad is None for t in model.parameters().values())
+    assert ad.tape_size() == 0
     arrays = [*opt.m.values(), *opt.v.values(), opt._moments, opt._rows]
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
     rows = {s: data.bundle[s][split.test_ids] for s in model.fusion.cfg.active}
@@ -594,6 +593,8 @@ def test_divergence_aborts_with_diagnostics():
     # the whole message: the step, the lr and the op the replay names
     assert str(err.value) == ("non-finite loss at step 1 (lr=3.333e-03); "
                               "first non-finite op on replay: matmul produced non-finite values")
+    assert ad.tape_size() == 0  # the diverged forward's records are gone
+    assert all(t.grad is None for t in model.parameters().values())
 
 
 def _record_builds_and_forwards(monkeypatch, model):
