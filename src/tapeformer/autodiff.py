@@ -20,9 +20,9 @@ A tape record holds only what backward reads: its output's key (unique
 in the process) and, per input that needs a gradient, the leaf Tensor or
 the non-leaf's key with a closure that holds only the arrays it reads, so
 an op output no closure reads is freed in the forward once its caller
-drops it. The tape persists until ``tape_clear()`` (or a new graph is
-built), so calling ``backward`` twice accumulates gradients additively --
-that is what gradient accumulation over micro-batches relies on.
+drops it. ``backward`` consumes the tape, dropping each record once it
+has run, so an activation only that record holds dies partway through
+the pass; gradient accumulation records one tape per micro-batch.
 """
 from __future__ import annotations
 
@@ -162,8 +162,8 @@ def backward(out: Tensor, grad=None) -> None:
 
     ``grad``, the cotangent of ``out``, has ``out``'s shape and is cast to
     its dtype; ``None`` means 1, and ``out`` must then hold a single
-    element. Repeated calls on the same graph add up (the tape is only
-    freed by ``tape_clear``).
+    element. It takes the whole tape and leaves it empty, also when it
+    raises, unless the ``ShapeError`` for ``grad`` rejects the call first.
     """
     if grad is None:
         if out.size != 1:
@@ -173,6 +173,7 @@ def backward(out: Tensor, grad=None) -> None:
         raise ShapeError(f"backward: grad of shape {np.shape(grad)} for an output of "
                          f"shape {out.shape}")
     seed = np.full_like(out.data, grad)
+    records, _state.records = _state.records, []
     if out.is_leaf:
         if out.requires_grad:
             out.grad = seed if out.grad is None else out.grad + seed
@@ -180,7 +181,8 @@ def backward(out: Tensor, grad=None) -> None:
     grads: dict[int, np.ndarray] = {out.key: seed}
     # id -> (leaf, total, whether the total may share memory with another array)
     leaves: dict[int, tuple[Tensor, np.ndarray, bool]] = {}
-    for key, inputs in reversed(_state.records):
+    while records:  # in reverse execution order; a run record is dropped
+        key, inputs = records.pop()
         g = grads.pop(key, None)
         if g is None:
             continue

@@ -101,6 +101,12 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
+def _lexsort(key: np.ndarray, seg: np.ndarray, count: int) -> np.ndarray:
+    """``np.lexsort((key, seg))`` for ``seg`` in [0, count) as two cheaper stable sorts."""
+    order = np.argsort(key, kind="stable")
+    return order[np.argsort(seg[order].astype(np.min_scalar_type(count - 1)), kind="stable")]
+
+
 def _find(sorted_keys: np.ndarray, keys: np.ndarray):
     """(position, found) of each of ``keys`` in the ascending ``sorted_keys``;
     the position is meaningless where not found."""
@@ -308,7 +314,7 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
     seen = segs[0] * n + centers  # ascending
     size = np.ones(count, dtype=np.int64)
     f_seg, f_node = segs[0], centers
-    for _ in range(hops):
+    for hop in range(hops):
         room = max_nodes - size
         live = room[f_seg] > 0
         f_seg, f_node = f_seg[live], f_node[live]
@@ -324,13 +330,14 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
         node = keys - seg * n
         # keep each center's ``room`` smallest sampling keys; the stable sort breaks ties by id
         found = np.bincount(seg, minlength=count)
-        order = np.lexsort((_splitmix64(salt[seg] ^ node.astype(np.uint64)), seg))
+        order = _lexsort(_splitmix64(salt[seg] ^ node.astype(np.uint64)), seg, count)
         take = np.empty(len(keys), dtype=bool)  # seg[order] is seg: order stays within centers
         take[order] = np.arange(len(keys)) - (np.cumsum(found) - found)[seg] < room[seg]
         keys, f_seg, f_node = keys[take], seg[take], node[take]
         segs.append(f_seg)
         picks.append(f_node)
-        seen = _sorted_unique(np.concatenate([seen, keys]))
+        if hop + 1 < hops:  # the last hop's merge has no reader
+            seen = _sorted_unique(np.concatenate([seen, keys]))
         size += np.bincount(f_seg, minlength=count)
     seg = np.concatenate(segs)
     order = np.argsort(seg, kind="stable")  # subgraph-major, then hop, then id

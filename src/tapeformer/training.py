@@ -7,15 +7,16 @@ runs outside ``autodiff.no_grad``. The loss, label-smoothed cross-entropy,
 is one engine op. Each optimizer step accumulates gradients over
 ``grad_accum_steps`` micro-batches (each one's ``backward`` starts from
 its share of the step's centers, so even an epoch's short last step is the
-equivalent large batch's), then applies Adam at the warmup/decay learning
-rate. Micro-batch losses and prediction chunks (of a build pass's
+equivalent large batch's, and consumes its tape), then applies Adam at the
+warmup/decay learning rate and drops the gradients before validation.
+Micro-batch losses and prediction chunks (of a build pass's
 ``pass_centers`` ids) go through ``_guarded``: it runs the forward with
 the engine's per-op finite checks off, and on a non-finite result replays
 it with the checks on, off the tape, so the error names the first op that
 went non-finite. Validation accuracy drives checkpoint selection and early
 stopping. ``train`` leaves the model at its best-validation checkpoint,
-and returns or raises with no gradients on the parameters and an empty
-tape. Single-threaded runs are bit-reproducible for a given seed.
+and returns or raises with no gradients and an empty tape. Single-threaded
+runs are bit-reproducible for a given seed.
 """
 from __future__ import annotations
 
@@ -318,11 +319,11 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
     """Run the full loop and leave ``model`` at its best-validation
     checkpoint; returns that checkpoint and the history.
 
-    An empty training or validation partition is a ``DataError``,
-    raised before any work. Every training center is built before the
-    first step, so the micro-batch loop only looks batches up. The
-    checkpoint is loaded after the last epoch's log line. ``train``
-    returns or raises with no gradients on the parameters and an empty tape."""
+    An empty training or validation partition is a ``DataError``, raised
+    before any work. Every training center is built before the first step,
+    so the micro-batch loop only looks batches up. The checkpoint is
+    loaded after the last epoch's log line. Gradients go right after each
+    Adam update; ``train`` returns or raises with none and an empty tape."""
     for name in ("train", "val"):
         if len(split.of(name)) == 0:
             raise DataError(f"cannot train on an empty {name} partition")
@@ -343,12 +344,12 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
         best_epoch = 0
         stale = 0
         global_step = 0
+        opt.zero_grad()
         for epoch in range(1, cfg.epochs + 1):
             order = train_ids[rng.permutation(len(train_ids))]
             losses = []
             for start in range(0, len(order), per_step):
                 step = order[start:start + per_step]
-                opt.zero_grad()
                 lr = lr_at(global_step + 1, cfg.base_lr, warmup, total)
                 for lo in range(0, len(step), micro):
                     centers = step[lo:lo + micro]
@@ -359,10 +360,10 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                         lambda why: TrainingDiverged(
                             f"non-finite loss at step {global_step + 1} (lr={lr:.3e}); {why}"))
                     ad.backward(loss, len(centers) / len(step))
-                    ad.tape_clear()
                     losses.append(float(loss.data))
                 global_step += 1
                 opt.step(lr)
+                opt.zero_grad()
             val_acc = accuracy_on(model, data, split.val_ids, seed=cfg.seed)
             row = HistoryRow(epoch=epoch, step=global_step,
                              train_loss=float(np.mean(losses)),
@@ -379,7 +380,7 @@ def train(model, data, split: TemporalSplit, cfg: TrainConfig) -> TrainResult:
                 if stale >= cfg.early_stop_patience:
                     log.info("early stop at epoch %d (best epoch %d)", epoch, best_epoch)
                     break
-    finally:  # the last step's gradients and a diverged forward's records
+    finally:  # what a raise leaves: a step's partial gradients, a diverged forward's records
         opt.zero_grad()
         ad.tape_clear()
     model.load_state(best_state)

@@ -387,7 +387,6 @@ def test_criterion_09_scale_readiness(arxiv_scale_files):
     logits = model.logits_for_centers(ds, centers, seed=0)
     loss = tr.smoothed_cross_entropy(logits, ds.labels[centers], 0.1)
     ad.backward(loss)
-    ad.tape_clear()
     before = model.head_w.data.copy()
     opt.step(0.002)
     stepped = bool(np.any(model.head_w.data != before)) and np.isfinite(float(loss.data))

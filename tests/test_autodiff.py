@@ -94,13 +94,57 @@ def test_backward_sum_gives_ones():
 
 
 def test_backward_twice_doubles():
+    """A second forward and backward add exactly the first pass's gradient."""
     rng = np.random.default_rng(3)
     w = _p(rng, 3, 3)
-    out = ad.relu(ad.matmul(w, w))
-    ad.backward(out, np.ones((3, 3)))
+    ad.backward(ad.relu(ad.matmul(w, w)), np.ones((3, 3)))
     once = w.grad.copy()
-    ad.backward(out, np.ones((3, 3)))
+    ad.backward(ad.relu(ad.matmul(w, w)), np.ones((3, 3)))
     assert np.array_equal(w.grad, 2.0 * once)
+
+
+def test_backward_consumes_the_tape():
+    """``backward`` leaves an empty tape: after a pass, when ``out`` is a
+    leaf, when records ``out`` does not reach are on it, and when a closure
+    raises. A ``ShapeError`` for ``grad`` runs no record and leaves the tape
+    as it was, so the call can be made again with a valid ``grad``."""
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
+    ad.add(w, w)  # unreachable from out
+    out = ad.matmul(w, w)
+    with pytest.raises(ad.ShapeError):
+        ad.backward(out)
+    with pytest.raises(ad.ShapeError):
+        ad.backward(out, np.ones(2))
+    assert ad.tape_size() == 2 and w.grad is None
+    ad.backward(out, np.ones((2, 2)))
+    assert ad.tape_size() == 0 and np.array_equal(w.grad, np.full((2, 2), 4.0))
+    ad.matmul(w, w)
+    ad.backward(w, np.ones((2, 2)))
+    assert ad.tape_size() == 0 and np.array_equal(w.grad, np.full((2, 2), 5.0))
+
+    def boom(g):
+        raise ZeroDivisionError("closure")
+
+    ad.matmul(w, w)
+    with pytest.raises(ZeroDivisionError):
+        ad.backward(ad._make("boom", w.data.copy(), [(w, boom)]), np.ones((2, 2)))
+    assert ad.tape_size() == 0
+
+
+def test_backward_frees_each_record_once_run():
+    """An activation only the last op's closure reads is freed before the
+    closure of the op that made it runs."""
+    rng = np.random.default_rng(4)
+    x, w = _p(rng, 3, 4), _p(rng, 4, 2)
+    dead = []
+    t = ad._make("spy", x.data + 1.0, [(x, lambda g: dead.append(ref() is None) or g)])
+    ref = weakref.ref(t.data)
+    out = ad.matmul(t, w)
+    del t
+    assert ref() is not None
+    ad.backward(out, np.ones((3, 2)))
+    assert dead == [True]
+    assert np.array_equal(x.grad, np.ones((3, 2)) @ w.data.T)
 
 
 def _view_reshape(x, shape):
@@ -117,19 +161,21 @@ def test_backward_grads_never_alias_and_accumulate_exactly():
     w2 = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     w3 = Tensor(rng.standard_normal((4, 3)), requires_grad=True)
     r = rng.standard_normal((3, 4))
-    out = ad.add(ad.add(w1, w2), _view_reshape(w3, (3, 4)))
-    ad.backward(out, r)
+
+    def forward():
+        return ad.add(ad.add(w1, w2), _view_reshape(w3, (3, 4)))
+
+    ad.backward(forward(), r)
     assert w3.grad.base is None
     first = {id(t): t.grad.copy() for t in (w1, w2, w3)}
     w1.grad += 100.0
     assert np.array_equal(w2.grad, first[id(w2)])
     w2.grad[0, 0] = -7.0
     assert np.array_equal(w3.grad, first[id(w3)])
-    ad.backward(out, r)
+    ad.backward(forward(), r)
     assert np.array_equal(w1.grad, (first[id(w1)] + 100.0) + first[id(w1)])
     assert np.array_equal(w3.grad, first[id(w3)] + first[id(w3)])
     assert np.array_equal(w3.grad, 2.0 * r.reshape(4, 3))
-    ad.tape_clear()
 
 
 def test_backward_rejects_non_scalar():
@@ -197,7 +243,7 @@ def test_tape_frees_op_outputs_no_closure_reads():
     the add's output (layer_norm keeps its own normalised rows), so its
     array dies with the caller's Tensor, before backward runs. The
     gradients are those of the same chain with the Tensor kept, and a
-    second backward still adds the same again."""
+    second forward and backward add the same again."""
     rng = np.random.default_rng(21)
     x, r = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
     params = [_p(rng, 4, 6), _p(rng, 6), _p(rng, 5, 6), _p(rng, 6), _p(rng, 6), _p(rng, 6, 3),
@@ -205,17 +251,19 @@ def test_tape_frees_op_outputs_no_closure_reads():
     w1, b1, c, gain, bias, w2, b2 = params
 
     def run(keep):
-        s = ad.add(ad.linear(Tensor(x), w1, b1), c)
-        array, kept = weakref.ref(s.data), [s] if keep else []
-        out = ad.linear(ad.layer_norm(s, gain, bias), w2, b2)
-        del s
+        def forward():
+            s = ad.add(ad.linear(Tensor(x), w1, b1), c)
+            kept.extend([s] if keep else [])
+            return weakref.ref(s.data), ad.linear(ad.layer_norm(s, gain, bias), w2, b2)
+
+        kept = []
+        array, out = forward()
         freed = array() is None
         for t in params:
             t.grad = None
         ad.backward(out, r)
         once = [t.grad.copy() for t in params]
-        ad.backward(out, r)
-        ad.tape_clear()
+        ad.backward(forward()[1], r)
         return freed, kept, once, [t.grad for t in params]
 
     freed, _, once, twice = run(keep=False)

@@ -216,6 +216,20 @@ def test_sorted_unique_matches_np_unique():
         assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
 
 
+def test_lexsort_matches_np_lexsort():
+    """The same permutation as ``np.lexsort((key, seg))``, seg-major, in
+    any input order: hashes repeat across segments (and, in the small
+    cases, within them), and past 65,536 segments ``seg`` needs 32 bits."""
+    rng = np.random.default_rng(0)
+    for count, size, span in ((1, 0, 1), (1, 5, 3), (7, 200, 20), (300, 6000, 2**64),
+                              (70_000, 150_000, 2**64)):
+        seg = rng.integers(0, count, size=size)
+        key = rng.integers(0, span, size=size, dtype=np.uint64)
+        key[size // 2:] = key[:size - size // 2]  # the same hashes again
+        got = gr._lexsort(key, seg, count)
+        assert np.array_equal(got, np.lexsort((key, seg)))
+
+
 # --- ego subgraph sampling ---------------------------------------------------
 
 

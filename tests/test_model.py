@@ -910,7 +910,6 @@ def test_overfit_tiny_subgraph():
         logits = model.forward(batch, bundle)
         loss = smoothed_cross_entropy(logits, labels, 0.0)
         ad.backward(loss)
-        ad.tape_clear()
         opt.step(0.01)
         acc = float((np.argmax(logits.data, axis=1) == labels).mean())
         if acc == 1.0:

@@ -516,6 +516,36 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
     assert fused_rows and {h.dtype for h in fused_rows} == {np.dtype(dtype)}
 
 
+def test_gradients_live_from_a_step_s_first_backward_to_its_update(monkeypatch):
+    """Each step's first micro-batch ``backward`` finds no gradient and
+    its second adds to the first's; every epoch's validation pass runs with
+    no gradient on any parameter and an empty tape, and so does the caller
+    after ``train``."""
+    data, split = _mini_graph_data()
+    model = _tiny_model(seed=2)
+    params = model.parameters().values()
+    at_backward, at_validation = [], []
+    backward, accuracy_on = ad.backward, tr.accuracy_on
+
+    def spy_backward(out, grad=None):
+        at_backward.append(any(t.grad is not None for t in params))
+        backward(out, grad)
+
+    def spy_accuracy_on(*args, **kwargs):
+        at_validation.append((any(t.grad is not None for t in params), ad.tape_size()))
+        return accuracy_on(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "backward", spy_backward)
+    monkeypatch.setattr(tr, "accuracy_on", spy_accuracy_on)
+    cfg = tr.TrainConfig(epochs=3, batch_size=4, grad_accum_steps=2, early_stop_patience=5,
+                         seed=0)
+    tr.train(model, data, split, cfg)  # 16 training centers: 2 steps of 2 micro-batches
+    assert at_backward == [False, True] * 6
+    assert at_validation == [(False, 0)] * 3
+    assert all(t.grad is None for t in params)
+    assert ad.tape_size() == 0
+
+
 def _saved_and_loaded(data, tmp_path, dtype):
     """``data`` through ``save_dataset`` and back with its bundle in ``dtype``."""
     from tapeformer import dataset as dsm
