@@ -29,7 +29,8 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import FusionConfig, FusionLayer, xavier_init
 from .graph import DirectedGraph, EgoStack, check_centers, sample_ego_subgraph
-from .structural import EDGE_FEATURE_DIM, SpdMatrix, bfs_spd, build_path_features, local_adjacency
+from .structural import (EDGE_FEATURE_DIM, SpdMatrix, bfs_spd, build_path_features,
+                         local_adjacency, synth_edge_features)
 
 __all__ = [
     "GraphormerParams",
@@ -129,12 +130,15 @@ def _path_coeffs(table: np.ndarray, offsets: np.ndarray, index: np.ndarray,
 @dataclass
 class SubgraphBatch:
     """One subgraph's row of a ``SubgraphStack``, without padding: the
-    compact form a ``SubgraphStore`` holds per center. Degrees are read off
-    the graph; the path width w is ``path_index.shape[-1]``."""
+    compact form a ``SubgraphStore`` holds per center, only what the graph
+    cannot give back. ``stack_batches`` reads the degrees and edge features
+    off the graph and the distances off ``path_index``, whose last axis is
+    the path width w."""
 
     nodes: np.ndarray  # global ids (k,), the center first
-    dist: np.ndarray  # (k, k) distances up to w (w + 1 past it), the narrowest int that holds them
-    edge_table: np.ndarray  # (m + 1, EDGE_FEATURE_DIM): a zero row, then the directed local edges
+    # (m, 3) directed local edges in edge-table row order: local src, local dst and
+    # 1 along a citation (else 0), in the narrowest uint that holds k - 1
+    edges: np.ndarray
     path_index: np.ndarray  # (k, k, w) t * w + N - 1 (0: no step), narrowest uint
 
 
@@ -146,15 +150,22 @@ class SubgraphStack:
     reshape is node i of subgraph b, and pair ``(b * k + i) * k + j`` of
     a (B*k*k, ...) one is its pair (i, j); node 0 of each subgraph is its
     center. ``path_index[b]`` is entry b's, into block b of
-    ``edge_table``; ``path_coeffs`` is built on first read. The path width
-    w, which also bounds the distances, is ``path_index.shape[-1]``."""
+    ``edge_table``, whose rows after its leading zero row are block b's
+    ``edges``; ``path_coeffs`` is built on first read. The path width
+    w, which also bounds the distances, is ``path_index.shape[-1]``.
+    ``build_batch``'s distances and path index are int64; ``stack_batches``
+    keeps the entries' uint path index and writes the narrowest signed
+    distances that hold w + 1."""
 
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
-    spd: SpdMatrix  # dist (B, k, k) int64
+    spd: SpdMatrix  # dist (B, k, k)
     edge_table: np.ndarray  # (rows, EDGE_FEATURE_DIM), a block per subgraph
     edge_offsets: np.ndarray  # (B + 1,): block b is rows edge_offsets[b]:edge_offsets[b + 1]
-    path_index: np.ndarray  # (B, k, k, w) int64, t * w + N - 1 (0: no step)
+    # (rows - B, 3) local src, local dst, citation flag: block b's are rows
+    # edge_offsets[b] - b:edge_offsets[b + 1] - b - 1, one per table row past its zero row
+    edges: np.ndarray
+    path_index: np.ndarray  # (B, k, k, w) t * w + N - 1 (0: no step)
     in_deg: np.ndarray  # (B, k), 0 on padding
     out_deg: np.ndarray  # (B, k), 0 on padding
 
@@ -168,16 +179,16 @@ class SubgraphStack:
         return _path_coeffs(self.edge_table, self.edge_offsets, self.path_index, np.float64)
 
     def split(self) -> list[SubgraphBatch]:
-        """One ``SubgraphBatch`` per subgraph. Each owns compact copies of
-        its rows: a view would keep the whole padded stack alive."""
+        """One ``SubgraphBatch`` per subgraph: its nodes, edges and path
+        index, each a compact copy in the narrowest uint that holds it (a
+        view would keep the whole padded stack alive). The distances and
+        the edge table are not kept: ``stack_batches`` derives them."""
         width, out = self.path_index.shape[-1], []
         for b, n in enumerate(self.sizes.tolist()):
             lo, hi = self.edge_offsets[b], self.edge_offsets[b + 1]
-            dist = self.spd.dist[b, :n, :n]  # at most width, or the sentinel off an ego subgraph
             out.append(SubgraphBatch(
                 nodes=self.nodes[b, :n].copy(),
-                dist=dist.astype(np.min_scalar_type(-int(dist.max()) - 1)),
-                edge_table=self.edge_table[lo:hi].copy(),
+                edges=self.edges[lo - b:hi - b - 1].astype(np.min_scalar_type(n - 1)),
                 path_index=self.path_index[b, :n, :n].astype(
                     np.min_scalar_type((hi - lo) * width - 1)),
             ))
@@ -203,6 +214,7 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
         spd=spd,
         edge_table=paths.table,
         edge_offsets=paths.offsets,
+        edges=paths.edges,
         path_index=paths.index,
         in_deg=in_deg,
         out_deg=out_deg,
@@ -211,24 +223,41 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
 
 def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> SubgraphStack:
     """Pad ``batches`` to the largest subgraph and stack them, the inverse
-    of ``SubgraphStack.split``, with the degrees read off ``g``: padding
-    reads -1 in ``nodes`` and 0 in the other arrays (``path_index`` 0 is
-    no step)."""
+    of ``SubgraphStack.split``, with what the entries do not keep read off
+    ``g`` and their path indices: padding reads -1 in ``nodes`` and 0 in
+    the other arrays (``path_index`` 0 is no step).
+
+    A real pair's distance is N where its path's first step reads
+    t * w + N - 1, 0 on the diagonal and w + 1 where no path joins it. The
+    edge table is one ``synth_edge_features`` call over every entry's
+    edges, laid out as ``build_batch`` lays it out: a zero row, then each
+    entry's edges in order, per block."""
     sizes = np.array([len(b.nodes) for b in batches])
     count, k, width = len(batches), int(sizes.max()), batches[0].path_index.shape[-1]
-    offsets = np.append(0, np.cumsum([len(b.edge_table) for b in batches]))
+    counts = np.array([len(b.edges) for b in batches])
+    offsets = np.append(0, np.cumsum(counts + 1))
     nodes = np.full((count, k), -1, dtype=np.int64)
-    dist = np.zeros((count, k, k), dtype=np.int64)
-    index = np.zeros((count, k, k, width), dtype=np.int64)
+    index = np.zeros((count, k, k, width),
+                     dtype=np.result_type(*(b.path_index.dtype for b in batches)))
     for i, (b, n) in enumerate(zip(batches, sizes.tolist())):
         nodes[i, :n] = b.nodes
-        dist[i, :n, :n] = b.dist
         index[i, :n, :n] = b.path_index
+    first = index[..., 0]
+    dist = (first % width).astype(np.min_scalar_type(-width - 2))
+    dist += 1
+    dist[first == 0] = width + 1
+    real = np.arange(k) < sizes[:, None]
+    dist[~(real[:, :, None] & real[:, None, :])] = 0
+    dist[:, np.arange(k), np.arange(k)] = 0
+    edges = np.concatenate([b.edges for b in batches])
+    block = np.repeat(np.arange(count), counts)
+    table = np.zeros((offsets[-1], EDGE_FEATURE_DIM))
+    table[np.arange(len(edges)) + block + 1] = synth_edge_features(
+        g, nodes[block, edges[:, 0]], nodes[block, edges[:, 1]], edges[:, 2] > 0)
     in_deg, out_deg = _degrees(g, nodes)
     return SubgraphStack(
-        sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist),
-        edge_table=np.concatenate([b.edge_table for b in batches]), edge_offsets=offsets,
-        path_index=index, in_deg=in_deg, out_deg=out_deg,
+        sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist), edge_table=table,
+        edge_offsets=offsets, edges=edges, path_index=index, in_deg=in_deg, out_deg=out_deg,
     )
 
 
@@ -319,9 +348,11 @@ def multi_head_attention(
     q, k, v = (ad.linear(x, params["w" + name], params["b" + name])
                for x, name in ((q_in, "q"), (h_in, "k"), (h_in, "v")))
     scale = 1.0 / np.sqrt(h_in.shape[1] // num_heads)
+    del q_in, h_in  # no later op reads them: a no-grad forward frees them here
     out, attn = ad.attention(q, k, v, bias, key_mask, num_heads, scale)
     if capture is not None:
         capture.setdefault("attention", []).append(attn.copy())
+    del q, k, v, attn
     return ad.linear(out, params["wo"], params["bo"])
 
 
@@ -427,6 +458,9 @@ class GraphormerModel:
         and head; keys and values still cover all nodes. Every layer
         reads the flat (B*k*k, H) ``attention_bias``, the last one its
         (B*k, H) center rows.
+
+        A no-grad forward holds each array only until its last reader has
+        run, ``x`` included: a caller keeps no name bound to it.
         """
         cfg = self.cfg
         count, k = stack.nodes.shape
@@ -434,6 +468,7 @@ class GraphormerModel:
         center_rows = np.arange(count) * k  # each subgraph's node 0
         h = input_embedding(x, stack.in_deg.reshape(-1), stack.out_deg.reshape(-1),
                             self.z_in, self.z_out, cfg.max_degree_bucket)
+        del x
         bias = attention_bias(stack, self.spatial_table, self.edge_weight)
         last = len(self.layers) - 1
         if self.layers and not all_rows:
@@ -452,9 +487,11 @@ class GraphormerModel:
             if queries is not None:
                 h = ad.embedding_lookup(h, queries)
             h = ad.add(h, a)
+            del a
             z = ad.layer_norm(h, layer["ln2_g"], layer["ln2_b"])
             z = ad.linear(ad.relu(ad.linear(z, layer["w1"], layer["b1"])), layer["w2"], layer["b2"])
             h = ad.add(h, z)
+            del z
         if not self.layers and not all_rows:
             h = ad.embedding_lookup(h, center_rows)
         return ad.linear(h, self.head_w, self.head_b)
@@ -473,8 +510,8 @@ class GraphormerModel:
     def forward(self, stack: SubgraphStack, bundle, capture: dict | None = None) -> Tensor:
         """(B*k, C) logits of every row of ``stack``, padding rows included;
         ``capture["attention"]`` gets one (B, H, k, k) array per layer."""
-        x = self._fused_rows(stack, bundle)
-        return self.forward_fused(stack, x, capture=capture, all_rows=True)
+        return self.forward_fused(stack, self._fused_rows(stack, bundle), capture=capture,
+                                  all_rows=True)
 
     # -- batching -----------------------------------------------------------
 

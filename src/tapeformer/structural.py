@@ -45,7 +45,7 @@ class SpdMatrix:
     """Pairwise hop counts up to the path width w; pairs further apart
     (or in other components) hold the sentinel w + 1."""
 
-    dist: np.ndarray  # (B, k, k) int64
+    dist: np.ndarray  # (B, k, k), int64 from bfs_spd
 
 
 @dataclass
@@ -53,13 +53,15 @@ class PathFeatures:
     """Edge features along one shortest path per ordered pair.
 
     Rows ``offsets[b]:offsets[b + 1]`` of ``table`` are subgraph b's block:
-    a zero row, then its directed local edges' features. ``index[b, i, j, p]``
+    a zero row, then its directed local edges' features, whose local ids and
+    citation flags ``edges`` lists in the same order. ``index[b, i, j, p]``
     is t * width + N - 1 where step p of the N-step path i -> j is row t, or 0.
     """
 
     index: np.ndarray  # (B, k, k, width) int64
     table: np.ndarray  # (m + B, EDGE_FEATURE_DIM) for m directed local edges in all
     offsets: np.ndarray  # (B + 1,)
+    edges: np.ndarray  # (m, 3) int64: local src, local dst, 1 along a citation (else 0)
     lengths: np.ndarray  # (B, k, k) hop counts; 0 on the diagonal and for unreachable pairs
 
     @cached_property
@@ -200,7 +202,8 @@ def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix, pred: n
     cited = np.zeros(adj.shape, dtype=bool)
     cited[tuple(sub.local_edges.T)] = True
     s, a, b = np.nonzero(adj)
-    feats = synth_edge_features(g, sub.nodes[s, a], sub.nodes[s, b], cited[s, a, b])
+    flags = cited[s, a, b]
+    feats = synth_edge_features(g, sub.nodes[s, a], sub.nodes[s, b], flags)
     # edges come grouped by subgraph and a zero row leads each subgraph's
     # block, so edge n of subgraph s is row n + s + 1 of the table
     offsets = np.append(0, np.cumsum(np.bincount(s, minlength=len(adj)) + 1))
@@ -216,10 +219,12 @@ def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix, pred: n
         f = np.flatnonzero(spd.dist == d)  # pair (s, i, j) is f = (s * k + i) * k + j
         if len(f) == 0:
             break
-        j, p = f % k, pred[f]
-        at, fp = f * width, (f - j + p) * width  # first slots of (s, i, j) and (s, i, p)
+        q = f // k  # s * k + i, so that j = f - q * k without an int64 %
+        j, p = f - q * k, pred[f]
+        at, fp = f * width, (q * k + p) * width  # first slots of (s, i, j) and (s, i, p)
         for t in range(d - 1):
             index[at + t] = index[fp + t] + 1
-        index[at + d - 1] = edge[f - f % (k * k) + p * k + j] * width + d - 1  # edge[s, p, j]
+        index[at + d - 1] = edge[(q // k * k + p) * k + j] * width + d - 1  # edge[s, p, j]
     return PathFeatures(index=index.reshape(adj.shape + (width,)), table=table, offsets=offsets,
+                        edges=np.stack([a, b, flags], axis=1),
                         lengths=np.where(spd.dist <= width, spd.dist, 0))

@@ -465,14 +465,39 @@ def _ln_affine(x, gain, bias, eps):
     return (x - mu) * (1.0 / np.sqrt(var + eps)) * gain + bias
 
 
-def entry_path_coeffs(entry) -> np.ndarray:
+def entry_edge_table(g, entry) -> np.ndarray:
+    """(m + 1, 3) edge table of one stored ``SubgraphBatch``, rebuilt from
+    its local edge list and the graph: a zero row, then each edge's
+    [+1 along the citation / -1 against it, log1p(citing out-degree),
+    log1p(cited in-degree)], after checking the entry's citation flags
+    against the graph's edges."""
+    src, dst = entry.nodes[entry.edges[:, 0]], entry.nodes[entry.edges[:, 1]]
+    along = oracle_citation_flags(g, src, dst)
+    assert entry.edges[:, 2].tolist() == along.astype(int).tolist(), "citation flags"
+    citing, cited = np.where(along, src, dst), np.where(along, dst, src)
+    table = np.zeros((len(src) + 1, 3))
+    table[1:, 0] = np.where(along, 1.0, -1.0)
+    table[1:, 1] = [math.log1p(d) for d in g.out_degree[citing].tolist()]
+    table[1:, 2] = [math.log1p(d) for d in g.in_degree[cited].tolist()]
+    return table
+
+
+def entry_path_coeffs(g, entry) -> np.ndarray:
     """(k*k, cap*d_edge) averaged path features of one cached
-    ``SubgraphBatch``, decoded from its path index: position p of pair
-    (i, j) holds row t of the entry's edge table divided by N, where the
+    ``SubgraphBatch`` of ``g``, decoded from its path index: position p of
+    pair (i, j) holds row t of ``entry_edge_table`` divided by N, where the
     index reads t * cap + N - 1 (0, the zero row, for no step)."""
     k, cap = len(entry.nodes), entry.path_index.shape[-1]
     row, n_less_one = np.divmod(entry.path_index.astype(np.int64), cap)
-    return (entry.edge_table[row] / (n_less_one + 1)[..., None]).reshape(k * k, -1)
+    return (entry_edge_table(g, entry)[row] / (n_less_one + 1)[..., None]).reshape(k * k, -1)
+
+
+def entry_distances(entry) -> np.ndarray:
+    """(k, k) int64 hop counts of one cached ``SubgraphBatch`` by
+    Floyd-Warshall on its local edge list, w + 1 past its path width w."""
+    width = entry.path_index.shape[-1]
+    fw = floyd_warshall(entry.edges[:, :2].tolist(), len(entry.nodes))
+    return np.where(fw <= width, fw, width + 1).astype(np.int64)
 
 
 def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
@@ -496,8 +521,8 @@ def oracle_subgraph_logits(model, g, batch, bundle) -> np.ndarray:
     in_deg, out_deg = g.in_degree[batch.nodes], g.out_degree[batch.nodes]
     h = x + model.z_in.data[np.minimum(in_deg, mb)] + model.z_out.data[np.minimum(out_deg, mb)]
     k, heads = len(batch.nodes), cfg.num_heads
-    bias = (model.spatial_table.data[batch.dist.reshape(-1)]
-            + entry_path_coeffs(batch) @ model.edge_weight.data)
+    bias = (model.spatial_table.data[entry_distances(batch).reshape(-1)]
+            + entry_path_coeffs(g, batch) @ model.edge_weight.data)
     dh = cfg.d_model // heads
     for layer in model.layers:
         p = {name: t.data for name, t in layer.items()}

@@ -1,5 +1,6 @@
 import dataclasses
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from helpers import (
     edge_encoding_cij,
     edge_pairs,
     ego_stack,
+    entry_distances,
+    entry_edge_table,
     entry_path_coeffs,
     floyd_warshall,
     in_neighbors,
@@ -246,13 +249,29 @@ def _cache_case(max_nodes):
     return data, gm.GraphormerModel(cfg, fusion_config(), seed=0)
 
 
+def _assert_stacked_distances(g, entries, want):
+    """``stack_batches`` of ``entries`` reads block b's distances off its
+    path index as ``want[b]`` (int64, w + 1 past the path width w) and 0
+    on padding, in the narrowest signed dtype that holds w + 1."""
+    stack = gm.stack_batches(g, entries)
+    width = entries[0].path_index.shape[-1]
+    dist = stack.spd.dist
+    assert dist.dtype == np.min_scalar_type(-width - 2) and dist.dtype.kind == "i"
+    assert stack.spd_buckets is dist
+    for b, d in enumerate(want):
+        n = len(d)
+        assert np.array_equal(dist[b, :n, :n], d), b
+        assert not dist[b, n:].any() and not dist[b, :, n:].any(), b
+    return stack
+
+
 def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
     """Every center's cached batch equals the one-center oracles' (the
-    BFS sampler and the pairwise encodings), byte for byte but for the
-    int8 distances, which match by value, whichever
+    BFS sampler and the pairwise encodings), byte for byte, whichever
     chunk of misses it was built in; a center given twice in one call is
-    built once. The entry holds no degrees: stacked alone, it reads the
-    graph's."""
+    built once. The entry holds no degrees, distances or edge features:
+    stacked in each chunk, it reads the oracle's distances (padding 0),
+    and stacked alone, the graph's degrees."""
     stacks = []
     orig = gm.build_batch
 
@@ -284,15 +303,17 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
             # each miss is built once, in the call that first asked for it
             assert sum(len(s.sizes) for s in stacks) == n
             assert len(stacks) == len(chunks)
+            for part in chunks:
+                _assert_stacked_distances(g, [model.store.entries[(c, 4)] for c in part],
+                                          [want[c][1] for c in part])
             for c in range(n):
                 b = model.store.entries[(c, 4)]
                 nodes, dist, coeffs, in_deg, out_deg = want[c]
                 assert b.nodes.tobytes() == nodes.tobytes(), (max_nodes, c)
-                # the cache keeps distances as int8; their values are the oracle's
-                assert b.dist.dtype == np.int8 and dist.dtype == np.int64
-                assert np.array_equal(b.dist, dist), (max_nodes, c)
-                assert entry_path_coeffs(b).shape == coeffs.shape
-                assert entry_path_coeffs(b).tobytes() == coeffs.tobytes(), (max_nodes, c)
+                assert [f.name for f in dataclasses.fields(b)] == ["nodes", "edges", "path_index"]
+                assert b.edges.dtype == np.uint8 and b.edges.shape[1] == 3
+                assert entry_path_coeffs(g, b).shape == coeffs.shape
+                assert entry_path_coeffs(g, b).tobytes() == coeffs.tobytes(), (max_nodes, c)
                 alone = gm.stack_batches(g, [b])
                 assert alone.in_deg[0].tobytes() == in_deg.astype(np.int64).tobytes()
                 assert alone.out_deg[0].tobytes() == out_deg.astype(np.int64).tobytes()
@@ -314,8 +335,8 @@ def test_cached_batches_own_compact_arrays(monkeypatch):
     data, model = _cache_case(5)
     model.logits_for_centers(data, np.arange(data.graph.num_nodes), seed=0)
     (stack,) = stacks
-    padded = (stack.nodes, stack.spd.dist, stack.path_coeffs, stack.edge_table, stack.path_index,
-              stack.in_deg, stack.out_deg)
+    padded = (stack.nodes, stack.spd.dist, stack.path_coeffs, stack.edge_table, stack.edges,
+              stack.path_index, stack.in_deg, stack.out_deg)
     assert stack.nodes.shape[1] == 5
     for b in model.store.entries.values():
         for f in dataclasses.fields(b):
@@ -330,7 +351,7 @@ def test_path_index_widens_with_the_edge_table():
     (row t on a path of length N as t * w + N - 1 for the path width w,
     here ``max_spd``) takes the narrowest unsigned dtype that holds it,
     and the path coefficients decoded from the entry equal the stack's
-    byte for byte."""
+    byte for byte. Its edges' local ids stay uint8, which holds k - 1."""
     n = 200
     g = gr.from_edge_list([(u, v) for u in range(n) for v in range(u + 1, n)], n)
     sub = gr.sample_ego_subgraph(g, [0, 7], hops=1, max_nodes=n, seed=0)
@@ -339,11 +360,11 @@ def test_path_index_widens_with_the_edge_table():
         built = gm.build_batch(g, sub, tiny_config(ego_max_nodes=n, ego_hops=1, max_spd=cap))
         entries = built.split()
         for b, entry in enumerate(entries):
-            rows = len(entry.edge_table)
+            rows = len(entry.edges) + 1
             assert rows == n * (n - 1) + 1 and rows - 1 > np.iinfo(np.int16).max
-            assert entry.path_index.dtype == dtype
-            assert int(entry.path_index.max()) == (rows - 1) * cap and not entry.edge_table[0].any()
-            coeffs = entry_path_coeffs(entry)
+            assert entry.path_index.dtype == dtype and entry.edges.dtype == np.uint8
+            assert int(entry.path_index.max()) == (rows - 1) * cap
+            coeffs = entry_path_coeffs(g, entry)
             assert coeffs.tobytes() == built.path_coeffs[b].reshape(n * n, -1).tobytes()
             # every pair is one hop apart: position 0 holds the step's own features
             steps = coeffs.reshape(n, n, cap, 3)
@@ -352,14 +373,17 @@ def test_path_index_widens_with_the_edge_table():
                                   st.synth_edge_features(g, src, dst, oracle_citation_flags(g, src, dst)))
             assert not steps[:, :, 1:].any() and not steps[np.arange(n), np.arange(n)].any()
         stacked = gm.stack_batches(g, entries)
+        assert stacked.path_index.dtype == dtype
+        assert stacked.edge_table.tobytes() == built.edge_table.tobytes()
         assert stacked.path_coeffs.tobytes() == built.path_coeffs.tobytes()
 
 
 def test_stored_distances_widen_past_max_spd_126():
     """On a 129-node path the center's ego subgraph has pairs 128 hops
     apart, so at ``max_spd=127`` they hold the sentinel 128, which int8
-    cannot: the forward over the stored entry is finite, and the entry
-    keeps its distances as int16 and restacks to the built stack's."""
+    cannot: the forward over the stored entry is finite, and the stack of
+    the entry derives the built stack's distances as int16, whatever other
+    entry pads it."""
     n = 129
     g = gr.from_edge_list([(u, u + 1) for u in range(n - 1)], n)
     cfg = tiny_config(num_layers=1, max_spd=127, ego_hops=64, ego_max_nodes=n)
@@ -367,11 +391,15 @@ def test_stored_distances_widen_past_max_spd_126():
     model = gm.GraphormerModel(cfg, fusion_config(), seed=0)
     with ad.no_grad():
         assert np.isfinite(model.logits_for_centers(data, [64], seed=0).data).all()
-    built = gm.build_batch(g, gr.sample_ego_subgraph(g, [64], hops=64, max_nodes=n, seed=0), cfg)
-    assert built.spd.dist.max() == 128
-    entry = model.store.entries[(64, 0)]
-    assert entry.dist.dtype == np.int16
-    assert gm.stack_batches(g, [entry]).spd.dist.tobytes() == built.spd.dist.tobytes()
+    built = gm.build_batch(g, gr.sample_ego_subgraph(g, [64, 0], hops=64, max_nodes=n, seed=0),
+                           cfg)
+    assert built.spd.dist.max() == 128 and built.sizes.tolist() == [n, 65]
+    model.build_centers(data, [0], seed=0)
+    entries = [model.store.entries[(c, 0)] for c in (64, 0)]
+    want = [built.spd.dist[b, :m, :m] for b, m in enumerate(built.sizes.tolist())]
+    stacked = _assert_stacked_distances(g, entries, want)
+    assert stacked.spd.dist.dtype == np.int16
+    assert _assert_stacked_distances(g, entries[::-1], want[::-1]).spd.dist.max() == 128
 
 
 def test_distances_past_the_path_width_read_its_sentinel():
@@ -397,6 +425,14 @@ def test_distances_past_the_path_width_read_its_sentinel():
             _, coeffs = oracle_structural(g, sub, w)
             assert built.path_coeffs.tobytes() == coeffs.tobytes(), where
             past += bool((np.isfinite(fw) & (fw > w)).any())
+            # stacked with smaller ego entries, in any order, the whole-graph
+            # entry's derived distances are still the BFS's, sentinel included
+            ego = gm.build_batch(g, gr.sample_ego_subgraph(g, [0, n - 1], hops, max_nodes, trial),
+                                 cfg)
+            parts = list(zip(built.split() + ego.split(), [built.spd.dist[0]] + [
+                ego.spd.dist[b, :m, :m] for b, m in enumerate(ego.sizes.tolist())]))
+            for chunk in (parts, parts[::-1], parts[1:]):
+                _assert_stacked_distances(g, *map(list, zip(*chunk)))
     assert past > 40
 
 
@@ -457,7 +493,7 @@ def test_stored_distances_stay_within_twice_ego_hops():
                 fw = floyd_warshall([(local[u], local[v]) for u, v in edges
                                      if u in local and v in local], len(local))
                 assert np.isfinite(fw).all() and fw.max() <= 2 * hops, (trial, hops)
-                assert np.array_equal(entry.dist, fw), (trial, hops)
+                _assert_stacked_distances(g, [entry], [fw])
 
 
 def test_path_width_is_what_a_subgraph_can_hold():
@@ -489,9 +525,9 @@ def test_path_width_is_what_a_subgraph_can_hold():
                     dist, coeffs = oracle_structural(
                         g, oracle_ego_subgraph(g, c, hops, max_nodes, 0), cap)
                     dist = np.where(dist > cap, w + 1, dist)
-                    assert np.array_equal(dist, entry.dist), where
+                    _assert_stacked_distances(g, [entry], [dist])
                     coeffs = within_width(coeffs, w)
-                    assert entry_path_coeffs(entry).tobytes() == coeffs.tobytes(), where
+                    assert entry_path_coeffs(g, entry).tobytes() == coeffs.tobytes(), where
                 nbytes[max_spd] = sum(getattr(e, f.name).nbytes for e in store.entries.values()
                                       for f in dataclasses.fields(e))
             assert nbytes[2000] == nbytes[15], (hops, max_nodes)
@@ -514,7 +550,25 @@ def test_cached_entry_is_a_fifth_of_the_padded_layout():
         arrays = [getattr(b, f.name) for f in dataclasses.fields(b)]
         assert sum(a.nbytes for a in arrays) * 5 <= padded_layout
         assert all(a.size < coeffs for a in arrays)
-        assert entry_path_coeffs(b).shape == (k * k, cfg.path_width * st.EDGE_FEATURE_DIM)
+        assert entry_path_coeffs(g, b).shape == (k * k, cfg.path_width * st.EDGE_FEATURE_DIM)
+
+
+def test_desk_entries_hold_only_what_the_graph_cannot_give_back():
+    """An entry keeps its nodes, its local edge list (two uint8 local ids
+    and the citation flag, 3 bytes an edge) and its path index: no
+    distances and no float edge table. Over all 400 centers of the seed-0
+    desk corpus that is at most 1,300 bytes per center at k=16 and 8,650
+    at k=32."""
+    g = _desk_graph()
+    for k, most in ((16, 1_300), (32, 8_650)):
+        store = gm.SubgraphStore()
+        store.build(g, tiny_config(ego_max_nodes=k, max_spd=5), range(400), seed=0)
+        total = 0
+        for entry in store.entries.values():
+            assert [f.name for f in dataclasses.fields(entry)] == ["nodes", "edges", "path_index"]
+            assert entry.edges.dtype == np.uint8 and entry.edges.nbytes == 3 * len(entry.edges)
+            total += sum(getattr(entry, f.name).nbytes for f in dataclasses.fields(entry))
+        assert total <= most * 400, (k, total / 400)
 
 
 def test_bad_center_raises_through_the_model():
@@ -971,9 +1025,12 @@ def test_stack_batches_pads_and_masks():
         assert stack.in_deg[i, :n].tolist() == g.in_degree[b.nodes].tolist()
         assert stack.out_deg[i, :n].tolist() == g.out_degree[b.nodes].tolist()
         assert not stack.in_deg[i, n:].any() and not stack.out_deg[i, n:].any()
-        assert np.array_equal(stack.spd_buckets[i, :n, :n], b.dist)
+        assert np.array_equal(stack.spd_buckets[i, :n, :n], entry_distances(b))
+        assert not stack.spd_buckets[i, n:].any() and not stack.spd_buckets[i, :, n:].any()
+        lo, hi = stack.edge_offsets[i:i + 2]
+        assert stack.edge_table[lo:hi].tobytes() == entry_edge_table(g, b).tobytes()
         coeffs = stack.path_coeffs[i]
-        assert np.array_equal(coeffs[:n, :n].reshape(n * n, -1), entry_path_coeffs(b))
+        assert np.array_equal(coeffs[:n, :n].reshape(n * n, -1), entry_path_coeffs(g, b))
         assert not coeffs[n:].any() and not coeffs[:, n:].any()
     # padded keys are masked: every real row's logits are its own subgraph's
     logits = model.forward(stack, data.bundle).data.reshape(3, k, -1)
@@ -983,9 +1040,11 @@ def test_stack_batches_pads_and_masks():
 
 
 def test_split_and_stack_batches_round_trip():
-    """``stack_batches`` inverts ``split`` byte for byte on every real row
-    of a built stack of mixed sizes; its padding reads -1 in ``nodes``
-    and 0 elsewhere, and ``build_batch`` pads the degrees with 0 too."""
+    """``stack_batches`` inverts ``split`` on every real row of a built
+    stack of mixed sizes, byte for byte where the dtypes agree and by value
+    for the distances and path index, which keep the entries' narrow
+    dtypes; its padding reads -1 in ``nodes`` and 0 elsewhere, and
+    ``build_batch`` pads the degrees with 0 too."""
     g = overflow_graph()
     cfg = tiny_config(max_spd=3)
     centers = [0, 10, 27, 17, 22, 19, 11, 5, 28]
@@ -993,17 +1052,23 @@ def test_split_and_stack_batches_round_trip():
         sub = gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=max_nodes,
                                      seed=0)
         built = gm.build_batch(g, sub, cfg)
-        back = gm.stack_batches(g, built.split())
+        entries = built.split()
+        back = gm.stack_batches(g, entries)
         assert len(set(built.sizes.tolist())) > 2  # sizes 1, mid and full
         k = built.nodes.shape[1]
         real = np.arange(k) < built.sizes[:, None]
         pairs = real[:, :, None] & real[:, None, :]
         assert back.nodes[:, 0].tolist() == centers == built.nodes[:, 0].tolist()
+        narrow = {"spd_buckets": np.int8,
+                  "path_index": np.result_type(*(e.path_index.dtype for e in entries))}
+        assert narrow["path_index"] == np.uint8 and built.path_index.dtype == np.int64
         for name, mask in (("sizes", None), ("nodes", real),
                            ("in_deg", real), ("out_deg", real), ("spd_buckets", pairs),
                            ("path_index", pairs), ("path_coeffs", pairs)):
             got, want = getattr(back, name), getattr(built, name)
-            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.dtype == narrow.get(name, want.dtype) and got.shape == want.shape, name
+            if name in narrow:
+                got, want = got.astype(want.dtype), want.copy()
             if mask is not None:
                 got, want = got[mask], want[mask]
                 assert (getattr(back, name)[~mask] == (-1 if name == "nodes" else 0)).all(), name
@@ -1014,8 +1079,11 @@ def test_split_and_stack_batches_round_trip():
 def test_stacking_a_full_width_pass_gives_back_the_built_stack():
     """When every subgraph of a build pass has the pass's width,
     ``stack_batches`` of its split entries is ``build_batch``'s stack
-    field by field, byte for byte: ``path_index`` and ``edge_offsets``
-    included, so both hold one encoding."""
+    field by field: byte for byte, the edge table rebuilt from the
+    entries' edge lists and ``edge_offsets`` included, and by value for
+    the distances, derived from the path index, and the path index and
+    edge lists, which keep the entries' narrow dtypes: both hold one
+    encoding."""
     g = _desk_graph()
     for k in (16, 32):
         cfg = tiny_config(ego_max_nodes=k, max_spd=5)
@@ -1024,13 +1092,89 @@ def test_stacking_a_full_width_pass_gives_back_the_built_stack():
         assert len(centers) == 16
         built = gm.build_batch(g, gr.sample_ego_subgraph(g, centers, hops=2, max_nodes=k, seed=0),
                                cfg)
-        back = gm.stack_batches(g, built.split())
+        entries = built.split()
+        back = gm.stack_batches(g, entries)
+        narrow = {"spd": np.int8, "edges": np.uint8,
+                  "path_index": np.result_type(*(e.path_index.dtype for e in entries))}
+        assert narrow["path_index"] == np.uint16
         for f in dataclasses.fields(built):
             got, want = getattr(back, f.name), getattr(built, f.name)
             if f.name == "spd":
                 got, want = got.dist, want.dist
-            assert got.dtype == want.dtype and got.shape == want.shape, (k, f.name)
+            assert got.dtype == narrow.get(f.name, want.dtype), (k, f.name)
+            assert got.shape == want.shape, (k, f.name)
+            if f.name in narrow:
+                assert want.dtype == np.int64, (k, f.name)
+                got = got.astype(np.int64)
             assert got.tobytes() == want.tobytes(), (k, f.name)
+
+
+def test_a_no_grad_forward_frees_what_no_later_op_reads(monkeypatch):
+    """In a no-grad forward each array is freed before the op after its
+    last reader runs: the fused rows before ``attention_bias``, a layer's
+    attention input (its first layer norm) before ``attention``, its q, k,
+    v and attention weights before the output projection ``wo``, the
+    attention output before the second layer norm and the FFN output before
+    the next layer or the head. A recording forward keeps what backward
+    reads, the attention input, q, k, v and the weights; the rest it frees
+    as early."""
+    _, data, model = _mixed_case(36, num_layers=2)
+    role = {id(t): name for layer in model.layers for name, t in layer.items()}
+    role[id(model.head_w)] = "head"
+    pending, seen = {}, []  # name -> weakref not checked yet; (name, alive) once checked
+
+    def check(*names):
+        seen.extend((n, pending.pop(n)() is not None) for n in names if n in pending)
+
+    def layer_norm(x, gain, bias, _orig=ad.layer_norm):
+        check("a" if role[id(gain)] == "ln2_g" else "z")
+        out = _orig(x, gain, bias)
+        if role[id(gain)] == "ln1_g":
+            pending["normed"] = weakref.ref(out.data)
+        return out
+
+    def linear(x, w, b, _orig=ad.linear):
+        name = role.get(id(w))
+        check(*{"wo": ("q", "k", "v", "weights"), "head": ("z",)}.get(name, ()))
+        out = _orig(x, w, b)
+        if name in ("wq", "wk", "wv", "wo", "w2"):
+            pending[{"wo": "a", "w2": "z"}.get(name, name[1:])] = weakref.ref(out.data)
+        return out
+
+    def attention(*args, _orig=ad.attention):
+        check("normed")
+        out, weights = _orig(*args)
+        pending["weights"] = weakref.ref(weights)
+        return out, weights
+
+    def fused_rows(self, *args, _orig=gm.GraphormerModel._fused_rows):
+        out = _orig(self, *args)
+        pending["fused"] = weakref.ref(out.data)
+        return out
+
+    def attention_bias(*args, _orig=gm.attention_bias):
+        check("fused")
+        return _orig(*args)
+
+    for name, fn in (("layer_norm", layer_norm), ("linear", linear), ("attention", attention)):
+        monkeypatch.setattr(ad, name, fn)
+    monkeypatch.setattr(gm.GraphormerModel, "_fused_rows", fused_rows)
+    monkeypatch.setattr(gm, "attention_bias", attention_bias)
+    centers = np.arange(6)
+    with ad.no_grad():
+        model.logits_for_centers(data, centers, seed=0)
+        model.forward(gm.stack_batches(data.graph, [model.batch_for(c, 0) for c in centers]),
+                      data.bundle)
+    assert len(seen) == 2 * (1 + 2 * 7) and not pending  # per forward: fused, 7 per layer
+    assert {n for n, _ in seen} == {"fused", "normed", "q", "k", "v", "weights", "a", "z"}
+    assert not any(alive for _, alive in seen)
+    seen.clear()
+    try:
+        model.logits_for_centers(data, centers, seed=0)
+    finally:
+        ad.tape_clear()
+    assert {n for n, alive in seen if alive} == {"normed", "q", "k", "v", "weights"}
+    assert {n for n, alive in seen if not alive} == {"fused", "a", "z"}
 
 
 def test_logits_for_centers_gradient_check(monkeypatch):
