@@ -23,6 +23,14 @@ an op output no closure reads is freed in the forward once its caller
 drops it. ``backward`` consumes the tape, dropping each record once it
 has run, so an activation only that record holds dies partway through
 the pass; gradient accumulation records one tape per micro-batch.
+
+Every op computes its output first and returns through ``_make``, on
+the tape or off it, so both modes share one arithmetic path, the
+finite check and its message. ``_make`` calls the op's closure builder
+only when the output records: off the tape (under ``no_grad``) an op
+builds no record and no backward closure. Its output is still a
+non-leaf with a fresh key that needs a gradient when an input does,
+so a recorded op that reads it treats it as a gradient sink.
 """
 from __future__ import annotations
 
@@ -141,18 +149,29 @@ def finite_checks(enabled: bool):
     return _switch("check_finite", enabled)
 
 
-def _make(op_name: str, data: np.ndarray, inputs: Sequence[tuple[Tensor, Callable]]) -> Tensor:
+def _make(op_name: str, data: np.ndarray, inputs: Sequence[Tensor],
+          closures: Callable[[], Sequence[Callable]]) -> Tensor:
+    """The output ``data`` of op ``op_name`` on the tensors ``inputs``. Only
+    an output that records calls ``closures()``, which builds the op's
+    backward closures, one per input in order: off the tape an op pays
+    for its arithmetic alone."""
+    state = _state
+    requires_grad = False
+    for t in inputs:
+        if t.requires_grad:
+            requires_grad = True
+            break
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(t.requires_grad for t, _ in inputs)
+    out.requires_grad = requires_grad
     out.is_leaf = False
     out.key = _next_key()
-    if _state.check_finite and not np.isfinite(data).all():
+    if state.check_finite and not np.isfinite(data).all():
         raise FloatingPointError(f"{op_name} produced non-finite values")
-    if _state.recording and out.requires_grad:
-        _state.records.append((out.key, [(t if t.is_leaf else t.key, fn)
-                                         for t, fn in inputs if t.requires_grad]))
+    if requires_grad and state.recording:
+        state.records.append((out.key, [(t if t.is_leaf else t.key, fn)
+                                        for t, fn in zip(inputs, closures()) if t.requires_grad]))
     return out
 
 
@@ -215,10 +234,11 @@ def backward(out: Tensor, grad=None) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _joint(inputs: Sequence[Tensor], grads_of: Callable) -> list[tuple[Tensor, Callable]]:
-    """(input, closure) pairs for an op whose input gradients share work:
-    the first closure a backward pass calls runs ``grads_of(g)``, which
-    returns every input's gradient in order; the last one needed drops them."""
+def _joint(inputs: Sequence[Tensor], grads_of: Callable) -> list[Callable]:
+    """Backward closures, one per input, for an op whose input gradients
+    share work: the first closure a backward pass calls runs
+    ``grads_of(g)``, which returns every input's gradient in order; the last
+    one needed drops them."""
     last = max((i for i, t in enumerate(inputs) if t.requires_grad), default=-1)
     held: list = []  # [g, gradients] of the pass in progress
 
@@ -230,7 +250,7 @@ def _joint(inputs: Sequence[Tensor], grads_of: Callable) -> list[tuple[Tensor, C
             held.clear()
         return out
 
-    return [(t, lambda g, i=i: take(i, g)) for i, t in enumerate(inputs)]
+    return [lambda g, i=i: take(i, g) for i in range(len(inputs))]
 
 
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
@@ -244,97 +264,98 @@ def _softmax_rows(z: np.ndarray) -> np.ndarray:
             np.maximum(top, z[..., c], out=top)
         z -= top[..., None]
     else:
-        z -= z.max(axis=-1, keepdims=True)
+        z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return _make(
-        "matmul",
-        a.data @ b.data,
-        [(a, lambda g, bd=b.data: g @ bd.T), (b, lambda g, ad=a.data: ad.T @ g)],
-    )
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}")
+    return _make("matmul", ad @ bd, (a, b), lambda: (lambda g: g @ bd.T, lambda g: ad.T @ g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w`` plus the vector ``b`` on every row."""
-    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
-            or x.shape[1] != w.shape[0] or w.shape[1] != b.shape[0]):
-        raise ShapeError(f"linear: incompatible shapes {x.shape} x {w.shape} + {b.shape}")
-    y = x.data @ w.data
-    y += b.data
-    return _make(
-        "linear",
-        y,
-        [(x, lambda g, wd=w.data: g @ wd.T), (w, lambda g, xd=x.data: xd.T @ g),
-         (b, lambda g: g.sum(axis=0))],
-    )
+    xd, wd, bd = x.data, w.data, b.data
+    if (xd.ndim != 2 or wd.ndim != 2 or bd.ndim != 1
+            or xd.shape[1] != wd.shape[0] or wd.shape[1] != bd.shape[0]):
+        raise ShapeError(f"linear: incompatible shapes {xd.shape} x {wd.shape} + {bd.shape}")
+    y = xd @ wd
+    y += bd
+    return _make("linear", y, (x, w, b), lambda: (
+        lambda g: g @ wd.T, lambda g: xd.T @ g, lambda g: np.add.reduce(g, axis=0)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return _make("add", a.data + b.data, [(a, lambda g: g), (b, lambda g: g)])
+    ad, bd = a.data, b.data
+    if ad.shape != bd.shape:
+        raise ShapeError(f"add: shape mismatch {ad.shape} vs {bd.shape}")
+    return _make("add", ad + bd, (a, b), lambda: (lambda g: g, lambda g: g))
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
     """Gather rows ``table[indices]``; backward scatter-adds."""
-    idx = np.asarray(indices, dtype=np.int64)
-    if table.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"embedding_lookup: table {table.shape}, indices {idx.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError(f"embedding_lookup: index out of range for table {table.shape}")
+    idx, td = np.asarray(indices, dtype=np.int64), table.data
+    if td.ndim != 2 or idx.ndim != 1:
+        raise ShapeError(f"embedding_lookup: table {td.shape}, indices {idx.shape}")
+    if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= td.shape[0]):
+        raise ShapeError(f"embedding_lookup: index out of range for table {td.shape}")
 
-    (rows, cols), dtype = table.shape, table.data.dtype
+    def closures():
+        (rows, cols), dtype = td.shape, td.dtype
 
-    def bw(g):
-        # a bincount over flat (row, col) slots adds in the same order as
-        # np.add.at, several times faster
-        flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
-        return np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols).reshape(
-            rows, cols).astype(dtype, copy=False)
+        def bw(g):
+            # a bincount over flat (row, col) slots adds in the same order as
+            # np.add.at, several times faster
+            flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+            return np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols).reshape(
+                rows, cols).astype(dtype, copy=False)
 
-    return _make("embedding_lookup", table.data[idx], [(table, bw)])
+        return (bw,)
+
+    # take gathers narrow rows several times faster than table[idx]
+    return _make("embedding_lookup", td.take(idx, axis=0), (table,), closures)
 
 
 def relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, 0.0)  # > 0 exactly where x.data is
-    return _make("relu", out, [(x, lambda g: g * (out > 0))])
+    return _make("relu", out, (x,), lambda: (lambda g: g * (out > 0),))
 
 
 def tanh(x: Tensor) -> Tensor:
     out = np.tanh(x.data)
-    return _make("tanh", out, [(x, lambda g, o=out: g * (1.0 - o * o))])
+    return _make("tanh", out, (x,), lambda: (lambda g: g * (1.0 - out * out),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize each row of ``x`` to zero mean and unit variance (``LN_EPS``
     added to the variance), then scale column j by ``gain[j]`` and add
-    ``bias[j]``."""
-    if x.data.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
-        raise ShapeError(f"layer_norm: {x.shape} with gain {gain.shape}, bias {bias.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    inv = 1.0 / np.sqrt((xhat ** 2).mean(axis=-1, keepdims=True) + LN_EPS)
+    ``bias[j]``. A row mean is ``np.add.reduce(...) / n``, the bits of
+    ``mean`` without its Python wrapper."""
+    xd, gd, bd = x.data, gain.data, bias.data
+    if xd.ndim != 2 or gd.shape != (xd.shape[1],) or bd.shape != (xd.shape[1],):
+        raise ShapeError(f"layer_norm: {xd.shape} with gain {gd.shape}, bias {bd.shape}")
+    n = xd.shape[1]
+    xhat = xd - np.add.reduce(xd, axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(xhat ** 2, axis=-1, keepdims=True) / n + LN_EPS)
     xhat *= inv
-    out = xhat * gain.data
-    out += bias.data
+    out = xhat * gd
+    out += bd
 
-    def bw(g, gd=gain.data):
-        gx = g * gd
-        gm = gx.mean(axis=-1, keepdims=True)
-        gxx = (gx * xhat).mean(axis=-1, keepdims=True)
-        return (gx - gm - xhat * gxx) * inv
+    def closures():
+        def bw(g):
+            gx = g * gd
+            gm = np.add.reduce(gx, axis=-1, keepdims=True) / n
+            gxx = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
+            return (gx - gm - xhat * gxx) * inv
 
-    return _make(
-        "layer_norm",
-        out,
-        [(x, bw), (gain, lambda g: (g * xhat).sum(axis=0)), (bias, lambda g: g.sum(axis=0))],
-    )
+        return (bw, lambda g: np.add.reduce(g * xhat, axis=0),
+                lambda g: np.add.reduce(g, axis=0))
+
+    return _make("layer_norm", out, (x, gain, bias), closures)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarray,
@@ -350,21 +371,17 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarra
     (B*n, d) output, heads side by side, and the (B, H, n, k) weights
     (an array, off the tape).
     """
-    ok = q.data.ndim == k.data.ndim == bias.data.ndim == 2 and 0 < num_heads == bias.shape[1]
-    count = q.shape[0] * k.shape[0] // bias.shape[0] if ok and bias.size else 0  # B
-    if (not count or q.shape[0] * k.shape[0] != count * bias.shape[0] or q.shape[0] % count
-            or k.shape[0] % count or q.shape[1] % num_heads or k.shape != v.shape
-            or k.shape[1] != q.shape[1]):
-        raise ShapeError(f"attention: incompatible shapes q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}, bias {bias.shape} for {num_heads} heads")
-    n, nk, dh = q.shape[0] // count, k.shape[0] // count, q.shape[1] // num_heads
+    qs, ks, bs = q.data.shape, k.data.shape, bias.data.shape
+    ok = len(qs) == len(ks) == len(bs) == 2 and 0 < num_heads == bs[1]
+    count = qs[0] * ks[0] // bs[0] if ok and bias.data.size else 0  # B
+    if (not count or qs[0] * ks[0] != count * bs[0] or qs[0] % count or ks[0] % count
+            or qs[1] % num_heads or ks != v.data.shape or ks[1] != qs[1]):
+        raise ShapeError(f"attention: incompatible shapes q {qs}, k {ks}, "
+                         f"v {v.data.shape}, bias {bs} for {num_heads} heads")
+    n, nk, dh = qs[0] // count, ks[0] // count, qs[1] // num_heads
     scores_shape = (count, num_heads, n, nk)
     mask = np.asarray(key_mask, dtype=bool)
-    try:
-        ok = np.broadcast_shapes(mask.shape, scores_shape) == scores_shape
-    except ValueError:
-        ok = False
-    if not ok:
+    if mask.ndim > 4 or any(m not in (1, s) for m, s in zip(mask.shape[::-1], scores_shape[::-1])):
         raise ShapeError(f"attention: key mask {mask.shape} does not broadcast to {scores_shape}")
     if not mask.any(axis=-1).all():
         raise ShapeError("attention: a row has no unmasked key")
@@ -378,19 +395,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarra
     np.copyto(p, -np.inf, where=~mask)
     _softmax_rows(p)
 
-    def grads(g):
-        g = g.reshape(count, n, num_heads, dh).transpose(0, 2, 1, 3)
-        ds = g @ vd.swapaxes(-1, -2)
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        dqk = ds * scale
-        return ((dqk @ ktd.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(count * n, -1),
-                (qd.swapaxes(-1, -2) @ dqk).transpose(0, 3, 1, 2).reshape(count * nk, -1),
-                (p.swapaxes(-1, -2) @ g).transpose(0, 2, 1, 3).reshape(count * nk, -1),
-                ds.transpose(0, 2, 3, 1).reshape(-1, num_heads))
+    def closures():
+        def grads(g):
+            g = g.reshape(count, n, num_heads, dh).transpose(0, 2, 1, 3)
+            ds = g @ vd.swapaxes(-1, -2)
+            ds -= np.add.reduce(ds * p, axis=-1, keepdims=True)
+            ds *= p
+            dqk = ds * scale
+            return ((dqk @ ktd.swapaxes(-1, -2)).transpose(0, 2, 1, 3).reshape(count * n, -1),
+                    (qd.swapaxes(-1, -2) @ dqk).transpose(0, 3, 1, 2).reshape(count * nk, -1),
+                    (p.swapaxes(-1, -2) @ g).transpose(0, 2, 1, 3).reshape(count * nk, -1),
+                    ds.transpose(0, 2, 3, 1).reshape(-1, num_heads))
 
-    out = (p @ vd).transpose(0, 2, 1, 3).reshape(q.shape)
-    return _make("attention", out, _joint((q, k, v, bias), grads)), p
+        return _joint(inputs, grads)
+
+    inputs = (q, k, v, bias)
+    out = (p @ vd).transpose(0, 2, 1, 3).reshape(qs)
+    return _make("attention", out, inputs, closures), p
 
 
 def softmax_mix(values: Sequence[Tensor], scores: Sequence[Tensor]) -> tuple[Tensor, np.ndarray]:
@@ -398,45 +419,54 @@ def softmax_mix(values: Sequence[Tensor], scores: Sequence[Tensor]) -> tuple[Ten
     ``values`` in order, ``alpha[i]`` the softmax of the (n, 1)
     ``scores``' row i. Returns it and ``alpha`` (an (n, S) array, off
     the tape)."""
-    if (not values or len(scores) != len(values)
-            or any(u.data.ndim != 2 or u.shape != values[0].shape for u in values)
-            or any(s.shape != (values[0].shape[0], 1) for s in scores)):
-        raise ShapeError(f"softmax_mix: values {[u.shape for u in values]}, "
-                         f"scores {[s.shape for s in scores]}")
+    vals = [u.data for u in values]
+    if (not vals or len(scores) != len(vals)
+            or any(u.ndim != 2 or u.shape != vals[0].shape for u in vals)
+            or any(s.data.shape != (vals[0].shape[0], 1) for s in scores)):
+        raise ShapeError(f"softmax_mix: values {[u.shape for u in vals]}, "
+                         f"scores {[s.data.shape for s in scores]}")
     alpha = _softmax_rows(np.concatenate([s.data for s in scores], axis=1))
-    out = values[0].data * alpha[:, :1]
-    for i in range(1, len(values)):
-        out += values[i].data * alpha[:, i:i + 1]
+    out = vals[0] * alpha[:, :1]
+    for i in range(1, len(vals)):
+        out += vals[i] * alpha[:, i:i + 1]
 
-    def grads(g, vals=tuple(u.data for u in values)):
-        da = np.empty_like(alpha)
-        for i, u in enumerate(vals):
-            da[:, i] = (g * u).sum(axis=1)
-        da -= (da * alpha).sum(axis=-1, keepdims=True)
-        da *= alpha
-        return ([g * alpha[:, i:i + 1] for i in range(len(vals))]
-                + [da[:, i:i + 1] for i in range(len(vals))])
+    def closures():
+        def grads(g):
+            da = np.empty_like(alpha)
+            for i, u in enumerate(vals):
+                da[:, i] = np.add.reduce(g * u, axis=1)
+            da -= np.add.reduce(da * alpha, axis=-1, keepdims=True)
+            da *= alpha
+            return ([g * alpha[:, i:i + 1] for i in range(len(vals))]
+                    + [da[:, i:i + 1] for i in range(len(vals))])
 
-    return _make("softmax_mix", out, _joint([*values, *scores], grads)), alpha
+        return _joint(inputs, grads)
+
+    inputs = [*values, *scores]
+    return _make("softmax_mix", out, inputs, closures), alpha
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean over rows of ``-sum(targets * log_softmax(logits))``, both (n, c),
     the targets constant, in the order of the chain it replaced: max-shifted
     log-softmax, product with the targets, row sums, their mean, times -1."""
-    if logits.data.ndim != 2 or targets.shape != logits.shape:
-        raise ShapeError(f"cross_entropy: logits {logits.shape}, targets {targets.shape}")
-    n = logits.shape[0]
-    z = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    ld = logits.data
+    if ld.ndim != 2 or targets.shape != ld.shape:
+        raise ShapeError(f"cross_entropy: logits {ld.shape}, targets {targets.shape}")
+    n = ld.shape[0]
+    z = ld - np.maximum.reduce(ld, axis=-1, keepdims=True)
+    logp = z - np.log(np.add.reduce(np.exp(z), axis=-1, keepdims=True))
 
-    def bw(g):
-        # the chain's negation and mean hand every entry (g * -1.0) / n
-        g = targets * (g * -1.0 / n)
-        return g - np.exp(logp) * g.sum(axis=-1, keepdims=True)
+    def closures():
+        def bw(g):
+            # the chain's negation and mean hand every entry (g * -1.0) / n
+            g = targets * (g * -1.0 / n)
+            return g - np.exp(logp) * np.add.reduce(g, axis=-1, keepdims=True)
+
+        return (bw,)
 
     return _make("cross_entropy", (targets * logp).sum(axis=1).mean(axis=0) * -1.0,
-                 [(logits, bw)])
+                 (logits,), closures)
 
 
 # ---------------------------------------------------------------------------

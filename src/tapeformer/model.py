@@ -135,7 +135,7 @@ class SubgraphBatch:
     off the graph and the distances off ``path_index``, whose last axis is
     the path width w."""
 
-    nodes: np.ndarray  # global ids (k,), the center first
+    nodes: np.ndarray  # global ids (k,), the center first, narrowest uint
     # (m, 3) directed local edges in edge-table row order: local src, local dst and
     # 1 along a citation (else 0), in the narrowest uint that holds k - 1
     edges: np.ndarray
@@ -185,9 +185,9 @@ class SubgraphStack:
         the edge table are not kept: ``stack_batches`` derives them."""
         width, out = self.path_index.shape[-1], []
         for b, n in enumerate(self.sizes.tolist()):
-            lo, hi = self.edge_offsets[b], self.edge_offsets[b + 1]
+            lo, hi, nodes = self.edge_offsets[b], self.edge_offsets[b + 1], self.nodes[b, :n]
             out.append(SubgraphBatch(
-                nodes=self.nodes[b, :n].copy(),
+                nodes=nodes.astype(np.min_scalar_type(int(nodes.max()))),
                 edges=self.edges[lo - b:hi - b - 1].astype(np.min_scalar_type(n - 1)),
                 path_index=self.path_index[b, :n, :n].astype(
                     np.min_scalar_type((hi - lo) * width - 1)),

@@ -127,7 +127,7 @@ def test_backward_consumes_the_tape():
 
     ad.matmul(w, w)
     with pytest.raises(ZeroDivisionError):
-        ad.backward(ad._make("boom", w.data.copy(), [(w, boom)]), np.ones((2, 2)))
+        ad.backward(ad._make("boom", w.data.copy(), (w,), lambda: (boom,)), np.ones((2, 2)))
     assert ad.tape_size() == 0
 
 
@@ -137,7 +137,8 @@ def test_backward_frees_each_record_once_run():
     rng = np.random.default_rng(4)
     x, w = _p(rng, 3, 4), _p(rng, 4, 2)
     dead = []
-    t = ad._make("spy", x.data + 1.0, [(x, lambda g: dead.append(ref() is None) or g)])
+    t = ad._make("spy", x.data + 1.0, (x,),
+                 lambda: (lambda g: dead.append(ref() is None) or g,))
     ref = weakref.ref(t.data)
     out = ad.matmul(t, w)
     del t
@@ -149,7 +150,8 @@ def test_backward_frees_each_record_once_run():
 
 def _view_reshape(x, shape):
     """A reshape op whose backward hands back a view of the upstream gradient."""
-    return ad._make("reshape", x.data.reshape(shape), [(x, lambda g: g.reshape(x.shape))])
+    return ad._make("reshape", x.data.reshape(shape), (x,),
+                    lambda: (lambda g: g.reshape(x.shape),))
 
 
 def test_backward_grads_never_alias_and_accumulate_exactly():
@@ -293,6 +295,128 @@ def test_a_tensor_made_under_no_grad_is_a_gradient_sink():
     r = rng.standard_normal((3, 3))
     ad.backward(ad.matmul(h, v), r)
     assert w.grad is None and np.array_equal(v.grad, h.data.T @ r)
+
+
+def _recording_ops():
+    """The engine ops: the ``__all__`` functions of ``autodiff`` whose
+    source calls ``_make(``."""
+    import inspect
+
+    return {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))
+            and "_make(" in inspect.getsource(getattr(ad, name))}
+
+
+def _op_cases(dtype):
+    """One call per engine op on fresh leaves of ``dtype`` that need a
+    gradient: op name -> (a call returning the op's output Tensor, the
+    op's Tensor inputs, the first one an input the output reads)."""
+    rng = np.random.default_rng(31)
+
+    def p(*shape):
+        return Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+
+    def case(op, *inputs, **kw):
+        return lambda: op(*inputs, **kw), list(inputs)
+
+    att = [Tensor(t.data, requires_grad=True, dtype=dtype) for t in _attention_case(31)[1]]
+    mask = _attention_case(31)[2]
+    values, scores = [p(5, 4) for _ in range(3)], [p(5, 1) for _ in range(3)]
+    targets = np.eye(4, dtype=dtype)[[0, 3, 1]]
+    return {
+        "matmul": case(ad.matmul, p(3, 4), p(4, 2)),
+        "linear": case(ad.linear, p(3, 4), p(4, 2), p(2)),
+        "add": case(ad.add, p(3, 4), p(3, 4)),
+        "embedding_lookup": case(ad.embedding_lookup, p(5, 3), indices=np.array([0, 4, 2, 2])),
+        "relu": case(ad.relu, p(3, 4)),
+        "tanh": case(ad.tanh, p(3, 4)),
+        "layer_norm": case(ad.layer_norm, p(3, 4), p(4), p(4)),
+        "attention": (lambda: ad.attention(*att, mask, 2, 0.7)[0], att),
+        "softmax_mix": (lambda: ad.softmax_mix(values, scores)[0], values + scores),
+        "cross_entropy": case(ad.cross_entropy, p(3, 4), targets=targets),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_an_op_off_the_tape_gives_the_recorded_output(dtype):
+    """Every engine op called under ``no_grad`` gives the bytes and dtype
+    of the same call on the tape and records nothing. Its output is a
+    non-leaf with a fresh key that needs a gradient exactly when an input
+    does, and a gradient sink in a recorded op. With finite checks on, a
+    non-finite output made off the tape raises naming the op."""
+    cases = _op_cases(dtype)
+    assert set(cases) == _recording_ops()
+    for name, (call, inputs) in cases.items():
+        on = call()
+        assert ad.tape_size() == 1, name
+        ad.tape_clear()
+        with ad.no_grad():
+            off = call()
+        assert ad.tape_size() == 0, name
+        assert (off.data.dtype, off.data.shape, off.data.tobytes()) == (
+            on.data.dtype, on.data.shape, on.data.tobytes()), name
+        assert off.requires_grad and not off.is_leaf and off.key > on.key, name
+        sink = Tensor(np.ones(off.data.shape), requires_grad=True)
+        ad.backward(ad.add(off, sink), np.ones(off.data.shape))
+        assert all(t.grad is None for t in inputs), name
+        assert np.array_equal(sink.grad, np.ones(off.data.shape)), name
+        for t in inputs:
+            t.requires_grad = False
+        with ad.no_grad():
+            assert not call().requires_grad, name
+    for name, (call, inputs) in _op_cases(dtype).items():
+        inputs[0].data.flat[0] = np.nan
+        with ad.no_grad(), ad.finite_checks(True):
+            with pytest.raises(FloatingPointError, match=f"^{name} produced non-finite values"):
+                call()
+        assert ad.tape_size() == 0, name
+
+
+def test_an_op_off_the_tape_builds_no_backward_closure(monkeypatch):
+    """Under ``no_grad`` no op calls the closure builder it hands ``_make``,
+    nor ``_joint``; on the tape each op calls its builder once."""
+    built, make, joint = [], ad._make, ad._joint
+
+    def spy(op_name, data, inputs, closures):
+        def builder():
+            built.append(op_name)
+            return closures()
+
+        return make(op_name, data, inputs, builder)
+
+    def no_joint(*args):
+        raise AssertionError("_joint called off the tape")
+
+    monkeypatch.setattr(ad, "_make", spy)
+    monkeypatch.setattr(ad, "_joint", no_joint)
+    cases = _op_cases(np.float64)
+    with ad.no_grad():
+        for call, _ in cases.values():
+            call()
+    assert built == [] and ad.tape_size() == 0
+    monkeypatch.setattr(ad, "_joint", joint)
+    for call, _ in cases.values():
+        call()
+    assert built == list(cases) and ad.tape_size() == len(cases)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.uint16, np.int64])
+def test_embedding_lookup_equals_fancy_indexing(dtype):
+    """The gather gives the bytes of ``table[indices]`` for narrow and wide
+    indices, an empty index and a one-row table, and rejects an index
+    outside the table."""
+    rng = np.random.default_rng(12)
+    for rows in (1, 7, 300):
+        table = Tensor(rng.standard_normal((rows, 3)), dtype=np.float32)
+        top = min(rows, int(np.iinfo(dtype).max) + 1)
+        for idx in (np.zeros(0, dtype), np.zeros(1, dtype), rng.integers(0, top, 50).astype(dtype)):
+            got, want = ad.embedding_lookup(table, idx).data, table.data[idx]
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        if rows <= np.iinfo(dtype).max:
+            with pytest.raises(ad.ShapeError, match="out of range"):
+                ad.embedding_lookup(table, np.array([0, rows], dtype))
+        if np.iinfo(dtype).min < 0:
+            with pytest.raises(ad.ShapeError, match="out of range"):
+                ad.embedding_lookup(table, np.array([-1], dtype))
 
 
 def test_a_raising_block_restores_the_flag_it_switched():
@@ -524,6 +648,11 @@ def test_grad_masked_softmax():
             ad.attention(q, k, v, bias, np.zeros((1, 1, 1, 5), dtype=bool), heads, 1.0)
         with pytest.raises(ad.ShapeError, match="broadcast"):
             ad.attention(q, k, v, bias, np.ones((2, 1, 1, 5), dtype=bool), heads, 1.0)
+        with pytest.raises(ad.ShapeError, match="broadcast"):
+            ad.attention(q, k, v, bias, np.ones((1, 3, 1, 1, 5), dtype=bool), heads, 1.0)
+        assert np.array_equal(ad.attention(q, k, v, bias, np.ones(5, dtype=bool), heads, 0.7)[1],
+                              ad.attention(q, k, v, bias, np.ones((3, heads, 4, 5), dtype=bool),
+                                           heads, 0.7)[1])
 
 
 def test_attention_bit_exact_against_primitive_chain():
@@ -590,11 +719,9 @@ def test_softmax_mix_bit_exact_against_primitive_chain():
 def test_every_op_has_a_criterion_1_probe():
     """Each public op that records on the tape is gradient-checked by a
     criterion-1 probe, and every op a probe names still exists."""
-    import inspect
     from pathlib import Path
 
-    ops = {name for name in ad.__all__ if inspect.isfunction(getattr(ad, name))
-           and "_make(" in inspect.getsource(getattr(ad, name))}
+    ops = _recording_ops()
     text = (Path(__file__).parent / "test_acceptance.py").read_text()
     crit1 = text[text.index("def test_criterion_01"):]
     crit1 = crit1[:crit1.index("\ndef ")]

@@ -309,7 +309,8 @@ def test_cached_batches_match_oracles_whatever_chunk_built_in(monkeypatch):
             for c in range(n):
                 b = model.store.entries[(c, 4)]
                 nodes, dist, coeffs, in_deg, out_deg = want[c]
-                assert b.nodes.tobytes() == nodes.tobytes(), (max_nodes, c)
+                assert b.nodes.dtype == np.min_scalar_type(int(nodes.max())), (max_nodes, c)
+                assert np.array_equal(b.nodes, nodes), (max_nodes, c)
                 assert [f.name for f in dataclasses.fields(b)] == ["nodes", "edges", "path_index"]
                 assert b.edges.dtype == np.uint8 and b.edges.shape[1] == 3
                 assert entry_path_coeffs(g, b).shape == coeffs.shape
@@ -554,18 +555,19 @@ def test_cached_entry_is_a_fifth_of_the_padded_layout():
 
 
 def test_desk_entries_hold_only_what_the_graph_cannot_give_back():
-    """An entry keeps its nodes, its local edge list (two uint8 local ids
-    and the citation flag, 3 bytes an edge) and its path index: no
-    distances and no float edge table. Over all 400 centers of the seed-0
-    desk corpus that is at most 1,300 bytes per center at k=16 and 8,650
-    at k=32."""
+    """An entry keeps its nodes (global ids in the narrowest uint that
+    holds its largest), its local edge list (two uint8 local ids and the
+    citation flag, 3 bytes an edge) and its path index: no distances and
+    no float edge table. Over all 400 centers of the seed-0 desk corpus
+    that is at most 1,200 bytes per center at k=16 and 8,430 at k=32."""
     g = _desk_graph()
-    for k, most in ((16, 1_300), (32, 8_650)):
+    for k, most in ((16, 1_200), (32, 8_430)):
         store = gm.SubgraphStore()
         store.build(g, tiny_config(ego_max_nodes=k, max_spd=5), range(400), seed=0)
         total = 0
         for entry in store.entries.values():
             assert [f.name for f in dataclasses.fields(entry)] == ["nodes", "edges", "path_index"]
+            assert entry.nodes.dtype == np.min_scalar_type(int(entry.nodes.max())) == np.uint16
             assert entry.edges.dtype == np.uint8 and entry.edges.nbytes == 3 * len(entry.edges)
             total += sum(getattr(entry, f.name).nbytes for f in dataclasses.fields(entry))
         assert total <= most * 400, (k, total / 400)

@@ -462,17 +462,18 @@ def test_an_ablation_builds_each_center_once(monkeypatch):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dtype):
     """One optimizer step over two micro-batches and the validation
-    predict after it: every op output, every leaf gradient (as Adam gets
-    it), Adam's moments and scratch rows, the logits and the fusion weights
-    are of the model's dtype, and so are the rows ``fuse`` gets from a
-    loaded dataset. ``train`` returns with no gradients and an empty tape."""
+    predict after it: every op output, recorded or made off the tape,
+    every leaf gradient (as Adam gets it), Adam's moments and scratch
+    rows, the logits and the fusion weights are of the model's dtype, and
+    so are the rows ``fuse`` gets from a loaded dataset. ``train`` returns
+    with no gradients and an empty tape."""
     data, split = _mini_graph_data()
     model = _desk_model(kind, dtype=dtype)
     outputs, optimizers, make = [], [], ad._make
 
-    def spy(op_name, out, inputs):
-        outputs.append((op_name, out.dtype))
-        return make(op_name, out, inputs)
+    def spy(op_name, out, inputs, closures):
+        outputs.append((op_name, out.dtype, ad._state.recording))
+        return make(op_name, out, inputs, closures)
 
     class SpyAdam(tr.Adam):
         def __init__(self, params):
@@ -490,10 +491,13 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
     tr.train(model, data, split, tcfg)  # 16 training centers: one step
     (opt,) = optimizers
     assert opt.t == 1
-    ops = {name for name, _ in outputs}
+    ops = {name for name, _, _ in outputs}
     assert {"cross_entropy", "softmax_mix", "linear"} <= ops
     assert kind == "mlp" or {"attention", "layer_norm", "embedding_lookup"} <= ops
-    assert [(n, d) for n, d in outputs if d != dtype] == []
+    assert [(n, d) for n, d, _ in outputs if d != dtype] == []
+    validation = {name for name, _, recording in outputs if not recording}
+    assert {"softmax_mix", "linear"} <= validation and "cross_entropy" not in validation
+    assert kind == "mlp" or {"attention", "layer_norm", "embedding_lookup"} <= validation
     assert all(t.grad is None for t in model.parameters().values())
     assert ad.tape_size() == 0
     arrays = [*opt.m.values(), *opt.v.values(), opt._moments, opt._rows]
