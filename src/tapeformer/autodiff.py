@@ -16,13 +16,19 @@ arithmetic of the primitive chains they replace: ``linear``,
 score gradient once), ``softmax_mix`` over per-source rows and the
 training loss ``cross_entropy``.
 
-A tape record holds only what backward reads: its output's key (unique
-in the process) and, per input that needs a gradient, the leaf Tensor or
-the non-leaf's key with a closure that holds only the arrays it reads, so
-an op output no closure reads is freed in the forward once its caller
-drops it. ``backward`` consumes the tape, dropping each record once it
-has run, so an activation only that record holds dies partway through
-the pass; gradient accumulation records one tape per micro-batch.
+A tape record holds only what backward reads and cannot rebuild: its
+output's key (unique in the process) and, per input that needs a
+gradient, the leaf Tensor or the non-leaf's key with a closure that holds
+only the arrays it reads, so an op output no closure reads is freed in
+the forward once its caller drops it. A Tensor's ``rebuild``, when set,
+returns its data bit for bit; ``linear`` and ``matmul`` keep it instead
+of the array for their weight's gradient. A recorded ``layer_norm``
+output rebuilds from the normalized rows its own record holds, once per
+backward for all its consumers, and a fusion source's rows re-gather
+from the embedding bundle. ``backward`` consumes the tape, dropping each
+record once it has run, so an activation only that record holds dies
+partway through the pass; gradient accumulation records one tape per
+micro-batch.
 
 Every op computes its output first and returns through ``_make``, on
 the tape or off it, so both modes share one arithmetic path, the
@@ -83,9 +89,12 @@ class Tensor:
     ``.grad``. Tensors produced by ops are interior nodes and never
     retain gradients; the tape names them by ``key``. Floating ``data`` keeps
     its dtype unless ``dtype`` is given; other input becomes ``DEFAULT_DTYPE``.
+    ``rebuild`` is None or a zero-argument callable that returns ``data``
+    bit for bit: a recording op that reads this tensor's data in backward
+    keeps the callable rather than the array.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "key")
+    __slots__ = ("data", "requires_grad", "grad", "is_leaf", "key", "rebuild")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         data = np.asarray(data, dtype=dtype)
@@ -93,6 +102,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self.is_leaf = True
+        self.rebuild: Callable[[], np.ndarray] | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -167,6 +177,7 @@ def _make(op_name: str, data: np.ndarray, inputs: Sequence[Tensor],
     out.requires_grad = requires_grad
     out.is_leaf = False
     out.key = _next_key()
+    out.rebuild = None
     if state.check_finite and not np.isfinite(data).all():
         raise FloatingPointError(f"{op_name} produced non-finite values")
     if requires_grad and state.recording:
@@ -253,6 +264,15 @@ def _joint(inputs: Sequence[Tensor], grads_of: Callable) -> list[Callable]:
     return [lambda g, i=i: take(i, g) for i in range(len(inputs))]
 
 
+def _kept(t: Tensor) -> Callable[[], np.ndarray]:
+    """What a backward closure keeps of ``t``'s data: its ``rebuild`` if
+    it has one, else the array."""
+    if t.rebuild is not None:
+        return t.rebuild
+    data = t.data
+    return lambda: data
+
+
 def _softmax_rows(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis of ``z``, in place (max-shifted). Over many
     short rows the max runs down the columns, as numpy's max reduction
@@ -274,7 +294,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
     if ad.ndim != 2 or bd.ndim != 2 or ad.shape[1] != bd.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}")
-    return _make("matmul", ad @ bd, (a, b), lambda: (lambda g: g @ bd.T, lambda g: ad.T @ g))
+
+    def closures():
+        left = _kept(a)
+        return lambda g: g @ bd.T, lambda g: left().T @ g
+
+    return _make("matmul", ad @ bd, (a, b), closures)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -285,8 +310,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: incompatible shapes {xd.shape} x {wd.shape} + {bd.shape}")
     y = xd @ wd
     y += bd
-    return _make("linear", y, (x, w, b), lambda: (
-        lambda g: g @ wd.T, lambda g: xd.T @ g, lambda g: np.add.reduce(g, axis=0)))
+
+    def closures():
+        left = _kept(x)
+        return lambda g: g @ wd.T, lambda g: left().T @ g, lambda g: np.add.reduce(g, axis=0)
+
+    return _make("linear", y, (x, w, b), closures)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -297,8 +326,11 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Gather rows ``table[indices]``; backward scatter-adds."""
-    idx, td = np.asarray(indices, dtype=np.int64), table.data
+    """Gather rows ``table[indices]``; backward scatter-adds. An integer
+    index keeps its dtype, on the tape too; other input becomes int64."""
+    idx, td = np.asarray(indices), table.data
+    if idx.dtype.kind not in "iu":
+        idx = idx.astype(np.int64)
     if td.ndim != 2 or idx.ndim != 1:
         raise ShapeError(f"embedding_lookup: table {td.shape}, indices {idx.shape}")
     if idx.size and (np.minimum.reduce(idx) < 0 or np.maximum.reduce(idx) >= td.shape[0]):
@@ -309,8 +341,9 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
 
         def bw(g):
             # a bincount over flat (row, col) slots adds in the same order as
-            # np.add.at, several times faster
-            flat = (idx[:, None] * cols + np.arange(cols)).reshape(-1)
+            # np.add.at, several times faster; the slots are int64, as a row
+            # times cols overflows a narrow index
+            flat = (idx.astype(np.int64, copy=False)[:, None] * cols + np.arange(cols)).reshape(-1)
             return np.bincount(flat, weights=g.reshape(-1), minlength=rows * cols).reshape(
                 rows, cols).astype(dtype, copy=False)
 
@@ -342,20 +375,44 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     xhat = xd - np.add.reduce(xd, axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(xhat ** 2, axis=-1, keepdims=True) / n + LN_EPS)
     xhat *= inv
-    out = xhat * gd
-    out += bd
+    held: list[np.ndarray] = []  # the rebuilt output, while its consumers' backward runs
+
+    def rebuild():
+        if not held:
+            held.append(_affine(xhat, gd, bd))
+        return held[0]
 
     def closures():
+        # every consumer's record runs before this one, so each closure drops the rebuild
         def bw(g):
+            held.clear()
             gx = g * gd
             gm = np.add.reduce(gx, axis=-1, keepdims=True) / n
             gxx = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
             return (gx - gm - xhat * gxx) * inv
 
-        return (bw, lambda g: np.add.reduce(g * xhat, axis=0),
-                lambda g: np.add.reduce(g, axis=0))
+        def bw_gain(g):
+            held.clear()
+            return np.add.reduce(g * xhat, axis=0)
 
-    return _make("layer_norm", out, (x, gain, bias), closures)
+        def bw_bias(g):
+            held.clear()
+            return np.add.reduce(g, axis=0)
+
+        return bw, bw_gain, bw_bias
+
+    out = _make("layer_norm", _affine(xhat, gd, bd), (x, gain, bias), closures)
+    if out.requires_grad and _state.recording:
+        out.rebuild = rebuild
+    return out
+
+
+def _affine(xhat: np.ndarray, gain: np.ndarray, bias: np.ndarray) -> np.ndarray:
+    """``xhat * gain + bias``, layer norm's output: its forward and its
+    rebuild both compute it here, so the two agree bit for bit."""
+    out = xhat * gain
+    out += bias
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarray,
@@ -392,7 +449,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Tensor, key_mask: np.ndarra
     p = qd @ ktd
     p *= scale
     p += bias.data.reshape(count, n, nk, num_heads).transpose(0, 3, 1, 2)
-    np.copyto(p, -np.inf, where=~mask)
+    if not mask.all():  # most stacks pad no key
+        np.copyto(p, -np.inf, where=~mask)
     _softmax_rows(p)
 
     def closures():

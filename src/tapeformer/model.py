@@ -504,7 +504,7 @@ class GraphormerModel:
         union, inverse = np.unique(stack.nodes[real], return_inverse=True)
         rows = np.zeros(stack.nodes.shape, dtype=np.int64)
         rows[real] = inverse
-        fused = self.fusion.fuse({s: bundle[s][union] for s in self.fusion.cfg.active})
+        fused = self.fusion.fuse(self.fusion.source_rows(bundle, union))
         return ad.embedding_lookup(fused, rows.reshape(-1))
 
     def forward(self, stack: SubgraphStack, bundle, capture: dict | None = None) -> Tensor:
@@ -568,8 +568,7 @@ class FusedMlp:
         """Nothing to build: the baseline reads no subgraphs."""
 
     def logits_for_centers(self, data, centers, seed: int) -> Tensor:
-        idx = np.asarray(centers, dtype=np.int64)
-        rows = {s: data.bundle[s][idx] for s in self.fusion.cfg.active}
+        rows = self.fusion.source_rows(data.bundle, np.array(centers, dtype=np.int64))
         h = ad.relu(ad.linear(self.fusion.fuse(rows), self.w1, self.b1))
         return ad.linear(h, self.w2, self.b2)
 

@@ -297,6 +297,72 @@ def test_a_tensor_made_under_no_grad_is_a_gradient_sink():
     assert w.grad is None and np.array_equal(v.grad, h.data.T @ r)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_linear_and_matmul_give_the_same_gradients_from_a_rebuilt_input(dtype):
+    """A recorded ``linear`` or ``matmul`` whose left input has a ``rebuild``
+    keeps the callable, not the array, and gives the gradients of the same
+    op on the kept array byte for byte."""
+    rng = np.random.default_rng(27)
+    x = rng.standard_normal((5, 4)).astype(dtype)
+    w, b = (Tensor(rng.standard_normal(shape), requires_grad=True, dtype=dtype)
+            for shape in ((4, 3), (3,)))
+    r = rng.standard_normal((5, 3)).astype(dtype)
+    for op, params in ((lambda t: ad.linear(t, w, b), [w, b]), (lambda t: ad.matmul(t, w), [w])):
+        for needs_grad in (False, True):
+            kept = Tensor(x.copy(), requires_grad=needs_grad)
+            want = _grads_through(op(kept), r, [kept, *params])
+            rebuilt = Tensor(x.copy(), requires_grad=needs_grad)
+            rebuilt.rebuild = x.copy
+            array = weakref.ref(rebuilt.data)
+            out = op(rebuilt)
+            del rebuilt.data
+            assert array() is None
+            got = _grads_through(out, r, [rebuilt, *params])
+            assert [g is None for g in got] == [g is None for g in want]
+            assert [g.tobytes() for g in got if g is not None] == \
+                [g.tobytes() for g in want if g is not None]
+
+
+def test_a_layer_norm_output_is_rebuilt_once_for_all_its_consumers(monkeypatch):
+    """A recorded layer norm's output dies with its caller's Tensor: its
+    three consumers keep its rebuild, which backward runs once, for the
+    first of them, and the layer norm's own record drops. Off the tape the
+    output has no rebuild. The gradients are those of the same chain on
+    kept arrays, byte for byte."""
+    rng = np.random.default_rng(28)
+    x, gain, bias = _p(rng, 6, 4), _p(rng, 4), _p(rng, 4)
+    weights = [(_p(rng, 4, 3), _p(rng, 3)) for _ in range(3)]
+    params = [x, gain, bias, *(t for pair in weights for t in pair)]
+    r = rng.standard_normal((6, 3))
+    made, affine = [], ad._affine
+
+    def spy(*args):
+        out = affine(*args)
+        made.append(weakref.ref(out))
+        return out
+
+    def forward():
+        y = ad.layer_norm(x, gain, bias)
+        outs = [ad.linear(y, w, b) for w, b in weights]
+        return y, ad.add(ad.add(outs[0], outs[1]), outs[2])
+
+    monkeypatch.setattr(ad, "_kept", lambda t: lambda data=t.data: data)  # keep the arrays
+    want = _grads_through(forward()[1], r, params)
+    monkeypatch.undo()
+    with ad.no_grad():
+        assert forward()[0].rebuild is None
+    monkeypatch.setattr(ad, "_affine", spy)
+    for _ in range(2):
+        made.clear()
+        y, out = forward()
+        output = weakref.ref(y.data)
+        del y.data
+        assert output() is None and len(made) == 1
+        got = _grads_through(out, r, params)
+        assert len(made) == 2 and made[1]() is None  # rebuilt once, dropped by backward
+        assert [g.tobytes() for g in got] == [g.tobytes() for g in want]
+
+
 def _recording_ops():
     """The engine ops: the ``__all__`` functions of ``autodiff`` whose
     source calls ``_make(``."""
@@ -403,14 +469,19 @@ def test_an_op_off_the_tape_builds_no_backward_closure(monkeypatch):
 def test_embedding_lookup_equals_fancy_indexing(dtype):
     """The gather gives the bytes of ``table[indices]`` for narrow and wide
     indices, an empty index and a one-row table, and rejects an index
-    outside the table."""
+    outside the table. A narrow index's gradient has the bytes of the
+    int64 index's, also where a row times the table width overflows it."""
     rng = np.random.default_rng(12)
     for rows in (1, 7, 300):
-        table = Tensor(rng.standard_normal((rows, 3)), dtype=np.float32)
+        table = Tensor(rng.standard_normal((rows, 3)), requires_grad=True, dtype=np.float32)
         top = min(rows, int(np.iinfo(dtype).max) + 1)
         for idx in (np.zeros(0, dtype), np.zeros(1, dtype), rng.integers(0, top, 50).astype(dtype)):
             got, want = ad.embedding_lookup(table, idx).data, table.data[idx]
             assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+            r = rng.standard_normal(got.shape).astype(np.float32)
+            grads = [_grads_through(ad.embedding_lookup(table, i), r, [table])[0]
+                     for i in (idx, idx.astype(np.int64))]
+            assert grads[0].tobytes() == grads[1].tobytes()
         if rows <= np.iinfo(dtype).max:
             with pytest.raises(ad.ShapeError, match="out of range"):
                 ad.embedding_lookup(table, np.array([0, rows], dtype))
@@ -685,6 +756,49 @@ def test_attention_bit_exact_against_primitive_chain():
                     assert np.array_equal(got[2][:, cols], dv.reshape(count * nk, dh))
                     assert np.array_equal(got[3][:, h], dbias.reshape(-1))
     assert column_max == {False, True}
+
+
+def test_masked_keys_ignore_non_finite_scores_and_full_stacks_keep_the_chain_bits():
+    """Scores of NaN, inf or -inf at masked keys still give those keys
+    weight and gradient exactly 0 and move no other bit. A stack with no
+    masked key gives the bytes of the unmasked chain, whether the softmax
+    takes its row max along the rows or down the columns."""
+    dh, scale = 3, 0.7
+    for count, n, nk in ((3, 4, 5), (16, 8, 8)):
+        for heads in HEADS:
+            rng, inputs, mask = _attention_case(29, heads, n, nk, dh, count)
+            r = rng.standard_normal((count * n, heads * dh))
+            hidden = np.broadcast_to(~mask, (count, heads, n, nk))
+            out, weights = ad.attention(*inputs, mask, heads, scale)
+            want = [out.data, weights, *_grads_through(out, r, inputs)]
+            bias = _bias_by_head(inputs[3].data, count, nk)  # a view: writes reach the input
+            bias[hidden] = rng.choice([np.nan, np.inf, -np.inf], int(hidden.sum()))
+            out, weights = ad.attention(*inputs, mask, heads, scale)
+            got = [out.data, weights, *_grads_through(out, r, inputs)]
+            assert np.all(weights[hidden] == 0.0)
+            assert np.all(_bias_by_head(got[-1], count, nk)[hidden] == 0.0)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+            inputs[3].data = rng.standard_normal(inputs[3].shape)
+            full = np.ones((count, 1, 1, nk), dtype=bool)
+            out, weights = ad.attention(*inputs, full, heads, scale)
+            got = [out.data, weights, *_grads_through(out, r, inputs)]
+            q, k, v, bias = (t.data for t in inputs)
+            for h in range(heads):
+                cols = slice(h * dh, (h + 1) * dh)
+                chain, chain_weights, grads = oracle_attention(
+                    q[:, cols].reshape(count, n, dh),
+                    k[:, cols].reshape(count, nk, dh).swapaxes(-1, -2),
+                    v[:, cols].reshape(count, nk, dh), bias[:, h].reshape(count, n, nk),
+                    full[:, 0], scale, r[:, cols].reshape(count, n, dh))
+                dq, dkt, dv, dbias = grads
+                assert got[0][:, cols].tobytes() == chain.reshape(count * n, dh).tobytes()
+                assert got[1][:, h].tobytes() == chain_weights.tobytes()
+                assert got[2][:, cols].tobytes() == dq.reshape(count * n, dh).tobytes()
+                assert got[3][:, cols].tobytes() == \
+                    dkt.swapaxes(-1, -2).reshape(count * nk, dh).tobytes()
+                assert got[4][:, cols].tobytes() == dv.reshape(count * nk, dh).tobytes()
+                assert got[5][:, h].tobytes() == dbias.reshape(-1).tobytes()
 
 
 def _mix_case(seed, sources, n=5, d=4):

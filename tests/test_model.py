@@ -1118,8 +1118,8 @@ def test_a_no_grad_forward_frees_what_no_later_op_reads(monkeypatch):
     v and attention weights before the output projection ``wo``, the
     attention output before the second layer norm and the FFN output before
     the next layer or the head. A recording forward keeps what backward
-    reads, the attention input, q, k, v and the weights; the rest it frees
-    as early."""
+    reads and cannot rebuild, q, k, v and the weights; the rest it frees as
+    early, the attention input included, which backward rebuilds."""
     _, data, model = _mixed_case(36, num_layers=2)
     role = {id(t): name for layer in model.layers for name, t in layer.items()}
     role[id(model.head_w)] = "head"
@@ -1175,8 +1175,57 @@ def test_a_no_grad_forward_frees_what_no_later_op_reads(monkeypatch):
         model.logits_for_centers(data, centers, seed=0)
     finally:
         ad.tape_clear()
-    assert {n for n, alive in seen if alive} == {"normed", "q", "k", "v", "weights"}
-    assert {n for n, alive in seen if not alive} == {"fused", "a", "z"}
+    assert {n for n, alive in seen if alive} == {"q", "k", "v", "weights"}
+    assert {n for n, alive in seen if not alive} == {"fused", "normed", "a", "z"}
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_a_recording_forward_keeps_no_layer_norm_output_or_source_rows(monkeypatch, dtype):
+    """After a recording forward of either model no layer norm's output
+    array and no fusion source's row matrix is alive: backward rebuilds
+    them, and the parameters' gradients have the bytes of a forward that
+    kept them, also when the caller overwrites its centers before backward."""
+    _, data, graphormer = _mixed_case(37, num_layers=2, dtype=dtype)
+    mlp = gm.FusedMlp(tiny_config(dtype=dtype), fusion_config(), seed=37)
+    centers = np.array([2, 21, 7, 23, 4])
+
+    def grads(model, spy):
+        arrays = []
+        proj = {id(t) for t in model.fusion.proj.values()}
+
+        def matmul(a, b, _orig=ad.matmul):
+            if id(b) in proj:  # a is a source's rows
+                spy(arrays, a)
+            return _orig(a, b)
+
+        with monkeypatch.context() as m:
+            m.setattr(ad, "layer_norm", lambda *args, _orig=ad.layer_norm: spy(
+                arrays, _orig(*args)))
+            m.setattr(ad, "matmul", matmul)
+            ids = centers.copy()
+            out = model.logits_for_centers(data, ids, seed=0)
+            ids[:] = 0  # the caller may reuse its array before backward
+        alive = [a() is not None for a in arrays]
+        params = model.parameters().values()
+        for t in params:
+            t.grad = None
+        ad.backward(out, np.ones(out.shape))
+        return alive, [t.grad.tobytes() for t in params]
+
+    def watch(arrays, t):
+        arrays.append(weakref.ref(t.data))
+        return t
+
+    def keep(arrays, t):
+        t.rebuild = None  # the forward keeps the array, as if it had no rebuild
+        return watch(arrays, t)
+
+    for model, layer_norms in ((graphormer, 4), (mlp, 0)):
+        kept, want = grads(model, keep)
+        alive, got = grads(model, watch)
+        assert kept == [True] * (layer_norms + 4)
+        assert alive == [False] * (layer_norms + 4)
+        assert got == want
 
 
 def test_logits_for_centers_gradient_check(monkeypatch):

@@ -465,7 +465,8 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
     predict after it: every op output, recorded or made off the tape,
     every leaf gradient (as Adam gets it), Adam's moments and scratch
     rows, the logits and the fusion weights are of the model's dtype, and
-    so are the rows ``fuse`` gets from a loaded dataset. ``train`` returns
+    so are the rows ``fuse`` gets from a loaded dataset and the bundle
+    rows they are gathered from. ``train`` returns
     with no gradients and an empty tape."""
     data, split = _mini_graph_data()
     model = _desk_model(kind, dtype=dtype)
@@ -508,16 +509,17 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
         fused, weights = model.fusion.fuse(rows, return_weights=True)
     assert (fused.data.dtype, weights.data.dtype) == (dtype, dtype)
     loaded = _saved_and_loaded(data, tmp_path, dtype)
-    fused_rows, fuse = [], model.fusion.fuse
+    fused_rows, source_rows = [], model.fusion.source_rows
 
-    def spy_fuse(rows, **kw):
-        fused_rows.extend(rows.values())
-        return fuse(rows, **kw)
+    def spy_source_rows(bundle, ids):
+        rows = source_rows(bundle, ids)
+        fused_rows.extend((bundle[s][ids], rows[s].data) for s in rows)
+        return rows
 
-    monkeypatch.setattr(model.fusion, "fuse", spy_fuse)
+    monkeypatch.setattr(model.fusion, "source_rows", spy_source_rows)
     with ad.no_grad():
         model.logits_for_centers(loaded, split.test_ids, seed=0)
-    assert fused_rows and {h.dtype for h in fused_rows} == {np.dtype(dtype)}
+    assert fused_rows and {h.dtype for pair in fused_rows for h in pair} == {np.dtype(dtype)}
 
 
 def test_gradients_live_from_a_step_s_first_backward_to_its_update(monkeypatch):
