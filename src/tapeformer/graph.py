@@ -85,11 +85,11 @@ class DirectedGraph:
 def _csr_rows(offsets: np.ndarray, targets: np.ndarray, rows: np.ndarray):
     """The CSR rows ``rows`` concatenated in order: (index into ``rows``
     of each entry's row, the entry)."""
-    lo = offsets[rows]
-    cnt = offsets[rows + 1] - lo
+    hi = offsets[rows + 1]
+    cnt = hi - offsets[rows]
     owner = np.repeat(np.arange(len(rows)), cnt)
-    at = lo[owner] + np.arange(len(owner)) - (np.cumsum(cnt) - cnt)[owner]
-    return owner, targets[at]
+    # entry e (counted over all rows) of row r is at lo[r] + e - (entries before r)
+    return owner, targets[np.arange(len(owner)) + (hi - np.cumsum(cnt))[owner]]
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -102,8 +102,12 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
 
 
 def _lexsort(key: np.ndarray, seg: np.ndarray, count: int) -> np.ndarray:
-    """``np.lexsort((key, seg))`` for ``seg`` in [0, count) as two cheaper stable sorts."""
-    order = np.argsort(key, kind="stable")
+    """``np.lexsort((key, seg))`` for ``seg`` in [0, count) as two cheaper sorts:
+    distinct keys have one order, so a stable sort of them is needed only
+    when one repeats."""
+    order = np.argsort(key)
+    if (np.diff(key[order]) == 0).any():
+        order = np.argsort(key, kind="stable")
     return order[np.argsort(seg[order].astype(np.min_scalar_type(count - 1)), kind="stable")]
 
 
@@ -326,30 +330,31 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
                              _csr_rows(g.in_offsets, g.in_targets, f_node))
         ]))
         keys = keys[~_find(seen, keys)[1]]
-        seg = keys // n
-        node = keys - seg * n
-        # keep each center's ``room`` smallest sampling keys; the stable sort breaks ties by id
-        found = np.bincount(seg, minlength=count)
-        order = _lexsort(_splitmix64(salt[seg] ^ node.astype(np.uint64)), seg, count)
-        take = np.empty(len(keys), dtype=bool)  # seg[order] is seg: order stays within centers
-        take[order] = np.arange(len(keys)) - (np.cumsum(found) - found)[seg] < room[seg]
-        keys, f_seg, f_node = keys[take], seg[take], node[take]
+        f_seg = keys // n
+        f_node = keys - f_seg * n
+        found = np.bincount(f_seg, minlength=count)
+        if (found > room).any():  # keep each such center's ``room`` smallest sampling keys
+            order = _lexsort(_splitmix64(salt[f_seg] ^ f_node.astype(np.uint64)), f_seg, count)
+            take = np.empty(len(keys), dtype=bool)  # order stays within centers
+            take[order] = np.arange(len(keys)) - (np.cumsum(found) - found)[f_seg] < room[f_seg]
+            keys, f_seg, f_node = keys[take], f_seg[take], f_node[take]
         segs.append(f_seg)
         picks.append(f_node)
-        if hop + 1 < hops:  # the last hop's merge has no reader
-            seen = _sorted_unique(np.concatenate([seen, keys]))
-        size += np.bincount(f_seg, minlength=count)
+        if hop + 1 < hops:  # the last hop's merge has no reader; the two runs are disjoint
+            seen = np.sort(np.concatenate([seen, keys]))
+        size += np.minimum(found, room)
     seg = np.concatenate(segs)
     order = np.argsort(seg, kind="stable")  # subgraph-major, then hop, then id
     seg, gid = seg[order], np.concatenate(picks)[order]
     start = np.cumsum(size) - size
     local = np.arange(len(seg)) - start[seg]
-    nodes = np.full((count, int(size.max())), -1, dtype=np.int64)
+    nodes = np.full((count, int(size.max(initial=0))), -1, dtype=np.int64)
     nodes[seg, local] = gid
     # induced edges: every picked node's out-edges whose target was picked too
     owner, targets = _csr_rows(g.out_offsets, g.out_targets, gid)
     picked = seg * n + gid
     by_key = np.argsort(picked)
     pos, hit = _find(picked[by_key], seg[owner] * n + targets)
-    local_edges = np.column_stack([seg[owner], local[owner], local[by_key[pos]]])[hit]
+    owner, pos = owner[hit], pos[hit]
+    local_edges = np.column_stack([seg[owner], local[owner], local[by_key[pos]]])
     return EgoStack(nodes=nodes, sizes=size, local_edges=local_edges)

@@ -30,7 +30,7 @@ from .autodiff import Tensor
 from .fusion import FusionConfig, FusionLayer, xavier_init
 from .graph import DirectedGraph, EgoStack, check_centers, sample_ego_subgraph
 from .structural import (EDGE_FEATURE_DIM, SpdMatrix, bfs_spd, build_path_features,
-                         local_adjacency, synth_edge_features)
+                         edge_table, local_adjacency)
 
 __all__ = [
     "GraphormerParams",
@@ -81,6 +81,9 @@ class GraphormerParams:
         return GraphormerConfig(num_classes=num_classes, **{
             f.name: getattr(self, f.name) for f in fields(GraphormerParams)})
 
+
+# ``np.min_scalar_type(v)`` for every v >= 0 of bit length b, at index b
+_UINTS = [np.min_scalar_type((1 << bits) - 1) for bits in range(65)]
 
 # the most padded pairs (centers x ego_max_nodes**2) of one pass, a build pass
 # or a predict chunk: 64 centers at ego_max_nodes=16, 16 at 32, 1 from 91
@@ -151,27 +154,40 @@ class SubgraphStack:
     a (B*k*k, ...) one is its pair (i, j); node 0 of each subgraph is its
     center. ``path_index[b]`` is entry b's, into block b of
     ``edge_table``, whose rows after its leading zero row are block b's
-    ``edges``; ``path_coeffs`` is built on first read. The path width
-    w, which also bounds the distances, is ``path_index.shape[-1]``.
-    ``build_batch``'s distances and path index are int64; ``stack_batches``
-    keeps the entries' uint path index and writes the narrowest signed
-    distances that hold w + 1."""
+    ``edges``. The edge table, ``path_coeffs`` and the degrees are read
+    off ``graph`` on first read. The path width w, which also bounds the
+    distances, is ``path_index.shape[-1]``. ``build_batch``'s distances
+    and path index are int64; ``stack_batches`` keeps the entries' uint
+    path index and writes the narrowest signed distances that hold w + 1."""
 
+    graph: DirectedGraph  # what the edge table and the degrees are read off
     sizes: np.ndarray  # (B,)
     nodes: np.ndarray  # (B, k), -1 on padding
     spd: SpdMatrix  # dist (B, k, k)
-    edge_table: np.ndarray  # (rows, EDGE_FEATURE_DIM), a block per subgraph
     edge_offsets: np.ndarray  # (B + 1,): block b is rows edge_offsets[b]:edge_offsets[b + 1]
     # (rows - B, 3) local src, local dst, citation flag: block b's are rows
     # edge_offsets[b] - b:edge_offsets[b + 1] - b - 1, one per table row past its zero row
     edges: np.ndarray
     path_index: np.ndarray  # (B, k, k, w) t * w + N - 1 (0: no step)
-    in_deg: np.ndarray  # (B, k), 0 on padding
-    out_deg: np.ndarray  # (B, k), 0 on padding
 
     @property
     def spd_buckets(self) -> np.ndarray:
         return self.spd.dist
+
+    @cached_property
+    def edge_table(self) -> np.ndarray:
+        """(rows, EDGE_FEATURE_DIM) float64, a block per subgraph."""
+        return edge_table(self.graph, self.nodes, self.edges, self.edge_offsets)
+
+    @cached_property
+    def in_deg(self) -> np.ndarray:
+        """(B, k) full-graph in-degrees, 0 on padding."""
+        return np.where(self.nodes >= 0, self.graph.in_degree[self.nodes], 0)
+
+    @cached_property
+    def out_deg(self) -> np.ndarray:
+        """(B, k) full-graph out-degrees, 0 on padding."""
+        return np.where(self.nodes >= 0, self.graph.out_degree[self.nodes], 0)
 
     @cached_property
     def path_coeffs(self) -> np.ndarray:
@@ -184,21 +200,16 @@ class SubgraphStack:
         view would keep the whole padded stack alive). The distances and
         the edge table are not kept: ``stack_batches`` derives them."""
         width, out = self.path_index.shape[-1], []
-        for b, n in enumerate(self.sizes.tolist()):
-            lo, hi, nodes = self.edge_offsets[b], self.edge_offsets[b + 1], self.nodes[b, :n]
+        offsets = self.edge_offsets.tolist()
+        for b, (n, top) in enumerate(zip(self.sizes.tolist(), self.nodes.max(axis=1).tolist())):
+            lo, hi = offsets[b], offsets[b + 1]
             out.append(SubgraphBatch(
-                nodes=nodes.astype(np.min_scalar_type(int(nodes.max()))),
-                edges=self.edges[lo - b:hi - b - 1].astype(np.min_scalar_type(n - 1)),
+                nodes=self.nodes[b, :n].astype(_UINTS[top.bit_length()]),
+                edges=self.edges[lo - b:hi - b - 1].astype(_UINTS[(n - 1).bit_length()]),
                 path_index=self.path_index[b, :n, :n].astype(
-                    np.min_scalar_type((hi - lo) * width - 1)),
+                    _UINTS[((hi - lo) * width - 1).bit_length()]),
             ))
         return out
-
-
-def _degrees(g: DirectedGraph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(in, out) full-graph degrees of ``nodes``, 0 where a node is -1."""
-    real = nodes >= 0
-    return np.where(real, g.in_degree[nodes], 0), np.where(real, g.out_degree[nodes], 0)
 
 
 def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> SubgraphStack:
@@ -207,18 +218,8 @@ def build_batch(g: DirectedGraph, stack: EgoStack, cfg: GraphormerConfig) -> Sub
     adj = local_adjacency(stack)
     spd, pred = bfs_spd(adj, stack.nodes, cfg.path_width)
     paths = build_path_features(g, stack, spd, pred, adj, cfg.path_width)
-    in_deg, out_deg = _degrees(g, stack.nodes)
-    return SubgraphStack(
-        sizes=stack.sizes,
-        nodes=stack.nodes,
-        spd=spd,
-        edge_table=paths.table,
-        edge_offsets=paths.offsets,
-        edges=paths.edges,
-        path_index=paths.index,
-        in_deg=in_deg,
-        out_deg=out_deg,
-    )
+    return SubgraphStack(graph=g, sizes=stack.sizes, nodes=stack.nodes, spd=spd,
+                         edge_offsets=paths.offsets, edges=paths.edges, path_index=paths.index)
 
 
 def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> SubgraphStack:
@@ -229,9 +230,8 @@ def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> Subgrap
 
     A real pair's distance is N where its path's first step reads
     t * w + N - 1, 0 on the diagonal and w + 1 where no path joins it. The
-    edge table is one ``synth_edge_features`` call over every entry's
-    edges, laid out as ``build_batch`` lays it out: a zero row, then each
-    entry's edges in order, per block."""
+    edge table is laid out as ``build_batch`` lays it out: a zero row, then
+    each entry's edges in order, per block."""
     sizes = np.array([len(b.nodes) for b in batches])
     count, k, width = len(batches), int(sizes.max()), batches[0].path_index.shape[-1]
     counts = np.array([len(b.edges) for b in batches])
@@ -249,16 +249,9 @@ def stack_batches(g: DirectedGraph, batches: Sequence[SubgraphBatch]) -> Subgrap
     real = np.arange(k) < sizes[:, None]
     dist[~(real[:, :, None] & real[:, None, :])] = 0
     dist[:, np.arange(k), np.arange(k)] = 0
-    edges = np.concatenate([b.edges for b in batches])
-    block = np.repeat(np.arange(count), counts)
-    table = np.zeros((offsets[-1], EDGE_FEATURE_DIM))
-    table[np.arange(len(edges)) + block + 1] = synth_edge_features(
-        g, nodes[block, edges[:, 0]], nodes[block, edges[:, 1]], edges[:, 2] > 0)
-    in_deg, out_deg = _degrees(g, nodes)
-    return SubgraphStack(
-        sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist), edge_table=table,
-        edge_offsets=offsets, edges=edges, path_index=index, in_deg=in_deg, out_deg=out_deg,
-    )
+    return SubgraphStack(graph=g, sizes=sizes, nodes=nodes, spd=SpdMatrix(dist=dist),
+                         edge_offsets=offsets, edges=np.concatenate([b.edges for b in batches]),
+                         path_index=index)
 
 
 class SubgraphStore:

@@ -31,6 +31,7 @@ __all__ = [
     "clustering_coefficients",
     "local_adjacency",
     "synth_edge_features",
+    "edge_table",
     "build_path_features",
 ]
 
@@ -56,13 +57,25 @@ class PathFeatures:
     a zero row, then its directed local edges' features, whose local ids and
     citation flags ``edges`` lists in the same order. ``index[b, i, j, p]``
     is t * width + N - 1 where step p of the N-step path i -> j is row t, or 0.
+    ``table`` and ``lengths`` are built on first read.
     """
 
     index: np.ndarray  # (B, k, k, width) int64
-    table: np.ndarray  # (m + B, EDGE_FEATURE_DIM) for m directed local edges in all
     offsets: np.ndarray  # (B + 1,)
     edges: np.ndarray  # (m, 3) int64: local src, local dst, 1 along a citation (else 0)
-    lengths: np.ndarray  # (B, k, k) hop counts; 0 on the diagonal and for unreachable pairs
+    graph: DirectedGraph  # whose degrees the features read
+    nodes: np.ndarray  # (B, k) the subgraphs' global ids
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """(m + B, EDGE_FEATURE_DIM) for m directed local edges in all."""
+        return edge_table(self.graph, self.nodes, self.edges, self.offsets)
+
+    @cached_property
+    def lengths(self) -> np.ndarray:
+        """(B, k, k) hop counts; 0 on the diagonal and for unreachable pairs."""
+        first = self.index[..., 0]
+        return np.where(first > 0, first % self.index.shape[-1] + 1, 0)
 
     @cached_property
     def steps(self) -> np.ndarray:
@@ -111,14 +124,18 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, width: int) -> tuple[SpdMatrix, 
     count, k = nodes.shape
     order = np.argsort(nodes, axis=-1)  # local indices by ascending global id
     rank = np.argsort(order, axis=-1)
-    operands = [adj * np.where(rank // 52 == g, np.ldexp(1.0, 51 - rank % 52), 0.0)[..., None]
-                for g in range(-(-k // 52))]
-    unseen = ~np.broadcast_to(np.eye(k, dtype=bool), adj.shape)
-    frontier = (~unseen).astype(np.float64)
-    dist = np.zeros(adj.shape, dtype=np.min_scalar_type(width + 1))
-    sums = [np.zeros(adj.shape) for _ in operands]  # per group, its sum on the hop reaching a pair
-    for d in range(1, width + 1):
-        dist += unseen
+    scale, group = np.ldexp(1.0, 51 - rank % 52), rank // 52
+    frontier = adj.astype(np.float64)
+    operands = [frontier * np.where(group == g, scale, 0.0)[..., None] for g in range(-(-k // 52))]
+    # hop 1 reaches each node's neighbours, its operand entries their sums
+    off = ~np.eye(k, dtype=bool)
+    unseen = adj ^ off  # adj has no diagonal
+    dist = np.empty(adj.shape, dtype=np.min_scalar_type(width + 1))
+    dist[...] = off
+    sums = [op.copy() for op in operands]  # per group, its sum on the hop reaching a pair
+    d = 1  # the last hop run
+    for d in range(2, width + 1):
+        dist += unseen.view(np.uint8)
         hits = [frontier @ op for op in operands]
         reached = hits[0] > 0
         for hit in hits[1:]:
@@ -136,13 +153,13 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, width: int) -> tuple[SpdMatrix, 
     # group g's sum 2**(e - 1) + ... leads with rank 52 * (g + 1) - e; e is 0
     # for an empty sum, and every sum is empty off the reached pairs
     none = 52 * len(sums)  # the code of no predecessor
-    best = none - np.frexp(sums[-1])[1]
+    row = (none + 1) * np.arange(count)[:, None, None]  # subgraph s's row of ``lookup``
+    best = row + none - np.frexp(sums[-1])[1]
     for g in range(len(sums) - 2, -1, -1):
-        best = np.where(sums[g] > 0, 52 * (g + 1) - np.frexp(sums[g])[1], best)
+        best = np.where(sums[g] > 0, row + 52 * (g + 1) - np.frexp(sums[g])[1], best)
     # ranks past k, and the code of no predecessor, read -1
     lookup = np.concatenate([order, np.full((count, none + 1 - k), -1)], axis=1)
-    pred = np.take(lookup, best + (none + 1) * np.arange(count)[:, None, None])
-    return SpdMatrix(dist=dist.astype(np.int64)), pred
+    return SpdMatrix(dist=dist.astype(np.int64)), np.take(lookup, best)
 
 
 def clustering_coefficients(g: DirectedGraph, nodes) -> np.ndarray:
@@ -184,47 +201,55 @@ def synth_edge_features(g: DirectedGraph, src: np.ndarray, dst: np.ndarray,
     return out
 
 
+def edge_table(g: DirectedGraph, nodes: np.ndarray, edges: np.ndarray,
+               offsets: np.ndarray) -> np.ndarray:
+    """(offsets[-1], EDGE_FEATURE_DIM) features of B subgraphs' ``edges``: block b,
+    rows offsets[b]:offsets[b + 1], is a zero row, then subgraph b's edges in order."""
+    block = np.repeat(np.arange(len(nodes)), offsets[1:] - offsets[:-1] - 1)
+    table = np.zeros((offsets[-1], EDGE_FEATURE_DIM))
+    table[np.arange(len(edges)) + block + 1] = synth_edge_features(
+        g, nodes[block, edges[:, 0]], nodes[block, edges[:, 1]], edges[:, 2] > 0)
+    return table
+
+
 def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix, pred: np.ndarray,
                         adj: np.ndarray, width: int) -> PathFeatures:
     """Per-edge feature sequences along the shortest paths ``pred`` picks,
     one per ordered pair, for pairs at most ``width`` apart.
 
-    ``synth_edge_features`` is called once, over both orientations of
-    every local undirected edge of every subgraph, with each step's
-    direction read off ``sub.local_edges``: an induced subgraph holds
-    every citation between its nodes, and one scatter puts the features
-    at their table rows. Paths are then filled one distance level at a
+    Every local undirected edge of every subgraph is listed in both
+    orientations, with each step's direction read off ``sub.local_edges``:
+    an induced subgraph holds every citation between its nodes. Each is a
+    one-step path. Longer paths are then filled one distance level at a
     time: the path i -> j is the path i -> pred[i, j], each step's N one
     larger, plus the step pred[i, j] -> j. Within a level, step position
     t of every pair f is one flat copy from its predecessor pair fp,
     ``index[f * width + t] = index[fp * width + t] + 1``.
     """
-    cited = np.zeros(adj.shape, dtype=bool)
-    cited[tuple(sub.local_edges.T)] = True
-    s, a, b = np.nonzero(adj)
-    flags = cited[s, a, b]
-    feats = synth_edge_features(g, sub.nodes[s, a], sub.nodes[s, b], flags)
+    count, k = sub.nodes.shape
+    f = np.flatnonzero(adj)  # pair (s, a, b) is f = (s * k + a) * k + b
+    q = f // k  # s * k + a, so that b = f - q * k without an int64 %
+    s = q // k
+    cited = np.zeros(adj.size, dtype=bool)
+    cited[(sub.local_edges[:, 0] * k + sub.local_edges[:, 1]) * k + sub.local_edges[:, 2]] = True
     # edges come grouped by subgraph and a zero row leads each subgraph's
-    # block, so edge n of subgraph s is row n + s + 1 of the table
-    offsets = np.append(0, np.cumsum(np.bincount(s, minlength=len(adj)) + 1))
-    rows = np.arange(len(s)) + s + 1
-    table = np.zeros((len(rows) + len(adj), EDGE_FEATURE_DIM))
-    table[rows] = feats
-    k = adj.shape[-1]
-    edge = np.zeros(adj.size, dtype=np.int64)
-    edge[(s * k + a) * k + b] = rows - offsets[s]  # row within the block
-    pred = pred.reshape(-1)
+    # block, so edge n of subgraph s is row n + s + 1 - offsets[s] of its block
+    offsets = np.append(0, np.cumsum(np.bincount(s, minlength=count) + 1))
+    edge = np.zeros(adj.size, dtype=np.int64)  # t * width for the step of row t
     index = np.zeros(adj.size * width, dtype=np.int64)
-    for d in range(1, width + 1):
-        f = np.flatnonzero(spd.dist == d)  # pair (s, i, j) is f = (s * k + i) * k + j
-        if len(f) == 0:
+    edge[f] = index[f * width] = (np.arange(1, len(f) + 1) + s - offsets[s]) * width  # level 1
+    # per pair (s, i, j): the first slot of (s, i, p) and edge[s, p, j], p = pred[s, i, j]
+    via = (pred + np.arange(0, adj.size, k).reshape(adj.shape[:2] + (1,))).reshape(-1) * width
+    last = edge[(pred + np.arange(0, count * k, k)[:, None, None]) * k + np.arange(k)].reshape(-1)
+    del edge  # no later reader: freed here, it is not part of the level loop's peak
+    for d in range(2, width + 1):
+        level = np.flatnonzero(spd.dist == d)
+        if len(level) == 0:
             break
-        q = f // k  # s * k + i, so that j = f - q * k without an int64 %
-        j, p = f - q * k, pred[f]
-        at, fp = f * width, (q * k + p) * width  # first slots of (s, i, j) and (s, i, p)
+        at, fp = level * width, via[level]
         for t in range(d - 1):
             index[at + t] = index[fp + t] + 1
-        index[at + d - 1] = edge[(q // k * k + p) * k + j] * width + d - 1  # edge[s, p, j]
-    return PathFeatures(index=index.reshape(adj.shape + (width,)), table=table, offsets=offsets,
-                        edges=np.stack([a, b, flags], axis=1),
-                        lengths=np.where(spd.dist <= width, spd.dist, 0))
+        index[at + d - 1] = last[level] + d - 1
+    return PathFeatures(index=index.reshape(adj.shape + (width,)), offsets=offsets,
+                        edges=np.stack([q - s * k, f - q * k, cited[f]], axis=1),
+                        graph=g, nodes=sub.nodes)

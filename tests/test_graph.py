@@ -230,7 +230,28 @@ def test_lexsort_matches_np_lexsort():
         assert np.array_equal(got, np.lexsort((key, seg)))
 
 
+def test_lexsort_matches_np_lexsort_on_distinct_keys():
+    """Distinct keys, as one pass's sampling keys are (SplitMix64 is a
+    bijection): the same permutation as ``np.lexsort((key, seg))`` without
+    the stable fallback, in both orders of the input."""
+    rng = np.random.default_rng(1)
+    for count, size in ((64, 60), (70_000, 150_000)):
+        seg = rng.integers(0, count, size=size)
+        key = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+        assert len(np.unique(key)) == size
+        for order in (np.arange(size), np.argsort(seg, kind="stable")):
+            got = gr._lexsort(key[order], seg[order], count)
+            assert np.array_equal(got, np.lexsort((key[order], seg[order])))
+
+
 # --- ego subgraph sampling ---------------------------------------------------
+
+
+def test_no_centers_sample_an_empty_stack():
+    g = gr.from_edge_list([(0, 1), (1, 2)], 3)
+    sub = gr.sample_ego_subgraph(g, [], hops=2, max_nodes=4, seed=0)
+    assert sub.nodes.shape == (0, 0) and sub.sizes.shape == (0,)
+    assert sub.local_edges.shape == (0, 3) and sub.num_nodes == 0
 
 
 def test_isolated_center_singleton():

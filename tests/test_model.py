@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import types
 import weakref
 
@@ -344,6 +345,7 @@ def test_cached_batches_own_compact_arrays(monkeypatch):
             a = getattr(b, f.name)
             assert not any(np.shares_memory(a, p) for p in padded)
             assert a.base is None or a.base.nbytes == a.nbytes
+            assert a.flags.c_contiguous, f.name  # stacking copies it row by row
 
 
 def test_path_index_widens_with_the_edge_table():
@@ -650,6 +652,45 @@ def test_passes_of_1_3_and_16_centers_build_the_same_entries(monkeypatch):
         assert _entry_bytes(entry) == _entry_bytes(built[1][key]) == _entry_bytes(built[2][key]), key
 
 
+# sha256 of every stored entry of the integer-drawn graph below, per
+# (ego_max_nodes, seed); no float enters an entry, so it holds on any machine
+ENTRY_DIGESTS = {
+    (16, 0): "98d758b944b70daf21a4e8a252677d1aa5580510276bd7a73de29133eaca1e98",
+    (16, 7): "155a3b3535ecc745fa196a5f88c04912a7ab8a43ac74d78934df590636c221ff",
+    (32, 0): "8ee529f84879f55b369b9687f28b2fa169faa85dc8532ed22f56d70867ea682f",
+    (32, 7): "8809d6066b6f9a3bd2487acb2b7e9a0d10824d7b19c2084dc0dd44bdeaf814f9",
+}
+
+
+def _entry_digest(entries) -> str:
+    """sha256 over each entry's fields in order: dtype, shape and little-endian bytes."""
+    h = hashlib.sha256()
+    for entry in entries:
+        for f in dataclasses.fields(entry):
+            a = getattr(entry, f.name)
+            a = a.astype(a.dtype.newbyteorder("<"))
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("max_nodes", [16, 32])
+def test_stored_entries_match_their_recorded_digest(monkeypatch, max_nodes):
+    """All 400 centers' entries of a 400-node graph drawn with integer
+    draws only hash to the recorded digests, at seeds 0 and 7 and in
+    passes of 1, 7 and 64 centers."""
+    rng = np.random.default_rng(2024)
+    g = gr.from_edge_list(rng.integers(0, 400, size=(1800, 2)), 400)
+    cfg = tiny_config(ego_max_nodes=max_nodes, max_spd=5)
+    for seed in (0, 7):
+        for per_pass in (1, 7, 64):
+            monkeypatch.setattr(gm, "BUILD_PASS_PAIRS", per_pass * max_nodes ** 2)
+            store = gm.SubgraphStore()
+            store.build(g, cfg, range(400), seed)
+            got = _entry_digest(store.entries[(c, seed)] for c in range(400))
+            assert got == ENTRY_DIGESTS[(max_nodes, seed)], (seed, per_pass)
+
+
 def _with_reciprocal_citations(g):
     """``g`` plus the reverse of every fifth citation."""
     edges = list(edge_pairs(g))
@@ -685,6 +726,7 @@ def test_edge_orientation_from_the_stack_matches_the_graph_lookup(monkeypatch):
                 with monkeypatch.context() as m:
                     m.setattr(st, "synth_edge_features", looked_up)
                     old = gm.build_batch(g, sub, cfg)
+                    old.edge_table  # built on first read: while the lookup is patched in
                 for name in ("nodes", "edge_table", "edge_offsets", "path_index", "in_deg",
                              "out_deg"):
                     assert getattr(want, name).tobytes() == getattr(old, name).tobytes(), name
@@ -1099,16 +1141,18 @@ def test_stacking_a_full_width_pass_gives_back_the_built_stack():
         narrow = {"spd": np.int8, "edges": np.uint8,
                   "path_index": np.result_type(*(e.path_index.dtype for e in entries))}
         assert narrow["path_index"] == np.uint16
-        for f in dataclasses.fields(built):
-            got, want = getattr(back, f.name), getattr(built, f.name)
-            if f.name == "spd":
+        assert back.graph is built.graph is g
+        names = [f.name for f in dataclasses.fields(built) if f.name != "graph"]
+        for name in names + ["edge_table", "in_deg", "out_deg"]:  # and what is read off g
+            got, want = getattr(back, name), getattr(built, name)
+            if name == "spd":
                 got, want = got.dist, want.dist
-            assert got.dtype == narrow.get(f.name, want.dtype), (k, f.name)
-            assert got.shape == want.shape, (k, f.name)
-            if f.name in narrow:
-                assert want.dtype == np.int64, (k, f.name)
+            assert got.dtype == narrow.get(name, want.dtype), (k, name)
+            assert got.shape == want.shape, (k, name)
+            if name in narrow:
+                assert want.dtype == np.int64, (k, name)
                 got = got.astype(np.int64)
-            assert got.tobytes() == want.tobytes(), (k, f.name)
+            assert got.tobytes() == want.tobytes(), (k, name)
 
 
 def test_a_no_grad_forward_frees_what_no_later_op_reads(monkeypatch):
