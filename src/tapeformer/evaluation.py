@@ -92,29 +92,29 @@ def confusion(preds, labels, num_classes: int) -> np.ndarray:
 
 
 def metrics(counts: np.ndarray) -> MetricsReport:
-    """The report of a ``confusion`` count matrix."""
-    c = counts.shape[0]
-    tp = np.diag(counts).astype(np.float64)
-    fp = counts.sum(axis=0) - tp
-    fn = counts.sum(axis=1) - tp
+    """The report of a ``confusion`` count matrix, in Python ints and floats:
+    the float64 values of the counts' arithmetic, macro sums class by class."""
+    rows = counts.tolist()
     per_class: list[ClassMetrics] = []
-    zero_den = 0
-    for i in range(c):
-        p_den = tp[i] + fp[i]
-        r_den = tp[i] + fn[i]
+    zero_den = hits = total = 0
+    sum_p = sum_r = sum_f1 = 0.0  # the macro sums, class by class
+    for i, (row, p_den) in enumerate(zip(rows, map(sum, zip(*rows)))):
+        tp, r_den = row[i], sum(row)
+        hits, total = hits + tp, total + r_den
         if p_den == 0 or r_den == 0:
             zero_den += 1
-        p = tp[i] / p_den if p_den > 0 else 0.0
-        r = tp[i] / r_den if r_den > 0 else 0.0
+        p = tp / p_den if p_den > 0 else 0.0
+        r = tp / r_den if r_den > 0 else 0.0
         f1 = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
-        per_class.append(ClassMetrics(precision=p, recall=r, f1=f1, support=int(r_den)))
+        per_class.append(ClassMetrics(precision=p, recall=r, f1=f1, support=r_den))
+        sum_p, sum_r, sum_f1 = sum_p + p, sum_r + r, sum_f1 + f1
     if zero_den:
         log.info("metrics: %d class(es) had a zero precision/recall denominator", zero_den)
     return MetricsReport(
-        accuracy=float(tp.sum() / int(counts.sum())),
-        macro_precision=float(sum(m.precision for m in per_class) / c),
-        macro_recall=float(sum(m.recall for m in per_class) / c),
-        macro_f1=float(sum(m.f1 for m in per_class) / c),
+        accuracy=hits / total,
+        macro_precision=sum_p / len(rows),
+        macro_recall=sum_r / len(rows),
+        macro_f1=sum_f1 / len(rows),
         per_class=per_class,
         zero_denominator_classes=zero_den,
     )

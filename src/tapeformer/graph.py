@@ -29,6 +29,7 @@ __all__ = [
     "from_edge_list",
     "from_out_csr",
     "load_edge_list",
+    "node_ids",
     "sample_ego_subgraph",
 ]
 
@@ -81,15 +82,25 @@ class DirectedGraph:
         top = int(max(self.out_degree.max(initial=0), self.in_degree.max(initial=0)))
         return np.array(list(map(math.log1p, range(top + 1))), dtype=np.float64)
 
+    @cached_property
+    def neighbours(self) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, targets): the undirected view as a CSR, each node's distinct
+        out- and in-neighbours ascending (two entries an edge at most), built on
+        first use."""
+        ends = np.stack([np.repeat(np.arange(self.num_nodes), self.out_degree), self.out_targets])
+        both = from_edge_list(np.concatenate([ends, ends[::-1]], axis=1).T, self.num_nodes)
+        return both.out_offsets, both.out_targets
+
 
 def _csr_rows(offsets: np.ndarray, targets: np.ndarray, rows: np.ndarray):
-    """The CSR rows ``rows`` concatenated in order: (index into ``rows``
-    of each entry's row, the entry)."""
-    hi = offsets[rows + 1]
-    cnt = hi - offsets[rows]
-    owner = np.repeat(np.arange(len(rows)), cnt)
+    """The CSR rows ``rows`` concatenated in order: (each row's entry
+    count, the entries)."""
+    lo, hi = offsets[rows], offsets[1:][rows]
+    cnt = hi - lo
     # entry e (counted over all rows) of row r is at lo[r] + e - (entries before r)
-    return owner, targets[np.arange(len(owner)) + (hi - np.cumsum(cnt))[owner]]
+    at = (hi - cnt.cumsum()).repeat(cnt)
+    at += np.arange(len(at))
+    return cnt, targets[at]
 
 
 def _sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -101,22 +112,10 @@ def _sorted_unique(keys: np.ndarray) -> np.ndarray:
     return keys[keep]
 
 
-def _lexsort(key: np.ndarray, seg: np.ndarray, count: int) -> np.ndarray:
-    """``np.lexsort((key, seg))`` for ``seg`` in [0, count) as two cheaper sorts:
-    distinct keys have one order, so a stable sort of them is needed only
-    when one repeats."""
-    order = np.argsort(key)
-    if (np.diff(key[order]) == 0).any():
-        order = np.argsort(key, kind="stable")
-    return order[np.argsort(seg[order].astype(np.min_scalar_type(count - 1)), kind="stable")]
-
-
 def _find(sorted_keys: np.ndarray, keys: np.ndarray):
-    """(position, found) of each of ``keys`` in the ascending ``sorted_keys``;
-    the position is meaningless where not found."""
-    if len(sorted_keys) == 0:
-        return np.zeros(len(keys), dtype=np.int64), np.zeros(len(keys), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    """(position, found) of each of ``keys`` in the ascending ``sorted_keys``,
+    not empty unless ``keys`` is; the position is meaningless where not found."""
+    pos = np.minimum(sorted_keys.searchsorted(keys), len(sorted_keys) - 1)
     return pos, sorted_keys[pos] == keys
 
 
@@ -266,28 +265,58 @@ def _read_edge_lines(path) -> np.ndarray:
     return arr
 
 
-def check_centers(g: DirectedGraph, centers) -> None:
-    """Raise naming the first center outside [0, num_nodes)."""
-    centers = np.asarray(centers, dtype=np.int64).reshape(-1)
-    bad = (centers < 0) | (centers >= g.num_nodes)
+def node_ids(ids) -> np.ndarray:
+    """``ids`` as a new 1-D int64 array, which no later write by the caller
+    changes. Ids that are not integers, a bool mask or floats, are refused
+    naming their dtype rather than cast; an empty list passes."""
+    arr = np.asarray(ids)
+    if arr.dtype.kind not in "iu" and arr.size:
+        raise GraphConstructionError(f"node ids must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64).reshape(-1)
+
+
+def check_centers(g: DirectedGraph, centers) -> np.ndarray:
+    """``node_ids(centers)``; raises naming the first outside [0, num_nodes)."""
+    centers = node_ids(centers)
+    bad = centers.view(np.uint64) >= g.num_nodes  # a negative id wraps past every node
     if bad.any():
         raise GraphConstructionError(f"center {centers[bad][0]} outside [0, {g.num_nodes})")
+    return centers
 
 
-# SplitMix64's increment and multipliers (Steele et al., OOPSLA 2014)
+# SplitMix64's increment and multipliers (Steele et al., OOPSLA 2014); arrays take
+# them and the shifts as numpy words, since a Python int operand converts per op
 _GAMMA, _MIX1, _MIX2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_WORDS = tuple(map(np.uint64, (_GAMMA, _MIX1, _MIX2, 30, 27, 31)))
 
 
 def _splitmix64(x: np.ndarray) -> np.ndarray:
     """SplitMix64's output function on each word of a uint64 array, a
     bijection; array arithmetic wraps mod 2**64 without a warning."""
-    x = x + _GAMMA
-    x ^= x >> 30
-    x *= _MIX1
-    x ^= x >> 27
-    x *= _MIX2
-    x ^= x >> 31
+    gamma, mix1, mix2, s30, s27, s31 = _WORDS
+    x = x + gamma
+    x ^= x >> s30
+    x *= mix1
+    x ^= x >> s27
+    x *= mix2
+    x ^= x >> s31
     return x
+
+
+def _smallest(salt: np.ndarray, seg: np.ndarray, node: np.ndarray, found: np.ndarray,
+              took: np.ndarray) -> np.ndarray:
+    """Indices of the ``took[s]`` nodes of each center s, of the ``found[s]``
+    in ``node`` grouped by ascending ``seg``, with the smallest sampling keys
+    ``s(salt[s] ^ node)``. One sort of ``seg`` over each key's top bits finds
+    every center's threshold, unless two keys of a center share those bits."""
+    key = _splitmix64(salt[seg] ^ node.view(np.uint64))
+    bits = (len(found) - 1).bit_length()
+    lead = seg.view(np.uint64) << (64 - bits) | key >> bits
+    ranked = lead.copy()
+    ranked.sort()
+    if (ranked[1:] == ranked[:-1]).any():
+        lead, ranked = key, key[np.lexsort((key, seg))]
+    return (lead <= ranked[found.cumsum() - found + took - 1][seg]).nonzero()[0]
 
 
 def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
@@ -303,16 +332,16 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
     every row), then each hop's nodes in ascending global id.
 
     Every center is sampled in the same pass: frontiers of all centers
-    expand together over the CSR arrays as ``b * n + node`` keys, and
-    one sort by (center, key) ranks every overflowing frontier at once.
+    expand together over ``g.neighbours`` as ``b * n + node`` keys, and
+    one sort ranks every overflowing frontier at once (``_smallest``).
     """
-    centers = np.asarray(centers, dtype=np.int64)
-    check_centers(g, centers)
+    centers = check_centers(g, centers)
     if hops < 1 or max_nodes < 1:
         raise GraphConstructionError("hops and max_nodes must be >= 1")
     count, n = len(centers), np.int64(g.num_nodes)
-    salt = _splitmix64(_splitmix64(np.full(count, int(seed) % 2**64, dtype=np.uint64))
-                       ^ centers.astype(np.uint64))
+    salt = _splitmix64(centers.view(np.uint64)
+                       ^ _splitmix64(np.array([int(seed) % 2**64], dtype=np.uint64)))
+    offsets, targets = g.neighbours
     segs = [np.arange(count)]  # (subgraph, node) of every pick, hop by hop
     picks = [centers]
     seen = segs[0] * n + centers  # ascending
@@ -320,41 +349,44 @@ def sample_ego_subgraph(g: DirectedGraph, centers, hops: int, max_nodes: int,
     f_seg, f_node = segs[0], centers
     for hop in range(hops):
         room = max_nodes - size
-        live = room[f_seg] > 0
+        live = (room[f_seg] > 0).nonzero()[0]
         f_seg, f_node = f_seg[live], f_node[live]
         if len(f_seg) == 0:
             break
-        keys = _sorted_unique(np.concatenate([
-            f_seg[owner] * n + w
-            for owner, w in (_csr_rows(g.out_offsets, g.out_targets, f_node),
-                             _csr_rows(g.in_offsets, g.in_targets, f_node))
-        ]))
+        cnt, w = _csr_rows(offsets, targets, f_node)
+        keys = (f_seg * n).repeat(cnt)
+        keys += w
+        if hop:  # the first hop's keys are one sorted, distinct row per center
+            keys = _sorted_unique(keys)
         keys = keys[~_find(seen, keys)[1]]
         f_seg = keys // n
         f_node = keys - f_seg * n
         found = np.bincount(f_seg, minlength=count)
+        took = np.minimum(found, room)
         if (found > room).any():  # keep each such center's ``room`` smallest sampling keys
-            order = _lexsort(_splitmix64(salt[f_seg] ^ f_node.astype(np.uint64)), f_seg, count)
-            take = np.empty(len(keys), dtype=bool)  # order stays within centers
-            take[order] = np.arange(len(keys)) - (np.cumsum(found) - found)[f_seg] < room[f_seg]
+            take = _smallest(salt, f_seg, f_node, found, took)
             keys, f_seg, f_node = keys[take], f_seg[take], f_node[take]
         segs.append(f_seg)
         picks.append(f_node)
         if hop + 1 < hops:  # the last hop's merge has no reader; the two runs are disjoint
-            seen = np.sort(np.concatenate([seen, keys]))
-        size += np.minimum(found, room)
+            seen = np.concatenate((seen, keys))
+            seen.sort()
+        size += took
     seg = np.concatenate(segs)
-    order = np.argsort(seg, kind="stable")  # subgraph-major, then hop, then id
+    order = seg.argsort(kind="stable")  # subgraph-major, then hop, then id
     seg, gid = seg[order], np.concatenate(picks)[order]
-    start = np.cumsum(size) - size
+    start = size.cumsum() - size
     local = np.arange(len(seg)) - start[seg]
     nodes = np.full((count, int(size.max(initial=0))), -1, dtype=np.int64)
     nodes[seg, local] = gid
     # induced edges: every picked node's out-edges whose target was picked too
-    owner, targets = _csr_rows(g.out_offsets, g.out_targets, gid)
-    picked = seg * n + gid
-    by_key = np.argsort(picked)
-    pos, hit = _find(picked[by_key], seg[owner] * n + targets)
+    cnt, targets = _csr_rows(g.out_offsets, g.out_targets, gid)
+    owner = np.arange(len(gid)).repeat(cnt)
+    base = seg * n
+    picked = base + gid
+    by_key = picked.argsort()
+    pos, hit = _find(picked[by_key], base[owner] + targets)
+    hit = hit.nonzero()[0]
     owner, pos = owner[hit], pos[hit]
     local_edges = np.column_stack([seg[owner], local[owner], local[by_key[pos]]])
     return EgoStack(nodes=nodes, sizes=size, local_edges=local_edges)

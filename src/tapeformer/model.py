@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .fusion import FusionConfig, FusionLayer, xavier_init
-from .graph import DirectedGraph, EgoStack, check_centers, sample_ego_subgraph
+from .graph import DirectedGraph, EgoStack, check_centers, node_ids, sample_ego_subgraph
 from .structural import (EDGE_FEATURE_DIM, SpdMatrix, bfs_spd, build_path_features,
                          edge_table, local_adjacency)
 
@@ -271,14 +271,15 @@ class SubgraphStore:
         ego = (cfg.ego_hops, cfg.ego_max_nodes, cfg.path_width)
         if g is not self.graph or ego != self.ego:  # other inputs' entries: start empty
             self.entries, self.graph, self.ego = {}, g, ego
-        missing = [c for c in dict.fromkeys(map(int, centers)) if (c, seed) not in self.entries]
+        ids = node_ids(centers).tolist()
+        missing = [c for c in dict.fromkeys(ids) if (c, seed) not in self.entries]
         if not missing:
             return
-        check_centers(g, missing)  # every center, before a pass stores any
+        todo = check_centers(g, missing)  # every center, before a pass stores any
         for lo in range(0, len(missing), cfg.pass_centers):
-            part = missing[lo:lo + cfg.pass_centers]
-            subs = sample_ego_subgraph(g, part, cfg.ego_hops, cfg.ego_max_nodes, seed)
-            for c, batch in zip(part, build_batch(g, subs, cfg).split()):
+            hi = lo + cfg.pass_centers
+            subs = sample_ego_subgraph(g, todo[lo:hi], cfg.ego_hops, cfg.ego_max_nodes, seed)
+            for c, batch in zip(missing[lo:hi], build_batch(g, subs, cfg).split()):
                 self.entries[(c, seed)] = batch
 
 
@@ -521,7 +522,7 @@ class GraphormerModel:
     def logits_for_centers(self, data, centers, seed: int) -> Tensor:
         """(B, C) center-node logits from one padded forward over the
         centers' stored subgraphs; the ones not stored yet are built first."""
-        centers = [int(c) for c in centers]
+        centers = node_ids(centers).tolist()
         if not centers:
             raise ValueError("logits_for_centers got an empty center list")
         self.build_centers(data, centers, seed)
@@ -561,7 +562,7 @@ class FusedMlp:
         """Nothing to build: the baseline reads no subgraphs."""
 
     def logits_for_centers(self, data, centers, seed: int) -> Tensor:
-        rows = self.fusion.source_rows(data.bundle, np.array(centers, dtype=np.int64))
+        rows = self.fusion.source_rows(data.bundle, node_ids(centers))
         h = ad.relu(ad.linear(self.fusion.fuse(rows), self.w1, self.b1))
         return ad.linear(h, self.w2, self.b2)
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graph import DirectedGraph, EgoStack, sample_ego_subgraph
+from .graph import DirectedGraph, EgoStack, node_ids, sample_ego_subgraph
 
 __all__ = [
     "SpdMatrix",
@@ -122,34 +122,28 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, width: int) -> tuple[SpdMatrix, 
     if width < 1:
         raise ValueError(f"need width >= 1, got {width}")
     count, k = nodes.shape
-    order = np.argsort(nodes, axis=-1)  # local indices by ascending global id
-    rank = np.argsort(order, axis=-1)
+    order = nodes.argsort(axis=-1)  # local indices by ascending global id
+    rank = order.argsort(axis=-1)
     scale, group = np.ldexp(1.0, 51 - rank % 52), rank // 52
     frontier = adj.astype(np.float64)
     operands = [frontier * np.where(group == g, scale, 0.0)[..., None] for g in range(-(-k // 52))]
     # hop 1 reaches each node's neighbours, its operand entries their sums
     off = ~np.eye(k, dtype=bool)
     unseen = adj ^ off  # adj has no diagonal
-    dist = np.empty(adj.shape, dtype=np.min_scalar_type(width + 1))
-    dist[...] = off
+    dist = np.add(off, unseen, dtype=np.min_scalar_type(width + 1))  # 2 where hop 1 missed
     sums = [op.copy() for op in operands]  # per group, its sum on the hop reaching a pair
-    d = 1  # the last hop run
-    for d in range(2, width + 1):
-        dist += unseen.view(np.uint8)
+    for _ in range(2, width + 1):  # an empty frontier reaches nothing: no early exit
         hits = [frontier @ op for op in operands]
         reached = hits[0] > 0
         for hit in hits[1:]:
             reached |= hit > 0
         reached &= unseen
-        if not reached.any():
-            break
         unseen ^= reached
+        dist += unseen.view(np.uint8)
         frontier = reached.astype(np.float64)
         for hit, total in zip(hits, sums):
             hit *= frontier
             total += hit
-    # hops d..width, at which the rest stays unseen
-    dist += np.multiply(unseen, width + 1 - d, dtype=dist.dtype)
     # group g's sum 2**(e - 1) + ... leads with rank 52 * (g + 1) - e; e is 0
     # for an empty sum, and every sum is empty off the reached pairs
     none = 52 * len(sums)  # the code of no predecessor
@@ -159,7 +153,7 @@ def bfs_spd(adj: np.ndarray, nodes: np.ndarray, width: int) -> tuple[SpdMatrix, 
         best = np.where(sums[g] > 0, row + 52 * (g + 1) - np.frexp(sums[g])[1], best)
     # ranks past k, and the code of no predecessor, read -1
     lookup = np.concatenate([order, np.full((count, none + 1 - k), -1)], axis=1)
-    return SpdMatrix(dist=dist.astype(np.int64)), np.take(lookup, best)
+    return SpdMatrix(dist=dist.astype(np.int64)), lookup.take(best)
 
 
 def clustering_coefficients(g: DirectedGraph, nodes) -> np.ndarray:
@@ -170,7 +164,7 @@ def clustering_coefficients(g: DirectedGraph, nodes) -> np.ndarray:
     neighbour; the distinct undirected induced edges between a
     subgraph's non-center nodes are its center's neighbour links.
     """
-    nodes = np.asarray(nodes, dtype=np.int64).reshape(-1)
+    nodes = node_ids(nodes)
     if len(nodes) == 0:
         return np.zeros(0)
     sub = sample_ego_subgraph(g, nodes, hops=1, max_nodes=g.num_nodes, seed=0)
@@ -223,33 +217,34 @@ def build_path_features(g: DirectedGraph, sub: EgoStack, spd: SpdMatrix, pred: n
     one-step path. Longer paths are then filled one distance level at a
     time: the path i -> j is the path i -> pred[i, j], each step's N one
     larger, plus the step pred[i, j] -> j. Within a level, step position
-    t of every pair f is one flat copy from its predecessor pair fp,
-    ``index[f * width + t] = index[fp * width + t] + 1``.
+    t of every pair f is one copy from its predecessor pair fp through a
+    strided view of position t, ``steps[t][f] = steps[t][fp] + 1``.
     """
     count, k = sub.nodes.shape
-    f = np.flatnonzero(adj)  # pair (s, a, b) is f = (s * k + a) * k + b
+    f = adj.ravel().nonzero()[0]  # pair (s, a, b) is f = (s * k + a) * k + b
     q = f // k  # s * k + a, so that b = f - q * k without an int64 %
     s = q // k
-    cited = np.zeros(adj.size, dtype=bool)
-    cited[(sub.local_edges[:, 0] * k + sub.local_edges[:, 1]) * k + sub.local_edges[:, 2]] = True
+    cited = np.zeros(adj.shape, dtype=bool)
+    cited[tuple(sub.local_edges.T)] = True
     # edges come grouped by subgraph and a zero row leads each subgraph's
     # block, so edge n of subgraph s is row n + s + 1 - offsets[s] of its block
-    offsets = np.append(0, np.cumsum(np.bincount(s, minlength=count) + 1))
+    offsets = np.zeros(count + 1, dtype=np.int64)
+    (np.bincount(s, minlength=count) + 1).cumsum(out=offsets[1:])
     edge = np.zeros(adj.size, dtype=np.int64)  # t * width for the step of row t
-    index = np.zeros(adj.size * width, dtype=np.int64)
-    edge[f] = index[f * width] = (np.arange(1, len(f) + 1) + s - offsets[s]) * width  # level 1
-    # per pair (s, i, j): the first slot of (s, i, p) and edge[s, p, j], p = pred[s, i, j]
-    via = (pred + np.arange(0, adj.size, k).reshape(adj.shape[:2] + (1,))).reshape(-1) * width
-    last = edge[(pred + np.arange(0, count * k, k)[:, None, None]) * k + np.arange(k)].reshape(-1)
+    edge[f] = (np.arange(1, len(f) + 1) + s - offsets[s]) * width
+    # per pair (s, i, j): the pair (s, i, p) and edge[s, p, j], p = pred[s, i, j]
+    via = (pred + np.arange(0, adj.size, k).reshape(adj.shape[:2] + (1,))).reshape(-1)
+    last = edge[pred * k + (np.arange(0, adj.size, k * k)[:, None, None] + np.arange(k))].ravel()
+    index = np.zeros(adj.shape + (width,), dtype=np.int64)  # once last's temporaries are freed
+    steps = index.reshape(-1, width).T  # steps[p]: step p of every pair, a strided view
+    steps[0][f] = edge[f]  # level 1
     del edge  # no later reader: freed here, it is not part of the level loop's peak
     for d in range(2, width + 1):
-        level = np.flatnonzero(spd.dist == d)
-        if len(level) == 0:
-            break
-        at, fp = level * width, via[level]
+        level = (spd.dist == d).ravel().nonzero()[0]
+        fp = via[level]
         for t in range(d - 1):
-            index[at + t] = index[fp + t] + 1
-        index[at + d - 1] = last[level] + d - 1
-    return PathFeatures(index=index.reshape(adj.shape + (width,)), offsets=offsets,
-                        edges=np.stack([q - s * k, f - q * k, cited[f]], axis=1),
-                        graph=g, nodes=sub.nodes)
+            steps[t][level] = steps[t][fp] + 1
+        steps[d - 1][level] = last[level] + (d - 1)
+    edges = np.empty((len(f), 3), dtype=np.int64)
+    edges[:, 0], edges[:, 1], edges[:, 2] = q - s * k, f - q * k, cited.reshape(-1)[f]
+    return PathFeatures(index=index, offsets=offsets, edges=edges, graph=g, nodes=sub.nodes)

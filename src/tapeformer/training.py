@@ -28,6 +28,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .graph import node_ids
 from .text import DataError
 
 log = logging.getLogger(__name__)
@@ -297,7 +298,7 @@ def predict(model, data, ids, seed: int) -> np.ndarray:
     through ``_guarded``, so a non-finite logit raises a
     ``FloatingPointError`` that names the first op that went non-finite.
     """
-    ids = np.asarray(ids, dtype=np.int64)
+    ids = node_ids(ids)
     out = np.empty(len(ids), dtype=np.int64)
     model.build_centers(data, ids, seed)
     with ad.no_grad():

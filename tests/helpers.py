@@ -137,6 +137,35 @@ def oracle_encode_text(text: str, dim: int, seed: int = 0) -> np.ndarray:
     return vec
 
 
+def reference_metrics(counts: np.ndarray) -> dict:
+    """The report ``evaluation.metrics`` gives, by its first formula: float64
+    numpy scalars class by class, and the macro means as Python ``sum``s
+    of them. Per class: (precision, recall, F1, support)."""
+    c = counts.shape[0]
+    tp = np.diag(counts).astype(np.float64)
+    fp = counts.sum(axis=0) - tp
+    fn = counts.sum(axis=1) - tp
+    per_class = []
+    zero_den = 0
+    for i in range(c):
+        p_den = tp[i] + fp[i]
+        r_den = tp[i] + fn[i]
+        if p_den == 0 or r_den == 0:
+            zero_den += 1
+        p = tp[i] / p_den if p_den > 0 else 0.0
+        r = tp[i] / r_den if r_den > 0 else 0.0
+        f1 = 2.0 * p * r / (p + r) if (p + r) > 0 else 0.0
+        per_class.append((p, r, f1, int(r_den)))
+    return {
+        "accuracy": float(tp.sum() / int(counts.sum())),
+        "macro_precision": float(sum(m[0] for m in per_class) / c),
+        "macro_recall": float(sum(m[1] for m in per_class) / c),
+        "macro_f1": float(sum(m[2] for m in per_class) / c),
+        "per_class": per_class,
+        "zero_denominator_classes": zero_den,
+    }
+
+
 # ---------------------------------------------------------------------------
 # independent graph oracles
 # ---------------------------------------------------------------------------

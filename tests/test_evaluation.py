@@ -5,6 +5,8 @@ import pytest
 
 from tapeformer import evaluation as ev
 
+from helpers import reference_metrics
+
 
 def test_perfect_predictions_diagonal_and_all_ones():
     labels = np.array([0, 1, 2, 2, 1, 0])
@@ -162,3 +164,31 @@ def test_format_table_sorted_and_aligned():
     lines = text.strip().splitlines()
     assert lines[0].startswith("configuration")
     assert len(lines) == 3
+
+
+def test_metrics_match_the_reference_formula_bit_for_bit():
+    """Every field of the report is the reference formula's float, compared
+    by ``float.hex``, on seeded confusion matrices of 2 to 12 classes where
+    some classes are never predicted, never true, or both."""
+    rng = np.random.default_rng(17)
+    zero_den = 0
+    for trial in range(300):
+        c = int(rng.integers(2, 13))
+        counts = rng.integers(0, int(rng.choice([3, 50, 10_000])), size=(c, c))
+        for axis in (0, 1):  # empty classes: a zero column or row, or both
+            gone = rng.random(c) < 0.2
+            if axis == 0:
+                counts[:, gone] = 0
+            else:
+                counts[gone, :] = 0
+        counts[0, 0] += 1  # at least one prediction
+        got, want = ev.metrics(counts), reference_metrics(counts)
+        for name in ("accuracy", "macro_precision", "macro_recall", "macro_f1"):
+            assert float.hex(getattr(got, name)) == float.hex(want[name]), (trial, name)
+        for m, (p, r, f1, support) in zip(got.per_class, want["per_class"], strict=True):
+            assert [float.hex(m.precision), float.hex(m.recall), float.hex(m.f1)] == [
+                float.hex(float(p)), float.hex(float(r)), float.hex(float(f1))], trial
+            assert m.support == support and type(m.support) is int
+        assert got.zero_denominator_classes == want["zero_denominator_classes"]
+        zero_den += want["zero_denominator_classes"] > 0
+    assert 50 < zero_den < 300  # both kinds of matrix were drawn

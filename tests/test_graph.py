@@ -10,6 +10,7 @@ from helpers import (
     in_neighbors,
     node_map,
     oracle_ego_subgraph,
+    out_neighbors,
     random_edge_list,
     splitmix64,
     stack_row,
@@ -216,34 +217,6 @@ def test_sorted_unique_matches_np_unique():
         assert got.dtype == keys.dtype and np.array_equal(got, np.unique(keys))
 
 
-def test_lexsort_matches_np_lexsort():
-    """The same permutation as ``np.lexsort((key, seg))``, seg-major, in
-    any input order: hashes repeat across segments (and, in the small
-    cases, within them), and past 65,536 segments ``seg`` needs 32 bits."""
-    rng = np.random.default_rng(0)
-    for count, size, span in ((1, 0, 1), (1, 5, 3), (7, 200, 20), (300, 6000, 2**64),
-                              (70_000, 150_000, 2**64)):
-        seg = rng.integers(0, count, size=size)
-        key = rng.integers(0, span, size=size, dtype=np.uint64)
-        key[size // 2:] = key[:size - size // 2]  # the same hashes again
-        got = gr._lexsort(key, seg, count)
-        assert np.array_equal(got, np.lexsort((key, seg)))
-
-
-def test_lexsort_matches_np_lexsort_on_distinct_keys():
-    """Distinct keys, as one pass's sampling keys are (SplitMix64 is a
-    bijection): the same permutation as ``np.lexsort((key, seg))`` without
-    the stable fallback, in both orders of the input."""
-    rng = np.random.default_rng(1)
-    for count, size in ((64, 60), (70_000, 150_000)):
-        seg = rng.integers(0, count, size=size)
-        key = rng.integers(0, 2**64, size=size, dtype=np.uint64)
-        assert len(np.unique(key)) == size
-        for order in (np.arange(size), np.argsort(seg, kind="stable")):
-            got = gr._lexsort(key[order], seg[order], count)
-            assert np.array_equal(got, np.lexsort((key[order], seg[order])))
-
-
 # --- ego subgraph sampling ---------------------------------------------------
 
 
@@ -341,12 +314,30 @@ def assert_same_subgraph(got, want, where=""):
     assert node_map(got) == node_map(want), where
 
 
+def with_reciprocal_citations(g):
+    """``g`` plus the reverse of every fifth citation."""
+    edges = list(edge_pairs(g))
+    return gr.from_edge_list(edges + [(v, u) for u, v in edges[::5]], g.num_nodes)
+
+
+def overlap_graph():
+    """12 nodes where node 0 cites 1, 2, 3 and is cited by 2, 3, 4: its out-
+    and in-neighbours overlap, as do those of 5 (cites 6, 7; cited by 6, 7, 8)."""
+    edges = [(0, 1), (0, 2), (0, 3), (2, 0), (3, 0), (4, 0), (1, 5), (5, 6), (5, 7), (6, 5),
+             (7, 5), (8, 5), (8, 9), (9, 10), (10, 8), (2, 11), (11, 3)]
+    return gr.from_edge_list(edges, 12)
+
+
 def test_batched_sampling_matches_bfs_oracle_in_any_chunk():
+    """Every chunking samples the oracle's subgraphs, also over reciprocal
+    citations and nodes whose out- and in-neighbours overlap, where an
+    undirected neighbour row must hold each neighbour once."""
     rng = np.random.default_rng(21)
     graphs = [overflow_graph()]
     for _ in range(3):
         n = 40  # nodes 30..39 isolated
         graphs.append(gr.from_edge_list(random_edge_list(rng, 30, float(rng.uniform(0.03, 0.2))), n))
+    graphs += [with_reciprocal_citations(g) for g in graphs[1:3]] + [overlap_graph()]
     for gi, g in enumerate(graphs):
         n = g.num_nodes
         for hops, max_nodes in ((1, 1), (2, 5), (2, 9), (3, 12), (2, 1000)):
@@ -377,6 +368,54 @@ def test_batched_sampling_overflow_on_both_hops_and_repeats():
     assert stack.sizes.tolist() == [5, 5, 1, 5, 5]
     for b, want in enumerate([hub, chain, oracle_ego_subgraph(g, 27, 2, 5, 1), hub, chain]):
         assert_same_subgraph(stack_row(stack, b), want, b)
+
+
+def test_neighbour_rows_are_the_sorted_union_of_out_and_in():
+    rng = np.random.default_rng(8)
+    graphs = [overlap_graph(), overflow_graph(), gr.from_edge_list([], 3)]
+    graphs.append(with_reciprocal_citations(gr.from_edge_list(random_edge_list(rng, 50, 0.1), 50)))
+    for g in graphs:
+        offsets, targets = g.neighbours
+        assert offsets.dtype == targets.dtype == np.int64 and len(offsets) == g.num_nodes + 1
+        for v in range(g.num_nodes):
+            want = sorted(set(out_neighbors(g, v).tolist()) | set(in_neighbors(g, v).tolist()))
+            assert targets[offsets[v]:offsets[v + 1]].tolist() == want, v
+        assert g.neighbours is g.neighbours  # built once per graph
+    assert overlap_graph().neighbours[1][:5].tolist() == [1, 2, 3, 4, 0]
+
+
+def _unmix(y: int) -> int:
+    """The word SplitMix64's output function maps to ``y``."""
+    y ^= y >> 31 ^ y >> 62
+    y = y * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    y ^= y >> 27 ^ y >> 54
+    y = y * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    y ^= y >> 30 ^ y >> 60
+    return (y - 0x9E3779B97F4A7C15) % 2**64
+
+
+def test_smallest_keeps_each_centers_smallest_keys_when_their_top_bits_agree():
+    """``_smallest`` keeps each center's ``took`` smallest sampling keys.
+    Its one sort reads a key's top bits only, so keys of one center that
+    share them (drawn here through SplitMix64's inverse, in fours that
+    differ in the two low bits) send it to the sort of the whole keys."""
+    rng = np.random.default_rng(3)
+    size = 2000
+    for count, shared in ((1, False), (5, False), (5, True), (300, True)):
+        seg = np.sort(rng.integers(0, count, size=size))
+        key = rng.integers(0, 2**64, size=size, dtype=np.uint64)
+        if shared:
+            key = np.repeat(key[::4] >> 16 << 16, 4) | np.arange(size, dtype=np.uint64) % 4
+        salt = np.zeros(count, dtype=np.uint64)
+        node = np.array([_unmix(int(y)) for y in key], dtype=np.uint64).view(np.int64)
+        assert gr._splitmix64(node.view(np.uint64)).tolist() == key.tolist()
+        found = np.bincount(seg, minlength=count)
+        took = np.minimum(found, rng.integers(1, 12, size=count))
+        got = np.zeros(size, dtype=bool)
+        got[gr._smallest(salt, seg, node, found, took)] = True
+        for s in np.flatnonzero(found):
+            mine = key[seg == s]
+            assert got[seg == s].tolist() == (mine <= np.sort(mine)[took[s] - 1]).tolist()
 
 
 def test_sampling_key_is_splitmix64():
@@ -415,6 +454,21 @@ def test_bad_center_or_budget_raises():
         for centers in ([0], [0, 1]):
             with pytest.raises(gr.GraphConstructionError, match=">= 1"):
                 gr.sample_ego_subgraph(g, centers, hops=hops, max_nodes=max_nodes, seed=0)
+
+
+def test_centers_that_are_not_integers_are_refused():
+    """A bool mask or float ids are refused naming their dtype, not cast to
+    ids (a mask [True, False, True] would sample centers 1, 0, 1)."""
+    g = gr.from_edge_list([(0, 1), (1, 2)], 3)
+    for centers, dtype in (([True, False, True], "bool"), ([1.7, 2.2], "float64"),
+                           (np.array([1.0, 2.0], dtype=np.float32), "float32")):
+        with pytest.raises(gr.GraphConstructionError, match=f"must be integers, got dtype {dtype}"):
+            gr.check_centers(g, centers)
+        with pytest.raises(gr.GraphConstructionError, match=f"got dtype {dtype}"):
+            gr.sample_ego_subgraph(g, centers, hops=1, max_nodes=2, seed=0)
+    for centers in ([], np.array([]), [2, 0], np.array([[1], [2]], dtype=np.uint8)):
+        ids = gr.check_centers(g, centers)
+        assert ids.dtype == np.int64 and ids.tolist() == np.ravel(centers).astype(int).tolist()
 
 
 def test_log1p_degree_table_is_math_log1p():

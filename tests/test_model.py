@@ -35,7 +35,7 @@ from helpers import (
     relabelled_stack,
     within_width,
 )
-from test_graph import overflow_graph
+from test_graph import overflow_graph, with_reciprocal_citations
 
 DIMS = {"expl": 5, "pred": 3, "text": 5, "ogb": 4}
 
@@ -583,6 +583,43 @@ def test_bad_center_raises_through_the_model():
     assert not model.store.entries
 
 
+# ids that are not integers, and the dtype the refusal names
+NOT_IDS = (([True, False, True], "bool"), ([1.7, 2.2], "float64"),
+           (np.array([0.0, 3.0], dtype=np.float32), "float32"))
+
+
+def test_the_store_refuses_centers_that_are_not_integers():
+    data, model = _cache_case(5)
+    store = gm.SubgraphStore()
+    for centers, dtype in NOT_IDS:
+        with pytest.raises(gr.GraphConstructionError, match=f"integers, got dtype {dtype}"):
+            store.build(data.graph, model.cfg, centers, seed=0)
+    assert not store.entries
+    store.build(data.graph, model.cfg, [], seed=0)
+    store.build(data.graph, model.cfg, np.array([3, 1, 3], dtype=np.uint8), seed=0)
+    assert list(store.entries) == [(3, 0), (1, 0)]
+    assert all(type(c) is int for c, _ in store.entries)
+
+
+def test_the_graph_transformer_refuses_centers_that_are_not_integers():
+    data, model = _cache_case(5)
+    for centers, dtype in NOT_IDS:
+        with pytest.raises(gr.GraphConstructionError, match=f"integers, got dtype {dtype}"):
+            model.logits_for_centers(data, centers, seed=0)
+    assert not model.store.entries
+    assert model.logits_for_centers(data, np.array([1, 0, 1]), seed=0).shape == (3, 3)
+
+
+def test_the_baseline_refuses_centers_that_are_not_integers():
+    data, _ = _cache_case(5)
+    mlp = gm.FusedMlp(tiny_config(), fusion_config(), seed=0)
+    for centers, dtype in NOT_IDS:
+        with pytest.raises(gr.GraphConstructionError, match=f"integers, got dtype {dtype}"):
+            mlp.logits_for_centers(data, centers, seed=0)
+    want = mlp.logits_for_centers(data, [1, 0, 1], seed=0).data
+    assert np.array_equal(mlp.logits_for_centers(data, np.array([1, 0, 1]), seed=0).data, want)
+
+
 def _desk_graph():
     """The citation graph of ``gen-synthetic --nodes 400 --classes 4 --seed 0``."""
     from tapeformer import synthetic as syn
@@ -691,12 +728,6 @@ def test_stored_entries_match_their_recorded_digest(monkeypatch, max_nodes):
             assert got == ENTRY_DIGESTS[(max_nodes, seed)], (seed, per_pass)
 
 
-def _with_reciprocal_citations(g):
-    """``g`` plus the reverse of every fifth citation."""
-    edges = list(edge_pairs(g))
-    return gr.from_edge_list(edges + [(v, u) for u, v in edges[::5]], g.num_nodes)
-
-
 def test_edge_orientation_from_the_stack_matches_the_graph_lookup(monkeypatch):
     """For the same ``EgoStack``s, ``build_batch`` reading each step's
     direction off the stack's local edges is byte for byte the build that
@@ -709,7 +740,7 @@ def test_edge_orientation_from_the_stack_matches_the_graph_lookup(monkeypatch):
         return orig(g, src, dst, oracle_citation_flags(g, src, dst))
 
     desk = _desk_graph()
-    for g in (desk, _with_reciprocal_citations(desk)):
+    for g in (desk, with_reciprocal_citations(desk)):
         adj_sets = [set(out_neighbors(g, v).tolist()) | set(in_neighbors(g, v).tolist())
                     for v in range(400)]
         ball = [sum(d <= 2 for d in bfs_distances(adj_sets, c).values()) for c in range(400)]

@@ -332,6 +332,8 @@ def test_star_center_clustering_zero():
     g = gr.from_edge_list([(0, i) for i in range(1, 6)], 6)
     assert st.clustering_coefficients(g, [0, 1]).tolist() == [0.0, 0.0]  # node 1: degree 1
     assert st.clustering_coefficients(g, []).shape == (0,)
+    with pytest.raises(gr.GraphConstructionError, match="integers, got dtype bool"):
+        st.clustering_coefficients(g, [True, False])
 
 
 def test_clustering_matches_brute_force():

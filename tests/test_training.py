@@ -718,6 +718,17 @@ def test_the_narrowest_widths_train(widths):
     assert np.isfinite(result.history[0].train_loss)
 
 
+def test_predict_refuses_ids_that_are_not_integers():
+    """A bool mask or float ids are refused naming their dtype, before
+    anything is built, rather than cast to node ids."""
+    data, _ = _mini_graph_data()
+    model = _tiny_model(seed=0)
+    for ids, dtype in (([True, False, True], "bool"), (np.array([1.7, 2.2]), "float64")):
+        with pytest.raises(gr.GraphConstructionError, match=f"integers, got dtype {dtype}"):
+            tr.predict(model, data, ids, seed=0)
+    assert not model.store.entries
+
+
 @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
 def test_predict_and_accuracy_accept_empty_ids():
     data, split = _mini_graph_data()
