@@ -535,7 +535,7 @@ _U64 = struct.Struct("<Q")
 _U32 = struct.Struct("<I")
 
 
-def save_parameters(path, params: dict[str, Tensor | np.ndarray]) -> None:
+def save_parameters(path, params: dict[str, np.ndarray]) -> None:
     """Write a named-parameter container.
 
     Layout (little-endian): u64 parameter count, then per parameter:
@@ -545,10 +545,8 @@ def save_parameters(path, params: dict[str, Tensor | np.ndarray]) -> None:
     with open(path, "wb") as f:
         f.write(_U64.pack(len(params)))
         for name in sorted(params):
-            arr = params[name]
-            data = arr.data if isinstance(arr, Tensor) else arr
             # not ascontiguousarray, which would turn a 0-d array into shape (1,)
-            data = np.asarray(data, dtype=np.float64, order="C")
+            data = np.asarray(params[name], dtype=np.float64, order="C")
             raw = name.encode("utf-8")
             f.write(_U32.pack(len(raw)))
             f.write(raw)

@@ -1,8 +1,8 @@
 """Prepared-dataset artifact: everything training needs in one binary file.
 
 Ingestion (documents, edge list, feature matrix, LLM cache) happens
-once; the artifact stores the graph's out-CSR arrays (the graph derives
-its in-CSR; an older artifact's stored copy is read, hashed and
+once; the artifact stores the graph's out-CSR arrays (an older
+artifact's ``in_offsets`` and ``in_targets`` are read, hashed and
 ignored), labels, years, class names and the embedding bundle, each
 source ``s`` as the array ``h_<s>``. Serialization is canonical (sorted
 JSON meta, fixed array order), so preparing the same inputs twice

@@ -69,43 +69,36 @@ class FusionLayer:
         out["fusion.score_w"] = self.score_w
         return out
 
-    def _entering(self, s: str, h: np.ndarray) -> Tensor:
-        """Source ``s``'s rows ``h`` as a Tensor in the parameters' dtype.
-        Rows narrower than that dtype (float32 rows into a float64 model)
-        are refused rather than widened."""
-        dtype = self.score_w.data.dtype
-        if h.dtype.itemsize < dtype.itemsize:
-            raise ValueError(f"source {s!r} rows are {h.dtype}, narrower than the "
-                             f"{dtype} model: load the dataset with "
-                             f'load_dataset(..., dtype="{dtype}")')
-        return Tensor(h, dtype=dtype)
-
     def source_rows(self, bundle, ids: np.ndarray) -> dict[str, Tensor]:
         """``fuse``'s rows of nodes ``ids``: per active source, ``bundle[s][ids]``
-        as it enters the tape. Each Tensor's ``rebuild`` gathers it again, so
-        a recording ``fuse`` keeps no copy for the projection's gradient;
-        it keeps ``ids``, which must not change before backward."""
+        as it enters the tape, in the parameters' dtype. Rows narrower than
+        that dtype (float32 rows into a float64 model) are refused rather
+        than widened. Each Tensor's ``rebuild`` gathers it again, so a
+        recording ``fuse`` keeps no copy for the projection's gradient; it
+        keeps ``ids``, which must not change before backward."""
+        dtype = self.score_w.data.dtype
         rows = {}
         for s in self.cfg.active:
             src = bundle[s]
-            t = rows[s] = self._entering(s, src.take(ids, axis=0))
-            t.rebuild = lambda src=src, dtype=t.data.dtype: np.asarray(
-                src.take(ids, axis=0), dtype=dtype)
+            if src.dtype.itemsize < dtype.itemsize:
+                raise ValueError(f"source {s!r} rows are {src.dtype}, narrower than the "
+                                 f"{dtype} model: load the dataset with "
+                                 f'load_dataset(..., dtype="{dtype}")')
+            t = rows[s] = Tensor(src.take(ids, axis=0), dtype=dtype)
+            t.rebuild = lambda src=src: np.asarray(src.take(ids, axis=0), dtype=dtype)
         return rows
 
-    def fuse(self, rows: dict[str, Tensor | np.ndarray], return_weights: bool = False):
+    def fuse(self, rows: dict[str, Tensor], return_weights: bool = False):
         """Mix one matrix of rows per active source into (n, d_model).
 
-        ``rows[s]`` is an (n, source_dims[s]) Tensor from ``source_rows``, or
-        an array, which enters the tape as ``source_rows`` would put it.
+        ``rows[s]`` is the (n, source_dims[s]) Tensor ``source_rows`` returns.
         Returns the fused Tensor, plus the (n, num_active) softmax weights
         when requested (a Tensor off the tape).
         """
         projected = []
         scores = []
         for s in self.cfg.active:
-            h = rows[s]
-            u = ad.matmul(h if isinstance(h, Tensor) else self._entering(s, h), self.proj[s])
+            u = ad.matmul(rows[s], self.proj[s])
             projected.append(u)
             scores.append(ad.matmul(ad.tanh(ad.matmul(u, self.score_m)), self.score_w))
         out, alpha = ad.softmax_mix(projected, scores)

@@ -1,7 +1,7 @@
 """Directed-graph storage and traversal for citation networks.
 
-The graph is immutable CSR in both directions (out- and in-adjacency),
-given by its out-CSR, from which the in-CSR is derived. Self-loops are
+The graph is an immutable out-CSR with each node's in- and out-degree;
+sampling reads its undirected view, built on first use. Self-loops are
 dropped and parallel edges merged when an edge list is read; targets
 are sorted per source so everything downstream is deterministic.
 Ego-subgraph sampling gives the model its attention contexts:
@@ -40,29 +40,19 @@ class GraphConstructionError(ValueError):
 
 @dataclass
 class DirectedGraph:
-    """CSR adjacency in both directions, immutable after construction;
-    the in-CSR is derived from the given out-CSR, so the two agree."""
+    """Out-CSR adjacency and the degrees derived from it, immutable after
+    construction."""
 
     out_offsets: np.ndarray  # int64, len num_nodes+1
     out_targets: np.ndarray  # int64, sorted ascending and distinct within each source
     self_loops_dropped: int
     duplicates_dropped: int
-    in_offsets: np.ndarray = field(init=False)
-    in_targets: np.ndarray = field(init=False)
     out_degree: np.ndarray = field(init=False)  # int64, len num_nodes
     in_degree: np.ndarray = field(init=False)  # int64, len num_nodes
 
     def __post_init__(self):
-        n = np.int64(self.num_nodes)
         self.out_degree = np.diff(self.out_offsets)
-        self.in_degree = np.bincount(self.out_targets, minlength=n)
-        keys = self.out_targets * n  # dst * n + src, sorted: the sources grouped by target
-        keys += np.repeat(np.arange(n), self.out_degree)
-        keys.sort()
-        keys -= keys // n * n  # keys % n: numpy divides by a scalar several times faster
-        self.in_targets = keys
-        self.in_offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(self.in_degree, out=self.in_offsets[1:])
+        self.in_degree = np.bincount(self.out_targets, minlength=self.num_nodes)
 
     @property
     def num_nodes(self) -> int:
@@ -172,10 +162,11 @@ def from_edge_list(edges, num_nodes: int) -> DirectedGraph:
 
 def from_out_csr(out_offsets: np.ndarray, out_targets: np.ndarray, self_loops_dropped: int,
                  duplicates_dropped: int) -> DirectedGraph:
-    """Build the graph from a stored out-CSR, after checking what deriving
-    the in-CSR relies on: offsets rising from 0 to the edge count, and
-    in-range targets, sorted and distinct within each row. The error
-    names the first check that fails."""
+    """Build the graph from a stored out-CSR, after checking that it has
+    the form ``from_edge_list`` writes: offsets rising from 0 to the edge
+    count, and in-range targets, sorted and distinct within each row (a
+    repeated target would inflate the degrees the model reads). The
+    error names the first check that fails."""
     n, m = len(out_offsets) - 1, len(out_targets)
     if out_offsets[0] != 0 or out_offsets[-1] != m or np.any(np.diff(out_offsets) < 0):
         raise GraphConstructionError(f"out_offsets must rise monotonically from 0 to {m}")

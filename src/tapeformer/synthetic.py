@@ -70,7 +70,6 @@ class SyntheticParams:
 
 @dataclass
 class SyntheticData:
-    params: SyntheticParams
     class_names: list[str]
     docs: list[NodeDocument]
     edges: list[tuple[int, int]]
@@ -165,8 +164,8 @@ def generate(params: SyntheticParams) -> SyntheticData:
 
     records = {d.id: stub_llm_provider(d, class_names) for d in docs}
     log.info("synthetic corpus: %d nodes, %d classes, %d edges", n, c, len(edges))
-    return SyntheticData(params=params, class_names=class_names, docs=docs,
-                         edges=edges, features=features, records=records)
+    return SyntheticData(class_names=class_names, docs=docs, edges=edges,
+                         features=features, records=records)
 
 
 def write_synthetic_files(data: SyntheticData, out_dir) -> dict[str, str]:

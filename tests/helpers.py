@@ -188,8 +188,9 @@ def out_neighbors(g, v: int) -> np.ndarray:
 
 
 def in_neighbors(g, v: int) -> np.ndarray:
-    """The sources citing v, off ``g``'s in-CSR arrays."""
-    return g.in_targets[g.in_offsets[v]:g.in_offsets[v + 1]]
+    """The sources citing v, ascending, by a scan of ``g``'s out-CSR arrays."""
+    sources = np.repeat(np.arange(g.num_nodes), np.diff(g.out_offsets))
+    return sources[g.out_targets == v]
 
 
 def citers_oracle(edges, n: int) -> list[list[int]]:

@@ -885,9 +885,9 @@ def test_gradient_accumulation_across_graphs():
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(23)
     params = {
-        "layer0.attn.wq": Tensor(rng.standard_normal((8, 8)), requires_grad=True),
-        "head.b": Tensor(rng.standard_normal(3), requires_grad=True),
-        "tables.spatial": Tensor(rng.standard_normal((7, 2)), requires_grad=True),
+        "layer0.attn.wq": rng.standard_normal((8, 8)),
+        "head.b": rng.standard_normal(3),
+        "tables.spatial": rng.standard_normal((7, 2)),
     }
     path = tmp_path / "ck.bin"
     ad.save_parameters(path, params)
@@ -895,14 +895,14 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert set(loaded) == set(params)
     for name, arr in loaded.items():
         assert arr.dtype == np.float64
-        assert arr.tobytes() == params[name].data.tobytes()
+        assert arr.tobytes() == params[name].tobytes()
     ad.save_parameters(tmp_path / "ck2.bin", params)
     assert (tmp_path / "ck.bin").read_bytes() == (tmp_path / "ck2.bin").read_bytes()
 
 
 def test_checkpoint_truncation_detected(tmp_path):
     path = tmp_path / "ck.bin"
-    ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})
+    ad.save_parameters(path, {"w": np.ones((4, 4))})
     raw = path.read_bytes()
     path.write_bytes(raw[:-9])
     with pytest.raises(ValueError, match="truncated"):
@@ -917,7 +917,7 @@ def test_checkpoint_truncation_detected(tmp_path):
 ])
 def test_checkpoint_size_field_beyond_file_is_truncated(tmp_path, at, value):
     path = tmp_path / "ck.bin"
-    ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})
+    ad.save_parameters(path, {"w": np.ones((4, 4))})
     raw = bytearray(path.read_bytes())
     width = 4 if at in (8, 13) else 8
     raw[at:at + width] = value.to_bytes(width, "little")
@@ -928,7 +928,7 @@ def test_checkpoint_size_field_beyond_file_is_truncated(tmp_path, at, value):
 
 def test_checkpoint_name_not_utf8_names_the_file(tmp_path):
     path = tmp_path / "ck.bin"
-    ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})
+    ad.save_parameters(path, {"w": np.ones((4, 4))})
     raw = bytearray(path.read_bytes())
     raw[12] = 0xFF  # the first byte of the first parameter's name
     path.write_bytes(bytes(raw))
@@ -946,7 +946,7 @@ def test_checkpoint_roundtrip_of_empty_and_scalar_arrays(tmp_path):
 
 def test_checkpoint_trailing_bytes_detected(tmp_path):
     path = tmp_path / "ck.bin"
-    ad.save_parameters(path, {"w": Tensor(np.ones((4, 4)))})
+    ad.save_parameters(path, {"w": np.ones((4, 4))})
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="trailing bytes after parameter 'w'"):
         ad.load_parameters(path)

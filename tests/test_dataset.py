@@ -9,8 +9,6 @@ from tapeformer import dataset as dsm
 from tapeformer import synthetic as syn
 from tapeformer.text import SOURCES, DataError
 
-from helpers import citers_oracle, edge_pairs
-
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
@@ -173,7 +171,7 @@ def test_artifact_roundtrip_and_stable_hash(corpus, tmp_path):
     assert np.array_equal(back.labels, ds.labels)
     assert np.array_equal(back.years, ds.years)
     assert np.array_equal(back.graph.out_offsets, ds.graph.out_offsets)
-    assert np.array_equal(back.graph.in_targets, ds.graph.in_targets)
+    assert np.array_equal(back.graph.out_targets, ds.graph.out_targets)
     assert back.graph.num_edges == ds.graph.num_edges
     assert tuple(back.bundle) == tuple(ds.bundle) == SOURCES
     for s in ("expl", "pred", "text", "ogb"):
@@ -194,11 +192,11 @@ def test_artifact_stores_the_out_csr_only(corpus, tmp_path):
     assert b"in_offsets" not in raw and b"in_targets" not in raw
 
 
-def test_old_layout_artifact_loads_with_a_derived_in_csr(corpus, tmp_path, monkeypatch):
+def test_old_layout_artifact_loads_as_a_fresh_graph(corpus, tmp_path, monkeypatch):
     """An artifact written in the older layout, whose stored in-CSR (here
     the out-CSR itself) contradicts its out-CSR, loads with a valid hash,
-    and its graph's in-CSR is the transpose of its out-CSR: the stored
-    copy is read, hashed and ignored."""
+    and its graph's out-CSR, degrees and undirected view are those of the
+    freshly prepared graph: the stored in-CSR is read, hashed and ignored."""
     data, paths = corpus
     ds = dsm.prepare(paths["node_docs"], paths["edges"], paths["ogb_features"],
                      None, data.class_names, text_dim=8)
@@ -214,13 +212,12 @@ def test_old_layout_artifact_loads_with_a_derived_in_csr(corpus, tmp_path, monke
         m.setattr(dsm, "_arrays_of", old_layout)
         dsm.save_dataset(ds, tmp_path / "old.bin")
     assert b"in_targets" in (tmp_path / "old.bin").read_bytes()
-    g = dsm.load_dataset(tmp_path / "old.bin", dtype="float64").graph
-    edges = list(edge_pairs(g))
-    want = citers_oracle(edges, g.num_nodes)
-    assert g.in_offsets.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
-    assert g.in_targets.tolist() == [u for w in want for u in w]
-    assert g.in_targets.tobytes() == ds.graph.in_targets.tobytes()
-    assert g.in_offsets.tobytes() == ds.graph.in_offsets.tobytes()
+    g, fresh = dsm.load_dataset(tmp_path / "old.bin", dtype="float64").graph, ds.graph
+    assert g.num_edges > 0
+    for got, want in zip([g.out_offsets, g.out_targets, g.in_degree, g.out_degree, *g.neighbours],
+                         [fresh.out_offsets, fresh.out_targets, fresh.in_degree, fresh.out_degree,
+                          *fresh.neighbours]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_load_defaults_to_the_model_dtype(corpus, tmp_path):
@@ -310,7 +307,7 @@ def test_artifact_roundtrip_with_empty_arrays(corpus, tmp_path):
     assert ds.graph.num_edges == 0 and ds.bundle["ogb"].shape == (40, 0)
     h = dsm.save_dataset(ds, tmp_path / "e.bin")
     back = dsm.load_dataset(tmp_path / "e.bin", dtype="float64")
-    assert back.graph.out_targets.shape == back.graph.in_targets.shape == (0,)
+    assert back.graph.out_targets.shape == (0,) and not back.graph.in_degree.any()
     assert back.bundle["ogb"].shape == (40, 0)
     assert np.array_equal(back.graph.out_offsets, np.zeros(41, dtype=np.int64))
     for s in ("expl", "pred", "text"):

@@ -78,18 +78,23 @@ def test_degree_sums_equal_edge_count():
 
 
 def test_out_in_adjacency_consistency():
+    """The undirected view holds exactly the out-CSR's edges in both
+    directions, and each node's in-degree counts the edges that end at it."""
     rng = np.random.default_rng(9)
     n = 20
     g = gr.from_edge_list(random_edge_list(rng, n, 0.2), n)
     out_set = set(edge_pairs(g))
-    in_set = {(int(s), v) for v in range(n) for s in in_neighbors(g, v)}
-    assert out_set == in_set
+    offsets, targets = g.neighbours
+    view = {(u, int(w)) for u in range(n) for w in targets[offsets[u]:offsets[u + 1]]}
+    assert view == out_set | {(v, u) for u, v in out_set}
+    assert g.in_degree.tolist() == [sum(w == v for _, w in out_set) for v in range(n)]
 
 
-def test_derived_in_csr_matches_the_per_node_oracle():
-    """The in-CSR the graph derives from its out-CSR lists, for every
-    node, the distinct sources citing it in ascending order, also with
-    self-loops, duplicate edges and isolated nodes in the input."""
+def test_in_degree_and_neighbours_match_the_per_node_oracle():
+    """Every node's in-degree counts the distinct sources citing it, and
+    its row of the undirected view lists those sources and the nodes it
+    cites, distinct and ascending, also with self-loops, duplicate edges
+    and isolated nodes in the input."""
     rng = np.random.default_rng(12)
     for _ in range(20):
         n = int(rng.integers(1, 30))
@@ -97,14 +102,18 @@ def test_derived_in_csr_matches_the_per_node_oracle():
         edges += [edges[i] for i in rng.integers(0, len(edges), len(edges) // 4)] if edges else []
         edges += [(v, v) for v in rng.integers(0, n, 2).tolist()]
         g = gr.from_edge_list(edges, n + 3)  # the last three nodes are isolated
-        want = citers_oracle(edges, n + 3)
-        assert g.in_offsets.dtype == g.in_targets.dtype == np.int64
-        assert g.in_offsets.tolist() == np.cumsum([0] + [len(w) for w in want]).tolist()
-        assert g.in_targets.tolist() == [u for w in want for u in w]
-        assert g.num_nodes == n + 3 and g.num_edges == len(g.in_targets)
+        citers = citers_oracle(edges, n + 3)
+        cited = citers_oracle([(v, u) for u, v in edges], n + 3)
+        assert g.in_degree.dtype == g.out_degree.dtype == np.int64
+        assert g.in_degree.tolist() == [len(w) for w in citers]
+        assert g.out_degree.tolist() == [len(w) for w in cited]
+        offsets, targets = g.neighbours
+        assert [targets[offsets[v]:offsets[v + 1]].tolist() for v in range(n + 3)] == [
+            sorted({*a, *b}) for a, b in zip(citers, cited)]
+        assert g.num_nodes == n + 3 and g.num_edges == sum(map(len, citers))
 
 
-def test_from_out_csr_checks_what_the_in_csr_relies_on():
+def test_from_out_csr_checks_the_form_from_edge_list_writes():
     """A stored out-CSR builds the graph ``from_edge_list`` builds, empty
     first and last rows included; offsets that do not rise from 0 to the
     edge count, a target out of range and a row that is not sorted or
@@ -112,8 +121,9 @@ def test_from_out_csr_checks_what_the_in_csr_relies_on():
     row starts."""
     g = gr.from_edge_list([(1, 3), (1, 2), (2, 1), (3, 2), (3, 1)], 5)
     back = gr.from_out_csr(g.out_offsets, g.out_targets, 0, 0)
-    assert back.in_offsets.tobytes() == g.in_offsets.tobytes()
-    assert back.in_targets.tobytes() == g.in_targets.tobytes()
+    for got, want in zip([back.in_degree, back.out_degree, *back.neighbours],
+                         [g.in_degree, g.out_degree, *g.neighbours]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     off, tgt = g.out_offsets.tolist(), g.out_targets.tolist()  # [0, 0, 2, 3, 5, 5], [2, 3, 1, 1, 2]
     for bad_off, bad_tgt, named in (
             ([1, 1, 2, 3, 5, 5], tgt, "out_offsets must rise monotonically from 0 to 5"),
@@ -175,7 +185,7 @@ def _edge_list_outcome(path):
         g = gr.load_edge_list(path, 5)
     except gr.GraphConstructionError as e:
         return repr(e)
-    return [a.tobytes() for a in (g.out_offsets, g.out_targets, g.in_offsets, g.in_targets)] + [
+    return [a.tobytes() for a in (g.out_offsets, g.out_targets, g.in_degree)] + [
         g.num_edges, g.self_loops_dropped, g.duplicates_dropped]
 
 

@@ -3,7 +3,7 @@ imported name is used, every ``__all__`` entry is defined, every
 function parameter is read, every default-valued parameter is passed by
 some call in the package or the benchmark, every autodiff op and every
 public ``structural`` function has a caller in the package, every field
-of a ``structural`` or ``model`` dataclass is read, only
+of a package dataclass outside ``cli`` and ``evaluation`` is read, only
 ``graph.py`` calls the ``DirectedGraph`` constructor, only
 ``training._guarded`` switches the per-op finite checks, only
 ``GraphormerConfig.pass_centers`` reads ``BUILD_PASS_PAIRS``, and the
@@ -177,10 +177,10 @@ def test_every_structural_encoder_has_a_caller():
 
 
 def test_only_the_graph_module_builds_a_graph():
-    """``DirectedGraph`` derives its in-CSR from the out-CSR it is given;
-    ``from_edge_list`` and ``from_out_csr`` hand it an out-CSR that holds
-    the invariants this relies on, so no other module or benchmark file
-    calls the constructor itself."""
+    """``DirectedGraph`` derives its degrees from the out-CSR it is given,
+    and sampling reads its rows as sorted and distinct; ``from_edge_list``
+    and ``from_out_csr`` hand it an out-CSR that holds these invariants,
+    so no other module or benchmark file calls the constructor itself."""
     callers = [path.name for path in [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
                if path != SRC / "graph.py"
                and any(isinstance(node, ast.Call) and "DirectedGraph" in (
@@ -220,21 +220,23 @@ def test_only_pass_centers_reads_the_pair_budget():
 
 
 def test_every_structural_and_model_field_is_read():
-    """Every field of a dataclass in ``structural`` or ``model`` is read as
+    """Every field of a dataclass in a package module is read as
     ``<value>.<field>`` somewhere in the package or the benchmark: a field
     that nothing reads is carried for nobody. The report and config
     dataclasses of ``evaluation`` and ``cli`` are read through ``asdict``
-    and ``getattr``, so they are out of scope here."""
+    and ``getattr``, so those two modules are out of scope here."""
     read = {node.attr for path in [*MODULES, *sorted((ROOT / "perfbench").glob("*.py"))]
             for node in ast.walk(_parse(path))
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     unread = []
-    for name in ("structural.py", "model.py"):
-        for cls in _parse(SRC / name).body:
+    for path in MODULES:
+        if path.name in ("cli.py", "evaluation.py"):
+            continue
+        for cls in _parse(path).body:
             if isinstance(cls, ast.ClassDef) and any(
                     "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
                     for d in (getattr(d, "func", d) for d in cls.decorator_list)):
-                unread += [f"{name}: {cls.name}.{f.target.id}" for f in cls.body
+                unread += [f"{path.name}: {cls.name}.{f.target.id}" for f in cls.body
                            if isinstance(f, ast.AnnAssign) and f.target.id not in read]
     assert unread == [], "dataclass fields that no package or benchmark code reads"
 

@@ -936,8 +936,7 @@ def test_zero_layers_is_classifier_on_h0():
     model = gm.GraphormerModel(cfg, fusion_config(), seed=3)
     bundle = random_bundle(rng, g.num_nodes)
     logits = model.forward(batch, bundle)
-    rows = {s: bundle[s][batch.nodes[0]] for s in model.fusion.cfg.active}
-    x = model.fusion.fuse(rows)
+    x = model.fusion.fuse(model.fusion.source_rows(bundle, batch.nodes[0]))
     h0 = gm.input_embedding(x, batch.in_deg[0], batch.out_deg[0], model.z_in, model.z_out,
                             cfg.max_degree_bucket)
     expect = h0.data @ model.head_w.data + model.head_b.data
@@ -1348,7 +1347,7 @@ def test_state_roundtrip_and_shape_error(tmp_path):
     cfg = tiny_config()
     model = gm.GraphormerModel(cfg, fusion_config(), seed=10)
     params = model.parameters()
-    ad.save_parameters(tmp_path / "m.bin", params)
+    ad.save_parameters(tmp_path / "m.bin", {name: t.data for name, t in params.items()})
     state = ad.load_parameters(tmp_path / "m.bin")
     clone = gm.GraphormerModel(cfg, fusion_config(), seed=11)
     clone.load_state(state)
@@ -1398,7 +1397,7 @@ def test_float32_state_roundtrips_bit_exact_through_a_checkpoint(tmp_path):
     rng = np.random.default_rng(0)
     for t in params.values():  # off the rounded float64 draws
         t.data += rng.standard_normal(t.shape).astype(np.float32)
-    ad.save_parameters(tmp_path / "m.bin", params)
+    ad.save_parameters(tmp_path / "m.bin", {name: t.data for name, t in params.items()})
     state = ad.load_parameters(tmp_path / "m.bin")
     assert {a.dtype for a in state.values()} == {np.dtype(np.float64)}
     clone = gm.GraphormerModel(cfg, fusion_config(), seed=11)
@@ -1415,7 +1414,8 @@ def test_float64_trained_checkpoint_loads_into_a_float32_model(tmp_path):
                              test_ids=np.arange(20, 24))
     trained = gm.GraphormerModel(tiny_config(dtype="float64"), fusion_config(), seed=41)
     tr.train(trained, data, split, tr.TrainConfig(epochs=2, base_lr=0.01, batch_size=8))
-    ad.save_parameters(tmp_path / "m.bin", trained.parameters())
+    ad.save_parameters(tmp_path / "m.bin",
+                       {name: t.data for name, t in trained.parameters().items()})
     model = gm.GraphormerModel(tiny_config(dtype="float32"), fusion_config(), seed=0)
     model.load_state(ad.load_parameters(tmp_path / "m.bin"))
     for name, t in trained.parameters().items():

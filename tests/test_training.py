@@ -503,9 +503,9 @@ def test_training_step_stays_in_the_model_dtype(monkeypatch, tmp_path, kind, dty
     assert ad.tape_size() == 0
     arrays = [*opt.m.values(), *opt.v.values(), opt._moments, opt._rows]
     assert {a.dtype for a in arrays} == {np.dtype(dtype)}
-    rows = {s: data.bundle[s][split.test_ids] for s in model.fusion.cfg.active}
     with ad.no_grad():
         assert model.logits_for_centers(data, split.test_ids, seed=0).data.dtype == dtype
+        rows = model.fusion.source_rows(data.bundle, split.test_ids)
         fused, weights = model.fusion.fuse(rows, return_weights=True)
     assert (fused.data.dtype, weights.data.dtype) == (dtype, dtype)
     loaded = _saved_and_loaded(data, tmp_path, dtype)
